@@ -1,22 +1,19 @@
 // Parallel scaling — first-item equivalence-class task parallelism
 // (fpm/parallel/) over the sequential kernels. Mines the two Quest
 // datasets (DS1, DS2) with Eclat, LCM and FP-Growth at 1/2/4/8 threads
-// through BOTH drivers — "flat" (one task per equivalence class) and
-// "nested" (fork-join: classes re-offer large subtrees to the pool) —
-// and reports speedup over the plain sequential kernel. Deterministic
-// merging is on, so every row reproduces the sequential checksum.
+// through the parallel driver (its rows are tagged "nested": classes
+// may re-offer large subtrees to the pool) and reports speedup over the
+// plain sequential kernel. Deterministic merging is on, so every row
+// reproduces the sequential checksum.
 //
 // Besides the table, the bench writes every row to
 // BENCH_parallel_scaling.json via the shared BenchReport writer
 // (directory overridable with FPM_BENCH_JSON_DIR). The metrics registry
 // is enabled while measuring, so each parallel row carries the thread
 // pool's submit/steal/idle-wait deltas of its best run — steals > 0 is
-// the signature of real work redistribution. Nested rows additionally
-// carry the fpm.task.* telemetry: subtree spawn/cutoff counts and the
-// per-worker load-balance gauges (max and mean busy seconds across
-// workers, and their ratio). A nested row whose imbalance is lower than
-// the flat row at the same thread count is the fork-join driver earning
-// its keep: skewed classes were split instead of serializing the tail.
+// the signature of real work redistribution — and the fpm.task.*
+// telemetry: subtree spawn/cutoff counts and the per-worker load-balance
+// gauges (max and mean busy seconds across workers, and their ratio).
 //
 // Speedup is bounded by the host's core count: on a single-core
 // machine every thread count measures ~1.0x (plus task overhead).
@@ -35,7 +32,7 @@
 namespace {
 
 // "1.73x" from the fpm.task.imbalance_milli gauge, "-" when the row
-// recorded no task telemetry (flat driver or no measured work).
+// recorded no measured task work.
 std::string FormatImbalance(uint64_t imbalance_milli) {
   if (imbalance_milli == 0) return "-";
   char buf[32];
@@ -96,72 +93,61 @@ int main() {
 
       for (uint32_t threads : {1u, 2u, 4u, 8u}) {
         options.execution.num_threads = threads;
-        for (const bool nested : {false, true}) {
-          options.execution.nested = nested;
-          const char* driver = nested ? "nested" : "flat";
-          // The task gauges persist in the registry between runs; reset
-          // so a flat row cannot inherit the previous nested row's
-          // load-balance values through the snapshot.
-          MetricsRegistry::Default().Reset();
-          auto miner = CreateMiner(options);
-          FPM_CHECK_OK(miner.status());
-          const Measurement m =
-              MeasureMiner(**miner, ds.db, ds.min_support, repeats);
-          // ComputeSpeedups also cross-checks the checksum against the
-          // sequential baseline — an exactness gate, not just a timer.
-          const auto rows = ComputeSpeedups(base, {m});
-          const uint64_t steals = m.metrics.counter("fpm.pool.steals");
-          const uint64_t spawns = m.metrics.counter("fpm.task.spawns");
-          const uint64_t imbalance_milli =
-              m.metrics.gauge("fpm.task.imbalance_milli");
-          table.AddRow({AlgorithmName(algorithm), driver,
-                        std::to_string(threads), FormatSeconds(m.seconds),
-                        FormatSpeedup(rows[0].speedup), FormatCount(steals),
-                        nested ? FormatCount(spawns) : "-",
-                        FormatImbalance(imbalance_milli),
-                        FormatCount(m.num_frequent)});
-          bench::BenchRow& row = report.AddRow()
-              .Str("dataset", ds.name)
-              .Str("kernel", AlgorithmName(algorithm))
-              .Str("driver", driver)
-              .Int("threads", threads)
-              .Num("speedup", rows[0].speedup)
-              .Int("pool_submits", m.metrics.counter("fpm.pool.submits"))
-              .Int("pool_steals", steals)
-              .Int("pool_idle_waits", m.metrics.counter("fpm.pool.idle_waits"));
-          if (nested) {
-            // Load balance of the best run: busiest and mean per-worker
-            // task seconds, and their ratio (1.0 = perfectly even).
-            const double busy_max =
-                static_cast<double>(m.metrics.gauge("fpm.task.busy_max_micros")) /
-                1e6;
-            const double busy_mean =
-                static_cast<double>(
-                    m.metrics.gauge("fpm.task.busy_mean_micros")) /
-                1e6;
-            row.Int("task_spawns", spawns)
-                .Int("task_cutoffs", m.metrics.counter("fpm.task.cutoffs"))
-                .Num("task_busy_max_seconds", busy_max)
-                .Num("task_busy_mean_seconds", busy_mean)
-                .Num("task_imbalance",
-                     static_cast<double>(imbalance_milli) / 1000.0);
-          }
-          row.Measurement(m);
-        }
+        // The task gauges persist in the registry between runs; reset so
+        // a row cannot inherit the previous row's load-balance values
+        // through the snapshot.
+        MetricsRegistry::Default().Reset();
+        auto miner = CreateMiner(options);
+        FPM_CHECK_OK(miner.status());
+        const Measurement m =
+            MeasureMiner(**miner, ds.db, ds.min_support, repeats);
+        // ComputeSpeedups also cross-checks the checksum against the
+        // sequential baseline — an exactness gate, not just a timer.
+        const auto rows = ComputeSpeedups(base, {m});
+        const uint64_t steals = m.metrics.counter("fpm.pool.steals");
+        const uint64_t spawns = m.metrics.counter("fpm.task.spawns");
+        const uint64_t imbalance_milli =
+            m.metrics.gauge("fpm.task.imbalance_milli");
+        table.AddRow({AlgorithmName(algorithm), "nested",
+                      std::to_string(threads), FormatSeconds(m.seconds),
+                      FormatSpeedup(rows[0].speedup), FormatCount(steals),
+                      FormatCount(spawns), FormatImbalance(imbalance_milli),
+                      FormatCount(m.num_frequent)});
+        // Load balance of the best run: busiest and mean per-worker task
+        // seconds, and their ratio (1.0 = perfectly even).
+        const double busy_max =
+            static_cast<double>(m.metrics.gauge("fpm.task.busy_max_micros")) /
+            1e6;
+        const double busy_mean =
+            static_cast<double>(m.metrics.gauge("fpm.task.busy_mean_micros")) /
+            1e6;
+        report.AddRow()
+            .Str("dataset", ds.name)
+            .Str("kernel", AlgorithmName(algorithm))
+            .Str("driver", "nested")
+            .Int("threads", threads)
+            .Num("speedup", rows[0].speedup)
+            .Int("pool_submits", m.metrics.counter("fpm.pool.submits"))
+            .Int("pool_steals", steals)
+            .Int("pool_idle_waits", m.metrics.counter("fpm.pool.idle_waits"))
+            .Int("task_spawns", spawns)
+            .Int("task_cutoffs", m.metrics.counter("fpm.task.cutoffs"))
+            .Num("task_busy_max_seconds", busy_max)
+            .Num("task_busy_mean_seconds", busy_mean)
+            .Num("task_imbalance",
+                 static_cast<double>(imbalance_milli) / 1000.0)
+            .Measurement(m);
       }
     }
     std::printf("%s\n", table.ToString().c_str());
   }
   std::printf(
       "Reading the table: \"seq\" is the unwrapped kernel; the threads=1\n"
-      "rows isolate the decomposition overhead (projection + per-class\n"
-      "kernel restarts); higher rows add real concurrency. \"flat\" stops\n"
-      "at one task per equivalence class, so one huge class serializes\n"
-      "the tail; \"nested\" re-offers large subtrees to the pool, which\n"
-      "shows up as spawns > 0 and a lower imbalance (max/mean per-worker\n"
-      "busy time). Expect >1.5x at 4 threads on a 4-core host for\n"
-      "DS1/DS2-sized inputs; single-core hosts show ~1x across the\n"
-      "board.\n\n");
+      "rows isolate the decomposition overhead (ranking, row index and\n"
+      "per-class kernel restarts); higher rows add real concurrency.\n"
+      "spawns > 0 means a class kernel handed subtrees back to the pool;\n"
+      "imbalance is the max/mean per-worker busy time. Single-core hosts\n"
+      "show ~1x across the board.\n\n");
 
   report.Write();
   return 0;

@@ -124,7 +124,6 @@ std::string HandleMine(MiningService& service, const MineRequest& request,
   while (!job->WaitFor(std::chrono::milliseconds(50))) {
     if (PeerClosed(fd)) {
       job->Cancel();
-      job->Wait();
       break;
     }
   }

@@ -14,9 +14,6 @@
 //     --timeout=SEC                            (cancel mining after SEC
 //                                               seconds; reports patterns
 //                                               found so far, exits 3)
-//     --flat                                   (top-level task parallelism
-//                                               only; default is nested
-//                                               fork-join)
 //     --nondeterministic                       (allow any emission order)
 //     --stats                                  (print timing breakdown)
 //     --perf                                   (per-phase CPI/MPKI table)
@@ -98,7 +95,7 @@ int Usage(const char* argv0) {
                "[--task=frequent|closed|maximal|top_k|rules] [--top-k=N] "
                "[--min-confidence=X] [--min-lift=X] [--output=FILE] "
                "[--threads=N (0 = all hardware threads)] [--timeout=SEC] "
-               "[--flat] [--nondeterministic] [--stats] [--perf] "
+               "[--nondeterministic] [--stats] [--perf] "
                "[--trace-out=FILE] [--metrics-out=FILE] [--query-log=FILE] "
                "[--append=FILE ...] [--window=N] [--packed]\n",
                argv0);
@@ -143,7 +140,6 @@ int main(int argc, char** argv) {
   long threads = 1;
   double timeout_seconds = 0.0;
   bool deterministic = true;
-  bool nested = true;
   std::vector<std::string> append_paths;
   long window_n = 0;
   bool packed = false;
@@ -189,8 +185,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--timeout must be a positive number\n");
         return 2;
       }
-    } else if (arg == "--flat") {
-      nested = false;
     } else if (arg == "--nondeterministic") {
       deterministic = false;
     } else if (arg == "--stats") {
@@ -357,7 +351,6 @@ int main(int argc, char** argv) {
   }
   options.execution.num_threads = static_cast<uint32_t>(threads);
   options.execution.deterministic = deterministic;
-  options.execution.nested = nested;
 
   // The task family (closed/maximal/top-k/rules) rides the same miner
   // through the MiningQuery dispatch; "frequent" keeps the classic

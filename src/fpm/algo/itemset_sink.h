@@ -5,9 +5,9 @@
 // Concurrency contract: Emit() calls on a given sink are always
 // serialized — a sink never needs to be internally thread-safe. The
 // sequential kernels emit from the calling thread; the parallel engine
-// (fpm/parallel/) gives each mining task a private shard (see
-// ShardedSink) or serializes direct emission under a lock, and only
-// merges into the caller's sink from one thread. Sinks that aggregate
+// (fpm/parallel/) gives each mining task a private result buffer or
+// serializes direct emission under a lock, and only merges into the
+// caller's sink from one thread. Sinks that aggregate
 // (CountingSink) expose an associative merge so per-shard partials
 // combine to exactly the sequential result.
 
@@ -118,44 +118,6 @@ class SizeFilterSink : public ItemsetSink {
  private:
   ItemsetSink* inner_;
   size_t min_size_;
-};
-
-/// A fixed array of CollectingSink shards plus an ordered merge — the
-/// buffer behind deterministic parallel mining. Each worker/task owns
-/// one shard exclusively while mining (no locking: disjoint shards), and
-/// a single thread calls MergeInto() afterwards, replaying shard 0's
-/// itemsets, then shard 1's, ... into the target. The replay order
-/// depends only on the shard assignment, not on thread scheduling.
-class ShardedSink {
- public:
-  explicit ShardedSink(size_t num_shards) : shards_(num_shards) {}
-
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Shard `i`, exclusively owned by one task at a time.
-  CollectingSink* shard(size_t i) { return &shards_[i]; }
-  const CollectingSink& shard(size_t i) const { return shards_[i]; }
-
-  /// Total itemsets buffered across all shards.
-  uint64_t total_count() const {
-    uint64_t n = 0;
-    for (const CollectingSink& s : shards_) n += s.size();
-    return n;
-  }
-
-  /// Replays every buffered itemset into `target`, in shard order (and
-  /// emission order within each shard). Single-threaded; shards must no
-  /// longer be written to.
-  void MergeInto(ItemsetSink* target) const {
-    for (const CollectingSink& s : shards_) {
-      for (const CollectingSink::Entry& e : s.results()) {
-        target->Emit(e.first, e.second);
-      }
-    }
-  }
-
- private:
-  std::vector<CollectingSink> shards_;
 };
 
 }  // namespace fpm

@@ -48,6 +48,15 @@ using PhaseCounterDeltas = std::vector<std::pair<std::string, uint64_t>>;
 /// CPI bench; memory feeds the aggregation-cost discussion of §4.3;
 /// phase counter tables feed the per-pattern architecture claims
 /// ("prefetch cuts L2 misses") when hardware counters are sampled.
+///
+/// Phase semantics differ for parallel runs (ExecutionPolicy with
+/// num_threads > 1): prepare (the class decomposition) and mine (the
+/// class tasks through the merge) are wall time of the Mine() call, but
+/// build is kernel construction time summed over all class tasks, so it
+/// can exceed the wall time. peak_structure_bytes is then the shared
+/// ranked database and class row index plus the largest single task's
+/// conditional database and kernel structure; the decomposition's
+/// per-block counters, freed before the class tasks start, are left out.
 struct MineStats {
   uint64_t num_frequent = 0;       ///< itemsets emitted
   size_t peak_structure_bytes = 0; ///< main data structure footprint
@@ -120,7 +129,10 @@ struct MineStats {
 /// `num_threads == 1` runs the sequential kernel unchanged. Larger
 /// values decompose the search space into independent first-item
 /// equivalence classes and mine them on a work-stealing pool
-/// (fpm/parallel/). `num_threads == 0` is rejected as InvalidArgument.
+/// (fpm/parallel/nested_miner.h); a running class kernel may hand large
+/// subtrees back to the pool. `num_threads == 0` is rejected as
+/// InvalidArgument. The MineStats of a parallel run report prepare and
+/// mine as wall time and build summed over tasks (see MineStats).
 struct ExecutionPolicy {
   uint32_t num_threads = 1;
   /// When true (the default), parallel runs buffer per-class results and
@@ -130,13 +142,6 @@ struct ExecutionPolicy {
   /// sink as classes finish (serialized, but in nondeterministic order)
   /// — lower memory, same set of itemsets.
   bool deterministic = true;
-  /// When true (the default), parallel runs use the nested fork-join
-  /// driver (NestedParallelMiner): kernels spawn subtree tasks from
-  /// inside their recursion when estimated work clears an adaptive
-  /// cutoff, so one skewed equivalence class no longer serializes the
-  /// tail. When false, the top-level-classes-only driver
-  /// (ParallelMiner) is used.
-  bool nested = true;
 };
 
 /// Abstract pattern miner. The base enumeration contract is frequent
@@ -192,7 +197,7 @@ class Miner {
                               std::vector<AssociationRule>* rules);
 
   /// Like Mine(), but offers subtrees of the recursion to `spawner`
-  /// (see fpm/algo/subtree.h) so a fork-join driver can mine them as
+  /// (see fpm/algo/subtree.h) so the parallel driver can mine them as
   /// tasks. `spawner == nullptr` is exactly Mine(). Kernels that do not
   /// implement re-entrant recursion ignore the spawner and mine
   /// sequentially — still correct, never parallel below the top level.

@@ -10,7 +10,6 @@
 #include "fpm/algo/lcm/lcm_miner.h"
 #include "fpm/common/cancel.h"
 #include "fpm/parallel/nested_miner.h"
-#include "fpm/parallel/parallel_miner.h"
 
 namespace fpm {
 
@@ -79,24 +78,15 @@ Result<std::unique_ptr<Miner>> CreateMiner(const MineOptions& options) {
   // fails here instead of inside every worker task.
   FPM_ASSIGN_OR_RETURN(std::unique_ptr<Miner> probe,
                        CreateMiner(options.algorithm, options.patterns));
-  MinerFactory factory = [algorithm = options.algorithm,
-                          patterns = options.patterns,
-                          cancel = options.cancel] {
+  NestedParallelMinerOptions no;
+  no.execution = options.execution;
+  no.kernel_name = probe->name();
+  no.factory = [algorithm = options.algorithm, patterns = options.patterns,
+                cancel = options.cancel] {
     return CreateMiner(algorithm, patterns, cancel);
   };
-  if (options.execution.nested) {
-    NestedParallelMinerOptions no;
-    no.execution = options.execution;
-    no.kernel_name = probe->name();
-    no.factory = std::move(factory);
-    return std::unique_ptr<Miner>(
-        std::make_unique<NestedParallelMiner>(std::move(no)));
-  }
-  ParallelMinerOptions po;
-  po.execution = options.execution;
-  po.kernel_name = probe->name();
-  po.factory = std::move(factory);
-  return std::unique_ptr<Miner>(std::make_unique<ParallelMiner>(std::move(po)));
+  return std::unique_ptr<Miner>(
+      std::make_unique<NestedParallelMiner>(std::move(no)));
 }
 
 Result<MineStats> Mine(const Database& db, const MineOptions& options,

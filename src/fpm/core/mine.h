@@ -9,11 +9,6 @@
 //   fpm::CollectingSink sink;
 //   fpm::Result<fpm::MineStats> stats = fpm::Mine(db, options, &sink);
 //   FPM_CHECK_OK(stats.status());
-//
-// Migration note (this PR): Mine() now returns Result<MineStats> — the
-// per-call statistics that used to be fetched from Miner::stats() after
-// the fact. The `MineStats*` out-parameter is gone; Miner::stats()
-// remains one more PR as a deprecated shim.
 
 #ifndef FPM_CORE_MINE_H_
 #define FPM_CORE_MINE_H_

@@ -146,11 +146,11 @@ struct NestedRun {
     telemetry.RecordTask(NowMicros(start));
   }
 
-  /// Body of a top-level equivalence-class task. `builder` is the
-  /// class's private conditional-database builder; `spawn` selects
-  /// whether subtrees may fork (false on the 1-thread inline path).
-  void RunClass(Item rank, TreeShard* shard, DatabaseBuilder* builder,
-                bool spawn) {
+  /// Body of a top-level equivalence-class task: projects class `rank`
+  /// from the shared decomposition on this worker and mines it. `spawn`
+  /// selects whether subtrees may fork (false on the 1-thread inline
+  /// path).
+  void RunClass(Item rank, TreeShard* shard, bool spawn) {
     if (failed.load(std::memory_order_relaxed)) return;
     const auto start = std::chrono::steady_clock::now();
     PhaseSpan class_span("class");
@@ -168,8 +168,10 @@ struct NestedRun {
 
     double task_build_seconds = 0.0;
     size_t peak_bytes = 0;
-    if (builder->size() > 0) {
-      const Database cond = builder->Build();
+    // Without an item frequent inside the class, the kernel would emit
+    // nothing: skip it.
+    const Database cond = ProjectClass(*decomp, rank, min_support);
+    if (cond.num_entries() > 0) {
       Result<std::unique_ptr<Miner>> kernel = (*factory)();
       if (!kernel.ok()) {
         Fail(kernel.status());
@@ -185,7 +187,7 @@ struct NestedRun {
       }
       task_emitted += class_sink.emitted();
       task_build_seconds = run->phase_seconds(PhaseId::kBuild);
-      peak_bytes = run->peak_structure_bytes;
+      peak_bytes = cond.resident_bytes() + run->peak_structure_bytes;
     }
     class_span.AddArg("itemsets", task_emitted);
     Aggregate(task_emitted, task_build_seconds, peak_bytes);
@@ -247,16 +249,22 @@ Result<MineStats> NestedParallelMiner::MineImpl(const Database& db,
     return Status::InvalidArgument(
         "NestedParallelMiner requires a miner factory");
   }
+  const uint32_t num_threads = options_.execution.num_threads;
+  const bool deterministic = options_.execution.deterministic;
   MineStats stats;
+  NestedRun run;
+  // One pool serves the decomposition passes and the class tasks. It is
+  // declared after `run`, so its workers are joined before `run` goes.
+  std::unique_ptr<ThreadPool> pool;
+  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
 
   PhaseSpan prep_span(PhaseName(PhaseId::kPrepare));
-  ClassDecomposition decomp = DecomposeClasses(db, min_support);
+  const ClassDecomposition decomp =
+      DecomposeClasses(db, min_support, pool.get());
   const size_t num_frequent = decomp.num_classes();
   stats.FinishPhase(PhaseId::kPrepare, prep_span);
-  stats.peak_structure_bytes = decomp.projection_entries * sizeof(Item);
 
   PhaseSpan mine_span(PhaseName(PhaseId::kMine));
-  NestedRun run;
   run.decomp = &decomp;
   run.factory = &options_.factory;
   run.min_support = min_support;
@@ -265,21 +273,16 @@ Result<MineStats> NestedParallelMiner::MineImpl(const Database& db,
           ? options_.spawn_min_entries
           : std::max<uint64_t>(256, decomp.projection_entries / 256);
 
-  const uint32_t num_threads = options_.execution.num_threads;
-  const bool deterministic = options_.execution.deterministic;
-
-  if (num_threads == 1) {
+  if (pool == nullptr) {
     // Inline: class order, owner singleton first, kernel DFS below it —
     // the exact order the deterministic replay reproduces.
     run.stream_sink = sink;
     for (size_t i = 0; i < num_frequent; ++i) {
-      run.RunClass(static_cast<Item>(i), nullptr, &decomp.builders[i],
-                   /*spawn=*/false);
+      run.RunClass(static_cast<Item>(i), nullptr, /*spawn=*/false);
       if (run.failed.load()) return run.first_error;
     }
   } else {
-    ThreadPool pool(num_threads);
-    TaskGroup group(&pool);
+    TaskGroup group(pool.get());
     run.group = &group;
 
     // Deterministic mode: one shard tree per class, merged in class
@@ -302,10 +305,9 @@ Result<MineStats> NestedParallelMiner::MineImpl(const Database& db,
     const uint64_t query_id = Tracer::ThreadQueryId();
     for (Item i : schedule) {
       TreeShard* shard = deterministic ? &class_shards[i] : nullptr;
-      DatabaseBuilder* builder = &decomp.builders[i];
-      group.Run([&run, i, shard, builder, query_id] {
+      group.Run([&run, i, shard, query_id] {
         SpanContextScope span_context(query_id);
-        run.RunClass(i, shard, builder, /*spawn=*/true);
+        run.RunClass(i, shard, /*spawn=*/true);
       });
     }
     group.Wait();
@@ -321,11 +323,12 @@ Result<MineStats> NestedParallelMiner::MineImpl(const Database& db,
   run.telemetry.Finish();
 
   stats.num_frequent = run.emitted;
-  // As in ParallelMiner: build aggregates kernel construction across
-  // tasks (may exceed wall time); the footprint is the projection plus
-  // the largest single task structure.
+  // Build sums kernel construction over tasks (it may exceed wall
+  // time). The footprint is the shared ranked database and row index
+  // plus the largest single task: a class's conditional database and its
+  // kernel structure.
   stats.set_phase_seconds(PhaseId::kBuild, run.build_seconds);
-  stats.peak_structure_bytes += run.task_peak_bytes;
+  stats.peak_structure_bytes = decomp.memory_bytes() + run.task_peak_bytes;
   stats.FinishPhase(PhaseId::kMine, mine_span);
   return stats;
 }

@@ -1,15 +1,18 @@
-// Nested fork-join mining driver.
+// The parallel mining driver: first-item equivalence classes mined as
+// fork-join tasks.
 //
-// Like ParallelMiner, decomposes the search space into first-item
-// equivalence classes — but instead of treating a class as the atom of
-// parallelism, it hands every class kernel a SubtreeSpawner
+// The search space is decomposed into one equivalence class per frequent
+// item (fpm/parallel/decompose.h), in the spirit of the task-parallel FPM
+// literature (Kambadur et al.; Zymbler — see PAPERS.md). The caller ranks
+// the input once and indexes each class's rows; a class task counts its
+// items over that shared ranked database on its worker, copies out only
+// what is frequent inside the class, and mines it with a fresh instance
+// of the sequential kernel. Each class kernel also gets a SubtreeSpawner
 // (fpm/algo/subtree.h): when the kernel's recursion reaches a subtree
-// whose estimated work clears an adaptive cutoff, the subtree is
-// detached (its conditional structures copied into a task-private arena
-// leased from an ArenaPool) and forked onto the same TaskGroup as the
-// class tasks. A skewed class therefore no longer serializes the tail of
-// the run: its heavy subtrees migrate to idle workers, which is exactly
-// the load-balance failure mode of the top-level driver.
+// whose estimated work clears an adaptive cutoff, the subtree is detached
+// (its conditional structures copied into a task-private arena leased
+// from an ArenaPool) and forked onto the same TaskGroup as the class
+// tasks, so a skewed class need not serialize the tail of the run.
 //
 // Determinism: every task owns a TreeShard — an op log of emissions and
 // child markers recorded in DFS order. A spawn inserts a child marker at
@@ -22,12 +25,19 @@
 #ifndef FPM_PARALLEL_NESTED_MINER_H_
 #define FPM_PARALLEL_NESTED_MINER_H_
 
+#include <functional>
+#include <memory>
 #include <string>
 
 #include "fpm/algo/miner.h"
-#include "fpm/parallel/parallel_miner.h"
 
 namespace fpm {
+
+/// Creates a fresh sequential kernel instance. Called once per mining
+/// task, possibly concurrently from several workers — must be
+/// thread-safe (stateless factories, e.g. a lambda over value-captured
+/// options, trivially are).
+using MinerFactory = std::function<Result<std::unique_ptr<Miner>>()>;
 
 /// Configuration of the nested driver.
 struct NestedParallelMinerOptions {

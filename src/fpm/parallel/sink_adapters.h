@@ -1,4 +1,4 @@
-// Sink adapters shared by the parallel drivers.
+// Sink adapters of the parallel driver.
 
 #ifndef FPM_PARALLEL_SINK_ADAPTERS_H_
 #define FPM_PARALLEL_SINK_ADAPTERS_H_

@@ -1,6 +1,6 @@
 // PhaseSampler implementation backed by PerfCounterGroup: install one on
 // the tracer (Tracer::set_phase_sampler) and every PhaseSpan — the
-// kernels' prepare/build/mine phases and ParallelMiner's per-class spans
+// kernels' prepare/build/mine phases and the parallel driver's class spans
 // — latches hardware-counter deltas plus derived gauges (CPI, cache-MPKI
 // and dTLB-MPKI as milli-unit integers).
 //

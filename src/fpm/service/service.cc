@@ -53,7 +53,8 @@ void MineJob::Wait() const {
 void MineJob::Cancel() { cancel_.RequestCancel(); }
 
 Result<MineResponse> MineJob::Take() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return done_; });
   return std::move(result_);
 }
 
@@ -497,7 +498,6 @@ Result<MineResponse> MiningService::RunJob(const MineRequest& request,
 
 Result<MineResponse> MiningService::Execute(const MineRequest& request) {
   FPM_ASSIGN_OR_RETURN(std::shared_ptr<MineJob> job, Submit(request));
-  job->Wait();
   return job->Take();
 }
 

@@ -158,7 +158,7 @@ class MineJob {
   /// completed.
   void Cancel();
 
-  /// The job's outcome. Must only be called after done(); moves the
+  /// Blocks until done, then returns the job's outcome; moves the
   /// response out on first call.
   Result<MineResponse> Take();
 

@@ -94,33 +94,6 @@ TEST(CountingSinkTest, MergeFromEmptyIsIdentity) {
   EXPECT_EQ(a.checksum(), checksum);
 }
 
-TEST(ShardedSinkTest, MergeReplaysInShardOrder) {
-  ShardedSink sharded(3);
-  const Item s0[] = {0};
-  const Item s1[] = {1};
-  const Item s2[] = {2};
-  // Fill shards out of order — replay must still follow shard index.
-  sharded.shard(2)->Emit(s2, 3);
-  sharded.shard(0)->Emit(s0, 1);
-  sharded.shard(1)->Emit(s1, 2);
-  EXPECT_EQ(sharded.total_count(), 3u);
-
-  CollectingSink merged;
-  sharded.MergeInto(&merged);
-  ASSERT_EQ(merged.size(), 3u);
-  EXPECT_EQ(merged.results()[0], (CollectingSink::Entry{{0}, 1}));
-  EXPECT_EQ(merged.results()[1], (CollectingSink::Entry{{1}, 2}));
-  EXPECT_EQ(merged.results()[2], (CollectingSink::Entry{{2}, 3}));
-}
-
-TEST(ShardedSinkTest, EmptyShardsMergeToNothing) {
-  ShardedSink sharded(4);
-  EXPECT_EQ(sharded.total_count(), 0u);
-  CountingSink merged;
-  sharded.MergeInto(&merged);
-  EXPECT_EQ(merged.count(), 0u);
-}
-
 TEST(CollectingSinkTest, CanonicalizeSortsSetsAndItems) {
   CollectingSink sink;
   const Item s1[] = {3, 1};

@@ -205,25 +205,6 @@ TEST(NestedMinerTest, RandomDatabasesMatchSequential) {
   }
 }
 
-TEST(NestedMinerTest, MineFrontEndUsesNestedDriverByDefault) {
-  // ExecutionPolicy.nested defaults to true; flipping it selects the
-  // top-level driver. Both must agree with each other.
-  const Database db = SmallQuestDb();
-  MineOptions options;
-  options.min_support = 8;
-  options.execution.num_threads = 4;
-
-  CollectingSink nested;
-  ASSERT_TRUE(Mine(db, options, &nested).ok());
-  nested.Canonicalize();
-
-  options.execution.nested = false;
-  CollectingSink flat;
-  ASSERT_TRUE(Mine(db, options, &flat).ok());
-  flat.Canonicalize();
-  ExpectSameResults(nested.results(), flat.results(), "nested vs flat");
-}
-
 TEST(NestedMinerTest, EmptyDatabase) {
   NestedParallelMiner miner =
       MakeNested(Case{Algorithm::kLcm, false}, /*threads=*/2, /*spawn=*/1);
@@ -232,6 +213,15 @@ TEST(NestedMinerTest, EmptyDatabase) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(stats->num_frequent, 0u);
+}
+
+TEST(NestedMinerTest, SupportAboveEverythingEmitsNothing) {
+  NestedParallelMiner miner =
+      MakeNested(Case{Algorithm::kLcm, false}, /*threads=*/2, /*spawn=*/1);
+  Database db = MakeDb({{0, 1}, {0, 1}});
+  CollectingSink sink;
+  ASSERT_TRUE(miner.Mine(db, 3, &sink).ok());
+  EXPECT_EQ(sink.size(), 0u);
 }
 
 TEST(NestedMinerTest, RejectsZeroThreads) {

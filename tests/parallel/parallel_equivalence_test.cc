@@ -3,8 +3,6 @@
 // sets, same supports — at every thread count, and byte-identical
 // output order in deterministic mode.
 
-#include "fpm/parallel/parallel_miner.h"
-
 #include <gtest/gtest.h>
 
 #include "fpm/core/mine.h"
@@ -169,12 +167,11 @@ TEST(ParallelMinerTest, RandomDatabasesMatchSequential) {
 }
 
 TEST(ParallelMinerTest, EmptyDatabase) {
-  ParallelMinerOptions po;
-  po.execution.num_threads = 2;
-  po.factory = [] { return CreateMiner(Algorithm::kLcm, PatternSet::None()); };
-  ParallelMiner miner(po);
+  MineOptions options;
+  options.min_support = 1;
+  options.execution.num_threads = 2;
   CollectingSink sink;
-  Result<MineStats> stats = miner.Mine(Database(), 1, &sink);
+  Result<MineStats> stats = Mine(Database(), options, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(stats->num_frequent, 0u);
@@ -182,62 +179,45 @@ TEST(ParallelMinerTest, EmptyDatabase) {
 
 TEST(ParallelMinerTest, SupportAboveEverythingEmitsNothing) {
   Database db = MakeDb({{0, 1}, {0, 1}});
-  ParallelMinerOptions po;
-  po.execution.num_threads = 2;
-  po.factory = [] { return CreateMiner(Algorithm::kLcm, PatternSet::None()); };
-  ParallelMiner miner(po);
+  MineOptions options;
+  options.min_support = 3;
+  options.execution.num_threads = 2;
   CollectingSink sink;
-  ASSERT_TRUE(miner.Mine(db, 3, &sink).ok());
+  ASSERT_TRUE(Mine(db, options, &sink).ok());
   EXPECT_EQ(sink.size(), 0u);
 }
 
 TEST(ParallelMinerTest, RejectsZeroThreads) {
-  ParallelMinerOptions po;
-  po.execution.num_threads = 0;
-  po.factory = [] { return CreateMiner(Algorithm::kLcm, PatternSet::None()); };
-  ParallelMiner miner(po);
+  MineOptions options;
+  options.min_support = 1;
+  options.execution.num_threads = 0;
   Database db = MakeDb({{0}});
   CollectingSink sink;
-  const Status s = miner.Mine(db, 1, &sink).status();
+  const Status s = Mine(db, options, &sink).status();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ParallelMinerTest, RejectsMissingFactory) {
-  ParallelMinerOptions po;
-  po.execution.num_threads = 2;
-  ParallelMiner miner(po);
-  Database db = MakeDb({{0}});
-  CollectingSink sink;
-  const Status s = miner.Mine(db, 1, &sink).status();
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ParallelMinerTest, PropagatesFactoryErrors) {
-  ParallelMinerOptions po;
-  po.execution.num_threads = 2;
-  po.factory = []() -> Result<std::unique_ptr<Miner>> {
-    return Status::Internal("factory failure");
-  };
-  ParallelMiner miner(po);
-  // Two items in one transaction so at least one conditional class is
-  // non-empty and the factory actually runs.
-  Database db = MakeDb({{0, 1}, {0, 1}});
-  CollectingSink sink;
-  const Status s = miner.Mine(db, 1, &sink).status();
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
 }
 
 TEST(ParallelMinerTest, NameReflectsConfiguration) {
-  ParallelMinerOptions po;
-  po.execution.num_threads = 4;
-  po.kernel_name = "lcm";
-  po.factory = [] { return CreateMiner(Algorithm::kLcm, PatternSet::None()); };
-  EXPECT_EQ(ParallelMiner(po).name(), "parallel(4xlcm)");
-  po.execution.deterministic = false;
-  EXPECT_EQ(ParallelMiner(po).name(), "parallel(4xlcm,nondet)");
+  MineOptions options;
+  options.algorithm = Algorithm::kLcm;
+  auto kernel = CreateMiner(options.algorithm, options.patterns);
+  ASSERT_TRUE(kernel.ok());
+  const std::string kernel_name = (*kernel)->name();
+
+  // One thread runs the kernel itself; more wrap it in the parallel
+  // driver, whose name carries the thread count and the merge mode.
+  auto sequential = CreateMiner(options);
+  ASSERT_TRUE(sequential.ok());
+  EXPECT_EQ((*sequential)->name(), kernel_name);
+  options.execution.num_threads = 4;
+  auto parallel = CreateMiner(options);
+  ASSERT_TRUE(parallel.ok());
+  EXPECT_EQ((*parallel)->name(), "nested(4x" + kernel_name + ")");
+  options.execution.deterministic = false;
+  auto nondet = CreateMiner(options);
+  ASSERT_TRUE(nondet.ok());
+  EXPECT_EQ((*nondet)->name(), "nested(4x" + kernel_name + ",nondet)");
 }
 
 }  // namespace

@@ -68,7 +68,6 @@ TEST_P(CancelKernelTest, NestedParallelDriverPropagatesCancellation) {
   options.min_support = 2;
   options.cancel = &cancel;
   options.execution.num_threads = 4;
-  options.execution.nested = true;
   CountingSink sink;
   const auto start = std::chrono::steady_clock::now();
   auto stats = Mine(*db, options, &sink);

@@ -146,11 +146,20 @@ TEST(WatchdogTest, ServiceFlagsAnArtificiallyStalledJob) {
             std::string::npos);
 
   // Un-wedge: the job completes normally and leaves the stuck gauge.
+  // Take() waits for the job to finish.
   release.set_value();
   auto response = submitted.value()->Take();
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->query_id, query_id);
   EXPECT_EQ(service.watchdog().stats().stuck_now, 0u);
+  // The scheduler retires the job just after the job publishes its
+  // result, so give that bookkeeping a moment.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!service.Stats().scheduler.in_flight.empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(service.Stats().scheduler.in_flight.size(), 0u);
 
   // The completion line for the stalled query landed in the same log.

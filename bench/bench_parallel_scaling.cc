@@ -1,10 +1,10 @@
 // Parallel scaling — first-item equivalence-class task parallelism
 // (fpm/parallel/) over the sequential kernels. Mines the two Quest
 // datasets (DS1, DS2) with Eclat, LCM and FP-Growth at 1/2/4/8 threads
-// through the parallel driver (its rows are tagged "nested": classes
-// may re-offer large subtrees to the pool) and reports speedup over the
-// plain sequential kernel. Deterministic merging is on, so every row
-// reproduces the sequential checksum.
+// through the parallel driver (its rows are tagged "nested", the
+// driver's name) and reports speedup over the plain sequential kernel.
+// Deterministic merging is on, so every row reproduces the sequential
+// checksum.
 //
 // Besides the table, the bench writes every row to
 // BENCH_parallel_scaling.json via the shared BenchReport writer
@@ -12,8 +12,11 @@
 // is enabled while measuring, so each parallel row carries the thread
 // pool's submit/steal/idle-wait deltas of its best run — steals > 0 is
 // the signature of real work redistribution — and the fpm.task.*
-// telemetry: subtree spawn/cutoff counts and the per-worker load-balance
-// gauges (max and mean busy seconds across workers, and their ratio).
+// load-balance gauges (max and mean busy seconds across workers, and
+// their ratio). Every row labels its build time: "wall" for the
+// sequential kernel, "task_sum" (summed over class tasks, so it can
+// exceed the wall time) for the parallel driver; prepare and mine are
+// wall time in both.
 //
 // Speedup is bounded by the host's core count: on a single-core
 // machine every thread count measures ~1.0x (plus task overhead).
@@ -67,7 +70,7 @@ int main() {
     std::printf("== %s (%s), support %u ==\n", ds.name.c_str(),
                 ds.description.c_str(), ds.min_support);
     ReportTable table({"kernel", "driver", "threads", "mine time", "speedup",
-                       "steals", "spawns", "imbalance", "itemsets"});
+                       "steals", "imbalance", "itemsets"});
     for (Algorithm algorithm :
          {Algorithm::kEclat, Algorithm::kLcm, Algorithm::kFpGrowth}) {
       MineOptions options;
@@ -80,7 +83,7 @@ int main() {
       const Measurement base =
           MeasureMiner(**baseline, ds.db, ds.min_support, repeats);
       table.AddRow({AlgorithmName(algorithm), "seq", "1",
-                    FormatSeconds(base.seconds), "1.00x", "-", "-", "-",
+                    FormatSeconds(base.seconds), "1.00x", "-", "-",
                     FormatCount(base.num_frequent)});
       // threads = 0 marks the unwrapped sequential baseline.
       report.AddRow()
@@ -88,6 +91,7 @@ int main() {
           .Str("kernel", AlgorithmName(algorithm))
           .Str("driver", "seq")
           .Int("threads", 0)
+          .Str("build_time", "wall")
           .Num("speedup", 1.0)
           .Measurement(base);
 
@@ -105,13 +109,12 @@ int main() {
         // sequential baseline — an exactness gate, not just a timer.
         const auto rows = ComputeSpeedups(base, {m});
         const uint64_t steals = m.metrics.counter("fpm.pool.steals");
-        const uint64_t spawns = m.metrics.counter("fpm.task.spawns");
         const uint64_t imbalance_milli =
             m.metrics.gauge("fpm.task.imbalance_milli");
         table.AddRow({AlgorithmName(algorithm), "nested",
                       std::to_string(threads), FormatSeconds(m.seconds),
                       FormatSpeedup(rows[0].speedup), FormatCount(steals),
-                      FormatCount(spawns), FormatImbalance(imbalance_milli),
+                      FormatImbalance(imbalance_milli),
                       FormatCount(m.num_frequent)});
         // Load balance of the best run: busiest and mean per-worker task
         // seconds, and their ratio (1.0 = perfectly even).
@@ -126,12 +129,11 @@ int main() {
             .Str("kernel", AlgorithmName(algorithm))
             .Str("driver", "nested")
             .Int("threads", threads)
+            .Str("build_time", "task_sum")
             .Num("speedup", rows[0].speedup)
             .Int("pool_submits", m.metrics.counter("fpm.pool.submits"))
             .Int("pool_steals", steals)
             .Int("pool_idle_waits", m.metrics.counter("fpm.pool.idle_waits"))
-            .Int("task_spawns", spawns)
-            .Int("task_cutoffs", m.metrics.counter("fpm.task.cutoffs"))
             .Num("task_busy_max_seconds", busy_max)
             .Num("task_busy_mean_seconds", busy_mean)
             .Num("task_imbalance",
@@ -145,7 +147,6 @@ int main() {
       "Reading the table: \"seq\" is the unwrapped kernel; the threads=1\n"
       "rows isolate the decomposition overhead (ranking, row index and\n"
       "per-class kernel restarts); higher rows add real concurrency.\n"
-      "spawns > 0 means a class kernel handed subtrees back to the pool;\n"
       "imbalance is the max/mean per-worker busy time. Single-core hosts\n"
       "show ~1x across the board.\n\n");
 

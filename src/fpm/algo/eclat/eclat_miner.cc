@@ -1,17 +1,13 @@
 #include "fpm/algo/eclat/eclat_miner.h"
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
 
-#include "fpm/algo/subtree.h"
 #include "fpm/bitvec/incremental_vertical.h"
 #include "fpm/bitvec/tidlist.h"
 #include "fpm/bitvec/vertical.h"
-#include "fpm/common/arena.h"
 #include "fpm/common/cancel.h"
 #include "fpm/layout/lexicographic.h"
 #include "fpm/obs/trace.h"
@@ -53,8 +49,7 @@ namespace {
 // One itemset's occurrence vector during the DFS. Top-level columns
 // borrow the VerticalDatabase's storage; derived columns own a slice
 // covering only their 1-range window (`offset` = global word index of
-// data[0]), so 0-escaping also shrinks the working set. Columns of a
-// detached subtree frame point into the task's arena instead of `owned`.
+// data[0]), so 0-escaping also shrinks the working set.
 struct Column {
   Item raw_item = 0;        // original item id of the extending item
   Support support = 0;
@@ -68,45 +63,21 @@ struct Column {
 struct TidColumn {
   Item raw_item = 0;
   Support support = 0;
-  std::span<const Tid> tids;   // view: borrowed, into `owned`, or arena
+  std::span<const Tid> tids;   // view: borrowed, or into `owned`
   std::vector<Tid> owned;
 };
 
-// Everything a recursion step needs besides its frame. Copied by value
-// into detached subtree tasks, so it must not reference the EclatRun or
-// the Miner instance (both die with the class task that spawned the
-// subtree, possibly before the subtree runs).
+// Everything a recursion step needs besides its columns and prefix.
 struct EclatCtx {
   EclatOptions options;
   PopcountStrategy strategy = PopcountStrategy::kLut16;
   Support min_support = 1;
-  // Tid/diffset paths: per-transaction weights. Points into the
-  // TidListDatabase when mining sequentially; when a spawner is present
-  // it points into `weights_keepalive`, which detached frames co-own so
-  // the array outlives the kernel run.
+  // Tid/diffset paths: per-transaction weights, into the TidListDatabase.
   const Support* weights = nullptr;
-  std::shared_ptr<const std::vector<Support>> weights_keepalive;
 
   bool Cancelled() const {
     return options.cancel != nullptr && options.cancel->cancelled();
   }
-};
-
-// Self-contained frame of a detached bit-vector subtree: column data
-// lives in the task's arena, so the parent's scratch may be reused the
-// moment detach returns. Held by shared_ptr (SubtreeFn is a
-// std::function and must stay copyable).
-struct EclatFrame {
-  EclatCtx ctx;
-  std::vector<Column> cols;
-  std::vector<Item> prefix;
-};
-
-struct EclatTidFrame {
-  EclatCtx ctx;
-  std::vector<TidColumn> cols;
-  std::vector<Item> prefix;
-  bool diffsets = false;        // frame columns are diffsets
 };
 
 // child = a & b, counted with the configured strategy, windowed to the
@@ -149,126 +120,30 @@ Column Intersect(const EclatCtx& ctx, const Column& a, const Column& b,
   return child;
 }
 
-void MineClassStep(const EclatCtx& ctx, const std::vector<Column>& cols,
-                   std::vector<Item>* prefix,
-                   std::vector<uint64_t>* scratch, uint32_t depth,
-                   ItemsetSink* sink, MineStats* stats,
-                   SubtreeSpawner* spawner);
-
-// Detaches `next` (an equivalence class about to be recursed into) as a
-// self-contained subtree task: column windows are copied into the
-// task's arena, the prefix (which already includes the class item) by
-// value. Invoked synchronously by the spawner iff the offer is taken.
-SubtreeSpawner::DetachFn DetachClass(const EclatCtx& ctx,
-                                     const std::vector<Column>& next,
-                                     const std::vector<Item>& prefix,
-                                     uint32_t depth) {
-  return [&ctx, &next, &prefix, depth](Arena* arena) {
-    auto frame = std::make_shared<EclatFrame>();
-    frame->ctx = ctx;
-    frame->prefix = prefix;
-    frame->cols.resize(next.size());
-    for (size_t i = 0; i < next.size(); ++i) {
-      Column& dst = frame->cols[i];
-      const Column& src = next[i];
-      dst.raw_item = src.raw_item;
-      dst.support = src.support;
-      dst.range = src.range;
-      dst.offset = src.range.begin;
-      const size_t words = src.range.size();
-      uint64_t* copy = static_cast<uint64_t*>(
-          arena->Allocate(words * sizeof(uint64_t), alignof(uint64_t)));
-      std::memcpy(copy, src.data + (src.range.begin - src.offset),
-                  words * sizeof(uint64_t));
-      dst.data = copy;
-    }
-    return SubtreeSpawner::SubtreeFn(
-        [frame, depth](ItemsetSink* sink, SubtreeSpawner* spawner,
-                       MineStats* stats) {
-          std::vector<Item> pfx = frame->prefix;
-          std::vector<uint64_t> scratch;
-          MineClassStep(frame->ctx, frame->cols, &pfx, &scratch, depth,
-                        sink, stats, spawner);
-        });
-  };
-}
-
 // Mines one equivalence class: emits every column as an extension of
-// `prefix` and recurses on its own extensions — re-entrant step, no
-// miner state. Child classes clearing the spawner's cutoff run as tasks.
+// `prefix` and recurses on its own extensions.
 void MineClassStep(const EclatCtx& ctx, const std::vector<Column>& cols,
                    std::vector<Item>* prefix,
-                   std::vector<uint64_t>* scratch, uint32_t depth,
-                   ItemsetSink* sink, MineStats* stats,
-                   SubtreeSpawner* spawner) {
+                   std::vector<uint64_t>* scratch, ItemsetSink* sink,
+                   MineStats* stats) {
   std::vector<Column> next;
   for (size_t k = 0; k < cols.size(); ++k) {
     if (ctx.Cancelled()) return;
     const Column& a = cols[k];
     prefix->push_back(a.raw_item);
     sink->Emit(*prefix, a.support);
-    if (stats != nullptr) ++stats->num_frequent;
+    ++stats->num_frequent;
 
     next.clear();
-    uint64_t work = 0;
     for (size_t l = k + 1; l < cols.size(); ++l) {
       Column child = Intersect(ctx, a, cols[l], scratch);
-      if (child.support >= ctx.min_support) {
-        work += child.support;
-        next.push_back(std::move(child));
-      }
+      if (child.support >= ctx.min_support) next.push_back(std::move(child));
     }
     if (!next.empty()) {
-      if (spawner == nullptr ||
-          !spawner->Offer(depth + 1, work,
-                          DetachClass(ctx, next, *prefix, depth + 1))) {
-        MineClassStep(ctx, next, prefix, scratch, depth + 1, sink, stats,
-                      spawner);
-      }
+      MineClassStep(ctx, next, prefix, scratch, sink, stats);
     }
     prefix->pop_back();
   }
-}
-
-void MineClassTidStep(const EclatCtx& ctx,
-                      const std::vector<TidColumn>& cols,
-                      std::vector<Item>* prefix,
-                      std::vector<Tid>* scratch, uint32_t depth,
-                      bool diffsets, bool cols_are_tidsets,
-                      ItemsetSink* sink, MineStats* stats,
-                      SubtreeSpawner* spawner);
-
-SubtreeSpawner::DetachFn DetachTidClass(const EclatCtx& ctx,
-                                        const std::vector<TidColumn>& next,
-                                        const std::vector<Item>& prefix,
-                                        uint32_t depth, bool diffsets) {
-  return [&ctx, &next, &prefix, depth, diffsets](Arena* arena) {
-    auto frame = std::make_shared<EclatTidFrame>();
-    frame->ctx = ctx;
-    frame->prefix = prefix;
-    frame->diffsets = diffsets;
-    frame->cols.resize(next.size());
-    for (size_t i = 0; i < next.size(); ++i) {
-      TidColumn& dst = frame->cols[i];
-      const TidColumn& src = next[i];
-      dst.raw_item = src.raw_item;
-      dst.support = src.support;
-      Tid* copy = static_cast<Tid*>(
-          arena->Allocate(src.tids.size() * sizeof(Tid), alignof(Tid)));
-      std::memcpy(copy, src.tids.data(), src.tids.size() * sizeof(Tid));
-      dst.tids = std::span<const Tid>(copy, src.tids.size());
-    }
-    return SubtreeSpawner::SubtreeFn(
-        [frame, depth](ItemsetSink* sink, SubtreeSpawner* spawner,
-                       MineStats* stats) {
-          std::vector<Item> pfx = frame->prefix;
-          std::vector<Tid> scratch;
-          // Below the first diffset level, columns are always diffsets.
-          MineClassTidStep(frame->ctx, frame->cols, &pfx, &scratch, depth,
-                           frame->diffsets, /*cols_are_tidsets=*/false,
-                           sink, stats, spawner);
-        });
-  };
 }
 
 // Sparse-representation step. With `diffsets`, columns below level 1
@@ -279,21 +154,18 @@ SubtreeSpawner::DetachFn DetachTidClass(const EclatCtx& ctx,
 // and support(·XY) = support(·X) - weight(diffset).
 void MineClassTidStep(const EclatCtx& ctx,
                       const std::vector<TidColumn>& cols,
-                      std::vector<Item>* prefix,
-                      std::vector<Tid>* scratch, uint32_t depth,
+                      std::vector<Item>* prefix, std::vector<Tid>* scratch,
                       bool diffsets, bool cols_are_tidsets,
-                      ItemsetSink* sink, MineStats* stats,
-                      SubtreeSpawner* spawner) {
+                      ItemsetSink* sink, MineStats* stats) {
   std::vector<TidColumn> next;
   for (size_t k = 0; k < cols.size(); ++k) {
     if (ctx.Cancelled()) return;
     const TidColumn& a = cols[k];
     prefix->push_back(a.raw_item);
     sink->Emit(*prefix, a.support);
-    if (stats != nullptr) ++stats->num_frequent;
+    ++stats->num_frequent;
 
     next.clear();
-    uint64_t work = 0;
     for (size_t l = k + 1; l < cols.size(); ++l) {
       const TidColumn& b = cols[l];
       TidColumn child;
@@ -327,17 +199,12 @@ void MineClassTidStep(const EclatCtx& ctx,
       }
       child.raw_item = b.raw_item;
       child.tids = std::span<const Tid>(child.owned);
-      work += child.support;
       next.push_back(std::move(child));
     }
     if (!next.empty()) {
-      if (spawner == nullptr ||
-          !spawner->Offer(depth + 1, work,
-                          DetachTidClass(ctx, next, *prefix, depth + 1,
-                                         diffsets))) {
-        MineClassTidStep(ctx, next, prefix, scratch, depth + 1, diffsets,
-                         /*cols_are_tidsets=*/false, sink, stats, spawner);
-      }
+      // Below the first diffset level, columns are always diffsets.
+      MineClassTidStep(ctx, next, prefix, scratch, diffsets,
+                       /*cols_are_tidsets=*/false, sink, stats);
     }
     prefix->pop_back();
   }
@@ -346,11 +213,8 @@ void MineClassTidStep(const EclatCtx& ctx,
 class EclatRun {
  public:
   EclatRun(const EclatOptions& options, Support min_support,
-           ItemsetSink* sink, MineStats* stats, SubtreeSpawner* spawner)
-      : min_support_(min_support),
-        sink_(sink),
-        stats_(stats),
-        spawner_(spawner) {
+           ItemsetSink* sink, MineStats* stats)
+      : min_support_(min_support), sink_(sink), stats_(stats) {
     ctx_.options = options;
     ctx_.strategy = ResolvePopcountStrategy(options.popcount);
     ctx_.min_support = min_support;
@@ -433,8 +297,7 @@ class EclatRun {
     }
     std::vector<Item> prefix;
     std::vector<uint64_t> scratch;
-    MineClassStep(ctx_, cols, &prefix, &scratch, 0, sink_, stats_,
-                  spawner_);
+    MineClassStep(ctx_, cols, &prefix, &scratch, sink_, stats_);
     stats_->FinishPhase(PhaseId::kMine, mine_span);
   }
 
@@ -451,15 +314,7 @@ class EclatRun {
     stats_->peak_structure_bytes = tdb.memory_bytes();
 
     PhaseSpan mine_span(PhaseName(PhaseId::kMine));
-    if (spawner_ != nullptr) {
-      // Detached subtrees may outlive this run (and `tdb` with it):
-      // give them shared ownership of the weight array.
-      ctx_.weights_keepalive =
-          std::make_shared<const std::vector<Support>>(tdb.weights());
-      ctx_.weights = ctx_.weights_keepalive->data();
-    } else {
-      ctx_.weights = tdb.weights().data();
-    }
+    ctx_.weights = tdb.weights().data();
     const auto& freq = ranked.item_frequencies();
     std::vector<Item> items(num_frequent);
     for (size_t i = 0; i < num_frequent; ++i) items[i] = static_cast<Item>(i);
@@ -477,8 +332,8 @@ class EclatRun {
     }
     std::vector<Item> prefix;
     std::vector<Tid> scratch;
-    MineClassTidStep(ctx_, cols, &prefix, &scratch, 0, diffsets,
-                     /*cols_are_tidsets=*/true, sink_, stats_, spawner_);
+    MineClassTidStep(ctx_, cols, &prefix, &scratch, diffsets,
+                     /*cols_are_tidsets=*/true, sink_, stats_);
     stats_->FinishPhase(PhaseId::kMine, mine_span);
   }
 
@@ -486,7 +341,6 @@ class EclatRun {
   const Support min_support_;
   ItemsetSink* sink_;
   MineStats* stats_;
-  SubtreeSpawner* spawner_;
   std::vector<Item> item_map_;  // rank -> raw item id
 };
 
@@ -549,8 +403,7 @@ Result<MineStats> MineIncrementalVertical(const IncrementalVertical& inc,
   }
   std::vector<Item> prefix;
   std::vector<uint64_t> scratch;
-  MineClassStep(ctx, cols, &prefix, &scratch, 0, sink, &stats,
-                /*spawner=*/nullptr);
+  MineClassStep(ctx, cols, &prefix, &scratch, sink, &stats);
   stats.FinishPhase(PhaseId::kMine, mine_span);
   if (options.cancel != nullptr && options.cancel->cancelled()) {
     return options.cancel->ToStatus();
@@ -563,20 +416,13 @@ EclatMiner::EclatMiner(EclatOptions options) : options_(options) {}
 Result<MineStats> EclatMiner::MineImpl(const Database& db,
                                        Support min_support,
                                        ItemsetSink* sink) {
-  return MineNestedImpl(db, min_support, sink, nullptr);
-}
-
-Result<MineStats> EclatMiner::MineNestedImpl(const Database& db,
-                                             Support min_support,
-                                             ItemsetSink* sink,
-                                             SubtreeSpawner* spawner) {
   if (!PopcountStrategyAvailable(options_.popcount)) {
     return Status::InvalidArgument(
         std::string("popcount strategy unavailable on this machine: ") +
         PopcountStrategyName(options_.popcount));
   }
   MineStats stats;
-  EclatRun run(options_, min_support, sink, &stats, spawner);
+  EclatRun run(options_, min_support, sink, &stats);
   run.Run(db);
   if (options_.cancel != nullptr && options_.cancel->cancelled()) {
     return options_.cancel->ToStatus();

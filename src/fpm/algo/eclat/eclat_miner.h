@@ -71,10 +71,6 @@ struct EclatOptions {
 };
 
 /// Vertical bit-vector depth-first miner. Not thread-safe.
-///
-/// The recursion is a re-entrant step over explicit frames, so a
-/// fork-join driver can detach subtrees as tasks via MineNested()
-/// (fpm/algo/subtree.h); sequential mining is the spawner-less case.
 class EclatMiner : public Miner {
  public:
   explicit EclatMiner(EclatOptions options = EclatOptions());
@@ -86,9 +82,6 @@ class EclatMiner : public Miner {
  protected:
   Result<MineStats> MineImpl(const Database& db, Support min_support,
                              ItemsetSink* sink) override;
-  Result<MineStats> MineNestedImpl(const Database& db, Support min_support,
-                                   ItemsetSink* sink,
-                                   SubtreeSpawner* spawner) override;
 
  private:
   EclatOptions options_;

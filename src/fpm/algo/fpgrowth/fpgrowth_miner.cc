@@ -1,13 +1,11 @@
 #include "fpm/algo/fpgrowth/fpgrowth_miner.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "fpm/algo/fpgrowth/fptree.h"
 #include "fpm/algo/fpgrowth/incremental_fptree.h"
-#include "fpm/algo/subtree.h"
 #include "fpm/common/cancel.h"
 #include "fpm/layout/item_order.h"
 #include "fpm/layout/lexicographic.h"
@@ -26,43 +24,21 @@ std::string FpGrowthOptions::Suffix() const {
 
 namespace {
 
-// A detached subtree: the conditional FP-tree is *moved* into the frame
-// (both tree stores are self-contained and movable — PointerFpTree's
-// nodes live in its embedded arena, whose heap blocks survive the
-// move), so no per-node copy is needed. Held by shared_ptr: SubtreeFn
-// is a std::function and must stay copyable.
-template <typename Tree>
-struct FpFrame {
-  FpTreeConfig config;
-  Support min_support;
-  std::shared_ptr<const std::vector<Item>> item_map;
-  Tree tree;
-  std::vector<Item> prefix;  // includes the conditional item
-  const CancelToken* cancel;
-};
-
-// The FP-Growth recursion, shared by both tree stores. Also the body of
-// detached subtree tasks, which construct their own run over the
-// frame's config/item_map (kept alive by the frame's shared_ptr).
+// The FP-Growth recursion, shared by all tree stores.
 template <typename Tree>
 class FpGrowthRun {
  public:
   FpGrowthRun(const FpTreeConfig& tree_config, Support min_support,
               const std::vector<Item>& item_map, ItemsetSink* sink,
-              MineStats* stats, SubtreeSpawner* spawner,
-              std::shared_ptr<const std::vector<Item>> item_map_shared,
-              const CancelToken* cancel)
+              MineStats* stats, const CancelToken* cancel)
       : tree_config_(tree_config),
         min_support_(min_support),
         item_map_(item_map),
         sink_(sink),
         stats_(stats),
-        spawner_(spawner),
-        item_map_shared_(std::move(item_map_shared)),
         cancel_(cancel) {}
 
-  void MineTree(const Tree& tree, std::vector<Item>* prefix,
-                uint32_t depth) {
+  void MineTree(const Tree& tree, std::vector<Item>* prefix) {
     if (Cancelled()) return;
     // Single-path shortcut: enumerate all subsets directly; the support
     // of a subset is the count of its deepest element.
@@ -82,7 +58,7 @@ class FpGrowthRun {
       const Support support = tree.ItemSupport(item);
       prefix->push_back(item_map_[item]);
       sink_->Emit(*prefix, support);
-      if (stats_ != nullptr) ++stats_->num_frequent;
+      ++stats_->num_frequent;
 
       if (item > 0) {
         // Conditional pattern base: count items over the upward paths.
@@ -110,11 +86,7 @@ class FpGrowthRun {
             if (!filtered.empty()) cond.AddPath(filtered, count);
           });
           cond.Finalize();
-          if (spawner_ == nullptr ||
-              !spawner_->Offer(depth + 1, cond.num_nodes(),
-                               DetachTree(&cond, *prefix, depth + 1))) {
-            MineTree(cond, prefix, depth + 1);
-          }
+          MineTree(cond, prefix);
         }
       }
       prefix->pop_back();
@@ -122,28 +94,6 @@ class FpGrowthRun {
   }
 
  private:
-  // Moves the finalized conditional tree into a self-contained frame.
-  // Invoked synchronously by the spawner iff the offer is taken — after
-  // a true Offer(), *cond is moved-from and must not be mined inline.
-  SubtreeSpawner::DetachFn DetachTree(Tree* cond,
-                                      const std::vector<Item>& prefix,
-                                      uint32_t depth) {
-    return [this, cond, &prefix, depth](Arena*) {
-      auto frame = std::make_shared<FpFrame<Tree>>(FpFrame<Tree>{
-          tree_config_, min_support_, item_map_shared_, std::move(*cond),
-          prefix, cancel_});
-      return SubtreeSpawner::SubtreeFn(
-          [frame, depth](ItemsetSink* sink, SubtreeSpawner* spawner,
-                         MineStats* stats) {
-            FpGrowthRun<Tree> run(frame->config, frame->min_support,
-                                  *frame->item_map, sink, stats, spawner,
-                                  frame->item_map, frame->cancel);
-            std::vector<Item> pfx = frame->prefix;
-            run.MineTree(frame->tree, &pfx, depth);
-          });
-    };
-  }
-
   // Emits every non-empty subset of path[pos..]; the last chosen element
   // is the deepest, so its count is the subset's support.
   void EnumeratePath(const std::vector<std::pair<Item, Support>>& path,
@@ -151,7 +101,7 @@ class FpGrowthRun {
     for (size_t j = pos; j < path.size(); ++j) {
       prefix->push_back(item_map_[path[j].first]);
       sink_->Emit(*prefix, path[j].second);
-      if (stats_ != nullptr) ++stats_->num_frequent;
+      ++stats_->num_frequent;
       EnumeratePath(path, j + 1, prefix);
       prefix->pop_back();
     }
@@ -164,17 +114,12 @@ class FpGrowthRun {
   const std::vector<Item>& item_map_;
   ItemsetSink* sink_;
   MineStats* stats_;
-  SubtreeSpawner* spawner_;
-  // Non-null iff a spawner is present: detached frames co-own the map
-  // so it outlives the kernel run that created it.
-  std::shared_ptr<const std::vector<Item>> item_map_shared_;
   const CancelToken* cancel_;
 };
 
 template <typename Tree>
 void RunFpGrowth(const Database& db, const FpGrowthOptions& options,
-                 Support min_support, ItemsetSink* sink, MineStats* stats,
-                 SubtreeSpawner* spawner) {
+                 Support min_support, ItemsetSink* sink, MineStats* stats) {
   // Preparation: frequency ranking + optional P1 lexicographic sort.
   PhaseSpan prep_span(PhaseName(PhaseId::kPrepare));
   Database ranked;
@@ -226,17 +171,10 @@ void RunFpGrowth(const Database& db, const FpGrowthOptions& options,
   stats->peak_structure_bytes = tree.memory_bytes();
 
   PhaseSpan mine_span(PhaseName(PhaseId::kMine));
-  std::shared_ptr<const std::vector<Item>> item_map_shared;
-  if (spawner != nullptr) {
-    item_map_shared =
-        std::make_shared<const std::vector<Item>>(std::move(item_map));
-  }
-  const std::vector<Item>& map_ref =
-      item_map_shared != nullptr ? *item_map_shared : item_map;
-  FpGrowthRun<Tree> run(tree_config, min_support, map_ref, sink, stats,
-                        spawner, item_map_shared, options.cancel);
+  FpGrowthRun<Tree> run(tree_config, min_support, item_map, sink, stats,
+                        options.cancel);
   std::vector<Item> prefix;
-  run.MineTree(tree, &prefix, /*depth=*/0);
+  run.MineTree(tree, &prefix);
   stats->FinishPhase(PhaseId::kMine, mine_span);
 }
 
@@ -250,11 +188,10 @@ MineStats MineIncrementalFpTree(const IncrementalFpTree& inc,
   // StreamFpTree too — fresh ones, so their dead-node machinery is idle.
   MineStats stats;
   PhaseSpan mine_span(PhaseName(PhaseId::kMine));
-  FpGrowthRun<StreamFpTree> run(
-      inc.tree_config(), inc.min_support(), inc.item_map(), sink, &stats,
-      /*spawner=*/nullptr, /*item_map_shared=*/nullptr, cancel);
+  FpGrowthRun<StreamFpTree> run(inc.tree_config(), inc.min_support(),
+                                 inc.item_map(), sink, &stats, cancel);
   std::vector<Item> prefix;
-  run.MineTree(inc.tree(), &prefix, /*depth=*/0);
+  run.MineTree(inc.tree(), &prefix);
   stats.FinishPhase(PhaseId::kMine, mine_span);
   stats.peak_structure_bytes = inc.tree().memory_bytes();
   return stats;
@@ -267,20 +204,11 @@ FpGrowthMiner::FpGrowthMiner(FpGrowthOptions options) : options_(options) {
 Result<MineStats> FpGrowthMiner::MineImpl(const Database& db,
                                           Support min_support,
                                           ItemsetSink* sink) {
-  return MineNestedImpl(db, min_support, sink, nullptr);
-}
-
-Result<MineStats> FpGrowthMiner::MineNestedImpl(const Database& db,
-                                                Support min_support,
-                                                ItemsetSink* sink,
-                                                SubtreeSpawner* spawner) {
   MineStats stats;
   if (options_.node_compaction) {
-    RunFpGrowth<CompactFpTree>(db, options_, min_support, sink, &stats,
-                               spawner);
+    RunFpGrowth<CompactFpTree>(db, options_, min_support, sink, &stats);
   } else {
-    RunFpGrowth<PointerFpTree>(db, options_, min_support, sink, &stats,
-                               spawner);
+    RunFpGrowth<PointerFpTree>(db, options_, min_support, sink, &stats);
   }
   if (options_.cancel != nullptr && options_.cancel->cancelled()) {
     return options_.cancel->ToStatus();

@@ -71,9 +71,6 @@ class FpGrowthMiner : public Miner {
  protected:
   Result<MineStats> MineImpl(const Database& db, Support min_support,
                              ItemsetSink* sink) override;
-  Result<MineStats> MineNestedImpl(const Database& db, Support min_support,
-                                   ItemsetSink* sink,
-                                   SubtreeSpawner* spawner) override;
 
  private:
   FpGrowthOptions options_;

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
 #include <numeric>
 
 #include "fpm/algo/lcm/closed_miner.h"
-#include "fpm/algo/subtree.h"
 #include "fpm/common/arena.h"
 #include "fpm/common/cancel.h"
 #include "fpm/common/bits.h"
@@ -30,21 +28,6 @@ std::string LcmOptions::Suffix() const {
 
 namespace {
 
-// Read-only view of a level-local working database. MineLevel consumes
-// views, so a level can come from a WorkDb on the parent's stack or
-// from arena-backed copies inside a detached subtree frame alike.
-struct WorkView {
-  std::span<const Item> items;
-  std::span<const uint32_t> offsets;  // num_tx()+1 boundaries
-  std::span<const Support> weights;
-  uint32_t num_items = 0;
-
-  size_t num_tx() const { return weights.size(); }
-  std::span<const Item> tx(uint32_t t) const {
-    return {items.data() + offsets[t], offsets[t + 1] - offsets[t]};
-  }
-};
-
 // Level-local working database: items are dense level-local ids, sorted
 // ascending (= decreasing global frequency) within each transaction.
 struct WorkDb {
@@ -56,11 +39,6 @@ struct WorkDb {
   size_t num_tx() const { return weights.size(); }
   std::span<const Item> tx(uint32_t t) const {
     return {items.data() + offsets[t], offsets[t + 1] - offsets[t]};
-  }
-  WorkView View() const {
-    return WorkView{std::span<const Item>(items),
-                    std::span<const uint32_t>(offsets),
-                    std::span<const Support>(weights), num_items};
   }
   void Clear() {
     items.clear();
@@ -105,39 +83,16 @@ bool SpanEquals(std::span<const Item> a, std::span<const Item> b) {
 constexpr uint32_t kL1TileEntriesDefault = 4096;  // 16 KiB of items
 constexpr uint64_t kTileBatchEntryBudget = 16u << 20;  // 64 MiB of items
 
-// A detached subtree: one conditional level copied into the task's
-// arena (the spans point there; the lease's arena outlives the task),
-// plus the by-value context the re-entered recursion needs. Held by
-// shared_ptr — SubtreeFn is a std::function and must stay copyable.
-struct LcmFrame {
-  LcmOptions options;
-  Support min_support = 1;
-  std::span<const Item> items;
-  std::span<const uint32_t> offsets;
-  std::span<const Support> weights;
-  uint32_t num_items = 0;
-  std::vector<Item> item_map;  // local -> raw item id
-  std::vector<Item> prefix;    // includes the projected item
-  int depth = 0;
-
-  WorkView View() const {
-    return WorkView{items, offsets, weights, num_items};
-  }
-};
-
-// All mutable state of one Mine() call — or of one detached subtree
-// task, which constructs its own LcmRun from its frame (phases_ is null
-// there: per-function phase stats stay a sequential-run feature).
+// All mutable state of one Mine() call.
 class LcmRun {
  public:
   LcmRun(const LcmOptions& options, Support min_support, ItemsetSink* sink,
-         LcmPhaseStats* phases, MineStats* stats, SubtreeSpawner* spawner)
+         LcmPhaseStats* phases, MineStats* stats)
       : options_(options),
         min_support_(min_support),
         sink_(sink),
         phases_(phases),
-        stats_(stats),
-        spawner_(spawner) {}
+        stats_(stats) {}
 
   // Builds the level-0 working database and mines it.
   void Run(const Database& db) {
@@ -179,15 +134,14 @@ class LcmRun {
 
     PhaseSpan mine_span(PhaseName(PhaseId::kMine));
     std::vector<Item> prefix;
-    MineLevel(work.View(), item_map, &prefix, /*depth=*/0);
+    MineLevel(work, item_map, &prefix, /*depth=*/0);
     stats_->FinishPhase(PhaseId::kMine, mine_span);
   }
 
   // One recursion level: count (CalcFreq), emit, filter+merge
   // (RmDupTrans), occurrence-deliver, and project each item's
-  // conditional database. Re-entrant: all state is in the arguments,
-  // so detached subtree tasks enter here from their frames.
-  void MineLevel(const WorkView& db, const std::vector<Item>& item_map,
+  // conditional database.
+  void MineLevel(const WorkDb& db, const std::vector<Item>& item_map,
                  std::vector<Item>* prefix, int depth) {
     if (db.num_items == 0 || db.num_tx() == 0) return;
     if (Cancelled()) return;
@@ -214,7 +168,7 @@ class LcmRun {
         for (Item it : db.tx(t)) headers[it].count += w;
       }
     }
-    if (options_.collect_phase_stats && phases_ != nullptr) {
+    if (options_.collect_phase_stats) {
       phases_->calcfreq_seconds += count_timer.ElapsedSeconds();
     }
 
@@ -225,7 +179,7 @@ class LcmRun {
         frequent.push_back(i);
         prefix->push_back(item_map[i]);
         sink_->Emit(*prefix, headers[i].count);
-        if (stats_ != nullptr) ++stats_->num_frequent;
+        ++stats_->num_frequent;
         prefix->pop_back();
       }
     }
@@ -246,10 +200,10 @@ class LcmRun {
     } else {
       MergeDuplicates<LinkedList<uint32_t>>(db, new_local, &merged);
     }
-    if (options_.collect_phase_stats && phases_ != nullptr) {
+    if (options_.collect_phase_stats) {
       phases_->rmduptrans_seconds += merge_timer.ElapsedSeconds();
     }
-    if (depth == 0 && stats_ != nullptr) {
+    if (depth == 0) {
       stats_->peak_structure_bytes =
           std::max(stats_->peak_structure_bytes,
                    merged.memory_bytes() + headers.size() * sizeof(OccHeader));
@@ -259,7 +213,7 @@ class LcmRun {
     WallTimer occ_timer;
     std::vector<uint32_t> occ;
     BuildOccArray(merged, headers.data(), &occ);
-    if (options_.collect_phase_stats && phases_ != nullptr) {
+    if (options_.collect_phase_stats) {
       phases_->calcfreq_seconds += occ_timer.ElapsedSeconds();
     }
 
@@ -274,7 +228,7 @@ class LcmRun {
         ProjectItem(merged, headers[k], occ, k, &cond);
         if (cond.num_tx() == 0) continue;
         prefix->push_back(new_map[k]);
-        Recurse(cond, headers[k].cond_entries, new_map, prefix, depth);
+        MineLevel(cond, new_map, prefix, depth + 1);
         prefix->pop_back();
       }
     }
@@ -283,65 +237,6 @@ class LcmRun {
  private:
   bool Cancelled() const {
     return options_.cancel != nullptr && options_.cancel->cancelled();
-  }
-
-  // Recurses into `cond` sequentially, unless the spawner accepts the
-  // subtree (estimated cost: its conditional-entry count) as a task.
-  void Recurse(const WorkDb& cond, uint64_t work,
-               const std::vector<Item>& new_map, std::vector<Item>* prefix,
-               int depth) {
-    if (spawner_ != nullptr &&
-        spawner_->Offer(static_cast<uint32_t>(depth) + 1, work,
-                        DetachLevel(cond, new_map, *prefix, depth + 1))) {
-      return;
-    }
-    MineLevel(cond.View(), new_map, prefix, depth + 1);
-  }
-
-  // Copies `cond` (and the maps the level needs) into a self-contained
-  // frame whose array storage lives in the task's arena.
-  SubtreeSpawner::DetachFn DetachLevel(const WorkDb& cond,
-                                       const std::vector<Item>& new_map,
-                                       const std::vector<Item>& prefix,
-                                       int depth) {
-    return [this, &cond, &new_map, &prefix, depth](Arena* arena) {
-      auto frame = std::make_shared<LcmFrame>();
-      frame->options = options_;
-      frame->min_support = min_support_;
-      frame->num_items = cond.num_items;
-      frame->item_map = new_map;
-      frame->prefix = prefix;
-      frame->depth = depth;
-
-      Item* items = static_cast<Item*>(
-          arena->Allocate(cond.items.size() * sizeof(Item), alignof(Item)));
-      std::memcpy(items, cond.items.data(), cond.items.size() * sizeof(Item));
-      frame->items = std::span<const Item>(items, cond.items.size());
-
-      uint32_t* offsets = static_cast<uint32_t*>(arena->Allocate(
-          cond.offsets.size() * sizeof(uint32_t), alignof(uint32_t)));
-      std::memcpy(offsets, cond.offsets.data(),
-                  cond.offsets.size() * sizeof(uint32_t));
-      frame->offsets =
-          std::span<const uint32_t>(offsets, cond.offsets.size());
-
-      Support* weights = static_cast<Support*>(arena->Allocate(
-          cond.weights.size() * sizeof(Support), alignof(Support)));
-      std::memcpy(weights, cond.weights.data(),
-                  cond.weights.size() * sizeof(Support));
-      frame->weights =
-          std::span<const Support>(weights, cond.weights.size());
-
-      return SubtreeSpawner::SubtreeFn(
-          [frame](ItemsetSink* sink, SubtreeSpawner* spawner,
-                  MineStats* stats) {
-            LcmRun run(frame->options, frame->min_support, sink,
-                       /*phases=*/nullptr, stats, spawner);
-            std::vector<Item> pfx = frame->prefix;
-            run.MineLevel(frame->View(), frame->item_map, &pfx,
-                          frame->depth);
-          });
-    };
   }
 
   // P1: sorts the level-0 transactions lexicographically in place.
@@ -373,7 +268,7 @@ class LcmRun {
   // detection uses bucket hashing with per-bucket chains: the linked
   // structure pattern P3 aggregates.
   template <typename Chain>
-  void MergeDuplicates(const WorkView& db, const std::vector<Item>& new_local,
+  void MergeDuplicates(const WorkDb& db, const std::vector<Item>& new_local,
                        WorkDb* merged) {
     const size_t ntx = db.num_tx();
     size_t nbuckets = 16;
@@ -477,7 +372,7 @@ class LcmRun {
         cond->weights.push_back(merged.weights[tid]);
       }
     }
-    if (options_.collect_phase_stats && phases_ != nullptr) {
+    if (options_.collect_phase_stats) {
       phases_->project_seconds += timer.ElapsedSeconds();
     }
   }
@@ -564,8 +459,7 @@ class LcmRun {
         if (Cancelled()) return;
         if (conds[b].num_tx() == 0) continue;
         prefix->push_back(new_map[k + b]);
-        Recurse(conds[b], headers[k + b].cond_entries, new_map, prefix,
-                depth);
+        MineLevel(conds[b], new_map, prefix, depth + 1);
         prefix->pop_back();
         conds[b].Clear();
       }
@@ -578,7 +472,6 @@ class LcmRun {
   ItemsetSink* sink_;
   LcmPhaseStats* phases_;
   MineStats* stats_;
-  SubtreeSpawner* spawner_;
 };
 
 }  // namespace
@@ -592,16 +485,9 @@ std::unique_ptr<Miner> LcmMiner::NativeClosedMiner() const {
 Result<MineStats> LcmMiner::MineImpl(const Database& db,
                                      Support min_support,
                                      ItemsetSink* sink) {
-  return MineNestedImpl(db, min_support, sink, nullptr);
-}
-
-Result<MineStats> LcmMiner::MineNestedImpl(const Database& db,
-                                           Support min_support,
-                                           ItemsetSink* sink,
-                                           SubtreeSpawner* spawner) {
   MineStats stats;
   phase_stats_ = LcmPhaseStats{};
-  LcmRun run(options_, min_support, sink, &phase_stats_, &stats, spawner);
+  LcmRun run(options_, min_support, sink, &phase_stats_, &stats);
   run.Run(db);
   if (options_.cancel != nullptr && options_.cancel->cancelled()) {
     return options_.cancel->ToStatus();

@@ -59,8 +59,8 @@ struct LcmOptions {
 
   /// Cooperative cancellation: polled at every frame boundary (level
   /// entry, per-item projection). A cancelled run stops descending and
-  /// Mine() returns the token's status. The token must outlive the run,
-  /// including any detached subtree tasks. Null = never cancelled.
+  /// Mine() returns the token's status. The token must outlive the run.
+  /// Null = never cancelled.
   const CancelToken* cancel = nullptr;
 
   /// Enables every pattern (tile/prefetch knobs keep their defaults).
@@ -105,9 +105,6 @@ class LcmMiner : public Miner {
  protected:
   Result<MineStats> MineImpl(const Database& db, Support min_support,
                              ItemsetSink* sink) override;
-  Result<MineStats> MineNestedImpl(const Database& db, Support min_support,
-                                   ItemsetSink* sink,
-                                   SubtreeSpawner* spawner) override;
 
  private:
   struct Impl;

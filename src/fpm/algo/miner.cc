@@ -77,8 +77,24 @@ Result<MineStats> Miner::Mine(const Database& db, const MiningQuery& query,
   FPM_RETURN_IF_ERROR(query.Validate());
   if (sink == nullptr) return Status::InvalidArgument("sink is null");
   switch (query.task) {
-    case MiningTask::kFrequent:
-      return MineNested(db, query.min_support, sink, nullptr);
+    case MiningTask::kFrequent: {
+      // Wrap the whole call in a span named after the configured miner.
+      // The optional keeps the disabled path free of the name() string
+      // build.
+      std::optional<ScopedSpan> span;
+      if (Tracer::Default().enabled()) {
+        span.emplace(name());
+      }
+      Result<MineStats> result = MineImpl(db, query.min_support, sink);
+      if (result.ok()) {
+        if (span.has_value()) {
+          span->AddArg("itemsets", result->num_frequent);
+          span->AddArg("peak_structure_bytes", result->peak_structure_bytes);
+        }
+        RecordMineMetrics(*result);
+      }
+      return result;
+    }
     case MiningTask::kClosed: {
       std::vector<CollectingSink::Entry> listing;
       FPM_ASSIGN_OR_RETURN(
@@ -134,32 +150,6 @@ Result<MineStats> Miner::MineRules(const Database& db,
       *rules, GenerateRulesFromClosed(listing, db.total_weight(), options));
   stats.num_frequent = rules->size();
   return stats;
-}
-
-Result<MineStats> Miner::MineNested(const Database& db, Support min_support,
-                                    ItemsetSink* sink,
-                                    SubtreeSpawner* spawner) {
-  if (min_support < 1) {
-    return Status::InvalidArgument("min_support must be >= 1");
-  }
-  if (sink == nullptr) return Status::InvalidArgument("sink is null");
-
-  // Wrap the whole call in a span named after the configured miner. The
-  // optional keeps the disabled path free of the name() string build.
-  std::optional<ScopedSpan> span;
-  if (Tracer::Default().enabled()) {
-    span.emplace(name());
-  }
-
-  Result<MineStats> result = MineNestedImpl(db, min_support, sink, spawner);
-  if (result.ok()) {
-    if (span.has_value()) {
-      span->AddArg("itemsets", result->num_frequent);
-      span->AddArg("peak_structure_bytes", result->peak_structure_bytes);
-    }
-    RecordMineMetrics(*result);
-  }
-  return result;
 }
 
 }  // namespace fpm

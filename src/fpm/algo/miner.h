@@ -23,8 +23,6 @@
 
 namespace fpm {
 
-class SubtreeSpawner;
-
 /// The three wall-clock phases every kernel reports. Matches the span
 /// names ("prepare"/"build"/"mine") the kernels emit to the tracer.
 enum class PhaseId {
@@ -129,8 +127,8 @@ struct MineStats {
 /// `num_threads == 1` runs the sequential kernel unchanged. Larger
 /// values decompose the search space into independent first-item
 /// equivalence classes and mine them on a work-stealing pool
-/// (fpm/parallel/nested_miner.h); a running class kernel may hand large
-/// subtrees back to the pool. `num_threads == 0` is rejected as
+/// (fpm/parallel/nested_miner.h), one task per class, each running the
+/// sequential kernel. `num_threads == 0` is rejected as
 /// InvalidArgument. The MineStats of a parallel run report prepare and
 /// mine as wall time and build summed over tasks (see MineStats).
 struct ExecutionPolicy {
@@ -196,14 +194,6 @@ class Miner {
   Result<MineStats> MineRules(const Database& db, const MiningQuery& query,
                               std::vector<AssociationRule>* rules);
 
-  /// Like Mine(), but offers subtrees of the recursion to `spawner`
-  /// (see fpm/algo/subtree.h) so the parallel driver can mine them as
-  /// tasks. `spawner == nullptr` is exactly Mine(). Kernels that do not
-  /// implement re-entrant recursion ignore the spawner and mine
-  /// sequentially — still correct, never parallel below the top level.
-  Result<MineStats> MineNested(const Database& db, Support min_support,
-                               ItemsetSink* sink, SubtreeSpawner* spawner);
-
   /// Display name including the active pattern configuration.
   virtual std::string name() const = 0;
 
@@ -221,17 +211,6 @@ class Miner {
   /// already validated. Returns the stats of the run.
   virtual Result<MineStats> MineImpl(const Database& db, Support min_support,
                                      ItemsetSink* sink) = 0;
-
-  /// Re-entrant algorithm body; default ignores `spawner` and runs
-  /// MineImpl(). Kernels with re-entrant recursion override this and
-  /// implement MineImpl() as MineNestedImpl(..., nullptr).
-  virtual Result<MineStats> MineNestedImpl(const Database& db,
-                                           Support min_support,
-                                           ItemsetSink* sink,
-                                           SubtreeSpawner* spawner) {
-    (void)spawner;
-    return MineImpl(db, min_support, sink);
-  }
 };
 
 }  // namespace fpm

@@ -4,12 +4,7 @@
 // (FP-tree nodes, bucket-list links, conditional databases) with
 // stack-like lifetime. The arena provides O(1) allocation, contiguous
 // placement (the substrate several ALSO patterns build on), and bulk
-// release. Modeled on the RocksDB/LevelDB Arena.
-//
-// Reset() rewinds the arena but *retains* its blocks, so a reused arena
-// (one per mining task, leased from an ArenaPool) reaches a steady state
-// where filling it again touches the system allocator zero times.
-// Release() gives the memory back.
+// release on destruction. Modeled on the RocksDB/LevelDB Arena.
 
 #ifndef FPM_COMMON_ARENA_H_
 #define FPM_COMMON_ARENA_H_
@@ -18,7 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
@@ -28,7 +22,7 @@
 
 namespace fpm {
 
-/// Not thread-safe; one arena per mining task.
+/// Not thread-safe.
 ///
 /// Blocks grow geometrically from `initial_block_bytes` up to
 /// `max_block_bytes`, so tiny arenas (e.g. a three-node conditional
@@ -50,26 +44,6 @@ class Arena {
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
-
-  // Movable: an FP-tree (which embeds its node arena) can be moved into
-  // a detached subtree task. Block storage is heap-allocated, so moving
-  // the arena never invalidates pointers it handed out.
-  Arena(Arena&& other) noexcept { *this = std::move(other); }
-  Arena& operator=(Arena&& other) noexcept {
-    next_block_bytes_ = other.next_block_bytes_;
-    max_block_bytes_ = other.max_block_bytes_;
-    blocks_ = std::move(other.blocks_);
-    active_ = other.active_;
-    cursor_ = other.cursor_;
-    limit_ = other.limit_;
-    bytes_used_ = other.bytes_used_;
-    bytes_reserved_ = other.bytes_reserved_;
-    other.blocks_.clear();
-    other.active_ = 0;
-    other.cursor_ = other.limit_ = 0;
-    other.bytes_used_ = other.bytes_reserved_ = 0;
-    return *this;
-  }
 
   /// Allocates `bytes` with the given alignment (power of two).
   void* Allocate(size_t bytes, size_t align = alignof(std::max_align_t)) {
@@ -104,30 +78,9 @@ class Arena {
     return new (mem) T(std::forward<Args>(args)...);
   }
 
-  /// Rewinds to empty but retains every block for reuse: a second fill
-  /// of the same size allocates nothing from the system. All pointers
-  /// previously returned are invalid.
-  void Reset() {
-    active_ = 0;
-    cursor_ = 0;
-    limit_ = 0;
-    bytes_used_ = 0;
-  }
-
-  /// Releases every block back to the system allocator. All pointers
-  /// previously returned are invalid.
-  void Release() {
-    blocks_.clear();
-    active_ = 0;
-    cursor_ = 0;
-    limit_ = 0;
-    bytes_used_ = 0;
-    bytes_reserved_ = 0;
-  }
-
   /// Sum of all Allocate() request sizes (excludes alignment padding).
   size_t bytes_used() const { return bytes_used_; }
-  /// Total bytes obtained from the system allocator (survives Reset()).
+  /// Total bytes obtained from the system allocator.
   size_t bytes_reserved() const { return bytes_reserved_; }
 
  private:
@@ -137,30 +90,14 @@ class Arena {
   };
 
   void AddBlock(size_t min_bytes) {
-    if (active_ < blocks_.size()) {
-      // Reuse a block retained by Reset(). A retained block too small
-      // for this allocation is replaced in place (its old bytes leave
-      // the reserved accounting), keeping the block list compact.
-      Block& block = blocks_[active_];
-      if (block.size < min_bytes) {
-        const size_t size = std::max(next_block_bytes_, min_bytes);
-        bytes_reserved_ += size - block.size;
-        block.data = std::make_unique_for_overwrite<char[]>(size);
-        block.size = size;
-      }
-      cursor_ = reinterpret_cast<uintptr_t>(block.data.get());
-      limit_ = cursor_ + block.size;
-    } else {
-      const size_t size = std::max(next_block_bytes_, min_bytes);
-      // make_unique_for_overwrite: the arena must not pay for zeroing
-      // memory the caller will initialize anyway.
-      blocks_.push_back(
-          Block{std::make_unique_for_overwrite<char[]>(size), size});
-      cursor_ = reinterpret_cast<uintptr_t>(blocks_.back().data.get());
-      limit_ = cursor_ + size;
-      bytes_reserved_ += size;
-    }
-    ++active_;
+    const size_t size = std::max(next_block_bytes_, min_bytes);
+    // make_unique_for_overwrite: the arena must not pay for zeroing
+    // memory the caller will initialize anyway.
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<char[]>(size), size});
+    cursor_ = reinterpret_cast<uintptr_t>(blocks_.back().data.get());
+    limit_ = cursor_ + size;
+    bytes_reserved_ += size;
     if (next_block_bytes_ < max_block_bytes_) {
       next_block_bytes_ = std::min(next_block_bytes_ * 2, max_block_bytes_);
     }
@@ -169,99 +106,10 @@ class Arena {
   size_t next_block_bytes_;
   size_t max_block_bytes_;
   std::vector<Block> blocks_;
-  size_t active_ = 0;  // blocks_[0..active_) hold live allocations
   uintptr_t cursor_ = 0;
   uintptr_t limit_ = 0;
   size_t bytes_used_ = 0;
   size_t bytes_reserved_ = 0;
-};
-
-/// Thread-safe free list of arenas for task-parallel mining: each
-/// in-flight task leases one arena and returns it Reset() (blocks
-/// retained), so a steady stream of tasks stops allocating blocks once
-/// the pool has warmed up to the concurrency level.
-class ArenaPool {
- public:
-  /// Move-only RAII lease; returns the arena to the pool on destruction.
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept
-        : pool_(std::exchange(other.pool_, nullptr)),
-          arena_(std::move(other.arena_)) {}
-    Lease& operator=(Lease&& other) noexcept {
-      if (this != &other) {
-        Return();
-        pool_ = std::exchange(other.pool_, nullptr);
-        arena_ = std::move(other.arena_);
-      }
-      return *this;
-    }
-    ~Lease() { Return(); }
-
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    Arena* get() const { return arena_.get(); }
-    Arena* operator->() const { return arena_.get(); }
-    Arena& operator*() const { return *arena_; }
-
-   private:
-    friend class ArenaPool;
-    Lease(ArenaPool* pool, std::unique_ptr<Arena> arena)
-        : pool_(pool), arena_(std::move(arena)) {}
-
-    void Return() {
-      if (pool_ != nullptr && arena_ != nullptr) {
-        pool_->Return(std::move(arena_));
-      }
-      pool_ = nullptr;
-      arena_ = nullptr;
-    }
-
-    ArenaPool* pool_ = nullptr;
-    std::unique_ptr<Arena> arena_;
-  };
-
-  ArenaPool() = default;
-
-  // Leases must not outlive the pool.
-  ~ArenaPool() = default;
-  ArenaPool(const ArenaPool&) = delete;
-  ArenaPool& operator=(const ArenaPool&) = delete;
-
-  /// Hands out a free arena, or a fresh one when none is available.
-  Lease Acquire() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!free_.empty()) {
-        std::unique_ptr<Arena> arena = std::move(free_.back());
-        free_.pop_back();
-        return Lease(this, std::move(arena));
-      }
-      ++created_;
-    }
-    return Lease(this, std::make_unique<Arena>());
-  }
-
-  /// Arenas ever created by this pool (== peak concurrent leases).
-  size_t arenas_created() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return created_;
-  }
-
- private:
-  friend class Lease;
-
-  void Return(std::unique_ptr<Arena> arena) {
-    arena->Reset();  // retain blocks: the next lease reuses them
-    std::lock_guard<std::mutex> lk(mu_);
-    free_.push_back(std::move(arena));
-  }
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Arena>> free_;
-  size_t created_ = 0;
 };
 
 }  // namespace fpm

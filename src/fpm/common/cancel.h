@@ -11,7 +11,7 @@
 // thread — the token is how the service's deadline enforcement and
 // client-disconnect handling reach into a mining run that is spread
 // over the pool's workers. The token must outlive every task of the
-// run it is attached to (detached subtree frames copy the pointer).
+// run it is attached to (each class task's kernel copies the pointer).
 //
 // Deadline polls are amortized: the flag is one relaxed load, and the
 // steady_clock read behind a deadline happens only every

@@ -109,8 +109,6 @@ ClassDecomposition DecomposeClasses(const Database& db, Support min_support,
   }
   std::partial_sum(out.row_begin.begin(), out.row_begin.end(),
                    out.row_begin.begin());
-  out.projection_entries = std::accumulate(
-      out.class_entries.begin(), out.class_entries.end(), uint64_t{0});
   std::vector<size_t> next(out.row_begin.begin(), out.row_begin.end() - 1);
   for (std::vector<size_t>& cursor : cursors) {
     for (size_t c = 0; c < num_frequent; ++c) {

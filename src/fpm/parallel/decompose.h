@@ -49,10 +49,8 @@ struct ClassDecomposition {
   std::vector<size_t> row_begin;
   std::vector<ClassRow> rows;
   /// Projected entries per class (the sum of its row lengths): the work
-  /// estimate used for largest-first scheduling and the spawn cutoff.
+  /// estimate used for largest-first scheduling.
   std::vector<uint64_t> class_entries;
-  /// Sum of class_entries.
-  uint64_t projection_entries = 0;
 
   size_t num_classes() const { return class_supports.size(); }
 

@@ -1,5 +1,5 @@
 // The parallel mining driver: first-item equivalence classes mined as
-// fork-join tasks.
+// tasks on a work-stealing pool.
 //
 // The search space is decomposed into one equivalence class per frequent
 // item (fpm/parallel/decompose.h), in the spirit of the task-parallel FPM
@@ -7,20 +7,13 @@
 // the input once and indexes each class's rows; a class task counts its
 // items over that shared ranked database on its worker, copies out only
 // what is frequent inside the class, and mines it with a fresh instance
-// of the sequential kernel. Each class kernel also gets a SubtreeSpawner
-// (fpm/algo/subtree.h): when the kernel's recursion reaches a subtree
-// whose estimated work clears an adaptive cutoff, the subtree is detached
-// (its conditional structures copied into a task-private arena leased
-// from an ArenaPool) and forked onto the same TaskGroup as the class
-// tasks, so a skewed class need not serialize the tail of the run.
+// of the sequential kernel. A class is the only unit of parallel work:
+// each kernel runs its whole recursion inline (DESIGN.md §10 gives the
+// measurements behind this).
 //
-// Determinism: every task owns a TreeShard — an op log of emissions and
-// child markers recorded in DFS order. A spawn inserts a child marker at
-// the current log position; the subtree's emissions land in the child
-// shard. Replaying the shard tree (depth-first, markers expanded in
-// place) after the join reproduces the sequential kernel's emission
-// order byte-for-byte, no matter which workers mined what, or whether a
-// given subtree was spawned or mined inline.
+// Determinism: every class task emits into its own buffer. Replaying the
+// buffers in class order after the join reproduces the 1-thread inline
+// order byte-for-byte, no matter which workers mined which classes.
 
 #ifndef FPM_PARALLEL_NESTED_MINER_H_
 #define FPM_PARALLEL_NESTED_MINER_H_
@@ -39,25 +32,19 @@ namespace fpm {
 /// options, trivially are).
 using MinerFactory = std::function<Result<std::unique_ptr<Miner>>()>;
 
-/// Configuration of the nested driver.
+/// Configuration of the parallel driver.
 struct NestedParallelMinerOptions {
   ExecutionPolicy execution;
   /// Per-task kernel factory (required); see MinerFactory.
   MinerFactory factory;
   /// Display name of the kernel the factory produces.
   std::string kernel_name = "kernel";
-  /// Base spawn cutoff in conditional-database entries. A subtree at
-  /// depth d is spawned when its work estimate is at least
-  /// base << min(d, 20); 0 picks the base automatically as
-  /// max(256, projection_entries / 256). Tests set 1 to force spawning
-  /// on tiny databases.
-  uint64_t spawn_min_entries = 0;
 };
 
-/// Fork-join driver around a re-entrant sequential kernel. Exact: emits
-/// the same itemsets (with the same supports) as the kernel run
-/// directly; in deterministic mode, in the same order. Like the
-/// kernels, a single Mine() call at a time per instance.
+/// Class-parallel driver around a sequential kernel. Exact: emits the
+/// same itemsets (with the same supports) as the kernel run directly;
+/// in deterministic mode, in the same order at every thread count. Like
+/// the kernels, a single Mine() call at a time per instance.
 class NestedParallelMiner : public Miner {
  public:
   explicit NestedParallelMiner(NestedParallelMinerOptions options);

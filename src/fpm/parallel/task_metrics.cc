@@ -8,10 +8,6 @@ namespace fpm {
 TaskTelemetry::TaskTelemetry() {
   MetricsRegistry& registry = MetricsRegistry::Default();
   if (!registry.enabled()) return;
-  spawns_ = registry.GetCounter("fpm.task.spawns");
-  cutoffs_ = registry.GetCounter("fpm.task.cutoffs");
-  depth_hist_ =
-      registry.GetHistogram("fpm.task.depth", {0, 1, 2, 3, 4, 6, 8, 12, 16});
   wall_hist_ = registry.GetHistogram(
       "fpm.task.wall_micros",
       {10, 100, 1000, 10000, 100000, 1000000, 10000000});
@@ -24,15 +20,6 @@ void TaskTelemetry::RecordTask(uint64_t wall_micros) {
   if (wall_hist_ != nullptr) wall_hist_->Observe(wall_micros);
   std::lock_guard<std::mutex> lk(mu_);
   busy_micros_[ObsThreadIndex()] += wall_micros;
-}
-
-void TaskTelemetry::RecordSpawn(uint32_t depth) {
-  if (spawns_ != nullptr) spawns_->Increment();
-  if (depth_hist_ != nullptr) depth_hist_->Observe(depth);
-}
-
-void TaskTelemetry::RecordCutoff() {
-  if (cutoffs_ != nullptr) cutoffs_->Increment();
 }
 
 void TaskTelemetry::Finish() {

@@ -1,14 +1,10 @@
-// fpm.task.* telemetry shared by the parallel drivers.
+// fpm.task.* telemetry of the parallel driver.
 //
-// One TaskTelemetry per Mine() call records every mining task's wall
-// time (a histogram plus a per-worker busy-time ledger) and the nested
-// driver's spawn/cutoff decisions. Finish() turns the ledger into the
-// load-balance gauges the scaling bench reports:
+// One TaskTelemetry per Mine() call records every class task's wall time
+// (a histogram plus a per-worker busy-time ledger). Finish() turns the
+// ledger into the load-balance gauges the scaling bench reports:
 //
-//   fpm.task.spawns           subtrees accepted as tasks
-//   fpm.task.cutoffs          subtrees declined (mined inline)
-//   fpm.task.depth            histogram of spawn depths
-//   fpm.task.wall_micros      histogram of per-task wall times
+//   fpm.task.wall_micros      histogram of per-class-task wall times
 //   fpm.task.busy_max_micros  busiest worker's total task time
 //   fpm.task.busy_mean_micros mean total task time over active workers
 //   fpm.task.imbalance_milli  1000 * max / mean (1000 == perfectly even)
@@ -22,12 +18,11 @@
 
 namespace fpm {
 
-class Counter;
 class Gauge;
 class Histogram;
 
-/// Per-run task telemetry. RecordTask()/RecordSpawn()/RecordCutoff() are
-/// safe from any thread; Finish() must be called once, after the join.
+/// Per-run task telemetry. RecordTask() is safe from any thread; Finish()
+/// must be called once, after the join.
 /// When the default metrics registry is disabled every call is a cheap
 /// no-op apart from the busy ledger (one mutexed map update per task —
 /// tasks are coarse, so this is nowhere near the hot path).
@@ -38,15 +33,9 @@ class TaskTelemetry {
   TaskTelemetry(const TaskTelemetry&) = delete;
   TaskTelemetry& operator=(const TaskTelemetry&) = delete;
 
-  /// One mining task (equivalence class or detached subtree) finished on
-  /// the calling thread after `wall_micros` of work.
+  /// One class task finished on the calling thread after `wall_micros`
+  /// of work.
   void RecordTask(uint64_t wall_micros);
-
-  /// A subtree offer was accepted at `depth`.
-  void RecordSpawn(uint32_t depth);
-
-  /// A subtree offer was declined (the kernel recursed inline).
-  void RecordCutoff();
 
   /// Publishes the busy_max / busy_mean / imbalance gauges.
   void Finish();
@@ -58,9 +47,6 @@ class TaskTelemetry {
 
  private:
   // Resolved once at construction; null when the registry is disabled.
-  Counter* spawns_ = nullptr;
-  Counter* cutoffs_ = nullptr;
-  Histogram* depth_hist_ = nullptr;
   Histogram* wall_hist_ = nullptr;
   Gauge* busy_max_gauge_ = nullptr;
   Gauge* busy_mean_gauge_ = nullptr;

@@ -12,12 +12,12 @@
 //
 // Addressing:
 //   Open(path)        — load-or-hit by path; returns the latest handle.
+//                       v1 wire responses and goldens depend on its
+//                       digest being the FNV-1a of the raw file bytes;
+//                       chained versions extend that digest space
+//                       (versioned.h).
 //   Resolve(id, ver)  — by id; ver 0 = latest, else explicit pin
 //                       (reproducible replays).
-//   Get(path)         — the legacy path shim: identical to Open. v1
-//                       wire responses and goldens depend on its digest
-//                       being the FNV-1a of the raw file bytes; chained
-//                       versions extend that digest space (versioned.h).
 //
 // Mutations (Append / Expire / SetWindow) are serialized under the
 // registry mutex: ingestion batches are rare next to queries, and
@@ -145,9 +145,6 @@ class DatasetRegistry {
   /// the reader pass through (and are not cached: a later call
   /// retries).
   Result<DatasetHandle> Open(const std::string& path);
-
-  /// Legacy path-addressed lookup — identical to Open().
-  Result<DatasetHandle> Get(const std::string& path) { return Open(path); }
 
   /// Resolves a handle by id. `version` 0 pins the latest version; any
   /// other value pins that exact version (NotFound when the id is

@@ -125,14 +125,14 @@ Result<std::shared_ptr<MineJob>> MiningService::Submit(
 
   // Pin the dataset version for the whole job lifetime. Handle
   // addressing resolves "latest" here, at submission; path addressing
-  // is the legacy shim (load-once; concurrent first requests for the
+  // opens the dataset (load-once; concurrent first requests for the
   // same path coalesce inside the registry).
   DatasetHandle dataset;
   {
     Result<DatasetHandle> resolved =
         !request.dataset_id.empty()
             ? registry_.Resolve(request.dataset_id, request.dataset_version)
-            : registry_.Get(request.dataset_path);
+            : registry_.Open(request.dataset_path);
     if (!resolved.ok()) return reject(resolved.status());
     dataset = std::move(resolved).value();
   }

@@ -7,7 +7,7 @@
 // admission control, backpressure, deadlines). One request flows:
 //
 //   Submit(request)
-//     -> registry.Get(path)            pin the dataset (load once)
+//     -> registry.Open(path)           pin the dataset (load once)
 //     -> cost model admission check    reject provably enormous answers
 //     -> scheduler.Submit              backpressure at max_queue_depth
 //   ...job runs on a pool worker...

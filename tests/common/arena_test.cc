@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <utility>
 #include <vector>
 
 namespace fpm {
@@ -49,36 +48,6 @@ TEST(ArenaTest, AllocateArrayValueInitializes) {
   for (int i = 0; i < 256; ++i) EXPECT_EQ(arr[i], 0u);
 }
 
-TEST(ArenaTest, ResetRetainsBlocksForReuse) {
-  Arena arena(/*initial_block_bytes=*/4096);
-  for (int i = 0; i < 5000; ++i) (void)arena.New<uint64_t>(i);
-  EXPECT_GT(arena.bytes_used(), 0u);
-  const size_t reserved = arena.bytes_reserved();
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  // Blocks are retained, not freed.
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  // A second fill of the same size touches the system allocator zero
-  // times: the reservation must not grow.
-  for (int i = 0; i < 5000; ++i) {
-    uint64_t* p = arena.New<uint64_t>(i);
-    ASSERT_EQ(*p, static_cast<uint64_t>(i));
-  }
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(ArenaTest, ReleaseReturnsReservation) {
-  Arena arena;
-  (void)arena.Allocate(1000);
-  EXPECT_GT(arena.bytes_reserved(), 0u);
-  arena.Release();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
-  // Usable again after release.
-  int* p = arena.New<int>(5);
-  EXPECT_EQ(*p, 5);
-}
-
 TEST(ArenaTest, AllocationLargerThanMaxBlockGetsDedicatedBlock) {
   Arena arena(/*initial_block_bytes=*/64, /*max_block_bytes=*/4096);
   char* big = static_cast<char*>(arena.Allocate(1 << 20));
@@ -99,50 +68,25 @@ TEST(ArenaTest, AlignmentHoldsAcrossBlockBoundary) {
   std::memset(p, 0xcd, 32);
 }
 
-TEST(ArenaTest, ResetReusesOversizedRetainedBlock) {
-  Arena arena(/*initial_block_bytes=*/4096);
-  (void)arena.Allocate(100000);
-  const size_t reserved = arena.bytes_reserved();
-  arena.Reset();
-  // The retained first block is large enough for the refill.
-  (void)arena.Allocate(100000);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
+TEST(ArenaTest, TinyArenaCostsOneInitialBlock) {
+  Arena arena(/*initial_block_bytes=*/256);
+  EXPECT_EQ(arena.bytes_reserved(), 0u);  // nothing until first use
+  for (int i = 0; i < 3; ++i) (void)arena.New<uint64_t>(i);
+  EXPECT_EQ(arena.bytes_reserved(), 256u);
 }
 
-TEST(ArenaTest, MoveTransfersBlocksAndEmptiesSource) {
-  Arena a;
-  int* p = a.New<int>(42);
-  const size_t used = a.bytes_used();
-  Arena b(std::move(a));
-  EXPECT_EQ(*p, 42);  // heap blocks move with the arena
-  EXPECT_EQ(b.bytes_used(), used);
-  EXPECT_EQ(a.bytes_used(), 0u);
-  EXPECT_EQ(a.bytes_reserved(), 0u);
-}
-
-TEST(ArenaPoolTest, LeaseReturnsArenaResetButWarm) {
-  ArenaPool pool;
+TEST(ArenaTest, BlocksGrowGeometricallyUpToMax) {
+  Arena arena(/*initial_block_bytes=*/64, /*max_block_bytes=*/256);
+  std::vector<size_t> block_sizes;
   size_t reserved = 0;
-  {
-    ArenaPool::Lease lease = pool.Acquire();
-    (void)lease->Allocate(10000);
-    reserved = lease->bytes_reserved();
-    EXPECT_GT(reserved, 0u);
+  while (block_sizes.size() < 5) {
+    (void)arena.New<uint64_t>(0);
+    if (arena.bytes_reserved() != reserved) {
+      block_sizes.push_back(arena.bytes_reserved() - reserved);
+      reserved = arena.bytes_reserved();
+    }
   }
-  EXPECT_EQ(pool.arenas_created(), 1u);
-  ArenaPool::Lease again = pool.Acquire();
-  // Same arena, rewound but with its blocks retained.
-  EXPECT_EQ(pool.arenas_created(), 1u);
-  EXPECT_EQ(again->bytes_used(), 0u);
-  EXPECT_EQ(again->bytes_reserved(), reserved);
-}
-
-TEST(ArenaPoolTest, ConcurrentLeasesGetDistinctArenas) {
-  ArenaPool pool;
-  ArenaPool::Lease a = pool.Acquire();
-  ArenaPool::Lease b = pool.Acquire();
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(pool.arenas_created(), 2u);
+  EXPECT_EQ(block_sizes, (std::vector<size_t>{64, 128, 256, 256, 256}));
 }
 
 TEST(ArenaTest, BytesUsedExcludesPadding) {

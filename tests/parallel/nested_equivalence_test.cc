@@ -1,9 +1,7 @@
-// Nested-vs-sequential equivalence: the fork-join driver must emit
-// exactly the itemsets of the sequential kernel it wraps at every thread
-// count, with byte-identical emission order in deterministic mode —
-// regardless of which subtrees were spawned as tasks and which were
-// mined inline. spawn_min_entries=1 forces spawning even on the tiny
-// test databases (the auto cutoff would decline everything there).
+// Parallel-vs-sequential equivalence: the class-parallel driver must
+// emit exactly the itemsets of the sequential kernel it wraps at every
+// thread count, with byte-identical emission order in deterministic
+// mode however the class tasks were scheduled.
 
 #include "fpm/parallel/nested_miner.h"
 
@@ -52,12 +50,10 @@ struct Case {
 };
 
 NestedParallelMiner MakeNested(const Case& c, uint32_t threads,
-                               uint64_t spawn_min_entries,
                                bool deterministic = true) {
   NestedParallelMinerOptions no;
   no.execution.num_threads = threads;
   no.execution.deterministic = deterministic;
-  no.spawn_min_entries = spawn_min_entries;
   no.kernel_name = std::string(AlgorithmName(c.algorithm));
   no.factory = [c] {
     return CreateMiner(c.algorithm,
@@ -67,13 +63,12 @@ NestedParallelMiner MakeNested(const Case& c, uint32_t threads,
   return NestedParallelMiner(std::move(no));
 }
 
-class NestedEquivalenceTest : public ::testing::TestWithParam<Case> {};
-
-TEST_P(NestedEquivalenceTest, MatchesSequentialAtAllThreadCounts) {
-  const Case c = GetParam();
-  const Database db = SmallQuestDb();
-  const Support min_support = 8;
-
+// Mines `db` with the sequential kernel of `c` and with the parallel
+// driver at 1, 2, 4 and 8 threads; every run must report and emit the
+// same itemsets with the same supports.
+void ExpectMatchesSequentialAtAllThreadCounts(const Case& c,
+                                              const Database& db,
+                                              Support min_support) {
   Result<std::unique_ptr<Miner>> kernel = CreateMiner(
       c.algorithm, c.all_patterns ? PatternSet::ApplicableTo(c.algorithm)
                                   : PatternSet::None());
@@ -83,7 +78,7 @@ TEST_P(NestedEquivalenceTest, MatchesSequentialAtAllThreadCounts) {
   sequential.Canonicalize();
 
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    NestedParallelMiner miner = MakeNested(c, threads, /*spawn=*/1);
+    NestedParallelMiner miner = MakeNested(c, threads);
     CollectingSink nested;
     Result<MineStats> stats = miner.Mine(db, min_support, &nested);
     ASSERT_TRUE(stats.ok()) << miner.name();
@@ -94,9 +89,21 @@ TEST_P(NestedEquivalenceTest, MatchesSequentialAtAllThreadCounts) {
   }
 }
 
+class NestedEquivalenceTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(NestedEquivalenceTest, MatchesSequentialAtAllThreadCounts) {
+  ExpectMatchesSequentialAtAllThreadCounts(GetParam(), SmallQuestDb(), 8);
+}
+
+TEST_P(NestedEquivalenceTest, WebDocsMatchesSequentialAtAllThreadCounts) {
+  // A second input shape: long, topic-clustered transactions over a
+  // Zipf-skewed vocabulary.
+  ExpectMatchesSequentialAtAllThreadCounts(GetParam(), SmallWebDocsDb(), 6);
+}
+
 TEST_P(NestedEquivalenceTest, DeterministicOrderIdenticalAcrossThreadCounts) {
   // deterministic=true promises one emission order for every thread
-  // count — the inline 1-thread order — however the subtrees were
+  // count — the inline 1-thread order — however the class tasks were
   // scheduled. Compare *un*canonicalized results.
   const Case c = GetParam();
   const Database db = SmallWebDocsDb();
@@ -104,14 +111,14 @@ TEST_P(NestedEquivalenceTest, DeterministicOrderIdenticalAcrossThreadCounts) {
 
   CollectingSink reference;
   {
-    NestedParallelMiner miner = MakeNested(c, /*threads=*/1, /*spawn=*/1);
+    NestedParallelMiner miner = MakeNested(c, /*threads=*/1);
     ASSERT_TRUE(miner.Mine(db, min_support, &reference).ok());
   }
   ASSERT_GT(reference.results().size(), 0u);
 
   for (uint32_t threads : {2u, 4u, 8u}) {
     for (int run = 0; run < 2; ++run) {
-      NestedParallelMiner miner = MakeNested(c, threads, /*spawn=*/1);
+      NestedParallelMiner miner = MakeNested(c, threads);
       CollectingSink again;
       ASSERT_TRUE(miner.Mine(db, min_support, &again).ok());
       ASSERT_EQ(reference.results().size(), again.results().size())
@@ -135,34 +142,12 @@ TEST_P(NestedEquivalenceTest, NonDeterministicModeSameChecksum) {
   ASSERT_TRUE(Mine(db, options, &sequential).ok());
 
   NestedParallelMiner miner =
-      MakeNested(Case{c.algorithm, false}, /*threads=*/4, /*spawn=*/1,
+      MakeNested(Case{c.algorithm, false}, /*threads=*/4,
                  /*deterministic=*/false);
   CountingSink nested;
   ASSERT_TRUE(miner.Mine(db, min_support, &nested).ok());
   EXPECT_EQ(nested.count(), sequential.count());
   EXPECT_EQ(nested.checksum(), sequential.checksum());
-}
-
-TEST_P(NestedEquivalenceTest, AutoCutoffMatchesSequential) {
-  // Default cutoff (spawn_min_entries=0): mostly-inline mining must be
-  // just as exact.
-  const Case c = GetParam();
-  const Database db = SmallWebDocsDb();
-  const Support min_support = 6;
-
-  Result<std::unique_ptr<Miner>> kernel = CreateMiner(
-      c.algorithm, c.all_patterns ? PatternSet::ApplicableTo(c.algorithm)
-                                  : PatternSet::None());
-  ASSERT_TRUE(kernel.ok());
-  CollectingSink sequential;
-  ASSERT_TRUE((*kernel)->Mine(db, min_support, &sequential).ok());
-  sequential.Canonicalize();
-
-  NestedParallelMiner miner = MakeNested(c, /*threads=*/4, /*spawn=*/0);
-  CollectingSink nested;
-  ASSERT_TRUE(miner.Mine(db, min_support, &nested).ok());
-  nested.Canonicalize();
-  ExpectSameResults(sequential.results(), nested.results(), miner.name());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -195,8 +180,7 @@ TEST(NestedMinerTest, RandomDatabasesMatchSequential) {
     sequential.Canonicalize();
 
     NestedParallelMiner miner =
-        MakeNested(Case{Algorithm::kEclat, false}, /*threads=*/3,
-                   /*spawn=*/1);
+        MakeNested(Case{Algorithm::kEclat, false}, /*threads=*/3);
     CollectingSink nested;
     ASSERT_TRUE(miner.Mine(db, 2, &nested).ok());
     nested.Canonicalize();
@@ -207,7 +191,7 @@ TEST(NestedMinerTest, RandomDatabasesMatchSequential) {
 
 TEST(NestedMinerTest, EmptyDatabase) {
   NestedParallelMiner miner =
-      MakeNested(Case{Algorithm::kLcm, false}, /*threads=*/2, /*spawn=*/1);
+      MakeNested(Case{Algorithm::kLcm, false}, /*threads=*/2);
   CollectingSink sink;
   Result<MineStats> stats = miner.Mine(Database(), 1, &sink);
   ASSERT_TRUE(stats.ok());
@@ -217,7 +201,7 @@ TEST(NestedMinerTest, EmptyDatabase) {
 
 TEST(NestedMinerTest, SupportAboveEverythingEmitsNothing) {
   NestedParallelMiner miner =
-      MakeNested(Case{Algorithm::kLcm, false}, /*threads=*/2, /*spawn=*/1);
+      MakeNested(Case{Algorithm::kLcm, false}, /*threads=*/2);
   Database db = MakeDb({{0, 1}, {0, 1}});
   CollectingSink sink;
   ASSERT_TRUE(miner.Mine(db, 3, &sink).ok());

@@ -1,9 +1,9 @@
-// Observability of the nested driver: fpm.task.* spawn/cutoff counters,
-// depth and wall histograms, load-balance gauges, and "task" trace
-// spans tying detached subtrees back to their class.
+// Observability of the parallel driver's class tasks: the fpm.task.*
+// wall histogram (one observation per class) and load-balance gauges.
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,10 +30,9 @@ Database SmallQuestDb() {
   return db.value();
 }
 
-NestedParallelMiner MakeNested(uint32_t threads, uint64_t spawn_min_entries) {
+NestedParallelMiner MakeNested(uint32_t threads) {
   NestedParallelMinerOptions no;
   no.execution.num_threads = threads;
-  no.spawn_min_entries = spawn_min_entries;
   no.kernel_name = "eclat";
   no.factory = [] {
     return CreateMiner(Algorithm::kEclat, PatternSet::None());
@@ -57,86 +56,76 @@ class NestedObsTest : public ::testing::Test {
   }
 };
 
-TEST_F(NestedObsTest, SpawnsRecordedWhenCutoffForcedLow) {
+TEST_F(NestedObsTest, ClassTasksRecordedAtFourThreads) {
   const Database db = SmallQuestDb();
-  NestedParallelMiner miner = MakeNested(/*threads=*/4, /*spawn=*/1);
+  NestedParallelMiner miner = MakeNested(/*threads=*/4);
   CollectingSink sink;
   ASSERT_TRUE(miner.Mine(db, 8, &sink).ok());
 
   const MetricsSnapshot snap = MetricsRegistry::Default().Snapshot();
-  const uint64_t spawns = snap.counter("fpm.task.spawns");
   const uint64_t classes = snap.counter("fpm.parallel.classes");
-  EXPECT_GT(spawns, 0u) << "spawn_min_entries=1 must force spawning";
   EXPECT_GT(classes, 0u);
 
-  // One depth observation per spawn; one wall observation per task
-  // (class tasks and detached subtree tasks alike).
-  const HistogramSample* depths = snap.histogram("fpm.task.depth");
-  ASSERT_NE(depths, nullptr);
-  EXPECT_EQ(depths->count(), spawns);
+  // A class is the only task: one wall observation per class.
   const HistogramSample* walls = snap.histogram("fpm.task.wall_micros");
   ASSERT_NE(walls, nullptr);
-  EXPECT_EQ(walls->count(), spawns + classes);
+  EXPECT_EQ(walls->count(), classes);
 
   // Load-balance gauges: max over workers >= mean over workers, and the
   // imbalance ratio is >= 1000 (milli) whenever any work was measured.
+  auto registered = [&snap](std::string_view name) {
+    return std::any_of(snap.gauges.begin(), snap.gauges.end(),
+                       [name](const GaugeSample& g) { return g.name == name; });
+  };
+  EXPECT_TRUE(registered("fpm.task.busy_max_micros"));
+  EXPECT_TRUE(registered("fpm.task.busy_mean_micros"));
+  EXPECT_TRUE(registered("fpm.task.imbalance_milli"));
   const uint64_t busy_max = snap.gauge("fpm.task.busy_max_micros");
   const uint64_t busy_mean = snap.gauge("fpm.task.busy_mean_micros");
   EXPECT_GE(busy_max, busy_mean);
   if (busy_mean > 0) {
     EXPECT_GE(snap.gauge("fpm.task.imbalance_milli"), 1000u);
   }
-
-  // Every spawned subtree ran under a "task" span carrying its depth,
-  // owning class item, and output size.
-  const std::vector<TraceSpan> spans = Tracer::Default().CollectSpans();
-  std::vector<const TraceSpan*> task_spans;
-  for (const TraceSpan& s : spans) {
-    if (s.name == "task") task_spans.push_back(&s);
-  }
-  EXPECT_EQ(task_spans.size(), spawns);
-  for (const TraceSpan* s : task_spans) {
-    auto has_arg = [s](std::string_view key) {
-      return std::any_of(s->args.begin(), s->args.end(),
-                         [key](const auto& kv) { return kv.first == key; });
-    };
-    EXPECT_TRUE(has_arg("depth"));
-    EXPECT_TRUE(has_arg("item"));
-    EXPECT_TRUE(has_arg("itemsets"));
-  }
 }
 
-TEST_F(NestedObsTest, CutoffsRecordedWhenSpawningSuppressed) {
+TEST_F(NestedObsTest, InlinePathRecordsEveryClass) {
+  // num_threads == 1 mines every class on the calling thread; the class
+  // tasks are still measured.
   const Database db = SmallQuestDb();
-  // A cutoff no subtree of this tiny database can clear.
-  NestedParallelMiner miner =
-      MakeNested(/*threads=*/4, /*spawn=*/uint64_t{1} << 40);
+  NestedParallelMiner miner = MakeNested(/*threads=*/1);
   CollectingSink sink;
   ASSERT_TRUE(miner.Mine(db, 8, &sink).ok());
 
   const MetricsSnapshot snap = MetricsRegistry::Default().Snapshot();
-  EXPECT_EQ(snap.counter("fpm.task.spawns"), 0u);
-  EXPECT_GT(snap.counter("fpm.task.cutoffs"), 0u)
-      << "declined offers must be counted";
   const HistogramSample* walls = snap.histogram("fpm.task.wall_micros");
   ASSERT_NE(walls, nullptr);
   EXPECT_EQ(walls->count(), snap.counter("fpm.parallel.classes"));
 }
 
-TEST_F(NestedObsTest, InlinePathOffersNothing) {
-  // num_threads == 1 runs without a spawner: no offers, no spawns, no
-  // cutoffs — but class tasks are still measured.
+TEST_F(NestedObsTest, TaskTelemetryIsClassWallAndBalanceOnly) {
+  // Classes are the only task kind, so the fpm.task.* family is the
+  // per-class wall histogram and the three load-balance gauges, with no
+  // per-subtree counter or histogram beside them.
   const Database db = SmallQuestDb();
-  NestedParallelMiner miner = MakeNested(/*threads=*/1, /*spawn=*/1);
+  NestedParallelMiner miner = MakeNested(/*threads=*/4);
   CollectingSink sink;
   ASSERT_TRUE(miner.Mine(db, 8, &sink).ok());
 
   const MetricsSnapshot snap = MetricsRegistry::Default().Snapshot();
-  EXPECT_EQ(snap.counter("fpm.task.spawns"), 0u);
-  EXPECT_EQ(snap.counter("fpm.task.cutoffs"), 0u);
-  const HistogramSample* walls = snap.histogram("fpm.task.wall_micros");
-  ASSERT_NE(walls, nullptr);
-  EXPECT_EQ(walls->count(), snap.counter("fpm.parallel.classes"));
+  std::vector<std::string> task_metrics;
+  auto collect = [&task_metrics](const auto& samples) {
+    for (const auto& s : samples) {
+      if (s.name.starts_with("fpm.task.")) task_metrics.push_back(s.name);
+    }
+  };
+  collect(snap.counters);
+  collect(snap.gauges);
+  collect(snap.histograms);
+  std::sort(task_metrics.begin(), task_metrics.end());
+  EXPECT_EQ(task_metrics,
+            (std::vector<std::string>{
+                "fpm.task.busy_max_micros", "fpm.task.busy_mean_micros",
+                "fpm.task.imbalance_milli", "fpm.task.wall_micros"}));
 }
 
 TEST_F(NestedObsTest, HelpRunsCounterRegistered) {
@@ -144,7 +133,7 @@ TEST_F(NestedObsTest, HelpRunsCounterRegistered) {
   // HelpWhile; the counter must at least be registered (whether any
   // helping happened depends on scheduling).
   const Database db = SmallQuestDb();
-  NestedParallelMiner miner = MakeNested(/*threads=*/2, /*spawn=*/1);
+  NestedParallelMiner miner = MakeNested(/*threads=*/2);
   CollectingSink sink;
   ASSERT_TRUE(miner.Mine(db, 8, &sink).ok());
 

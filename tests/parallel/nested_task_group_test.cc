@@ -1,5 +1,5 @@
 // TaskGroup fork-join semantics, and the continuation-safety property
-// that makes nested mining possible: a worker blocked in Wait() executes
+// of its helping join: a worker blocked in Wait() executes
 // pending tasks instead of idling, so arbitrarily deep fork-join nesting
 // on a tiny pool cannot deadlock.
 
@@ -45,8 +45,7 @@ TEST(TaskGroupTest, ReusableAfterWait) {
 }
 
 TEST(TaskGroupTest, TasksCanForkOntoTheirOwnGroup) {
-  // The outer Wait() must cover tasks forked by tasks — the nested
-  // driver forks subtree tasks onto the same group as the class tasks.
+  // The outer Wait() must cover tasks forked by tasks.
   ThreadPool pool(4);
   TaskGroup group(&pool);
   std::atomic<uint64_t> ran{0};

@@ -1,6 +1,6 @@
 // Observability of the parallel driver: exactly one "class" trace span
-// per first-item equivalence class, and pool/submit/steal counters in
-// the default metrics registry.
+// per first-item equivalence class (the only task kind), and
+// pool/submit/steal counters in the default metrics registry.
 
 #include <algorithm>
 #include <atomic>
@@ -69,22 +69,17 @@ TEST_F(ParallelObsTest, OneClassSpanPerEquivalenceClass) {
 
   const std::vector<TraceSpan> spans = Tracer::Default().CollectSpans();
   std::vector<const TraceSpan*> class_spans;
-  uint64_t total_itemsets = 0;
   for (const TraceSpan& s : spans) {
     if (s.name == "class") class_spans.push_back(&s);
-    // Subtrees a class kernel detached report their output on "task"
-    // spans instead of their class's span.
-    if (s.name != "task") continue;
-    for (const auto& [key, value] : s.args) {
-      if (key == "itemsets") total_itemsets += value;
-    }
+    // Classes are the only tasks: no kernel hands work back to the pool.
+    EXPECT_NE(s.name, "task");
   }
   EXPECT_EQ(class_spans.size(), num_frequent_items);
 
   // Each class span names a distinct owner item and reports its size and
-  // output; with the task spans, the itemset counts add up to the full
-  // result set.
+  // output; the class spans alone add up to the full result set.
   std::set<uint64_t> owners;
+  uint64_t total_itemsets = 0;
   for (const TraceSpan* s : class_spans) {
     uint64_t item = 0, itemsets = 0;
     bool has_entries = false;

@@ -26,9 +26,9 @@ TEST(DatasetRegistryTest, LoadsOnceAndShares) {
   const std::string path =
       test::WriteTempFimi("registry_share.dat", test::SmallFimiText());
   DatasetRegistry registry;
-  auto first = registry.Get(path);
+  auto first = registry.Open(path);
   ASSERT_TRUE(first.ok()) << first.status();
-  auto second = registry.Get(path);
+  auto second = registry.Open(path);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->database.get(), second->database.get());
   EXPECT_EQ(first->digest, second->digest);
@@ -45,8 +45,8 @@ TEST(DatasetRegistryTest, SameBytesSameDigestAcrossPaths) {
   const std::string b =
       test::WriteTempFimi("registry_dup_b.dat", test::SmallFimiText());
   DatasetRegistry registry;
-  auto ha = registry.Get(a);
-  auto hb = registry.Get(b);
+  auto ha = registry.Open(a);
+  auto hb = registry.Open(b);
   ASSERT_TRUE(ha.ok() && hb.ok());
   // Distinct entries (keyed by path) but one digest: the result cache
   // treats them as the same dataset.
@@ -58,10 +58,10 @@ TEST(DatasetRegistryTest, MissingFileFailsAndLaterRetrySucceeds) {
   const std::string path = testing::TempDir() + "/registry_late.dat";
   std::remove(path.c_str());
   DatasetRegistry registry;
-  EXPECT_FALSE(registry.Get(path).ok());
-  // Failures are not cached: once the file exists, Get() succeeds.
+  EXPECT_FALSE(registry.Open(path).ok());
+  // Failures are not cached: once the file exists, Open() succeeds.
   test::WriteTempFimi("registry_late.dat", test::SmallFimiText());
-  auto handle = registry.Get(path);
+  auto handle = registry.Open(path);
   ASSERT_TRUE(handle.ok()) << handle.status();
   EXPECT_EQ(handle->database->num_transactions(), 5u);
   std::remove(path.c_str());
@@ -79,7 +79,7 @@ TEST(DatasetRegistryTest, ConcurrentGetsLoadExactlyOnce) {
     threads.reserve(kThreads);
     for (int i = 0; i < kThreads; ++i) {
       threads.emplace_back([&, i] {
-        auto h = registry.Get(path);
+        auto h = registry.Open(path);
         if (h.ok()) {
           handles[static_cast<size_t>(i)] = std::move(h).value();
         } else {
@@ -109,16 +109,16 @@ TEST(DatasetRegistryTest, PinnedEntriesSurviveTheBudget) {
   // unpinned entry is evictable the moment a new load lands.
   DatasetRegistry registry(/*budget_bytes=*/1);
 
-  auto ha = registry.Get(a);
+  auto ha = registry.Open(a);
   ASSERT_TRUE(ha.ok());
   // While `ha` pins A, loading B must not evict it.
-  auto hb = registry.Get(b);
+  auto hb = registry.Open(b);
   ASSERT_TRUE(hb.ok());
   EXPECT_EQ(registry.stats().resident_entries, 2u);
 
   const Database* a_db = ha->database.get();
   {
-    auto again = registry.Get(a);  // still the same object — not reloaded
+    auto again = registry.Open(a);  // still the same object — not reloaded
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again->database.get(), a_db);
   }
@@ -127,11 +127,11 @@ TEST(DatasetRegistryTest, PinnedEntriesSurviveTheBudget) {
   // Release both pins; the next load may now evict A and B.
   ha.value() = DatasetHandle{};
   hb.value() = DatasetHandle{};
-  auto hc = registry.Get(c);
+  auto hc = registry.Open(c);
   ASSERT_TRUE(hc.ok());
   EXPECT_GE(registry.stats().evictions, 2u);
   // A was evicted, so fetching it again is a fresh load.
-  auto ha2 = registry.Get(a);
+  auto ha2 = registry.Open(a);
   ASSERT_TRUE(ha2.ok());
   EXPECT_EQ(registry.stats().loads, 4u);
 }
@@ -224,7 +224,7 @@ TEST(DatasetRegistryTest, ConcurrentChurnUnderTinyBudget) {
       threads.emplace_back([&, t] {
         for (int i = 0; i < 50; ++i) {
           const size_t which = static_cast<size_t>(t + i) % 3;
-          auto h = registry.Get(paths[which]);
+          auto h = registry.Open(paths[which]);
           if (!h.ok() ||
               h->database->num_transactions() != expected_rows[which]) {
             failures.fetch_add(1);

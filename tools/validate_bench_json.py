@@ -8,8 +8,11 @@ output"): required top-level keys and types, schema_version == 2, the
 host block, the perf_counters availability block (a reason is required
 exactly when counters are unavailable), and the shape of every row's
 optional "phases" object, and — new in v2 — that every row tagged
-"driver": "nested" carries the task load-balance fields (spawn/cutoff
-counts and max/mean per-worker busy seconds). Service-throughput rows
+"driver": "nested" carries the task load-balance fields (max/mean
+per-worker busy seconds and their ratio). Every row with a "driver"
+tag must also label its build time: "build_time" is "wall" on
+"driver": "seq" rows and "task_sum" (summed over class tasks) on
+"driver": "nested" rows. Service-throughput rows
 (any row carrying "qps", as written by bench_service_throughput) must
 also carry clients, p50_ms and p99_ms, with qps > 0, clients >= 1 and
 p99_ms >= p50_ms. Rows tagged with "task" (the mixed-task service
@@ -60,12 +63,15 @@ HOST_KEYS = {
 
 # Load-balance fields every "driver": "nested" row must carry (v2).
 NESTED_ROW_KEYS = (
-    "task_spawns",
-    "task_cutoffs",
     "task_busy_max_seconds",
     "task_busy_mean_seconds",
     "task_imbalance",
 )
+
+# The build-time label each driver's rows must carry: the sequential
+# kernel's build phase is wall time, the parallel driver's is summed
+# over class tasks (prepare and mine are wall time for both).
+BUILD_TIME_BY_DRIVER = {"seq": "wall", "nested": "task_sum"}
 
 # Latency fields every service-throughput row (tagged by "qps") must
 # carry alongside it.
@@ -253,6 +259,14 @@ def check(path):
         if "task" in row and row["task"] not in MINING_TASKS:
             err(f"rows[{i}] 'task' {row['task']!r} not one of "
                 f"{'|'.join(MINING_TASKS)}")
+        if "driver" in row:
+            want = BUILD_TIME_BY_DRIVER.get(row["driver"])
+            if want is None:
+                err(f"rows[{i}] 'driver' {row['driver']!r} not one of "
+                    f"{'|'.join(BUILD_TIME_BY_DRIVER)}")
+            elif row.get("build_time") != want:
+                err(f"rows[{i}] driver={row['driver']} but 'build_time' "
+                    f"is {row.get('build_time')!r}, not {want!r}")
         if row.get("driver") == "nested":
             for key in NESTED_ROW_KEYS:
                 v = row.get(key)

@@ -30,7 +30,7 @@
 
 #include "bench_common.h"
 #include "bench_report.h"
-#include "fpm/cluster/shard_exec.h"
+#include "fpm/core/partition.h"
 #include "fpm/core/patterns.h"
 #include "fpm/perf/report.h"
 

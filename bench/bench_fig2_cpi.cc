@@ -128,12 +128,7 @@ int main() {
             nbuckets, LinkedList<uint32_t>(&arena));
         uint64_t probes = 0;
         for (Tid t = 0; t < ranked.num_transactions(); ++t) {
-          const auto tx = ranked.transaction(t);
-          uint64_t h = 1469598103934665603ull;
-          for (Item i : tx) {
-            h ^= i;
-            h *= 1099511628211ull;
-          }
+          const size_t h = ItemsetHash{}(ranked.transaction(t));
           LinkedList<uint32_t>& chain = buckets[h & (nbuckets - 1)];
           chain.ForEach([&](uint32_t) { ++probes; });
           chain.PushBack(t);

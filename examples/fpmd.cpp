@@ -55,8 +55,8 @@
 
 #include "fpm/cluster/coordinator.h"
 #include "fpm/cluster/endpoint.h"
-#include "fpm/cluster/shard_exec.h"
 #include "fpm/core/mine.h"
+#include "fpm/core/partition.h"
 #include "fpm/obs/metrics.h"
 #include "fpm/obs/prometheus.h"
 #include "fpm/obs/query_log.h"
@@ -282,8 +282,9 @@ std::string HandleCacheProbe(ServerState* state,
 /// it becomes a normal scheduler job at boosted priority (the
 /// coordinator on the other side already paid a hop and a wait). Modes
 /// "mine"/"count" are the SON phases over one partition — registry
-/// lookup plus the pure shard_exec functions, inline on the connection
-/// thread like dataset ops.
+/// lookup plus the pure shard functions of fpm/core/partition.h, inline
+/// on the connection thread like dataset ops. Malformed candidates come
+/// back from CountShardPartition as INVALID_ARGUMENT replies.
 std::string HandleShardQuery(ServerState* state,
                              const ServiceRequest& request, int fd) {
   const ClusterOpRequest& cluster = request.cluster;

@@ -1,12 +1,19 @@
 #include "fpm/algo/candidate_trie.h"
 
 #include <algorithm>
+#include <string>
 
 #include "fpm/common/logging.h"
 
 namespace fpm {
 
 void CandidateTrie::Insert(std::span<const Item> candidate, uint32_t index) {
+  FPM_CHECK(InsertOrFind(candidate, index) == index)
+      << "duplicate candidate insertion";
+}
+
+uint32_t CandidateTrie::InsertOrFind(std::span<const Item> candidate,
+                                     uint32_t index) {
   FPM_CHECK(!candidate.empty()) << "empty candidate";
   uint32_t cur = 0;
   for (Item it : candidate) {
@@ -25,9 +32,8 @@ void CandidateTrie::Insert(std::span<const Item> candidate, uint32_t index) {
       cur = node.children[idx];
     }
   }
-  FPM_CHECK(nodes_[cur].candidate == kNoCandidate)
-      << "duplicate candidate insertion";
-  nodes_[cur].candidate = index;
+  if (nodes_[cur].candidate == kNoCandidate) nodes_[cur].candidate = index;
+  return nodes_[cur].candidate;
 }
 
 void CandidateTrie::CountTransaction(std::span<const Item> tx,
@@ -53,6 +59,43 @@ void CandidateTrie::Walk(uint32_t node_id, std::span<const Item> tx,
       ++li;
     }
   }
+}
+
+Result<std::vector<Support>> CountCandidates(
+    const Database& db, size_t begin, size_t end,
+    std::span<const Itemset> candidates) {
+  std::vector<Support> counts(candidates.size(), 0);
+  if (candidates.empty()) return counts;
+
+  const auto invalid = [](size_t i, const std::string& what) {
+    return Status::InvalidArgument("candidate " + std::to_string(i) + " " +
+                                   what);
+  };
+  CandidateTrie trie;
+  Itemset sorted;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].empty()) return invalid(i, "is empty");
+    sorted.assign(candidates[i].begin(), candidates[i].end());
+    std::sort(sorted.begin(), sorted.end());
+    const auto repeat = std::adjacent_find(sorted.begin(), sorted.end());
+    if (repeat != sorted.end()) {
+      return invalid(i, "repeats item " + std::to_string(*repeat));
+    }
+    const uint32_t index = static_cast<uint32_t>(i);
+    const uint32_t first = trie.InsertOrFind(sorted, index);
+    if (first != index) {
+      return invalid(i, "duplicates candidate " + std::to_string(first));
+    }
+  }
+
+  std::vector<Item> sorted_tx;
+  for (size_t t = begin; t < end; ++t) {
+    const auto tx = db.transaction(static_cast<Tid>(t));
+    sorted_tx.assign(tx.begin(), tx.end());
+    std::sort(sorted_tx.begin(), sorted_tx.end());
+    trie.CountTransaction(sorted_tx, db.weight(static_cast<Tid>(t)), &counts);
+  }
+  return counts;
 }
 
 }  // namespace fpm

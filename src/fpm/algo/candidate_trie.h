@@ -1,14 +1,20 @@
 // Prefix trie over a fixed candidate set, for batch support counting:
 // CountTransaction adds a transaction's weight to every candidate that
-// is a subset of it. Used by the Apriori level loop and by the
-// partitioned miner's global counting phase.
+// is a subset of it. The Apriori level loop drives a trie directly;
+// every other counting pass (the partitioned/SON miner's phase 2 in
+// core/partition.h, which fpmd's shard_query count also runs, and the
+// service's cache reseed over a version delta) goes through
+// CountCandidates, which validates its candidates first.
 
 #ifndef FPM_ALGO_CANDIDATE_TRIE_H_
 #define FPM_ALGO_CANDIDATE_TRIE_H_
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
+#include "fpm/common/status.h"
+#include "fpm/dataset/database.h"
 #include "fpm/dataset/types.h"
 
 namespace fpm {
@@ -22,6 +28,11 @@ class CandidateTrie {
   /// duplicates within the set) under the given index. Indices must be
   /// unique; counting accumulates into counts[index].
   void Insert(std::span<const Item> candidate, uint32_t index);
+
+  /// Insert() that tolerates a candidate already present: returns the
+  /// index the candidate is stored under — `index` when it is new, the
+  /// earlier index when it is a duplicate (which is then not inserted).
+  uint32_t InsertOrFind(std::span<const Item> candidate, uint32_t index);
 
   /// Adds `weight` to counts[i] for every candidate i ⊆ tx.
   /// `tx` must be sorted ascending without duplicates.
@@ -44,6 +55,15 @@ class CandidateTrie {
 
   std::vector<Node> nodes_{1};  // node 0 = root
 };
+
+/// Exact supports of `candidates` over transactions [begin, end) of
+/// `db`, in candidate order. Candidates need not be sorted (wire input
+/// is not); each is sorted before insertion. An empty candidate, one
+/// that repeats an item, or one equal as a set to an earlier candidate
+/// is InvalidArgument naming its index.
+Result<std::vector<Support>> CountCandidates(
+    const Database& db, size_t begin, size_t end,
+    std::span<const Itemset> candidates);
 
 }  // namespace fpm
 

@@ -46,7 +46,7 @@ class CountingSink : public ItemsetSink {
     if (itemset.size() > max_size_) max_size_ = itemset.size();
     // Order-insensitive mix: commutative over both emission order and
     // item order within the set.
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnv1aOffsetBasis;
     for (Item it : itemset) {
       h += (static_cast<uint64_t>(it) + 0x9e3779b97f4a7c15ull) *
            0xff51afd7ed558ccdull;

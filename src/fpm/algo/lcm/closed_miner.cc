@@ -30,15 +30,6 @@ struct Cdb {
   }
 };
 
-uint64_t HashSpan(std::span<const Item> items) {
-  uint64_t h = 1469598103934665603ull;
-  for (Item it : items) {
-    h ^= it;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Merges identical transactions (summing weights) — the RmDupTrans step,
 // which for closure mining also collapses the databases quickly because
 // closure items have been removed.
@@ -52,7 +43,7 @@ Cdb MergeDuplicates(Cdb&& db) {
   std::vector<int32_t> next;
   for (uint32_t t = 0; t < ntx; ++t) {
     const auto tx = db.tx(t);
-    const size_t bucket = HashSpan(tx) & (nbuckets - 1);
+    const size_t bucket = ItemsetHash{}(tx) & (nbuckets - 1);
     int32_t found = -1;
     for (int32_t m = heads[bucket]; m != -1; m = next[m]) {
       const auto candidate = merged.tx(static_cast<uint32_t>(m));

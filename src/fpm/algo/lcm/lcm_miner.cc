@@ -66,15 +66,6 @@ struct OccHeader {
 };
 static_assert(sizeof(OccHeader) == 32, "baseline header must be 32 bytes");
 
-uint64_t HashSpan(std::span<const Item> items) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (Item it : items) {
-    h ^= it;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 bool SpanEquals(std::span<const Item> a, std::span<const Item> b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(Item)) == 0;
@@ -286,7 +277,7 @@ class LcmRun {
       }
       if (scratch.empty()) continue;
       const Support w = db.weights[t];
-      Chain& chain = buckets[HashSpan(scratch) & mask];
+      Chain& chain = buckets[ItemsetHash{}(scratch) & mask];
       uint32_t found = kInvalidItem;
       chain.ForEach([&](uint32_t candidate) {
         if (found == kInvalidItem &&

@@ -5,22 +5,6 @@
 namespace fpm {
 namespace {
 
-// Order-sensitive hash of a sorted itemset.
-uint64_t HashItemset(const Itemset& set) {
-  uint64_t h = 1469598103934665603ull;
-  for (Item it : set) {
-    h ^= it;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-struct ItemsetHash {
-  size_t operator()(const Itemset& set) const {
-    return static_cast<size_t>(HashItemset(set));
-  }
-};
-
 // Marks, for every entry, whether some one-larger superset exists
 // (keep_if(parent_support, child_support) decides whether the superset
 // disqualifies the subset).

@@ -7,21 +7,6 @@
 namespace fpm {
 namespace {
 
-uint64_t HashItemset(const Itemset& set) {
-  uint64_t h = 1469598103934665603ull;
-  for (Item it : set) {
-    h ^= it;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-struct ItemsetHash {
-  size_t operator()(const Itemset& set) const {
-    return static_cast<size_t>(HashItemset(set));
-  }
-};
-
 using SupportIndex = std::unordered_map<Itemset, Support, ItemsetHash>;
 
 // Enumerates consequents: all non-empty subsets of `set` of size up to

@@ -10,7 +10,7 @@
 
 #include "fpm/cluster/endpoint.h"
 #include "fpm/cluster/peer_client.h"
-#include "fpm/cluster/shard_exec.h"
+#include "fpm/core/partition.h"
 #include "fpm/dataset/packed.h"
 #include "fpm/obs/metrics.h"
 #include "fpm/service/protocol.h"

@@ -16,9 +16,9 @@
 //      itemset order contract.
 //
 // The opt-in scatter path (ExecuteScatter) instead fans SON phase 1/2
-// sub-queries across ALL healthy owners and merges through the
-// PartitionedMiner math (fpm/cluster/shard_exec.h) — higher throughput
-// for cold heavy queries, canonical result order.
+// sub-queries across ALL healthy owners and merges through the shard
+// functions PartitionedMiner itself runs (fpm/core/partition.h) —
+// higher throughput for cold heavy queries, canonical result order.
 //
 // Failure policy: a dead replica costs one failover
 // (fpm.cluster.failovers) and the next replica is tried; when every

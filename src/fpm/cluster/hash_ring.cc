@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "fpm/common/hash.h"
+
 namespace fpm {
 
 namespace {
@@ -23,12 +25,7 @@ uint64_t MixPoint(uint64_t h) {
 }  // namespace
 
 uint64_t ConsistentHashRing::HashKey(const std::string& key) {
-  uint64_t h = 14695981039346656037ull;  // FNV offset basis
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+  return Fnv1a64(key);
 }
 
 ConsistentHashRing::ConsistentHashRing(std::vector<std::string> nodes,

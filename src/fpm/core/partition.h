@@ -1,12 +1,36 @@
 // Two-phase partitioned mining, after Savasere, Omiecinski & Navathe
-// (VLDB'95 — the paper's reference [30]).
+// (VLDB'95 — the paper's reference [30]; the same plan is often called
+// SON).
 //
 // Phase 1 splits the database into k partitions and mines each with a
 // proportionally scaled local support; any globally frequent itemset is
 // locally frequent in at least one partition, so the union of the local
 // results is a complete candidate set. Phase 2 counts the candidates'
-// exact supports with one pass over the full database (candidate trie)
-// and emits those meeting the global threshold.
+// exact supports (CountCandidates) and keeps those meeting the global
+// threshold.
+//
+// The phases are pure functions over a Database, and there is one copy
+// of them:
+//
+//   phase 1  mine slice [n*p/k, n*(p+1)/k) at ceil(S * w_p / W)
+//                                                  (MineShardPartition)
+//   merge    union + canonically sort the local results into the
+//            candidate list                        (MergeShardCandidates)
+//   phase 2  exact supports of the candidates over a slice; the slices
+//            tile the database, so per-slice counts sum to global
+//            supports                              (CountShardPartition)
+//   filter   keep candidates whose summed count is >= S, canonical
+//            order                                 (MergeShardCounts)
+//
+// PartitionedMiner runs them in one process: phase 1 per slice, then
+// one count over the whole database. fpmd's cluster scatter runs the
+// same functions across owners — shard_query modes "mine" and "count"
+// on each owner, the merges on the coordinator — and
+// bench_cluster_fanout times them in-process.
+//
+// Output-order contract: the result is the canonical (sorted) itemset
+// order, not a kernel's emission order; the itemset/support set equals
+// a direct mine's exactly.
 //
 // The classic motivation is out-of-core mining (each partition fits in
 // memory); here it also serves as an independently-derived cross-check
@@ -16,10 +40,54 @@
 #ifndef FPM_CORE_PARTITION_H_
 #define FPM_CORE_PARTITION_H_
 
+#include <vector>
+
+#include "fpm/algo/itemset_sink.h"
 #include "fpm/algo/miner.h"
+#include "fpm/common/status.h"
 #include "fpm/core/patterns.h"
+#include "fpm/dataset/database.h"
 
 namespace fpm {
+
+/// Which contiguous slice of the database a phase covers.
+struct ShardSlice {
+  uint32_t index = 0;  ///< partition number, < count
+  uint32_t count = 1;  ///< total partitions (the fan-out width)
+};
+
+/// Materializes the slice's transactions as their own Database.
+/// `part_weight` (optional) receives the slice's total weight.
+Database BuildShardPartition(const Database& db, ShardSlice slice,
+                             Support* part_weight = nullptr);
+
+/// Phase 1 for one slice: mines it at the ceil-scaled local threshold
+/// max(1, ceil(min_support * part_weight / total_weight)). Returns the
+/// local frequent itemsets (candidate contributions). An empty slice
+/// returns an empty list.
+Result<std::vector<CollectingSink::Entry>> MineShardPartition(
+    const Database& db, ShardSlice slice, Support min_support,
+    Algorithm algorithm, PatternSet patterns);
+
+/// Phase 2 for one slice: exact supports of `candidates` over the
+/// slice, in candidate order (CountCandidates over the slice's tids, so
+/// unsorted, empty and duplicate candidates behave as documented there).
+Result<std::vector<Support>> CountShardPartition(
+    const Database& db, ShardSlice slice,
+    const std::vector<Itemset>& candidates);
+
+/// Unions per-slice phase-1 results into the deduplicated, canonically
+/// sorted candidate list.
+std::vector<Itemset> MergeShardCandidates(
+    std::vector<std::vector<CollectingSink::Entry>> locals);
+
+/// Sums per-slice counts (one vector per slice, each candidate-order
+/// aligned) and keeps candidates meeting the global threshold,
+/// canonical order.
+std::vector<CollectingSink::Entry> MergeShardCounts(
+    const std::vector<Itemset>& candidates,
+    const std::vector<std::vector<Support>>& per_shard,
+    Support min_support);
 
 /// Configuration of the partitioned miner.
 struct PartitionOptions {
@@ -32,12 +100,13 @@ struct PartitionOptions {
   PatternSet inner_patterns;
   /// num_threads > 1 mines the phase-1 partitions concurrently on a
   /// work-stealing pool (partitions are independent; each mines into a
-  /// private sink). Phase 2 is a single counting pass either way, so
-  /// the output never depends on the policy.
+  /// private result list). Phase 2 is a single counting pass either
+  /// way, so the output never depends on the policy.
   ExecutionPolicy execution;
 };
 
-/// Two-phase partitioned miner. Exact: output equals direct mining.
+/// Two-phase partitioned miner over the shard functions above. Exact:
+/// output equals direct mining as a set, emitted in canonical order.
 class PartitionedMiner : public Miner {
  public:
   explicit PartitionedMiner(PartitionOptions options = PartitionOptions());

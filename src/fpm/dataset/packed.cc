@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "fpm/common/hash.h"
 #include "fpm/dataset/fimi_io.h"
 
 namespace fpm {
@@ -29,11 +30,7 @@ static_assert(sizeof(Item) == 4 && sizeof(Support) == 4,
               "packed format stores items/supports/weights as u32");
 
 std::string ContentDigest(const std::string& bytes) {
-  uint64_t h = 14695981039346656037ull;  // FNV offset basis
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
+  const uint64_t h = Fnv1a64(bytes);
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));

@@ -3,8 +3,12 @@
 #ifndef FPM_DATASET_TYPES_H_
 #define FPM_DATASET_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "fpm/common/hash.h"
 
 namespace fpm {
 
@@ -24,6 +28,17 @@ using Itemset = std::vector<Item>;
 
 /// Sentinel for "no item".
 inline constexpr Item kInvalidItem = ~static_cast<Item>(0);
+
+/// Hash of an itemset or transaction for hash tables and bucket arrays:
+/// FNV-1a-64 with one step per item. Order-sensitive, so sets must be
+/// hashed in one agreed order (sorted, or a transaction's stored order).
+struct ItemsetHash {
+  size_t operator()(std::span<const Item> items) const {
+    uint64_t h = kFnv1aOffsetBasis;
+    for (Item it : items) h = Fnv1aStep(h, it);
+    return static_cast<size_t>(h);
+  }
+};
 
 }  // namespace fpm
 

@@ -5,21 +5,16 @@
 #include <cstdio>
 #include <utility>
 
+#include "fpm/common/hash.h"
+
 namespace fpm {
 
 namespace {
 
 // FNV-1a 64-bit, matching the registry's file-content digest so the two
 // digest spaces share a format (16 lowercase hex chars).
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
 void FnvMix(uint64_t* h, const void* data, size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
-  }
+  *h = Fnv1a64({static_cast<const char*>(data), len}, *h);
 }
 
 void FnvMixU64(uint64_t* h, uint64_t v) { FnvMix(h, &v, sizeof(v)); }
@@ -60,7 +55,7 @@ Itemset NormalizeTransaction(const Itemset& raw) {
 
 std::string ChainDigest(const std::string& parent_digest,
                         const VersionDelta& delta) {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kFnv1aOffsetBasis;
   FnvMix(&h, parent_digest.data(), parent_digest.size());
   // Tag the two halves so (append X) and (expire X) never collide.
   FnvMix(&h, "+", 1);

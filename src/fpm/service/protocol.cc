@@ -1,5 +1,6 @@
 #include "fpm/service/protocol.h"
 
+#include <cmath>
 #include <utility>
 
 namespace fpm {
@@ -9,6 +10,25 @@ namespace {
 Status FieldError(const std::string& where, const std::string& field,
                   const std::string& what) {
   return Status::InvalidArgument(where + ": field '" + field + "': " + what);
+}
+
+// Appends the items of a JSON array to `out`. Every entry must be an
+// integer in [0, kInvalidItem): a negative, fractional or too-large
+// number (or the sentinel itself) is rejected instead of cast, so it
+// can never decode as some other item. Returns false at the first bad
+// entry; each caller reports that in its own error shape.
+bool DecodeItems(const std::vector<JsonValue>& values, Itemset* out) {
+  out->reserve(out->size() + values.size());
+  for (const JsonValue& value : values) {
+    if (!value.is_number()) return false;
+    const double v = value.number_value();
+    if (!(v >= 0.0 && v < static_cast<double>(kInvalidItem)) ||
+        v != std::trunc(v)) {
+      return false;
+    }
+    out->push_back(static_cast<Item>(v));
+  }
+  return true;
 }
 
 // Decodes the shared mine/query request body from `doc`. `where` labels
@@ -203,12 +223,8 @@ Status DecodeCandidates(const JsonValue& doc, const std::string& where,
       return FieldError(where, label, "not a non-empty array");
     }
     Itemset set;
-    set.reserve(rows[i].array_items().size());
-    for (const JsonValue& item : rows[i].array_items()) {
-      if (!item.is_number() || item.number_value() < 0.0) {
-        return FieldError(where, label, "items must be numbers >= 0");
-      }
-      set.push_back(static_cast<Item>(item.number_value()));
+    if (!DecodeItems(rows[i].array_items(), &set)) {
+      return FieldError(where, label, "items must be numbers >= 0");
     }
     out->push_back(std::move(set));
   }
@@ -242,12 +258,8 @@ Status DecodeAppendBody(const JsonValue& doc, const std::string& where,
       return FieldError(where, label, "not a non-empty array");
     }
     Itemset txn;
-    txn.reserve(rows[i].array_items().size());
-    for (const JsonValue& item : rows[i].array_items()) {
-      if (!item.is_number() || item.number_value() < 0.0) {
-        return FieldError(where, label, "items must be numbers >= 0");
-      }
-      txn.push_back(static_cast<Item>(item.number_value()));
+    if (!DecodeItems(rows[i].array_items(), &txn)) {
+      return FieldError(where, label, "items must be numbers >= 0");
     }
     out->transactions.push_back(std::move(txn));
   }
@@ -877,13 +889,9 @@ Status DecodeItemsetEntries(const JsonValue& array, const std::string& what,
                                      "' entry");
     }
     Itemset set;
-    set.reserve(items.array_items().size());
-    for (const JsonValue& item : items.array_items()) {
-      if (!item.is_number()) {
-        return Status::InvalidArgument("peer response: non-numeric item in '" +
-                                       what + "'");
-      }
-      set.push_back(static_cast<Item>(item.number_value()));
+    if (!DecodeItems(items.array_items(), &set)) {
+      return Status::InvalidArgument("peer response: non-numeric item in '" +
+                                     what + "'");
     }
     out->emplace_back(std::move(set),
                       static_cast<Support>(support.number_value()));
@@ -977,19 +985,10 @@ Status ParseQueryResponseDoc(const JsonValue& doc, MineResponse* out) {
             "peer response: malformed 'rules' entry");
       }
       AssociationRule rule;
-      for (const JsonValue& item : antecedent.array_items()) {
-        if (!item.is_number()) {
-          return Status::InvalidArgument(
-              "peer response: non-numeric item in 'rules'");
-        }
-        rule.antecedent.push_back(static_cast<Item>(item.number_value()));
-      }
-      for (const JsonValue& item : consequent.array_items()) {
-        if (!item.is_number()) {
-          return Status::InvalidArgument(
-              "peer response: non-numeric item in 'rules'");
-        }
-        rule.consequent.push_back(static_cast<Item>(item.number_value()));
+      if (!DecodeItems(antecedent.array_items(), &rule.antecedent) ||
+          !DecodeItems(consequent.array_items(), &rule.consequent)) {
+        return Status::InvalidArgument(
+            "peer response: non-numeric item in 'rules'");
       }
       rule.itemset_support = static_cast<Support>(support.number_value());
       rule.confidence = confidence.number_value();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "fpm/algo/candidate_trie.h"
 #include "fpm/obs/metrics.h"
 #include "fpm/obs/query_log.h"
 #include "fpm/obs/trace.h"
@@ -304,69 +305,58 @@ std::shared_ptr<CachedResult> MiningService::TryReseed(
       cache_.FindSeed(frequent_key, dataset.parent_digest, max_source);
   if (seed.result == nullptr) return nullptr;
 
-  // Pre-sort the delta transactions so candidate containment is one
-  // std::includes per (candidate, delta transaction) pair; cached
-  // itemsets are already sorted (CollectingSink::Emit sorts on emit).
-  const auto sorted_txns = [](const std::vector<Itemset>& txns) {
-    std::vector<Itemset> out = txns;
-    for (Itemset& t : out) std::sort(t.begin(), t.end());
-    return out;
-  };
-  const std::vector<Itemset> appended = sorted_txns(delta.appended);
-  const std::vector<Itemset> expired = sorted_txns(delta.expired);
-
   // Candidates entirely outside the delta item universe keep their
   // parent support verbatim — only delta-touched ones are recounted.
-  Item universe_bound = 0;
-  for (const Itemset& t : appended) {
-    for (Item it : t) universe_bound = std::max(universe_bound, it);
+  std::vector<bool> in_universe;
+  for (const auto* side : {&delta.appended, &delta.expired}) {
+    for (const Itemset& t : *side) {
+      for (Item it : t) {
+        if (it >= in_universe.size()) in_universe.resize(size_t{it} + 1);
+        in_universe[it] = true;
+      }
+    }
   }
-  for (const Itemset& t : expired) {
-    for (Item it : t) universe_bound = std::max(universe_bound, it);
-  }
-  std::vector<bool> in_universe(static_cast<size_t>(universe_bound) + 1,
-                                false);
-  for (const Itemset& t : appended) {
-    for (Item it : t) in_universe[it] = true;
-  }
-  for (const Itemset& t : expired) {
-    for (Item it : t) in_universe[it] = true;
+  const std::vector<CollectingSink::Entry>& parent = seed.result->itemsets;
+  std::vector<Itemset> touched;
+  std::vector<size_t> touched_at;
+  for (size_t i = 0; i < parent.size(); ++i) {
+    const Itemset& candidate = parent[i].first;
+    if (std::all_of(candidate.begin(), candidate.end(), [&](Item it) {
+          return it < in_universe.size() && in_universe[it];
+        })) {
+      touched.push_back(candidate);
+      touched_at.push_back(i);
+    }
   }
 
+  // s_child = s_parent + its count over the appended transactions - its
+  // count over the expired ones, each side counted as its own Database.
+  const auto count_side = [&touched](const std::vector<Itemset>& txns,
+                                     const std::vector<Support>& weights) {
+    DatabaseBuilder builder;
+    for (size_t t = 0; t < txns.size(); ++t) {
+      builder.AddTransaction(txns[t], weights[t]);
+    }
+    const Database side = builder.Build();
+    return CountCandidates(side, 0, side.num_transactions(), touched);
+  };
+  Result<std::vector<Support>> gained =
+      count_side(delta.appended, delta.appended_weights);
+  Result<std::vector<Support>> lost =
+      count_side(delta.expired, delta.expired_weights);
+  if (!gained.ok() || !lost.ok()) return nullptr;
+
   auto reseeded = std::make_shared<CachedResult>();
-  uint64_t recounted = 0;
-  for (const CollectingSink::Entry& entry : seed.result->itemsets) {
-    const Itemset& candidate = entry.first;
-    Support support = entry.second;
-    bool touched = true;
-    for (Item it : candidate) {
-      if (static_cast<size_t>(it) >= in_universe.size() ||
-          !in_universe[it]) {
-        touched = false;
-        break;
-      }
-    }
-    if (touched) {
-      ++recounted;
-      for (size_t t = 0; t < appended.size(); ++t) {
-        if (std::includes(appended[t].begin(), appended[t].end(),
-                          candidate.begin(), candidate.end())) {
-          support += delta.appended_weights[t];
-        }
-      }
-      for (size_t t = 0; t < expired.size(); ++t) {
-        if (std::includes(expired[t].begin(), expired[t].end(),
-                          candidate.begin(), candidate.end())) {
-          support -= delta.expired_weights[t];
-        }
-      }
-    }
-    if (support >= threshold) {
-      reseeded->itemsets.emplace_back(candidate, support);
-    }
+  reseeded->itemsets = parent;
+  for (size_t j = 0; j < touched.size(); ++j) {
+    reseeded->itemsets[touched_at[j]].second += (*gained)[j] - (*lost)[j];
   }
-  reseed_candidates_counter_->Add(seed.result->itemsets.size());
-  reseed_recounted_counter_->Add(recounted);
+  std::erase_if(reseeded->itemsets,
+                [threshold](const CollectingSink::Entry& entry) {
+                  return entry.second < threshold;
+                });
+  reseed_candidates_counter_->Add(parent.size());
+  reseed_recounted_counter_->Add(touched.size());
 
   // Canonical order: supports shifted across versions, so the parent's
   // kernel emission order is meaningless here. Reseeded FREQUENT

@@ -84,7 +84,7 @@ struct MineRequest {
   /// dataset's replica owners with the partitioned (SON) merge instead
   /// of routing to one owner. Results come back in canonical sorted
   /// order (a documented deviation from kernel emission order — see
-  /// fpm/cluster/shard_exec.h). Ignored by a non-clustered daemon.
+  /// fpm/core/partition.h). Ignored by a non-clustered daemon.
   bool scatter = false;
   /// Request-scoped observability. `query_id` 0 (the norm) lets Submit
   /// assign the next monotonic id; the daemon pre-allocates via

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fpm/common/rng.h"
+#include "testing/db_testutil.h"
 
 namespace fpm {
 namespace {
@@ -95,6 +96,34 @@ TEST(CandidateTrieTest, RandomizedAgainstNaiveChecker) {
     }
   }
   EXPECT_EQ(counts, naive);
+}
+
+TEST(CandidateTrieTest, InsertOrFindReturnsTheStoredIndex) {
+  CandidateTrie trie;
+  const Item c[] = {1, 2};
+  const Item prefix[] = {1};
+  EXPECT_EQ(trie.InsertOrFind(c, 0), 0u);
+  EXPECT_EQ(trie.InsertOrFind(c, 1), 0u);  // duplicate: not re-inserted
+  EXPECT_EQ(trie.InsertOrFind(prefix, 1), 1u);
+  std::vector<Support> counts(2, 0);
+  const Item tx[] = {1, 2};
+  trie.CountTransaction(tx, 1, &counts);
+  EXPECT_EQ(counts, (std::vector<Support>{1, 1}));
+}
+
+TEST(CountCandidatesTest, CountsUnsortedCandidatesOverATidRange) {
+  const Database db = testutil::MakeDb({{3, 1, 2}, {2, 1}, {2, 3}, {1}});
+  const std::vector<Itemset> candidates = {{2, 1}, {3}, {1}};
+  Result<std::vector<Support>> all =
+      CountCandidates(db, 0, db.num_transactions(), candidates);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(*all, (std::vector<Support>{2, 2, 3}));
+  Result<std::vector<Support>> middle = CountCandidates(db, 1, 3, candidates);
+  ASSERT_TRUE(middle.ok()) << middle.status();
+  EXPECT_EQ(*middle, (std::vector<Support>{1, 1, 1}));
+  Result<std::vector<Support>> none = CountCandidates(db, 0, 4, {});
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_TRUE(none->empty());
 }
 
 TEST(CandidateTrieDeathTest, RejectsEmptyAndDuplicateCandidates) {

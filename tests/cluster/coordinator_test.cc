@@ -9,14 +9,15 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fpm/cluster/hash_ring.h"
-#include "fpm/cluster/shard_exec.h"
 #include "fpm/core/mine.h"
+#include "fpm/core/partition.h"
 #include "fpm/dataset/packed.h"
 #include "fpm/service/protocol.h"
 #include "testing/db_testutil.h"
@@ -72,20 +73,26 @@ MineResponse CannedResponse() {
 }
 
 /// Scripted fake transport: per-op handlers keyed on the decoded
-/// request, with a per-endpoint call log.
+/// request, with a per-endpoint call log. Scatter calls peers from one
+/// thread per owner, so the log is guarded; handlers must be
+/// thread-safe themselves.
 struct FakePeers {
   using Handler = std::function<Result<std::string>(
       const std::string& endpoint, const ServiceRequest& request)>;
 
   Handler on_probe;
   Handler on_shard;
+  std::mutex calls_mu;
   std::map<std::string, int> calls;  // endpoint -> transport calls
 
   Coordinator::Transport transport() {
     return [this](const std::string& endpoint, const std::string& line,
                   double /*deadline*/, const std::function<bool()>& /*abort*/)
                -> Result<std::string> {
-      ++calls[endpoint];
+      {
+        std::lock_guard<std::mutex> lock(calls_mu);
+        ++calls[endpoint];
+      }
       Result<ServiceRequest> request = DecodeRequest(line);
       if (!request.ok()) return request.status();
       switch (request->op) {

@@ -1,5 +1,10 @@
 #include "fpm/core/partition.h"
 
+#include <ostream>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fpm/algo/lcm/lcm_miner.h"
@@ -33,14 +38,46 @@ TEST(PartitionedMinerTest, TextbookExample) {
   EXPECT_EQ(r[4], (CollectingSink::Entry{{2}, 2}));
 }
 
-// Exactness over partition counts, inner algorithms and random inputs.
-class PartitionSweepTest
-    : public ::testing::TestWithParam<std::tuple<uint32_t, Algorithm>> {};
+// Exactness over partition counts, inner algorithms, thread counts and
+// random inputs. num_threads 4 mines phase 1 on the pool; the output
+// and the candidate count must be exactly those of the sequential run.
+struct SweepPoint {
+  uint32_t partitions;
+  Algorithm algorithm;
+  uint32_t threads;
+};
+
+// A single-threaded point prints as the (partitions, algorithm) pair the
+// sweep had before the thread count joined it, so those test names stay.
+void PrintTo(const SweepPoint& p, std::ostream* os) {
+  *os << (p.threads == 1
+              ? ::testing::PrintToString(
+                    std::make_tuple(p.partitions, p.algorithm))
+              : ::testing::PrintToString(
+                    std::make_tuple(p.partitions, p.algorithm, p.threads)));
+}
+
+std::vector<SweepPoint> SweepPoints() {
+  std::vector<SweepPoint> points;
+  for (uint32_t partitions : {1u, 2u, 3u, 7u, 64u}) {
+    for (Algorithm algorithm :
+         {Algorithm::kLcm, Algorithm::kEclat, Algorithm::kFpGrowth}) {
+      for (uint32_t threads : {1u, 4u}) {
+        points.push_back({partitions, algorithm, threads});
+      }
+    }
+  }
+  return points;
+}
+
+class PartitionSweepTest : public ::testing::TestWithParam<SweepPoint> {};
 
 TEST_P(PartitionSweepTest, MatchesDirectMining) {
   PartitionOptions o;
-  o.num_partitions = std::get<0>(GetParam());
-  o.inner_algorithm = std::get<1>(GetParam());
+  o.num_partitions = GetParam().partitions;
+  o.inner_algorithm = GetParam().algorithm;
+  PartitionedMiner sequential(o);
+  o.execution.num_threads = GetParam().threads;
   PartitionedMiner partitioned(o);
   LcmMiner direct;
   for (uint64_t seed : {401ull, 402ull}) {
@@ -49,21 +86,29 @@ TEST_P(PartitionSweepTest, MatchesDirectMining) {
     spec.num_items = 10;
     spec.seed = seed;
     Database db = RandomDb(spec);
+    const std::string where = partitioned.name() + " threads=" +
+                              std::to_string(o.execution.num_threads) +
+                              " seed=" + std::to_string(seed);
     const auto expected = MineCanonical(direct, db, 5);
     const auto actual = MineCanonical(partitioned, db, 5);
-    ExpectSameResults(expected, actual,
-                      partitioned.name() + " seed=" + std::to_string(seed));
+    ExpectSameResults(expected, actual, where);
     // Phase 1 must overshoot or match, never undershoot.
-    EXPECT_GE(partitioned.last_candidate_count(), expected.size());
+    EXPECT_GE(partitioned.last_candidate_count(), expected.size()) << where;
+
+    // Emission order and phase-1 candidates do not depend on threads.
+    CollectingSink emitted;
+    CollectingSink reference;
+    ASSERT_TRUE(partitioned.Mine(db, 5, &emitted).ok()) << where;
+    ASSERT_TRUE(sequential.Mine(db, 5, &reference).ok()) << where;
+    EXPECT_EQ(emitted.results(), reference.results()) << where;
+    EXPECT_EQ(partitioned.last_candidate_count(),
+              sequential.last_candidate_count())
+        << where;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, PartitionSweepTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 7u, 64u),
-                       ::testing::Values(Algorithm::kLcm,
-                                         Algorithm::kEclat,
-                                         Algorithm::kFpGrowth)));
+INSTANTIATE_TEST_SUITE_P(Sweep, PartitionSweepTest,
+                         ::testing::ValuesIn(SweepPoints()));
 
 TEST(PartitionedMinerTest, MorePartitionsThanTransactions) {
   Database db = MakeDb({{0, 1}, {0, 1}});

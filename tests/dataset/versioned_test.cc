@@ -164,6 +164,19 @@ TEST(ChainDigestTest, DeterministicAndParentSensitive) {
   EXPECT_NE(d1, ChainDigest("parent-a", with_expiry));
 }
 
+TEST(ChainDigestTest, PinnedValue) {
+  // Version digests key the result cache and chain into every later
+  // version's digest, so the value itself must not drift.
+  VersionDelta delta;
+  delta.appended = {{1, 2}, {3}};
+  delta.appended_weights = {1, 2};
+  delta.appended_weight = 3;
+  delta.expired = {{9}};
+  delta.expired_weights = {1};
+  delta.expired_weight = 1;
+  EXPECT_EQ(ChainDigest("0123456789abcdef", delta), "7dd8b8943525ec7f");
+}
+
 TEST(ChainDigestTest, TimestampsDoNotAffectDigest) {
   VersionedDataset a(BuildDb({{1}}), "d");
   VersionedDataset b(BuildDb({{1}}), "d");

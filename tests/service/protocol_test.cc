@@ -489,6 +489,66 @@ TEST(DecodeRequestTest, ShardQueryErrorsNameTheField) {
             "op 'shard_query': field 'candidates[0]': not a non-empty array");
 }
 
+TEST(DecodeRequestTest, WireItemsMustBeIntegersBelowTheSentinel) {
+  // 2^32 used to wrap to item 0 and 1.5 to truncate to item 1; the
+  // sentinel kInvalidItem itself is not an item either.
+  const std::string count_prefix =
+      "{\"op\":\"shard_query\",\"mode\":\"count\",\"dataset\":\"d\","
+      "\"min_support\":1,\"partition\":{\"index\":0,\"count\":1},"
+      "\"candidates\":[[0],";
+  for (const char* bad : {"4294967296", "4294967295", "1.5", "-1", "1e300"}) {
+    EXPECT_EQ(DecodeRequest(count_prefix + "[" + bad + "]]}").status().message(),
+              "op 'shard_query': field 'candidates[1]': items must be "
+              "numbers >= 0")
+        << bad;
+  }
+  auto top = DecodeRequest(count_prefix + "[4294967294,2.0]]}");
+  ASSERT_TRUE(top.ok()) << top.status();
+  EXPECT_EQ(top->cluster.candidates[1], (Itemset{4294967294u, 2}));
+
+  const std::string append_prefix =
+      "{\"op\":\"append\",\"id\":\"ds-1\",\"transactions\":[[";
+  for (const char* bad : {"4294967296", "4294967295", "0.5"}) {
+    EXPECT_EQ(DecodeRequest(append_prefix + bad + "]]}").status().message(),
+              "op 'append': field 'transactions[0]': items must be "
+              "numbers >= 0")
+        << bad;
+  }
+}
+
+TEST(ClusterWireTest, PeerDecodersRejectOutOfRangeItems) {
+  for (const char* bad : {"-1", "1.5", "4294967296", "4294967295"}) {
+    const std::string item = bad;
+    EXPECT_EQ(DecodeShardMineResponse(
+                  "{\"ok\":true,\"candidates\":[{\"items\":[" + item +
+                  "],\"support\":2}]}")
+                  .status()
+                  .message(),
+              "peer response: non-numeric item in 'candidates'")
+        << bad;
+    EXPECT_EQ(DecodeQueryResponse("{\"ok\":true,\"itemsets\":[{\"items\":[" +
+                                  item + "],\"support\":2}]}")
+                  .status()
+                  .message(),
+              "peer response: non-numeric item in 'itemsets'")
+        << bad;
+    const std::string rule_tail =
+        ",\"support\":2,\"confidence\":0.5,\"lift\":1.0}]}";
+    EXPECT_EQ(DecodeQueryResponse("{\"ok\":true,\"rules\":[{\"antecedent\":[" +
+                                  item + "],\"consequent\":[1]" + rule_tail)
+                  .status()
+                  .message(),
+              "peer response: non-numeric item in 'rules'")
+        << bad;
+    EXPECT_EQ(DecodeQueryResponse("{\"ok\":true,\"rules\":[{\"antecedent\":[1]"
+                                  ",\"consequent\":[" + item + "]" + rule_tail)
+                  .status()
+                  .message(),
+              "peer response: non-numeric item in 'rules'")
+        << bad;
+  }
+}
+
 TEST(DecodeRequestTest, QueryDecodesScatterFlag) {
   auto query = DecodeRequest(
       "{\"op\":\"query\",\"dataset\":\"d.dat\",\"min_support\":2,"

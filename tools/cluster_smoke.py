@@ -23,19 +23,26 @@ contract from the outside:
   5. --scatter fans the query across both owners (SON two-phase) and
      the merged result is set-equal to the reference, in canonical
      order, with shards=2
-  6. fpm_top.py renders the cluster panel against a live node over TCP
-  7. SIGKILL the primary owner: the next query (fresh threshold, so no
+  6. a raw shard_query count line whose candidates repeat one set
+     ([1,2] and [2,1]) gets an INVALID_ARGUMENT reply, and the same
+     node still answers ping afterwards (wire input never aborts fpmd)
+  7. fpm_top.py renders the cluster panel against a live node over TCP
+  8. SIGKILL the primary owner: the next query (fresh threshold, so no
      cache anywhere) still answers correctly via the surviving
      replica, the non-owner's failovers counter is >= 1, and
      cluster-info now reports the killed peer unhealthy; dialing the
      dead node's TCP port fails with the shared dialer's "dial ..."
      error
-  8. clean shutdown of the survivors
+  9. clean shutdown of the survivors
 
-Health pings are configured slow (60 s) on purpose: the smoke proves
+Health pings are off (--ping-interval-s=0) on purpose: the smoke proves
 failure discovery through real traffic (probe/forward failures mark
 the peer unhealthy and fail over within one query), not through the
-background pinger the unit tests cover.
+background pinger the unit tests cover. A pinger's first round runs as
+the node starts, possibly before its peers listen; a peer it marks
+unhealthy then is routed last until traffic reaches it, so step 3
+could land on the replica and step 8 be answered from its cache
+without a failover.
 
 Standard library only — runs on any CI python3.
 """
@@ -69,6 +76,23 @@ def run_client(client, endpoint, *args, allow_fail=False):
     if allow_fail:
         return proc
     return [json.loads(line) for line in proc.stdout.splitlines() if line]
+
+
+def raw_request(path, line):
+    """Sends one request line over a Unix socket, bypassing fpm_client's
+    own validation, and returns the parsed reply (None if the daemon
+    closed the connection without answering)."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+        s.settimeout(30)
+        s.connect(path)
+        s.sendall(line.encode() + b"\n")
+        reply = b""
+        while not reply.endswith(b"\n"):
+            chunk = s.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    return json.loads(reply) if reply.strip() else None
 
 
 def mined_fields(response):
@@ -109,7 +133,7 @@ def main(argv):
             daemons.append(subprocess.Popen(
                 [fpmd, f"--socket={sockets[i]}", "--threads=2",
                  f"--cluster={cluster_arg}", f"--self={peers[i]}",
-                 "--replicas=2", "--ping-interval-s=60"],
+                 "--replicas=2", "--ping-interval-s=0"],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
         reference = subprocess.Popen(
             [fpmd, f"--socket={ref_socket}", "--threads=2"],
@@ -216,7 +240,20 @@ def main(argv):
         if scattered.get("num_frequent") != reference_q2.get("num_frequent"):
             fail("scatter num_frequent differs from the reference")
 
-        # 6. The dashboard renders the cluster panel over TCP.
+        # 6. A duplicate wire candidate is an error reply, not an abort.
+        primary_socket = sockets[by_peer[owners[0]]]
+        duplicate = raw_request(primary_socket, json.dumps({
+            "op": "shard_query", "mode": "count", "dataset": dataset,
+            "min_support": 2, "partition": {"index": 0, "count": 1},
+            "candidates": [[1, 2], [2, 1]]}))
+        if duplicate is None or duplicate.get("ok") is not False or \
+                duplicate.get("error", {}).get("code") != "INVALID_ARGUMENT":
+            fail(f"duplicate-candidate shard_query replied {duplicate!r}, "
+                 "want ok:false with code INVALID_ARGUMENT")
+        if run_client(client, primary_socket, "ping") != [{"ok": True}]:
+            fail("owner stopped answering ping after a malformed shard_query")
+
+        # 7. The dashboard renders the cluster panel over TCP.
         tools_dir = os.path.dirname(os.path.abspath(__file__))
         top = subprocess.run(
             [sys.executable, os.path.join(tools_dir, "fpm_top.py"),
@@ -230,7 +267,7 @@ def main(argv):
             if needle not in top.stdout:
                 fail(f"fpm_top output missing {needle!r}:\n{top.stdout}")
 
-        # 7. Kill the primary owner; the replica answers, failover is
+        # 8. Kill the primary owner; the replica answers, failover is
         # counted, and the corpse is marked unhealthy.
         primary = owners[0]
         survivor = owners[1]
@@ -264,7 +301,7 @@ def main(argv):
                  f"stderr={refused.stderr!r}, want a 'dial {primary}: ...' "
                  "error")
 
-        # 8. Clean shutdown of the survivors.
+        # 9. Clean shutdown of the survivors.
         for i in range(3):
             if i == by_peer[primary]:
                 continue
@@ -281,7 +318,8 @@ def main(argv):
 
     print("cluster smoke: OK (3 nodes, shared placement, forwarded query "
           "byte-identical, repeat served by remote cache probe with one "
-          "mine total, scatter set-equal, dashboard rendered, failover "
+          "mine total, scatter set-equal, duplicate wire candidate "
+          "rejected without an abort, dashboard rendered, failover "
           "after SIGKILL answered by the replica with failovers >= 1, "
           "clean shutdown)")
     return 0

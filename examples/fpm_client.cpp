@@ -10,13 +10,11 @@
 //       format (the decoded "text" field; --json keeps the raw JSON
 //       envelope). Pipe to a node_exporter textfile collector.
 //   ./fpm_client --socket=/tmp/fpmd.sock shutdown
-//   ./fpm_client --socket=/tmp/fpmd.sock mine <dataset> <min_support>
-//       [--algorithm=NAME] [--patterns=all|none] [--priority=N]
-//       [--timeout=SEC] [--count-only] [--repeat=N]
 //   ./fpm_client --socket=/tmp/fpmd.sock query <dataset> <min_support>
 //       [--task=frequent|closed|maximal|top_k|rules] [--top-k=N]
 //       [--min-confidence=X] [--min-lift=X] [--max-consequent=N]
-//       [plus every mine option]
+//       [--algorithm=NAME] [--patterns=all|none] [--priority=N]
+//       [--timeout=SEC] [--count-only] [--repeat=N]
 //   ./fpm_client --socket=/tmp/fpmd.sock batch <file>
 //       <file> holds one JSON query object per line (the "query" op's
 //       fields); they are sent as one {"op":"batch"} request and the
@@ -55,7 +53,6 @@
 // "query" accepts --trace-id=STR, an opaque tag echoed in the response
 // and the daemon's query log — thread your own request id through.
 //
-// "mine" speaks protocol v1 (frozen); everything else speaks v2.
 // Prints one response line per request to stdout (raw protocol JSON —
 // pipe through jq for pretty output). --repeat issues the same request
 // N times on one connection, which is how the CI smoke test drives the
@@ -83,13 +80,12 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --endpoint=HOST:PORT|PATH "
                "ping|metrics|stats|metrics-text|shutdown [--json]\n"
-               "       %s --endpoint=SPEC mine DATASET MIN_SUPPORT "
-               "[--algorithm=NAME] [--patterns=all|none] [--priority=N] "
-               "[--timeout=SEC] [--count-only] [--repeat=N]\n"
                "       %s --endpoint=SPEC query DATASET|DS-ID MIN_SUPPORT "
                "[--task=NAME] [--top-k=N] [--min-confidence=X] "
                "[--min-lift=X] [--max-consequent=N] [--version=N] "
-               "[--trace-id=STR] [--scatter] [mine options]\n"
+               "[--trace-id=STR] [--scatter] [--algorithm=NAME] "
+               "[--patterns=all|none] [--priority=N] [--timeout=SEC] "
+               "[--count-only] [--repeat=N]\n"
                "       %s --endpoint=SPEC batch FILE\n"
                "       %s --endpoint=SPEC open DATASET\n"
                "       %s --endpoint=SPEC append DS-ID FIMI_FILE\n"
@@ -101,7 +97,7 @@ int Usage(const char* argv0) {
                "--socket=PATH is an alias for --endpoint with a Unix "
                "socket path.\n",
                argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0,
-               argv0, argv0);
+               argv0);
   return 2;
 }
 
@@ -277,8 +273,8 @@ int main(int argc, char** argv) {
   if (endpoint_spec.empty() || op.empty() || repeat < 1) {
     return Usage(argv[0]);
   }
-  const bool is_mine = op == "mine" || op == "query";
-  if (is_mine && (dataset.empty() || min_support < 1)) {
+  const bool is_query = op == "query";
+  if (is_query && (dataset.empty() || min_support < 1)) {
     return Usage(argv[0]);
   }
   if (op == "batch" && dataset.empty()) return Usage(argv[0]);
@@ -289,7 +285,7 @@ int main(int argc, char** argv) {
   if ((op == "append" || op == "expire") && arg2.empty()) {
     return Usage(argv[0]);
   }
-  if (!is_mine && !is_dataset_op && op != "batch" && op != "ping" &&
+  if (!is_query && !is_dataset_op && op != "batch" && op != "ping" &&
       op != "metrics" && op != "stats" && op != "metrics-text" &&
       op != "shutdown" && op != "cluster-info") {
     return Usage(argv[0]);
@@ -304,26 +300,24 @@ int main(int argc, char** argv) {
   if (op == "metrics-text") wire_op = "metrics_text";
   if (op == "cluster-info") wire_op = "cluster_info";
   request.Set("op", JsonValue::Str(wire_op));
-  if (is_mine) {
-    if (op == "query" && IsHandleRef(dataset)) {
+  if (is_query) {
+    if (IsHandleRef(dataset)) {
       request.Set("id", JsonValue::Str(dataset));
       if (version > 0) request.Set("version", JsonValue::Int(version));
     } else {
       request.Set("dataset", JsonValue::Str(dataset));
     }
     request.Set("min_support", JsonValue::Int(min_support));
-    if (op == "query") {
-      if (!task.empty()) request.Set("task", JsonValue::Str(task));
-      if (top_k > 0) request.Set("k", JsonValue::Int(top_k));
-      if (min_confidence >= 0.0) {
-        request.Set("min_confidence", JsonValue::Number(min_confidence));
-      }
-      if (min_lift >= 0.0) {
-        request.Set("min_lift", JsonValue::Number(min_lift));
-      }
-      if (max_consequent > 0) {
-        request.Set("max_consequent", JsonValue::Int(max_consequent));
-      }
+    if (!task.empty()) request.Set("task", JsonValue::Str(task));
+    if (top_k > 0) request.Set("k", JsonValue::Int(top_k));
+    if (min_confidence >= 0.0) {
+      request.Set("min_confidence", JsonValue::Number(min_confidence));
+    }
+    if (min_lift >= 0.0) {
+      request.Set("min_lift", JsonValue::Number(min_lift));
+    }
+    if (max_consequent > 0) {
+      request.Set("max_consequent", JsonValue::Int(max_consequent));
     }
     if (!algorithm.empty()) {
       request.Set("algorithm", JsonValue::Str(algorithm));
@@ -334,12 +328,10 @@ int main(int argc, char** argv) {
       request.Set("timeout_s", JsonValue::Number(timeout_seconds));
     }
     if (count_only) request.Set("count_only", JsonValue::Bool(true));
-    if (op == "query" && !trace_id.empty()) {
+    if (!trace_id.empty()) {
       request.Set("trace_id", JsonValue::Str(trace_id));
     }
-    if (op == "query" && scatter) {
-      request.Set("scatter", JsonValue::Bool(true));
-    }
+    if (scatter) request.Set("scatter", JsonValue::Bool(true));
   } else if (op == "cluster-info") {
     if (!dataset.empty()) request.Set("dataset", JsonValue::Str(dataset));
     repeat = 1;

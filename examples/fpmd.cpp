@@ -113,11 +113,10 @@ std::string MetricsText() {
   return out.str();
 }
 
-/// Runs one mine/query request, cancelling the job if the client
-/// disconnects while it is queued or mining. `version` selects the
-/// response encoding (1 = the frozen v1 "mine" shape, 2 = "query").
+/// Runs one query request, cancelling the job if the client
+/// disconnects while it is queued or mining.
 std::string HandleMine(MiningService& service, const MineRequest& request,
-                       int fd, int version) {
+                       int fd) {
   Result<std::shared_ptr<MineJob>> submitted = service.Submit(request);
   if (!submitted.ok()) return EncodeError(submitted.status());
   const std::shared_ptr<MineJob>& job = submitted.value();
@@ -129,8 +128,7 @@ std::string HandleMine(MiningService& service, const MineRequest& request,
   }
   Result<MineResponse> response = job->Take();
   if (!response.ok()) return EncodeError(response.status());
-  return version == 1 ? EncodeMineResponse(response.value())
-                      : EncodeQueryResponse(response.value());
+  return EncodeQueryResponse(response.value());
 }
 
 /// Runs a dataset op (open/append/expire/window/dataset_info) against
@@ -294,7 +292,7 @@ std::string HandleShardQuery(ServerState* state,
                             ? state->coordinator->options().shard_priority_boost
                             : 10;
     boosted.op = "shard_query";
-    return HandleMine(*state->service, boosted, fd, 2);
+    return HandleMine(*state->service, boosted, fd);
   }
 
   DatasetRegistry& registry = state->service->registry();
@@ -358,17 +356,17 @@ std::string HandleQuery(ServerState* state, const MineRequest& request,
   MiningService& service = *state->service;
   Coordinator* coordinator = state->coordinator.get();
   if (coordinator == nullptr || request.dataset_path.empty()) {
-    return HandleMine(service, request, fd, 2);
+    return HandleMine(service, request, fd);
   }
   Result<std::string> digest =
       coordinator->DigestForPath(request.dataset_path);
   if (!digest.ok()) {
     // Unreadable here may be readable nowhere; let the local submit
     // path produce the canonical error.
-    return HandleMine(service, request, fd, 2);
+    return HandleMine(service, request, fd);
   }
   if (!request.scatter && coordinator->SelfOwns(digest.value())) {
-    return HandleMine(service, request, fd, 2);
+    return HandleMine(service, request, fd);
   }
 
   const uint64_t query_id = service.AllocateQueryId();
@@ -403,7 +401,7 @@ std::string HandleQuery(ServerState* state, const MineRequest& request,
     }
     MineRequest local = request;
     local.query_id = query_id;
-    return HandleMine(service, local, fd, 2);
+    return HandleMine(service, local, fd);
   }
   return EncodeError(result.status());
 }
@@ -450,12 +448,6 @@ void ServeConnection(ServerState* state, int fd) {
           case ServiceRequest::Op::kShutdown:
             reply = EncodeOk();
             shutdown_after = true;
-            break;
-          case ServiceRequest::Op::kMine:
-            // v1 compat runs locally always — its byte-frozen response
-            // has no cluster fields.
-            reply = HandleMine(*state->service, request.value().mine, fd,
-                               request.value().version);
             break;
           case ServiceRequest::Op::kQuery:
             reply = HandleQuery(state, request.value().mine, fd);

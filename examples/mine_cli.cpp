@@ -181,8 +181,10 @@ int main(int argc, char** argv) {
       const std::string value = arg.substr(10);
       char* end = nullptr;
       timeout_seconds = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || timeout_seconds <= 0.0) {
-        std::fprintf(stderr, "--timeout must be a positive number\n");
+      if (value.empty() || *end != '\0' || timeout_seconds <= 0.0 ||
+          !TimeoutInRange(timeout_seconds)) {
+        std::fprintf(stderr, "--timeout must be a positive number <= %lld\n",
+                     static_cast<long long>(kMaxTimeoutSeconds));
         return 2;
       }
     } else if (arg == "--nondeterministic") {

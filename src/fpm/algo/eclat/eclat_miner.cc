@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "fpm/bitvec/incremental_vertical.h"
 #include "fpm/bitvec/tidlist.h"
 #include "fpm/bitvec/vertical.h"
 #include "fpm/common/cancel.h"
@@ -345,71 +344,6 @@ class EclatRun {
 };
 
 }  // namespace
-
-Result<MineStats> MineIncrementalVertical(const IncrementalVertical& inc,
-                                          const Database& db,
-                                          const EclatOptions& options,
-                                          Support min_support,
-                                          ItemsetSink* sink) {
-  if (!PopcountStrategyAvailable(options.popcount)) {
-    return Status::InvalidArgument(
-        std::string("popcount strategy unavailable on this machine: ") +
-        PopcountStrategyName(options.popcount));
-  }
-  MineStats stats;
-  EclatCtx ctx;
-  ctx.options = options;
-  ctx.options.representation = EclatRepresentation::kBitVector;
-  ctx.strategy = ResolvePopcountStrategy(options.popcount);
-  ctx.min_support = min_support;
-
-  // Rank against the *window* database — exactly the ranking a fresh
-  // EclatRun would compute — but keep columns raw-item-indexed: the
-  // maintained matrix stores raw columns, and the Column struct carries
-  // the raw id anyway.
-  PhaseSpan prep_span(PhaseName(PhaseId::kPrepare));
-  ItemOrder order = ItemOrder::ByDecreasingFrequency(db);
-  const std::vector<Item>& item_map = order.to_item();
-  const auto& raw_freq = db.item_frequencies();
-  size_t num_frequent = 0;
-  while (num_frequent < item_map.size() &&
-         raw_freq[item_map[num_frequent]] >= min_support) {
-    ++num_frequent;
-  }
-  stats.FinishPhase(PhaseId::kPrepare, prep_span);
-  stats.peak_structure_bytes = inc.memory_bytes();
-
-  PhaseSpan mine_span(PhaseName(PhaseId::kMine));
-  std::vector<Item> items(num_frequent);
-  for (size_t i = 0; i < num_frequent; ++i) items[i] = static_cast<Item>(i);
-  // (freq asc, rank asc), as in EclatRun: emission order must match a
-  // fresh run byte-for-byte.
-  std::sort(items.begin(), items.end(),
-            [&raw_freq, &item_map](Item a, Item b) {
-              const Support fa = raw_freq[item_map[a]];
-              const Support fb = raw_freq[item_map[b]];
-              return fa != fb ? fa < fb : a < b;
-            });
-
-  std::vector<Column> cols(items.size());
-  for (size_t k = 0; k < items.size(); ++k) {
-    const Item raw = item_map[items[k]];
-    cols[k].raw_item = raw;
-    cols[k].support = raw_freq[raw];
-    cols[k].data = inc.column_words(raw);
-    cols[k].offset = 0;
-    cols[k].range =
-        options.zero_escaping ? inc.one_range(raw) : inc.full_range();
-  }
-  std::vector<Item> prefix;
-  std::vector<uint64_t> scratch;
-  MineClassStep(ctx, cols, &prefix, &scratch, sink, &stats);
-  stats.FinishPhase(PhaseId::kMine, mine_span);
-  if (options.cancel != nullptr && options.cancel->cancelled()) {
-    return options.cancel->ToStatus();
-  }
-  return stats;
-}
 
 EclatMiner::EclatMiner(EclatOptions options) : options_(options) {}
 

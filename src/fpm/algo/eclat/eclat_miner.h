@@ -87,20 +87,6 @@ class EclatMiner : public Miner {
   EclatOptions options_;
 };
 
-class IncrementalVertical;
-
-/// Mines a delta-maintained vertical matrix (bitvec/incremental_vertical.h)
-/// against the current window database `db` (used for ranking and
-/// supports only — transaction bits come from `inc`). Emits byte-for-byte
-/// what EclatMiner with `options` emits over `db`. Bit-vector
-/// representation only: `options.representation` is ignored, and the
-/// popcount strategy must be available (checked like EclatMiner).
-Result<MineStats> MineIncrementalVertical(const IncrementalVertical& inc,
-                                          const Database& db,
-                                          const EclatOptions& options,
-                                          Support min_support,
-                                          ItemsetSink* sink);
-
 }  // namespace fpm
 
 #endif  // FPM_ALGO_ECLAT_ECLAT_MINER_H_

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "fpm/algo/fpgrowth/fptree.h"
-#include "fpm/algo/fpgrowth/incremental_fptree.h"
 #include "fpm/common/cancel.h"
 #include "fpm/layout/item_order.h"
 #include "fpm/layout/lexicographic.h"
@@ -179,23 +178,6 @@ void RunFpGrowth(const Database& db, const FpGrowthOptions& options,
 }
 
 }  // namespace
-
-MineStats MineIncrementalFpTree(const IncrementalFpTree& inc,
-                                ItemsetSink* sink, const CancelToken* cancel) {
-  // The maintained tree plays the role of RunFpGrowth's top-level tree;
-  // ranking and construction already happened in the maintainer, so the
-  // run starts directly at the mine phase. Conditional trees instantiate
-  // StreamFpTree too — fresh ones, so their dead-node machinery is idle.
-  MineStats stats;
-  PhaseSpan mine_span(PhaseName(PhaseId::kMine));
-  FpGrowthRun<StreamFpTree> run(inc.tree_config(), inc.min_support(),
-                                 inc.item_map(), sink, &stats, cancel);
-  std::vector<Item> prefix;
-  run.MineTree(inc.tree(), &prefix);
-  stats.FinishPhase(PhaseId::kMine, mine_span);
-  stats.peak_structure_bytes = inc.tree().memory_bytes();
-  return stats;
-}
 
 FpGrowthMiner::FpGrowthMiner(FpGrowthOptions options) : options_(options) {
   if (options_.dfs_relayout) options_.node_compaction = true;

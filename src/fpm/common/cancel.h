@@ -29,6 +29,18 @@
 
 namespace fpm {
 
+/// The longest timeout any entry point accepts: one year, in seconds.
+/// Deadlines count nanoseconds, so a timeout of ~292 years or more
+/// overflows (1e10 s used to wrap to a deadline already passed).
+inline constexpr int64_t kMaxTimeoutSeconds = 365 * 24 * 3600;
+
+/// True for a timeout in [0, kMaxTimeoutSeconds] seconds (NaN fails).
+/// The one bound behind the protocol's "timeout_s", mine_cli's
+/// --timeout and MiningService::Submit.
+inline bool TimeoutInRange(double seconds) {
+  return seconds >= 0.0 && seconds <= static_cast<double>(kMaxTimeoutSeconds);
+}
+
 class CancelToken {
  public:
   using Clock = std::chrono::steady_clock;

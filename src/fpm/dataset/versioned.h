@@ -57,9 +57,9 @@ struct WindowPolicy {
 
 /// The delta one version applies to its parent. Transactions are stored
 /// normalized (within-transaction duplicates removed, first occurrence
-/// wins — the DatabaseBuilder::AddTransaction normal form), so delta
-/// consumers (incremental structures, cache reseeding) never re-derive
-/// it. `expired` lists the expired transactions oldest-first.
+/// wins — the DatabaseBuilder::AddTransaction normal form), so cache
+/// reseeding never re-derives it. `expired` lists the expired
+/// transactions oldest-first.
 struct VersionDelta {
   std::vector<Itemset> appended;
   std::vector<Support> appended_weights;

@@ -32,7 +32,7 @@ struct QueryLogEntry {
   std::string event = "query";  ///< "query" | "watchdog_stuck"
   uint64_t query_id = 0;
   std::string trace_id;  ///< client-supplied passthrough, may be empty
-  std::string op;        ///< protocol op: "mine" | "query" | "batch" | ...
+  std::string op;        ///< entry point: "shard_query" | "cli" | empty
   std::string task;      ///< frequent | closed | maximal | top_k | rules
   std::string dataset;   ///< path, when addressed by path
   std::string dataset_id;

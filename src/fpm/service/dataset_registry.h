@@ -12,10 +12,10 @@
 //
 // Addressing:
 //   Open(path)        — load-or-hit by path; returns the latest handle.
-//                       v1 wire responses and goldens depend on its
-//                       digest being the FNV-1a of the raw file bytes;
-//                       chained versions extend that digest space
-//                       (versioned.h).
+//                       Wire responses, cache keys and cluster
+//                       placement depend on its digest being the
+//                       FNV-1a of the raw file bytes; chained versions
+//                       extend that digest space (versioned.h).
 //   Resolve(id, ver)  — by id; ver 0 = latest, else explicit pin
 //                       (reproducible replays).
 //
@@ -75,8 +75,8 @@ struct DatasetHandle {
   std::string digest;
   /// Parent version's digest; empty for version 1.
   std::string parent_digest;
-  /// Delta against the parent (null for version 1) — what incremental
-  /// maintenance and cache reseeding consume.
+  /// Delta against the parent (null for version 1) — what cache
+  /// reseeding consumes.
   std::shared_ptr<const VersionDelta> delta;
   /// Total footprint (resident + mapped) of this version's database.
   size_t bytes = 0;

@@ -1,7 +1,10 @@
 #include "fpm/service/protocol.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
+
+#include "fpm/common/cancel.h"
 
 namespace fpm {
 
@@ -12,37 +15,51 @@ Status FieldError(const std::string& where, const std::string& field,
   return Status::InvalidArgument(where + ": field '" + field + "': " + what);
 }
 
+// Reads `value` as an integer of type T no smaller than `min`. Only an
+// integral number within [min, max of T] passes: a fraction or an
+// out-of-range number is rejected instead of cast, since the cast would
+// wrap (2^32 + 1 becomes 1) or be undefined. Returns false on a bad
+// value; each caller reports it with its own field's message.
+template <typename T>
+bool DecodeInteger(const JsonValue& value, T min, T* out) {
+  if (!value.is_number()) return false;
+  const double v = value.number_value();
+  // 2^digits is the first integer past T's maximum, exact as a double.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v >= static_cast<double>(min) && v < limit) || v != std::trunc(v)) {
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
 // Appends the items of a JSON array to `out`. Every entry must be an
-// integer in [0, kInvalidItem): a negative, fractional or too-large
-// number (or the sentinel itself) is rejected instead of cast, so it
-// can never decode as some other item. Returns false at the first bad
-// entry; each caller reports that in its own error shape.
+// integer in [0, kInvalidItem): the sentinel itself is not an item.
+// Returns false at the first bad entry; each caller reports that in its
+// own error shape.
 bool DecodeItems(const std::vector<JsonValue>& values, Itemset* out) {
   out->reserve(out->size() + values.size());
   for (const JsonValue& value : values) {
-    if (!value.is_number()) return false;
-    const double v = value.number_value();
-    if (!(v >= 0.0 && v < static_cast<double>(kInvalidItem)) ||
-        v != std::trunc(v)) {
+    Item item;
+    if (!DecodeInteger(value, Item{0}, &item) || item == kInvalidItem) {
       return false;
     }
-    out->push_back(static_cast<Item>(v));
+    out->push_back(item);
   }
   return true;
 }
 
-// Decodes the shared mine/query request body from `doc`. `where` labels
-// errors ("op 'query'", "op 'batch': queries[3]", ...); `with_tasks`
-// enables the v2 task-family fields, which the frozen v1 "mine" op does
-// not know. `with_dataset` is false only for "cache_probe", whose query
-// is addressed by content digest rather than a dataset.
+// Decodes the shared query request body from `doc`. `where` labels
+// errors ("op 'query'", "op 'batch': queries[3]", ...). `with_dataset`
+// is false only for "cache_probe", whose query is addressed by content
+// digest rather than a dataset.
 Status DecodeMineBody(const JsonValue& doc, const std::string& where,
-                      bool with_tasks, bool with_dataset, MineRequest* out) {
+                      bool with_dataset, MineRequest* out) {
   if (with_dataset) {
     const JsonValue& dataset = doc["dataset"];
     const JsonValue& id = doc["id"];
-    if (with_tasks && !id.is_null()) {
-      // v2 handle addressing: "id" (+ optional "version") instead of a
+    if (!id.is_null()) {
+      // Handle addressing: "id" (+ optional "version") instead of a
       // path. Mutually exclusive with "dataset".
       if (!id.is_string() || id.string_value().empty()) {
         return FieldError(where, "id", "not a non-empty string");
@@ -56,10 +73,8 @@ Status DecodeMineBody(const JsonValue& doc, const std::string& where,
       if (!version.is_null()) {
         if (version.is_string() && version.string_value() == "latest") {
           out->dataset_version = 0;
-        } else if (version.is_number() && version.number_value() >= 1.0) {
-          out->dataset_version =
-              static_cast<uint64_t>(version.number_value());
-        } else {
+        } else if (!DecodeInteger(version, uint64_t{1},
+                                  &out->dataset_version)) {
           return FieldError(where, "version",
                             "not a number >= 1 or 'latest'");
         }
@@ -72,67 +87,56 @@ Status DecodeMineBody(const JsonValue& doc, const std::string& where,
     }
   }
 
-  const JsonValue& minsup = doc["min_support"];
-  if (!minsup.is_number() || minsup.number_value() < 1.0) {
+  if (!DecodeInteger(doc["min_support"], Support{1},
+                     &out->query.min_support)) {
     return FieldError(where, "min_support",
                       "missing or not a number >= 1");
   }
-  out->query.min_support = static_cast<Support>(minsup.number_value());
 
-  if (with_tasks) {
-    const JsonValue& task = doc["task"];
-    if (!task.is_null()) {
-      if (!task.is_string()) {
-        return FieldError(where, "task", "not a string");
-      }
-      Result<MiningTask> parsed = ParseTask(task.string_value());
-      if (!parsed.ok()) {
-        return FieldError(where, "task", parsed.status().message());
-      }
-      out->query.task = parsed.value();
+  const JsonValue& task = doc["task"];
+  if (!task.is_null()) {
+    if (!task.is_string()) {
+      return FieldError(where, "task", "not a string");
     }
+    Result<MiningTask> parsed = ParseTask(task.string_value());
+    if (!parsed.ok()) {
+      return FieldError(where, "task", parsed.status().message());
+    }
+    out->query.task = parsed.value();
+  }
 
-    const JsonValue& k = doc["k"];
-    if (!k.is_null()) {
-      if (!k.is_number() || k.number_value() < 1.0) {
-        return FieldError(where, "k", "not a number >= 1");
-      }
-      out->query.k = static_cast<uint64_t>(k.number_value());
-    }
+  const JsonValue& k = doc["k"];
+  if (!k.is_null() && !DecodeInteger(k, uint64_t{1}, &out->query.k)) {
+    return FieldError(where, "k", "not a number >= 1");
+  }
 
-    const JsonValue& confidence = doc["min_confidence"];
-    if (!confidence.is_null()) {
-      if (!confidence.is_number() || confidence.number_value() < 0.0 ||
-          confidence.number_value() > 1.0) {
-        return FieldError(where, "min_confidence",
-                          "not a number in [0, 1]");
-      }
-      out->query.min_confidence = confidence.number_value();
+  const JsonValue& confidence = doc["min_confidence"];
+  if (!confidence.is_null()) {
+    if (!confidence.is_number() || confidence.number_value() < 0.0 ||
+        confidence.number_value() > 1.0) {
+      return FieldError(where, "min_confidence", "not a number in [0, 1]");
     }
+    out->query.min_confidence = confidence.number_value();
+  }
 
-    const JsonValue& lift = doc["min_lift"];
-    if (!lift.is_null()) {
-      if (!lift.is_number() || lift.number_value() < 0.0) {
-        return FieldError(where, "min_lift",
-                          "not a non-negative number");
-      }
-      out->query.min_lift = lift.number_value();
+  const JsonValue& lift = doc["min_lift"];
+  if (!lift.is_null()) {
+    if (!lift.is_number() || lift.number_value() < 0.0) {
+      return FieldError(where, "min_lift", "not a non-negative number");
     }
+    out->query.min_lift = lift.number_value();
+  }
 
-    const JsonValue& max_consequent = doc["max_consequent"];
-    if (!max_consequent.is_null()) {
-      if (!max_consequent.is_number() ||
-          max_consequent.number_value() < 1.0) {
-        return FieldError(where, "max_consequent", "not a number >= 1");
-      }
-      out->query.max_consequent =
-          static_cast<uint32_t>(max_consequent.number_value());
-    }
+  const JsonValue& max_consequent = doc["max_consequent"];
+  if (!max_consequent.is_null() &&
+      !DecodeInteger(max_consequent, uint32_t{1},
+                     &out->query.max_consequent)) {
+    return FieldError(where, "max_consequent", "not a number >= 1");
+  }
 
-    const Status valid = out->query.Validate();
-    if (!valid.ok()) {
-      return Status::InvalidArgument(where + ": " + valid.message());
-    }
+  const Status valid = out->query.Validate();
+  if (!valid.ok()) {
+    return Status::InvalidArgument(where + ": " + valid.message());
   }
 
   const JsonValue& algorithm = doc["algorithm"];
@@ -164,17 +168,18 @@ Status DecodeMineBody(const JsonValue& doc, const std::string& where,
   }
 
   const JsonValue& priority = doc["priority"];
-  if (!priority.is_null()) {
-    if (!priority.is_number()) {
-      return FieldError(where, "priority", "not a number");
-    }
-    out->priority = static_cast<int>(priority.number_value());
+  if (!priority.is_null() &&
+      !DecodeInteger(priority, std::numeric_limits<int>::min(),
+                     &out->priority)) {
+    return FieldError(where, "priority", "not a number");
   }
 
   const JsonValue& timeout = doc["timeout_s"];
   if (!timeout.is_null()) {
-    if (!timeout.is_number() || timeout.number_value() < 0.0) {
-      return FieldError(where, "timeout_s", "not a non-negative number");
+    if (!timeout.is_number() || !TimeoutInRange(timeout.number_value())) {
+      return FieldError(where, "timeout_s",
+                        "not a number in [0, " +
+                            std::to_string(kMaxTimeoutSeconds) + "]");
     }
     out->timeout_seconds = timeout.number_value();
   }
@@ -187,22 +192,20 @@ Status DecodeMineBody(const JsonValue& doc, const std::string& where,
     out->count_only = count_only.bool_value();
   }
 
-  if (with_tasks) {
-    const JsonValue& trace_id = doc["trace_id"];
-    if (!trace_id.is_null()) {
-      if (!trace_id.is_string()) {
-        return FieldError(where, "trace_id", "not a string");
-      }
-      out->trace_id = trace_id.string_value();
+  const JsonValue& trace_id = doc["trace_id"];
+  if (!trace_id.is_null()) {
+    if (!trace_id.is_string()) {
+      return FieldError(where, "trace_id", "not a string");
     }
+    out->trace_id = trace_id.string_value();
+  }
 
-    const JsonValue& scatter = doc["scatter"];
-    if (!scatter.is_null()) {
-      if (!scatter.is_bool()) {
-        return FieldError(where, "scatter", "not a bool");
-      }
-      out->scatter = scatter.bool_value();
+  const JsonValue& scatter = doc["scatter"];
+  if (!scatter.is_null()) {
+    if (!scatter.is_bool()) {
+      return FieldError(where, "scatter", "not a bool");
     }
+    out->scatter = scatter.bool_value();
   }
 
   return Status::OK();
@@ -287,11 +290,9 @@ Status DecodeAppendBody(const JsonValue& doc, const std::string& where,
 Status DecodeExpireBody(const JsonValue& doc, const std::string& where,
                         DatasetOpRequest* out) {
   FPM_RETURN_IF_ERROR(DecodeDatasetId(doc, where, out));
-  const JsonValue& count = doc["count"];
-  if (!count.is_number() || count.number_value() < 1.0) {
+  if (!DecodeInteger(doc["count"], uint64_t{1}, &out->count)) {
     return FieldError(where, "count", "missing or not a number >= 1");
   }
-  out->count = static_cast<uint64_t>(count.number_value());
   return Status::OK();
 }
 
@@ -299,11 +300,9 @@ Status DecodeWindowBody(const JsonValue& doc, const std::string& where,
                         DatasetOpRequest* out) {
   FPM_RETURN_IF_ERROR(DecodeDatasetId(doc, where, out));
   const JsonValue& last_n = doc["last_n"];
-  if (!last_n.is_null()) {
-    if (!last_n.is_number() || last_n.number_value() < 0.0) {
-      return FieldError(where, "last_n", "not a number >= 0");
-    }
-    out->window.last_n = static_cast<uint64_t>(last_n.number_value());
+  if (!last_n.is_null() &&
+      !DecodeInteger(last_n, uint64_t{0}, &out->window.last_n)) {
+    return FieldError(where, "last_n", "not a number >= 0");
   }
   const JsonValue& last_seconds = doc["last_seconds"];
   if (!last_seconds.is_null()) {
@@ -410,38 +409,24 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
   }
   if (name == "metrics_text") {
     request.op = ServiceRequest::Op::kMetricsText;
-    request.version = 2;
     return request;
   }
   if (name == "stats") {
     request.op = ServiceRequest::Op::kStats;
-    request.version = 2;
     return request;
   }
   if (name == "shutdown") {
     request.op = ServiceRequest::Op::kShutdown;
     return request;
   }
-  if (name == "mine") {
-    // v1 compat shim: the frozen field set, always task "frequent".
-    request.op = ServiceRequest::Op::kMine;
-    request.version = 1;
-    FPM_RETURN_IF_ERROR(DecodeMineBody(doc, where, /*with_tasks=*/false,
-                                       /*with_dataset=*/true,
-                                       &request.mine));
-    return request;
-  }
   if (name == "query") {
     request.op = ServiceRequest::Op::kQuery;
-    request.version = 2;
-    FPM_RETURN_IF_ERROR(DecodeMineBody(doc, where, /*with_tasks=*/true,
-                                       /*with_dataset=*/true,
+    FPM_RETURN_IF_ERROR(DecodeMineBody(doc, where, /*with_dataset=*/true,
                                        &request.mine));
     return request;
   }
   if (name == "open") {
     request.op = ServiceRequest::Op::kOpen;
-    request.version = 2;
     const JsonValue& dataset = doc["dataset"];
     if (!dataset.is_string() || dataset.string_value().empty()) {
       return FieldError(where, "dataset", "missing or not a string");
@@ -451,31 +436,26 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
   }
   if (name == "append") {
     request.op = ServiceRequest::Op::kAppend;
-    request.version = 2;
     FPM_RETURN_IF_ERROR(DecodeAppendBody(doc, where, &request.dataset_op));
     return request;
   }
   if (name == "expire") {
     request.op = ServiceRequest::Op::kExpire;
-    request.version = 2;
     FPM_RETURN_IF_ERROR(DecodeExpireBody(doc, where, &request.dataset_op));
     return request;
   }
   if (name == "window") {
     request.op = ServiceRequest::Op::kWindow;
-    request.version = 2;
     FPM_RETURN_IF_ERROR(DecodeWindowBody(doc, where, &request.dataset_op));
     return request;
   }
   if (name == "dataset_info") {
     request.op = ServiceRequest::Op::kDatasetInfo;
-    request.version = 2;
     FPM_RETURN_IF_ERROR(DecodeDatasetId(doc, where, &request.dataset_op));
     return request;
   }
   if (name == "batch") {
     request.op = ServiceRequest::Op::kBatch;
-    request.version = 2;
     const JsonValue& queries = doc["queries"];
     if (!queries.is_array()) {
       return FieldError(where, "queries", "missing or not an array");
@@ -493,8 +473,8 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
         entry.status =
             Status::InvalidArgument(entry_where + ": not an object");
       } else {
-        entry.status = DecodeMineBody(q, entry_where, /*with_tasks=*/true,
-                                      /*with_dataset=*/true, &entry.request);
+        entry.status = DecodeMineBody(q, entry_where, /*with_dataset=*/true,
+                                      &entry.request);
       }
       request.batch.push_back(std::move(entry));
     }
@@ -502,7 +482,6 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
   }
   if (name == "cluster_info") {
     request.op = ServiceRequest::Op::kClusterInfo;
-    request.version = 2;
     const JsonValue& dataset = doc["dataset"];
     if (!dataset.is_null()) {
       if (!dataset.is_string() || dataset.string_value().empty()) {
@@ -514,20 +493,17 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
   }
   if (name == "cache_probe") {
     request.op = ServiceRequest::Op::kCacheProbe;
-    request.version = 2;
     const JsonValue& digest = doc["digest"];
     if (!digest.is_string() || digest.string_value().empty()) {
       return FieldError(where, "digest", "missing or not a string");
     }
     request.cluster.digest = digest.string_value();
-    FPM_RETURN_IF_ERROR(DecodeMineBody(doc, where, /*with_tasks=*/true,
-                                       /*with_dataset=*/false,
+    FPM_RETURN_IF_ERROR(DecodeMineBody(doc, where, /*with_dataset=*/false,
                                        &request.mine));
     return request;
   }
   if (name == "shard_query") {
     request.op = ServiceRequest::Op::kShardQuery;
-    request.version = 2;
     const JsonValue& mode = doc["mode"];
     if (!mode.is_string()) {
       return FieldError(where, "mode", "missing or not a string");
@@ -543,28 +519,23 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
       return FieldError(where, "mode",
                         "expected 'execute', 'mine' or 'count'");
     }
-    FPM_RETURN_IF_ERROR(DecodeMineBody(doc, where, /*with_tasks=*/true,
-                                       /*with_dataset=*/true,
+    FPM_RETURN_IF_ERROR(DecodeMineBody(doc, where, /*with_dataset=*/true,
                                        &request.mine));
     if (request.cluster.shard_mode != ClusterOpRequest::ShardMode::kExecute) {
       const JsonValue& partition = doc["partition"];
       if (!partition.is_object()) {
         return FieldError(where, "partition", "missing or not an object");
       }
-      const JsonValue& index = partition["index"];
-      const JsonValue& count = partition["count"];
-      if (!index.is_number() || index.number_value() < 0.0) {
+      if (!DecodeInteger(partition["index"], uint32_t{0},
+                         &request.cluster.partition_index)) {
         return FieldError(where, "partition.index",
                           "missing or not a number >= 0");
       }
-      if (!count.is_number() || count.number_value() < 1.0) {
+      if (!DecodeInteger(partition["count"], uint32_t{1},
+                         &request.cluster.partition_count)) {
         return FieldError(where, "partition.count",
                           "missing or not a number >= 1");
       }
-      request.cluster.partition_index =
-          static_cast<uint32_t>(index.number_value());
-      request.cluster.partition_count =
-          static_cast<uint32_t>(count.number_value());
       if (request.cluster.partition_index >=
           request.cluster.partition_count) {
         return FieldError(where, "partition.index",
@@ -578,21 +549,6 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
     return request;
   }
   return FieldError("request", "op", "unknown op '" + name + "'");
-}
-
-std::string EncodeMineResponse(const MineResponse& response) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  doc.Set("num_frequent",
-          JsonValue::Int(static_cast<int64_t>(response.num_frequent)));
-  doc.Set("cache", JsonValue::Str(CacheOutcomeName(response.cache)));
-  doc.Set("digest", JsonValue::Str(response.dataset_digest));
-  doc.Set("queue_ms", JsonValue::Number(response.queue_seconds * 1000.0));
-  doc.Set("mine_ms", JsonValue::Number(response.mine_seconds * 1000.0));
-  if (!response.itemsets.empty()) {
-    doc.Set("itemsets", EncodeItemsets(response.itemsets));
-  }
-  return doc.Dump();
 }
 
 std::string EncodeQueryResponse(const MineResponse& response) {
@@ -883,8 +839,9 @@ Status DecodeItemsetEntries(const JsonValue& array, const std::string& what,
   out->reserve(array.array_items().size());
   for (const JsonValue& row : array.array_items()) {
     const JsonValue& items = row["items"];
-    const JsonValue& support = row["support"];
-    if (!row.is_object() || !items.is_array() || !support.is_number()) {
+    Support support = 0;
+    if (!row.is_object() || !items.is_array() ||
+        !DecodeInteger(row["support"], Support{0}, &support)) {
       return Status::InvalidArgument("peer response: malformed '" + what +
                                      "' entry");
     }
@@ -893,8 +850,7 @@ Status DecodeItemsetEntries(const JsonValue& array, const std::string& what,
       return Status::InvalidArgument("peer response: non-numeric item in '" +
                                      what + "'");
     }
-    out->emplace_back(std::move(set),
-                      static_cast<Support>(support.number_value()));
+    out->emplace_back(std::move(set), support);
   }
   return Status::OK();
 }
@@ -922,20 +878,26 @@ Status CheckOkEnvelope(const JsonValue& doc) {
   return Status(ParseStatusCode(code), message);
 }
 
-// Fills a MineResponse from a v2 query response document (the envelope
+// Reads an optional count field of a peer reply: absent leaves `out`
+// as it is; present, it must be an integer in [0, max of T].
+template <typename T>
+Status DecodePeerCount(const JsonValue& doc, const char* name, T* out) {
+  const JsonValue& value = doc[name];
+  if (value.is_null() || DecodeInteger(value, T{0}, out)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(std::string("peer response: '") + name +
+                                 "' is not a number >= 0");
+}
+
+// Fills a MineResponse from a query response document (the envelope
 // must already be ok).
 Status ParseQueryResponseDoc(const JsonValue& doc, MineResponse* out) {
   const JsonValue& task = doc["task"];
   if (task.is_string()) {
     FPM_ASSIGN_OR_RETURN(out->task, ParseTask(task.string_value()));
   }
-  const JsonValue& num = doc["num_results"];
-  const JsonValue& num_v1 = doc["num_frequent"];
-  if (num.is_number()) {
-    out->num_frequent = static_cast<uint64_t>(num.number_value());
-  } else if (num_v1.is_number()) {
-    out->num_frequent = static_cast<uint64_t>(num_v1.number_value());
-  }
+  FPM_RETURN_IF_ERROR(DecodePeerCount(doc, "num_results", &out->num_frequent));
   const JsonValue& cache = doc["cache"];
   if (cache.is_string()) {
     FPM_ASSIGN_OR_RETURN(out->cache, ParseCacheOutcome(cache.string_value()));
@@ -949,18 +911,14 @@ Status ParseQueryResponseDoc(const JsonValue& doc, MineResponse* out) {
   if (doc["mine_ms"].is_number()) {
     out->mine_seconds = doc["mine_ms"].number_value() / 1000.0;
   }
-  if (doc["query_id"].is_number()) {
-    out->query_id = static_cast<uint64_t>(doc["query_id"].number_value());
-  }
+  FPM_RETURN_IF_ERROR(DecodePeerCount(doc, "query_id", &out->query_id));
   if (doc["trace_id"].is_string()) {
     out->trace_id = doc["trace_id"].string_value();
   }
   if (doc["peer"].is_string()) {
     out->served_by = doc["peer"].string_value();
   }
-  if (doc["shards"].is_number()) {
-    out->shard_count = static_cast<uint32_t>(doc["shards"].number_value());
-  }
+  FPM_RETURN_IF_ERROR(DecodePeerCount(doc, "shards", &out->shard_count));
   const JsonValue& itemsets = doc["itemsets"];
   if (!itemsets.is_null()) {
     FPM_RETURN_IF_ERROR(
@@ -975,22 +933,22 @@ Status ParseQueryResponseDoc(const JsonValue& doc, MineResponse* out) {
     for (const JsonValue& row : rules.array_items()) {
       const JsonValue& antecedent = row["antecedent"];
       const JsonValue& consequent = row["consequent"];
-      const JsonValue& support = row["support"];
       const JsonValue& confidence = row["confidence"];
       const JsonValue& lift = row["lift"];
+      AssociationRule rule;
       if (!row.is_object() || !antecedent.is_array() ||
-          !consequent.is_array() || !support.is_number() ||
+          !consequent.is_array() ||
+          !DecodeInteger(row["support"], Support{0},
+                         &rule.itemset_support) ||
           !confidence.is_number() || !lift.is_number()) {
         return Status::InvalidArgument(
             "peer response: malformed 'rules' entry");
       }
-      AssociationRule rule;
       if (!DecodeItems(antecedent.array_items(), &rule.antecedent) ||
           !DecodeItems(consequent.array_items(), &rule.consequent)) {
         return Status::InvalidArgument(
             "peer response: non-numeric item in 'rules'");
       }
-      rule.itemset_support = static_cast<Support>(support.number_value());
       rule.confidence = confidence.number_value();
       rule.lift = lift.number_value();
       out->rules.push_back(std::move(rule));
@@ -1124,11 +1082,12 @@ Result<std::vector<Support>> DecodeShardCountResponse(
   std::vector<Support> out;
   out.reserve(counts.array_items().size());
   for (const JsonValue& count : counts.array_items()) {
-    if (!count.is_number() || count.number_value() < 0.0) {
+    Support support = 0;
+    if (!DecodeInteger(count, Support{0}, &support)) {
       return Status::InvalidArgument(
           "peer response: 'counts' entries must be numbers >= 0");
     }
-    out.push_back(static_cast<Support>(count.number_value()));
+    out.push_back(support);
   }
   return out;
 }

@@ -90,24 +90,23 @@
 //       partition and replies {"counts":[...],"ok":true,
 //       "phase":"count"}.
 //
-// v1 compatibility: {"op":"mine",...} (every field of "query" except
-// the task family) still decodes, runs as task "frequent", and its
-// response is byte-identical to protocol v1 — same keys, no "task".
+// Any other op, "mine" (the retired v1 op) included, is answered with
+// INVALID_ARGUMENT "request: field 'op': unknown op '<name>'", and the
+// connection keeps serving.
 //
 // Responses always carry "ok". Success:
-//   {"ok":true,...}   v1 mine adds: num_frequent, cache ("miss|hit|
-//                     dominated"), digest, queue_ms, mine_ms, and —
-//                     unless count_only — "itemsets":[{"items":[...],
-//                     "support":N},...] in deterministic emission order.
-//                     v2 query adds: task, num_results, cache (also
-//                     "cross_task"), digest, queue_ms, mine_ms,
-//                     query_id (the service-assigned request id, also
-//                     on the query-log line and the service.mine span),
-//                     trace_id (echoed when the request sent one), and
-//                     "itemsets" as above or — for task "rules" —
-//                     "rules":[{"antecedent":[...],"consequent":[...],
-//                     "support":N,"confidence":X,"lift":X},...].
-//                     Batch lines additionally carry "id".
+//   {"ok":true,...}   query adds: task, num_results, cache ("miss|hit|
+//                     dominated|cross_task|reseeded"), digest, queue_ms,
+//                     mine_ms, query_id (the service-assigned request
+//                     id, also on the query-log line and the
+//                     service.mine span), trace_id (echoed when the
+//                     request sent one), and — unless count_only —
+//                     "itemsets":[{"items":[...],"support":N},...] in
+//                     deterministic emission order or — for task
+//                     "rules" — "rules":[{"antecedent":[...],
+//                     "consequent":[...],"support":N,"confidence":X,
+//                     "lift":X},...]. Batch lines additionally carry
+//                     "id".
 // Failure:
 //   {"ok":false,"error":{"code":"CANCELLED","message":"..."}}
 //       (plus "id" inside a batch)
@@ -115,6 +114,8 @@
 // Decode errors name the op and field being parsed, e.g.
 //   op 'query': field 'min_support': missing or not a number >= 1
 //   op 'batch': queries[2]: field 'dataset': missing or not a string
+// An integer field takes only an integral number inside its type's
+// range: 4294967297 is not a min_support, nor 1.5 a count.
 //
 // The encode/decode layer lives here, separate from socket handling, so
 // tests exercise it without a daemon.
@@ -170,7 +171,6 @@ struct ServiceRequest {
     kMetricsText,
     kStats,
     kShutdown,
-    kMine,
     kQuery,
     kBatch,
     kOpen,
@@ -192,10 +192,7 @@ struct ServiceRequest {
   };
 
   Op op = Op::kPing;
-  /// 1 for the "mine" compat shim, 2 for "query"/"batch" — selects the
-  /// response encoding.
-  int version = 1;
-  MineRequest mine;               ///< kMine, kQuery, kCacheProbe, kShardQuery
+  MineRequest mine;               ///< kQuery, kCacheProbe, kShardQuery
   std::vector<BatchEntry> batch;  ///< populated for kBatch
   DatasetOpRequest dataset_op;    ///< populated for the dataset ops
   ClusterOpRequest cluster;       ///< populated for the cluster ops
@@ -214,12 +211,8 @@ struct CacheProbeReply {
 /// ParseTask() (fpm/algo/query.h).
 Result<ServiceRequest> DecodeRequest(const std::string& line);
 
-/// Encodes a v1 mine success response (one line, no trailing newline).
-/// Byte-identical to protocol v1 output for any v1-reachable response.
-std::string EncodeMineResponse(const MineResponse& response);
-
-/// Encodes a v2 query success response ("task", "num_results", and
-/// "rules" for rules tasks).
+/// Encodes a query success response (one line, no trailing newline):
+/// "task", "num_results", and "rules" for rules tasks.
 std::string EncodeQueryResponse(const MineResponse& response);
 
 /// v2 query response tagged with a batch query id.

@@ -122,6 +122,11 @@ Result<std::shared_ptr<MineJob>> MiningService::Submit(
   if (request.dataset_path.empty() && request.dataset_id.empty()) {
     return reject(Status::InvalidArgument("dataset_path must be set"));
   }
+  if (!TimeoutInRange(request.timeout_seconds)) {
+    return reject(Status::InvalidArgument(
+        "timeout_seconds must be in [0, " +
+        std::to_string(kMaxTimeoutSeconds) + "]"));
+  }
   task_counters_[static_cast<int>(request.query.task)]->Increment();
 
   // Pin the dataset version for the whole job lifetime. Handle

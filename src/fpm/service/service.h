@@ -75,7 +75,7 @@ struct MineRequest {
   /// Higher runs first; FIFO within a priority.
   int priority = 0;
   /// Seconds until the job's deadline, counted from submission
-  /// (queueing included). 0 = no deadline.
+  /// (queueing included). 0 = no deadline; at most kMaxTimeoutSeconds.
   double timeout_seconds = 0.0;
   /// When true the response carries counts only, no itemsets/rules —
   /// cheaper to transport; the result is still cached in full.
@@ -90,8 +90,9 @@ struct MineRequest {
   /// assign the next monotonic id; the daemon pre-allocates via
   /// AllocateQueryId() so even rejected requests are logged under a
   /// unique id. `trace_id` is an opaque client-supplied passthrough for
-  /// cross-system correlation; `op` labels the protocol verb in the
-  /// query log ("mine" | "query" | "batch" | ...).
+  /// cross-system correlation; `op` labels a query that did not come
+  /// from a client's own "query"/"batch" in the query log
+  /// ("shard_query" for a peer's forward; empty otherwise).
   uint64_t query_id = 0;
   std::string trace_id;
   std::string op;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 namespace fpm {
@@ -23,11 +24,11 @@ TEST(DecodeRequestTest, DecodesControlOps) {
 
 TEST(DecodeRequestTest, DecodesFullMineRequest) {
   auto r = DecodeRequest(
-      "{\"op\":\"mine\",\"dataset\":\"/tmp/x.dat\",\"min_support\":7,"
+      "{\"op\":\"query\",\"dataset\":\"/tmp/x.dat\",\"min_support\":7,"
       "\"algorithm\":\"eclat\",\"patterns\":\"none\",\"priority\":3,"
       "\"timeout_s\":1.5,\"count_only\":true}");
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->op, ServiceRequest::Op::kMine);
+  EXPECT_EQ(r->op, ServiceRequest::Op::kQuery);
   const MineRequest& mine = r->mine;
   EXPECT_EQ(mine.dataset_path, "/tmp/x.dat");
   EXPECT_EQ(mine.query.min_support, 7u);
@@ -41,8 +42,9 @@ TEST(DecodeRequestTest, DecodesFullMineRequest) {
 
 TEST(DecodeRequestTest, MineDefaults) {
   auto r = DecodeRequest(
-      "{\"op\":\"mine\",\"dataset\":\"d.dat\",\"min_support\":2}");
+      "{\"op\":\"query\",\"dataset\":\"d.dat\",\"min_support\":2}");
   ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->mine.query.task, MiningTask::kFrequent);
   EXPECT_EQ(r->mine.algorithm, Algorithm::kLcm);
   EXPECT_EQ(r->mine.patterns, PatternSet::All());
   EXPECT_EQ(r->mine.priority, 0);
@@ -55,27 +57,27 @@ TEST(DecodeRequestTest, RejectsMalformedRequests) {
   EXPECT_FALSE(DecodeRequest("[]").ok());
   EXPECT_FALSE(DecodeRequest("{\"op\":\"explode\"}").ok());
   EXPECT_FALSE(DecodeRequest("{\"op\":42}").ok());
-  // mine without its required fields, or with bad values.
-  EXPECT_FALSE(DecodeRequest("{\"op\":\"mine\"}").ok());
+  // query without its required fields, or with bad values.
+  EXPECT_FALSE(DecodeRequest("{\"op\":\"query\"}").ok());
   EXPECT_FALSE(
-      DecodeRequest("{\"op\":\"mine\",\"dataset\":\"d\"}").ok());
+      DecodeRequest("{\"op\":\"query\",\"dataset\":\"d\"}").ok());
   EXPECT_FALSE(DecodeRequest(
-                   "{\"op\":\"mine\",\"dataset\":\"d\",\"min_support\":0}")
+                   "{\"op\":\"query\",\"dataset\":\"d\",\"min_support\":0}")
                    .ok());
   EXPECT_FALSE(
-      DecodeRequest("{\"op\":\"mine\",\"dataset\":\"d\",\"min_support\":2,"
+      DecodeRequest("{\"op\":\"query\",\"dataset\":\"d\",\"min_support\":2,"
                     "\"algorithm\":\"nope\"}")
           .ok());
   EXPECT_FALSE(
-      DecodeRequest("{\"op\":\"mine\",\"dataset\":\"d\",\"min_support\":2,"
+      DecodeRequest("{\"op\":\"query\",\"dataset\":\"d\",\"min_support\":2,"
                     "\"patterns\":\"P1\"}")
           .ok());
   EXPECT_FALSE(
-      DecodeRequest("{\"op\":\"mine\",\"dataset\":\"d\",\"min_support\":2,"
+      DecodeRequest("{\"op\":\"query\",\"dataset\":\"d\",\"min_support\":2,"
                     "\"timeout_s\":-1}")
           .ok());
   EXPECT_FALSE(
-      DecodeRequest("{\"op\":\"mine\",\"dataset\":\"d\",\"min_support\":2,"
+      DecodeRequest("{\"op\":\"query\",\"dataset\":\"d\",\"min_support\":2,"
                     "\"count_only\":\"yes\"}")
           .ok());
 }
@@ -86,7 +88,6 @@ TEST(DecodeRequestTest, DecodesQueryRequestWithTaskFamily) {
       "\"task\":\"top_k\",\"k\":25}");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->op, ServiceRequest::Op::kQuery);
-  EXPECT_EQ(r->version, 2);
   EXPECT_EQ(r->mine.query.task, MiningTask::kTopK);
   EXPECT_EQ(r->mine.query.k, 25u);
   EXPECT_EQ(r->mine.query.min_support, 3u);
@@ -101,22 +102,11 @@ TEST(DecodeRequestTest, DecodesQueryRequestWithTaskFamily) {
   EXPECT_DOUBLE_EQ(rules->mine.query.min_lift, 1.1);
   EXPECT_EQ(rules->mine.query.max_consequent, 2u);
 
-  // Task omitted: a plain frequent query on the v2 encoding.
+  // Task omitted: a plain frequent query.
   auto plain = DecodeRequest(
       "{\"op\":\"query\",\"dataset\":\"d.dat\",\"min_support\":3}");
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain->mine.query.task, MiningTask::kFrequent);
-}
-
-TEST(DecodeRequestTest, MineOpStaysOnTheFrozenV1FieldSet) {
-  // "task" is not part of protocol v1: the mine op ignores it and always
-  // runs frequent, so old clients keep byte-identical behavior.
-  auto r = DecodeRequest(
-      "{\"op\":\"mine\",\"dataset\":\"d.dat\",\"min_support\":2,"
-      "\"task\":\"closed\"}");
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(r->version, 1);
-  EXPECT_EQ(r->mine.query.task, MiningTask::kFrequent);
 }
 
 TEST(DecodeRequestTest, ErrorsNameTheOpAndField) {
@@ -137,11 +127,11 @@ TEST(DecodeRequestTest, ErrorsNameTheOpAndField) {
             "op 'query': top_k query needs k >= 1");
   EXPECT_EQ(DecodeRequest("{\"op\":\"explode\"}").status().message(),
             "request: field 'op': unknown op 'explode'");
-  EXPECT_EQ(DecodeRequest("{\"op\":\"mine\",\"dataset\":\"d\","
+  EXPECT_EQ(DecodeRequest("{\"op\":\"query\",\"dataset\":\"d\","
                           "\"min_support\":0}")
                 .status()
                 .message(),
-            "op 'mine': field 'min_support': missing or not a number >= 1");
+            "op 'query': field 'min_support': missing or not a number >= 1");
 }
 
 TEST(DecodeRequestTest, BatchDecodesAndIsolatesEntryErrors) {
@@ -152,7 +142,6 @@ TEST(DecodeRequestTest, BatchDecodesAndIsolatesEntryErrors) {
       "{\"dataset\":\"c.dat\",\"min_support\":5}]}");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->op, ServiceRequest::Op::kBatch);
-  EXPECT_EQ(r->version, 2);
   ASSERT_EQ(r->batch.size(), 3u);
   // Entry 0 and 2 decode; entry 1's error names its position and field
   // and does not poison its neighbors.
@@ -179,21 +168,6 @@ TEST(DecodeRequestTest, BatchRejectsMissingOrEmptyQueries) {
   EXPECT_EQ(
       DecodeRequest("{\"op\":\"batch\",\"queries\":[]}").status().message(),
       "op 'batch': field 'queries': must not be empty");
-}
-
-TEST(EncodeTest, MineResponseGolden) {
-  MineResponse response;
-  response.num_frequent = 2;
-  response.itemsets = {{{1, 2}, 4}, {{3}, 2}};
-  response.cache = CacheOutcome::kDominated;
-  response.dataset_digest = "cafe";
-  response.queue_seconds = 0.5;   // exact in binary: stable golden text
-  response.mine_seconds = 0.25;
-  EXPECT_EQ(EncodeMineResponse(response),
-            "{\"cache\":\"dominated\",\"digest\":\"cafe\","
-            "\"itemsets\":[{\"items\":[1,2],\"support\":4},"
-            "{\"items\":[3],\"support\":2}],\"mine_ms\":250,"
-            "\"num_frequent\":2,\"ok\":true,\"queue_ms\":500}");
 }
 
 TEST(EncodeTest, QueryResponseGolden) {
@@ -261,9 +235,9 @@ TEST(EncodeTest, BatchLinesCarryTheQueryId) {
 TEST(EncodeTest, CountOnlyResponseOmitsItemsets) {
   MineResponse response;
   response.num_frequent = 9;
-  const std::string line = EncodeMineResponse(response);
+  const std::string line = EncodeQueryResponse(response);
   EXPECT_EQ(line.find("itemsets"), std::string::npos);
-  EXPECT_NE(line.find("\"num_frequent\":9"), std::string::npos);
+  EXPECT_NE(line.find("\"num_results\":9"), std::string::npos);
   EXPECT_NE(line.find("\"cache\":\"miss\""), std::string::npos);
 }
 
@@ -286,7 +260,7 @@ TEST(EncodeTest, ResponsesRoundTripThroughTheParser) {
   MineResponse response;
   response.num_frequent = 1;
   response.itemsets = {{{5}, 3}};
-  auto doc = ParseJson(EncodeMineResponse(response));
+  auto doc = ParseJson(EncodeQueryResponse(response));
   ASSERT_TRUE(doc.ok());
   EXPECT_TRUE(doc.value()["ok"].bool_value());
   EXPECT_EQ(doc.value()["itemsets"].array_items()[0]["support"].int_value(),
@@ -297,15 +271,13 @@ TEST(DecodeRequestTest, DecodesStatsAndMetricsTextOps) {
   auto stats = DecodeRequest("{\"op\":\"stats\"}");
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->op, ServiceRequest::Op::kStats);
-  EXPECT_EQ(stats->version, 2);
 
   auto text = DecodeRequest("{\"op\":\"metrics_text\"}");
   ASSERT_TRUE(text.ok());
   EXPECT_EQ(text->op, ServiceRequest::Op::kMetricsText);
-  EXPECT_EQ(text->version, 2);
 }
 
-TEST(DecodeRequestTest, QueryAcceptsTraceIdMineIgnoresIt) {
+TEST(DecodeRequestTest, QueryAcceptsTraceId) {
   auto query = DecodeRequest(
       "{\"op\":\"query\",\"dataset\":\"d.dat\",\"min_support\":2,"
       "\"trace_id\":\"req-42\"}");
@@ -317,14 +289,6 @@ TEST(DecodeRequestTest, QueryAcceptsTraceIdMineIgnoresIt) {
                 .status()
                 .message(),
             "op 'query': field 'trace_id': not a string");
-
-  // trace_id is v2-only: the frozen v1 mine op does not pick it up, so
-  // its responses stay byte-identical.
-  auto mine = DecodeRequest(
-      "{\"op\":\"mine\",\"dataset\":\"d.dat\",\"min_support\":2,"
-      "\"trace_id\":\"req-42\"}");
-  ASSERT_TRUE(mine.ok()) << mine.status();
-  EXPECT_TRUE(mine->mine.trace_id.empty());
 }
 
 TEST(EncodeTest, StatsResponseGolden) {
@@ -393,7 +357,6 @@ TEST(DecodeRequestTest, DecodesClusterInfoOp) {
   auto bare = DecodeRequest("{\"op\":\"cluster_info\"}");
   ASSERT_TRUE(bare.ok()) << bare.status();
   EXPECT_EQ(bare->op, ServiceRequest::Op::kClusterInfo);
-  EXPECT_EQ(bare->version, 2);
   EXPECT_TRUE(bare->cluster.path.empty());
 
   auto with_dataset = DecodeRequest(
@@ -549,6 +512,136 @@ TEST(ClusterWireTest, PeerDecodersRejectOutOfRangeItems) {
   }
 }
 
+// One wire number that no integer field may take, and the error its
+// decoder must give. `decode` returns the decode status's message.
+struct OutOfRangeCase {
+  const char* name;
+  std::string (*decode)(const std::string& line);
+  std::string line;
+  std::string message;
+};
+
+void PrintTo(const OutOfRangeCase& c, std::ostream* os) { *os << c.name; }
+
+std::string RequestError(const std::string& line) {
+  return DecodeRequest(line).status().message();
+}
+std::string QueryReplyError(const std::string& line) {
+  return DecodeQueryResponse(line).status().message();
+}
+std::string ShardMineReplyError(const std::string& line) {
+  return DecodeShardMineResponse(line).status().message();
+}
+std::string ShardCountReplyError(const std::string& line) {
+  return DecodeShardCountResponse(line).status().message();
+}
+
+class OutOfRangeIntegerTest : public testing::TestWithParam<OutOfRangeCase> {
+};
+
+// Each number used to be cast to the field's type: 4294967297 became
+// min_support 1, 1e12 a priority of INT_MIN, 1e10 seconds a deadline
+// already passed. Now each is rejected with the field's own message.
+TEST_P(OutOfRangeIntegerTest, IsRejectedWithTheFieldsMessage) {
+  const OutOfRangeCase& c = GetParam();
+  EXPECT_EQ(c.decode(c.line), c.message) << c.line;
+}
+
+const std::string kQuery = "{\"op\":\"query\",\"dataset\":\"d\",";
+const std::string kShardMine =
+    "{\"op\":\"shard_query\",\"mode\":\"mine\",\"dataset\":\"d\","
+    "\"min_support\":1,";
+
+INSTANTIATE_TEST_SUITE_P(
+    Wire, OutOfRangeIntegerTest,
+    testing::Values(
+        OutOfRangeCase{"min_support", RequestError,
+                       kQuery + "\"min_support\":4294967297}",
+                       "op 'query': field 'min_support': missing or not a "
+                       "number >= 1"},
+        OutOfRangeCase{"k", RequestError,
+                       kQuery + "\"min_support\":1,\"k\":1e20}",
+                       "op 'query': field 'k': not a number >= 1"},
+        OutOfRangeCase{"max_consequent", RequestError,
+                       kQuery + "\"min_support\":1,"
+                                "\"max_consequent\":4294967296}",
+                       "op 'query': field 'max_consequent': not a number "
+                       ">= 1"},
+        OutOfRangeCase{"priority", RequestError,
+                       kQuery + "\"min_support\":1,\"priority\":1e12}",
+                       "op 'query': field 'priority': not a number"},
+        OutOfRangeCase{"timeout_s", RequestError,
+                       kQuery + "\"min_support\":1,\"timeout_s\":1e10}",
+                       "op 'query': field 'timeout_s': not a number in "
+                       "[0, 31536000]"},
+        OutOfRangeCase{"version", RequestError,
+                       "{\"op\":\"query\",\"id\":\"ds-1\",\"version\":1e20,"
+                       "\"min_support\":1}",
+                       "op 'query': field 'version': not a number >= 1 or "
+                       "'latest'"},
+        OutOfRangeCase{"count", RequestError,
+                       "{\"op\":\"expire\",\"id\":\"ds-1\",\"count\":1e30}",
+                       "op 'expire': field 'count': missing or not a "
+                       "number >= 1"},
+        OutOfRangeCase{"last_n", RequestError,
+                       "{\"op\":\"window\",\"id\":\"ds-1\",\"last_n\":1e20}",
+                       "op 'window': field 'last_n': not a number >= 0"},
+        OutOfRangeCase{"partition_index", RequestError,
+                       kShardMine + "\"partition\":{\"index\":4294967296,"
+                                    "\"count\":4294967297}}",
+                       "op 'shard_query': field 'partition.index': missing "
+                       "or not a number >= 0"},
+        OutOfRangeCase{"partition_count", RequestError,
+                       kShardMine + "\"partition\":{\"index\":0,"
+                                    "\"count\":4294967297}}",
+                       "op 'shard_query': field 'partition.count': missing "
+                       "or not a number >= 1"},
+        OutOfRangeCase{"itemset_support", QueryReplyError,
+                       "{\"ok\":true,\"itemsets\":[{\"items\":[1],"
+                       "\"support\":4294967296}]}",
+                       "peer response: malformed 'itemsets' entry"},
+        OutOfRangeCase{"candidate_support", ShardMineReplyError,
+                       "{\"ok\":true,\"candidates\":[{\"items\":[1],"
+                       "\"support\":-1}]}",
+                       "peer response: malformed 'candidates' entry"},
+        OutOfRangeCase{"rule_support", QueryReplyError,
+                       "{\"ok\":true,\"rules\":[{\"antecedent\":[1],"
+                       "\"consequent\":[2],\"support\":1e10,"
+                       "\"confidence\":0.5,\"lift\":1}]}",
+                       "peer response: malformed 'rules' entry"},
+        OutOfRangeCase{"counts", ShardCountReplyError,
+                       "{\"ok\":true,\"counts\":[2,4294967296]}",
+                       "peer response: 'counts' entries must be numbers "
+                       ">= 0"},
+        OutOfRangeCase{"query_id", QueryReplyError,
+                       "{\"ok\":true,\"query_id\":-5}",
+                       "peer response: 'query_id' is not a number >= 0"},
+        OutOfRangeCase{"shards", QueryReplyError,
+                       "{\"ok\":true,\"shards\":4294967296}",
+                       "peer response: 'shards' is not a number >= 0"},
+        OutOfRangeCase{"num_results", QueryReplyError,
+                       "{\"ok\":true,\"num_results\":1e20}",
+                       "peer response: 'num_results' is not a number >= "
+                       "0"}),
+    [](const testing::TestParamInfo<OutOfRangeCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(DecodeRequestTest, IntegerFieldsKeepTheirWholeRange) {
+  // The top of each range still decodes exactly: UINT32_MAX, INT_MIN,
+  // the timeout bound, and 2^53 for the 64-bit version (doubles skip
+  // integers above it).
+  auto r = DecodeRequest(
+      "{\"op\":\"query\",\"id\":\"ds-1\",\"version\":9007199254740992,"
+      "\"min_support\":4294967295,\"priority\":-2147483648,"
+      "\"timeout_s\":31536000}");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->mine.dataset_version, 9007199254740992u);
+  EXPECT_EQ(r->mine.query.min_support, 4294967295u);
+  EXPECT_EQ(r->mine.priority, -2147483648LL);
+  EXPECT_DOUBLE_EQ(r->mine.timeout_seconds, 31536000.0);
+}
+
 TEST(DecodeRequestTest, QueryDecodesScatterFlag) {
   auto query = DecodeRequest(
       "{\"op\":\"query\",\"dataset\":\"d.dat\",\"min_support\":2,"
@@ -561,13 +654,6 @@ TEST(DecodeRequestTest, QueryDecodesScatterFlag) {
                 .status()
                 .message(),
             "op 'query': field 'scatter': not a bool");
-
-  // v1 mine has no scatter.
-  auto mine = DecodeRequest(
-      "{\"op\":\"mine\",\"dataset\":\"d.dat\",\"min_support\":2,"
-      "\"scatter\":true}");
-  ASSERT_TRUE(mine.ok()) << mine.status();
-  EXPECT_FALSE(mine->mine.scatter);
 }
 
 TEST(ClusterWireTest, CacheProbeRequestRoundTrips) {

@@ -187,6 +187,12 @@ TEST(MiningServiceTest, QueriesAreValidatedBeforeQueueing) {
   EXPECT_EQ(service.Submit(no_path).status().code(),
             StatusCode::kInvalidArgument);
 
+  // Past the bound, the nanosecond deadline used to wrap into the past.
+  MineRequest forever = Request("whatever.dat", Algorithm::kLcm, 2);
+  forever.timeout_seconds = 1e10;
+  EXPECT_EQ(service.Submit(forever).status().message(),
+            "timeout_seconds must be in [0, 31536000]");
+
   MineRequest missing =
       Request("/nonexistent/service_nope.dat", Algorithm::kLcm, 2);
   EXPECT_FALSE(service.Submit(missing).ok());

@@ -23,7 +23,6 @@ TEST(StreamingDecodeTest, OpenRequiresDatasetPath) {
   auto r = DecodeRequest("{\"op\":\"open\",\"dataset\":\"/tmp/t10.dat\"}");
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->op, ServiceRequest::Op::kOpen);
-  EXPECT_EQ(r->version, 2);
   EXPECT_EQ(r->dataset_op.path, "/tmp/t10.dat");
 
   EXPECT_EQ(DecodeErrorOf("{\"op\":\"open\"}"),
@@ -152,14 +151,15 @@ TEST(StreamingDecodeTest, QueryHandleAddressingErrors) {
             "op 'query': field 'version': not a number >= 1 or 'latest'");
 }
 
-TEST(StreamingDecodeTest, FrozenMineOpIgnoresHandleFields) {
-  // v1 "mine" predates handles: "id" is not an address there, and the
-  // path remains required.
-  auto r = DecodeRequest(
-      "{\"op\":\"mine\",\"id\":\"ds-1\",\"min_support\":2}");
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().message(),
-            "op 'mine': field 'dataset': missing or not a string");
+TEST(StreamingDecodeTest, RetiredMineOpIsUnknown) {
+  // The v1 "mine" op is gone: a request naming it, handle or not, is an
+  // unknown op like any other.
+  EXPECT_EQ(DecodeErrorOf("{\"op\":\"mine\",\"id\":\"ds-1\","
+                          "\"min_support\":2}"),
+            "request: field 'op': unknown op 'mine'");
+  EXPECT_EQ(DecodeErrorOf("{\"op\":\"mine\",\"dataset\":\"d.dat\","
+                          "\"min_support\":2}"),
+            "request: field 'op': unknown op 'mine'");
 }
 
 std::shared_ptr<const Database> TinyDb() {

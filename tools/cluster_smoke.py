@@ -100,7 +100,7 @@ def mined_fields(response):
     answered: the task, the count, and the itemset listing in emission
     order."""
     return json.dumps({"task": response.get("task"),
-                       "num_frequent": response.get("num_frequent"),
+                       "num_results": response.get("num_results"),
                        "itemsets": response.get("itemsets")})
 
 
@@ -237,8 +237,8 @@ def main(argv):
             fail(f"scatter shards = {scattered.get('shards')}, want 2")
         if itemset_set(scattered) != itemset_set(reference_q2):
             fail("scatter result set differs from the reference")
-        if scattered.get("num_frequent") != reference_q2.get("num_frequent"):
-            fail("scatter num_frequent differs from the reference")
+        if scattered.get("num_results") != reference_q2.get("num_results"):
+            fail("scatter num_results differs from the reference")
 
         # 6. A duplicate wire candidate is an error reply, not an abort.
         primary_socket = sockets[by_peer[owners[0]]]

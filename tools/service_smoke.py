@@ -6,12 +6,12 @@ Usage: service_smoke.py FPMD_BINARY FPM_CLIENT_BINARY FPM_PACK_BINARY
 Starts fpmd on a temp Unix socket with a tiny generated dataset, then
 drives it with fpm_client the way a real deployment would:
 
-  1. the same mine query three times  -> 1 miss + 2 exact cache hits
+  1. the same query three times       -> 1 miss + 2 exact cache hits
   2. the query at a higher threshold  -> a support-dominance hit
   3. a mixed-task batch (closed, maximal, top-k, one bad dataset)
      -> one tagged line per entry, the bad one ok:false, the rest
         derived cross-task from the cached frequent run
-  4. a rules query via the v2 "query" op
+  4. a rules query
   5. "metrics"                        -> the daemon's own counters
   6. live ingestion: "open" a handle, "append" a delta, re-query by
      id                               -> the parent version's cached
@@ -26,8 +26,10 @@ drives it with fpm_client the way a real deployment would:
      "metrics-text" renders a Prometheus exposition, fpm_top.py --once
      renders a dashboard against the live daemon, and the daemon's
      --query-log file holds one schema-valid line per query with the
-     query_ids the v2 responses echoed
-  9. "shutdown"                       -> clean exit
+     query_ids the responses echoed
+  9. the retired v1 "mine" op on a raw connection -> INVALID_ARGUMENT
+     "unknown op 'mine'", and the same connection still answers a ping
+ 10. "shutdown"                       -> clean exit
 
 and asserts, from the responses AND the daemon's metrics, that the
 repeated and dominated queries were served from the cache without
@@ -43,6 +45,7 @@ Standard library only — runs on any CI python3.
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -96,7 +99,7 @@ def main(argv):
             fail(f"ping got {ping}")
 
         # 1. Repeated identical query: miss, then exact hits.
-        repeated = run_client(client, socket_path, "mine", dataset, "2",
+        repeated = run_client(client, socket_path, "query", dataset, "2",
                               "--repeat=3")
         outcomes = [r.get("cache") for r in repeated]
         if outcomes != ["miss", "hit", "hit"]:
@@ -106,11 +109,11 @@ def main(argv):
             fail("repeated responses returned different itemsets")
 
         # 2. Higher threshold: answered by dominance, not re-mined.
-        dominated = run_client(client, socket_path, "mine", dataset, "3")
+        dominated = run_client(client, socket_path, "query", dataset, "3")
         if dominated[0].get("cache") != "dominated":
             fail(f"higher-threshold query got cache="
                  f"{dominated[0].get('cache')}, want 'dominated'")
-        if dominated[0]["num_frequent"] >= repeated[0]["num_frequent"]:
+        if dominated[0]["num_results"] >= repeated[0]["num_results"]:
             fail("raising the threshold did not shrink the answer")
 
         # 3. A mixed-task batch: one tagged response line per entry,
@@ -152,7 +155,7 @@ def main(argv):
             fail(f"top-k returned {by_id[2].get('num_results')} results, "
                  "want exactly k=3")
 
-        # 4. Rules as a first-class verb over the v2 query op.
+        # 4. Rules as a first-class verb over the query op.
         rules = run_client(client, socket_path, "query", dataset, "2",
                            "--task=rules", "--min-confidence=0.5")[0]
         if not rules.get("ok") or rules.get("task") != "rules":
@@ -258,17 +261,18 @@ def main(argv):
             fail(f"packed-path query got cache={packed_hit.get('cache')}, "
                  "want 'hit' (shared digest with the FIMI-backed entry)")
 
-        # 8. Observability. Every successful v2 response carried a
-        # unique non-zero query_id; collect them to cross-check against
-        # the query log. (Error lines carry the batch id, not a
-        # query_id — the rejection still lands in the log below.)
+        # 8. Observability. Every successful response carried a unique
+        # non-zero query_id; collect them to cross-check against the
+        # query log. (Error lines carry the batch id, not a query_id —
+        # the rejection still lands in the log below.)
         echoed = {}  # query_id -> cache outcome from the response
-        for r in batch + [rules, reseeded, packed_hit]:
+        for r in repeated + dominated + batch + [rules, reseeded,
+                                                 packed_hit]:
             if r.get("ok") is not True:
                 continue
             qid = r.get("query_id")
             if not qid:
-                fail(f"v2 response missing query_id: {r}")
+                fail(f"response missing query_id: {r}")
             if qid in echoed:
                 fail(f"duplicate query_id {qid} across responses")
             echoed[qid] = r.get("cache")
@@ -349,7 +353,25 @@ def main(argv):
         if len([e for e in logged if e.get("status") == "rejected"]) != 1:
             fail("the bad-dataset batch entry was not logged as rejected")
 
-        # 9. Clean shutdown.
+        # 9. The retired v1 "mine" op is an unknown op like any other:
+        # one error line, and the connection keeps serving.
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(30)
+            raw.connect(socket_path)
+            with raw.makefile("r", encoding="utf-8") as reader:
+                raw.sendall((json.dumps({"op": "mine", "dataset": dataset,
+                                         "min_support": 2}) + "\n").encode())
+                mine = json.loads(reader.readline())
+                want = {"code": "INVALID_ARGUMENT",
+                        "message": "request: field 'op': unknown op 'mine'"}
+                if mine.get("ok") is not False or mine.get("error") != want:
+                    fail(f"v1 mine op got {mine}, want ok:false with {want}")
+                raw.sendall(b'{"op":"ping"}\n')
+                pong = json.loads(reader.readline())
+                if pong != {"ok": True}:
+                    fail(f"ping after the mine op got {pong}")
+
+        # 10. Clean shutdown.
         run_client(client, socket_path, "shutdown")
         if daemon.wait(timeout=30) != 0:
             fail(f"fpmd exited {daemon.returncode} after shutdown")
@@ -361,7 +383,7 @@ def main(argv):
     print("service smoke: OK (miss -> 2 hits, 1 dominated, "
           "mixed batch derived cross-task, append reseeded, "
           "packed open hit the shared cache, stats drained, "
-          "query log validated, clean shutdown)")
+          "query log validated, mine op unknown, clean shutdown)")
     return 0
 
 

@@ -16,13 +16,10 @@ tag must also label its build time: "build_time" is "wall" on
 (any row carrying "qps", as written by bench_service_throughput) must
 also carry clients, p50_ms and p99_ms, with qps > 0, clients >= 1 and
 p99_ms >= p50_ms. Rows tagged with "task" (the mixed-task service
-sections) must name one of the five mining tasks. Incremental-ingest
-rows (any row carrying "delta_frac", as written by
-bench_incremental_ingest) must carry a boolean "rebuild" flag plus
-incremental_ms/rebuild_ms/ratio, with delta_frac in (0, 1].
-Out-of-core rows (any row carrying "storage", as written by
-bench_out_of_core) must tag storage as packed|memory and stage as
-cold|warm, with non-negative load_ms/mine_ms/total_ms. Cluster
+sections) must name one of the five mining tasks. Out-of-core rows
+(any row carrying "storage", as written by bench_out_of_core) must tag
+storage as packed|memory and stage as cold|warm, with non-negative
+load_ms/mine_ms/total_ms. Cluster
 fan-out rows (any row carrying "shards", as written by
 bench_cluster_fanout) must carry the two SON phase timings plus the
 candidate and result counts, with shards >= 1. Exits nonzero with one
@@ -77,10 +74,6 @@ BUILD_TIME_BY_DRIVER = {"seq": "wall", "nested": "task_sum"}
 # carry alongside it.
 SERVICE_ROW_KEYS = ("clients", "p50_ms", "p99_ms")
 
-# Timing fields every incremental-ingest row (tagged by "delta_frac")
-# must carry alongside it.
-INGEST_ROW_KEYS = ("incremental_ms", "rebuild_ms", "ratio")
-
 # Timing fields every out-of-core row (tagged by "storage") must carry.
 OUT_OF_CORE_ROW_KEYS = ("load_ms", "mine_ms", "total_ms")
 
@@ -119,27 +112,6 @@ def check_service_row(row, i, err):
         err(f"rows[{i}] clients {row['clients']} < 1")
     if row["p99_ms"] < row["p50_ms"]:
         err(f"rows[{i}] p99_ms {row['p99_ms']} < p50_ms {row['p50_ms']}")
-
-
-def check_ingest_row(row, i, err):
-    """A row with "delta_frac" is an incremental-ingest measurement: it
-    needs the rebuild flag and both timings, and the fraction must be a
-    real fraction of the stream."""
-    frac = row["delta_frac"]
-    if not isinstance(frac, (int, float)) or isinstance(frac, bool):
-        err(f"rows[{i}] 'delta_frac' is not a number")
-    elif not 0 < frac <= 1:
-        err(f"rows[{i}] delta_frac {frac} not in (0, 1]")
-    if not isinstance(row.get("rebuild"), bool):
-        err(f"rows[{i}] has 'delta_frac' but 'rebuild' missing or "
-            "not a bool")
-    for key in INGEST_ROW_KEYS:
-        v = row.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            err(f"rows[{i}] has 'delta_frac' but '{key}' missing or "
-                "not a number")
-        elif v < 0:
-            err(f"rows[{i}] {key} {v} < 0")
 
 
 def check_out_of_core_row(row, i, err):
@@ -250,8 +222,6 @@ def check(path):
             continue
         if "qps" in row:
             check_service_row(row, i, err)
-        if "delta_frac" in row:
-            check_ingest_row(row, i, err)
         if "storage" in row:
             check_out_of_core_row(row, i, err)
         if "shards" in row:

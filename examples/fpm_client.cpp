@@ -59,7 +59,6 @@
 // daemon's result cache. Exit code: 0 when every response has
 // "ok":true, 1 otherwise.
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -67,10 +66,12 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fpm/cluster/endpoint.h"
 #include "fpm/service/json.h"
+#include "fpm/service/line_io.h"
 
 namespace {
 
@@ -148,33 +149,6 @@ bool ReadFimiTransactions(const std::string& path, JsonValue* out) {
     return false;
   }
   return true;
-}
-
-bool SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Reads one newline-terminated response into `line` (newline stripped).
-bool RecvLine(int fd, std::string* buffer, std::string* line) {
-  while (true) {
-    const size_t newline = buffer->find('\n');
-    if (newline != std::string::npos) {
-      *line = buffer->substr(0, newline);
-      buffer->erase(0, newline + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return false;
-    buffer->append(chunk, static_cast<size_t>(n));
-  }
 }
 
 /// Prints a response line; returns its "ok" verdict (metrics snapshots
@@ -411,22 +385,27 @@ int main(int argc, char** argv) {
   }
   const int fd = dialed.value();
 
-  const std::string line = request.Dump() + "\n";
-  std::string buffer;
+  const std::string line = request.Dump();
+  fpm::LineReader reader(fd);
   bool all_ok = true;
   for (long i = 0; i < repeat; ++i) {
-    if (!SendAll(fd, line)) {
+    if (!fpm::WriteLine(fd, line).ok()) {
       std::fprintf(stderr, "send failed\n");
       ::close(fd);
       return 1;
     }
     for (size_t r = 0; r < expected_responses; ++r) {
-      std::string response;
-      if (!RecvLine(fd, &buffer, &response)) {
-        std::fprintf(stderr, "connection closed before response\n");
+      const fpm::Result<std::string_view> read = reader.ReadLine();
+      if (!read.ok()) {
+        const std::string message =
+            read.status().code() == fpm::StatusCode::kResourceExhausted
+                ? fpm::LineTooLong("reply").message()
+                : "connection closed before response";
+        std::fprintf(stderr, "%s\n", message.c_str());
         ::close(fd);
         return 1;
       }
+      const std::string response(read.value());
       if (op == "metrics-text" && !json_output) {
         // Unwrap the exposition text so the output pipes straight into
         // a Prometheus textfile collector.

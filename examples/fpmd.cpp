@@ -25,11 +25,14 @@
 //     --peer-deadline-s=X    forwarded-query deadline (default 30)
 //     --probe-deadline-s=X   cache_probe deadline (default 1)
 //
-// One thread per connection; requests on a connection are answered in
-// order. A client that disconnects mid-query cancels its in-flight job:
-// the connection thread polls the socket while waiting and calls
-// MineJob::Cancel() when the peer goes away, so an abandoned expensive
-// query stops burning pool workers within one kernel frame.
+// One thread per connection, joined when it ends; requests on a
+// connection are answered in order. A client that disconnects mid-query
+// cancels its in-flight job: the connection thread polls the socket
+// while waiting and calls MineJob::Cancel() when the peer goes away, so
+// an abandoned expensive query stops burning pool workers within one
+// kernel frame. A request line longer than kMaxLineBytes (256 MiB,
+// fpm/service/line_io.h) is answered with RESOURCE_EXHAUSTED and closes
+// that connection only.
 //
 // Talk to it with examples/fpm_client.cpp, or by hand:
 //   printf '{"op":"ping"}\n' | nc -U /tmp/fpmd.sock
@@ -47,9 +50,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <list>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -60,6 +65,7 @@
 #include "fpm/obs/metrics.h"
 #include "fpm/obs/prometheus.h"
 #include "fpm/obs/query_log.h"
+#include "fpm/service/line_io.h"
 #include "fpm/service/protocol.h"
 #include "fpm/service/result_cache.h"
 #include "fpm/service/service.h"
@@ -78,18 +84,6 @@ int Usage(const char* argv0) {
                "[--probe-deadline-s=X]]\n",
                argv0);
   return 2;
-}
-
-bool SendLine(int fd, std::string line) {
-  line.push_back('\n');
-  size_t sent = 0;
-  while (sent < line.size()) {
-    const ssize_t n = ::send(fd, line.data() + sent, line.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 /// True when the peer has closed: a zero-byte read on a nonblocking
@@ -191,7 +185,7 @@ bool HandleBatch(MiningService& service,
   for (uint64_t i = 0; i < batch.size(); ++i) {
     const ServiceRequest::BatchEntry& entry = batch[i];
     if (!entry.status.ok()) {
-      if (!SendLine(fd, EncodeErrorWithId(i, entry.status))) {
+      if (!WriteLine(fd, EncodeErrorWithId(i, entry.status)).ok()) {
         cancel_all();
         return false;
       }
@@ -200,7 +194,7 @@ bool HandleBatch(MiningService& service,
     Result<std::shared_ptr<MineJob>> submitted =
         service.Submit(entry.request);
     if (!submitted.ok()) {
-      if (!SendLine(fd, EncodeErrorWithId(i, submitted.status()))) {
+      if (!WriteLine(fd, EncodeErrorWithId(i, submitted.status())).ok()) {
         cancel_all();
         return false;
       }
@@ -217,7 +211,7 @@ bool HandleBatch(MiningService& service,
             response.ok()
                 ? EncodeQueryResponseWithId(it->id, response.value())
                 : EncodeErrorWithId(it->id, response.status());
-        if (!SendLine(fd, std::move(line))) {
+        if (!WriteLine(fd, line).ok()) {
           it = pending.erase(it);
           cancel_all();
           return false;
@@ -406,20 +400,17 @@ std::string HandleQuery(ServerState* state, const MineRequest& request,
   return EncodeError(result.status());
 }
 
+/// Answers the requests of one connection in order until the client
+/// closes, fpmd shuts down, or a request line exceeds kMaxLineBytes —
+/// that one gets a RESOURCE_EXHAUSTED reply before the close.
 void ServeConnection(ServerState* state, int fd) {
-  std::string buffer;
-  char chunk[4096];
-  while (!state->shutdown.load(std::memory_order_relaxed)) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
+  LineReader reader(fd);
+  while (true) {
+    std::string_view line;
+    while (reader.Next(&line)) {
       if (line.empty()) continue;
 
-      Result<ServiceRequest> request = DecodeRequest(line);
+      Result<ServiceRequest> request = DecodeRequest(std::string(line));
       std::string reply;
       bool shutdown_after = false;
       if (!request.ok()) {
@@ -478,7 +469,7 @@ void ServeConnection(ServerState* state, int fd) {
             continue;
         }
       }
-      if (!SendLine(fd, std::move(reply))) {
+      if (!WriteLine(fd, reply).ok()) {
         ::close(fd);
         return;
       }
@@ -492,6 +483,15 @@ void ServeConnection(ServerState* state, int fd) {
         ::close(fd);
         return;
       }
+    }
+    if (state->shutdown.load(std::memory_order_relaxed)) break;
+    const Status filled = reader.Fill();
+    if (!filled.ok()) {
+      if (filled.code() == StatusCode::kResourceExhausted) {
+        // Best effort: the connection closes either way.
+        WriteLine(fd, EncodeError(LineTooLong("request: line")));
+      }
+      break;
     }
   }
   ::close(fd);
@@ -698,8 +698,33 @@ int main(int argc, char** argv) {
   // Accept loop over both listeners (the TCP one exists only in cluster
   // mode). Each connection gets its own thread, so a node can serve a
   // peer's sub-query while one of its own connections waits on that
-  // peer — no distributed lock-step.
-  std::vector<std::thread> connections;
+  // peer — no distributed lock-step. A thread is joined at the first
+  // wakeup after its connection ends, so the daemon holds threads only
+  // for open connections; the rest are joined before exit.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
+  const auto join_finished = [&connections] {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = connections.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
+  // Only the shutdown op ends the loop (it sets the flag, then shuts
+  // the listeners down). Any other poll or accept failure, such as
+  // running out of file descriptors, passes once connections close, so
+  // the loop backs off instead of spinning and keeps accepting.
+  const auto back_off = [&state] {
+    if (!state.shutdown.load(std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
   bool served_once = false;
   while (!state.shutdown.load(std::memory_order_relaxed) && !served_once) {
     pollfd fds[2];
@@ -709,27 +734,31 @@ int main(int argc, char** argv) {
       fds[1] = pollfd{state.tcp_listen_fd, POLLIN, 0};
       nfds = 2;
     }
-    const int ready = ::poll(fds, nfds, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
+    if (::poll(fds, nfds, -1) < 0) {
+      back_off();
+      continue;
     }
+    join_finished();
     for (nfds_t i = 0; i < nfds; ++i) {
       if (fds[i].revents == 0) continue;
       const int fd = ::accept(fds[i].fd, nullptr, nullptr);
       if (fd < 0) {
-        served_once = true;  // listener shut down; leave both loops
-        break;
+        back_off();
+        continue;
       }
       if (once) {
         ServeConnection(&state, fd);
         served_once = true;
         break;
       }
-      connections.emplace_back(ServeConnection, &state, fd);
+      Connection& connection = connections.emplace_back();
+      connection.thread = std::thread([&state, &connection, fd] {
+        ServeConnection(&state, fd);
+        connection.done.store(true, std::memory_order_release);
+      });
     }
   }
-  for (std::thread& t : connections) t.join();
+  for (Connection& connection : connections) connection.thread.join();
   ::close(listen_fd);
   if (state.tcp_listen_fd >= 0) ::close(state.tcp_listen_fd);
   ::unlink(socket_path.c_str());

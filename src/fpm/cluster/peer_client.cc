@@ -1,12 +1,14 @@
 #include "fpm/cluster/peer_client.h"
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string_view>
+
+#include "fpm/service/line_io.h"
 
 namespace fpm {
 
@@ -50,37 +52,23 @@ Result<std::string> PeerClient::Call(const Endpoint& endpoint,
   if (connect_budget <= 0.0) return deadline_status();
   FPM_ASSIGN_OR_RETURN(const int fd, DialEndpoint(endpoint, connect_budget));
 
-  std::string request = line;
-  request.push_back('\n');
-  size_t sent = 0;
-  while (sent < request.size()) {
-    if (expired()) {
-      ::close(fd);
-      return deadline_status();
-    }
-    if (abort && abort()) {
-      ::close(fd);
-      return cancelled_status();
-    }
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      const int err = errno;
-      ::close(fd);
-      return PeerError(endpoint, std::string("send: ") + std::strerror(err));
-    }
-    sent += static_cast<size_t>(n);
+  if (expired()) {
+    ::close(fd);
+    return deadline_status();
+  }
+  if (abort && abort()) {
+    ::close(fd);
+    return cancelled_status();
+  }
+  const Status sent = WriteLine(fd, line);
+  if (!sent.ok()) {
+    ::close(fd);
+    return PeerError(endpoint, sent.message());
   }
 
-  std::string buffer;
-  char chunk[4096];
-  while (true) {
-    const size_t newline = buffer.find('\n');
-    if (newline != std::string::npos) {
-      ::close(fd);
-      buffer.resize(newline);
-      return buffer;
-    }
+  LineReader reader(fd);
+  std::string_view reply;
+  while (!reader.Next(&reply)) {
     if (expired()) {
       ::close(fd);
       return deadline_status();
@@ -97,18 +85,22 @@ Result<std::string> PeerClient::Call(const Endpoint& endpoint,
       return PeerError(endpoint, std::string("poll: ") + std::strerror(err));
     }
     if (ready == 0) continue;  // tick: re-check abort/deadline
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) {
+    const Status filled = reader.Fill();
+    if (!filled.ok()) {
       ::close(fd);
-      return PeerError(endpoint, "connection closed before response");
+      switch (filled.code()) {
+        case StatusCode::kResourceExhausted:
+          return LineTooLong("peer " + endpoint.ToString() + ": reply");
+        case StatusCode::kUnavailable:
+          return PeerError(endpoint, "connection closed before response");
+        default:
+          return PeerError(endpoint, filled.message());
+      }
     }
-    if (n < 0) {
-      const int err = errno;
-      ::close(fd);
-      return PeerError(endpoint, std::string("recv: ") + std::strerror(err));
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
   }
+  std::string result(reply);
+  ::close(fd);
+  return result;
 }
 
 }  // namespace fpm

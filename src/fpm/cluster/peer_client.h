@@ -14,6 +14,13 @@
 //       upstream client abandoning a query stops the whole fan-out
 //       within one kernel frame on every node it touched.
 //
+// Framing is fpm/service/line_io.h's, the same reader and writer fpmd
+// uses: the request goes out in one gathered write, and the reply is
+// searched for its newline once per received byte. A reply that grows
+// past kMaxLineBytes (256 MiB) without a newline fails the call with
+// RESOURCE_EXHAUSTED "peer H:P: reply exceeds 268435456 bytes" and
+// closes the connection; the rest of the reply is never read.
+//
 // Connection-per-call keeps failure containment trivial (a wedged peer
 // can never corrupt a shared connection's framing); at cluster fan-out
 // rates the extra local connect is noise next to mining. Pooled
@@ -37,7 +44,9 @@ class PeerClient {
 
   /// Sends `line` (newline appended) to `endpoint` and returns the
   /// response line (newline stripped). `deadline_seconds` <= 0 means
-  /// no deadline (the abort hook is then the only bound).
+  /// no deadline (the abort hook is then the only bound). A transport
+  /// failure is UNAVAILABLE "peer H:P: ..."; an over-long reply is
+  /// RESOURCE_EXHAUSTED (see the header comment).
   static Result<std::string> Call(const Endpoint& endpoint,
                                   const std::string& line,
                                   double deadline_seconds,

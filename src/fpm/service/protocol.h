@@ -3,6 +3,19 @@
 // object per line, in request order — except "batch", which streams one
 // tagged line per query in completion order.
 //
+// Framing: each request and each response is one JSON object on one
+// '\n'-terminated line of at most kMaxLineBytes (256 MiB) before the
+// newline; fpm/service/line_io.h is the only reader and writer of it.
+// fpmd skips empty lines. A longer line is refused as soon as more than
+// kMaxLineBytes bytes have arrived without a newline:
+//   fpmd (request)         replies {"error":{"code":"RESOURCE_EXHAUSTED",
+//       "message":"request: line exceeds 268435456 bytes"},"ok":false}
+//       and closes that connection; its other connections are served on.
+//   PeerClient (reply)     fails the call with RESOURCE_EXHAUSTED
+//       "peer H:P: reply exceeds 268435456 bytes" and closes.
+//   fpm_client (reply)     prints "reply exceeds 268435456 bytes" and
+//       exits 1.
+//
 // Protocol v2 requests:
 //   {"op":"ping"}
 //   {"op":"metrics"}                       -> the metrics snapshot

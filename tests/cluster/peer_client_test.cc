@@ -1,7 +1,8 @@
 // The real PeerClient and the ClusterMembership pinger against a local
 // TCP listener: reply framing across many small writes, a peer that
-// hangs up early, a silent peer and the deadline, the abort hook, and
-// the pinger's Start()/Stop() lifecycle with the default ping.
+// hangs up early, a reply over the line bound, a silent peer and the
+// deadline, the abort hook, and the pinger's Start()/Stop() lifecycle
+// with the default ping.
 
 #include "fpm/cluster/peer_client.h"
 
@@ -21,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "fpm/cluster/membership.h"
+#include "fpm/service/line_io.h"
 
 namespace fpm {
 namespace {
@@ -154,6 +156,32 @@ TEST(PeerClientTest, PeerClosingBeforeTheNewlineIsUnavailable) {
   EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(got.status().message(),
             "peer " + listener.spec() + ": connection closed before response");
+}
+
+TEST(PeerClientTest, ReplyOverTheBoundIsResourceExhaustedAndCloses) {
+  Listener listener;
+  bool peer_saw_close = false;
+  std::thread peer([&] {
+    const int fd = listener.Accept();
+    if (fd < 0) return;
+    ReadLine(fd);
+    // One byte past kMaxLineBytes and no newline.
+    const std::string block(size_t{1} << 20, 'x');
+    for (size_t sent = 0; sent < kMaxLineBytes; sent += block.size()) {
+      SendAll(fd, block);
+    }
+    SendAll(fd, "x");
+    peer_saw_close = SeesClose(fd);
+    ::close(fd);
+  });
+  const Result<std::string> got =
+      PeerClient::Call(listener.endpoint(), "{\"op\":\"ping\"}", 60.0);
+  peer.join();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(got.status().message(),
+            "peer " + listener.spec() + ": reply exceeds 268435456 bytes");
+  EXPECT_TRUE(peer_saw_close);
 }
 
 TEST(PeerClientTest, SilentPeerHitsTheDeadline) {

@@ -29,7 +29,20 @@ drives it with fpm_client the way a real deployment would:
      query_ids the responses echoed
   9. the retired v1 "mine" op on a raw connection -> INVALID_ARGUMENT
      "unknown op 'mine'", and the same connection still answers a ping
- 10. "shutdown"                       -> clean exit
+ 10. a request line of kMaxLineBytes + 1 bytes with no newline -> the
+     exact RESOURCE_EXHAUSTED line, then a close; a connection opened
+     before it and a new one both still answer pings
+ 11. "shutdown"                       -> clean exit
+ 12. connection churn, on a second fpmd: 5,000 sequential ping
+     connections grow its /proc/PID/maps by fewer than 100 lines and
+     its VmRSS by less than 16 MB (each connection's thread is joined
+     when it ends)
+ 13. out of file descriptors, on a third fpmd limited to 64 fds: idle
+     connections until a connect stalls; once they close, it answers a
+     ping (a failed accept() is not a shutdown)
+ 14. a stand-in daemon answering with kMaxLineBytes + 1 bytes and no
+     newline -> fpm_client prints "reply exceeds 268435456 bytes" and
+     exits 1
 
 and asserts, from the responses AND the daemon's metrics, that the
 repeated and dominated queries were served from the cache without
@@ -45,10 +58,12 @@ Standard library only — runs on any CI python3.
 
 import json
 import os
+import resource
 import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 
@@ -63,6 +78,206 @@ def run_client(client, socket_path, *args, allow_fail=False):
     if proc.returncode != 0 and not allow_fail:
         fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     return [json.loads(line) for line in proc.stdout.splitlines() if line]
+
+
+# The line bound of fpm/service/line_io.h.
+MAX_LINE_BYTES = 256 << 20
+
+
+def wait_for_socket(daemon, socket_path):
+    for _ in range(100):
+        if os.path.exists(socket_path):
+            return
+        if daemon.poll() is not None:
+            fail(f"fpmd exited early:\n{daemon.stderr.read()}")
+        time.sleep(0.05)
+    fail("fpmd never created its socket")
+
+
+def read_to_close(sock):
+    """Every byte the peer sends until it closes the connection."""
+    data = b""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+
+
+def connect_or_stall(socket_path, stall_seconds):
+    """A connected socket, or None once connects have failed for
+    stall_seconds because the listen backlog is full."""
+    give_up = time.monotonic() + stall_seconds
+    while True:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(30)
+        try:
+            sock.connect(socket_path)
+            return sock
+        except BlockingIOError:
+            sock.close()
+            if time.monotonic() > give_up:
+                return None
+            time.sleep(0.01)
+
+
+def ping(socket_path, backlog_wait_s=0):
+    """One ping on a new connection; the raw reply bytes. A full listen
+    backlog is retried for up to backlog_wait_s."""
+    sock = connect_or_stall(socket_path, backlog_wait_s)
+    if sock is None:
+        fail(f"the listen backlog stayed full for {backlog_wait_s} s")
+    with sock:
+        sock.sendall(b'{"op":"ping"}\n')
+        sock.shutdown(socket.SHUT_WR)
+        return read_to_close(sock)
+
+
+def maps_and_rss_kb(pid):
+    with open(f"/proc/{pid}/maps", encoding="utf-8") as f:
+        maps = sum(1 for _ in f)
+    with open(f"/proc/{pid}/status", encoding="utf-8") as f:
+        rss_kb = next(int(line.split()[1]) for line in f
+                      if line.startswith("VmRSS:"))
+    return maps, rss_kb
+
+
+def shut_down(daemon, socket_path, what):
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(socket_path)
+        sock.sendall(b'{"op":"shutdown"}\n')
+        read_to_close(sock)
+    if daemon.wait(timeout=30) != 0:
+        fail(f"{what} fpmd exited {daemon.returncode} after shutdown")
+
+
+def check_connection_churn(fpmd, tmp):
+    """Step 12: fpmd joins each connection's thread once the connection
+    ends, so thousands of short connections leave its memory where it
+    was (without the join, each kept a thread stack: 2 maps, 16 KB)."""
+    socket_path = os.path.join(tmp, "fpmd-churn.sock")
+    # ASan's quarantine holds freed memory back on purpose (256 MB by
+    # default), which would read as growth here, so this daemon runs
+    # without it. Builds without ASan ignore ASAN_OPTIONS.
+    env = dict(os.environ)
+    env["ASAN_OPTIONS"] = ":".join(
+        filter(None, [env.get("ASAN_OPTIONS"), "quarantine_size_mb=0"]))
+    daemon = subprocess.Popen(
+        [fpmd, f"--socket={socket_path}", "--threads=1"], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        wait_for_socket(daemon, socket_path)
+        ping(socket_path)
+        maps_before, rss_before = maps_and_rss_kb(daemon.pid)
+        for i in range(5000):
+            reply = ping(socket_path)
+            if reply != b'{"ok":true}\n':
+                fail(f"churn ping {i} got {reply!r}")
+        maps_after, rss_after = maps_and_rss_kb(daemon.pid)
+        if maps_after - maps_before >= 100:
+            fail(f"5000 connections grew fpmd's maps from {maps_before} "
+                 f"to {maps_after} lines")
+        if rss_after - rss_before >= 16 * 1024:
+            fail(f"5000 connections grew fpmd's VmRSS from {rss_before} "
+                 f"to {rss_after} kB")
+        shut_down(daemon, socket_path, "churned")
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+
+def check_fd_exhaustion(fpmd, tmp):
+    """Step 13: running out of fds pauses accepting; it never ends it.
+    At 64 fds, idle connections exhaust fpmd's fds and then its listen
+    backlog; once they close, it must answer a ping."""
+    socket_path = os.path.join(tmp, "fpmd-fds.sock")
+    daemon = subprocess.Popen(
+        [fpmd, f"--socket={socket_path}", "--threads=1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_NOFILE,
+                                              (64, 64)))
+    idle = []
+    try:
+        wait_for_socket(daemon, socket_path)
+        # One connection served end to end first. UBSan's vptr check
+        # probes memory through a pipe() the first time it meets a type;
+        # with no fd free that probe fails and it reports the thread
+        # state fpmd destroys as having an invalid vptr.
+        if ping(socket_path) != b'{"ok":true}\n':
+            fail("fd-limited fpmd did not answer its first ping")
+        # Idle connections use up fpmd's fds, then fill the listen
+        # backlog. A backlog full for a moment drains while fpmd
+        # accepts, so only a connect failing for a second is a stall.
+        while len(idle) < 1000:
+            sock = connect_or_stall(socket_path, stall_seconds=1)
+            if sock is None:
+                break
+            idle.append(sock)
+        else:
+            fail("1000 idle connections and no connect stalled")
+        if len(idle) <= 64:
+            fail(f"a connect stalled after {len(idle)} connections, "
+                 "before fpmd could have run out of its 64 fds")
+        for sock in idle:
+            sock.close()
+        idle = []
+        # The closed connections hold the backlog until fpmd accepts
+        # them, so the ping may wait for it to drain.
+        try:
+            reply = ping(socket_path, backlog_wait_s=30)
+        except OSError as e:
+            fail(f"fpmd stopped serving after running out of fds: {e}")
+        if reply != b'{"ok":true}\n':
+            fail(f"ping after running out of fds got {reply!r}")
+        if daemon.poll() is not None:
+            fail(f"fpmd exited {daemon.returncode} after running out of fds")
+        shut_down(daemon, socket_path, "fd-limited")
+    finally:
+        for sock in idle:
+            sock.close()
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+
+def check_client_refuses_long_reply(client, tmp):
+    """Step 14: fpm_client gives up on a reply past the line bound."""
+    socket_path = os.path.join(tmp, "stand-in.sock")
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+        listener.bind(socket_path)
+        listener.listen(1)
+        listener.settimeout(30)
+
+        def serve():
+            try:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(120)
+                    conn.recv(4096)
+                    block = b"x" * (1 << 20)
+                    for _ in range(MAX_LINE_BYTES // len(block)):
+                        conn.sendall(block)
+                    conn.sendall(b"x")
+                    read_to_close(conn)
+            except OSError:
+                pass  # the client hung up first: it fails the check below
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            proc = subprocess.run([client, f"--socket={socket_path}", "ping"],
+                                  capture_output=True, text=True,
+                                  timeout=120)
+        except subprocess.TimeoutExpired:
+            fail("fpm_client took over 120 s on a 256 MiB reply")
+        finally:
+            server.join()
+    if proc.returncode != 1 or \
+            proc.stderr.strip() != "reply exceeds 268435456 bytes":
+        fail(f"fpm_client on an over-long reply exited {proc.returncode} "
+             f"with stderr {proc.stderr.strip()!r}")
 
 
 def main(argv):
@@ -85,18 +300,11 @@ def main(argv):
          f"--query-log={query_log}"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
-        for _ in range(100):
-            if os.path.exists(socket_path):
-                break
-            if daemon.poll() is not None:
-                fail(f"fpmd exited early:\n{daemon.stderr.read()}")
-            time.sleep(0.05)
-        else:
-            fail("fpmd never created its socket")
+        wait_for_socket(daemon, socket_path)
 
-        ping = run_client(client, socket_path, "ping")
-        if ping != [{"ok": True}]:
-            fail(f"ping got {ping}")
+        pong = run_client(client, socket_path, "ping")
+        if pong != [{"ok": True}]:
+            fail(f"ping got {pong}")
 
         # 1. Repeated identical query: miss, then exact hits.
         repeated = run_client(client, socket_path, "query", dataset, "2",
@@ -371,7 +579,40 @@ def main(argv):
                 if pong != {"ok": True}:
                     fail(f"ping after the mine op got {pong}")
 
-        # 10. Clean shutdown.
+        # 10. An over-long request line: one RESOURCE_EXHAUSTED line and
+        # a close for that connection only. The reply comes as soon as
+        # the bound is crossed, without a newline or a close from us.
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as other:
+            other.settimeout(30)
+            other.connect(socket_path)
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(60)
+                raw.connect(socket_path)
+                block = b"x" * (1 << 20)
+                give_up = time.monotonic() + 60
+                for _ in range(MAX_LINE_BYTES // len(block)):
+                    raw.sendall(block)
+                    if time.monotonic() > give_up:
+                        fail("fpmd took over 60 s to read 256 MiB")
+                raw.sendall(b"x")
+                try:
+                    reply = read_to_close(raw)
+                except OSError as e:
+                    fail(f"over-long request: no reply and close: {e}")
+            # Byte for byte, in the key order of every error envelope.
+            want = (b'{"error":{"code":"RESOURCE_EXHAUSTED","message":'
+                    b'"request: line exceeds 268435456 bytes"},"ok":false}\n')
+            if reply != want:
+                fail(f"over-long request got {reply[:200]!r}, want {want!r}")
+            other.sendall(b'{"op":"ping"}\n')
+            other.shutdown(socket.SHUT_WR)
+            if read_to_close(other) != b'{"ok":true}\n':
+                fail("an open connection stopped serving after another "
+                     "sent an over-long line")
+        if ping(socket_path) != b'{"ok":true}\n':
+            fail("a new connection got no pong after an over-long line")
+
+        # 11. Clean shutdown.
         run_client(client, socket_path, "shutdown")
         if daemon.wait(timeout=30) != 0:
             fail(f"fpmd exited {daemon.returncode} after shutdown")
@@ -380,10 +621,20 @@ def main(argv):
             daemon.kill()
             daemon.wait()
 
+    # 12-13. Connection churn and running out of file descriptors, each
+    # on a daemon of its own.
+    check_connection_churn(fpmd, tmp)
+    check_fd_exhaustion(fpmd, tmp)
+    # 14. The client side of the line bound.
+    check_client_refuses_long_reply(client, tmp)
+
     print("service smoke: OK (miss -> 2 hits, 1 dominated, "
           "mixed batch derived cross-task, append reseeded, "
           "packed open hit the shared cache, stats drained, "
-          "query log validated, mine op unknown, clean shutdown)")
+          "query log validated, mine op unknown, over-long line "
+          "refused, clean shutdown, 5000 connections joined, "
+          "serving again after running out of fds, over-long reply "
+          "refused by fpm_client)")
     return 0
 
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "fpm/common/json_writer.h"
 #include "fpm/obs/trace.h"
 #include "fpm/perf/perf_counters.h"
 #include "fpm/perf/perf_sampler.h"
@@ -11,21 +12,6 @@
 
 namespace fpm::bench {
 namespace {
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out->append(buf);
-      continue;
-    }
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
 
 void AppendNumber(std::string* out, double value) {
   char buf[32];

@@ -70,12 +70,11 @@
 #include <vector>
 
 #include "fpm/cluster/endpoint.h"
+#include "fpm/common/json_writer.h"
 #include "fpm/service/json.h"
 #include "fpm/service/line_io.h"
 
 namespace {
-
-using fpm::JsonValue;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -112,20 +111,21 @@ bool IsHandleRef(const std::string& s) {
   return true;
 }
 
-/// Parses a FIMI transaction file into a JSON array of item arrays.
+/// Writes a FIMI transaction file as a JSON array of item arrays.
 /// Returns false (with a message on stderr) on unreadable file, a
 /// non-numeric token, or zero transactions.
-bool ReadFimiTransactions(const std::string& path, JsonValue* out) {
+bool WriteFimiTransactions(const std::string& path, fpm::JsonWriter& w) {
   std::ifstream file(path);
   if (!file) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return false;
   }
-  *out = JsonValue::Array();
+  w.BeginArray();
   std::string line;
+  std::vector<long> txn;
   size_t count = 0;
   while (std::getline(file, line)) {
-    JsonValue txn = JsonValue::Array();
+    txn.clear();
     const char* p = line.c_str();
     while (*p != '\0') {
       while (*p == ' ' || *p == '\t' || *p == '\r') ++p;
@@ -137,13 +137,16 @@ bool ReadFimiTransactions(const std::string& path, JsonValue* out) {
                      line.c_str());
         return false;
       }
-      txn.Append(JsonValue::Int(item));
+      txn.push_back(item);
       p = end;
     }
-    if (txn.array_items().empty()) continue;
-    out->Append(std::move(txn));
+    if (txn.empty()) continue;
+    w.BeginArray();
+    for (long item : txn) w.Int(item);
+    w.EndArray();
     ++count;
   }
+  w.EndArray();
   if (count == 0) {
     std::fprintf(stderr, "%s: no transactions\n", path.c_str());
     return false;
@@ -266,58 +269,55 @@ int main(int argc, char** argv) {
   }
 
   size_t expected_responses = 1;
-  JsonValue request = JsonValue::Object();
   // The wire op names: "dataset-info" -> "dataset_info",
   // "metrics-text" -> "metrics_text" (CLI spelling uses dashes).
   std::string wire_op = op;
   if (op == "dataset-info") wire_op = "dataset_info";
   if (op == "metrics-text") wire_op = "metrics_text";
   if (op == "cluster-info") wire_op = "cluster_info";
-  request.Set("op", JsonValue::Str(wire_op));
+  // Keys go out in ascending order, like every encoder's.
+  std::string line;
+  fpm::JsonWriter request(&line);
+  request.BeginObject();
   if (is_query) {
-    if (IsHandleRef(dataset)) {
-      request.Set("id", JsonValue::Str(dataset));
-      if (version > 0) request.Set("version", JsonValue::Int(version));
-    } else {
-      request.Set("dataset", JsonValue::Str(dataset));
-    }
-    request.Set("min_support", JsonValue::Int(min_support));
-    if (!task.empty()) request.Set("task", JsonValue::Str(task));
-    if (top_k > 0) request.Set("k", JsonValue::Int(top_k));
-    if (min_confidence >= 0.0) {
-      request.Set("min_confidence", JsonValue::Number(min_confidence));
-    }
-    if (min_lift >= 0.0) {
-      request.Set("min_lift", JsonValue::Number(min_lift));
-    }
+    const bool by_id = IsHandleRef(dataset);
+    if (!algorithm.empty()) request.Key("algorithm").String(algorithm);
+    if (count_only) request.Key("count_only").Bool(true);
+    if (!by_id) request.Key("dataset").String(dataset);
+    if (by_id) request.Key("id").String(dataset);
+    if (top_k > 0) request.Key("k").Int(top_k);
     if (max_consequent > 0) {
-      request.Set("max_consequent", JsonValue::Int(max_consequent));
+      request.Key("max_consequent").Int(max_consequent);
     }
-    if (!algorithm.empty()) {
-      request.Set("algorithm", JsonValue::Str(algorithm));
+    if (min_confidence >= 0.0) {
+      request.Key("min_confidence").Number(min_confidence);
     }
-    if (!patterns.empty()) request.Set("patterns", JsonValue::Str(patterns));
-    if (priority != 0) request.Set("priority", JsonValue::Int(priority));
+    if (min_lift >= 0.0) request.Key("min_lift").Number(min_lift);
+    request.Key("min_support").Int(min_support);
+    request.Key("op").String(wire_op);
+    if (!patterns.empty()) request.Key("patterns").String(patterns);
+    if (priority != 0) request.Key("priority").Int(priority);
+    if (scatter) request.Key("scatter").Bool(true);
+    if (!task.empty()) request.Key("task").String(task);
     if (timeout_seconds > 0.0) {
-      request.Set("timeout_s", JsonValue::Number(timeout_seconds));
+      request.Key("timeout_s").Number(timeout_seconds);
     }
-    if (count_only) request.Set("count_only", JsonValue::Bool(true));
-    if (!trace_id.empty()) {
-      request.Set("trace_id", JsonValue::Str(trace_id));
-    }
-    if (scatter) request.Set("scatter", JsonValue::Bool(true));
+    if (!trace_id.empty()) request.Key("trace_id").String(trace_id);
+    if (by_id && version > 0) request.Key("version").Int(version);
   } else if (op == "cluster-info") {
-    if (!dataset.empty()) request.Set("dataset", JsonValue::Str(dataset));
+    if (!dataset.empty()) request.Key("dataset").String(dataset);
+    request.Key("op").String(wire_op);
     repeat = 1;
   } else if (op == "batch") {
-    // One JSON query object per file line; the daemon answers with
-    // exactly one tagged line per entry.
+    // One JSON query object per file line, embedded as written once the
+    // parser accepts it; the daemon answers with exactly one tagged
+    // line per entry.
     std::ifstream file(dataset);
     if (!file) {
       std::fprintf(stderr, "cannot read %s\n", dataset.c_str());
       return 1;
     }
-    JsonValue queries = JsonValue::Array();
+    request.Key("op").String(wire_op).Key("queries").BeginArray();
     std::string file_line;
     size_t count = 0;
     while (std::getline(file, file_line)) {
@@ -328,48 +328,48 @@ int main(int argc, char** argv) {
                      parsed.status().message().c_str());
         return 1;
       }
-      queries.Append(std::move(parsed.value()));
+      request.Raw(file_line);
       ++count;
     }
     if (count == 0) {
       std::fprintf(stderr, "%s: no queries\n", dataset.c_str());
       return 1;
     }
-    request.Set("queries", std::move(queries));
+    request.EndArray();
     expected_responses = count;
     repeat = 1;
   } else if (is_dataset_op) {
-    if (op == "open") {
-      request.Set("dataset", JsonValue::Str(dataset));
-    } else {
-      request.Set("id", JsonValue::Str(dataset));
-    }
-    if (op == "append") {
-      JsonValue transactions;
-      if (!ReadFimiTransactions(arg2, &transactions)) return 1;
-      request.Set("transactions", std::move(transactions));
-    } else if (op == "expire") {
+    if (op == "expire") {
       const long count = std::atol(arg2.c_str());
       if (count < 1) {
         std::fprintf(stderr, "expire: COUNT must be >= 1\n");
         return Usage(argv[0]);
       }
-      request.Set("count", JsonValue::Int(count));
-    } else if (op == "window") {
+      request.Key("count").Int(count);
+    }
+    request.Key(op == "open" ? "dataset" : "id").String(dataset);
+    if (op == "window") {
       if (last_n < 0 && last_seconds < 0.0) {
         std::fprintf(stderr,
                      "window: need --last-n=N and/or --last-seconds=X\n");
         return Usage(argv[0]);
       }
-      if (last_n >= 0) request.Set("last_n", JsonValue::Int(last_n));
+      if (last_n >= 0) request.Key("last_n").Int(last_n);
       if (last_seconds >= 0.0) {
-        request.Set("last_seconds", JsonValue::Number(last_seconds));
+        request.Key("last_seconds").Number(last_seconds);
       }
+    }
+    request.Key("op").String(wire_op);
+    if (op == "append") {
+      request.Key("transactions");
+      if (!WriteFimiTransactions(arg2, request)) return 1;
     }
     repeat = 1;
   } else {
+    request.Key("op").String(wire_op);
     repeat = 1;
   }
+  request.EndObject();
 
   // One dialer for Unix paths and TCP host:port — the same helper the
   // cluster's PeerClient uses, so error messages match the daemon's.
@@ -385,7 +385,6 @@ int main(int argc, char** argv) {
   }
   const int fd = dialed.value();
 
-  const std::string line = request.Dump();
   fpm::LineReader reader(fd);
   bool all_ok = true;
   for (long i = 0; i < repeat; ++i) {

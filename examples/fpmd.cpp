@@ -60,6 +60,7 @@
 
 #include "fpm/cluster/coordinator.h"
 #include "fpm/cluster/endpoint.h"
+#include "fpm/common/json_writer.h"
 #include "fpm/core/mine.h"
 #include "fpm/core/partition.h"
 #include "fpm/obs/metrics.h"
@@ -282,9 +283,7 @@ std::string HandleShardQuery(ServerState* state,
   const ClusterOpRequest& cluster = request.cluster;
   if (cluster.shard_mode == ClusterOpRequest::ShardMode::kExecute) {
     MineRequest boosted = request.mine;
-    boosted.priority += state->coordinator
-                            ? state->coordinator->options().shard_priority_boost
-                            : 10;
+    boosted.priority += kShardPriorityBoost;
     boosted.op = "shard_query";
     return HandleMine(*state->service, boosted, fd);
   }
@@ -318,25 +317,24 @@ std::string HandleShardQuery(ServerState* state,
 /// {"enabled":false} so tooling can always ask.
 std::string HandleClusterInfo(ServerState* state,
                               const ServiceRequest& request) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  if (!state->coordinator) {
-    JsonValue cluster = JsonValue::Object();
-    cluster.Set("enabled", JsonValue::Bool(false));
-    doc.Set("cluster", std::move(cluster));
-    return doc.Dump();
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("cluster");
+  if (state->coordinator) {
+    std::string digest;
+    if (!request.cluster.path.empty()) {
+      Result<std::string> resolved =
+          state->coordinator->DigestForPath(request.cluster.path);
+      if (!resolved.ok()) return EncodeError(resolved.status());
+      digest = resolved.value();
+    }
+    w.Raw(state->coordinator->InfoJson(
+        state->service->Stats().registry.datasets, digest));
+  } else {
+    w.BeginObject().Key("enabled").Bool(false).EndObject();
   }
-  std::string digest;
-  if (!request.cluster.path.empty()) {
-    Result<std::string> resolved =
-        state->coordinator->DigestForPath(request.cluster.path);
-    if (!resolved.ok()) return EncodeError(resolved.status());
-    digest = resolved.value();
-  }
-  doc.Set("cluster",
-          state->coordinator->InfoJson(
-              state->service->Stats().registry.datasets, digest));
-  return doc.Dump();
+  w.Key("ok").Bool(true).EndObject();
+  return out;
 }
 
 /// Cluster-aware execution of a v2 "query": path-addressed queries are
@@ -426,16 +424,16 @@ void ServeConnection(ServerState* state, int fd) {
           case ServiceRequest::Op::kMetricsText:
             reply = EncodeMetricsTextResponse(MetricsText());
             break;
-          case ServiceRequest::Op::kStats:
+          case ServiceRequest::Op::kStats: {
+            const ServiceStats stats = state->service->Stats();
+            std::string cluster;
             if (state->coordinator) {
-              const ServiceStats stats = state->service->Stats();
-              const JsonValue cluster =
+              cluster =
                   state->coordinator->InfoJson(stats.registry.datasets, "");
-              reply = EncodeStatsResponse(stats, &cluster);
-            } else {
-              reply = EncodeStatsResponse(state->service->Stats());
             }
+            reply = EncodeStatsResponse(stats, cluster);
             break;
+          }
           case ServiceRequest::Op::kShutdown:
             reply = EncodeOk();
             shutdown_after = true;

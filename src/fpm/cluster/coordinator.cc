@@ -10,6 +10,7 @@
 
 #include "fpm/cluster/endpoint.h"
 #include "fpm/cluster/peer_client.h"
+#include "fpm/common/json_writer.h"
 #include "fpm/core/partition.h"
 #include "fpm/dataset/packed.h"
 #include "fpm/obs/metrics.h"
@@ -65,7 +66,6 @@ Coordinator::Coordinator(ClusterOptions options, Transport transport)
             m.self = options_.self;
             m.peers = options_.peers;
             m.ping_interval_seconds = options_.ping_interval_seconds;
-            m.ping_timeout_seconds = options_.ping_timeout_seconds;
             return m;
           }(),
           // Route pings through the (possibly injected) transport so a
@@ -80,7 +80,7 @@ Coordinator::Coordinator(ClusterOptions options, Transport transport)
             }
             return Status::OK();
           }),
-      ring_(options_.peers, options_.virtual_nodes) {
+      ring_(options_.peers) {
   MetricsRegistry& m = MetricsRegistry::Default();
   failovers_counter_ = m.GetCounter("fpm.cluster.failovers");
   remote_queries_counter_ = m.GetCounter("fpm.cluster.remote_queries");
@@ -401,17 +401,9 @@ Coordinator::Counters Coordinator::counters() const {
   return out;
 }
 
-JsonValue Coordinator::InfoJson(
+std::string Coordinator::InfoJson(
     const std::vector<DatasetRegistryStats::Dataset>& datasets,
     const std::string& placement_digest) const {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("enabled", JsonValue::Bool(true));
-  doc.Set("self", JsonValue::Str(options_.self));
-  doc.Set("replicas",
-          JsonValue::Int(static_cast<int64_t>(options_.replicas)));
-  doc.Set("virtual_nodes",
-          JsonValue::Int(static_cast<int64_t>(options_.virtual_nodes)));
-
   // Shard counts: place every loaded dataset's digest and tally per
   // owner — "who would serve what" from this node's registry view.
   std::map<std::string, uint64_t> owned;
@@ -422,63 +414,56 @@ JsonValue Coordinator::InfoJson(
     }
   }
 
-  JsonValue peers = JsonValue::Array();
-  for (const ClusterMembership::PeerStatus& status : membership_.Snapshot()) {
-    JsonValue row = JsonValue::Object();
-    row.Set("endpoint", JsonValue::Str(status.endpoint));
-    row.Set("self", JsonValue::Bool(status.self));
-    row.Set("healthy", JsonValue::Bool(status.healthy));
-    row.Set("failures",
-            JsonValue::Int(static_cast<int64_t>(status.failures)));
-    row.Set("consecutive_failures",
-            JsonValue::Int(
-                static_cast<int64_t>(status.consecutive_failures)));
-    row.Set("pings", JsonValue::Int(static_cast<int64_t>(status.pings)));
-    row.Set("rtt_last_ms", JsonValue::Number(status.last_rtt_ms));
-    row.Set("rtt_p50_ms", JsonValue::Number(status.rtt_60s.p50_ms));
-    row.Set("rtt_p99_ms", JsonValue::Number(status.rtt_60s.p99_ms));
-    auto it = owned.find(status.endpoint);
-    row.Set("datasets_owned",
-            JsonValue::Int(static_cast<int64_t>(
-                it == owned.end() ? 0 : it->second)));
-    peers.Append(std::move(row));
-  }
-  doc.Set("peers", std::move(peers));
-
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
   const Counters c = counters();
-  JsonValue counters_doc = JsonValue::Object();
-  counters_doc.Set("remote_queries",
-                   JsonValue::Int(static_cast<int64_t>(c.remote_queries)));
-  counters_doc.Set("probe_hits",
-                   JsonValue::Int(static_cast<int64_t>(c.probe_hits)));
-  counters_doc.Set("probe_misses",
-                   JsonValue::Int(static_cast<int64_t>(c.probe_misses)));
-  counters_doc.Set("forwards",
-                   JsonValue::Int(static_cast<int64_t>(c.forwards)));
-  counters_doc.Set("failovers",
-                   JsonValue::Int(static_cast<int64_t>(c.failovers)));
-  counters_doc.Set("local_fallbacks",
-                   JsonValue::Int(static_cast<int64_t>(c.local_fallbacks)));
-  counters_doc.Set("scatter_queries",
-                   JsonValue::Int(static_cast<int64_t>(c.scatter_queries)));
-  counters_doc.Set("probe_hits_served",
-                   JsonValue::Int(static_cast<int64_t>(c.probe_hits_served)));
-  counters_doc.Set(
-      "probe_misses_served",
-      JsonValue::Int(static_cast<int64_t>(c.probe_misses_served)));
-  doc.Set("counters", std::move(counters_doc));
+  w.Key("counters").BeginObject();
+  w.Key("failovers").Uint(c.failovers);
+  w.Key("forwards").Uint(c.forwards);
+  w.Key("local_fallbacks").Uint(c.local_fallbacks);
+  w.Key("probe_hits").Uint(c.probe_hits);
+  w.Key("probe_hits_served").Uint(c.probe_hits_served);
+  w.Key("probe_misses").Uint(c.probe_misses);
+  w.Key("probe_misses_served").Uint(c.probe_misses_served);
+  w.Key("remote_queries").Uint(c.remote_queries);
+  w.Key("scatter_queries").Uint(c.scatter_queries);
+  w.EndObject();
+  w.Key("enabled").Bool(true);
+
+  w.Key("peers").BeginArray();
+  for (const ClusterMembership::PeerStatus& status : membership_.Snapshot()) {
+    auto it = owned.find(status.endpoint);
+    w.BeginObject();
+    w.Key("consecutive_failures").Uint(status.consecutive_failures);
+    w.Key("datasets_owned").Uint(it == owned.end() ? 0 : it->second);
+    w.Key("endpoint").String(status.endpoint);
+    w.Key("failures").Uint(status.failures);
+    w.Key("healthy").Bool(status.healthy);
+    w.Key("pings").Uint(status.pings);
+    w.Key("rtt_last_ms").Number(status.last_rtt_ms);
+    w.Key("rtt_p50_ms").Number(status.rtt_60s.p50_ms);
+    w.Key("rtt_p99_ms").Number(status.rtt_60s.p99_ms);
+    w.Key("self").Bool(status.self);
+    w.EndObject();
+  }
+  w.EndArray();
 
   if (!placement_digest.empty()) {
-    JsonValue placement = JsonValue::Object();
-    placement.Set("digest", JsonValue::Str(placement_digest));
-    JsonValue owners = JsonValue::Array();
+    w.Key("placement").BeginObject();
+    w.Key("digest").String(placement_digest);
+    w.Key("owners").BeginArray();
     for (const std::string& owner : OwnersForDigest(placement_digest)) {
-      owners.Append(JsonValue::Str(owner));
+      w.String(owner);
     }
-    placement.Set("owners", std::move(owners));
-    doc.Set("placement", std::move(placement));
+    w.EndArray();
+    w.EndObject();
   }
-  return doc;
+  w.Key("replicas").Uint(options_.replicas);
+  w.Key("self").String(options_.self);
+  w.Key("virtual_nodes").Uint(ring_.virtual_nodes());
+  w.EndObject();
+  return out;
 }
 
 }  // namespace fpm

@@ -45,7 +45,6 @@
 #include "fpm/cluster/membership.h"
 #include "fpm/common/status.h"
 #include "fpm/service/dataset_registry.h"
-#include "fpm/service/json.h"
 #include "fpm/service/service.h"
 
 namespace fpm {
@@ -57,23 +56,22 @@ struct ClusterOptions {
   /// list). This — not live health — builds the hash ring, so placement
   /// is identical on every node and never reshuffles on a flap.
   std::vector<std::string> peers;
-  /// Replica owners per dataset.
+  /// Replica owners per dataset. The ring gives every peer
+  /// ConsistentHashRing::kDefaultVirtualNodes points.
   uint32_t replicas = 2;
-  /// Virtual nodes per peer on the ring.
-  uint32_t virtual_nodes = ConsistentHashRing::kDefaultVirtualNodes;
   /// Deadline for a cache_probe round trip (cheap, keep tight).
   double probe_deadline_seconds = 1.0;
   /// Deadline for a forwarded query / shard sub-query.
   double peer_deadline_seconds = 30.0;
-  /// Health ping sweep period (<= 0 disables the pinger).
+  /// Health ping sweep period (<= 0 disables the pinger). Each ping
+  /// has ClusterMembership::Options' default timeout.
   double ping_interval_seconds = 2.0;
-  double ping_timeout_seconds = 1.0;
-  /// Priority boost a peer applies to shard_query "execute" jobs — a
-  /// remote sub-query already paid a network hop and a coordinator
-  /// wait, so it jumps the local queue (scheduler priority is larger =
-  /// sooner).
-  int shard_priority_boost = 10;
 };
+
+/// Priority boost a peer applies to shard_query "execute" jobs — a
+/// remote sub-query already paid a network hop and a coordinator wait,
+/// so it jumps the local queue (scheduler priority is larger = sooner).
+inline constexpr int kShardPriorityBoost = 10;
 
 class Coordinator {
  public:
@@ -155,9 +153,11 @@ class Coordinator {
   /// replicas, per-peer health/latency/ownership (datasets_owned is
   /// computed by placing every registry row's digest), the counters,
   /// and — when `placement_digest` is non-empty — the placement of that
-  /// digest. No "ok" key; callers embed it.
-  JsonValue InfoJson(const std::vector<DatasetRegistryStats::Dataset>& datasets,
-                     const std::string& placement_digest) const;
+  /// digest. Returned as the JSON text of one object, keys ascending;
+  /// no "ok" key, callers embed it.
+  std::string InfoJson(
+      const std::vector<DatasetRegistryStats::Dataset>& datasets,
+      const std::string& placement_digest) const;
 
  private:
   struct AtomicCounters {

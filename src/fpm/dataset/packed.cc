@@ -215,6 +215,17 @@ Result<Database> OpenMapped(const std::string& path, std::string* digest) {
                        "total weight " + std::to_string(total_weight) +
                            " overflows 32-bit support");
   }
+  // Every counted element takes at least four bytes of the file. A
+  // larger count is corrupt, and would let the size below wrap around
+  // 2^64 to a value that matches a short file.
+  for (size_t offset : {kOffNumTransactions, kOffNumItems, kOffNumEntries}) {
+    const uint64_t count = GetLe<uint64_t>(data, offset);
+    if (count > file_bytes) {
+      return PackedError(path, offset,
+                         "count " + std::to_string(count) +
+                             " exceeds the file size");
+    }
+  }
 
   const size_t expected =
       PackedFileBytes(num_transactions, num_items, num_entries, has_weights);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "fpm/common/json_writer.h"
 #include "fpm/common/logging.h"
 #include "fpm/obs/thread_index.h"
 
@@ -21,15 +22,6 @@ struct TlsShardCache {
   void* shard = nullptr;
 };
 thread_local TlsShardCache tls_shard_cache;
-
-void WriteJsonString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
 
 }  // namespace
 
@@ -291,11 +283,16 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(
 }
 
 void MetricsSnapshot::WriteJson(std::ostream& os) const {
+  std::string name;
+  const auto quoted = [&name](std::string_view s) -> const std::string& {
+    name.clear();
+    AppendJsonString(&name, s);
+    return name;
+  };
   os << "{\"counters\":{";
   for (size_t i = 0; i < counters.size(); ++i) {
     if (i > 0) os << ',';
-    WriteJsonString(os, counters[i].name);
-    os << ':' << counters[i].value;
+    os << quoted(counters[i].name) << ':' << counters[i].value;
   }
   os << "}";
   bool any_per_thread = false;
@@ -309,8 +306,7 @@ void MetricsSnapshot::WriteJson(std::ostream& os) const {
       if (c.per_thread.empty()) continue;
       if (!first) os << ',';
       first = false;
-      WriteJsonString(os, c.name);
-      os << ":{";
+      os << quoted(c.name) << ":{";
       for (size_t i = 0; i < c.per_thread.size(); ++i) {
         if (i > 0) os << ',';
         os << '"' << c.per_thread[i].first << "\":" << c.per_thread[i].second;
@@ -322,15 +318,13 @@ void MetricsSnapshot::WriteJson(std::ostream& os) const {
   os << ",\"gauges\":{";
   for (size_t i = 0; i < gauges.size(); ++i) {
     if (i > 0) os << ',';
-    WriteJsonString(os, gauges[i].name);
-    os << ':' << gauges[i].value;
+    os << quoted(gauges[i].name) << ':' << gauges[i].value;
   }
   os << "},\"histograms\":{";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSample& h = histograms[i];
     if (i > 0) os << ',';
-    WriteJsonString(os, h.name);
-    os << ":{\"bounds\":[";
+    os << quoted(h.name) << ":{\"bounds\":[";
     for (size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) os << ',';
       os << h.bounds[b];

@@ -4,48 +4,17 @@
 #include <cstdio>
 #include <ostream>
 
+#include "fpm/common/json_writer.h"
+
 namespace fpm {
 namespace {
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void AppendField(std::string& out, const char* key, const std::string& value) {
   if (value.empty()) return;
   out += ",\"";
   out += key;
   out += "\":";
-  AppendJsonString(out, value);
+  AppendJsonString(&out, value);
 }
 
 void AppendField(std::string& out, const char* key, uint64_t value) {
@@ -69,7 +38,7 @@ std::string QueryLogEntry::ToJson(uint64_t ts_ms) const {
   std::string out;
   out.reserve(256);
   out += "{\"event\":";
-  AppendJsonString(out, event);
+  AppendJsonString(&out, event);
   out += ",\"ts_ms\":";
   out += std::to_string(ts_ms);
   out += ",\"query_id\":";
@@ -91,7 +60,7 @@ std::string QueryLogEntry::ToJson(uint64_t ts_ms) const {
   AppendField(out, "num_results", num_results);
   AppendField(out, "peak_bytes", peak_bytes);
   out += ",\"status\":";
-  AppendJsonString(out, status);
+  AppendJsonString(&out, status);
   AppendField(out, "reason", reason);
   out += '}';
   return out;

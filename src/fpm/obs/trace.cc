@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "fpm/common/json_writer.h"
 #include "fpm/obs/metrics.h"
 #include "fpm/obs/thread_index.h"
 
@@ -33,14 +34,18 @@ void AttachSpanContext(TraceSpan& span) {
   if (tls_query_id != 0) span.args.emplace_back("query_id", tls_query_id);
 }
 
-void WriteJsonString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+// The span's name and arg keys as JSON strings, through the one escaper.
+class Quoter {
+ public:
+  const std::string& operator()(std::string_view s) {
+    quoted_.clear();
+    AppendJsonString(&quoted_, s);
+    return quoted_;
   }
-  os << '"';
-}
+
+ private:
+  std::string quoted_;
+};
 
 }  // namespace
 
@@ -250,17 +255,16 @@ double PhaseSpan::End() {
 // Exporters
 
 void WriteTraceJsonLines(std::span<const TraceSpan> spans, std::ostream& os) {
+  Quoter quoted;
   for (const TraceSpan& s : spans) {
-    os << "{\"name\":";
-    WriteJsonString(os, s.name);
-    os << ",\"tid\":" << s.thread_index << ",\"depth\":" << s.depth
-       << ",\"start_ns\":" << s.start_ns << ",\"dur_ns\":" << s.duration_ns;
+    os << "{\"name\":" << quoted(s.name) << ",\"tid\":" << s.thread_index
+       << ",\"depth\":" << s.depth << ",\"start_ns\":" << s.start_ns
+       << ",\"dur_ns\":" << s.duration_ns;
     if (!s.args.empty()) {
       os << ",\"args\":{";
       for (size_t i = 0; i < s.args.size(); ++i) {
         if (i > 0) os << ',';
-        WriteJsonString(os, s.args[i].first);
-        os << ':' << s.args[i].second;
+        os << quoted(s.args[i].first) << ':' << s.args[i].second;
       }
       os << '}';
     }
@@ -270,12 +274,12 @@ void WriteTraceJsonLines(std::span<const TraceSpan> spans, std::ostream& os) {
 
 void WriteChromeTracing(std::span<const TraceSpan> spans, std::ostream& os) {
   os << "{\"traceEvents\":[";
+  Quoter quoted;
   char buf[64];
   for (size_t k = 0; k < spans.size(); ++k) {
     const TraceSpan& s = spans[k];
     if (k > 0) os << ',';
-    os << "{\"name\":";
-    WriteJsonString(os, s.name);
+    os << "{\"name\":" << quoted(s.name);
     // Microsecond timestamps with nanosecond precision kept as decimals.
     std::snprintf(buf, sizeof(buf), "%" PRIu64 ".%03u", s.start_ns / 1000,
                   static_cast<unsigned>(s.start_ns % 1000));
@@ -287,8 +291,7 @@ void WriteChromeTracing(std::span<const TraceSpan> spans, std::ostream& os) {
       os << ",\"args\":{";
       for (size_t i = 0; i < s.args.size(); ++i) {
         if (i > 0) os << ',';
-        WriteJsonString(os, s.args[i].first);
-        os << ':' << s.args[i].second;
+        os << quoted(s.args[i].first) << ':' << s.args[i].second;
       }
       os << '}';
     }

@@ -9,9 +9,6 @@ namespace fpm {
 
 JobScheduler::JobScheduler(JobSchedulerOptions options)
     : options_(options) {
-  if (options_.max_concurrency == 0) {
-    options_.max_concurrency = options_.pool->num_workers();
-  }
   MetricsRegistry& m = MetricsRegistry::Default();
   submitted_counter_ = m.GetCounter("fpm.service.jobs.submitted");
   rejected_counter_ = m.GetCounter("fpm.service.jobs.rejected");
@@ -36,7 +33,7 @@ Status JobScheduler::Submit(int priority, uint64_t query_id,
     ++submitted_;
     submitted_counter_->Increment();
     queue_depth_gauge_->Set(queue_.size());
-    if (active_runners_ < options_.max_concurrency) {
+    if (active_runners_ < options_.pool->num_workers()) {
       ++active_runners_;
       spawn_runner = true;
     }

@@ -6,7 +6,7 @@
 // buffering unboundedly. The scheduler keeps its own priority heap and
 // feeds the pool *runner* tasks: a runner loops popping the highest-
 // priority job and running it, exiting when the heap drains. At most
-// `max_concurrency` runners exist, so the pool's workers are shared
+// one runner per pool worker exists, so the pool's workers are shared
 // fairly between the scheduler and any parallel mining the jobs
 // themselves do.
 //
@@ -36,7 +36,6 @@ class Gauge;
 struct JobSchedulerOptions {
   ThreadPool* pool = nullptr;     ///< required; not owned
   size_t max_queue_depth = 64;    ///< Submit() backpressure bound
-  uint32_t max_concurrency = 0;   ///< 0 = pool worker count
 };
 
 /// One job currently executing on a pool worker (stats() view).

@@ -2,44 +2,9 @@
 
 #include <cctype>
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <utility>
 
 namespace fpm {
-
-JsonValue JsonValue::Bool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::Number(double d) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = d;
-  return v;
-}
-
-JsonValue JsonValue::Str(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::Array() {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  return v;
-}
-
-JsonValue JsonValue::Object() {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  return v;
-}
 
 const JsonValue& JsonValue::operator[](const std::string& key) const {
   static const JsonValue kNull;
@@ -48,120 +13,11 @@ const JsonValue& JsonValue::operator[](const std::string& key) const {
   return it == object_.end() ? kNull : it->second;
 }
 
-void JsonValue::Set(const std::string& key, JsonValue value) {
-  kind_ = Kind::kObject;
-  object_[key] = std::move(value);
-}
-
-void JsonValue::Append(JsonValue value) {
-  kind_ = Kind::kArray;
-  array_.push_back(std::move(value));
-}
-
-namespace {
-
-void EscapeStringTo(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
-void JsonValue::DumpTo(std::string* out) const {
-  switch (kind_) {
-    case Kind::kNull:
-      *out += "null";
-      return;
-    case Kind::kBool:
-      *out += bool_ ? "true" : "false";
-      return;
-    case Kind::kNumber: {
-      // Integers (the common case) print without a fraction; everything
-      // else gets shortest-round-trip formatting via to_chars.
-      if (std::floor(number_) == number_ && std::abs(number_) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(number_));
-        *out += buf;
-      } else {
-        char buf[32];
-        auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), number_);
-        if (ec == std::errc()) {
-          out->append(buf, ptr);
-        } else {
-          *out += "null";  // NaN/Inf have no JSON encoding
-        }
-      }
-      return;
-    }
-    case Kind::kString:
-      EscapeStringTo(string_, out);
-      return;
-    case Kind::kArray: {
-      out->push_back('[');
-      bool first = true;
-      for (const JsonValue& v : array_) {
-        if (!first) out->push_back(',');
-        first = false;
-        v.DumpTo(out);
-      }
-      out->push_back(']');
-      return;
-    }
-    case Kind::kObject: {
-      out->push_back('{');
-      bool first = true;
-      for (const auto& [key, value] : object_) {
-        if (!first) out->push_back(',');
-        first = false;
-        EscapeStringTo(key, out);
-        out->push_back(':');
-        value.DumpTo(out);
-      }
-      out->push_back('}');
-      return;
-    }
-  }
-}
-
-std::string JsonValue::Dump() const {
-  std::string out;
-  DumpTo(&out);
-  return out;
-}
-
-namespace {
-
-class Parser {
+// Parses one document into a JsonValue, writing its private fields
+// directly; the only code that builds one.
+class JsonParser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit JsonParser(const std::string& text) : text_(text) {}
 
   Result<JsonValue> Parse() {
     SkipWs();
@@ -207,28 +63,27 @@ class Parser {
         return ParseObject(out, depth);
       case '[':
         return ParseArray(out, depth);
-      case '"': {
-        std::string s;
-        FPM_RETURN_IF_ERROR(ParseString(&s));
-        *out = JsonValue::Str(std::move(s));
-        return Status::OK();
-      }
+      case '"':
+        out->kind_ = JsonValue::Kind::kString;
+        return ParseString(&out->string_);
       case 't':
-        return ParseLiteral("true", JsonValue::Bool(true), out);
+        out->kind_ = JsonValue::Kind::kBool;
+        out->bool_ = true;
+        return ParseLiteral("true");
       case 'f':
-        return ParseLiteral("false", JsonValue::Bool(false), out);
+        out->kind_ = JsonValue::Kind::kBool;
+        return ParseLiteral("false");
       case 'n':
-        return ParseLiteral("null", JsonValue::Null(), out);
+        return ParseLiteral("null");
       default:
         return ParseNumber(out);
     }
   }
 
-  Status ParseLiteral(const char* lit, JsonValue value, JsonValue* out) {
+  Status ParseLiteral(const char* lit) {
     for (const char* p = lit; *p != '\0'; ++p) {
       if (!Consume(*p)) return Error(std::string("expected '") + lit + "'");
     }
-    *out = std::move(value);
     return Status::OK();
   }
 
@@ -250,7 +105,8 @@ class Parser {
       return Error("malformed number '" +
                    text_.substr(start, pos_ - start) + "'");
     }
-    *out = JsonValue::Number(d);
+    out->kind_ = JsonValue::Kind::kNumber;
+    out->number_ = d;
     return Status::OK();
   }
 
@@ -330,14 +186,12 @@ class Parser {
 
   Status ParseArray(JsonValue* out, int depth) {
     Consume('[');
-    *out = JsonValue::Array();
+    out->kind_ = JsonValue::Kind::kArray;
     SkipWs();
     if (Consume(']')) return Status::OK();
     while (true) {
-      JsonValue v;
       SkipWs();
-      FPM_RETURN_IF_ERROR(ParseValue(&v, depth + 1));
-      out->Append(std::move(v));
+      FPM_RETURN_IF_ERROR(ParseValue(&out->array_.emplace_back(), depth + 1));
       SkipWs();
       if (Consume(']')) return Status::OK();
       if (!Consume(',')) return Error("expected ',' or ']'");
@@ -346,7 +200,7 @@ class Parser {
 
   Status ParseObject(JsonValue* out, int depth) {
     Consume('{');
-    *out = JsonValue::Object();
+    out->kind_ = JsonValue::Kind::kObject;
     SkipWs();
     if (Consume('}')) return Status::OK();
     while (true) {
@@ -356,9 +210,10 @@ class Parser {
       SkipWs();
       if (!Consume(':')) return Error("expected ':'");
       SkipWs();
-      JsonValue v;
-      FPM_RETURN_IF_ERROR(ParseValue(&v, depth + 1));
-      out->Set(key, std::move(v));
+      // A repeated key keeps its last value.
+      JsonValue& value = out->object_[key];
+      value = JsonValue();
+      FPM_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
       SkipWs();
       if (Consume('}')) return Status::OK();
       if (!Consume(',')) return Error("expected ',' or '}'");
@@ -369,10 +224,8 @@ class Parser {
   size_t pos_ = 0;
 };
 
-}  // namespace
-
 Result<JsonValue> ParseJson(const std::string& text) {
-  return Parser(text).Parse();
+  return JsonParser(text).Parse();
 }
 
 }  // namespace fpm

@@ -1,11 +1,13 @@
-// Minimal JSON value: parse + serialize, just enough for the service's
-// newline-delimited protocol (fpm/service/protocol.h).
+// JSON parsing for the service's newline-delimited protocol
+// (fpm/service/protocol.h): ParseJson turns one line into a read-only
+// JsonValue tree. JsonValue only parses; every JSON the library writes
+// goes through fpm/common/json_writer.h.
 //
 // Deliberately small rather than general: numbers are doubles (every
 // value the protocol carries — supports, counts, byte sizes — is well
-// inside the 2^53 exact-integer range), objects are ordered maps so
-// serialization is deterministic, and parsing rejects anything outside
-// the JSON grammar instead of guessing. No external dependency.
+// inside the 2^53 exact-integer range), an object keeps the last value
+// of a repeated key, and parsing rejects anything outside the JSON
+// grammar instead of guessing. No external dependency.
 
 #ifndef FPM_SERVICE_JSON_H_
 #define FPM_SERVICE_JSON_H_
@@ -19,19 +21,14 @@
 
 namespace fpm {
 
-/// A JSON document node. Value semantics; copying copies the subtree.
+/// A parsed JSON document node. Value semantics; copying copies the
+/// subtree. Only ParseJson builds one; a default-constructed value is
+/// null.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
   JsonValue() = default;  // null
-  static JsonValue Null() { return JsonValue(); }
-  static JsonValue Bool(bool b);
-  static JsonValue Number(double d);
-  static JsonValue Int(int64_t i) { return Number(static_cast<double>(i)); }
-  static JsonValue Str(std::string s);
-  static JsonValue Array();
-  static JsonValue Object();
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
@@ -46,29 +43,15 @@ class JsonValue {
   int64_t int_value() const { return static_cast<int64_t>(number_); }
   const std::string& string_value() const { return string_; }
   const std::vector<JsonValue>& array_items() const { return array_; }
-  std::vector<JsonValue>& mutable_array() { return array_; }
-  const std::map<std::string, JsonValue>& object_items() const {
-    return object_;
-  }
 
   /// Object member access; returns a shared null value for absent keys
   /// (and on non-objects), so lookups chain without checks.
   const JsonValue& operator[](const std::string& key) const;
 
-  /// Sets an object member (the value must be an object).
-  void Set(const std::string& key, JsonValue value);
-
-  /// Appends to an array (the value must be an array).
-  void Append(JsonValue value);
-
-  /// Compact single-line serialization (no spaces, keys in map order —
-  /// deterministic for a given value).
-  std::string Dump() const;
-
   bool operator==(const JsonValue&) const = default;
 
  private:
-  void DumpTo(std::string* out) const;
+  friend class JsonParser;
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;

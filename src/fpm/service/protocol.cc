@@ -2,9 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "fpm/common/cancel.h"
+#include "fpm/common/json_writer.h"
+#include "fpm/service/json.h"
 
 namespace fpm {
 
@@ -314,74 +317,139 @@ Status DecodeWindowBody(const JsonValue& doc, const std::string& where,
   return Status::OK();
 }
 
-JsonValue EncodeItemsets(const std::vector<CollectingSink::Entry>& itemsets) {
-  JsonValue array = JsonValue::Array();
+void WriteItemArray(JsonWriter& w, const Itemset& set) {
+  w.BeginArray();
+  for (Item item : set) w.Uint(item);
+  w.EndArray();
+}
+
+// [{"items":[...],"support":N},...] in the entries' order.
+void WriteItemsets(JsonWriter& w,
+                   const std::vector<CollectingSink::Entry>& itemsets) {
+  w.BeginArray();
   for (const CollectingSink::Entry& e : itemsets) {
-    JsonValue items = JsonValue::Array();
-    for (Item it : e.first) items.Append(JsonValue::Int(it));
-    JsonValue entry = JsonValue::Object();
-    entry.Set("items", std::move(items));
-    entry.Set("support", JsonValue::Int(e.second));
-    array.Append(std::move(entry));
+    w.BeginObject().Key("items");
+    WriteItemArray(w, e.first);
+    w.Key("support").Uint(e.second).EndObject();
   }
-  return array;
+  w.EndArray();
 }
 
-JsonValue EncodeItemArray(const Itemset& set) {
-  JsonValue array = JsonValue::Array();
-  for (Item it : set) array.Append(JsonValue::Int(it));
-  return array;
-}
-
-JsonValue BuildQueryResponse(const MineResponse& response) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  doc.Set("task", JsonValue::Str(TaskName(response.task)));
-  doc.Set("num_results",
-          JsonValue::Int(static_cast<int64_t>(response.num_frequent)));
-  doc.Set("cache", JsonValue::Str(CacheOutcomeName(response.cache)));
-  doc.Set("digest", JsonValue::Str(response.dataset_digest));
-  doc.Set("queue_ms", JsonValue::Number(response.queue_seconds * 1000.0));
-  doc.Set("mine_ms", JsonValue::Number(response.mine_seconds * 1000.0));
-  doc.Set("query_id",
-          JsonValue::Int(static_cast<int64_t>(response.query_id)));
-  if (!response.trace_id.empty()) {
-    doc.Set("trace_id", JsonValue::Str(response.trace_id));
-  }
-  if (!response.served_by.empty()) {
-    doc.Set("peer", JsonValue::Str(response.served_by));
-  }
-  if (response.shard_count > 0) {
-    doc.Set("shards",
-            JsonValue::Int(static_cast<int64_t>(response.shard_count)));
-  }
+// A query response line. `hit` adds a cache_probe hit's "hit":true and
+// `id` a batch line's entry index, each in its sorted slot.
+std::string QueryResponseLine(const MineResponse& response, bool hit,
+                              std::optional<uint64_t> id) {
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("cache").String(CacheOutcomeName(response.cache));
+  w.Key("digest").String(response.dataset_digest);
+  if (hit) w.Key("hit").Bool(true);
+  if (id.has_value()) w.Key("id").Uint(*id);
   if (!response.itemsets.empty()) {
-    doc.Set("itemsets", EncodeItemsets(response.itemsets));
+    w.Key("itemsets");
+    WriteItemsets(w, response.itemsets);
   }
+  w.Key("mine_ms").Number(response.mine_seconds * 1000.0);
+  w.Key("num_results").Uint(response.num_frequent);
+  w.Key("ok").Bool(true);
+  if (!response.served_by.empty()) w.Key("peer").String(response.served_by);
+  w.Key("query_id").Uint(response.query_id);
+  w.Key("queue_ms").Number(response.queue_seconds * 1000.0);
   if (!response.rules.empty()) {
-    JsonValue rules = JsonValue::Array();
+    w.Key("rules").BeginArray();
     for (const AssociationRule& r : response.rules) {
-      JsonValue rule = JsonValue::Object();
-      rule.Set("antecedent", EncodeItemArray(r.antecedent));
-      rule.Set("consequent", EncodeItemArray(r.consequent));
-      rule.Set("support", JsonValue::Int(r.itemset_support));
-      rule.Set("confidence", JsonValue::Number(r.confidence));
-      rule.Set("lift", JsonValue::Number(r.lift));
-      rules.Append(std::move(rule));
+      w.BeginObject().Key("antecedent");
+      WriteItemArray(w, r.antecedent);
+      w.Key("confidence").Number(r.confidence).Key("consequent");
+      WriteItemArray(w, r.consequent);
+      w.Key("lift").Number(r.lift);
+      w.Key("support").Uint(r.itemset_support).EndObject();
     }
-    doc.Set("rules", std::move(rules));
+    w.EndArray();
   }
-  return doc;
+  if (response.shard_count > 0) w.Key("shards").Uint(response.shard_count);
+  w.Key("task").String(TaskName(response.task));
+  if (!response.trace_id.empty()) w.Key("trace_id").String(response.trace_id);
+  w.EndObject();
+  return out;
 }
 
-JsonValue BuildError(const Status& status) {
-  JsonValue error = JsonValue::Object();
-  error.Set("code", JsonValue::Str(StatusCodeToString(status.code())));
-  error.Set("message", JsonValue::Str(status.message()));
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(false));
-  doc.Set("error", std::move(error));
-  return doc;
+// An error line; `id` tags a batch entry's.
+std::string ErrorLine(const Status& status, std::optional<uint64_t> id) {
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("error").BeginObject();
+  w.Key("code").String(StatusCodeToString(status.code()));
+  w.Key("message").String(status.message());
+  w.EndObject();
+  if (id.has_value()) w.Key("id").Uint(*id);
+  w.Key("ok").Bool(false).EndObject();
+  return out;
+}
+
+// What an outbound cache_probe or shard_query line carries besides the
+// query body.
+struct PeerRequestFields {
+  const char* op = "";
+  const std::string* digest = nullptr;  // cache_probe: replaces the dataset
+  const char* mode = nullptr;           // shard_query
+  bool partitioned = false;             // shard_query mine/count
+  uint32_t partition_index = 0;
+  uint32_t partition_count = 1;
+  const std::vector<Itemset>* candidates = nullptr;  // shard_query count
+};
+
+// An outbound peer request line: the query body of `request`, mirroring
+// what DecodeMineBody accepts, merged with `fields` in ascending key
+// order.
+std::string PeerRequestLine(const MineRequest& request,
+                            const PeerRequestFields& fields) {
+  const bool with_dataset = fields.digest == nullptr;
+  const bool by_id = with_dataset && !request.dataset_id.empty();
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("algorithm").String(AlgorithmName(request.algorithm));
+  if (fields.candidates != nullptr) {
+    w.Key("candidates").BeginArray();
+    for (const Itemset& set : *fields.candidates) WriteItemArray(w, set);
+    w.EndArray();
+  }
+  if (request.count_only) w.Key("count_only").Bool(true);
+  if (with_dataset && !by_id) w.Key("dataset").String(request.dataset_path);
+  if (!with_dataset) w.Key("digest").String(*fields.digest);
+  if (by_id) w.Key("id").String(request.dataset_id);
+  if (request.query.task == MiningTask::kTopK) {
+    w.Key("k").Uint(request.query.k);
+  }
+  if (request.query.task == MiningTask::kRules) {
+    w.Key("max_consequent").Uint(request.query.max_consequent);
+    w.Key("min_confidence").Number(request.query.min_confidence);
+    w.Key("min_lift").Number(request.query.min_lift);
+  }
+  w.Key("min_support").Uint(request.query.min_support);
+  if (fields.mode != nullptr) w.Key("mode").String(fields.mode);
+  w.Key("op").String(fields.op);
+  if (fields.partitioned) {
+    w.Key("partition").BeginObject();
+    w.Key("count").Uint(fields.partition_count);
+    w.Key("index").Uint(fields.partition_index);
+    w.EndObject();
+  }
+  w.Key("patterns").String(
+      request.patterns.bits() == PatternSet::All().bits() ? "all" : "none");
+  if (request.priority != 0) w.Key("priority").Int(request.priority);
+  w.Key("task").String(TaskName(request.query.task));
+  if (request.timeout_seconds > 0.0) {
+    w.Key("timeout_s").Number(request.timeout_seconds);
+  }
+  if (!request.trace_id.empty()) w.Key("trace_id").String(request.trace_id);
+  if (by_id && request.dataset_version != 0) {
+    w.Key("version").Uint(request.dataset_version);
+  }
+  w.EndObject();
+  return out;
 }
 
 }  // namespace
@@ -552,205 +620,167 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
 }
 
 std::string EncodeQueryResponse(const MineResponse& response) {
-  return BuildQueryResponse(response).Dump();
+  return QueryResponseLine(response, /*hit=*/false, std::nullopt);
 }
 
 std::string EncodeQueryResponseWithId(uint64_t id,
                                       const MineResponse& response) {
-  JsonValue doc = BuildQueryResponse(response);
-  doc.Set("id", JsonValue::Int(static_cast<int64_t>(id)));
-  return doc.Dump();
+  return QueryResponseLine(response, /*hit=*/false, id);
 }
 
 std::string EncodeHandleResponse(const DatasetHandle& handle) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  doc.Set("id", JsonValue::Str(handle.id));
-  doc.Set("version", JsonValue::Int(static_cast<int64_t>(handle.version)));
-  doc.Set("latest_version",
-          JsonValue::Int(static_cast<int64_t>(handle.latest_version)));
-  doc.Set("digest", JsonValue::Str(handle.digest));
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("digest").String(handle.digest);
+  w.Key("id").String(handle.id);
+  w.Key("latest_version").Uint(handle.latest_version);
+  w.Key("num_transactions").Uint(handle.database->num_transactions());
+  w.Key("ok").Bool(true);
   if (!handle.parent_digest.empty()) {
-    doc.Set("parent_digest", JsonValue::Str(handle.parent_digest));
+    w.Key("parent_digest").String(handle.parent_digest);
   }
-  doc.Set("num_transactions",
-          JsonValue::Int(static_cast<int64_t>(
-              handle.database->num_transactions())));
-  doc.Set("total_weight",
-          JsonValue::Int(static_cast<int64_t>(
-              handle.database->total_weight())));
-  return doc.Dump();
+  w.Key("total_weight").Uint(handle.database->total_weight());
+  w.Key("version").Uint(handle.version);
+  w.EndObject();
+  return out;
 }
 
 std::string EncodeDatasetInfoResponse(const DatasetInfo& info) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  doc.Set("id", JsonValue::Str(info.id));
-  doc.Set("path", JsonValue::Str(info.path));
-  doc.Set("storage", JsonValue::Str(info.storage));
-  doc.Set("live_transactions",
-          JsonValue::Int(static_cast<int64_t>(info.live_transactions)));
-  JsonValue window = JsonValue::Object();
-  window.Set("last_n",
-             JsonValue::Int(static_cast<int64_t>(info.window.last_n)));
-  window.Set("last_seconds", JsonValue::Number(info.window.last_seconds));
-  doc.Set("window", std::move(window));
-  JsonValue versions = JsonValue::Array();
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
+  w.Key("id").String(info.id);
+  w.Key("live_transactions").Uint(info.live_transactions);
+  w.Key("ok").Bool(true);
+  w.Key("path").String(info.path);
+  w.Key("storage").String(info.storage);
+  w.Key("versions").BeginArray();
   for (const DatasetInfo::Version& v : info.versions) {
-    JsonValue out = JsonValue::Object();
-    out.Set("version", JsonValue::Int(static_cast<int64_t>(v.number)));
-    out.Set("digest", JsonValue::Str(v.digest));
-    out.Set("num_transactions",
-            JsonValue::Int(static_cast<int64_t>(v.num_transactions)));
-    out.Set("appended_weight",
-            JsonValue::Int(static_cast<int64_t>(v.appended_weight)));
-    out.Set("expired_weight",
-            JsonValue::Int(static_cast<int64_t>(v.expired_weight)));
-    versions.Append(std::move(out));
+    w.BeginObject();
+    w.Key("appended_weight").Uint(v.appended_weight);
+    w.Key("digest").String(v.digest);
+    w.Key("expired_weight").Uint(v.expired_weight);
+    w.Key("num_transactions").Uint(v.num_transactions);
+    w.Key("version").Uint(v.number);
+    w.EndObject();
   }
-  doc.Set("versions", std::move(versions));
-  return doc.Dump();
-}
-
-std::string EncodeStatsResponse(const ServiceStats& stats) {
-  return EncodeStatsResponse(stats, nullptr);
+  w.EndArray();
+  w.Key("window").BeginObject();
+  w.Key("last_n").Uint(info.window.last_n);
+  w.Key("last_seconds").Number(info.window.last_seconds);
+  w.EndObject();
+  w.EndObject();
+  return out;
 }
 
 std::string EncodeStatsResponse(const ServiceStats& stats,
-                                const JsonValue* cluster) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  doc.Set("uptime_seconds", JsonValue::Number(stats.uptime_seconds));
+                                std::string_view cluster) {
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject();
 
-  JsonValue registry = JsonValue::Object();
-  registry.Set("loads",
-               JsonValue::Int(static_cast<int64_t>(stats.registry.loads)));
-  registry.Set("hits",
-               JsonValue::Int(static_cast<int64_t>(stats.registry.hits)));
-  registry.Set("appends",
-               JsonValue::Int(static_cast<int64_t>(stats.registry.appends)));
-  registry.Set("evictions",
-               JsonValue::Int(static_cast<int64_t>(stats.registry.evictions)));
-  registry.Set("resident_bytes",
-               JsonValue::Int(
-                   static_cast<int64_t>(stats.registry.resident_bytes)));
-  registry.Set("mapped_bytes",
-               JsonValue::Int(
-                   static_cast<int64_t>(stats.registry.mapped_bytes)));
-  JsonValue datasets = JsonValue::Array();
-  for (const DatasetRegistryStats::Dataset& d : stats.registry.datasets) {
-    JsonValue row = JsonValue::Object();
-    row.Set("id", JsonValue::Str(d.id));
-    row.Set("path", JsonValue::Str(d.path));
-    row.Set("storage", JsonValue::Str(d.storage));
-    row.Set("versions", JsonValue::Int(static_cast<int64_t>(d.versions)));
-    row.Set("live_transactions",
-            JsonValue::Int(static_cast<int64_t>(d.live_transactions)));
-    row.Set("bytes", JsonValue::Int(static_cast<int64_t>(d.bytes)));
-    row.Set("mapped_bytes",
-            JsonValue::Int(static_cast<int64_t>(d.mapped_bytes)));
-    row.Set("pinned_versions",
-            JsonValue::Int(static_cast<int64_t>(d.pinned_versions)));
-    if (!d.digest.empty()) {
-      row.Set("digest", JsonValue::Str(d.digest));
-    }
-    datasets.Append(std::move(row));
+  const ResultCacheStats& cache = stats.cache;
+  w.Key("cache").BeginObject();
+  w.Key("cross_task_hits").Uint(cache.cross_task_hits);
+  w.Key("dominated_hits").Uint(cache.dominated_hits);
+  w.Key("evictions").Uint(cache.evictions);
+  w.Key("hits").Uint(cache.hits);
+  w.Key("insertions").Uint(cache.insertions);
+  w.Key("misses").Uint(cache.misses);
+  w.Key("resident_bytes").Uint(cache.resident_bytes);
+  w.Key("resident_entries").Uint(cache.resident_entries);
+  w.EndObject();
+
+  if (!cluster.empty()) w.Key("cluster").Raw(cluster);
+  w.Key("ok").Bool(true);
+
+  const DatasetRegistryStats& registry = stats.registry;
+  w.Key("registry").BeginObject();
+  w.Key("appends").Uint(registry.appends);
+  w.Key("datasets").BeginArray();
+  for (const DatasetRegistryStats::Dataset& d : registry.datasets) {
+    w.BeginObject();
+    w.Key("bytes").Uint(d.bytes);
+    if (!d.digest.empty()) w.Key("digest").String(d.digest);
+    w.Key("id").String(d.id);
+    w.Key("live_transactions").Uint(d.live_transactions);
+    w.Key("mapped_bytes").Uint(d.mapped_bytes);
+    w.Key("path").String(d.path);
+    w.Key("pinned_versions").Uint(d.pinned_versions);
+    w.Key("storage").String(d.storage);
+    w.Key("versions").Uint(d.versions);
+    w.EndObject();
   }
-  registry.Set("datasets", std::move(datasets));
-  doc.Set("registry", std::move(registry));
+  w.EndArray();
+  w.Key("evictions").Uint(registry.evictions);
+  w.Key("hits").Uint(registry.hits);
+  w.Key("loads").Uint(registry.loads);
+  w.Key("mapped_bytes").Uint(registry.mapped_bytes);
+  w.Key("resident_bytes").Uint(registry.resident_bytes);
+  w.EndObject();
 
-  JsonValue cache = JsonValue::Object();
-  cache.Set("hits", JsonValue::Int(static_cast<int64_t>(stats.cache.hits)));
-  cache.Set("dominated_hits",
-            JsonValue::Int(static_cast<int64_t>(stats.cache.dominated_hits)));
-  cache.Set("cross_task_hits",
-            JsonValue::Int(
-                static_cast<int64_t>(stats.cache.cross_task_hits)));
-  cache.Set("misses",
-            JsonValue::Int(static_cast<int64_t>(stats.cache.misses)));
-  cache.Set("insertions",
-            JsonValue::Int(static_cast<int64_t>(stats.cache.insertions)));
-  cache.Set("evictions",
-            JsonValue::Int(static_cast<int64_t>(stats.cache.evictions)));
-  cache.Set("resident_bytes",
-            JsonValue::Int(static_cast<int64_t>(stats.cache.resident_bytes)));
-  cache.Set("resident_entries",
-            JsonValue::Int(
-                static_cast<int64_t>(stats.cache.resident_entries)));
-  doc.Set("cache", std::move(cache));
-
-  JsonValue scheduler = JsonValue::Object();
-  scheduler.Set("submitted",
-                JsonValue::Int(
-                    static_cast<int64_t>(stats.scheduler.submitted)));
-  scheduler.Set("rejected",
-                JsonValue::Int(static_cast<int64_t>(stats.scheduler.rejected)));
-  scheduler.Set("completed",
-                JsonValue::Int(
-                    static_cast<int64_t>(stats.scheduler.completed)));
-  scheduler.Set("queue_depth",
-                JsonValue::Int(
-                    static_cast<int64_t>(stats.scheduler.queue_depth)));
-  scheduler.Set("running",
-                JsonValue::Int(static_cast<int64_t>(stats.scheduler.running)));
-  JsonValue in_flight = JsonValue::Array();
-  for (const InFlightJob& job : stats.scheduler.in_flight) {
-    JsonValue row = JsonValue::Object();
-    row.Set("query_id", JsonValue::Int(static_cast<int64_t>(job.query_id)));
-    row.Set("age_seconds", JsonValue::Number(job.age_seconds));
-    in_flight.Append(std::move(row));
+  const JobSchedulerStats& scheduler = stats.scheduler;
+  w.Key("scheduler").BeginObject();
+  w.Key("completed").Uint(scheduler.completed);
+  w.Key("in_flight").BeginArray();
+  for (const InFlightJob& job : scheduler.in_flight) {
+    w.BeginObject();
+    w.Key("age_seconds").Number(job.age_seconds);
+    w.Key("query_id").Uint(job.query_id);
+    w.EndObject();
   }
-  scheduler.Set("in_flight", std::move(in_flight));
-  doc.Set("scheduler", std::move(scheduler));
+  w.EndArray();
+  w.Key("queue_depth").Uint(scheduler.queue_depth);
+  w.Key("rejected").Uint(scheduler.rejected);
+  w.Key("running").Uint(scheduler.running);
+  w.Key("submitted").Uint(scheduler.submitted);
+  w.EndObject();
 
-  JsonValue windows = JsonValue::Array();
-  for (const ServiceWindowStats& w : stats.windows) {
-    JsonValue row = JsonValue::Object();
-    row.Set("window_s", JsonValue::Int(static_cast<int64_t>(w.window_seconds)));
-    row.Set("count", JsonValue::Int(static_cast<int64_t>(w.count)));
-    row.Set("qps", JsonValue::Number(w.qps));
-    row.Set("p50_ms", JsonValue::Number(w.p50_ms));
-    row.Set("p99_ms", JsonValue::Number(w.p99_ms));
-    row.Set("max_ms", JsonValue::Number(w.max_ms));
-    windows.Append(std::move(row));
-  }
-  doc.Set("windows", std::move(windows));
+  w.Key("uptime_seconds").Number(stats.uptime_seconds);
 
-  JsonValue watchdog = JsonValue::Object();
-  watchdog.Set("sweeps",
-               JsonValue::Int(static_cast<int64_t>(stats.watchdog.sweeps)));
-  watchdog.Set("flagged",
-               JsonValue::Int(static_cast<int64_t>(stats.watchdog.flagged)));
-  watchdog.Set("stuck_now",
-               JsonValue::Int(static_cast<int64_t>(stats.watchdog.stuck_now)));
-  doc.Set("watchdog", std::move(watchdog));
-  if (cluster != nullptr) {
-    doc.Set("cluster", *cluster);
+  w.Key("watchdog").BeginObject();
+  w.Key("flagged").Uint(stats.watchdog.flagged);
+  w.Key("stuck_now").Uint(stats.watchdog.stuck_now);
+  w.Key("sweeps").Uint(stats.watchdog.sweeps);
+  w.EndObject();
+
+  w.Key("windows").BeginArray();
+  for (const ServiceWindowStats& window : stats.windows) {
+    w.BeginObject();
+    w.Key("count").Uint(window.count);
+    w.Key("max_ms").Number(window.max_ms);
+    w.Key("p50_ms").Number(window.p50_ms);
+    w.Key("p99_ms").Number(window.p99_ms);
+    w.Key("qps").Number(window.qps);
+    w.Key("window_s").Uint(window.window_seconds);
+    w.EndObject();
   }
-  return doc.Dump();
+  w.EndArray();
+
+  w.EndObject();
+  return out;
 }
 
 std::string EncodeMetricsTextResponse(const std::string& text) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  doc.Set("text", JsonValue::Str(text));
-  return doc.Dump();
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("ok").Bool(true).Key("text").String(text).EndObject();
+  return out;
 }
 
 std::string EncodeError(const Status& status) {
-  return BuildError(status).Dump();
+  return ErrorLine(status, std::nullopt);
 }
 
 std::string EncodeErrorWithId(uint64_t id, const Status& status) {
-  JsonValue doc = BuildError(status);
-  doc.Set("id", JsonValue::Int(static_cast<int64_t>(id)));
-  return doc.Dump();
+  return ErrorLine(status, id);
 }
 
 std::string EncodeOk() {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  return doc.Dump();
+  std::string out;
+  JsonWriter(&out).BeginObject().Key("ok").Bool(true).EndObject();
+  return out;
 }
 
 namespace {
@@ -777,55 +807,6 @@ StatusCode ParseStatusCode(const std::string& name) {
     if (name == entry.first) return entry.second;
   }
   return StatusCode::kInternal;
-}
-
-// The shared query-body fields of an outbound cache_probe/shard_query
-// request, mirroring what DecodeMineBody accepts.
-void EncodeMineBodyFields(const MineRequest& request, bool with_dataset,
-                          JsonValue* doc) {
-  if (with_dataset) {
-    if (!request.dataset_id.empty()) {
-      doc->Set("id", JsonValue::Str(request.dataset_id));
-      if (request.dataset_version != 0) {
-        doc->Set("version",
-                 JsonValue::Int(
-                     static_cast<int64_t>(request.dataset_version)));
-      }
-    } else {
-      doc->Set("dataset", JsonValue::Str(request.dataset_path));
-    }
-  }
-  doc->Set("min_support",
-           JsonValue::Int(static_cast<int64_t>(request.query.min_support)));
-  doc->Set("task", JsonValue::Str(TaskName(request.query.task)));
-  if (request.query.task == MiningTask::kTopK) {
-    doc->Set("k", JsonValue::Int(static_cast<int64_t>(request.query.k)));
-  }
-  if (request.query.task == MiningTask::kRules) {
-    doc->Set("min_confidence",
-             JsonValue::Number(request.query.min_confidence));
-    doc->Set("min_lift", JsonValue::Number(request.query.min_lift));
-    doc->Set("max_consequent",
-             JsonValue::Int(
-                 static_cast<int64_t>(request.query.max_consequent)));
-  }
-  doc->Set("algorithm", JsonValue::Str(AlgorithmName(request.algorithm)));
-  doc->Set("patterns",
-           JsonValue::Str(request.patterns.bits() == PatternSet::All().bits()
-                              ? "all"
-                              : "none"));
-  if (request.priority != 0) {
-    doc->Set("priority", JsonValue::Int(request.priority));
-  }
-  if (request.timeout_seconds > 0.0) {
-    doc->Set("timeout_s", JsonValue::Number(request.timeout_seconds));
-  }
-  if (request.count_only) {
-    doc->Set("count_only", JsonValue::Bool(true));
-  }
-  if (!request.trace_id.empty()) {
-    doc->Set("trace_id", JsonValue::Str(request.trace_id));
-  }
 }
 
 // Parses an "itemsets"/"candidates" array of {"items":[...],
@@ -961,11 +942,10 @@ Status ParseQueryResponseDoc(const JsonValue& doc, MineResponse* out) {
 
 std::string EncodeCacheProbeRequest(const std::string& digest,
                                     const MineRequest& request) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("op", JsonValue::Str("cache_probe"));
-  doc.Set("digest", JsonValue::Str(digest));
-  EncodeMineBodyFields(request, /*with_dataset=*/false, &doc);
-  return doc.Dump();
+  PeerRequestFields fields;
+  fields.op = "cache_probe";
+  fields.digest = &digest;
+  return PeerRequestLine(request, fields);
 }
 
 std::string EncodeShardQueryRequest(const MineRequest& request,
@@ -973,69 +953,52 @@ std::string EncodeShardQueryRequest(const MineRequest& request,
                                     uint32_t partition_index,
                                     uint32_t partition_count,
                                     const std::vector<Itemset>& candidates) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("op", JsonValue::Str("shard_query"));
+  PeerRequestFields fields;
+  fields.op = "shard_query";
   switch (mode) {
     case ClusterOpRequest::ShardMode::kExecute:
-      doc.Set("mode", JsonValue::Str("execute"));
+      fields.mode = "execute";
       break;
     case ClusterOpRequest::ShardMode::kMine:
-      doc.Set("mode", JsonValue::Str("mine"));
+      fields.mode = "mine";
       break;
     case ClusterOpRequest::ShardMode::kCount:
-      doc.Set("mode", JsonValue::Str("count"));
+      fields.mode = "count";
+      fields.candidates = &candidates;
       break;
   }
-  EncodeMineBodyFields(request, /*with_dataset=*/true, &doc);
-  if (mode != ClusterOpRequest::ShardMode::kExecute) {
-    JsonValue partition = JsonValue::Object();
-    partition.Set("index",
-                  JsonValue::Int(static_cast<int64_t>(partition_index)));
-    partition.Set("count",
-                  JsonValue::Int(static_cast<int64_t>(partition_count)));
-    doc.Set("partition", std::move(partition));
-  }
-  if (mode == ClusterOpRequest::ShardMode::kCount) {
-    JsonValue array = JsonValue::Array();
-    for (const Itemset& set : candidates) {
-      array.Append(EncodeItemArray(set));
-    }
-    doc.Set("candidates", std::move(array));
-  }
-  return doc.Dump();
+  fields.partitioned = mode != ClusterOpRequest::ShardMode::kExecute;
+  fields.partition_index = partition_index;
+  fields.partition_count = partition_count;
+  return PeerRequestLine(request, fields);
 }
 
 std::string EncodeCacheProbeResponse(bool hit, const MineResponse& response) {
-  if (!hit) {
-    JsonValue doc = JsonValue::Object();
-    doc.Set("ok", JsonValue::Bool(true));
-    doc.Set("hit", JsonValue::Bool(false));
-    return doc.Dump();
-  }
-  JsonValue doc = BuildQueryResponse(response);
-  doc.Set("hit", JsonValue::Bool(true));
-  return doc.Dump();
+  if (hit) return QueryResponseLine(response, /*hit=*/true, std::nullopt);
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("hit").Bool(false).Key("ok").Bool(true).EndObject();
+  return out;
 }
 
 std::string EncodeShardMineResponse(
     const std::vector<CollectingSink::Entry>& entries) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  doc.Set("phase", JsonValue::Str("mine"));
-  doc.Set("candidates", EncodeItemsets(entries));
-  return doc.Dump();
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("candidates");
+  WriteItemsets(w, entries);
+  w.Key("ok").Bool(true).Key("phase").String("mine").EndObject();
+  return out;
 }
 
 std::string EncodeShardCountResponse(const std::vector<Support>& counts) {
-  JsonValue doc = JsonValue::Object();
-  doc.Set("ok", JsonValue::Bool(true));
-  doc.Set("phase", JsonValue::Str("count"));
-  JsonValue array = JsonValue::Array();
-  for (Support count : counts) {
-    array.Append(JsonValue::Int(static_cast<int64_t>(count)));
-  }
-  doc.Set("counts", std::move(array));
-  return doc.Dump();
+  std::string out;
+  JsonWriter w(&out);
+  w.BeginObject().Key("counts").BeginArray();
+  for (Support count : counts) w.Uint(count);
+  w.EndArray();
+  w.Key("ok").Bool(true).Key("phase").String("count").EndObject();
+  return out;
 }
 
 Result<MineResponse> DecodeQueryResponse(const std::string& line) {

@@ -130,6 +130,14 @@
 // An integer field takes only an integral number inside its type's
 // range: 4294967297 is not a min_support, nor 1.5 a count.
 //
+// Every line fpmd and its peers write comes from one writer
+// (fpm/common/json_writer.h), appended straight into the line with its
+// keys in ascending byte order and numbers printed by the writer's one
+// rule. protocol_test's goldens pin each encoder's bytes, and the
+// session transcript tools/service_session.txt pins a whole daemon
+// session. Requests are parsed into a read-only JsonValue
+// (fpm/service/json.h); a repeated key keeps its last value.
+//
 // The encode/decode layer lives here, separate from socket handling, so
 // tests exercise it without a daemon.
 
@@ -138,11 +146,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fpm/common/status.h"
 #include "fpm/dataset/versioned.h"
-#include "fpm/service/json.h"
 #include "fpm/service/service.h"
 
 namespace fpm {
@@ -244,13 +252,11 @@ std::string EncodeDatasetInfoResponse(const DatasetInfo& info);
 
 /// Encodes the "stats" response: uptime, registry (with per-dataset
 /// rows), cache, scheduler (with in-flight jobs), the 1s/10s/60s
-/// latency windows and the watchdog counters.
-std::string EncodeStatsResponse(const ServiceStats& stats);
-
-/// Stats response with an optional "cluster" section (the coordinator's
-/// InfoJson); `cluster` may be nullptr for the non-clustered encoding.
+/// latency windows and the watchdog counters. A non-empty `cluster` is
+/// embedded as the "cluster" section: one JSON object, the text
+/// Coordinator::InfoJson returns.
 std::string EncodeStatsResponse(const ServiceStats& stats,
-                                const JsonValue* cluster);
+                                std::string_view cluster = {});
 
 // --- Cluster wire helpers (coordinator <-> peer) -------------------
 

@@ -68,8 +68,7 @@ MiningService::MiningService(Options options)
       pool_(ResolveThreads(options.num_threads)),
       registry_(options.dataset_budget_bytes),
       cache_(options.cache_budget_bytes),
-      scheduler_(JobSchedulerOptions{&pool_, options.max_queue_depth,
-                                     /*max_concurrency=*/0}),
+      scheduler_(JobSchedulerOptions{&pool_, options.max_queue_depth}),
       watchdog_(WatchdogOptions{options.watchdog_deadline_factor,
                                 options.watchdog_absolute_seconds,
                                 options.watchdog_interval_seconds,

@@ -19,6 +19,7 @@
 #include "fpm/core/mine.h"
 #include "fpm/core/partition.h"
 #include "fpm/dataset/packed.h"
+#include "fpm/service/json.h"
 #include "fpm/service/protocol.h"
 #include "testing/db_testutil.h"
 
@@ -43,7 +44,7 @@ ClusterOptions MakeOptions(const std::string& self, uint32_t replicas) {
 /// include `self`, found by scanning — placement is deterministic, so
 /// the scan is too.
 std::string FindDigest(const ClusterOptions& options, bool self_owns) {
-  const ConsistentHashRing ring(options.peers, options.virtual_nodes);
+  const ConsistentHashRing ring(options.peers);
   for (int i = 0; i < 10000; ++i) {
     const std::string key = "digest" + std::to_string(i);
     const std::vector<std::string> owners =
@@ -121,7 +122,7 @@ Coordinator::Transport NoTransport() {
 TEST(CoordinatorTest, OwnersMatchRingPlacement) {
   const ClusterOptions options = MakeOptions("n1:7100", 2);
   Coordinator coordinator(options, NoTransport());
-  const ConsistentHashRing ring(options.peers, options.virtual_nodes);
+  const ConsistentHashRing ring(options.peers);
   for (int i = 0; i < 50; ++i) {
     const std::string digest = "d" + std::to_string(i);
     const std::vector<std::string> owners =
@@ -213,8 +214,7 @@ TEST(CoordinatorTest, DeadReplicaFailsOverAndTurnsUnhealthy) {
   const std::string digest = FindDigest(options, /*self_owns=*/false);
 
   const std::string primary =
-      ConsistentHashRing(options.peers, options.virtual_nodes)
-          .Owners(digest, options.replicas)[0];
+      ConsistentHashRing(options.peers).Owners(digest, options.replicas)[0];
   Coordinator coordinator(
       options,
       [primary](const std::string& endpoint, const std::string& line, double,
@@ -489,7 +489,28 @@ TEST(CoordinatorTest, InfoJsonReportsPeersCountersAndPlacement) {
   datasets[0].path = "/data/test.dat";
   datasets[0].digest = "abcdef0123456789";
 
-  const JsonValue info = coordinator.InfoJson(datasets, "abcdef0123456789");
+  const std::string text = coordinator.InfoJson(datasets, "abcdef0123456789");
+  // Keys ascending, the same bytes the tree encoder wrote.
+  EXPECT_EQ(text,
+            "{\"counters\":{\"failovers\":0,\"forwards\":0,"
+            "\"local_fallbacks\":1,\"probe_hits\":0,\"probe_hits_served\":1,"
+            "\"probe_misses\":0,\"probe_misses_served\":1,"
+            "\"remote_queries\":0,\"scatter_queries\":0},\"enabled\":true,"
+            "\"peers\":[{\"consecutive_failures\":0,\"datasets_owned\":1,"
+            "\"endpoint\":\"n1:7100\",\"failures\":0,\"healthy\":true,"
+            "\"pings\":0,\"rtt_last_ms\":0,\"rtt_p50_ms\":0,\"rtt_p99_ms\":0,"
+            "\"self\":false},{\"consecutive_failures\":0,\"datasets_owned\":1,"
+            "\"endpoint\":\"n2:7100\",\"failures\":0,\"healthy\":true,"
+            "\"pings\":0,\"rtt_last_ms\":0,\"rtt_p50_ms\":0,\"rtt_p99_ms\":0,"
+            "\"self\":true},{\"consecutive_failures\":0,\"datasets_owned\":0,"
+            "\"endpoint\":\"n3:7100\",\"failures\":0,\"healthy\":true,"
+            "\"pings\":0,\"rtt_last_ms\":0,\"rtt_p50_ms\":0,\"rtt_p99_ms\":0,"
+            "\"self\":false}],\"placement\":{\"digest\":\"abcdef0123456789\","
+            "\"owners\":[\"n2:7100\",\"n1:7100\"]},\"replicas\":2,"
+            "\"self\":\"n2:7100\",\"virtual_nodes\":64}");
+  const Result<JsonValue> parsed = ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const JsonValue& info = parsed.value();
   EXPECT_TRUE(info["enabled"].bool_value());
   EXPECT_EQ(info["self"].string_value(), "n2:7100");
   EXPECT_EQ(info["replicas"].int_value(), 2);

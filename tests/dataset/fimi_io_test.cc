@@ -76,6 +76,22 @@ TEST(FimiParseTest, RejectsOverflowingItem) {
   EXPECT_NE(r.status().message().find("'99999999999'"), std::string::npos);
 }
 
+// Mutant 68 of DecoderFuzzTest.ParseFimiReturnsAStatus. The reader
+// sizes per-item arrays by the largest id, so before the bound these 19
+// bytes made it allocate 4 GB.
+TEST(FimiParseTest, RejectsItemsPastTheItemBound) {
+  auto r = ParseFimi("9 2 3\n4 5\n999999999");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("line 3"), std::string::npos);
+  EXPECT_NE(r.status().message().find("'999999999'"), std::string::npos);
+
+  auto largest = ParseFimi(std::to_string(kMaxFimiItem) + "\n");
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->num_items(), size_t{kMaxFimiItem} + 1);
+  EXPECT_FALSE(ParseFimi(std::to_string(kMaxFimiItem + 1) + "\n").ok());
+}
+
 TEST(FimiParseTest, EmptyInputYieldsEmptyDatabase) {
   auto r = ParseFimi("");
   ASSERT_TRUE(r.ok());

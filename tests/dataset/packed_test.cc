@@ -242,6 +242,33 @@ TEST(PackedDiagnosticsTest, TruncationNamesPathAndOffset) {
       << body_cut.status();
 }
 
+// A count whose high bits are set multiplies past 2^64, so the size the
+// header promises wrapped around to the real file size and the mapper
+// walked the offsets array far past the mapping.
+TEST(PackedDiagnosticsTest, CountsPastTheFileSizeAreRejected) {
+  DatabaseBuilder b;
+  b.AddTransaction({1, 2});
+  b.AddTransaction({2, 3});
+  const std::string path = TempPath("hugecount.fpk");
+  ASSERT_TRUE(WritePacked(b.Build(), path).ok());
+  const std::string bytes = ReadAll(path);
+
+  for (const size_t field : {16u, 24u, 32u}) {  // transactions, items, entries
+    std::string wrapped = bytes;
+    wrapped[field + 7] ^= 0x40;  // + 2^62: every size product wraps back
+    WriteAll(path, wrapped);
+    auto opened = OpenMapped(path);
+    ASSERT_FALSE(opened.ok()) << "count at offset " << field;
+    EXPECT_NE(opened.status().message().find("exceeds the file size"),
+              std::string::npos)
+        << opened.status();
+    EXPECT_NE(opened.status().message().find(
+                  "at offset " + std::to_string(field)),
+              std::string::npos)
+        << opened.status();
+  }
+}
+
 TEST(PackedDiagnosticsTest, VersionAndEndianMismatchesAreRejected) {
   DatabaseBuilder b;
   b.AddTransaction({1});

@@ -53,8 +53,7 @@ TEST(JobSchedulerTest, RunsSubmittedJobs) {
 TEST(JobSchedulerTest, HigherPriorityOvertakesFifoWithinPriority) {
   ThreadPool pool(1);
   JobSchedulerOptions options;
-  options.pool = &pool;
-  options.max_concurrency = 1;  // one runner -> strictly ordered pops
+  options.pool = &pool;  // one worker, one runner -> strictly ordered pops
   JobScheduler scheduler(options);
 
   Gate gate;
@@ -83,7 +82,6 @@ TEST(JobSchedulerTest, BackpressureRejectsWhenFull) {
   ThreadPool pool(1);
   JobSchedulerOptions options;
   options.pool = &pool;
-  options.max_concurrency = 1;
   options.max_queue_depth = 2;
   JobScheduler scheduler(options);
 
@@ -123,10 +121,9 @@ TEST(JobSchedulerTest, DestructorDrains) {
 }
 
 TEST(JobSchedulerTest, ConcurrencyIsBounded) {
-  ThreadPool pool(4);
+  ThreadPool pool(2);  // at most one runner per worker
   JobSchedulerOptions options;
   options.pool = &pool;
-  options.max_concurrency = 2;
   options.max_queue_depth = 64;
   JobScheduler scheduler(options);
 

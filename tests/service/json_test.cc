@@ -3,45 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 namespace fpm {
 namespace {
 
-TEST(JsonValueTest, DumpScalars) {
-  EXPECT_EQ(JsonValue::Null().Dump(), "null");
-  EXPECT_EQ(JsonValue::Bool(true).Dump(), "true");
-  EXPECT_EQ(JsonValue::Bool(false).Dump(), "false");
-  EXPECT_EQ(JsonValue::Int(42).Dump(), "42");
-  EXPECT_EQ(JsonValue::Int(-7).Dump(), "-7");
-  EXPECT_EQ(JsonValue::Str("hi").Dump(), "\"hi\"");
-}
-
-TEST(JsonValueTest, DumpEscapesStrings) {
-  const std::string dumped =
-      JsonValue::Str("a\"b\\c\n\t").Dump();
-  EXPECT_EQ(dumped, "\"a\\\"b\\\\c\\n\\t\"");
-}
-
-TEST(JsonValueTest, ObjectsSerializeDeterministically) {
-  JsonValue o = JsonValue::Object();
-  o.Set("zeta", JsonValue::Int(1));
-  o.Set("alpha", JsonValue::Int(2));
-  // Map-ordered keys: insertion order does not matter.
-  EXPECT_EQ(o.Dump(), "{\"alpha\":2,\"zeta\":1}");
-}
-
-TEST(JsonValueTest, ArraysKeepOrder) {
-  JsonValue a = JsonValue::Array();
-  a.Append(JsonValue::Int(3));
-  a.Append(JsonValue::Int(1));
-  a.Append(JsonValue::Str("x"));
-  EXPECT_EQ(a.Dump(), "[3,1,\"x\"]");
-}
-
 TEST(JsonValueTest, AbsentKeyIsNull) {
-  JsonValue o = JsonValue::Object();
-  EXPECT_TRUE(o["nope"].is_null());
-  EXPECT_TRUE(o["nope"]["deeper"].is_null());
+  const auto parsed = ParseJson("{}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_TRUE(parsed.value()["nope"].is_null());
+  EXPECT_TRUE(parsed.value()["nope"]["deeper"].is_null());
 }
 
 TEST(JsonParseTest, RoundTripsNestedDocument) {
@@ -49,7 +20,29 @@ TEST(JsonParseTest, RoundTripsNestedDocument) {
       "{\"a\":[1,2,{\"b\":true}],\"c\":\"s\",\"d\":null,\"e\":-2.5}";
   auto parsed = ParseJson(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->Dump(), text);
+  const JsonValue& doc = parsed.value();
+  ASSERT_TRUE(doc.is_object());
+  const std::vector<JsonValue>& a = doc["a"].array_items();
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a[0].number_value(), 1.0);
+  EXPECT_EQ(a[1].number_value(), 2.0);
+  EXPECT_TRUE(a[2]["b"].is_bool());
+  EXPECT_TRUE(a[2]["b"].bool_value());
+  EXPECT_EQ(doc["c"].string_value(), "s");
+  EXPECT_EQ(doc["d"].kind(), JsonValue::Kind::kNull);
+  EXPECT_EQ(doc["e"].number_value(), -2.5);
+  // Whitespace does not change the parsed value.
+  auto spaced = ParseJson(
+      " { \"e\" : -2.5 , \"d\" : null , \"c\" : \"s\" ,"
+      " \"a\" : [ 1 , 2 , { \"b\" : true } ] } ");
+  ASSERT_TRUE(spaced.ok()) << spaced.status();
+  EXPECT_EQ(spaced.value(), doc);
+}
+
+TEST(JsonParseTest, RepeatedKeyKeepsTheLastValue) {
+  auto parsed = ParseJson("{\"k\":[1,2],\"k\":\"last\"}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed.value()["k"].string_value(), "last");
 }
 
 TEST(JsonParseTest, ParsesWhitespaceAndEscapes) {

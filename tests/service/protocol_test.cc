@@ -5,6 +5,8 @@
 #include <ostream>
 #include <string>
 
+#include "fpm/service/json.h"
+
 namespace fpm {
 namespace {
 
@@ -216,6 +218,10 @@ TEST(EncodeTest, BatchLinesCarryTheQueryId) {
   response.num_frequent = 0;
   response.query_id = 21;
   const std::string tagged = EncodeQueryResponseWithId(3, response);
+  EXPECT_EQ(tagged,
+            "{\"cache\":\"miss\",\"digest\":\"\",\"id\":3,\"mine_ms\":0,"
+            "\"num_results\":0,\"ok\":true,\"query_id\":21,\"queue_ms\":0,"
+            "\"task\":\"frequent\"}");
   auto doc = ParseJson(tagged);
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc.value()["id"].int_value(), 3);
@@ -226,6 +232,9 @@ TEST(EncodeTest, BatchLinesCarryTheQueryId) {
 
   const std::string error =
       EncodeErrorWithId(7, Status::InvalidArgument("nope"));
+  EXPECT_EQ(error,
+            "{\"error\":{\"code\":\"INVALID_ARGUMENT\",\"message\":\"nope\"},"
+            "\"id\":7,\"ok\":false}");
   auto err = ParseJson(error);
   ASSERT_TRUE(err.ok());
   EXPECT_EQ(err.value()["id"].int_value(), 7);
@@ -244,6 +253,9 @@ TEST(EncodeTest, CountOnlyResponseOmitsItemsets) {
 TEST(EncodeTest, ErrorCarriesCodeAndMessage) {
   const std::string line =
       EncodeError(Status::DeadlineExceeded("mining deadline exceeded"));
+  EXPECT_EQ(line,
+            "{\"error\":{\"code\":\"DEADLINE_EXCEEDED\","
+            "\"message\":\"mining deadline exceeded\"},\"ok\":false}");
   auto doc = ParseJson(line);
   ASSERT_TRUE(doc.ok());
   EXPECT_FALSE(doc.value()["ok"].bool_value());
@@ -346,6 +358,8 @@ TEST(EncodeTest, StatsResponseGolden) {
 TEST(EncodeTest, MetricsTextResponseWrapsTheExposition) {
   const std::string line =
       EncodeMetricsTextResponse("# TYPE fpm_x counter\nfpm_x 1\n");
+  EXPECT_EQ(line,
+            "{\"ok\":true,\"text\":\"# TYPE fpm_x counter\\nfpm_x 1\\n\"}");
   auto doc = ParseJson(line);
   ASSERT_TRUE(doc.ok());
   EXPECT_TRUE(doc.value()["ok"].bool_value());
@@ -665,6 +679,11 @@ TEST(ClusterWireTest, CacheProbeRequestRoundTrips) {
   request.trace_id = "qid-7@n1:7100";
   const std::string line =
       EncodeCacheProbeRequest("abcdef0123456789", request);
+  EXPECT_EQ(line,
+            "{\"algorithm\":\"eclat\",\"digest\":\"abcdef0123456789\","
+            "\"k\":3,\"min_support\":5,\"op\":\"cache_probe\","
+            "\"patterns\":\"none\",\"task\":\"top_k\","
+            "\"trace_id\":\"qid-7@n1:7100\"}");
   auto decoded = DecodeRequest(line);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->op, ServiceRequest::Op::kCacheProbe);
@@ -674,9 +693,30 @@ TEST(ClusterWireTest, CacheProbeRequestRoundTrips) {
   EXPECT_EQ(decoded->mine.query.k, 3u);
   EXPECT_EQ(decoded->mine.algorithm, Algorithm::kEclat);
   EXPECT_EQ(decoded->mine.trace_id, "qid-7@n1:7100");
+
+  // A rules query carries the rule thresholds and no "k"; the optional
+  // body fields take their sorted slots.
+  MineRequest rules;
+  rules.query.min_support = 2;
+  rules.query.task = MiningTask::kRules;
+  rules.query.min_confidence = 0.6;
+  rules.query.min_lift = 1.5;
+  rules.query.max_consequent = 2;
+  rules.priority = 3;
+  rules.timeout_seconds = 2.5;
+  rules.count_only = true;
+  rules.patterns = PatternSet::All();
+  EXPECT_EQ(EncodeCacheProbeRequest("abcdef0123456789", rules),
+            "{\"algorithm\":\"lcm\",\"count_only\":true,"
+            "\"digest\":\"abcdef0123456789\",\"max_consequent\":2,"
+            "\"min_confidence\":0.6,\"min_lift\":1.5,\"min_support\":2,"
+            "\"op\":\"cache_probe\",\"patterns\":\"all\",\"priority\":3,"
+            "\"task\":\"rules\",\"timeout_s\":2.5}");
 }
 
 TEST(ClusterWireTest, CacheProbeResponsesRoundTrip) {
+  EXPECT_EQ(EncodeCacheProbeResponse(false, {}),
+            "{\"hit\":false,\"ok\":true}");
   auto miss = DecodeCacheProbeResponse(EncodeCacheProbeResponse(false, {}));
   ASSERT_TRUE(miss.ok()) << miss.status();
   EXPECT_FALSE(miss->hit);
@@ -687,6 +727,12 @@ TEST(ClusterWireTest, CacheProbeResponsesRoundTrip) {
   response.itemsets = {{{1, 2}, 4}, {{3}, 6}};
   response.cache = CacheOutcome::kExact;
   response.dataset_digest = "abcdef0123456789";
+  EXPECT_EQ(EncodeCacheProbeResponse(true, response),
+            "{\"cache\":\"hit\",\"digest\":\"abcdef0123456789\",\"hit\":true,"
+            "\"itemsets\":[{\"items\":[1,2],\"support\":4},"
+            "{\"items\":[3],\"support\":6}],\"mine_ms\":0,"
+            "\"num_results\":2,\"ok\":true,\"query_id\":0,\"queue_ms\":0,"
+            "\"task\":\"frequent\"}");
   auto hit = DecodeCacheProbeResponse(EncodeCacheProbeResponse(true, response));
   ASSERT_TRUE(hit.ok()) << hit.status();
   EXPECT_TRUE(hit->hit);
@@ -702,6 +748,12 @@ TEST(ClusterWireTest, ShardQueryRequestRoundTrips) {
   request.query.min_support = 9;
   const std::string line = EncodeShardQueryRequest(
       request, ClusterOpRequest::ShardMode::kCount, 2, 5, {{4, 1}, {2}});
+  EXPECT_EQ(line,
+            "{\"algorithm\":\"lcm\",\"candidates\":[[4,1],[2]],"
+            "\"dataset\":\"/data/retail.fpk\",\"min_support\":9,"
+            "\"mode\":\"count\",\"op\":\"shard_query\","
+            "\"partition\":{\"count\":5,\"index\":2},\"patterns\":\"none\","
+            "\"task\":\"frequent\"}");
   auto decoded = DecodeRequest(line);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->cluster.shard_mode, ClusterOpRequest::ShardMode::kCount);
@@ -710,15 +762,46 @@ TEST(ClusterWireTest, ShardQueryRequestRoundTrips) {
   EXPECT_EQ(decoded->mine.dataset_path, "/data/retail.fpk");
   ASSERT_EQ(decoded->cluster.candidates.size(), 2u);
   EXPECT_EQ(decoded->cluster.candidates[0], (Itemset{4, 1}));
+
+  // Mode "mine" carries the partition but no candidates.
+  const std::string mine = EncodeShardQueryRequest(
+      request, ClusterOpRequest::ShardMode::kMine, 0, 2, {});
+  EXPECT_EQ(mine,
+            "{\"algorithm\":\"lcm\",\"dataset\":\"/data/retail.fpk\","
+            "\"min_support\":9,\"mode\":\"mine\",\"op\":\"shard_query\","
+            "\"partition\":{\"count\":2,\"index\":0},\"patterns\":\"none\","
+            "\"task\":\"frequent\"}");
+
+  // Mode "execute" carries neither; a handle-addressed query sends its
+  // "id" and "version" instead of a dataset path.
+  MineRequest by_id;
+  by_id.dataset_id = "ds-2";
+  by_id.dataset_version = 3;
+  by_id.query.min_support = 4;
+  by_id.query.task = MiningTask::kClosed;
+  by_id.priority = -1;
+  by_id.trace_id = "t-1";
+  const std::string execute = EncodeShardQueryRequest(
+      by_id, ClusterOpRequest::ShardMode::kExecute, 0, 1, {});
+  EXPECT_EQ(execute,
+            "{\"algorithm\":\"lcm\",\"id\":\"ds-2\",\"min_support\":4,"
+            "\"mode\":\"execute\",\"op\":\"shard_query\","
+            "\"patterns\":\"none\",\"priority\":-1,\"task\":\"closed\","
+            "\"trace_id\":\"t-1\",\"version\":3}");
 }
 
 TEST(ClusterWireTest, ShardPhaseResponsesRoundTrip) {
   const std::vector<CollectingSink::Entry> entries = {{{1, 2}, 3}, {{5}, 7}};
+  EXPECT_EQ(EncodeShardMineResponse(entries),
+            "{\"candidates\":[{\"items\":[1,2],\"support\":3},"
+            "{\"items\":[5],\"support\":7}],\"ok\":true,\"phase\":\"mine\"}");
   auto mined = DecodeShardMineResponse(EncodeShardMineResponse(entries));
   ASSERT_TRUE(mined.ok()) << mined.status();
   EXPECT_EQ(mined.value(), entries);
 
   const std::vector<Support> counts = {0, 4, 9};
+  EXPECT_EQ(EncodeShardCountResponse(counts),
+            "{\"counts\":[0,4,9],\"ok\":true,\"phase\":\"count\"}");
   auto counted = DecodeShardCountResponse(EncodeShardCountResponse(counts));
   ASSERT_TRUE(counted.ok()) << counted.status();
   EXPECT_EQ(counted.value(), counts);
@@ -730,6 +813,12 @@ TEST(ClusterWireTest, QueryResponseCarriesPeerAndShards) {
   response.itemsets = {{{2}, 8}};
   response.served_by = "n2:7100";
   response.shard_count = 3;
+  EXPECT_EQ(EncodeQueryResponse(response),
+            "{\"cache\":\"miss\",\"digest\":\"\","
+            "\"itemsets\":[{\"items\":[2],\"support\":8}],\"mine_ms\":0,"
+            "\"num_results\":1,\"ok\":true,\"peer\":\"n2:7100\","
+            "\"query_id\":0,\"queue_ms\":0,\"shards\":3,"
+            "\"task\":\"frequent\"}");
   auto decoded = DecodeQueryResponse(EncodeQueryResponse(response));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_EQ(decoded->served_by, "n2:7100");
@@ -754,16 +843,27 @@ TEST(ClusterWireTest, QueryResponseDecodeSurfacesPeerErrors) {
 TEST(EncodeTest, StatsResponseEmbedsClusterSection) {
   ServiceStats stats;
   stats.uptime_seconds = 1.0;
-  JsonValue cluster = JsonValue::Object();
-  cluster.Set("enabled", JsonValue::Bool(true));
-  cluster.Set("self", JsonValue::Str("n1:7100"));
-  const std::string line = EncodeStatsResponse(stats, &cluster);
+  const std::string line =
+      EncodeStatsResponse(stats, "{\"enabled\":true,\"self\":\"n1:7100\"}");
+  // The section lands in its sorted slot, between "cache" and "ok".
+  EXPECT_EQ(line,
+            "{\"cache\":{\"cross_task_hits\":0,\"dominated_hits\":0,"
+            "\"evictions\":0,\"hits\":0,\"insertions\":0,\"misses\":0,"
+            "\"resident_bytes\":0,\"resident_entries\":0},"
+            "\"cluster\":{\"enabled\":true,\"self\":\"n1:7100\"},\"ok\":true,"
+            "\"registry\":{\"appends\":0,\"datasets\":[],\"evictions\":0,"
+            "\"hits\":0,\"loads\":0,\"mapped_bytes\":0,\"resident_bytes\":0},"
+            "\"scheduler\":{\"completed\":0,\"in_flight\":[],\"queue_depth\":0,"
+            "\"rejected\":0,\"running\":0,\"submitted\":0},"
+            "\"uptime_seconds\":1,"
+            "\"watchdog\":{\"flagged\":0,\"stuck_now\":0,\"sweeps\":0},"
+            "\"windows\":[]}");
   auto doc = ParseJson(line);
   ASSERT_TRUE(doc.ok());
   EXPECT_TRUE(doc.value()["cluster"]["enabled"].bool_value());
   EXPECT_EQ(doc.value()["cluster"]["self"].string_value(), "n1:7100");
-  // The two-arg overload with no cluster matches the plain encoding.
-  EXPECT_EQ(EncodeStatsResponse(stats, nullptr), EncodeStatsResponse(stats));
+  // An empty section leaves the key out: the plain encoding.
+  EXPECT_EQ(EncodeStatsResponse(stats, ""), EncodeStatsResponse(stats));
 }
 
 TEST(EncodeTest, RegistryRowCarriesDigestWhenKnown) {

@@ -189,6 +189,10 @@ TEST(StreamingEncodeTest, BaseVersionHandleOmitsParentDigest) {
   handle.digest = "beef";
   handle.database = TinyDb();
   const std::string line = EncodeHandleResponse(handle);
+  EXPECT_EQ(line,
+            "{\"digest\":\"beef\",\"id\":\"ds-1\",\"latest_version\":1,"
+            "\"num_transactions\":2,\"ok\":true,\"total_weight\":2,"
+            "\"version\":1}");
   EXPECT_EQ(line.find("parent_digest"), std::string::npos);
   EXPECT_NE(line.find("\"version\":1"), std::string::npos);
 }

@@ -2,6 +2,7 @@
 """End-to-end smoke test of the fpmd daemon and its result cache.
 
 Usage: service_smoke.py FPMD_BINARY FPM_CLIENT_BINARY FPM_PACK_BINARY
+       service_smoke.py --record-session FPMD_BINARY
 
 Starts fpmd on a temp Unix socket with a tiny generated dataset, then
 drives it with fpm_client the way a real deployment would:
@@ -43,6 +44,16 @@ drives it with fpm_client the way a real deployment would:
  14. a stand-in daemon answering with kMaxLineBytes + 1 bytes and no
      newline -> fpm_client prints "reply exceeds 268435456 bytes" and
      exits 1
+ 15. the wire transcript, on a one-node cluster fpmd: one scripted
+     session (queries of every task, count_only and trace_id, a batch
+     with a bad entry, open/append/query by id/expire/window/
+     dataset_info, cluster_info with and without a dataset, cache_probe
+     hit and miss, shard_query execute/mine/count, stats, decode errors
+     and an unknown op) whose replies, with SESSION_MASKED_KEYS masked,
+     must equal tools/service_session.txt byte for byte. That file pins
+     every byte fpmd writes; re-record it (service_smoke.py
+     --record-session FPMD) only together with a CHANGES.md entry that
+     names what changed on the wire and why.
 
 and asserts, from the responses AND the daemon's metrics, that the
 repeated and dominated queries were served from the cache without
@@ -58,6 +69,7 @@ Standard library only — runs on any CI python3.
 
 import json
 import os
+import re
 import resource
 import socket
 import subprocess
@@ -280,7 +292,166 @@ def check_client_refuses_long_reply(client, tmp):
              f"with stderr {proc.stderr.strip()!r}")
 
 
+SESSION_TRANSCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                  "service_session.txt")
+
+# Reply values that depend on timing: how long a query queued and mined,
+# the daemon's uptime, job ages, watchdog sweeps and the latency windows
+# (a window's count drops once a query ages out of it). Every other
+# byte of every reply is compared.
+SESSION_MASKED_KEYS = ["age_seconds", "count", "max_ms", "mine_ms", "p50_ms",
+                       "p99_ms", "qps", "queue_ms", "sweeps",
+                       "uptime_seconds"]
+SESSION_MASK = re.compile(
+    '"(%s)":-?[0-9][0-9.eE+-]*' % "|".join(SESSION_MASKED_KEYS))
+
+
+def session_requests(dataset):
+    """The scripted session: (request line, reply line count) pairs.
+    $DIGEST stands for the content digest the first reply carries."""
+    def line(**fields):
+        return json.dumps(fields, separators=(",", ":"))
+
+    def query(**fields):
+        return line(op="query", dataset=dataset, **fields)
+
+    yield query(min_support=2), 1
+    yield query(min_support=2, task="closed"), 1
+    yield query(min_support=2, task="maximal"), 1
+    yield query(min_support=2, task="top_k", k=3), 1
+    yield query(min_support=2, task="rules", min_confidence=0.6), 1
+    yield query(min_support=3, count_only=True), 1
+    yield query(min_support=2, trace_id="session-1"), 1
+    yield line(op="batch", queries=[
+        {"dataset": dataset, "min_support": 3, "task": "closed"},
+        {"dataset": dataset + ".missing", "min_support": 2},
+        {"dataset": dataset},
+        {"dataset": dataset, "min_support": 2, "task": "top_k", "k": 2},
+    ]), 4
+    yield line(op="open", dataset=dataset), 1
+    yield line(op="append", id="ds-1",
+               transactions=[[1, 2], [2, 3, 4]], timestamps=[1.5, 2.5]), 1
+    yield line(op="query", id="ds-1", min_support=2), 1
+    yield line(op="query", id="ds-1", version=1, min_support=3), 1
+    yield line(op="expire", id="ds-1", count=1), 1
+    yield line(op="window", id="ds-1", last_n=5), 1
+    yield line(op="dataset_info", id="ds-1"), 1
+    yield line(op="cluster_info"), 1
+    yield line(op="cluster_info", dataset=dataset), 1
+    yield line(op="cache_probe", digest="$DIGEST", min_support=2,
+               algorithm="lcm", patterns="all"), 1
+    yield line(op="cache_probe", digest="$DIGEST", min_support=1,
+               algorithm="lcm", patterns="all"), 1
+    yield line(op="shard_query", mode="execute", dataset=dataset,
+               min_support=2, task="closed"), 1
+    yield line(op="shard_query", mode="mine", dataset=dataset,
+               min_support=2, partition={"index": 0, "count": 2}), 1
+    yield line(op="shard_query", mode="count", dataset=dataset,
+               min_support=2, partition={"index": 1, "count": 2},
+               candidates=[[1], [2, 3], [4]]), 1
+    yield '{"op":"stats"}', 1
+    yield "not json", 1
+    yield "[1,2]", 1
+    yield '{"op":7}', 1
+    yield '{"op":"query","dataset":"x.dat","min_support":1.5}', 1
+    yield line(op="shard_query", mode="count", dataset=dataset,
+               min_support=2, partition={"index": 0, "count": 1},
+               candidates=[[1, 1]]), 1
+    yield '{"op":"explode"}', 1
+    yield '{"op":"ping"}', 1
+
+
+def free_tcp_port():
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def run_session(fpmd, tmp):
+    """Step 15: replays the scripted session on a one-node cluster and
+    returns its transcript: each request after "> ", each reply after
+    "< " with SESSION_MASKED_KEYS masked, the temp directory written as
+    $TMP and the node's endpoint as $SELF. A batch's lines arrive in
+    completion order and are listed by id."""
+    dataset = os.path.join(tmp, "session.dat")
+    with open(dataset, "w", encoding="utf-8") as f:
+        for row in ["1 2 3", "1 2", "1 3", "2 3", "1 2 3 4", "2 3 4",
+                    "1 2 4"]:
+            f.write(row + "\n")
+    socket_path = os.path.join(tmp, "fpmd-session.sock")
+    self_endpoint = f"127.0.0.1:{free_tcp_port()}"
+    daemon = subprocess.Popen(
+        [fpmd, f"--socket={socket_path}", "--threads=2",
+         f"--cluster={self_endpoint}", f"--self={self_endpoint}",
+         "--replicas=1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    transcript = []
+    try:
+        wait_for_socket(daemon, socket_path)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock, \
+                sock.makefile("rb") as reader:
+            sock.settimeout(60)
+            sock.connect(socket_path)
+
+            def exchange(request, replies):
+                sock.sendall(request.encode() + b"\n")
+                return [reader.readline().rstrip(b"\n").decode()
+                        for _ in range(replies)]
+
+            digest = None
+            for request, replies in session_requests(dataset):
+                if digest is not None:
+                    request = request.replace("$DIGEST", digest)
+                if request == '{"op":"stats"}':
+                    # Let the scheduler retire the last job first: a
+                    # reply can reach the client before the runner
+                    # counts its job completed.
+                    for _ in range(200):
+                        stats = json.loads(exchange(request, 1)[0])
+                        if stats["scheduler"]["running"] == 0:
+                            break
+                        time.sleep(0.01)
+                lines = exchange(request, replies)
+                if digest is None:
+                    digest = json.loads(lines[0])["digest"]
+                if replies > 1:
+                    lines.sort(key=lambda l: json.loads(l)["id"])
+                transcript.append("> " + request)
+                transcript.extend("< " + l for l in lines)
+        shut_down(daemon, socket_path, "session")
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+    def mask(text):
+        text = text.replace(tmp, "$TMP").replace(self_endpoint, "$SELF")
+        if text.startswith("< "):
+            text = SESSION_MASK.sub(r'"\1":*', text)
+        return text
+
+    return [mask(l) for l in transcript]
+
+
+def check_session(fpmd, tmp):
+    with open(SESSION_TRANSCRIPT, encoding="utf-8") as f:
+        want = f.read().splitlines()
+    got = run_session(fpmd, tmp)
+    if got != want:
+        for i, (g, w) in enumerate(zip(got + [""] * len(want),
+                                       want + [""] * len(got))):
+            if g != w:
+                fail(f"session transcript differs at line {i + 1} of "
+                     f"{SESSION_TRANSCRIPT}:\n  want {w}\n  got  {g}")
+
+
 def main(argv):
+    if len(argv) == 3 and argv[1] == "--record-session":
+        tmp = tempfile.mkdtemp(prefix="fpm_service_session_")
+        with open(SESSION_TRANSCRIPT, "w", encoding="utf-8") as f:
+            f.write("\n".join(run_session(argv[2], tmp)) + "\n")
+        print(f"recorded {SESSION_TRANSCRIPT}")
+        return 0
     if len(argv) != 4:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
@@ -627,6 +798,8 @@ def main(argv):
     check_fd_exhaustion(fpmd, tmp)
     # 14. The client side of the line bound.
     check_client_refuses_long_reply(client, tmp)
+    # 15. Every byte of a scripted session against the transcript.
+    check_session(fpmd, tmp)
 
     print("service smoke: OK (miss -> 2 hits, 1 dominated, "
           "mixed batch derived cross-task, append reseeded, "
@@ -634,7 +807,7 @@ def main(argv):
           "query log validated, mine op unknown, over-long line "
           "refused, clean shutdown, 5000 connections joined, "
           "serving again after running out of fds, over-long reply "
-          "refused by fpm_client)")
+          "refused by fpm_client, session transcript identical)")
     return 0
 
 

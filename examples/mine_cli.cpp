@@ -29,11 +29,9 @@
 //     --window=N                               (sliding window: keep only
 //                                               the last N transactions,
 //                                               older ones expire)
-//     --packed                                 (input is a packed database
-//                                               from fpm_pack: mmap it
-//                                               instead of parsing FIMI;
-//                                               packed files are also
-//                                               auto-detected by magic)
+//
+// A packed database from fpm_pack (recognized by its magic) is mapped
+// instead of parsed.
 //
 // Example:
 //   ./mine_cli retail.dat 100 --algorithm=eclat --patterns=P1,P8
@@ -97,8 +95,7 @@ int Usage(const char* argv0) {
                "[--threads=N (0 = all hardware threads)] [--timeout=SEC] "
                "[--nondeterministic] [--stats] [--perf] "
                "[--trace-out=FILE] [--metrics-out=FILE] [--query-log=FILE] "
-               "[--append=FILE ...] [--window=N] [--packed]\n",
-               argv0);
+               "[--append=FILE ...] [--window=N]\n", argv0);
   return 2;
 }
 
@@ -142,7 +139,6 @@ int main(int argc, char** argv) {
   bool deterministic = true;
   std::vector<std::string> append_paths;
   long window_n = 0;
-  bool packed = false;
   for (int i = 3; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--algorithm=", 0) == 0) {
@@ -207,8 +203,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--window must be >= 1\n");
         return 2;
       }
-    } else if (arg == "--packed") {
-      packed = true;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return Usage(argv[0]);
@@ -264,12 +258,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --packed (or a sniffed FPMPACK1 magic) maps the file read-only
-  // instead of parsing it: the CSR arrays are mined straight off the
-  // page cache, so load time is O(header) and the heap stays small.
+  // A packed file (sniffed by its FPMPACK1 magic) is mapped read-only
+  // instead of parsed: the CSR arrays are mined straight off the page
+  // cache, so load time is O(header) and the heap stays small.
   WallTimer load_timer;
-  if (!packed && IsPackedFile(input)) packed = true;
-  auto dbr = packed ? OpenMapped(input) : ReadFimiFile(input);
+  auto dbr = IsPackedFile(input) ? OpenMapped(input) : ReadFimiFile(input);
   if (!dbr.ok()) {
     std::fprintf(stderr, "%s\n", dbr.status().ToString().c_str());
     return 1;

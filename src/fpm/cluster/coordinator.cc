@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -108,11 +109,12 @@ Result<std::string> Coordinator::DigestForPath(const std::string& path) {
   const size_t header_bytes = static_cast<size_t>(in.gcount());
 
   std::string digest;
-  if (header_bytes >= kPackedHeaderBytes &&
+  if (header_bytes >= sizeof(kPackedMagic) &&
       std::memcmp(header, kPackedMagic, sizeof(kPackedMagic)) == 0) {
     // Packed file: the header carries the content digest — placement
     // costs one page read, never a dataset load.
-    digest.assign(header + 56, 16);
+    const std::string_view bytes(header, header_bytes);
+    FPM_ASSIGN_OR_RETURN(digest, ReadPackedHeader(path, bytes));
   } else {
     // Anything else (FIMI text): digest the raw bytes, exactly what
     // DatasetRegistry::Open computes when it loads the file.
@@ -192,7 +194,7 @@ Result<MineResponse> Coordinator::ExecuteRemote(
       return Status::Cancelled("cluster: query aborted during probe");
     }
     Result<std::string> raw =
-        CallPeer(owner, probe_line, options_.probe_deadline_seconds, abort);
+        CallPeer(owner, probe_line, kProbeDeadlineSeconds, abort);
     if (!raw.ok()) {
       if (raw.status().code() == StatusCode::kCancelled) return raw.status();
       continue;
@@ -220,7 +222,7 @@ Result<MineResponse> Coordinator::ExecuteRemote(
     }
     counters_.forwards.fetch_add(1, std::memory_order_relaxed);
     Result<std::string> raw =
-        CallPeer(owner, forward_line, options_.peer_deadline_seconds, abort);
+        CallPeer(owner, forward_line, kPeerDeadlineSeconds, abort);
     if (!raw.ok()) {
       if (raw.status().code() == StatusCode::kCancelled) return raw.status();
       last = raw.status();
@@ -283,7 +285,7 @@ Result<MineResponse> Coordinator::ExecuteScatter(
       }
       const std::string& owner = owners[(p + attempt) % k];
       Result<std::string> raw =
-          CallPeer(owner, line, options_.peer_deadline_seconds, abort);
+          CallPeer(owner, line, kPeerDeadlineSeconds, abort);
       Status status = raw.ok() ? on_reply(raw.value()) : raw.status();
       if (status.ok()) return status;
       if (status.code() == StatusCode::kCancelled ||

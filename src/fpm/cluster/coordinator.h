@@ -59,10 +59,6 @@ struct ClusterOptions {
   /// Replica owners per dataset. The ring gives every peer
   /// ConsistentHashRing::kDefaultVirtualNodes points.
   uint32_t replicas = 2;
-  /// Deadline for a cache_probe round trip (cheap, keep tight).
-  double probe_deadline_seconds = 1.0;
-  /// Deadline for a forwarded query / shard sub-query.
-  double peer_deadline_seconds = 30.0;
   /// Health ping sweep period (<= 0 disables the pinger). Each ping
   /// has ClusterMembership::Options' default timeout.
   double ping_interval_seconds = 2.0;
@@ -72,6 +68,13 @@ struct ClusterOptions {
 /// remote sub-query already paid a network hop and a coordinator wait,
 /// so it jumps the local queue (scheduler priority is larger = sooner).
 inline constexpr int kShardPriorityBoost = 10;
+
+/// Deadline for a cache_probe round trip: a probe only looks in the
+/// peer's cache, so a slow one means a sick peer.
+inline constexpr double kProbeDeadlineSeconds = 1.0;
+
+/// Deadline for a forwarded query or a shard sub-query.
+inline constexpr double kPeerDeadlineSeconds = 30.0;
 
 class Coordinator {
  public:
@@ -110,9 +113,11 @@ class Coordinator {
   const ConsistentHashRing& ring() const { return ring_; }
 
   /// Content digest of the dataset at `path` — the placement and cache
-  /// key. Packed files: the 16-hex digest in the header (no data read);
-  /// anything else: FNV-1a over the raw bytes, exactly what the
-  /// DatasetRegistry computes on load. Memoized per path.
+  /// key. Packed files: the 16-hex digest in the header (no data read),
+  /// read by ReadPackedHeader, so a header OpenMapped would refuse gets
+  /// OpenMapped's IO_ERROR here too; anything else: FNV-1a over the raw
+  /// bytes, exactly what the DatasetRegistry computes on load. Memoized
+  /// per path.
   Result<std::string> DigestForPath(const std::string& path);
 
   /// The R replica owners of a digest, primary first (ring order, not

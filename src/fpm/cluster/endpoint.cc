@@ -4,6 +4,7 @@
 #include <netdb.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -14,15 +15,71 @@ namespace fpm {
 
 namespace {
 
-Status DialError(const Endpoint& endpoint, const std::string& stage,
-                 const std::string& detail) {
-  return Status::Unavailable("dial " + endpoint.ToString() + ": " + stage +
-                             ": " + detail);
+// Backlog of every listening socket.
+constexpr int kListenBacklog = 64;
+
+// "<action> <endpoint>: <stage>: <detail>", action "dial" or "listen".
+Status EndpointError(const char* action, const Endpoint& endpoint,
+                     const std::string& stage, const std::string& detail) {
+  return Status::Unavailable(std::string(action) + " " + endpoint.ToString() +
+                             ": " + stage + ": " + detail);
 }
 
-Status DialErrno(const Endpoint& endpoint, const std::string& stage,
-                 int err) {
-  return DialError(endpoint, stage, std::strerror(err));
+Status EndpointErrno(const char* action, const Endpoint& endpoint,
+                     const std::string& stage, int err) {
+  return EndpointError(action, endpoint, stage, std::strerror(err));
+}
+
+/// The fd of a new socket of `family`/`protocol`, bound to `addr` and
+/// listening; closes it on failure.
+Result<int> BindAndListen(const Endpoint& endpoint, int family,
+                          int protocol, const sockaddr* addr,
+                          socklen_t addr_len) {
+  const int fd = ::socket(family, SOCK_STREAM, protocol);
+  if (fd < 0) return EndpointErrno("listen", endpoint, "socket", errno);
+  if (family != AF_UNIX) {
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  }
+  const char* stage = nullptr;
+  if (::bind(fd, addr, addr_len) != 0) {
+    stage = "bind";
+  } else if (::listen(fd, kListenBacklog) != 0) {
+    stage = "listen";
+  }
+  if (stage != nullptr) {
+    const int err = errno;
+    ::close(fd);
+    return EndpointErrno("listen", endpoint, stage, err);
+  }
+  return fd;
+}
+
+/// Resolves a TCP endpoint; AI_PASSIVE for a listener.
+Result<addrinfo*> Resolve(const char* action, const Endpoint& endpoint,
+                          int flags) {
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  hints.ai_flags = flags;
+  addrinfo* results = nullptr;
+  const int rc = ::getaddrinfo(endpoint.host.c_str(),
+                               std::to_string(endpoint.port).c_str(), &hints,
+                               &results);
+  if (rc != 0) {
+    return EndpointError(action, endpoint, "resolve", ::gai_strerror(rc));
+  }
+  return results;
+}
+
+/// `endpoint`'s sockaddr_un; false when the path does not fit.
+bool UnixAddress(const Endpoint& endpoint, sockaddr_un* addr) {
+  *addr = sockaddr_un{};
+  if (endpoint.unix_path.size() >= sizeof(addr->sun_path)) return false;
+  addr->sun_family = AF_UNIX;
+  std::strncpy(addr->sun_path, endpoint.unix_path.c_str(),
+               sizeof(addr->sun_path) - 1);
+  return true;
 }
 
 /// Completes a non-blocking connect() within `timeout_seconds`, then
@@ -34,7 +91,7 @@ Status FinishConnect(int fd, const Endpoint& endpoint, const sockaddr* addr,
   if (::connect(fd, addr, addr_len) != 0 && errno != EINPROGRESS) {
     const int err = errno;
     ::close(fd);
-    return DialErrno(endpoint, "connect", err);
+    return EndpointErrno("dial", endpoint, "connect", err);
   }
   pollfd pfd{fd, POLLOUT, 0};
   const int timeout_ms =
@@ -48,7 +105,7 @@ Status FinishConnect(int fd, const Endpoint& endpoint, const sockaddr* addr,
   if (ready < 0) {
     const int err = errno;
     ::close(fd);
-    return DialErrno(endpoint, "poll", err);
+    return EndpointErrno("dial", endpoint, "poll", err);
   }
   int so_error = 0;
   socklen_t len = sizeof(so_error);
@@ -56,7 +113,7 @@ Status FinishConnect(int fd, const Endpoint& endpoint, const sockaddr* addr,
       so_error != 0) {
     const int err = so_error != 0 ? so_error : errno;
     ::close(fd);
-    return DialErrno(endpoint, "connect", err);
+    return EndpointErrno("dial", endpoint, "connect", err);
   }
   ::fcntl(fd, F_SETFL, flags);
   return Status::OK();
@@ -133,15 +190,12 @@ Result<std::vector<Endpoint>> ParseEndpointList(const std::string& csv) {
 
 Result<int> DialEndpoint(const Endpoint& endpoint, double timeout_seconds) {
   if (endpoint.is_unix()) {
-    sockaddr_un addr{};
-    if (endpoint.unix_path.size() >= sizeof(addr.sun_path)) {
-      return DialError(endpoint, "connect", "socket path too long");
+    sockaddr_un addr;
+    if (!UnixAddress(endpoint, &addr)) {
+      return EndpointError("dial", endpoint, "connect", "socket path too long");
     }
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return DialErrno(endpoint, "socket", errno);
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, endpoint.unix_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
+    if (fd < 0) return EndpointErrno("dial", endpoint, "socket", errno);
     const Status connected =
         FinishConnect(fd, endpoint, reinterpret_cast<sockaddr*>(&addr),
                       sizeof(addr), timeout_seconds);
@@ -149,21 +203,12 @@ Result<int> DialEndpoint(const Endpoint& endpoint, double timeout_seconds) {
     return fd;
   }
 
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* results = nullptr;
-  const int rc = ::getaddrinfo(endpoint.host.c_str(),
-                               std::to_string(endpoint.port).c_str(), &hints,
-                               &results);
-  if (rc != 0) {
-    return DialError(endpoint, "resolve", ::gai_strerror(rc));
-  }
-  Status last = DialError(endpoint, "resolve", "no addresses");
+  FPM_ASSIGN_OR_RETURN(addrinfo* const results, Resolve("dial", endpoint, 0));
+  Status last = EndpointError("dial", endpoint, "resolve", "no addresses");
   for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
     const int fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
     if (fd < 0) {
-      last = DialErrno(endpoint, "socket", errno);
+      last = EndpointErrno("dial", endpoint, "socket", errno);
       continue;
     }
     last = FinishConnect(fd, endpoint, ai->ai_addr, ai->ai_addrlen,
@@ -175,6 +220,32 @@ Result<int> DialEndpoint(const Endpoint& endpoint, double timeout_seconds) {
   }
   ::freeaddrinfo(results);
   return last;
+}
+
+Result<int> ListenEndpoint(const Endpoint& endpoint) {
+  if (endpoint.is_unix()) {
+    sockaddr_un addr;
+    if (!UnixAddress(endpoint, &addr)) {
+      return EndpointError("listen", endpoint, "bind", "socket path too long");
+    }
+    struct stat st;
+    if (::lstat(addr.sun_path, &st) == 0 && S_ISSOCK(st.st_mode)) {
+      ::unlink(addr.sun_path);
+    }
+    return BindAndListen(endpoint, AF_UNIX, 0,
+                         reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  }
+
+  FPM_ASSIGN_OR_RETURN(addrinfo* const results,
+                       Resolve("listen", endpoint, AI_PASSIVE));
+  Result<int> fd = EndpointError("listen", endpoint, "resolve", "no addresses");
+  for (addrinfo* ai = results; ai != nullptr; ai = ai->ai_next) {
+    fd = BindAndListen(endpoint, ai->ai_family, ai->ai_protocol, ai->ai_addr,
+                       ai->ai_addrlen);
+    if (fd.ok()) break;
+  }
+  ::freeaddrinfo(results);
+  return fd;
 }
 
 }  // namespace fpm

@@ -1,8 +1,9 @@
-// Endpoint addressing shared by every cluster-facing dialer: the
-// PeerClient (coordinator fan-out), fpm_client --endpoint and the
-// fpmd TCP listener all parse and dial through here, so "what does an
-// address look like" and "how long may a connect take" have exactly one
-// answer.
+// Endpoint addressing shared by every dialer and listener: the
+// PeerClient (coordinator fan-out) and fpm_client --endpoint dial
+// through here, and fpmd listens through here on its Unix socket and
+// its cluster TCP address, so "what does an address look like", "how
+// long may a connect take" and "how is a socket bound" have exactly one
+// answer. Only this module resolves host names.
 //
 // Two spellings:
 //   host:port   a TCP endpoint ("127.0.0.1:7101", "node3:7100"). The
@@ -55,6 +56,16 @@ Result<std::vector<Endpoint>> ParseEndpointList(const std::string& csv);
 /// a dead TCP peer fails fast instead of hanging in SYN retries.
 /// Errors name the endpoint: "dial 127.0.0.1:7101: connect: ...".
 Result<int> DialEndpoint(const Endpoint& endpoint, double timeout_seconds);
+
+/// Binds `endpoint` and listens on it; returns the listening fd. A Unix
+/// path must fit sockaddr_un, and a socket file already at the path (a
+/// stale one left by a daemon that died) is removed first; any other
+/// file there is left alone and the bind fails. A TCP endpoint binds
+/// the first address its host resolves to that accepts the bind, with
+/// SO_REUSEADDR; port 0 binds a free port (read it with getsockname).
+/// Errors name the endpoint like DialEndpoint's:
+/// "listen 127.0.0.1:7101: bind: Address already in use".
+Result<int> ListenEndpoint(const Endpoint& endpoint);
 
 }  // namespace fpm
 

@@ -40,9 +40,9 @@ bool ParseLine(const char* p, const char* end, std::vector<Item>* out,
     uint64_t v = 0;
     while (p < end && std::isdigit(static_cast<unsigned char>(*p))) {
       v = v * 10 + static_cast<uint64_t>(*p - '0');
-      if (v > kMaxFimiItem) {
+      if (v > kMaxItem) {
         *error = "item id overflows the largest item id " +
-                 std::to_string(kMaxFimiItem) + " in token '" +
+                 std::to_string(kMaxItem) + " in token '" +
                  TokenAt(token_start, end) + "'";
         return false;
       }

@@ -13,15 +13,9 @@
 
 namespace fpm {
 
-/// The largest item id the reader accepts. A Database sizes its
-/// per-item arrays by the largest id, so an unbounded id let a ten-byte
-/// line ("999999999") cost 4 GB. 2^24 ids cover every FIMI benchmark
-/// dataset (webdocs, the largest universe, has 5.27M items).
-inline constexpr Item kMaxFimiItem = (Item{1} << 24) - 1;
-
 /// Parses a FIMI-format database from a string (tests, generators).
-/// An item id above kMaxFimiItem is an INVALID_ARGUMENT naming its line
-/// and token.
+/// An item id above kMaxItem (fpm/dataset/types.h) is an
+/// INVALID_ARGUMENT naming its line and token.
 Result<Database> ParseFimi(const std::string& text);
 
 /// Reads a FIMI-format database from a file.

@@ -57,6 +57,12 @@ Status PackedError(const std::string& path, size_t offset, std::string what) {
                          " at offset " + std::to_string(offset));
 }
 
+Status TruncatedHeader(const std::string& path, size_t bytes) {
+  return PackedError(path, bytes,
+                     "truncated header (" + std::to_string(bytes) + " of " +
+                         std::to_string(kPackedHeaderBytes) + " bytes)");
+}
+
 template <typename T>
 void PutLe(std::string& buf, size_t offset, T value) {
   std::memcpy(buf.data() + offset, &value, sizeof(T));
@@ -148,42 +154,12 @@ Status WritePacked(const Database& db, const std::string& path,
   return Status::OK();
 }
 
-Result<Database> OpenMapped(const std::string& path, std::string* digest) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IOError("cannot open packed file '" + path +
-                           "': " + std::strerror(errno));
+Result<std::string> ReadPackedHeader(const std::string& path,
+                                     std::string_view header) {
+  if (header.size() < kPackedHeaderBytes) {
+    return TruncatedHeader(path, header.size());
   }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const Status err = Status::IOError("cannot stat packed file '" + path +
-                                       "': " + std::strerror(errno));
-    ::close(fd);
-    return err;
-  }
-  const size_t file_bytes = static_cast<size_t>(st.st_size);
-  if (file_bytes < kPackedHeaderBytes) {
-    ::close(fd);
-    return PackedError(path, file_bytes,
-                       "truncated header (" + std::to_string(file_bytes) +
-                           " of " + std::to_string(kPackedHeaderBytes) +
-                           " bytes)");
-  }
-
-  void* base = ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-  // The fd is no longer needed once the mapping exists.
-  ::close(fd);
-  if (base == MAP_FAILED) {
-    return Status::IOError(
-        "mmap failed for packed file '" + path + "' (" +
-        std::to_string(file_bytes) + " bytes): " + std::strerror(errno));
-  }
-  // Projection scans walk the arrays front to back; tell the kernel so
-  // readahead streams pages in ahead of the miner (best-effort hint).
-  ::madvise(base, file_bytes, MADV_SEQUENTIAL);
-  auto storage = std::make_shared<MappedStorage>(base, file_bytes);
-  const uint8_t* data = storage->data();
-
+  const auto* data = reinterpret_cast<const uint8_t*>(header.data());
   if (std::memcmp(data + kOffMagic, kPackedMagic, sizeof(kPackedMagic)) != 0) {
     return PackedError(path, kOffMagic, "bad magic (not a packed database)");
   }
@@ -202,6 +178,45 @@ Result<Database> OpenMapped(const std::string& path, std::string* digest) {
                        std::string("endian check mismatch (") + got +
                            ", written on an incompatible host?)");
   }
+  return std::string(header.substr(kOffDigest, 16));
+}
+
+Result<Database> OpenMapped(const std::string& path, std::string* digest) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Status::IOError("cannot open packed file '" + path +
+                           "': " + std::strerror(errno));
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const Status err = Status::IOError("cannot stat packed file '" + path +
+                                       "': " + std::strerror(errno));
+    ::close(fd);
+    return err;
+  }
+  const size_t file_bytes = static_cast<size_t>(st.st_size);
+  if (file_bytes < kPackedHeaderBytes) {
+    ::close(fd);
+    return TruncatedHeader(path, file_bytes);
+  }
+
+  void* base = ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
+  // The fd is no longer needed once the mapping exists.
+  ::close(fd);
+  if (base == MAP_FAILED) {
+    return Status::IOError(
+        "mmap failed for packed file '" + path + "' (" +
+        std::to_string(file_bytes) + " bytes): " + std::strerror(errno));
+  }
+  // Projection scans walk the arrays front to back; tell the kernel so
+  // readahead streams pages in ahead of the miner (best-effort hint).
+  ::madvise(base, file_bytes, MADV_SEQUENTIAL);
+  auto storage = std::make_shared<MappedStorage>(base, file_bytes);
+  const uint8_t* data = storage->data();
+  const std::string_view header(reinterpret_cast<const char*>(data),
+                                kPackedHeaderBytes);
+  FPM_ASSIGN_OR_RETURN(std::string header_digest,
+                       ReadPackedHeader(path, header));
 
   const uint64_t num_transactions =
       GetLe<uint64_t>(data, kOffNumTransactions);
@@ -268,9 +283,7 @@ Result<Database> OpenMapped(const std::string& path, std::string* digest) {
                        "corrupt offsets array (last != num_entries)");
   }
 
-  if (digest != nullptr) {
-    digest->assign(reinterpret_cast<const char*>(data + kOffDigest), 16);
-  }
+  if (digest != nullptr) *digest = std::move(header_digest);
 
   return Database::FromStorage(
       std::move(storage), {items_ptr, num_entries},

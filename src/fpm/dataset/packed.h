@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "fpm/common/status.h"
 #include "fpm/dataset/database.h"
@@ -72,6 +73,15 @@ std::string ContentDigest(const std::string& bytes);
 /// derive one from the canonical FIMI serialization of `db`.
 Status WritePacked(const Database& db, const std::string& path,
                    std::string digest = "");
+
+/// Reads a packed file's header from its first bytes, `header` (the
+/// whole file or at least its first kPackedHeaderBytes): checks the
+/// length, the magic, the format version and the endian word, and
+/// returns the 16-hex content digest. The one header reader: OpenMapped
+/// and the cluster coordinator both use it, so both refuse the same
+/// files with the same IO_ERROR, naming `path` and the byte offset.
+Result<std::string> ReadPackedHeader(const std::string& path,
+                                     std::string_view header);
 
 /// Maps `path` (mmap PROT_READ + MADV_SEQUENTIAL) and returns a
 /// Database viewing the file's arrays. The mapping lives as long as any

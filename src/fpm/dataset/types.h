@@ -29,6 +29,14 @@ using Itemset = std::vector<Item>;
 /// Sentinel for "no item".
 inline constexpr Item kInvalidItem = ~static_cast<Item>(0);
 
+/// The largest item id any input may name: the FIMI reader and
+/// VersionedDataset::Append (the wire "append" op, mine_cli --append)
+/// refuse larger ones. A Database sizes its per-item arrays by the
+/// largest id, so an unbounded id let a ten-byte line ("999999999")
+/// cost 4 GB. 2^24 ids cover every FIMI benchmark dataset (webdocs, the
+/// largest universe, has 5.27M items).
+inline constexpr Item kMaxItem = (Item{1} << 24) - 1;
+
 /// Hash of an itemset or transaction for hash tables and bucket arrays:
 /// FNV-1a-64 with one step per item. Order-sensitive, so sets must be
 /// hashed in one agreed order (sorted, or a transaction's stored order).

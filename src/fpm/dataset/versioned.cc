@@ -168,9 +168,17 @@ Result<const DatasetVersion*> VersionedDataset::Append(
     return Status::InvalidArgument(
         "timestamps must be absent or one per transaction");
   }
-  for (const Itemset& t : transactions) {
-    if (t.empty()) {
+  for (size_t t = 0; t < transactions.size(); ++t) {
+    if (transactions[t].empty()) {
       return Status::InvalidArgument("appended transactions must be non-empty");
+    }
+    for (Item item : transactions[t]) {
+      if (item > kMaxItem) {
+        return Status::InvalidArgument(
+            "transactions[" + std::to_string(t) + "]: item " +
+            std::to_string(item) + " exceeds the largest item id " +
+            std::to_string(kMaxItem));
+      }
     }
   }
   auto delta = std::make_shared<VersionDelta>();

@@ -118,7 +118,9 @@ class VersionedDataset {
   /// `timestamps` is optional; absent entries inherit the maximum
   /// timestamp logged so far, so untimed appends never trigger time
   /// expiry on their own. Exactly one new version results, carrying
-  /// both the appends and any window-driven expiry.
+  /// both the appends and any window-driven expiry. An item id above
+  /// kMaxItem is an INVALID_ARGUMENT naming its transaction's index and
+  /// the item, and appends nothing.
   Result<const DatasetVersion*> Append(
       const std::vector<Itemset>& transactions,
       const std::vector<double>& timestamps = {});

@@ -11,6 +11,39 @@
 
 namespace fpm {
 
+namespace {
+
+ResultCacheKey CacheKeyFor(const MineRequest& request,
+                           const std::string& digest) {
+  return ResultCacheKey::ForQuery(
+      digest, request.algorithm,
+      EffectivePatterns(request.algorithm, request.patterns).bits(),
+      request.query);
+}
+
+CacheOutcome OutcomeOf(const ResultCacheLookup& lookup) {
+  return lookup.exact        ? CacheOutcome::kExact
+         : lookup.cross_task ? CacheOutcome::kCrossTask
+                             : CacheOutcome::kDominated;
+}
+
+/// What a cached result answers `request` with: its task, outcome and
+/// count, plus its listing unless count_only was asked.
+MineResponse CachedResponse(const MineRequest& request,
+                            const CachedResult& result, CacheOutcome outcome) {
+  MineResponse response;
+  response.task = request.query.task;
+  response.cache = outcome;
+  response.num_frequent = result.num_results;
+  if (!request.count_only) {
+    response.itemsets = result.itemsets;
+    response.rules = result.rules;
+  }
+  return response;
+}
+
+}  // namespace
+
 const char* CacheOutcomeName(CacheOutcome outcome) {
   switch (outcome) {
     case CacheOutcome::kMiss:
@@ -390,22 +423,12 @@ Result<MineResponse> MiningService::RunJob(const MineRequest& request,
   if (mine_hook_for_test_) mine_hook_for_test_();
 
   const auto derive_start = std::chrono::steady_clock::now();
-  const ResultCacheKey key = ResultCacheKey::ForQuery(
-      dataset.digest, request.algorithm,
-      EffectivePatterns(request.algorithm, request.patterns).bits(),
-      request.query);
+  const ResultCacheKey key = CacheKeyFor(request, dataset.digest);
 
-  MineResponse response;
-  response.task = request.query.task;
-  response.dataset_digest = dataset.digest;
-
-  ResultCacheLookup cached = cache_.Lookup(key);
+  const ResultCacheLookup cached = cache_.Lookup(key);
   std::shared_ptr<const CachedResult> result = cached.result;
-  if (result != nullptr) {
-    response.cache = cached.exact        ? CacheOutcome::kExact
-                     : cached.cross_task ? CacheOutcome::kCrossTask
-                                         : CacheOutcome::kDominated;
-  }
+  CacheOutcome outcome =
+      result != nullptr ? OutcomeOf(cached) : CacheOutcome::kMiss;
 
   // Incremental warm path: this version was produced by append/expire
   // and the parent version's FREQUENT listing is cached — recount it
@@ -429,18 +452,19 @@ Result<MineResponse> MiningService::RunJob(const MineRequest& request,
         result = cache_.Lookup(key).result;  // derive from the reseed
       }
       if (result != nullptr) {
-        response.cache = CacheOutcome::kReseeded;
+        outcome = CacheOutcome::kReseeded;
         reseeds_counter_->Increment();
       }
     }
   }
 
+  double derive_seconds = 0.0;
+  uint64_t peak_bytes = 0;
   if (result != nullptr) {
     // Served without mining: the elapsed time is cache derivation.
-    response.derive_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      derive_start)
-            .count();
+    derive_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - derive_start)
+                         .count();
   } else {
     // Mine with the sequential kernel: deterministic emission/output
     // order is the cache's correctness contract, and cross-query
@@ -463,7 +487,7 @@ Result<MineResponse> MiningService::RunJob(const MineRequest& request,
           const MineStats stats,
           miner->MineRules(*dataset.database, query, &fresh->rules));
       fresh->num_results = stats.num_frequent;
-      response.peak_bytes = stats.peak_structure_bytes;
+      peak_bytes = stats.peak_structure_bytes;
     } else {
       CollectingSink sink;
       FPM_ASSIGN_OR_RETURN(
@@ -471,7 +495,7 @@ Result<MineResponse> MiningService::RunJob(const MineRequest& request,
           miner->Mine(*dataset.database, query, &sink));
       fresh->itemsets = std::move(sink.mutable_results());
       fresh->num_results = stats.num_frequent;
-      response.peak_bytes = stats.peak_structure_bytes;
+      peak_bytes = stats.peak_structure_bytes;
     }
     fresh->total_weight = dataset.database->total_weight();
     fresh->bytes = ResultCache::EstimateResultBytes(*fresh);
@@ -479,14 +503,24 @@ Result<MineResponse> MiningService::RunJob(const MineRequest& request,
     result = std::move(fresh);
   }
 
-  response.num_frequent = result->num_results;
-  if (!request.count_only) {
-    response.itemsets = result->itemsets;
-    response.rules = result->rules;
-  }
+  MineResponse response = CachedResponse(request, *result, outcome);
+  response.dataset_digest = dataset.digest;
+  response.derive_seconds = derive_seconds;
+  response.peak_bytes = peak_bytes;
   span.AddArg("num_results", response.num_frequent);
   span.AddArg("cache_hit",
               response.cache == CacheOutcome::kMiss ? 0 : 1);
+  return response;
+}
+
+std::optional<MineResponse> MiningService::AnswerFromCache(
+    const MineRequest& request, const std::string& digest) {
+  const ResultCacheLookup lookup = cache_.Lookup(CacheKeyFor(request, digest));
+  if (lookup.result == nullptr) return std::nullopt;
+  MineResponse response =
+      CachedResponse(request, *lookup.result, OutcomeOf(lookup));
+  response.dataset_digest = digest;
+  response.trace_id = request.trace_id;
   return response;
 }
 

@@ -1,5 +1,6 @@
-// Long-lived mining query service: the embedding layer the fpmd daemon
-// (examples/fpmd.cpp) and in-process callers sit on.
+// Long-lived mining query service: the embedding layer the wire server
+// (fpm/service/server.h, run by examples/fpmd.cpp) and in-process
+// callers sit on.
 //
 // A MiningService owns a ThreadPool, a DatasetRegistry (load-once
 // refcounted datasets under an LRU byte budget), a ResultCache (exact
@@ -37,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -242,6 +244,14 @@ class MiningService {
   /// Blocking convenience: Submit + Wait + Take.
   Result<MineResponse> Execute(const MineRequest& request);
 
+  /// Answers `request` from the result cache alone, for the dataset
+  /// whose content digest is `digest`: exact, dominated or cross-task,
+  /// as a query job would (the cluster "cache_probe" op). No scheduler
+  /// job, no dataset load, no query id; nullopt when the cache cannot
+  /// answer.
+  std::optional<MineResponse> AnswerFromCache(const MineRequest& request,
+                                              const std::string& digest);
+
   /// Reserves the next monotonic query id. Submit() calls this when the
   /// request carries none; the daemon pre-allocates so error responses
   /// and log lines share the id.
@@ -266,11 +276,6 @@ class MiningService {
   /// expire / window / dataset_info) the daemon forwards.
   DatasetRegistry& registry() { return registry_; }
   const ResultCache& cache() const { return cache_; }
-  /// Mutable cache access for the cluster "cache_probe" op: a remote
-  /// coordinator's lookup walks the same dominance/cross-task
-  /// derivation matrix a local query would (Lookup mutates LRU state
-  /// and memoizes derivations, hence non-const).
-  ResultCache& cache() { return cache_; }
   const JobScheduler& scheduler() const { return scheduler_; }
   const StuckJobWatchdog& watchdog() const { return watchdog_; }
   StuckJobWatchdog& watchdog() { return watchdog_; }

@@ -466,6 +466,29 @@ TEST(CoordinatorTest, DigestForPathReadsPackedHeader) {
   EXPECT_EQ(read.value(), digest);
 }
 
+// A packed header OpenMapped refuses must not route: the coordinator
+// reads the header with the same reader and gets the same IO_ERROR.
+TEST(CoordinatorTest, DigestForPathRefusesAPackedHeaderOpenMappedRefuses) {
+  const std::string path = testing::TempDir() + "/coord_bad_version.fpk";
+  ASSERT_TRUE(WritePacked(MakeDb({{1, 2}, {2, 3}}), path).ok());
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(8);  // the format version word
+    file.put('\x07');
+  }
+  const Result<Database> mapped = OpenMapped(path);
+  ASSERT_FALSE(mapped.ok());
+  const ClusterOptions options = MakeOptions("n1:7100", 2);
+  Coordinator coordinator(options, NoTransport());
+  const Result<std::string> digest = coordinator.DigestForPath(path);
+  ASSERT_FALSE(digest.ok()) << "routed on digest " << digest.value();
+  EXPECT_EQ(digest.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(digest.status().message(), mapped.status().message());
+  EXPECT_NE(digest.status().message().find("unsupported format version 7"),
+            std::string::npos)
+      << digest.status().message();
+}
+
 TEST(CoordinatorTest, DigestForPathMissingFileError) {
   const ClusterOptions options = MakeOptions("n1:7100", 2);
   Coordinator coordinator(options, NoTransport());

@@ -1,13 +1,18 @@
-// Endpoint grammar and dialer tests. The parse-error strings are part
-// of the user-facing contract — fpm_client prints them verbatim when
-// --endpoint is malformed and the fpmd --cluster flag validation
-// surfaces them at startup — so they are pinned EXACTLY here; change
-// the wording in endpoint.cc and here together, deliberately.
+// Endpoint grammar, dialer and listener tests. The parse-error strings
+// are part of the user-facing contract — fpm_client prints them
+// verbatim when --endpoint is malformed and the fpmd --cluster flag
+// validation surfaces them at startup — so they are pinned EXACTLY
+// here; change the wording in endpoint.cc and here together,
+// deliberately.
 
 #include "fpm/cluster/endpoint.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -135,6 +140,68 @@ TEST(DialTest, RefusedTcpPortNamesTheEndpoint) {
   ASSERT_FALSE(fd.ok());
   EXPECT_EQ(fd.status().message().rfind("dial 127.0.0.1:1: ", 0), 0u)
       << fd.status().message();
+}
+
+TEST(ListenTest, TooLongUnixPathNamesTheEndpoint) {
+  Endpoint ep;
+  ep.unix_path = "/" + std::string(200, 'x');
+  const Result<int> fd = ListenEndpoint(ep);
+  ASSERT_FALSE(fd.ok());
+  EXPECT_EQ(fd.status().message(),
+            "listen " + ep.unix_path + ": bind: socket path too long");
+}
+
+TEST(ListenTest, ReplacesAStaleSocketButNoOtherFile) {
+  Endpoint ep;
+  ep.unix_path = testing::TempDir() + "/listen_stale.sock";
+  ::unlink(ep.unix_path.c_str());
+  Result<int> first = ListenEndpoint(ep);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ::close(first.value());  // the socket file stays behind, stale
+  Result<int> second = ListenEndpoint(ep);
+  ASSERT_TRUE(second.ok()) << second.status();
+  const Result<int> dialed = DialEndpoint(ep, 1.0);
+  ASSERT_TRUE(dialed.ok()) << dialed.status();
+  ::close(dialed.value());
+  ::close(second.value());
+
+  ::unlink(ep.unix_path.c_str());
+  { std::ofstream(ep.unix_path) << "not a socket\n"; }
+  const Result<int> refused = ListenEndpoint(ep);
+  ASSERT_FALSE(refused.ok());
+  const std::string prefix = "listen " + ep.unix_path + ": bind: ";
+  EXPECT_EQ(refused.status().message().rfind(prefix, 0), 0u)
+      << refused.status().message();
+  std::ifstream kept(ep.unix_path);
+  std::string line;
+  EXPECT_TRUE(std::getline(kept, line));
+  EXPECT_EQ(line, "not a socket");
+}
+
+TEST(ListenTest, TcpPortZeroListensOnAFreePort) {
+  Endpoint any;
+  any.host = "127.0.0.1";
+  Result<int> fd = ListenEndpoint(any);
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  sockaddr_in addr{};
+  socklen_t len = sizeof(addr);
+  sockaddr* name = reinterpret_cast<sockaddr*>(&addr);
+  ASSERT_EQ(::getsockname(fd.value(), name, &len), 0);
+  Endpoint bound = any;
+  bound.port = ntohs(addr.sin_port);
+  EXPECT_NE(bound.port, 0);
+  const Result<int> dialed = DialEndpoint(bound, 2.0);
+  ASSERT_TRUE(dialed.ok()) << dialed.status();
+  ::close(dialed.value());
+
+  // The port is taken now; a second listener names it and the stage.
+  const Result<int> taken = ListenEndpoint(bound);
+  ASSERT_FALSE(taken.ok());
+  EXPECT_EQ(taken.status().message().rfind(
+                "listen " + bound.ToString() + ": bind: ", 0),
+            0u)
+      << taken.status().message();
+  ::close(fd.value());
 }
 
 }  // namespace

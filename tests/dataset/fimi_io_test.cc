@@ -86,10 +86,10 @@ TEST(FimiParseTest, RejectsItemsPastTheItemBound) {
   EXPECT_NE(r.status().message().find("line 3"), std::string::npos);
   EXPECT_NE(r.status().message().find("'999999999'"), std::string::npos);
 
-  auto largest = ParseFimi(std::to_string(kMaxFimiItem) + "\n");
+  auto largest = ParseFimi(std::to_string(kMaxItem) + "\n");
   ASSERT_TRUE(largest.ok()) << largest.status();
-  EXPECT_EQ(largest->num_items(), size_t{kMaxFimiItem} + 1);
-  EXPECT_FALSE(ParseFimi(std::to_string(kMaxFimiItem + 1) + "\n").ok());
+  EXPECT_EQ(largest->num_items(), size_t{kMaxItem} + 1);
+  EXPECT_FALSE(ParseFimi(std::to_string(kMaxItem + 1) + "\n").ok());
 }
 
 TEST(FimiParseTest, EmptyInputYieldsEmptyDatabase) {

@@ -83,6 +83,25 @@ TEST(VersionedDatasetTest, AppendValidatesInput) {
   EXPECT_EQ(ds.versions().size(), 1u);  // failed ops create no version
 }
 
+// A database sizes its per-item arrays by the largest id, so an append
+// naming item 4294967294 would cost 16 GB; ids stop at kMaxItem, as in
+// the FIMI reader.
+TEST(VersionedDatasetTest, AppendRefusesAnItemAboveTheLargestId) {
+  VersionedDataset ds(BuildDb({{1}}), "d");
+  const Result<const DatasetVersion*> refused =
+      ds.Append({{1, 2}, {3, kMaxItem + 1}});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(refused.status().message(),
+            "transactions[1]: item 16777216 exceeds the largest item id "
+            "16777215");
+  EXPECT_EQ(ds.versions().size(), 1u);
+
+  const Result<const DatasetVersion*> largest = ds.Append({{kMaxItem}});
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest.value()->database->num_items(), size_t{kMaxItem} + 1);
+}
+
 TEST(VersionedDatasetTest, AppendNormalizesDuplicateItems) {
   VersionedDataset ds(BuildDb({{1}}), "d");
   auto v = ds.Append({{5, 3, 5, 3, 7, 5}});

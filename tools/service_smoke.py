@@ -54,6 +54,12 @@ drives it with fpm_client the way a real deployment would:
      every byte fpmd writes; re-record it (service_smoke.py
      --record-session FPMD) only together with a CHANGES.md entry that
      names what changed on the wire and why.
+ 16. a connection thread that cannot start, on a fourth fpmd: with its
+     address space capped just above what it maps, connections held
+     open use up the thread stacks glibc keeps for reuse until one
+     connection is closed unanswered; the daemon stays up, the held
+     connections still answer, and with the cap lifted a new connection
+     is served
 
 and asserts, from the responses AND the daemon's metrics, that the
 repeated and dominated queries were served from the cache without
@@ -248,6 +254,83 @@ def check_fd_exhaustion(fpmd, tmp):
         shut_down(daemon, socket_path, "fd-limited")
     finally:
         for sock in idle:
+            sock.close()
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+
+def vm_size_kb(pid):
+    with open(f"/proc/{pid}/status", encoding="utf-8") as f:
+        return next(int(line.split()[1]) for line in f
+                    if line.startswith("VmSize:"))
+
+
+def check_thread_start_failure(fpmd, tmp):
+    """Step 16: a connection whose thread cannot start is closed, and
+    the daemon keeps serving. The soft RLIMIT_AS is lowered to 1 MB above
+    the daemon's mapped size, so a new thread stack (8 MB) can no longer
+    be mapped; stacks of joined threads that glibc keeps cached still
+    can be reused, so connections are held open until one gets no
+    thread. Starts at most a handful of threads."""
+    socket_path = os.path.join(tmp, "fpmd-threads.sock")
+    daemon = subprocess.Popen(
+        [fpmd, f"--socket={socket_path}", "--threads=1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    held = []
+    try:
+        wait_for_socket(daemon, socket_path)
+        if ping(socket_path) != b'{"ok":true}\n':
+            fail("thread-limited fpmd did not answer its first ping")
+        unlimited = resource.prlimit(daemon.pid, resource.RLIMIT_AS)
+        cap = (vm_size_kb(daemon.pid) + 1024) * 1024
+        resource.prlimit(daemon.pid, resource.RLIMIT_AS,
+                         (cap, unlimited[1]))
+        refused = False
+        while len(held) < 8 and not refused:
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.settimeout(30)
+            sock.connect(socket_path)
+            try:
+                # fpmd may close the connection before the ping is out.
+                sock.sendall(b'{"op":"ping"}\n')
+                reply = sock.recv(64)
+            except (BrokenPipeError, ConnectionResetError):
+                reply = b""
+            if reply == b'{"ok":true}\n':
+                held.append(sock)
+            elif reply == b"":
+                refused = True
+                sock.close()
+            else:
+                fail(f"capped fpmd answered a ping with {reply!r}")
+        if not refused:
+            fail(f"{len(held)} connections held under a capped address "
+                 "space and every thread started")
+        for sock in held:
+            try:
+                sock.sendall(b'{"op":"ping"}\n')
+                reply = sock.recv(64)
+            except OSError as e:
+                reply = repr(e)
+            if reply != b'{"ok":true}\n':
+                daemon.wait(timeout=30)
+                fail(f"a held connection got {reply} after another "
+                     "connection's thread could not start; fpmd exited "
+                     f"{daemon.returncode}:\n{daemon.stderr.read()}")
+        if daemon.poll() is not None:
+            fail(f"fpmd exited {daemon.returncode} when a connection "
+                 f"thread could not start:\n{daemon.stderr.read()}")
+        resource.prlimit(daemon.pid, resource.RLIMIT_AS, unlimited)
+        for sock in held:
+            sock.close()
+        held = []
+        if ping(socket_path) != b'{"ok":true}\n':
+            fail("fpmd did not serve a new connection once its thread "
+                 "could start again")
+        shut_down(daemon, socket_path, "thread-limited")
+    finally:
+        for sock in held:
             sock.close()
         if daemon.poll() is None:
             daemon.kill()
@@ -800,6 +883,8 @@ def main(argv):
     check_client_refuses_long_reply(client, tmp)
     # 15. Every byte of a scripted session against the transcript.
     check_session(fpmd, tmp)
+    # 16. A connection thread that cannot start.
+    check_thread_start_failure(fpmd, tmp)
 
     print("service smoke: OK (miss -> 2 hits, 1 dominated, "
           "mixed batch derived cross-task, append reseeded, "
@@ -807,7 +892,8 @@ def main(argv):
           "query log validated, mine op unknown, over-long line "
           "refused, clean shutdown, 5000 connections joined, "
           "serving again after running out of fds, over-long reply "
-          "refused by fpm_client, session transcript identical)")
+          "refused by fpm_client, session transcript identical, "
+          "serving on after a thread could not start)")
     return 0
 
 

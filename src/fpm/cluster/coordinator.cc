@@ -173,9 +173,9 @@ Result<std::string> Coordinator::CallPeer(const std::string& endpoint,
   return result;
 }
 
-Result<MineResponse> Coordinator::ExecuteRemote(
-    const MineRequest& request, const std::string& digest,
-    const std::function<bool()>& abort) {
+Result<std::string> Coordinator::ExecuteRemote(
+    const MineRequest& request, const std::string& digest, uint64_t query_id,
+    std::string_view trace_id, const std::function<bool()>& abort) {
   counters_.remote_queries.fetch_add(1, std::memory_order_relaxed);
   remote_queries_counter_->Increment();
 
@@ -187,7 +187,8 @@ Result<MineResponse> Coordinator::ExecuteRemote(
 
   // Probe phase: any owner's ResultCache may already hold the answer —
   // a hit costs one round trip and zero mining anywhere. Probe failures
-  // are not failovers (nothing was being executed yet).
+  // and unreadable replies are not failovers (nothing was being
+  // executed yet).
   const std::string probe_line = EncodeCacheProbeRequest(digest, request);
   for (const std::string& owner : owners) {
     if (abort && abort()) {
@@ -199,14 +200,13 @@ Result<MineResponse> Coordinator::ExecuteRemote(
       if (raw.status().code() == StatusCode::kCancelled) return raw.status();
       continue;
     }
-    Result<CacheProbeReply> reply = DecodeCacheProbeResponse(raw.value());
-    if (!reply.ok()) continue;
-    if (reply.value().hit) {
+    Result<std::string> line = RelayQueryResponse(
+        raw.value(), /*probe=*/true, RelayEnvelope{owner, query_id, trace_id});
+    if (!line.ok()) continue;
+    if (!line.value().empty()) {
       counters_.probe_hits.fetch_add(1, std::memory_order_relaxed);
       probe_hits_counter_->Increment();
-      MineResponse response = std::move(reply.value().response);
-      response.served_by = owner;
-      return response;
+      return line;
     }
     counters_.probe_misses.fetch_add(1, std::memory_order_relaxed);
   }
@@ -230,19 +230,13 @@ Result<MineResponse> Coordinator::ExecuteRemote(
       failovers_counter_->Increment();
       continue;
     }
-    Result<MineResponse> decoded = DecodeQueryResponse(raw.value());
-    if (!decoded.ok()) {
-      if (IsDeterministicRejection(decoded.status().code())) {
-        return decoded.status();
-      }
-      last = decoded.status();
-      counters_.failovers.fetch_add(1, std::memory_order_relaxed);
-      failovers_counter_->Increment();
-      continue;
-    }
-    MineResponse response = std::move(decoded.value());
-    response.served_by = owner;
-    return response;
+    Result<std::string> line = RelayQueryResponse(
+        raw.value(), /*probe=*/false, RelayEnvelope{owner, query_id, trace_id});
+    if (line.ok()) return line;
+    if (IsDeterministicRejection(line.status().code())) return line.status();
+    last = line.status();
+    counters_.failovers.fetch_add(1, std::memory_order_relaxed);
+    failovers_counter_->Increment();
   }
   return Status::Unavailable(
       "cluster: all " + std::to_string(owners.size()) + " owner(s) of digest " +

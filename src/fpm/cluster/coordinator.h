@@ -11,9 +11,11 @@
 //      probes the owners' ResultCaches (cache_probe: answer without
 //      mining or loading anything) and, on miss, forwards the whole
 //      query to one owner (shard_query mode "execute"), failing over
-//      replica by replica. A forward returns the owner's result
-//      verbatim, so the default remote path keeps the byte-identical
-//      itemset order contract.
+//      replica by replica. Either answer is relayed without decoding:
+//      the client's line is the owner's bytes, checked in one pass,
+//      with only "hit", "peer", "query_id" and "trace_id" rewritten
+//      (RelayQueryResponse), so the default remote path keeps the
+//      byte-identical itemset order contract.
 //
 // The opt-in scatter path (ExecuteScatter) instead fans SON phase 1/2
 // sub-queries across ALL healthy owners and merges through the shard
@@ -39,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fpm/cluster/hash_ring.h"
@@ -130,13 +133,20 @@ class Coordinator {
 
   /// Route-to-owner execution of a query this node does not own: probe
   /// the owners' result caches, then forward to the first owner that
-  /// answers, failing over across replicas. The returned response
-  /// carries served_by = the answering owner. Unavailable when every
-  /// owner failed (caller should fall back to local execution and
-  /// record it via NoteLocalFallback).
-  Result<MineResponse> ExecuteRemote(const MineRequest& request,
-                                     const std::string& digest,
-                                     const std::function<bool()>& abort);
+  /// answers, failing over across replicas. Returns the line for the
+  /// client: the owner's answer relayed by RelayQueryResponse
+  /// (fpm/service/protocol.h), with "peer" = the answering owner,
+  /// `query_id` = the entry's id and `trace_id` = the client's (left
+  /// out when empty). A reply that cannot be relayed moves on to the
+  /// next owner, like a dead one; a deterministic rejection the owner
+  /// carries in {"ok":false} is returned as its status. Unavailable
+  /// when every owner failed (caller should fall back to local
+  /// execution and record it via NoteLocalFallback).
+  Result<std::string> ExecuteRemote(const MineRequest& request,
+                                    const std::string& digest,
+                                    uint64_t query_id,
+                                    std::string_view trace_id,
+                                    const std::function<bool()>& abort);
 
   /// Scatter execution: SON phase 1/2 fan-out over all healthy owners,
   /// merged with the PartitionedMiner math. FailedPrecondition when the

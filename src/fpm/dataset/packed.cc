@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -256,6 +257,7 @@ Result<Database> OpenMapped(const std::string& path, std::string* digest) {
   const size_t offsets_at = cursor;
   const auto* offsets_ptr = reinterpret_cast<const size_t*>(data + cursor);
   cursor += (num_transactions + 1) * sizeof(size_t);
+  const size_t items_at = cursor;
   const auto* items_ptr = reinterpret_cast<const Item*>(data + cursor);
   cursor += num_entries * sizeof(Item);
   const Support* weights_ptr = nullptr;
@@ -281,6 +283,18 @@ Result<Database> OpenMapped(const std::string& path, std::string* digest) {
   if (offsets_ptr[num_transactions] != num_entries) {
     return PackedError(path, offsets_at + num_transactions * sizeof(size_t),
                        "corrupt offsets array (last != num_entries)");
+  }
+  // Miners index per-item arrays by item id, so an id at or past the
+  // header's item count would read and write past their end: one pass
+  // over the items array.
+  const Item* bad =
+      std::find_if(items_ptr, items_ptr + num_entries,
+                   [num_items](Item item) { return item >= num_items; });
+  if (bad != items_ptr + num_entries) {
+    return PackedError(path, items_at + (bad - items_ptr) * sizeof(Item),
+                       "item id " + std::to_string(*bad) +
+                           " is not below the item count " +
+                           std::to_string(num_items));
   }
 
   if (digest != nullptr) *digest = std::move(header_digest);

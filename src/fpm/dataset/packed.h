@@ -87,7 +87,10 @@ Result<std::string> ReadPackedHeader(const std::string& path,
 /// Database viewing the file's arrays. The mapping lives as long as any
 /// copy of the returned Database. On success `*digest` (when non-null)
 /// receives the header's content digest. Errors carry the path and the
-/// file offset of the problem.
+/// file offset of the problem. Besides the header's counts and the
+/// offsets array, it reads the whole items array once: an item id that
+/// is not below the header's item count is refused here, since every
+/// miner indexes per-item arrays by it.
 Result<Database> OpenMapped(const std::string& path,
                             std::string* digest = nullptr);
 

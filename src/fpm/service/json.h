@@ -43,6 +43,9 @@ class JsonValue {
   int64_t int_value() const { return static_cast<int64_t>(number_); }
   const std::string& string_value() const { return string_; }
   const std::vector<JsonValue>& array_items() const { return array_; }
+  const std::map<std::string, JsonValue>& object_items() const {
+    return object_;
+  }
 
   /// Object member access; returns a shared null value for absent keys
   /// (and on non-objects), so lookups chain without checks.

@@ -1,6 +1,10 @@
 #include "fpm/service/protocol.h"
 
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -859,82 +863,298 @@ Status CheckOkEnvelope(const JsonValue& doc) {
   return Status(ParseStatusCode(code), message);
 }
 
-// Reads an optional count field of a peer reply: absent leaves `out`
-// as it is; present, it must be an integer in [0, max of T].
-template <typename T>
-Status DecodePeerCount(const JsonValue& doc, const char* name, T* out) {
-  const JsonValue& value = doc[name];
-  if (value.is_null() || DecodeInteger(value, T{0}, out)) {
-    return Status::OK();
-  }
-  return Status::InvalidArgument(std::string("peer response: '") + name +
-                                 "' is not a number >= 0");
+Status PeerError(std::string_view what) {
+  return Status::Internal("peer response: " + std::string(what));
 }
 
-// Fills a MineResponse from a query response document (the envelope
-// must already be ok).
-Status ParseQueryResponseDoc(const JsonValue& doc, MineResponse* out) {
-  const JsonValue& task = doc["task"];
-  if (task.is_string()) {
-    FPM_ASSIGN_OR_RETURN(out->task, ParseTask(task.string_value()));
+// Reads text in exactly the form JsonWriter writes it, in one pass and
+// without building a tree. Each method reads one token and returns
+// false when the bytes there are anything else.
+class CanonicalReader {
+ public:
+  explicit CanonicalReader(std::string_view text) : text_(text) {}
+
+  size_t pos() const { return pos_; }
+  bool AtEnd() const { return pos_ == text_.size(); }
+
+  // The bytes read since position `start`.
+  std::string_view Since(size_t start) const {
+    return text_.substr(start, pos_ - start);
   }
-  FPM_RETURN_IF_ERROR(DecodePeerCount(doc, "num_results", &out->num_frequent));
-  const JsonValue& cache = doc["cache"];
-  if (cache.is_string()) {
-    FPM_ASSIGN_OR_RETURN(out->cache, ParseCacheOutcome(cache.string_value()));
+
+  bool Byte(char c) {
+    if (pos_ == text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
   }
-  if (doc["digest"].is_string()) {
-    out->dataset_digest = doc["digest"].string_value();
+
+  bool Literal(std::string_view literal) {
+    if (text_.substr(pos_, literal.size()) != literal) return false;
+    pos_ += literal.size();
+    return true;
   }
-  if (doc["queue_ms"].is_number()) {
-    out->queue_seconds = doc["queue_ms"].number_value() / 1000.0;
-  }
-  if (doc["mine_ms"].is_number()) {
-    out->mine_seconds = doc["mine_ms"].number_value() / 1000.0;
-  }
-  FPM_RETURN_IF_ERROR(DecodePeerCount(doc, "query_id", &out->query_id));
-  if (doc["trace_id"].is_string()) {
-    out->trace_id = doc["trace_id"].string_value();
-  }
-  if (doc["peer"].is_string()) {
-    out->served_by = doc["peer"].string_value();
-  }
-  FPM_RETURN_IF_ERROR(DecodePeerCount(doc, "shards", &out->shard_count));
-  const JsonValue& itemsets = doc["itemsets"];
-  if (!itemsets.is_null()) {
-    FPM_RETURN_IF_ERROR(
-        DecodeItemsetEntries(itemsets, "itemsets", &out->itemsets));
-  }
-  const JsonValue& rules = doc["rules"];
-  if (!rules.is_null()) {
-    if (!rules.is_array()) {
-      return Status::InvalidArgument("peer response: 'rules' is not an array");
-    }
-    out->rules.reserve(rules.array_items().size());
-    for (const JsonValue& row : rules.array_items()) {
-      const JsonValue& antecedent = row["antecedent"];
-      const JsonValue& consequent = row["consequent"];
-      const JsonValue& confidence = row["confidence"];
-      const JsonValue& lift = row["lift"];
-      AssociationRule rule;
-      if (!row.is_object() || !antecedent.is_array() ||
-          !consequent.is_array() ||
-          !DecodeInteger(row["support"], Support{0},
-                         &rule.itemset_support) ||
-          !confidence.is_number() || !lift.is_number()) {
-        return Status::InvalidArgument(
-            "peer response: malformed 'rules' entry");
+
+  // A string as AppendJsonString writes it: no byte below 0x20, and only
+  // its escapes. `*raw` gets the bytes between the quotes as written.
+  bool String(std::string_view* raw) {
+    if (!Byte('"')) return false;
+    const size_t start = pos_;
+    while (pos_ < text_.size()) {
+      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+      if (c == '"') {
+        *raw = Since(start);
+        ++pos_;
+        return true;
       }
-      if (!DecodeItems(antecedent.array_items(), &rule.antecedent) ||
-          !DecodeItems(consequent.array_items(), &rule.consequent)) {
-        return Status::InvalidArgument(
-            "peer response: non-numeric item in 'rules'");
+      if (c < 0x20) return false;
+      if (c != '\\') {
+        ++pos_;
+      } else if (!Escape()) {
+        return false;
       }
-      rule.confidence = confidence.number_value();
-      rule.lift = lift.number_value();
-      out->rules.push_back(std::move(rule));
+    }
+    return false;
+  }
+
+  // Plain decimal digits, without sign or leading zero, at most `max`.
+  bool Uint(uint64_t max) {
+    const size_t start = pos_;
+    if (!Byte('0') && !Digits()) return false;
+    uint64_t value = 0;
+    const char* end = text_.data() + pos_;
+    const auto parsed = std::from_chars(text_.data() + start, end, value);
+    return parsed.ec == std::errc() && value <= max;
+  }
+
+  // A JSON number that reads as a finite double.
+  bool Number() {
+    const size_t start = pos_;
+    Byte('-');
+    if (!Byte('0') && !Digits()) return false;
+    if (Byte('.') && !Digits()) return false;
+    if (Byte('e') || Byte('E')) {
+      if (!Byte('+')) Byte('-');
+      if (!Digits()) return false;
+    }
+    double value;
+    const char* end = text_.data() + pos_;
+    const auto parsed = std::from_chars(text_.data() + start, end, value);
+    return parsed.ec == std::errc() && parsed.ptr == end;
+  }
+
+  // An array of item ids, each below kInvalidItem.
+  bool Items() {
+    if (!Byte('[')) return false;
+    if (Byte(']')) return true;
+    do {
+      if (!Uint(kInvalidItem - 1)) return false;
+    } while (Byte(','));
+    return Byte(']');
+  }
+
+ private:
+  // One or more digits.
+  bool Digits() {
+    const size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ > start;
+  }
+
+  // \" \\ \n \r \t, or \u00xx (lowercase hex) for another byte below 0x20.
+  bool Escape() {
+    const std::string_view rest = text_.substr(pos_);
+    if (rest.size() >= 2 && std::string_view("\"\\nrt").find(rest[1]) !=
+                                std::string_view::npos) {
+      pos_ += 2;
+      return true;
+    }
+    static constexpr std::string_view kHex = "0123456789abcdef";
+    if (rest.size() < 6 || rest.substr(0, 4) != "\\u00" ||
+        (rest[4] != '0' && rest[4] != '1') ||
+        kHex.find(rest[5]) == std::string_view::npos) {
+      return false;
+    }
+    const size_t byte = (rest[4] == '1' ? 16 : 0) + kHex.find(rest[5]);
+    if (byte == '\n' || byte == '\r' || byte == '\t') return false;
+    pos_ += 6;
+    return true;
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+// The members of a query reply, in the writer's ascending key order.
+enum ReplyKey {
+  kCache,
+  kDigest,
+  kHit,
+  kItemsets,
+  kMineMs,
+  kNumResults,
+  kOk,
+  kPeer,
+  kQueryId,
+  kQueueMs,
+  kRules,
+  kShards,
+  kTask,
+  kTraceId,
+};
+constexpr int kNumReplyKeys = kTraceId + 1;
+
+constexpr std::string_view kReplyKeyNames[kNumReplyKeys] = {
+    "cache", "digest",   "hit",      "itemsets", "mine_ms", "num_results",
+    "ok",    "peer",     "query_id", "queue_ms", "rules",   "shards",
+    "task",  "trace_id",
+};
+static_assert(std::is_sorted(std::begin(kReplyKeyNames),
+                             std::end(kReplyKeyNames)));
+
+// The keys QueryResponseLine writes on every answer; a cache_probe hit
+// also carries "hit".
+constexpr ReplyKey kAlwaysWritten[] = {kCache,  kDigest,  kMineMs, kNumResults,
+                                       kOk,     kQueryId, kQueueMs, kTask};
+
+// Where each member's value sits in the reply; empty when absent.
+using ReplyValues = std::array<std::string_view, kNumReplyKeys>;
+
+// What EncodeCacheProbeResponse writes on a miss.
+constexpr std::string_view kProbeMiss = "{\"hit\":false,\"ok\":true}";
+
+// True when `name` is a name CacheOutcomeName writes.
+bool IsCacheOutcomeName(std::string_view name) {
+  const Result<CacheOutcome> outcome = ParseCacheOutcome(std::string(name));
+  return outcome.ok() && CacheOutcomeName(outcome.value()) == name;
+}
+
+// True when `name` is a name TaskName writes.
+bool IsTaskName(std::string_view name) {
+  const Result<MiningTask> task = ParseTask(std::string(name));
+  return task.ok() && TaskName(task.value()) == name;
+}
+
+// What is wrong with one entry of an "itemsets" or "rules" array.
+enum class EntryFault { kNone, kMalformed, kBadItem };
+
+// Reads an "itemsets" or "rules" array; `scan_entry` reads one entry.
+template <typename ScanEntry>
+Status ScanEntries(CanonicalReader& in, const std::string& name,
+                   ScanEntry scan_entry) {
+  if (!in.Byte('[')) return PeerError("'" + name + "' is not an array");
+  if (in.Byte(']')) return Status::OK();
+  EntryFault fault;
+  do {
+    fault = scan_entry(in);
+  } while (fault == EntryFault::kNone && in.Byte(','));
+  if (fault == EntryFault::kBadItem) {
+    return PeerError("non-numeric item in '" + name + "'");
+  }
+  if (fault == EntryFault::kMalformed || !in.Byte(']')) {
+    return PeerError("malformed '" + name + "' entry");
+  }
+  return Status::OK();
+}
+
+// Checks the value of member `key` and moves past it.
+Status ScanValue(ReplyKey key, CanonicalReader& in) {
+  constexpr uint64_t kMax64 = std::numeric_limits<uint64_t>::max();
+  constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+  const std::string name(kReplyKeyNames[key]);
+  std::string_view text;
+  switch (key) {
+    case kCache:
+      if (in.String(&text) && IsCacheOutcomeName(text)) return Status::OK();
+      return PeerError("'cache' is not a cache outcome");
+    case kTask:
+      if (in.String(&text) && IsTaskName(text)) return Status::OK();
+      return PeerError("'task' is not a task name");
+    case kDigest:
+    case kPeer:
+    case kTraceId:
+      if (in.String(&text)) return Status::OK();
+      return PeerError("'" + name + "' is not a canonical string");
+    case kHit:
+    case kOk:
+      if (in.Literal("true")) return Status::OK();
+      return PeerError("'" + name + "' is not true");
+    case kMineMs:
+    case kQueueMs:
+      if (in.Number()) return Status::OK();
+      return PeerError("'" + name + "' is not a number");
+    case kNumResults:
+    case kQueryId:
+    case kShards:
+      if (in.Uint(key == kShards ? kMax32 : kMax64)) return Status::OK();
+      return PeerError("'" + name + "' is not a number >= 0");
+    case kItemsets:
+      return ScanEntries(in, name, [](CanonicalReader& entry) {
+        if (!entry.Literal("{\"items\":")) return EntryFault::kMalformed;
+        if (!entry.Items()) return EntryFault::kBadItem;
+        if (!entry.Literal(",\"support\":") || !entry.Uint(kMax32) ||
+            !entry.Byte('}')) {
+          return EntryFault::kMalformed;
+        }
+        return EntryFault::kNone;
+      });
+    case kRules:
+      return ScanEntries(in, name, [](CanonicalReader& entry) {
+        if (!entry.Literal("{\"antecedent\":")) return EntryFault::kMalformed;
+        if (!entry.Items()) return EntryFault::kBadItem;
+        if (!entry.Literal(",\"confidence\":") || !entry.Number() ||
+            !entry.Literal(",\"consequent\":")) {
+          return EntryFault::kMalformed;
+        }
+        if (!entry.Items()) return EntryFault::kBadItem;
+        if (!entry.Literal(",\"lift\":") || !entry.Number() ||
+            !entry.Literal(",\"support\":") || !entry.Uint(kMax32) ||
+            !entry.Byte('}')) {
+          return EntryFault::kMalformed;
+        }
+        return EntryFault::kNone;
+      });
+  }
+  return PeerError("unknown key '" + name + "'");
+}
+
+// Checks a query or cache_probe-hit reply and records where each
+// member's value sits.
+Status ScanReply(std::string_view reply, bool probe, ReplyValues* values) {
+  CanonicalReader in(reply);
+  const auto malformed = [&in] {
+    return PeerError("not writer-canonical JSON at offset " +
+                     std::to_string(in.pos()));
+  };
+  if (!in.Byte('{')) return malformed();
+  int last = -1;
+  do {
+    std::string_view name;
+    if (!in.String(&name) || !in.Byte(':')) return malformed();
+    const int key = static_cast<int>(
+        std::find(std::begin(kReplyKeyNames), std::end(kReplyKeyNames),
+                  name) -
+        std::begin(kReplyKeyNames));
+    if (key == kNumReplyKeys || (key == kHit && !probe)) {
+      return PeerError("unknown key '" + std::string(name) + "'");
+    }
+    if (key <= last) {
+      return PeerError("key '" + std::string(name) +
+                       "' repeated or out of order");
+    }
+    last = key;
+    const size_t start = in.pos();
+    FPM_RETURN_IF_ERROR(ScanValue(static_cast<ReplyKey>(key), in));
+    (*values)[key] = in.Since(start);
+  } while (in.Byte(','));
+  if (!in.Byte('}') || !in.AtEnd()) return malformed();
+  for (ReplyKey key : kAlwaysWritten) {
+    if ((*values)[key].empty()) {
+      return PeerError("missing '" + std::string(kReplyKeyNames[key]) + "'");
     }
   }
+  if (probe && (*values)[kHit].empty()) return PeerError("missing 'hit'");
   return Status::OK();
 }
 
@@ -1001,27 +1221,46 @@ std::string EncodeShardCountResponse(const std::vector<Support>& counts) {
   return out;
 }
 
-Result<MineResponse> DecodeQueryResponse(const std::string& line) {
-  FPM_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  FPM_RETURN_IF_ERROR(CheckOkEnvelope(doc));
-  MineResponse response;
-  FPM_RETURN_IF_ERROR(ParseQueryResponseDoc(doc, &response));
-  return response;
-}
-
-Result<CacheProbeReply> DecodeCacheProbeResponse(const std::string& line) {
-  FPM_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  FPM_RETURN_IF_ERROR(CheckOkEnvelope(doc));
-  const JsonValue& hit = doc["hit"];
-  if (!hit.is_bool()) {
-    return Status::InvalidArgument("peer response: missing 'hit'");
+Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
+                                       const RelayEnvelope& envelope) {
+  if (probe && reply == kProbeMiss) return std::string();
+  ReplyValues values;
+  const Status scanned = ScanReply(reply, probe, &values);
+  if (!scanned.ok()) {
+    // An {"ok":false} envelope carries the peer's own status; any other
+    // reply the scan refuses is malformed.
+    const Result<JsonValue> doc = ParseJson(std::string(reply));
+    if (doc.ok() && doc.value()["ok"].is_bool()) {
+      FPM_RETURN_IF_ERROR(CheckOkEnvelope(doc.value()));
+    }
+    return scanned;
   }
-  CacheProbeReply reply;
-  reply.hit = hit.bool_value();
-  if (reply.hit) {
-    FPM_RETURN_IF_ERROR(ParseQueryResponseDoc(doc, &reply.response));
+  std::string out;
+  out.reserve(reply.size() + envelope.peer.size() + envelope.trace_id.size() +
+              32);
+  JsonWriter w(&out);
+  w.BeginObject();
+  for (int key = 0; key < kNumReplyKeys; ++key) {
+    switch (key) {
+      case kHit:
+        break;
+      case kPeer:
+        if (!envelope.peer.empty()) w.Key("peer").String(envelope.peer);
+        break;
+      case kQueryId:
+        w.Key("query_id").Uint(envelope.query_id);
+        break;
+      case kTraceId:
+        if (!envelope.trace_id.empty()) {
+          w.Key("trace_id").String(envelope.trace_id);
+        }
+        break;
+      default:
+        if (!values[key].empty()) w.Key(kReplyKeyNames[key]).Raw(values[key]);
+    }
   }
-  return reply;
+  w.EndObject();
+  return out;
 }
 
 Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(

@@ -92,6 +92,9 @@
 //       the given content digest without mining. Reply: miss ->
 //       {"hit":false,"ok":true}; hit -> the full query response plus
 //       "hit":true (query_id is 0 — probes are not scheduled queries).
+//       The asking node relays a hit, like the answer to a shard_query
+//       "execute", to its client without decoding it
+//       (RelayQueryResponse).
 //   {"op":"shard_query","mode":"execute|mine|count",<query fields>,
 //    "partition":{"index":I,"count":K},      (mine/count)
 //    "candidates":[[...],...]}               (count)
@@ -133,8 +136,10 @@
 // Every line fpmd and its peers write comes from one writer
 // (fpm/common/json_writer.h), appended straight into the line with its
 // keys in ascending byte order and numbers printed by the writer's one
-// rule. protocol_test's goldens pin each encoder's bytes, and the
-// session transcript tools/service_session.txt pins a whole daemon
+// rule; a relayed answer is an owner's line, checked against that form
+// and copied, with its envelope keys rewritten by the same writer.
+// protocol_test's goldens pin each encoder's and the relay's bytes, and
+// the session transcript tools/service_session.txt pins a whole daemon
 // session. Requests are parsed into a read-only JsonValue
 // (fpm/service/json.h); a repeated key keeps its last value.
 //
@@ -219,11 +224,12 @@ struct ServiceRequest {
   ClusterOpRequest cluster;       ///< populated for the cluster ops
 };
 
-/// A decoded cache_probe reply: `hit` says whether `response` is
-/// populated (task/cache/itemsets/rules of the remote cache's answer).
-struct CacheProbeReply {
-  bool hit = false;
-  MineResponse response;
+/// The fields of a relayed query reply that are the entry node's, not
+/// the owner's (see RelayQueryResponse).
+struct RelayEnvelope {
+  std::string_view peer;      ///< the owner that answered
+  uint64_t query_id = 0;      ///< the entry's id for the query
+  std::string_view trace_id;  ///< the client's; the key is left out if empty
 };
 
 /// Decodes one request line. InvalidArgument on malformed JSON, unknown
@@ -289,13 +295,33 @@ std::string EncodeShardMineResponse(
 /// request candidate order).
 std::string EncodeShardCountResponse(const std::vector<Support>& counts);
 
-/// Decodes a peer's v2 query (or shard_query "execute") response line
-/// back into a MineResponse. An {"ok":false,...} envelope becomes the
-/// carried status (code parsed from the error's "code").
-Result<MineResponse> DecodeQueryResponse(const std::string& line);
-
-/// Decodes a peer's cache_probe reply.
-Result<CacheProbeReply> DecodeCacheProbeResponse(const std::string& line);
+/// Relays a peer's answer to a forwarded query (a shard_query "execute"
+/// reply; `probe` false) or to a cache_probe (`probe` true) as the line
+/// the entry node writes to its client, without decoding it. The line
+/// is the owner's bytes with "hit" dropped and "peer", "query_id" and
+/// "trace_id" set from `envelope`, each in its sorted key slot; a probe
+/// miss ({"hit":false,"ok":true}) returns an empty string.
+///
+/// One pass checks the reply and records where each member sits. It
+/// accepts exactly what EncodeQueryResponse and EncodeCacheProbeResponse
+/// write: no whitespace, keys strictly ascending, every key those
+/// always write present ("cache", "digest", "mine_ms", "num_results",
+/// "ok":true, "query_id", "queue_ms", "task", and "hit":true on a probe)
+/// and no key they never write, integers as plain digits, and strings
+/// with the writer's escapes and no byte below 0x20, so a relayed line
+/// never holds a newline. It applies the range checks the service's own
+/// types need: item ids below kInvalidItem, supports and "shards" within
+/// 32 bits, "num_results" and "query_id" within 64, canonical task and
+/// cache names, finite numbers for the timings and each rule's
+/// confidence and lift, and rules with exactly their five members. The
+/// timing fields keep the owner's text.
+///
+/// An {"ok":false,...} envelope becomes the carried status (code parsed
+/// from the error's "code"). Any other reply it refuses is INTERNAL
+/// "peer response: ...": the peer, not the query, is at fault, so the
+/// coordinator moves on to the next owner.
+Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
+                                       const RelayEnvelope& envelope);
 
 /// Decodes a peer's shard_query "mine" reply.
 Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(

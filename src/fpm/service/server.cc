@@ -262,17 +262,25 @@ bool Server::HandleQuery(int fd, const MineRequest& request) {
                    coordinator->options().self;
   }
   const auto abort = [fd] { return PeerClosed(fd); };
-  Result<MineResponse> result =
-      request.scatter
-          ? coordinator->ExecuteScatter(sub, digest.value(), abort)
-          : coordinator->ExecuteRemote(sub, digest.value(), abort);
-  if (result.ok()) {
-    MineResponse response = std::move(result).value();
-    response.query_id = query_id;
-    response.trace_id = request.trace_id;
-    return WriteLine(fd, EncodeQueryResponse(response)).ok();
+  Status failed;
+  if (request.scatter) {
+    Result<MineResponse> merged =
+        coordinator->ExecuteScatter(sub, digest.value(), abort);
+    if (merged.ok()) {
+      MineResponse response = std::move(merged).value();
+      response.query_id = query_id;
+      response.trace_id = request.trace_id;
+      return WriteLine(fd, EncodeQueryResponse(response)).ok();
+    }
+    failed = merged.status();
+  } else {
+    // The owner's answer, relayed: its bytes with our envelope.
+    Result<std::string> line = coordinator->ExecuteRemote(
+        sub, digest.value(), query_id, request.trace_id, abort);
+    if (line.ok()) return WriteLine(fd, line.value()).ok();
+    failed = line.status();
   }
-  const StatusCode code = result.status().code();
+  const StatusCode code = failed.code();
   if (code == StatusCode::kUnavailable ||
       code == StatusCode::kDeadlineExceeded ||
       code == StatusCode::kFailedPrecondition) {
@@ -286,7 +294,7 @@ bool Server::HandleQuery(int fd, const MineRequest& request) {
     local.query_id = query_id;
     return StreamReply(fd, local);
   }
-  return WriteLine(fd, EncodeError(result.status())).ok();
+  return WriteLine(fd, EncodeError(failed)).ok();
 }
 
 std::string Server::Reply(const ServiceRequest& request) {

@@ -111,8 +111,8 @@ enum class CacheOutcome {
 
 const char* CacheOutcomeName(CacheOutcome outcome);
 
-/// Inverse of CacheOutcomeName — what the cluster coordinator uses to
-/// interpret a peer's response. InvalidArgument on unknown names.
+/// Inverse of CacheOutcomeName — what the relay (RelayQueryResponse)
+/// uses to check a peer's reply. InvalidArgument on unknown names.
 Result<CacheOutcome> ParseCacheOutcome(const std::string& name);
 
 struct MineResponse {

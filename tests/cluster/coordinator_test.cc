@@ -73,6 +73,15 @@ MineResponse CannedResponse() {
   return response;
 }
 
+/// The client line ExecuteRemote relayed, parsed.
+JsonValue Relayed(const Result<std::string>& line) {
+  EXPECT_TRUE(line.ok()) << line.status();
+  if (!line.ok()) return JsonValue();
+  Result<JsonValue> parsed = ParseJson(line.value());
+  EXPECT_TRUE(parsed.ok()) << line.value();
+  return parsed.ok() ? parsed.value() : JsonValue();
+}
+
 /// Scripted fake transport: per-op handlers keyed on the decoded
 /// request, with a per-endpoint call log. Scatter calls peers from one
 /// thread per owner, so the log is guarded; handlers must be
@@ -153,13 +162,14 @@ TEST(CoordinatorTest, ProbeHitAnswersWithoutForwarding) {
   };
 
   Coordinator coordinator(options, peers.transport());
-  Result<MineResponse> response =
-      coordinator.ExecuteRemote(MakeQuery(2), digest, {});
-  ASSERT_TRUE(response.ok()) << response.status();
+  const JsonValue response = Relayed(
+      coordinator.ExecuteRemote(MakeQuery(2), digest, 7, "", {}));
   EXPECT_EQ(probed_digest, digest);
-  EXPECT_EQ(response->served_by, coordinator.OwnersForDigest(digest)[0]);
-  EXPECT_EQ(response->num_frequent, 1u);
-  EXPECT_EQ(response->cache, CacheOutcome::kExact);
+  EXPECT_EQ(response["peer"].string_value(),
+            coordinator.OwnersForDigest(digest)[0]);
+  EXPECT_EQ(response["num_results"].int_value(), 1);
+  EXPECT_EQ(response["cache"].string_value(), "hit");
+  EXPECT_EQ(response["query_id"].int_value(), 7);
 
   const Coordinator::Counters c = coordinator.counters();
   EXPECT_EQ(c.remote_queries, 1u);
@@ -193,14 +203,13 @@ TEST(CoordinatorTest, ProbeMissForwardsToPrimaryOwner) {
   };
 
   Coordinator coordinator(options, peers.transport());
-  Result<MineResponse> response =
-      coordinator.ExecuteRemote(MakeQuery(2), digest, {});
-  ASSERT_TRUE(response.ok()) << response.status();
+  const JsonValue response = Relayed(
+      coordinator.ExecuteRemote(MakeQuery(2), digest, 7, "", {}));
   EXPECT_EQ(forwarded_to, coordinator.OwnersForDigest(digest)[0]);
-  EXPECT_EQ(response->served_by, forwarded_to);
-  EXPECT_EQ(response->cache, CacheOutcome::kMiss);
-  ASSERT_EQ(response->itemsets.size(), 1u);
-  EXPECT_EQ(response->itemsets[0].second, 5u);
+  EXPECT_EQ(response["peer"].string_value(), forwarded_to);
+  EXPECT_EQ(response["cache"].string_value(), "miss");
+  ASSERT_EQ(response["itemsets"].array_items().size(), 1u);
+  EXPECT_EQ(response["itemsets"].array_items()[0]["support"].int_value(), 5);
 
   const Coordinator::Counters c = coordinator.counters();
   EXPECT_EQ(c.probe_hits, 0u);
@@ -235,10 +244,10 @@ TEST(CoordinatorTest, DeadReplicaFailsOverAndTurnsUnhealthy) {
         return EncodeQueryResponse(mined);
       });
 
-  Result<MineResponse> response =
-      coordinator.ExecuteRemote(MakeQuery(2), digest, {});
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->served_by, coordinator.OwnersForDigest(digest)[1]);
+  const JsonValue response = Relayed(
+      coordinator.ExecuteRemote(MakeQuery(2), digest, 7, "", {}));
+  EXPECT_EQ(response["peer"].string_value(),
+            coordinator.OwnersForDigest(digest)[1]);
 
   const Coordinator::Counters c = coordinator.counters();
   EXPECT_EQ(c.probe_misses, 1u);  // the dead primary's probe failed
@@ -261,8 +270,8 @@ TEST(CoordinatorTest, AllOwnersDownIsUnavailable) {
         return Status::Unavailable("peer " + endpoint + ": down");
       });
 
-  Result<MineResponse> response =
-      coordinator.ExecuteRemote(MakeQuery(2), digest, {});
+  Result<std::string> response =
+      coordinator.ExecuteRemote(MakeQuery(2), digest, 7, "", {});
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(response.status().message().find("all 2 owner(s) of digest"),
@@ -290,8 +299,8 @@ TEST(CoordinatorTest, DeterministicRejectionDoesNotFailOver) {
   };
 
   Coordinator coordinator(options, peers.transport());
-  Result<MineResponse> response =
-      coordinator.ExecuteRemote(MakeQuery(2), digest, {});
+  Result<std::string> response =
+      coordinator.ExecuteRemote(MakeQuery(2), digest, 7, "", {});
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(response.status().message(), "unknown dataset id 'ds-9'");
@@ -299,13 +308,52 @@ TEST(CoordinatorTest, DeterministicRejectionDoesNotFailOver) {
   EXPECT_EQ(coordinator.counters().failovers, 0u);
 }
 
+// A reply the relay cannot read is the peer's fault, not the query's:
+// the probe moves on to the next owner, and the forward fails over as
+// from a dead replica.
+TEST(CoordinatorTest, UnreadableRepliesMoveOnToTheNextOwner) {
+  const ClusterOptions options = MakeOptions("n1:7100", 2);
+  const std::string digest = FindDigest(options, /*self_owns=*/false);
+  const std::vector<std::string> owners =
+      ConsistentHashRing(options.peers).Owners(digest, options.replicas);
+
+  FakePeers peers;
+  peers.on_probe = [&](const std::string& endpoint, const ServiceRequest&)
+      -> Result<std::string> {
+    if (endpoint == owners[0]) {
+      return std::string("{\"hit\":true,\"ok\":true}");  // no answer
+    }
+    return EncodeCacheProbeResponse(false, {});
+  };
+  peers.on_shard = [&](const std::string& endpoint, const ServiceRequest&)
+      -> Result<std::string> {
+    MineResponse mined = CannedResponse();
+    mined.cache = CacheOutcome::kMiss;
+    std::string line = EncodeQueryResponse(mined);
+    if (endpoint == owners[0]) line.insert(1, " ");  // not the writer's
+    return line;
+  };
+
+  Coordinator coordinator(options, peers.transport());
+  const JsonValue response = Relayed(
+      coordinator.ExecuteRemote(MakeQuery(2), digest, 7, "", {}));
+  EXPECT_EQ(response["peer"].string_value(), owners[1]);
+  EXPECT_EQ(response["cache"].string_value(), "miss");
+
+  const Coordinator::Counters c = coordinator.counters();
+  EXPECT_EQ(c.probe_hits, 0u);
+  EXPECT_EQ(c.probe_misses, 1u);  // the replica's; the primary's is unread
+  EXPECT_EQ(c.forwards, 2u);
+  EXPECT_EQ(c.failovers, 1u);
+}
+
 TEST(CoordinatorTest, AbortCancelsBeforeAnyCall) {
   const ClusterOptions options = MakeOptions("n1:7100", 2);
   const std::string digest = FindDigest(options, /*self_owns=*/false);
   FakePeers peers;
   Coordinator coordinator(options, peers.transport());
-  Result<MineResponse> response =
-      coordinator.ExecuteRemote(MakeQuery(2), digest, [] { return true; });
+  Result<std::string> response = coordinator.ExecuteRemote(
+      MakeQuery(2), digest, 7, "", [] { return true; });
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kCancelled);
   EXPECT_TRUE(peers.calls.empty());

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -318,6 +319,41 @@ TEST(PackedDiagnosticsTest, CorruptOffsetsAreRejectedBeforeMining) {
             std::string::npos)
       << opened.status();
   EXPECT_NE(opened.status().message().find(path), std::string::npos);
+}
+
+// An item id at or past the header's item count used to open cleanly,
+// and then every miner indexed its per-item arrays with it: LCM, Eclat,
+// FP-Growth and Apriori all crashed on this 192-byte file.
+TEST(PackedDiagnosticsTest, ItemIdPastTheItemCountIsRejectedBeforeMining) {
+  DatabaseBuilder b;
+  for (const Itemset& t :
+       std::vector<Itemset>{{0, 1, 2}, {0, 1}, {1, 2, 3}, {0, 3}, {1, 2}}) {
+    b.AddTransaction(t);
+  }
+  const std::string path = TempPath("baditem.fpk");
+  ASSERT_TRUE(WritePacked(b.Build(), path).ok());
+  const std::string bytes = ReadAll(path);
+  ASSERT_EQ(bytes.size(), 192u);
+  ASSERT_TRUE(OpenMapped(path).ok());
+
+  // The items array follows the header and the six offsets: 80 + 48.
+  const auto with_item = [&](size_t entry, uint32_t item) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + 128 + entry * sizeof(item), &item,
+                sizeof(item));
+    WriteAll(path, patched);
+    return OpenMapped(path).status();
+  };
+  const Status first = with_item(0, 0xFFFFF0);
+  EXPECT_EQ(first.code(), StatusCode::kIOError);
+  EXPECT_EQ(first.message(), "packed file '" + path +
+                                 "': item id 16777200 is not below the item "
+                                 "count 4 at offset 128");
+  // The bound is exact, and the last entry is read too.
+  EXPECT_EQ(with_item(11, 4).message(),
+            "packed file '" + path +
+                "': item id 4 is not below the item count 4 at offset 172");
+  EXPECT_TRUE(with_item(11, 3).ok());
 }
 
 // ---------------------------------------------------------------------------

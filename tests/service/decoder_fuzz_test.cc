@@ -1,23 +1,30 @@
 // Seeded mutation fuzzer for every decoder of untrusted bytes: the
 // request decoder fpmd runs on each socket line, the JSON parser under
-// it, the four decoders of a peer's reply, the packed-file mapper and
-// the FIMI reader. Seeds are the protocol's golden requests and
-// replies, a .fpk written by the packed writer and the FIMI inputs of
-// the dataset tests; each mutant flips, inserts or deletes bytes,
-// truncates, or splices two seeds. Every call must return OK or a
-// non-OK Status — a crash, a hang or an out-of-bounds read (under the
-// asan and ubsan presets) fails the suite. The seed and the mutant
-// counts are fixed, so a failure reproduces; a mutant that once found a
-// defect lives on below as a named test.
+// it, the relay and the two shard decoders that read a peer's reply,
+// the packed-file mapper and the FIMI reader. Seeds are the protocol's
+// golden requests and replies, a .fpk written by the packed writer and
+// the FIMI inputs of the dataset tests; each mutant flips, inserts or
+// deletes bytes, truncates, or splices two seeds. Every call must
+// return OK or a non-OK Status — a crash, a hang or an out-of-bounds
+// read (under the asan and ubsan presets) fails the suite. What the
+// relay accepts must also be what the parser reads, and a packed file
+// the mapper opens must also mine. The seed and the mutant counts are
+// fixed, so a failure reproduces; a mutant that once found a defect
+// lives on below as a named test.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "fpm/algo/itemset_sink.h"
+#include "fpm/common/json_writer.h"
 #include "fpm/common/rng.h"
+#include "fpm/core/mine.h"
 #include "fpm/dataset/database.h"
 #include "fpm/dataset/fimi_io.h"
 #include "fpm/dataset/packed.h"
@@ -31,6 +38,7 @@ constexpr uint64_t kFuzzSeed = 0x5eedf0220;
 constexpr int kJsonMutants = 4000;
 constexpr int kPackedMutants = 1500;
 constexpr int kFimiMutants = 2000;
+constexpr int kRelayMutants = 2000;
 
 // One to four mutations of `seed`, each a bit flip, an inserted byte, a
 // deleted byte, a truncation or a splice with another seed.
@@ -93,6 +101,37 @@ void TouchAll(const Database& db) {
   (void)sink;
 }
 
+// The JSON string `s` as the parser reads it.
+JsonValue StringValue(std::string_view s) {
+  std::string quoted;
+  AppendJsonString(&quoted, s);
+  return ParseJson(quoted).value();
+}
+
+// What a reply the relay accepted must satisfy: the parser reads it,
+// the relayed line has no byte below 0x20 (so no newline), and the
+// parser reads the relayed line as the reply with "hit" dropped and
+// "peer", "query_id" and "trace_id" taken from `envelope`.
+void ExpectRelayed(const std::string& reply, const RelayEnvelope& envelope,
+                   const std::string& relayed) {
+  const Result<JsonValue> doc = ParseJson(reply);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  for (char c : relayed) {
+    ASSERT_GE(static_cast<unsigned char>(c), 0x20) << relayed;
+  }
+  const Result<JsonValue> got = ParseJson(relayed);
+  ASSERT_TRUE(got.ok()) << got.status() << ": " << relayed;
+  std::map<std::string, JsonValue> expected = doc.value().object_items();
+  expected.erase("hit");
+  expected["peer"] = StringValue(envelope.peer);
+  expected["query_id"] = ParseJson(std::to_string(envelope.query_id)).value();
+  expected.erase("trace_id");
+  if (!envelope.trace_id.empty()) {
+    expected["trace_id"] = StringValue(envelope.trace_id);
+  }
+  EXPECT_EQ(got.value().object_items(), expected) << relayed;
+}
+
 std::vector<std::string> JsonSeeds() {
   MineResponse response;
   response.task = MiningTask::kClosed;
@@ -116,6 +155,12 @@ std::vector<std::string> JsonSeeds() {
   rule.confidence = 0.5;
   rule.lift = 2.0;
   rules.rules = {rule};
+
+  // A probe hit for a client that sent its own trace id.
+  MineResponse traced = response;
+  traced.trace_id = "client \"7\"\t";
+  traced.served_by.clear();
+  traced.shard_count = 0;
 
   MineRequest request;
   request.dataset_path = "/data/retail.fpk";
@@ -155,6 +200,8 @@ std::vector<std::string> JsonSeeds() {
       EncodeQueryResponse(rules),
       EncodeQueryResponseWithId(3, response),
       EncodeCacheProbeResponse(true, response),
+      EncodeCacheProbeResponse(true, traced),
+      EncodeCacheProbeResponse(true, rules),
       EncodeCacheProbeResponse(false, {}),
       EncodeShardMineResponse({{{1, 2}, 3}, {{5}, 7}}),
       EncodeShardCountResponse({0, 4, 9}),
@@ -180,6 +227,7 @@ std::vector<std::string> FimiSeeds() {
 TEST(DecoderFuzzTest, JsonDecodersReturnAStatus) {
   const std::vector<std::string> seeds = JsonSeeds();
   Rng rng(kFuzzSeed);
+  int accepted = 0;
   for (int i = 0; i < kJsonMutants; ++i) {
     const std::string line =
         Mutate(rng, seeds[rng.NextBounded(seeds.size())], seeds);
@@ -189,11 +237,61 @@ TEST(DecoderFuzzTest, JsonDecodersReturnAStatus) {
     // JSON decoders reject is INVALID_ARGUMENT.
     ExpectOkOr(ParseJson(line).status(), StatusCode::kInvalidArgument);
     ExpectOkOr(DecodeRequest(line).status(), StatusCode::kInvalidArgument);
-    (void)DecodeQueryResponse(line);
-    (void)DecodeCacheProbeResponse(line);
     (void)DecodeShardMineResponse(line);
     (void)DecodeShardCountResponse(line);
+    // The relay, as a probe's and as a forward's reader, with and
+    // without a client trace id.
+    for (const bool probe : {true, false}) {
+      const RelayEnvelope envelope{"n9:7100", 40 + static_cast<uint64_t>(i),
+                                   probe ? "client \"t\"\n" : ""};
+      const Result<std::string> relayed =
+          RelayQueryResponse(line, probe, envelope);
+      if (relayed.ok() && !relayed.value().empty()) {
+        ++accepted;
+        ExpectRelayed(line, envelope, relayed.value());
+      }
+    }
   }
+  // Mutants of canonical replies that stay canonical (a changed digit,
+  // a flipped letter in the digest) are accepted; the property above
+  // must have been checked on some.
+  EXPECT_GT(accepted, 0);
+}
+
+// Byte mutants seldom stay in the writer's form, so the relay accepts
+// few of them. Mutants that keep a reply's shape (a digit becomes
+// another digit, a letter another letter) often do, and the relay's
+// invariants are checked on each one it accepts.
+TEST(DecoderFuzzTest, RelayedRepliesKeepTheirMembers) {
+  std::vector<std::string> replies;
+  for (const std::string& seed : JsonSeeds()) {
+    if (seed.rfind("{\"cache\"", 0) == 0) replies.push_back(seed);
+  }
+  ASSERT_GE(replies.size(), 5u);
+  Rng rng(kFuzzSeed + 3);
+  int accepted = 0;
+  for (int i = 0; i < kRelayMutants; ++i) {
+    std::string line = replies[rng.NextBounded(replies.size())];
+    for (uint64_t m = 1 + rng.NextBounded(3); m > 0; --m) {
+      char& c = line[rng.NextBounded(line.size())];
+      if (c >= '0' && c <= '9') {
+        c = static_cast<char>('0' + rng.NextBounded(10));
+      } else if (c >= 'a' && c <= 'z') {
+        c = static_cast<char>('a' + rng.NextBounded(26));
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i) + ": " + line);
+    const bool probe = line.find("\"hit\":true") != std::string::npos;
+    const RelayEnvelope envelope{"n9:7100", static_cast<uint64_t>(i),
+                                 i % 2 == 0 ? "" : "client \"t\"\n"};
+    const Result<std::string> relayed =
+        RelayQueryResponse(line, probe, envelope);
+    if (relayed.ok()) {
+      ++accepted;
+      ExpectRelayed(line, envelope, relayed.value());
+    }
+  }
+  EXPECT_GT(accepted, kRelayMutants / 10);
 }
 
 TEST(DecoderFuzzTest, OpenMappedReturnsAStatus) {
@@ -220,7 +318,15 @@ TEST(DecoderFuzzTest, OpenMappedReturnsAStatus) {
     SCOPED_TRACE("mutant " + std::to_string(i));
     const Result<Database> db = OpenMapped(path);
     ExpectOkOr(db.status(), StatusCode::kIOError);
-    if (db.ok()) TouchAll(db.value());
+    if (!db.ok()) continue;
+    TouchAll(db.value());
+    // What the mapper accepts, a miner must be able to read: LCM at
+    // support 1 visits every item of every transaction.
+    CountingSink sink;
+    MineOptions options;
+    options.algorithm = Algorithm::kLcm;
+    options.min_support = 1;
+    EXPECT_TRUE(Mine(db.value(), options, &sink).ok());
   }
 }
 

@@ -493,7 +493,38 @@ TEST(DecodeRequestTest, WireItemsMustBeIntegersBelowTheSentinel) {
   }
 }
 
+// What an owner writes for a one-itemset miss and for a one-rule miss:
+// writer-canonical replies the tests below corrupt one value at a time.
+const std::string kItemsetAnswer =
+    "{\"cache\":\"miss\",\"digest\":\"d\","
+    "\"itemsets\":[{\"items\":[1],\"support\":2}],\"mine_ms\":0,"
+    "\"num_results\":1,\"ok\":true,\"query_id\":0,\"queue_ms\":0,"
+    "\"task\":\"frequent\"}";
+const std::string kRuleAnswer =
+    "{\"cache\":\"miss\",\"digest\":\"d\",\"mine_ms\":0,"
+    "\"num_results\":1,\"ok\":true,\"query_id\":0,\"queue_ms\":0,"
+    "\"rules\":[{\"antecedent\":[1],\"confidence\":0.5,"
+    "\"consequent\":[2],\"lift\":1,\"support\":2}],\"task\":\"rules\"}";
+
+// `line` with its first `from` replaced by `to`; empty (a reply every
+// reader refuses) when `line` does not hold `from`.
+std::string Replace(std::string line, const std::string& from,
+                    const std::string& to) {
+  const size_t at = line.find(from);
+  if (at == std::string::npos) return "";
+  return line.replace(at, from.size(), to);
+}
+
+// The relay's verdict on a forwarded reply.
+Status RelayStatus(const std::string& reply) {
+  return RelayQueryResponse(reply, /*probe=*/false,
+                            RelayEnvelope{"n2:7100", 7, ""})
+      .status();
+}
+
 TEST(ClusterWireTest, PeerDecodersRejectOutOfRangeItems) {
+  ASSERT_TRUE(RelayStatus(kItemsetAnswer).ok());
+  ASSERT_TRUE(RelayStatus(kRuleAnswer).ok());
   for (const char* bad : {"-1", "1.5", "4294967296", "4294967295"}) {
     const std::string item = bad;
     EXPECT_EQ(DecodeShardMineResponse(
@@ -503,23 +534,18 @@ TEST(ClusterWireTest, PeerDecodersRejectOutOfRangeItems) {
                   .message(),
               "peer response: non-numeric item in 'candidates'")
         << bad;
-    EXPECT_EQ(DecodeQueryResponse("{\"ok\":true,\"itemsets\":[{\"items\":[" +
-                                  item + "],\"support\":2}]}")
-                  .status()
+    EXPECT_EQ(RelayStatus(Replace(kItemsetAnswer, "\"items\":[1]",
+                                  "\"items\":[" + item + "]"))
                   .message(),
               "peer response: non-numeric item in 'itemsets'")
         << bad;
-    const std::string rule_tail =
-        ",\"support\":2,\"confidence\":0.5,\"lift\":1.0}]}";
-    EXPECT_EQ(DecodeQueryResponse("{\"ok\":true,\"rules\":[{\"antecedent\":[" +
-                                  item + "],\"consequent\":[1]" + rule_tail)
-                  .status()
+    EXPECT_EQ(RelayStatus(Replace(kRuleAnswer, "\"antecedent\":[1]",
+                                  "\"antecedent\":[" + item + "]"))
                   .message(),
               "peer response: non-numeric item in 'rules'")
         << bad;
-    EXPECT_EQ(DecodeQueryResponse("{\"ok\":true,\"rules\":[{\"antecedent\":[1]"
-                                  ",\"consequent\":[" + item + "]" + rule_tail)
-                  .status()
+    EXPECT_EQ(RelayStatus(Replace(kRuleAnswer, "\"consequent\":[2]",
+                                  "\"consequent\":[" + item + "]"))
                   .message(),
               "peer response: non-numeric item in 'rules'")
         << bad;
@@ -541,7 +567,7 @@ std::string RequestError(const std::string& line) {
   return DecodeRequest(line).status().message();
 }
 std::string QueryReplyError(const std::string& line) {
-  return DecodeQueryResponse(line).status().message();
+  return RelayStatus(line).message();
 }
 std::string ShardMineReplyError(const std::string& line) {
   return DecodeShardMineResponse(line).status().message();
@@ -611,30 +637,32 @@ INSTANTIATE_TEST_SUITE_P(
                        "op 'shard_query': field 'partition.count': missing "
                        "or not a number >= 1"},
         OutOfRangeCase{"itemset_support", QueryReplyError,
-                       "{\"ok\":true,\"itemsets\":[{\"items\":[1],"
-                       "\"support\":4294967296}]}",
+                       Replace(kItemsetAnswer, "\"support\":2",
+                               "\"support\":4294967296"),
                        "peer response: malformed 'itemsets' entry"},
         OutOfRangeCase{"candidate_support", ShardMineReplyError,
                        "{\"ok\":true,\"candidates\":[{\"items\":[1],"
                        "\"support\":-1}]}",
                        "peer response: malformed 'candidates' entry"},
         OutOfRangeCase{"rule_support", QueryReplyError,
-                       "{\"ok\":true,\"rules\":[{\"antecedent\":[1],"
-                       "\"consequent\":[2],\"support\":1e10,"
-                       "\"confidence\":0.5,\"lift\":1}]}",
+                       Replace(kRuleAnswer, "\"support\":2",
+                               "\"support\":10000000000"),
                        "peer response: malformed 'rules' entry"},
         OutOfRangeCase{"counts", ShardCountReplyError,
                        "{\"ok\":true,\"counts\":[2,4294967296]}",
                        "peer response: 'counts' entries must be numbers "
                        ">= 0"},
         OutOfRangeCase{"query_id", QueryReplyError,
-                       "{\"ok\":true,\"query_id\":-5}",
+                       Replace(kItemsetAnswer, "\"query_id\":0",
+                               "\"query_id\":-5"),
                        "peer response: 'query_id' is not a number >= 0"},
         OutOfRangeCase{"shards", QueryReplyError,
-                       "{\"ok\":true,\"shards\":4294967296}",
+                       Replace(kItemsetAnswer, "\"task\"",
+                               "\"shards\":4294967296,\"task\""),
                        "peer response: 'shards' is not a number >= 0"},
         OutOfRangeCase{"num_results", QueryReplyError,
-                       "{\"ok\":true,\"num_results\":1e20}",
+                       Replace(kItemsetAnswer, "\"num_results\":1",
+                               "\"num_results\":100000000000000000000"),
                        "peer response: 'num_results' is not a number >= "
                        "0"}),
     [](const testing::TestParamInfo<OutOfRangeCase>& info) {
@@ -715,11 +743,13 @@ TEST(ClusterWireTest, CacheProbeRequestRoundTrips) {
 }
 
 TEST(ClusterWireTest, CacheProbeResponsesRoundTrip) {
+  const RelayEnvelope envelope{"n2:7100", 9, ""};
   EXPECT_EQ(EncodeCacheProbeResponse(false, {}),
             "{\"hit\":false,\"ok\":true}");
-  auto miss = DecodeCacheProbeResponse(EncodeCacheProbeResponse(false, {}));
+  auto miss = RelayQueryResponse(EncodeCacheProbeResponse(false, {}),
+                                 /*probe=*/true, envelope);
   ASSERT_TRUE(miss.ok()) << miss.status();
-  EXPECT_FALSE(miss->hit);
+  EXPECT_EQ(miss.value(), "");
 
   MineResponse response;
   response.task = MiningTask::kFrequent;
@@ -733,13 +763,15 @@ TEST(ClusterWireTest, CacheProbeResponsesRoundTrip) {
             "{\"items\":[3],\"support\":6}],\"mine_ms\":0,"
             "\"num_results\":2,\"ok\":true,\"query_id\":0,\"queue_ms\":0,"
             "\"task\":\"frequent\"}");
-  auto hit = DecodeCacheProbeResponse(EncodeCacheProbeResponse(true, response));
+  auto hit = RelayQueryResponse(EncodeCacheProbeResponse(true, response),
+                                /*probe=*/true, envelope);
   ASSERT_TRUE(hit.ok()) << hit.status();
-  EXPECT_TRUE(hit->hit);
-  EXPECT_EQ(hit->response.num_frequent, 2u);
-  EXPECT_EQ(hit->response.itemsets, response.itemsets);
-  EXPECT_EQ(hit->response.cache, CacheOutcome::kExact);
-  EXPECT_EQ(hit->response.dataset_digest, "abcdef0123456789");
+  EXPECT_EQ(hit.value(),
+            "{\"cache\":\"hit\",\"digest\":\"abcdef0123456789\","
+            "\"itemsets\":[{\"items\":[1,2],\"support\":4},"
+            "{\"items\":[3],\"support\":6}],\"mine_ms\":0,"
+            "\"num_results\":2,\"ok\":true,\"peer\":\"n2:7100\","
+            "\"query_id\":9,\"queue_ms\":0,\"task\":\"frequent\"}");
 }
 
 TEST(ClusterWireTest, ShardQueryRequestRoundTrips) {
@@ -819,11 +851,18 @@ TEST(ClusterWireTest, QueryResponseCarriesPeerAndShards) {
             "\"num_results\":1,\"ok\":true,\"peer\":\"n2:7100\","
             "\"query_id\":0,\"queue_ms\":0,\"shards\":3,"
             "\"task\":\"frequent\"}");
-  auto decoded = DecodeQueryResponse(EncodeQueryResponse(response));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->served_by, "n2:7100");
-  EXPECT_EQ(decoded->shard_count, 3u);
-  EXPECT_EQ(decoded->itemsets, response.itemsets);
+  // Relayed by another entry node: the owner's "peer" gives way to the
+  // envelope's, "shards" is kept.
+  auto relayed = RelayQueryResponse(EncodeQueryResponse(response),
+                                    /*probe=*/false,
+                                    RelayEnvelope{"n3:7100", 12, ""});
+  ASSERT_TRUE(relayed.ok()) << relayed.status();
+  EXPECT_EQ(relayed.value(),
+            "{\"cache\":\"miss\",\"digest\":\"\","
+            "\"itemsets\":[{\"items\":[2],\"support\":8}],\"mine_ms\":0,"
+            "\"num_results\":1,\"ok\":true,\"peer\":\"n3:7100\","
+            "\"query_id\":12,\"queue_ms\":0,\"shards\":3,"
+            "\"task\":\"frequent\"}");
 
   // Non-cluster responses carry neither key.
   MineResponse plain;
@@ -834,10 +873,195 @@ TEST(ClusterWireTest, QueryResponseCarriesPeerAndShards) {
 }
 
 TEST(ClusterWireTest, QueryResponseDecodeSurfacesPeerErrors) {
-  auto decoded = DecodeQueryResponse(EncodeError(Status::NotFound("nope")));
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(decoded.status().message(), "nope");
+  for (const bool probe : {false, true}) {
+    const Status carried =
+        RelayQueryResponse(EncodeError(Status::NotFound("nope")), probe,
+                           RelayEnvelope{"n2:7100", 7, ""})
+            .status();
+    EXPECT_EQ(carried.code(), StatusCode::kNotFound);
+    EXPECT_EQ(carried.message(), "nope");
+  }
+}
+
+// The relay's bytes. Each relayed line is the owner's line with the
+// entry's envelope, and equals encoding the owner's answer with that
+// envelope: the line the entry wrote when it decoded and re-encoded.
+
+TEST(RelayTest, ProbeHitTakesTheEntrysEnvelope) {
+  MineResponse response;
+  response.task = MiningTask::kClosed;
+  response.num_frequent = 2;
+  response.itemsets = {{{1, 2}, 4}, {{3}, 2}};
+  response.cache = CacheOutcome::kDominated;
+  response.dataset_digest = "cafe";
+  response.trace_id = "qid-31@n1:7100";  // the entry's id for the hop
+  const std::string reply = EncodeCacheProbeResponse(true, response);
+
+  // The client sent no trace id: the hop's is dropped.
+  auto plain = RelayQueryResponse(reply, /*probe=*/true,
+                                  RelayEnvelope{"n2:7100", 31, ""});
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_EQ(plain.value(),
+            "{\"cache\":\"dominated\",\"digest\":\"cafe\","
+            "\"itemsets\":[{\"items\":[1,2],\"support\":4},"
+            "{\"items\":[3],\"support\":2}],\"mine_ms\":0,"
+            "\"num_results\":2,\"ok\":true,\"peer\":\"n2:7100\","
+            "\"query_id\":31,\"queue_ms\":0,\"task\":\"closed\"}");
+
+  // The client's own, escaped by the writer.
+  const std::string client_trace = "t \"1\"\t\\";
+  auto traced = RelayQueryResponse(reply, /*probe=*/true,
+                                   RelayEnvelope{"n2:7100", 31, client_trace});
+  ASSERT_TRUE(traced.ok()) << traced.status();
+  EXPECT_EQ(traced.value(),
+            "{\"cache\":\"dominated\",\"digest\":\"cafe\","
+            "\"itemsets\":[{\"items\":[1,2],\"support\":4},"
+            "{\"items\":[3],\"support\":2}],\"mine_ms\":0,"
+            "\"num_results\":2,\"ok\":true,\"peer\":\"n2:7100\","
+            "\"query_id\":31,\"queue_ms\":0,\"task\":\"closed\","
+            "\"trace_id\":\"t \\\"1\\\"\\t\\\\\"}");
+  response.served_by = "n2:7100";
+  response.query_id = 31;
+  response.trace_id = client_trace;
+  EXPECT_EQ(traced.value(), EncodeQueryResponse(response));
+}
+
+// A forwarded miss carries the owner's timings as the owner printed
+// them, to the last digit.
+TEST(RelayTest, ForwardedMissKeepsTheOwnersBytes) {
+  const std::string reply =
+      "{\"cache\":\"miss\",\"digest\":\"0123456789abcdef\","
+      "\"itemsets\":[{\"items\":[7],\"support\":3},"
+      "{\"items\":[7,9],\"support\":2}],\"mine_ms\":0.7071067811865476,"
+      "\"num_results\":2,\"ok\":true,\"query_id\":41,\"queue_ms\":0.001,"
+      "\"task\":\"frequent\",\"trace_id\":\"qid-5@10.0.0.1:7100\"}";
+  auto relayed = RelayQueryResponse(reply, /*probe=*/false,
+                                    RelayEnvelope{"10.0.0.2:7100", 5, ""});
+  ASSERT_TRUE(relayed.ok()) << relayed.status();
+  EXPECT_EQ(relayed.value(),
+            "{\"cache\":\"miss\",\"digest\":\"0123456789abcdef\","
+            "\"itemsets\":[{\"items\":[7],\"support\":3},"
+            "{\"items\":[7,9],\"support\":2}],\"mine_ms\":0.7071067811865476,"
+            "\"num_results\":2,\"ok\":true,\"peer\":\"10.0.0.2:7100\","
+            "\"query_id\":5,\"queue_ms\":0.001,\"task\":\"frequent\"}");
+}
+
+TEST(RelayTest, CountOnlyAndRulesAnswers) {
+  MineResponse counted;
+  counted.num_frequent = 11796;
+  counted.cache = CacheOutcome::kExact;
+  counted.dataset_digest = "d";
+  auto count_only =
+      RelayQueryResponse(EncodeCacheProbeResponse(true, counted),
+                         /*probe=*/true, RelayEnvelope{"n2:7100", 3, ""});
+  ASSERT_TRUE(count_only.ok()) << count_only.status();
+  EXPECT_EQ(count_only.value(),
+            "{\"cache\":\"hit\",\"digest\":\"d\",\"mine_ms\":0,"
+            "\"num_results\":11796,\"ok\":true,\"peer\":\"n2:7100\","
+            "\"query_id\":3,\"queue_ms\":0,\"task\":\"frequent\"}");
+
+  MineResponse rules;
+  rules.task = MiningTask::kRules;
+  rules.num_frequent = 2;
+  AssociationRule rule;
+  rule.antecedent = {1};
+  rule.consequent = {2, 5};
+  rule.itemset_support = 4;
+  rule.confidence = 2.0 / 3.0;
+  rule.lift = 4.0 / 3.0;
+  rules.rules = {rule, rule};
+  rules.rules[1].antecedent = {};
+  rules.rules[1].confidence = 1.0;
+  rules.dataset_digest = "d";
+  rules.mine_seconds = 0.002;
+  auto relayed = RelayQueryResponse(EncodeQueryResponse(rules),
+                                    /*probe=*/false,
+                                    RelayEnvelope{"n2:7100", 8, "r"});
+  ASSERT_TRUE(relayed.ok()) << relayed.status();
+  EXPECT_EQ(relayed.value(),
+            "{\"cache\":\"miss\",\"digest\":\"d\",\"mine_ms\":2,"
+            "\"num_results\":2,\"ok\":true,\"peer\":\"n2:7100\","
+            "\"query_id\":8,\"queue_ms\":0,"
+            "\"rules\":[{\"antecedent\":[1],"
+            "\"confidence\":0.6666666666666666,\"consequent\":[2,5],"
+            "\"lift\":1.3333333333333333,\"support\":4},"
+            "{\"antecedent\":[],\"confidence\":1,\"consequent\":[2,5],"
+            "\"lift\":1.3333333333333333,\"support\":4}],"
+            "\"task\":\"rules\",\"trace_id\":\"r\"}");
+  rules.served_by = "n2:7100";
+  rules.query_id = 8;
+  rules.trace_id = "r";
+  EXPECT_EQ(relayed.value(), EncodeQueryResponse(rules));
+}
+
+TEST(RelayTest, ProbeMissIsEmptyAndOkFalseIsTheCarriedStatus) {
+  const RelayEnvelope envelope{"n2:7100", 7, ""};
+  auto miss = RelayQueryResponse("{\"hit\":false,\"ok\":true}",
+                                 /*probe=*/true, envelope);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_EQ(miss.value(), "");
+  // A forward is never answered with a probe's miss.
+  EXPECT_EQ(RelayStatus("{\"hit\":false,\"ok\":true}").message(),
+            "peer response: unknown key 'hit'");
+
+  for (const bool probe : {false, true}) {
+    const Status bare =
+        RelayQueryResponse("{\"ok\":false}", probe, envelope).status();
+    EXPECT_EQ(bare.code(), StatusCode::kInternal);
+    EXPECT_EQ(bare.message(), "peer reported an error without detail");
+    const Status carried =
+        RelayQueryResponse(
+            EncodeError(Status::InvalidArgument("op 'shard_query': bad")),
+            probe, envelope)
+            .status();
+    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(carried.message(), "op 'shard_query': bad");
+  }
+}
+
+// Each of these is JSON the parser reads, but not a line the writer
+// writes: the relay refuses it as the peer's fault (INTERNAL), naming
+// what is wrong.
+TEST(RelayTest, RefusesWhatTheWriterNeverWrites) {
+  const size_t space_at = kItemsetAnswer.find(",\"mine_ms\"") + 1;
+  const struct {
+    const char* what;
+    std::string reply;
+    std::string message;
+  } cases[] = {
+      {"whitespace",
+       Replace(kItemsetAnswer, ",\"mine_ms\"", ", \"mine_ms\""),
+       "peer response: not writer-canonical JSON at offset " +
+           std::to_string(space_at)},
+      {"unsorted keys",
+       Replace(kItemsetAnswer, "\"cache\":\"miss\",\"digest\":\"d\"",
+               "\"digest\":\"d\",\"cache\":\"miss\""),
+       "peer response: key 'cache' repeated or out of order"},
+      {"repeated key",
+       Replace(kItemsetAnswer, "\"digest\":\"d\"",
+               "\"digest\":\"d\",\"digest\":\"e\""),
+       "peer response: key 'digest' repeated or out of order"},
+      {"fractional support",
+       Replace(kItemsetAnswer, "\"support\":2", "\"support\":1.0"),
+       "peer response: malformed 'itemsets' entry"},
+      {"unknown key",
+       Replace(kItemsetAnswer, "\"task\"", "\"tag\":1,\"task\""),
+       "peer response: unknown key 'tag'"},
+      {"missing task", Replace(kItemsetAnswer, ",\"task\":\"frequent\"", ""),
+       "peer response: missing 'task'"},
+      {"raw control byte",
+       Replace(kItemsetAnswer, "\"digest\":\"d\"", "\"digest\":\"d\nd\""),
+       "peer response: 'digest' is not a canonical string"},
+      {"non-canonical task name",
+       Replace(kItemsetAnswer, "\"frequent\"", "\"FREQUENT\""),
+       "peer response: 'task' is not a task name"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_TRUE(ParseJson(c.reply).ok()) << c.what;
+    const Status status = RelayStatus(c.reply);
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << c.what;
+    EXPECT_EQ(status.message(), c.message) << c.what;
+  }
 }
 
 TEST(EncodeTest, StatsResponseEmbedsClusterSection) {

@@ -43,6 +43,13 @@ using test::WriteTempFimi;
 
 constexpr int kReadTimeoutSeconds = 60;
 
+/// A reply line, parsed; null (and a failed test) when it is not JSON.
+JsonValue Parsed(const std::string& line) {
+  Result<JsonValue> parsed = ParseJson(line);
+  EXPECT_TRUE(parsed.ok()) << line;
+  return parsed.ok() ? parsed.value() : JsonValue();
+}
+
 /// A raw protocol client: one connection, whole lines each way.
 class Client {
  public:
@@ -78,12 +85,7 @@ class Client {
     return std::string(line.value());
   }
 
-  JsonValue ReadJson() {
-    const std::string line = Read();
-    Result<JsonValue> parsed = ParseJson(line);
-    EXPECT_TRUE(parsed.ok()) << line;
-    return parsed.ok() ? parsed.value() : JsonValue();
-  }
+  JsonValue ReadJson() { return Parsed(Read()); }
 
   /// True when the server closed the connection with no further reply.
   bool ReadsEndOfStream() {
@@ -243,6 +245,27 @@ std::string QueryLine(const std::string& path, int min_support,
                       const std::string& extra = "") {
   return "{\"op\":\"query\",\"dataset\":\"" + path +
          "\",\"min_support\":" + std::to_string(min_support) + extra + "}";
+}
+
+/// `line` with the values of "mine_ms", "queue_ms" and "query_id" cut
+/// out: two runs take different times, and each node numbers its own
+/// queries.
+std::string WithoutTimingsAndId(std::string line) {
+  for (const std::string key : {"\"mine_ms\":", "\"queue_ms\":",
+                                "\"query_id\":"}) {
+    const size_t from = line.find(key);
+    if (from == std::string::npos) continue;
+    const size_t value = from + key.size();
+    line.replace(value, line.find_first_of(",}", value) - value, "#");
+  }
+  return line;
+}
+
+/// A node's own answer as a non-owner relays it: the same bytes with
+/// "peer" naming the node, in its sorted slot before "query_id".
+std::string RelayedFrom(const std::string& owner, std::string line) {
+  return line.insert(line.find("\"query_id\":"),
+                     "\"peer\":\"" + owner + "\",");
 }
 
 std::string ErrorCode(const JsonValue& reply) {
@@ -422,18 +445,25 @@ TEST(ServerTest, NonOwnerForwardsToTheOwnerThenHitsItsCache) {
 
   Client client(non_owner.endpoint());
   client.Send(QueryLine(path, 2));
-  const JsonValue forwarded = client.ReadJson();
+  const std::string forwarded_line = client.Read();
+  const JsonValue forwarded = Parsed(forwarded_line);
   EXPECT_TRUE(forwarded["ok"].bool_value());
   EXPECT_EQ(forwarded["peer"].string_value(), owner_endpoint);
   EXPECT_EQ(forwarded["cache"].string_value(), "miss");
   EXPECT_EQ(forwarded["num_results"].int_value(), 7);
 
-  client.Send(QueryLine(path, 2));
-  const JsonValue probed = client.ReadJson();
+  // The second time the client sends its own trace id.
+  const std::string traced =
+      QueryLine(path, 2, ",\"trace_id\":\"t \\\"2\\\"\"");
+  client.Send(traced);
+  const std::string probed_line = client.Read();
+  const JsonValue probed = Parsed(probed_line);
   EXPECT_TRUE(probed["ok"].bool_value());
   EXPECT_EQ(probed["peer"].string_value(), owner_endpoint);
   EXPECT_EQ(probed["cache"].string_value(), "hit");
   EXPECT_EQ(probed["itemsets"], forwarded["itemsets"]);
+  EXPECT_EQ(probed["trace_id"].string_value(), "t \"2\"");
+  EXPECT_GT(probed["query_id"].int_value(), forwarded["query_id"].int_value());
 
   const JsonValue asked = cluster_info(non_owner)["counters"];
   EXPECT_EQ(asked["probe_misses"].int_value(), 1);
@@ -445,6 +475,21 @@ TEST(ServerTest, NonOwnerForwardsToTheOwnerThenHitsItsCache) {
   // Only the owner mined; the non-owner's cache never saw the query.
   EXPECT_EQ(non_owner.server().service().cache().stats().misses, 0u);
   EXPECT_EQ(owner.server().service().cache().stats().misses, 2u);
+
+  // Byte for byte, each relayed line is the owner's own answer with
+  // "peer" added and the entry's query_id and trace_id (the hop's
+  // made-up trace id is not echoed). The hit is the owner's direct
+  // answer now; the miss is the direct answer of a node that has not
+  // mined the query yet, which a fresh single node gives.
+  Client direct(owner.endpoint());
+  direct.Send(traced);
+  EXPECT_EQ(WithoutTimingsAndId(probed_line),
+            RelayedFrom(owner_endpoint, WithoutTimingsAndId(direct.Read())));
+  RunningServer single(ListenUnix("server_single"), SmallOptions());
+  Client fresh(single.endpoint());
+  fresh.Send(QueryLine(path, 2));
+  EXPECT_EQ(WithoutTimingsAndId(forwarded_line),
+            RelayedFrom(owner_endpoint, WithoutTimingsAndId(fresh.Read())));
 }
 
 }  // namespace

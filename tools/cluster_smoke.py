@@ -19,7 +19,10 @@ contract from the outside:
      response says cache=hit, the non-owner's probe_hits counter rises,
      some owner's probe_hits_served rises, and the owners mined exactly
      once between them (sum of fpm.service.cache.misses == 1; the
-     non-owner mined nothing)
+     non-owner mined nothing); the relayed reply line is the serving
+     owner's own answer to the same query (same client trace id) byte
+     for byte, except that "peer" is added and query_id is the
+     non-owner's (timings masked)
   5. --scatter fans the query across both owners (SON two-phase) and
      the merged result is set-equal to the reference, in canonical
      order, with shards=2
@@ -49,6 +52,7 @@ Standard library only — runs on any CI python3.
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -68,14 +72,15 @@ def free_port():
         return s.getsockname()[1]
 
 
-def run_client(client, endpoint, *args, allow_fail=False):
+def run_client(client, endpoint, *args, allow_fail=False, raw=False):
     cmd = [client, f"--endpoint={endpoint}", *args]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0 and not allow_fail:
         fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     if allow_fail:
         return proc
-    return [json.loads(line) for line in proc.stdout.splitlines() if line]
+    lines = [line for line in proc.stdout.splitlines() if line]
+    return lines if raw else [json.loads(line) for line in lines]
 
 
 def raw_request(path, line):
@@ -102,6 +107,20 @@ def mined_fields(response):
     return json.dumps({"task": response.get("task"),
                        "num_results": response.get("num_results"),
                        "itemsets": response.get("itemsets")})
+
+
+def without_timings_and_id(line):
+    """A reply line with the values of mine_ms, queue_ms and query_id cut
+    out: two runs take different times, and each node numbers its own
+    queries."""
+    return re.sub(r'"(mine_ms|queue_ms|query_id)":[^,}]*', r'"\1":#', line)
+
+
+def relayed_from(owner, line):
+    """A node's own answer as a non-owner relays it: the same bytes with
+    "peer" naming the node, in its sorted slot before "query_id"."""
+    at = line.index('"query_id":')
+    return line[:at] + f'"peer":"{owner}",' + line[at:]
 
 
 def itemset_set(response):
@@ -193,8 +212,10 @@ def main(argv):
                  f"\n  reference: {mined_fields(reference_q2)}")
 
         # 4. Repeat: answered by a remote cache probe, nobody re-mines.
-        probed = run_client(client, sockets[non_owner], "query", dataset,
-                            "2")[0]
+        probed_line = run_client(client, sockets[non_owner], "query",
+                                 dataset, "2", "--trace-id=smoke-4",
+                                 raw=True)[0]
+        probed = json.loads(probed_line)
         if probed.get("cache") != "hit" or probed.get("peer") not in owners:
             fail(f"repeat query = cache:{probed.get('cache')} "
                  f"peer:{probed.get('peer')}, want a remote cache hit")
@@ -229,6 +250,16 @@ def main(argv):
         if non_owner_jobs != 0:
             fail(f"non-owner ran {non_owner_jobs} mining jobs, want 0 "
                  "(it should only route)")
+        # The relay rewrites only the envelope: ask the serving owner
+        # itself (a cache hit there too) and compare the raw lines.
+        direct_line = run_client(client, sockets[by_peer[probed["peer"]]],
+                                 "query", dataset, "2", "--trace-id=smoke-4",
+                                 raw=True)[0]
+        expected = relayed_from(probed["peer"],
+                                without_timings_and_id(direct_line))
+        if without_timings_and_id(probed_line) != expected:
+            fail("relayed line differs from the owner's own answer:"
+                 f"\n  relayed: {probed_line}\n  owner:   {direct_line}")
 
         # 5. Scatter: SON fan-out across both owners, set-equal result.
         scattered = run_client(client, sockets[non_owner], "query", dataset,
@@ -318,7 +349,8 @@ def main(argv):
 
     print("cluster smoke: OK (3 nodes, shared placement, forwarded query "
           "byte-identical, repeat served by remote cache probe with one "
-          "mine total, scatter set-equal, duplicate wire candidate "
+          "mine total and relayed byte for byte, scatter set-equal, "
+          "duplicate wire candidate "
           "rejected without an abort, dashboard rendered, failover "
           "after SIGKILL answered by the replica with failovers >= 1, "
           "clean shutdown)")

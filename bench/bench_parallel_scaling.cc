@@ -6,6 +6,21 @@
 // Deterministic merging is on, so every row reproduces the sequential
 // checksum.
 //
+// Two more inputs have fixed sizes (FPM_BENCH_SCALE does not touch
+// them), because each stands for a shape the decomposition must handle:
+//   - "Quest-deep": quest T60I10D3K with gen_dataset's default seed at
+//     support 30, 814,023 itemsets over 998 classes: deep answers and
+//     uneven classes. Its transactions' ranks are dense, so the
+//     decomposition orders them through its bitmap.
+//   - "WebDocs-sparse": the WebDocs stand-in with 60K documents of 8
+//     items on average over 40K items, at support 2: 26,657 frequent
+//     items over 481,787 entries. Few entries per frequent item cap the
+//     tid-block count, and short transactions spread over many words of
+//     ranks mostly take the decomposition's sort fallback. It runs LCM
+//     and FP-Growth only: there the sequential Eclat baseline (a bit
+//     vector per frequent item, 200 MB) took 334 s on one core, where
+//     sequential LCM took 1.8 s.
+//
 // Besides the table, the bench writes every row to
 // BENCH_parallel_scaling.json via the shared BenchReport writer
 // (directory overridable with FPM_BENCH_JSON_DIR). The metrics registry
@@ -23,6 +38,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -33,6 +49,24 @@
 #include "fpm/perf/report.h"
 
 namespace {
+
+fpm::bench::BenchDataset MakeDeepAnswers() {
+  const fpm::QuestParams p = fpm::QuestParams::FromName("T60I10D3K").value();
+  auto db = fpm::GenerateQuest(p);
+  FPM_CHECK_OK(db.status());
+  return {"Quest-deep", p.Name(), std::move(db).value(), 30};
+}
+
+fpm::bench::BenchDataset MakeManyFrequentItems() {
+  fpm::WebDocsLikeParams p;
+  p.num_transactions = 60000;
+  p.avg_length = 8;
+  p.vocabulary = 40000;
+  auto db = fpm::GenerateWebDocsLike(p);
+  FPM_CHECK_OK(db.status());
+  return {"WebDocs-sparse", "WebDocs-like, 60K docs of ~8 items",
+          std::move(db).value(), 2};
+}
 
 // "1.73x" from the fpm.task.imbalance_milli gauge, "-" when the row
 // recorded no measured task work.
@@ -54,9 +88,16 @@ int main() {
 
   const double scale = BenchScale();
   const int repeats = BenchRepeats();
-  std::vector<bench::BenchDataset> datasets;
-  datasets.push_back(bench::MakeDs1(scale));
-  datasets.push_back(bench::MakeDs2(scale));
+  // Each input with the kernels it runs.
+  const std::vector<Algorithm> all = {Algorithm::kEclat, Algorithm::kLcm,
+                                      Algorithm::kFpGrowth};
+  const std::vector<Algorithm> no_eclat = {Algorithm::kLcm,
+                                           Algorithm::kFpGrowth};
+  std::vector<std::pair<bench::BenchDataset, std::vector<Algorithm>>> inputs;
+  inputs.emplace_back(bench::MakeDs1(scale), all);
+  inputs.emplace_back(bench::MakeDs2(scale), all);
+  inputs.emplace_back(MakeDeepAnswers(), all);
+  inputs.emplace_back(MakeManyFrequentItems(), no_eclat);
 
   bench::BenchReport report("parallel_scaling",
                             "task-parallel scaling of the sequential kernels");
@@ -66,13 +107,12 @@ int main() {
   // the default registry around each repeat when it is enabled).
   MetricsRegistry::Default().set_enabled(true);
 
-  for (const bench::BenchDataset& ds : datasets) {
+  for (const auto& [ds, kernels] : inputs) {
     std::printf("== %s (%s), support %u ==\n", ds.name.c_str(),
                 ds.description.c_str(), ds.min_support);
     ReportTable table({"kernel", "driver", "threads", "mine time", "speedup",
                        "steals", "imbalance", "itemsets"});
-    for (Algorithm algorithm :
-         {Algorithm::kEclat, Algorithm::kLcm, Algorithm::kFpGrowth}) {
+    for (Algorithm algorithm : kernels) {
       MineOptions options;
       options.algorithm = algorithm;
       options.min_support = ds.min_support;

@@ -81,7 +81,8 @@ int main(int argc, char** argv) {
     std::string out;
     for (size_t j = 0; j < set.size(); ++j) {
       if (j > 0) out += ",";
-      out += "P" + std::to_string(set[j]);
+      out += 'P';
+      out += std::to_string(set[j]);
     }
     return out;
   };

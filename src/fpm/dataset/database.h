@@ -7,12 +7,15 @@
 // items in consecutive memory, the property pattern P1 builds on.
 //
 // Storage backends: a Database no longer owns heap vectors — it holds
-// std::span views into a refcounted DatabaseStorage. Two backends
+// std::span views into a refcounted DatabaseStorage. Three backends
 // exist:
 //   - owned vectors (DatabaseBuilder::Build, the classic in-memory
 //     path),
 //   - a memory-mapped packed file (fpm/dataset/packed.h, OpenMapped),
-//     whose CSR arrays live in the page cache, not on the heap.
+//     whose CSR arrays live in the page cache, not on the heap,
+//   - the parallel decomposition's ranked database
+//     (fpm/parallel/decompose.h), whose arrays its tid blocks write in
+//     place.
 // Every consumer — kernels, layout, bitvector construction, parallel
 // drivers — reads through the span accessors, so it cannot tell the
 // backends apart; the byte-identical-mining contract rests on that.
@@ -133,10 +136,11 @@ class Database {
   size_t memory_bytes() const { return resident_bytes() + mapped_bytes(); }
 
   /// Assembles a database viewing `storage`. Internal factory for the
-  /// storage backends (DatabaseBuilder::Build, OpenMapped); the spans
-  /// must point into `storage` and satisfy the CSR invariants
-  /// (offsets.front() == 0, offsets.back() == items.size(), weights
-  /// empty or one per transaction, frequencies sized num_items).
+  /// storage backends (DatabaseBuilder::Build, OpenMapped,
+  /// DecomposeClasses); the spans must point into memory `storage`
+  /// keeps alive and satisfy the CSR invariants (offsets.front() == 0,
+  /// offsets.back() == items.size(), weights empty or one per
+  /// transaction, frequencies sized num_items).
   static Database FromStorage(std::shared_ptr<const DatabaseStorage> storage,
                               std::span<const Item> items,
                               std::span<const size_t> offsets,

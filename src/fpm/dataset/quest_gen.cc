@@ -135,7 +135,13 @@ std::string QuestParams::Name() const {
   } else {
     d = std::to_string(num_transactions);
   }
-  return "T" + fmt(avg_transaction_len) + "I" + fmt(avg_pattern_len) + "D" + d;
+  std::string name = "T";
+  name += fmt(avg_transaction_len);
+  name += 'I';
+  name += fmt(avg_pattern_len);
+  name += 'D';
+  name += d;
+  return name;
 }
 
 Status QuestParams::Validate() const {

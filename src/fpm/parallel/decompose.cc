@@ -1,6 +1,7 @@
 #include "fpm/parallel/decompose.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <utility>
 
@@ -26,10 +27,88 @@ void ForEachBlock(ThreadPool* pool, size_t num_blocks, const Fn& fn) {
   group.Wait();
 }
 
+// The ranked database's arrays, allocated once and written in place by
+// the tid blocks, never zero-filled. The ranked database views the
+// input's weights, so the storage holds the input as well.
+struct RankedStorage final : DatabaseStorage {
+  RankedStorage(const Database& db, size_t entries,
+                std::vector<Support> supports)
+      : input(db),
+        num_entries(entries),
+        items(std::make_unique_for_overwrite<Item[]>(entries)),
+        offsets(std::make_unique_for_overwrite<size_t[]>(
+            db.num_transactions() + 1)),
+        frequencies(std::move(supports)) {}
+
+  StorageKind kind() const override { return StorageKind::kMemory; }
+
+  size_t resident_bytes() const override {
+    return num_entries * sizeof(Item) +
+           (input.num_transactions() + 1) * sizeof(size_t) +
+           frequencies.size() * sizeof(Support);
+  }
+
+  size_t mapped_bytes() const override { return 0; }
+
+  const Database input;
+  const size_t num_entries;
+  const std::unique_ptr<Item[]> items;
+  const std::unique_ptr<size_t[]> offsets;
+  const std::vector<Support> frequencies;
+};
+
+// Writes the ranks below `num_frequent` of `tx`'s items to `out`,
+// ascending, and returns how many there are. The ranks are set in `bits`
+// (all zero on entry and on return) and read back over the words between
+// the lowest and the highest. When that span is wider than the
+// transaction, or the transaction repeats an item (which a packed file
+// may), they are sorted instead, so either way every rank is written.
+uint32_t RankTransaction(std::span<const Item> tx,
+                         const std::vector<Item>& to_rank, Item num_frequent,
+                         uint64_t* bits, Item* out) {
+  uint32_t n = 0;
+  Item lo = num_frequent;
+  Item hi = 0;
+  for (Item it : tx) {
+    const Item rank = to_rank[it];
+    if (rank < num_frequent) {
+      out[n++] = rank;
+      lo = std::min(lo, rank);
+      hi = std::max(hi, rank);
+    }
+  }
+  if (n < 2) return n;
+  const size_t lo_word = lo / 64;
+  const size_t hi_word = hi / 64;
+  if (hi_word - lo_word >= n) {
+    std::sort(out, out + n);
+    return n;
+  }
+  uint64_t repeated = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint64_t bit = uint64_t{1} << (out[i] % 64);
+    repeated |= bits[out[i] / 64] & bit;
+    bits[out[i] / 64] |= bit;
+  }
+  if (repeated != 0) {
+    std::fill(bits + lo_word, bits + hi_word + 1, 0);
+    std::sort(out, out + n);
+    return n;
+  }
+  Item* next = out;
+  for (size_t word = lo_word; word <= hi_word; ++word) {
+    for (uint64_t set = std::exchange(bits[word], 0); set != 0;
+         set &= set - 1) {
+      *next++ = static_cast<Item>(word * 64 + std::countr_zero(set));
+    }
+  }
+  return n;
+}
+
 }  // namespace
 
 size_t ClassDecomposition::memory_bytes() const {
-  return ranked.resident_bytes() + rows.capacity() * sizeof(ClassRow) +
+  return ranked.resident_bytes() + rows().size_bytes() +
          row_begin.capacity() * sizeof(size_t);
 }
 
@@ -45,7 +124,9 @@ ClassDecomposition DecomposeClasses(const Database& db, Support min_support,
   }
   out.rank_to_item.assign(order.to_item().begin(),
                           order.to_item().begin() + num_frequent);
-  for (Item raw : out.rank_to_item) out.class_supports.push_back(freq[raw]);
+  std::vector<Support> class_supports;
+  class_supports.reserve(num_frequent);
+  for (Item raw : out.rank_to_item) class_supports.push_back(freq[raw]);
 
   // A few tid blocks per worker, so uneven blocks still balance, but no
   // more than the input fills: a block keeps two 8-byte counters per
@@ -60,45 +141,61 @@ ClassDecomposition DecomposeClasses(const Database& db, Support min_support,
   const auto block_begin = [&](size_t b) {
     return static_cast<Tid>(num_tx * b / num_blocks);
   };
+  const std::vector<Item>& to_rank = order.to_rank();
+  const Item num_ranks = static_cast<Item>(num_frequent);
 
-  // Pass 1, per block: rank every transaction and cut it to its frequent
-  // ranks, ascending, so the items before any member form a prefix. Each
-  // member but the first owns one row (the prefix before it); count each
-  // class's rows and entries in the block.
-  std::vector<Database> blocks(num_blocks);
+  // Pass 0, per block: count the frequent entries, so each block's
+  // ranked transactions get a base in the one items array.
+  std::vector<size_t> block_base(num_blocks + 1, 0);
+  ForEachBlock(pool, num_blocks, [&](size_t b) {
+    size_t n = 0;
+    for (Tid t = block_begin(b); t < block_begin(b + 1); ++t) {
+      for (Item it : db.transaction(t)) n += to_rank[it] < num_ranks;
+    }
+    block_base[b + 1] = n;
+  });
+  std::partial_sum(block_base.begin(), block_base.end(), block_base.begin());
+  auto storage = std::make_shared<RankedStorage>(db, block_base[num_blocks],
+                                                 std::move(class_supports));
+  Item* const items = storage->items.get();
+  size_t* const offsets = storage->offsets.get();
+  offsets[0] = 0;
+
+  // Pass 1, per block: write every transaction's frequent ranks,
+  // ascending, at the block's base, so the items before any member form
+  // a prefix. Each member but the first owns one row (the prefix before
+  // it); count each class's rows and entries in the block.
   std::vector<std::vector<size_t>> cursors(num_blocks);  // counts, then cursors
   std::vector<std::vector<uint64_t>> entries(num_blocks);
   ForEachBlock(pool, num_blocks, [&](size_t b) {
-    DatabaseBuilder builder;
-    std::vector<Item> tx;
+    std::vector<uint64_t> bits((num_frequent + 63) / 64, 0);
     std::vector<size_t>& count = cursors[b];
     std::vector<uint64_t>& entry = entries[b];
     count.assign(num_frequent, 0);
     entry.assign(num_frequent, 0);
+    size_t at = block_base[b];
     for (Tid t = block_begin(b); t < block_begin(b + 1); ++t) {
-      tx.clear();
-      for (Item it : db.transaction(t)) {
-        const Item rank = order.RankOf(it);
-        if (rank < num_frequent) tx.push_back(rank);
-      }
-      std::sort(tx.begin(), tx.end());
-      builder.AddSortedTransaction(tx, db.weight(t));
-      for (size_t j = 1; j < tx.size(); ++j) {
+      Item* tx = items + at;
+      const uint32_t n = RankTransaction(db.transaction(t), to_rank,
+                                         num_ranks, bits.data(), tx);
+      for (uint32_t j = 1; j < n; ++j) {
         ++count[tx[j]];
         entry[tx[j]] += j;
       }
+      at += n;
+      offsets[t + 1] = at;
     }
-    blocks[b] = builder.Build();
   });
+  const std::span<const Support> frequencies = storage->frequencies;
+  out.ranked = Database::FromStorage(
+      std::move(storage), {items, block_base[num_blocks]},
+      {offsets, num_tx + 1}, db.weights(), frequencies, num_frequent,
+      db.total_weight());
 
-  // Join the blocks in tid order. Class c's rows follow every earlier
-  // class's, and inside the class block b's rows follow the earlier
-  // blocks'. Sum the counts and turn them into each block's write
-  // cursors, reading each block's counts front to back.
-  DatabaseBuilder joined;
-  for (const Database& block : blocks) joined.AddDatabase(block);
-  blocks.clear();
-  out.ranked = joined.Build();
+  // Class c's rows follow every earlier class's, and inside the class
+  // block b's rows follow the earlier blocks'. Sum the counts and turn
+  // them into each block's write cursors, reading each block's counts
+  // front to back.
   out.row_begin.assign(num_frequent + 1, 0);
   out.class_entries.assign(num_frequent, 0);
   for (size_t b = 0; b < num_blocks; ++b) {
@@ -115,15 +212,17 @@ ClassDecomposition DecomposeClasses(const Database& db, Support min_support,
       cursor[c] = std::exchange(next[c], next[c] + cursor[c]);
     }
   }
-  out.rows.resize(out.row_begin[num_frequent]);
 
-  // Pass 2, per block: fill the rows, in tid order within each class.
+  // Pass 2, per block: write every row, in tid order within each class.
+  out.row_data =
+      std::make_unique_for_overwrite<ClassRow[]>(out.row_begin.back());
+  ClassRow* const rows = out.row_data.get();
   ForEachBlock(pool, num_blocks, [&](size_t b) {
     std::vector<size_t>& cursor = cursors[b];
     for (Tid t = block_begin(b); t < block_begin(b + 1); ++t) {
       const auto tx = out.ranked.transaction(t);
       for (uint32_t j = 1; j < tx.size(); ++j) {
-        out.rows[cursor[tx[j]]++] = ClassRow{t, j};
+        rows[cursor[tx[j]]++] = ClassRow{t, j};
       }
     }
   });
@@ -158,9 +257,10 @@ Database ProjectClass(const ClassDecomposition& decomp, Item c,
 
   // Copy out only the items frequent inside the class; every kernel
   // would drop the rest. Rows ascend by rank, so each scan stops at the
-  // last frequent rank.
+  // last frequent rank. Without one, no kernel runs: build nothing.
   Item end = c;
   while (end > 0 && support[end - 1] < min_support) --end;
+  if (end == 0) return Database();
   DatabaseBuilder builder;
   std::vector<Item> kept;
   for (const ClassRow& row : rows) {

@@ -11,11 +11,22 @@
 // ranked transaction tid that precedes the class owner. A class task
 // later builds its conditional database from its rows (ProjectClass),
 // copying only the items that are frequent inside the class.
+//
+// Both passes run over tid blocks on the driver's pool and write their
+// output in place: each block writes its ranked transactions into the
+// one items array at a base taken from a prefix sum of the blocks'
+// frequent-entry counts, and its rows through class-major cursors. A
+// transaction's ranks are ordered through a block-local bitmap, read
+// back over the words between its lowest and highest rank; one whose
+// ranks span more words than it has ranks is sorted instead, so each
+// transaction costs time linear in its length. Nothing is zero-filled
+// first and no pass over the entries or rows runs on one thread.
 
 #ifndef FPM_PARALLEL_DECOMPOSE_H_
 #define FPM_PARALLEL_DECOMPOSE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,24 +50,32 @@ struct ClassDecomposition {
   /// rank -> raw item id of every frequent rank, for mapping class-local
   /// results back.
   std::vector<Item> rank_to_item;
-  /// Global (weighted) support of each class owner, by rank.
-  std::vector<Support> class_supports;
   /// The input with every transaction cut to its frequent items, as
-  /// ascending ranks. Transaction ids and weights are the input's.
+  /// ascending ranks. Transaction ids and weights are the input's; the
+  /// item universe is the F frequent ranks.
   Database ranked;
   /// Class-major row index: class c owns
-  /// rows[row_begin[c] .. row_begin[c + 1]), in tid order.
+  /// rows()[row_begin[c] .. row_begin[c + 1]), in tid order.
   std::vector<size_t> row_begin;
-  std::vector<ClassRow> rows;
+  std::unique_ptr<ClassRow[]> row_data;  // row_begin.back() rows
   /// Projected entries per class (the sum of its row lengths): the work
   /// estimate used for largest-first scheduling.
   std::vector<uint64_t> class_entries;
 
-  size_t num_classes() const { return class_supports.size(); }
+  size_t num_classes() const { return rank_to_item.size(); }
+
+  /// Global (weighted) support of each class owner, by rank: the ranked
+  /// database's item frequencies.
+  std::span<const Support> class_supports() const {
+    return ranked.item_frequencies();
+  }
+
+  std::span<const ClassRow> rows() const {
+    return {row_data.get(), row_begin.empty() ? 0 : row_begin.back()};
+  }
 
   std::span<const ClassRow> class_rows(Item c) const {
-    return std::span<const ClassRow>(rows).subspan(
-        row_begin[c], row_begin[c + 1] - row_begin[c]);
+    return rows().subspan(row_begin[c], row_begin[c + 1] - row_begin[c]);
   }
 
   /// Heap bytes of the ranked database and the row index.
@@ -66,8 +85,8 @@ struct ClassDecomposition {
 /// Ranks items, cuts every transaction to its frequent ranks, builds the
 /// row index, and records the fpm.parallel.classes /
 /// fpm.parallel.class_entries metrics. Classes exist only for items with
-/// support >= min_support. With a `pool`, the ranking and index passes
-/// run over tid blocks on it; the result is identical to the serial pass.
+/// support >= min_support. With a `pool`, both passes run over tid
+/// blocks on it; the result is identical to the serial pass.
 ClassDecomposition DecomposeClasses(const Database& db, Support min_support,
                                     ThreadPool* pool = nullptr);
 
@@ -75,7 +94,8 @@ ClassDecomposition DecomposeClasses(const Database& db, Support min_support,
 /// class, in row order, holding the row's items whose support inside the
 /// class reaches `min_support` (still as global ranks, ascending). Rows
 /// left empty are kept, so num_transactions() and total_weight() are
-/// those of the full projection.
+/// those of the full projection. A class with no item frequent inside it
+/// has nothing to mine and gets an empty database: no transactions.
 Database ProjectClass(const ClassDecomposition& decomp, Item c,
                       Support min_support);
 

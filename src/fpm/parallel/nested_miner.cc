@@ -92,7 +92,7 @@ struct NestedRun {
 
     // The class's own singleton: {owner} at its global support.
     target->Emit(std::span<const Item>(&owner_raw, 1),
-                 decomp->class_supports[rank]);
+                 decomp->class_supports()[rank]);
     uint64_t task_emitted = 1;
 
     double task_build_seconds = 0.0;

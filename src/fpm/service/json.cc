@@ -115,7 +115,13 @@ class JsonParser {
     out->clear();
     while (true) {
       if (pos_ >= text_.size()) return Error("unterminated string");
-      char c = text_[pos_++];
+      char c = text_[pos_];
+      // JSON forbids raw control bytes in a string; the writer escapes
+      // every one, so a line can never carry a newline inside a value.
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Error("raw control byte in string");
+      }
+      ++pos_;
       if (c == '"') return Status::OK();
       if (c != '\\') {
         out->push_back(c);

@@ -813,27 +813,25 @@ StatusCode ParseStatusCode(const std::string& name) {
   return StatusCode::kInternal;
 }
 
-// Parses an "itemsets"/"candidates" array of {"items":[...],
-// "support":N} objects.
+Status PeerError(std::string_view what) {
+  return Status::Internal("peer response: " + std::string(what));
+}
+
+// Parses a "candidates" array of {"items":[...],"support":N} objects.
 Status DecodeItemsetEntries(const JsonValue& array, const std::string& what,
                             std::vector<CollectingSink::Entry>* out) {
-  if (!array.is_array()) {
-    return Status::InvalidArgument("peer response: '" + what +
-                                   "' is not an array");
-  }
+  if (!array.is_array()) return PeerError("'" + what + "' is not an array");
   out->reserve(array.array_items().size());
   for (const JsonValue& row : array.array_items()) {
     const JsonValue& items = row["items"];
     Support support = 0;
     if (!row.is_object() || !items.is_array() ||
         !DecodeInteger(row["support"], Support{0}, &support)) {
-      return Status::InvalidArgument("peer response: malformed '" + what +
-                                     "' entry");
+      return PeerError("malformed '" + what + "' entry");
     }
     Itemset set;
     if (!DecodeItems(items.array_items(), &set)) {
-      return Status::InvalidArgument("peer response: non-numeric item in '" +
-                                     what + "'");
+      return PeerError("non-numeric item in '" + what + "'");
     }
     out->emplace_back(std::move(set), support);
   }
@@ -844,12 +842,10 @@ Status DecodeItemsetEntries(const JsonValue& array, const std::string& what,
 // the carried status.
 Status CheckOkEnvelope(const JsonValue& doc) {
   if (!doc.is_object()) {
-    return Status::InvalidArgument("peer response is not a JSON object");
+    return Status::Internal("peer response is not a JSON object");
   }
   const JsonValue& ok = doc["ok"];
-  if (!ok.is_bool()) {
-    return Status::InvalidArgument("peer response: missing 'ok'");
-  }
+  if (!ok.is_bool()) return PeerError("missing 'ok'");
   if (ok.bool_value()) return Status::OK();
   const JsonValue& error = doc["error"];
   std::string code = "INTERNAL";
@@ -863,8 +859,12 @@ Status CheckOkEnvelope(const JsonValue& doc) {
   return Status(ParseStatusCode(code), message);
 }
 
-Status PeerError(std::string_view what) {
-  return Status::Internal("peer response: " + std::string(what));
+// A shard phase reply's document, once its envelope says ok.
+Result<JsonValue> ParseShardReply(const std::string& line) {
+  Result<JsonValue> doc = ParseJson(line);
+  if (!doc.ok()) return PeerError(doc.status().message());
+  FPM_RETURN_IF_ERROR(CheckOkEnvelope(doc.value()));
+  return doc;
 }
 
 // Reads text in exactly the form JsonWriter writes it, in one pass and
@@ -1265,8 +1265,7 @@ Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
 
 Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(
     const std::string& line) {
-  FPM_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  FPM_RETURN_IF_ERROR(CheckOkEnvelope(doc));
+  FPM_ASSIGN_OR_RETURN(JsonValue doc, ParseShardReply(line));
   std::vector<CollectingSink::Entry> entries;
   FPM_RETURN_IF_ERROR(
       DecodeItemsetEntries(doc["candidates"], "candidates", &entries));
@@ -1275,19 +1274,15 @@ Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(
 
 Result<std::vector<Support>> DecodeShardCountResponse(
     const std::string& line) {
-  FPM_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(line));
-  FPM_RETURN_IF_ERROR(CheckOkEnvelope(doc));
+  FPM_ASSIGN_OR_RETURN(JsonValue doc, ParseShardReply(line));
   const JsonValue& counts = doc["counts"];
-  if (!counts.is_array()) {
-    return Status::InvalidArgument("peer response: 'counts' is not an array");
-  }
+  if (!counts.is_array()) return PeerError("'counts' is not an array");
   std::vector<Support> out;
   out.reserve(counts.array_items().size());
   for (const JsonValue& count : counts.array_items()) {
     Support support = 0;
     if (!DecodeInteger(count, Support{0}, &support)) {
-      return Status::InvalidArgument(
-          "peer response: 'counts' entries must be numbers >= 0");
+      return PeerError("'counts' entries must be numbers >= 0");
     }
     out.push_back(support);
   }

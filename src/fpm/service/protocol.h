@@ -323,11 +323,14 @@ std::string EncodeShardCountResponse(const std::vector<Support>& counts);
 Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
                                        const RelayEnvelope& envelope);
 
-/// Decodes a peer's shard_query "mine" reply.
+/// Decodes a peer's shard_query "mine" reply. As with the relay, an
+/// {"ok":false,...} envelope becomes the carried status, and a reply
+/// that does not parse or is malformed is INTERNAL "peer response:
+/// ...", so the scatter moves on to the next owner.
 Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(
     const std::string& line);
 
-/// Decodes a peer's shard_query "count" reply.
+/// Decodes a peer's shard_query "count" reply; statuses as above.
 Result<std::vector<Support>> DecodeShardCountResponse(const std::string& line);
 
 /// Encodes the "metrics_text" response: the Prometheus exposition text

@@ -133,7 +133,7 @@ TEST(CoordinatorTest, OwnersMatchRingPlacement) {
   Coordinator coordinator(options, NoTransport());
   const ConsistentHashRing ring(options.peers);
   for (int i = 0; i < 50; ++i) {
-    const std::string digest = "d" + std::to_string(i);
+    const std::string digest = std::string("d").append(std::to_string(i));
     const std::vector<std::string> owners =
         coordinator.OwnersForDigest(digest);
     EXPECT_EQ(owners, ring.Owners(digest, 2)) << digest;
@@ -440,6 +440,38 @@ TEST(CoordinatorTest, ScatterSurvivesOneDeadOwner) {
       coordinator.ExecuteScatter(MakeQuery(2), "some-digest", {});
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_GE(coordinator.counters().failovers, 1u);
+
+  Result<std::unique_ptr<Miner>> miner =
+      CreateMiner(Algorithm::kLcm, PatternSet::None());
+  ASSERT_TRUE(miner.ok()) << miner.status();
+  EXPECT_EQ(response->itemsets, MineCanonical(**miner, db, 2));
+}
+
+// A shard reply the coordinator cannot read is the peer's fault, not
+// the query's: in each phase the partition moves on to the other owner,
+// as from a dead one.
+TEST(CoordinatorTest, ScatterFailsOverOnAnUnreadableShardReply) {
+  const Database db = MakeDb({{1, 2}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}});
+  const ClusterOptions options = MakeOptions("n1:7100", 2);
+  const std::string digest = FindDigest(options, /*self_owns=*/false);
+
+  FakePeers peers;
+  Coordinator coordinator(options, peers.transport());
+  const std::string garbled = coordinator.OwnersForDigest(digest)[0];
+  const FakePeers::Handler execute = ShardExecutingPeers(db);
+  peers.on_shard = [&](const std::string& endpoint,
+                       const ServiceRequest& request)
+      -> Result<std::string> {
+    if (endpoint == garbled) {
+      return std::string("{\"candidates\":5,\"ok\":true,\"phase\":\"mine\"}");
+    }
+    return execute(endpoint, request);
+  };
+
+  Result<MineResponse> response =
+      coordinator.ExecuteScatter(MakeQuery(2), digest, {});
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(coordinator.counters().failovers, 2u);  // mine, then count
 
   Result<std::unique_ptr<Miner>> miner =
       CreateMiner(Algorithm::kLcm, PatternSet::None());

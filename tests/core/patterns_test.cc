@@ -30,7 +30,7 @@ TEST(PatternInfoTest, AllEightPresentInOrder) {
   ASSERT_EQ(all.size(), 8u);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(static_cast<int>(all[i].pattern), i);
-    EXPECT_EQ(all[i].id, "P" + std::to_string(i + 1));
+    EXPECT_EQ(all[i].id, std::string("P").append(std::to_string(i + 1)));
   }
 }
 

@@ -147,8 +147,11 @@ TEST_P(QuestShapeTest, AverageLengthTracksT) {
 
 std::string QuestShapeName(
     const ::testing::TestParamInfo<std::pair<double, double>>& info) {
-  return "T" + std::to_string(static_cast<int>(info.param.first)) + "I" +
-         std::to_string(static_cast<int>(info.param.second));
+  std::string name = "T";
+  name += std::to_string(static_cast<int>(info.param.first));
+  name += 'I';
+  name += std::to_string(static_cast<int>(info.param.second));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(ParameterGrid, QuestShapeTest,

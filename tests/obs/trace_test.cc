@@ -102,7 +102,8 @@ TEST(TracerTest, RingOverwritesOldestAndCountsDropped) {
 
   Tracer tracer(/*ring_capacity=*/4);
   for (uint64_t i = 0; i < 6; ++i) {
-    tracer.Record(MakeSpan("s" + std::to_string(i), 0, 0, /*start_ns=*/i, 1));
+    tracer.Record(MakeSpan(std::string("s").append(std::to_string(i)), 0, 0,
+                           /*start_ns=*/i, 1));
   }
   EXPECT_EQ(tracer.dropped(), 2u);
   EXPECT_EQ(registry.Snapshot().counter("fpm.obs.spans_dropped"),

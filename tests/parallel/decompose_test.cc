@@ -2,13 +2,20 @@
 // class database built from the row index must make every kernel emit
 // exactly what it emits on the full conditional database (every prefix
 // copied into every class), in the same order, and must keep that
-// database's transaction count and total weight.
+// database's transaction count and total weight; a class with nothing
+// frequent inside it builds nothing. The ranked database must equal the
+// input remapped by RemapItems and cut to its frequent ranks, whichever
+// way each transaction's ranks were ordered (bitmap or sort) and
+// however many tid blocks the pool split the input into.
 
 #include "fpm/parallel/decompose.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,6 +23,7 @@
 
 #include "fpm/common/rng.h"
 #include "fpm/core/mine.h"
+#include "fpm/dataset/packed.h"
 #include "fpm/layout/item_order.h"
 #include "fpm/parallel/thread_pool.h"
 #include "testing/db_testutil.h"
@@ -80,8 +88,14 @@ void ExpectMatchesReference(const Database& db, Support min_support,
     const std::string where = label + " class " + std::to_string(c);
     const Database& ref = reference[c];
     const Database cls = ProjectClass(decomp, c, min_support);
-    EXPECT_EQ(cls.num_transactions(), ref.num_transactions()) << where;
-    EXPECT_EQ(cls.total_weight(), ref.total_weight()) << where;
+    const auto ref_freq = ref.item_frequencies();
+    if (std::none_of(ref_freq.begin(), ref_freq.end(),
+                     [&](Support s) { return s >= min_support; })) {
+      EXPECT_EQ(cls.num_transactions(), 0u) << where;  // built nothing
+    } else {
+      EXPECT_EQ(cls.num_transactions(), ref.num_transactions()) << where;
+      EXPECT_EQ(cls.total_weight(), ref.total_weight()) << where;
+    }
     EXPECT_EQ(decomp.class_entries[c], ref.num_entries()) << where;
     for (Algorithm algorithm :
          {Algorithm::kLcm, Algorithm::kEclat, Algorithm::kFpGrowth}) {
@@ -137,8 +151,9 @@ TEST(DecomposeTest, WeightedRandomDatabasesMatchEagerProjection) {
 TEST(DecomposeTest, EdgeCasesMatchEagerProjection) {
   // At support 2, items 0 (support 5), 1 (4) and 2 (2) are frequent and
   // rank as their ids; 3 and 4 are not. Class 2's rows {0} and {1} are
-  // both infrequent inside the class, so they all end up empty. {3}
-  // keeps no frequent item, {0, 4} one, and {} none at all.
+  // both infrequent inside the class, so it has nothing to mine and
+  // builds nothing. {3} keeps no frequent item, {0, 4} one, and {} none
+  // at all.
   DatabaseBuilder b;
   b.AddTransaction({0, 2}, 1);
   b.AddTransaction({1, 2}, 1);
@@ -153,9 +168,11 @@ TEST(DecomposeTest, EdgeCasesMatchEagerProjection) {
   const ClassDecomposition decomp = DecomposeClasses(db, 2);
   ASSERT_EQ(decomp.num_classes(), 3u);
   EXPECT_EQ(decomp.rank_to_item[2], 2u);
+  EXPECT_EQ(decomp.class_rows(2).size(), 2u);
   const Database emptied = ProjectClass(decomp, 2, 2);
-  EXPECT_EQ(emptied.num_transactions(), 2u);
+  EXPECT_EQ(emptied.num_transactions(), 0u);
   EXPECT_EQ(emptied.num_entries(), 0u);
+  EXPECT_EQ(emptied.resident_bytes(), 0u);
 }
 
 TEST(DecomposeTest, ManyFrequentItemsMatchEagerProjection) {
@@ -166,7 +183,7 @@ TEST(DecomposeTest, SupportAboveEveryItemHasNoClasses) {
   const Database db = testutil::MakeDb({{0, 1}, {0, 1}, {1}});
   const ClassDecomposition decomp = DecomposeClasses(db, 4);
   EXPECT_EQ(decomp.num_classes(), 0u);
-  EXPECT_TRUE(decomp.rows.empty());
+  EXPECT_TRUE(decomp.rows().empty());
   ExpectMatchesReference(db, 4, "support above every item");
 }
 
@@ -178,33 +195,250 @@ TEST(DecomposeTest, EmptyDatabaseHasNoClasses) {
   EXPECT_EQ(DecomposeClasses(Database(), 1, &pool).num_classes(), 0u);
 }
 
+// Frequent items 0..199 whose ranks are their ids: each owns a
+// one-item transaction weighing 10 * (300 - id), far more than the few
+// other transactions add. Items 500 and up occur once and are not
+// frequent at support 3. The rest puts ranks on both sides of the word
+// edges 63/64 and 127/128, in shuffled order with infrequent items
+// between them; spreads a few ranks over many words, so the transaction
+// is sorted rather than read back through the bitmap; and adds an empty
+// transaction and weighted rows.
+Database WordEdgeDb() {
+  DatabaseBuilder b;
+  for (Item i = 0; i < 200; ++i) b.AddTransaction({i}, 10 * (300 - i));
+  b.AddTransaction({64, 63});
+  b.AddTransaction({128, 500, 127});
+  b.AddTransaction({128, 64, 501, 127, 63, 0}, 2);
+  b.AddTransaction({62, 63, 64, 65, 126, 127, 128, 129});
+  b.AddTransaction({});
+  b.AddTransaction({502});
+  b.AddTransaction({199, 0});           // 2 ranks over 4 words: sorted
+  b.AddTransaction({130, 199, 5}, 3);   // 3 ranks over 4 words: sorted
+  b.AddTransaction({191, 0, 64, 128});  // 4 ranks over 3 words: bitmap
+  std::vector<Item> run;
+  for (Item i = 199; i > 100; i -= 3) run.push_back(i);
+  b.AddTransaction(run);
+  return b.Build();
+}
+
+// The input remapped item by item, sorted, and cut to its frequent ranks.
+Database ReferenceRanked(const Database& db, Support min_support) {
+  const ItemOrder order = ItemOrder::ByDecreasingFrequency(db);
+  const Database remapped = RemapItems(db, order);
+  const auto freq = db.item_frequencies();
+  Item num_frequent = 0;
+  while (num_frequent < order.size() &&
+         freq[order.ItemAt(num_frequent)] >= min_support) {
+    ++num_frequent;
+  }
+  DatabaseBuilder b;
+  for (Tid t = 0; t < remapped.num_transactions(); ++t) {
+    const auto tx = remapped.transaction(t);
+    const auto cut = std::lower_bound(tx.begin(), tx.end(), num_frequent);
+    b.AddSortedTransaction(tx.first(cut - tx.begin()), remapped.weight(t));
+  }
+  return b.Build();
+}
+
+template <typename A, typename B>
+bool Same(const A& a, const B& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+void ExpectRankedMatchesReference(const ClassDecomposition& decomp,
+                                  const Database& db, Support min_support,
+                                  const std::string& label) {
+  const Database ref = ReferenceRanked(db, min_support);
+  const Database& ranked = decomp.ranked;
+  EXPECT_TRUE(Same(ranked.items(), ref.items())) << label;
+  EXPECT_TRUE(Same(ranked.offsets(), ref.offsets())) << label;
+  EXPECT_TRUE(Same(ranked.weights(), ref.weights())) << label;
+  EXPECT_TRUE(Same(ranked.item_frequencies(), ref.item_frequencies()))
+      << label;
+  EXPECT_EQ(ranked.num_items(), ref.num_items()) << label;
+  EXPECT_EQ(ranked.num_items(), decomp.num_classes()) << label;
+  EXPECT_EQ(ranked.total_weight(), ref.total_weight()) << label;
+  EXPECT_EQ(ranked.num_transactions(), db.num_transactions()) << label;
+}
+
+void ExpectSameDecomposition(const ClassDecomposition& a,
+                             const ClassDecomposition& b,
+                             const std::string& label) {
+  EXPECT_TRUE(Same(a.ranked.items(), b.ranked.items())) << label;
+  EXPECT_TRUE(Same(a.ranked.offsets(), b.ranked.offsets())) << label;
+  EXPECT_TRUE(Same(a.ranked.weights(), b.ranked.weights())) << label;
+  EXPECT_TRUE(Same(a.class_supports(), b.class_supports())) << label;
+  EXPECT_EQ(a.row_begin, b.row_begin) << label;
+  ASSERT_EQ(a.rows().size(), b.rows().size()) << label;
+  for (size_t r = 0; r < a.rows().size(); ++r) {
+    EXPECT_EQ(a.rows()[r].tid, b.rows()[r].tid) << label << " row " << r;
+    EXPECT_EQ(a.rows()[r].length, b.rows()[r].length)
+        << label << " row " << r;
+  }
+  EXPECT_EQ(a.class_entries, b.class_entries) << label;
+  EXPECT_EQ(a.rank_to_item, b.rank_to_item) << label;
+}
+
+TEST(DecomposeTest, RanksAcrossWordEdgesMatchRemapItems) {
+  const Database db = WordEdgeDb();
+  const ClassDecomposition decomp = DecomposeClasses(db, 3);
+  ASSERT_EQ(decomp.num_classes(), 200u);
+  for (Item i = 0; i < 200; ++i) ASSERT_EQ(decomp.rank_to_item[i], i);
+  ExpectRankedMatchesReference(decomp, db, 3, "word edges");
+
+  // Spot checks of the premise: ascending ranks across each word edge,
+  // infrequent items dropped, the sorted transactions in order.
+  const Tid first = 200;
+  const auto tx = [&](Tid t) {
+    const auto span = decomp.ranked.transaction(t);
+    return std::vector<Item>(span.begin(), span.end());
+  };
+  EXPECT_EQ(tx(first), (std::vector<Item>{63, 64}));
+  EXPECT_EQ(tx(first + 1), (std::vector<Item>{127, 128}));
+  EXPECT_EQ(tx(first + 2), (std::vector<Item>{0, 63, 64, 127, 128}));
+  EXPECT_TRUE(tx(first + 4).empty());
+  EXPECT_TRUE(tx(first + 5).empty());
+  EXPECT_EQ(tx(first + 6), (std::vector<Item>{0, 199}));
+  EXPECT_EQ(tx(first + 7), (std::vector<Item>{5, 130, 199}));
+  EXPECT_EQ(tx(first + 8), (std::vector<Item>{0, 64, 128, 191}));
+  EXPECT_EQ(decomp.ranked.weight(first + 7), 3u);
+
+  // Class 64 owns the prefixes before rank 64, in tid order.
+  const auto rows = decomp.class_rows(64);
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_EQ(rows[0].tid, first);
+  EXPECT_EQ(rows[0].length, 1u);
+  EXPECT_EQ(rows[1].tid, first + 2);
+  EXPECT_EQ(rows[1].length, 2u);
+  EXPECT_EQ(rows[2].tid, first + 3);
+  EXPECT_EQ(rows[2].length, 2u);
+  EXPECT_EQ(rows[3].tid, first + 8);
+  EXPECT_EQ(rows[3].length, 1u);
+}
+
+TEST(DecomposeTest, WordEdgeClassesMatchEagerProjection) {
+  ExpectMatchesReference(WordEdgeDb(), 3, "word edges");
+}
+
+TEST(DecomposeTest, RankedDatabaseMatchesRemapItems) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const Database db = WeightedRandomDb(seed);
+    for (Support min_support : {1u, 4u, 12u, 1000u}) {
+      const std::string label = "seed " + std::to_string(seed) +
+                                " support " + std::to_string(min_support);
+      ExpectRankedMatchesReference(DecomposeClasses(db, min_support), db,
+                                   min_support, label);
+    }
+  }
+  ExpectRankedMatchesReference(DecomposeClasses(ManyFrequentItemsDb(), 2),
+                               ManyFrequentItemsDb(), 2, "many frequent");
+}
+
+TEST(DecomposeTest, ClassWithNothingFrequentBuildsNothing) {
+  // Items rank as their ids. Class 3's rows {0} and {1} each occur once:
+  // nothing reaches support 2 inside it. Class 2's rows are {0}, {0} and
+  // {1}: it keeps all three, the last one emptied.
+  const Database db =
+      testutil::MakeDb({{0, 3}, {1, 3}, {0, 2}, {0, 2}, {1, 2}, {0}, {1}});
+  const ClassDecomposition decomp = DecomposeClasses(db, 2);
+  ASSERT_EQ(decomp.num_classes(), 4u);
+  for (Item i = 0; i < 4; ++i) ASSERT_EQ(decomp.rank_to_item[i], i);
+  EXPECT_EQ(decomp.class_rows(3).size(), 2u);
+  const Database nothing = ProjectClass(decomp, 3, 2);
+  EXPECT_EQ(nothing.num_transactions(), 0u);
+  EXPECT_EQ(nothing.total_weight(), 0u);
+  EXPECT_EQ(nothing.resident_bytes(), 0u);
+  const Database kept = ProjectClass(decomp, 2, 2);
+  EXPECT_EQ(kept.num_transactions(), 3u);
+  EXPECT_EQ(kept.num_entries(), 2u);
+  EXPECT_EQ(kept.total_weight(), 3u);
+  EXPECT_EQ(ProjectClass(decomp, 0, 2).num_transactions(), 0u);
+}
+
+// A packed file may repeat an item inside a transaction (OpenMapped
+// checks ids, not repeats). The bitmap would fold the repeat, so such a
+// transaction is sorted instead: every rank of it is written, and the
+// ranked transaction keeps the repeat.
+TEST(DecomposeTest, RepeatedItemFromAPackedFileIsKept) {
+  const Database built =
+      testutil::MakeDb({{0, 1, 2}, {0, 1}, {1, 2, 3}, {0, 3}, {1, 2}});
+  const std::string path = testing::TempDir() + "/decompose_repeat.fpk";
+  ASSERT_TRUE(WritePacked(built, path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(bytes.size(), 192u);
+  // The items array follows the 80-byte header and the six offsets:
+  // make the first transaction's third item (entry 2) a second item 1.
+  const uint32_t repeat = 1;
+  std::memcpy(bytes.data() + 128 + 2 * sizeof(repeat), &repeat,
+              sizeof(repeat));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const Result<Database> mapped = OpenMapped(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+
+  // Ranks by the file's frequencies: item 1 -> 0, 0 -> 1, 2 -> 2, 3 -> 3.
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const ClassDecomposition decomp = DecomposeClasses(*mapped, 1, p);
+    const auto ranked = decomp.ranked.items();
+    EXPECT_EQ(std::vector<Item>(ranked.begin(), ranked.end()),
+              (std::vector<Item>{0, 0, 1, 0, 1, 0, 2, 3, 1, 3, 0, 2}));
+    const auto offsets = decomp.ranked.offsets();
+    EXPECT_EQ(std::vector<size_t>(offsets.begin(), offsets.end()),
+              (std::vector<size_t>{0, 3, 5, 8, 10, 12}));
+  }
+}
+
+// Uniform random transactions over `num_items` items, weights 1..2: with
+// many transactions per frequent item the block rule does not cap the
+// block count, with few it does.
+Database LongRandomDb(uint64_t seed, int num_tx, uint64_t num_items) {
+  Rng rng(seed);
+  DatabaseBuilder b;
+  std::vector<Item> tx;
+  for (int t = 0; t < num_tx; ++t) {
+    tx.clear();
+    const uint32_t len = rng.NextPoisson(6.0);
+    for (uint32_t i = 0; i < len; ++i) {
+      tx.push_back(static_cast<Item>(rng.NextBounded(num_items)));
+    }
+    b.AddTransaction(tx, 1 + static_cast<Support>(rng.NextBounded(2)));
+  }
+  return b.Build();
+}
+
 TEST(DecomposeTest, PooledPassesMatchSerialPass) {
-  // Blocks of tids are ranked and indexed on the pool, then joined in
-  // order: the result must not depend on the split.
-  ThreadPool pool(3);
+  // Blocks of tids are ranked and indexed on the pool, each writing in
+  // place: the result must not depend on the split. 2000 transactions
+  // over 20 items get 4 blocks per worker; the block rule caps 300 over
+  // 120 items at support 2 at 3 blocks, the weighted inputs at 4 or 5,
+  // and the many-frequent-items and word-edge inputs at 1.
   std::vector<std::pair<Database, Support>> cases;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     cases.emplace_back(WeightedRandomDb(seed), 4);
   }
+  cases.emplace_back(LongRandomDb(7, 2000, 20), 5);
+  cases.emplace_back(LongRandomDb(8, 300, 120), 2);
   cases.emplace_back(ManyFrequentItemsDb(), 2);
-  for (const auto& [db, min_support] : cases) {
-    const ClassDecomposition serial = DecomposeClasses(db, min_support);
-    const ClassDecomposition pooled = DecomposeClasses(db, min_support, &pool);
-    const auto same = [](auto a, auto b) {
-      return std::equal(a.begin(), a.end(), b.begin(), b.end());
-    };
-    EXPECT_TRUE(same(serial.ranked.items(), pooled.ranked.items()));
-    EXPECT_TRUE(same(serial.ranked.offsets(), pooled.ranked.offsets()));
-    EXPECT_TRUE(same(serial.ranked.weights(), pooled.ranked.weights()));
-    EXPECT_EQ(serial.row_begin, pooled.row_begin);
-    ASSERT_EQ(serial.rows.size(), pooled.rows.size());
-    for (size_t r = 0; r < serial.rows.size(); ++r) {
-      EXPECT_EQ(serial.rows[r].tid, pooled.rows[r].tid) << "row " << r;
-      EXPECT_EQ(serial.rows[r].length, pooled.rows[r].length) << "row " << r;
+  cases.emplace_back(WordEdgeDb(), 3);
+  for (uint32_t workers = 1; workers <= 4; ++workers) {
+    ThreadPool pool(workers);
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const auto& [db, min_support] = cases[i];
+      const std::string label = "case " + std::to_string(i) + " on " +
+                                std::to_string(workers) + " workers";
+      const ClassDecomposition serial = DecomposeClasses(db, min_support);
+      const ClassDecomposition pooled =
+          DecomposeClasses(db, min_support, &pool);
+      ExpectRankedMatchesReference(pooled, db, min_support, label);
+      ExpectSameDecomposition(serial, pooled, label);
     }
-    EXPECT_EQ(serial.class_entries, pooled.class_entries);
-    EXPECT_EQ(serial.class_supports, pooled.class_supports);
-    EXPECT_EQ(serial.rank_to_item, pooled.rank_to_item);
   }
 }
 

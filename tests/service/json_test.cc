@@ -66,6 +66,22 @@ TEST(JsonParseTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(ParseJson("{\"a\" 1}").ok());
 }
 
+TEST(JsonParseTest, RejectsRawControlBytesInStrings) {
+  for (const char raw : {'\x01', '\t', '\n', '\x1f'}) {
+    const Result<JsonValue> parsed =
+        ParseJson(std::string("{\"k\":\"a") + raw + "b\"}");
+    ASSERT_FALSE(parsed.ok()) << static_cast<int>(raw);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(parsed.status().message(),
+              "JSON parse error at offset 7: raw control byte in string");
+  }
+  // Escaped, the same bytes are fine, and so is whitespace between
+  // tokens and a byte of 0x20 or above.
+  auto parsed = ParseJson("{ \"k\" :\t\"a\\u0001\\tb \x7f\xc3\xa9\"\n}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed.value()["k"].string_value(), "a\x01\tb \x7f\xc3\xa9");
+}
+
 TEST(JsonParseTest, RejectsExcessiveNesting) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += "[";

@@ -289,6 +289,18 @@ TEST(DecodeRequestTest, DecodesStatsAndMetricsTextOps) {
   EXPECT_EQ(text->op, ServiceRequest::Op::kMetricsText);
 }
 
+// A raw control byte inside a string is not JSON: the request is
+// refused before any field is read, and nothing of it is echoed.
+TEST(DecodeRequestTest, RawControlByteInAStringIsRefused) {
+  const Result<ServiceRequest> request = DecodeRequest(
+      "{\"op\":\"query\",\"dataset\":\"d.dat\",\"min_support\":2,"
+      "\"trace_id\":\"a\x01\tb\"}");
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(request.status().message(),
+            "JSON parse error at offset 61: raw control byte in string");
+}
+
 TEST(DecodeRequestTest, QueryAcceptsTraceId) {
   auto query = DecodeRequest(
       "{\"op\":\"query\",\"dataset\":\"d.dat\",\"min_support\":2,"
@@ -1019,15 +1031,17 @@ TEST(RelayTest, ProbeMissIsEmptyAndOkFalseIsTheCarriedStatus) {
   }
 }
 
-// Each of these is JSON the parser reads, but not a line the writer
-// writes: the relay refuses it as the peer's fault (INTERNAL), naming
-// what is wrong.
+// None of these is a line the writer writes: the relay refuses each as
+// the peer's fault (INTERNAL), naming what is wrong. All but the raw
+// control byte are JSON the parser reads; that one is not JSON at all,
+// and ParseJson refuses it too.
 TEST(RelayTest, RefusesWhatTheWriterNeverWrites) {
   const size_t space_at = kItemsetAnswer.find(",\"mine_ms\"") + 1;
   const struct {
     const char* what;
     std::string reply;
     std::string message;
+    bool parses = true;
   } cases[] = {
       {"whitespace",
        Replace(kItemsetAnswer, ",\"mine_ms\"", ", \"mine_ms\""),
@@ -1051,13 +1065,13 @@ TEST(RelayTest, RefusesWhatTheWriterNeverWrites) {
        "peer response: missing 'task'"},
       {"raw control byte",
        Replace(kItemsetAnswer, "\"digest\":\"d\"", "\"digest\":\"d\nd\""),
-       "peer response: 'digest' is not a canonical string"},
+       "peer response: 'digest' is not a canonical string", false},
       {"non-canonical task name",
        Replace(kItemsetAnswer, "\"frequent\"", "\"FREQUENT\""),
        "peer response: 'task' is not a task name"},
   };
   for (const auto& c : cases) {
-    EXPECT_TRUE(ParseJson(c.reply).ok()) << c.what;
+    EXPECT_EQ(ParseJson(c.reply).ok(), c.parses) << c.what;
     const Status status = RelayStatus(c.reply);
     EXPECT_EQ(status.code(), StatusCode::kInternal) << c.what;
     EXPECT_EQ(status.message(), c.message) << c.what;

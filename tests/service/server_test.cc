@@ -256,7 +256,7 @@ std::string WithoutTimingsAndId(std::string line) {
     const size_t from = line.find(key);
     if (from == std::string::npos) continue;
     const size_t value = from + key.size();
-    line.replace(value, line.find_first_of(",}", value) - value, "#");
+    line.replace(value, line.find_first_of(",}", value) - value, 1, '#');
   }
   return line;
 }

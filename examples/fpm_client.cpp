@@ -56,8 +56,11 @@
 // Prints one response line per request to stdout (raw protocol JSON —
 // pipe through jq for pretty output). --repeat issues the same request
 // N times on one connection, which is how the CI smoke test drives the
-// daemon's result cache. Exit code: 0 when every response has
-// "ok":true, 1 otherwise.
+// daemon's result cache. Each reply is checked in one pass that builds
+// nothing (ReplyStatus, fpm/service/protocol.h). Exit code: 0 when every
+// reply is a line in fpmd's form whose "ok" is true or absent (the
+// metrics snapshot has none), 1 for an error envelope or any other
+// line.
 
 #include <unistd.h>
 
@@ -73,6 +76,7 @@
 #include "fpm/common/json_writer.h"
 #include "fpm/service/json.h"
 #include "fpm/service/line_io.h"
+#include "fpm/service/protocol.h"
 
 namespace {
 
@@ -152,16 +156,6 @@ bool WriteFimiTransactions(const std::string& path, fpm::JsonWriter& w) {
     return false;
   }
   return true;
-}
-
-/// Prints a response line; returns its "ok" verdict (metrics snapshots
-/// have no envelope — any parseable object counts).
-bool PrintAndCheck(const std::string& response) {
-  std::printf("%s\n", response.c_str());
-  auto parsed = fpm::ParseJson(response);
-  return parsed.ok() && parsed->is_object() &&
-         (parsed.value()["ok"].is_null() ||
-          parsed.value()["ok"].bool_value());
 }
 
 }  // namespace
@@ -404,21 +398,20 @@ int main(int argc, char** argv) {
         ::close(fd);
         return 1;
       }
-      const std::string response(read.value());
+      const std::string_view response = read.value();
       if (op == "metrics-text" && !json_output) {
         // Unwrap the exposition text so the output pipes straight into
         // a Prometheus textfile collector.
-        auto parsed = fpm::ParseJson(response);
-        if (parsed.ok() && parsed->is_object() &&
-            parsed.value()["ok"].bool_value() &&
-            parsed.value()["text"].is_string()) {
-          std::fputs(parsed.value()["text"].string_value().c_str(), stdout);
-        } else {
-          if (!PrintAndCheck(response)) all_ok = false;
+        const fpm::Result<std::string> text =
+            fpm::DecodeMetricsTextResponse(response);
+        if (text.ok()) {
+          std::fwrite(text->data(), 1, text->size(), stdout);
+          continue;
         }
-      } else if (!PrintAndCheck(response)) {
-        all_ok = false;
       }
+      std::fwrite(response.data(), 1, response.size(), stdout);
+      std::fputc('\n', stdout);
+      if (!fpm::ReplyStatus(response).ok()) all_ok = false;
     }
   }
   ::close(fd);

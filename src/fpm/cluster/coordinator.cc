@@ -72,14 +72,10 @@ Coordinator::Coordinator(ClusterOptions options, Transport transport)
           // Route pings through the (possibly injected) transport so a
           // fake transport controls health in tests too.
           [this](const std::string& endpoint, double timeout_s) -> Status {
-            Result<std::string> reply =
-                transport_(endpoint, "{\"op\":\"ping\"}", timeout_s, {});
-            if (!reply.ok()) return reply.status();
-            if (reply.value().find("\"ok\":true") == std::string::npos) {
-              return Status::Unavailable("peer " + endpoint +
-                                         ": ping rejected: " + reply.value());
-            }
-            return Status::OK();
+            FPM_ASSIGN_OR_RETURN(
+                std::string reply,
+                transport_(endpoint, "{\"op\":\"ping\"}", timeout_s, {}));
+            return ReplyStatus(reply);
           }),
       ring_(options_.peers) {
   MetricsRegistry& m = MetricsRegistry::Default();
@@ -168,7 +164,7 @@ Result<std::string> Coordinator::CallPeer(const std::string& endpoint,
                               .count();
     membership_.RecordSuccess(endpoint, rtt_ms);
   } else if (result.status().code() != StatusCode::kCancelled) {
-    membership_.RecordFailure(endpoint);
+    membership_.RecordFailure(endpoint, result.status());
   }
   return result;
 }

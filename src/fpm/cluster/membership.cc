@@ -5,6 +5,7 @@
 
 #include "fpm/cluster/peer_client.h"
 #include "fpm/obs/metrics.h"
+#include "fpm/service/protocol.h"
 
 namespace fpm {
 
@@ -15,11 +16,7 @@ Status DefaultPing(const std::string& endpoint, double timeout_s) {
   FPM_ASSIGN_OR_RETURN(std::string reply,
                        PeerClient::Call(parsed, "{\"op\":\"ping\"}",
                                         timeout_s));
-  if (reply.find("\"ok\":true") == std::string::npos) {
-    return Status::Unavailable("peer " + endpoint + ": ping rejected: " +
-                               reply);
-  }
-  return Status::OK();
+  return ReplyStatus(reply);
 }
 
 }  // namespace
@@ -101,11 +98,13 @@ void ClusterMembership::RecordSuccess(const std::string& endpoint,
   pings_counter_->Increment();
 }
 
-void ClusterMembership::RecordFailure(const std::string& endpoint) {
+void ClusterMembership::RecordFailure(const std::string& endpoint,
+                                      const Status& why) {
   std::lock_guard<std::mutex> lock(mu_);
   Peer* peer = FindLocked(endpoint);
   if (peer == nullptr || peer->self) return;
   peer->healthy = false;
+  peer->last_failure = why;
   ++peer->failures;
   ++peer->consecutive_failures;
   peer_failures_counter_->Increment();
@@ -130,7 +129,7 @@ void ClusterMembership::PingOnce() {
     if (status.ok()) {
       RecordSuccess(endpoint, rtt_ms);
     } else {
-      RecordFailure(endpoint);
+      RecordFailure(endpoint, status);
     }
   }
 }
@@ -150,6 +149,7 @@ std::vector<ClusterMembership::PeerStatus> ClusterMembership::Snapshot()
     status.pings = peer.successes;
     status.last_rtt_ms = peer.last_rtt_ms;
     status.rtt_60s = peer.rtt->Query(60);
+    status.last_failure = peer.last_failure;
     out.push_back(std::move(status));
   }
   return out;

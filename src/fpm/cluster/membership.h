@@ -63,10 +63,12 @@ class ClusterMembership {
     uint64_t pings = 0;                 ///< successful pings + queries
     double last_rtt_ms = 0.0;
     WindowedHistogram::Stats rtt_60s;   ///< 60 s RTT window
+    Status last_failure;                ///< why the last failure failed
   };
 
   /// Ping transport, injectable for tests. The default dials the peer
-  /// with PeerClient and sends {"op":"ping"}.
+  /// with PeerClient, sends {"op":"ping"} and reads the reply with
+  /// ReplyStatus (fpm/service/protocol.h).
   using PingFn =
       std::function<Status(const std::string& endpoint, double timeout_s)>;
 
@@ -90,8 +92,9 @@ class ClusterMembership {
 
   /// Records a successful interaction (ping or query) with a peer.
   void RecordSuccess(const std::string& endpoint, double rtt_ms);
-  /// Records a failed interaction; the peer turns unhealthy.
-  void RecordFailure(const std::string& endpoint);
+  /// Records a failed interaction and why it failed; the peer turns
+  /// unhealthy.
+  void RecordFailure(const std::string& endpoint, const Status& why);
 
   /// One synchronous ping sweep over the remote peers (the pinger
   /// thread's body; callable directly from tests).
@@ -108,6 +111,7 @@ class ClusterMembership {
     uint64_t consecutive_failures = 0;
     uint64_t successes = 0;
     double last_rtt_ms = 0.0;
+    Status last_failure;
     std::unique_ptr<WindowedHistogram> rtt;
   };
 

@@ -31,8 +31,6 @@ class JsonParser {
   }
 
  private:
-  static constexpr int kMaxDepth = 64;
-
   Status Error(const std::string& what) const {
     return Status::InvalidArgument("JSON parse error at offset " +
                                    std::to_string(pos_) + ": " + what);
@@ -55,7 +53,7 @@ class JsonParser {
   }
 
   Status ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return Error("nesting too deep");
+    if (depth > kMaxJsonDepth) return Error("nesting too deep");
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {

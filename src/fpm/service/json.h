@@ -1,7 +1,8 @@
 // JSON parsing for the service's newline-delimited protocol
-// (fpm/service/protocol.h): ParseJson turns one line into a read-only
-// JsonValue tree. JsonValue only parses; every JSON the library writes
-// goes through fpm/common/json_writer.h.
+// (fpm/service/protocol.h): ParseJson turns one request line into a
+// read-only JsonValue tree. JsonValue only parses requests; every JSON
+// the library writes goes through fpm/common/json_writer.h, and every
+// reply fpmd writes is read back by protocol.cc's one-pass reader.
 //
 // Deliberately small rather than general: numbers are doubles (every
 // value the protocol carries — supports, counts, byte sizes — is well
@@ -63,6 +64,11 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };
+
+/// How deep ParseJson nests values (the document itself is depth 0);
+/// a deeper value is refused. The reply reader in protocol.cc skips
+/// values under the same bound.
+inline constexpr int kMaxJsonDepth = 64;
 
 /// Parses one JSON document. Trailing non-whitespace is an error —
 /// protocol messages are exactly one value per line.

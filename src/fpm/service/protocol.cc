@@ -789,82 +789,20 @@ std::string EncodeOk() {
 
 namespace {
 
-// Reverse of StatusCodeToString, for rehydrating a peer's error
-// envelope. Unknown names map to kInternal.
-StatusCode ParseStatusCode(const std::string& name) {
-  static const std::pair<const char*, StatusCode> kCodes[] = {
-      {"OK", StatusCode::kOk},
-      {"INVALID_ARGUMENT", StatusCode::kInvalidArgument},
-      {"NOT_FOUND", StatusCode::kNotFound},
-      {"ALREADY_EXISTS", StatusCode::kAlreadyExists},
-      {"OUT_OF_RANGE", StatusCode::kOutOfRange},
-      {"UNIMPLEMENTED", StatusCode::kUnimplemented},
-      {"INTERNAL", StatusCode::kInternal},
-      {"IO_ERROR", StatusCode::kIOError},
-      {"RESOURCE_EXHAUSTED", StatusCode::kResourceExhausted},
-      {"CANCELLED", StatusCode::kCancelled},
-      {"DEADLINE_EXCEEDED", StatusCode::kDeadlineExceeded},
-      {"UNAVAILABLE", StatusCode::kUnavailable},
-      {"FAILED_PRECONDITION", StatusCode::kFailedPrecondition},
-  };
-  for (const auto& entry : kCodes) {
-    if (name == entry.first) return entry.second;
+// The code StatusCodeToString names `name`, for rehydrating a peer's
+// error envelope. "OK" and unknown names read as kInternal, so an error
+// envelope never reads as success.
+StatusCode ParseStatusCode(std::string_view name) {
+  for (int c = 1; c <= static_cast<int>(StatusCode::kFailedPrecondition);
+       ++c) {
+    const StatusCode code = static_cast<StatusCode>(c);
+    if (name == StatusCodeToString(code)) return code;
   }
   return StatusCode::kInternal;
 }
 
 Status PeerError(std::string_view what) {
   return Status::Internal("peer response: " + std::string(what));
-}
-
-// Parses a "candidates" array of {"items":[...],"support":N} objects.
-Status DecodeItemsetEntries(const JsonValue& array, const std::string& what,
-                            std::vector<CollectingSink::Entry>* out) {
-  if (!array.is_array()) return PeerError("'" + what + "' is not an array");
-  out->reserve(array.array_items().size());
-  for (const JsonValue& row : array.array_items()) {
-    const JsonValue& items = row["items"];
-    Support support = 0;
-    if (!row.is_object() || !items.is_array() ||
-        !DecodeInteger(row["support"], Support{0}, &support)) {
-      return PeerError("malformed '" + what + "' entry");
-    }
-    Itemset set;
-    if (!DecodeItems(items.array_items(), &set)) {
-      return PeerError("non-numeric item in '" + what + "'");
-    }
-    out->emplace_back(std::move(set), support);
-  }
-  return Status::OK();
-}
-
-// Checks the "ok" envelope of a peer response; {"ok":false,...} becomes
-// the carried status.
-Status CheckOkEnvelope(const JsonValue& doc) {
-  if (!doc.is_object()) {
-    return Status::Internal("peer response is not a JSON object");
-  }
-  const JsonValue& ok = doc["ok"];
-  if (!ok.is_bool()) return PeerError("missing 'ok'");
-  if (ok.bool_value()) return Status::OK();
-  const JsonValue& error = doc["error"];
-  std::string code = "INTERNAL";
-  std::string message = "peer reported an error without detail";
-  if (error.is_object()) {
-    if (error["code"].is_string()) code = error["code"].string_value();
-    if (error["message"].is_string()) {
-      message = error["message"].string_value();
-    }
-  }
-  return Status(ParseStatusCode(code), message);
-}
-
-// A shard phase reply's document, once its envelope says ok.
-Result<JsonValue> ParseShardReply(const std::string& line) {
-  Result<JsonValue> doc = ParseJson(line);
-  if (!doc.ok()) return PeerError(doc.status().message());
-  FPM_RETURN_IF_ERROR(CheckOkEnvelope(doc.value()));
-  return doc;
 }
 
 // Reads text in exactly the form JsonWriter writes it, in one pass and
@@ -916,14 +854,44 @@ class CanonicalReader {
     return false;
   }
 
-  // Plain decimal digits, without sign or leading zero, at most `max`.
-  bool Uint(uint64_t max) {
+  // The same string, decoded: `*decoded` gets the bytes the writer
+  // escaped.
+  bool String(std::string* decoded) {
+    std::string_view raw;
+    if (!String(&raw)) return false;
+    decoded->clear();
+    for (size_t i = 0; i < raw.size(); ++i) {
+      if (raw[i] != '\\') {
+        decoded->push_back(raw[i]);
+        continue;
+      }
+      const char e = raw[++i];
+      if (e == 'u') {  // \u00xx, xx below 0x20
+        decoded->push_back(static_cast<char>((raw[i + 3] - '0') * 16 +
+                                             kHex.find(raw[i + 4])));
+        i += 4;
+      } else {  // \" \\ \n \r \t
+        decoded->push_back(e == 'n'   ? '\n'
+                           : e == 'r' ? '\r'
+                           : e == 't' ? '\t'
+                                      : e);
+      }
+    }
+    return true;
+  }
+
+  // Plain decimal digits, without sign or leading zero, at most `max`;
+  // `*value` gets the number when given.
+  bool Uint(uint64_t max, uint64_t* value = nullptr) {
     const size_t start = pos_;
     if (!Byte('0') && !Digits()) return false;
-    uint64_t value = 0;
+    uint64_t parsed_value = 0;
     const char* end = text_.data() + pos_;
-    const auto parsed = std::from_chars(text_.data() + start, end, value);
-    return parsed.ec == std::errc() && value <= max;
+    const auto parsed =
+        std::from_chars(text_.data() + start, end, parsed_value);
+    if (parsed.ec != std::errc() || parsed_value > max) return false;
+    if (value != nullptr) *value = parsed_value;
+    return true;
   }
 
   // A JSON number that reads as a finite double.
@@ -931,28 +899,62 @@ class CanonicalReader {
     const size_t start = pos_;
     Byte('-');
     if (!Byte('0') && !Digits()) return false;
+    const size_t integral_end = pos_;
     if (Byte('.') && !Digits()) return false;
     if (Byte('e') || Byte('E')) {
       if (!Byte('+')) Byte('-');
       if (!Digits()) return false;
     }
+    // An integer of at most 308 digits is below DBL_MAX: finite without
+    // being converted.
+    if (pos_ == integral_end && pos_ - start <= 308) return true;
     double value;
     const char* end = text_.data() + pos_;
     const auto parsed = std::from_chars(text_.data() + start, end, value);
     return parsed.ec == std::errc() && parsed.ptr == end;
   }
 
-  // An array of item ids, each below kInvalidItem.
-  bool Items() {
+  // An array of item ids, each below kInvalidItem; `*items` gets them
+  // appended when given.
+  bool Items(Itemset* items = nullptr) {
     if (!Byte('[')) return false;
     if (Byte(']')) return true;
     do {
-      if (!Uint(kInvalidItem - 1)) return false;
+      uint64_t item = 0;
+      if (!Uint(kInvalidItem - 1, &item)) return false;
+      if (items != nullptr) items->push_back(static_cast<Item>(item));
     } while (Byte(','));
     return Byte(']');
   }
 
+  // Any value in the writer's form, without keeping it. `depth` is its
+  // nesting depth (a top-level member's value is at 1); like ParseJson,
+  // it refuses a value nested deeper than kMaxJsonDepth, so the
+  // recursion stays shallow whatever the bytes.
+  bool Skip(int depth) {
+    if (depth > kMaxJsonDepth || AtEnd()) return false;
+    const char open = text_[pos_];
+    if (open == '{' || open == '[') {
+      const char close = open == '{' ? '}' : ']';
+      ++pos_;
+      if (Byte(close)) return true;
+      do {
+        std::string_view key;
+        if (open == '{' && (!String(&key) || !Byte(':'))) return false;
+        if (!Skip(depth + 1)) return false;
+      } while (Byte(','));
+      return Byte(close);
+    }
+    std::string_view text;
+    if (open == '"') return String(&text);
+    if (open == 't') return Literal("true");
+    if (open == 'f') return Literal("false");
+    return open == 'n' ? Literal("null") : Number();
+  }
+
  private:
+  static constexpr std::string_view kHex = "0123456789abcdef";
+
   // One or more digits.
   bool Digits() {
     const size_t start = pos_;
@@ -970,7 +972,6 @@ class CanonicalReader {
       pos_ += 2;
       return true;
     }
-    static constexpr std::string_view kHex = "0123456789abcdef";
     if (rest.size() < 6 || rest.substr(0, 4) != "\\u00" ||
         (rest[4] != '0' && rest[4] != '1') ||
         kHex.find(rest[5]) == std::string_view::npos) {
@@ -985,6 +986,81 @@ class CanonicalReader {
   std::string_view text_;
   size_t pos_ = 0;
 };
+
+Status NotCanonical(const CanonicalReader& in) {
+  return PeerError("not writer-canonical JSON at offset " +
+                   std::to_string(in.pos()));
+}
+
+// Reads `line` as one object in the writer's form: no whitespace, keys
+// strictly ascending (so no member can be read twice), nothing after
+// the closing brace. `member(key, in)` reads each member's value; `key`
+// is the key as written.
+template <typename Member>
+Status ReadObject(std::string_view line, Member member) {
+  CanonicalReader in(line);
+  if (!in.Byte('{')) return NotCanonical(in);
+  std::optional<std::string_view> last;
+  do {
+    std::string_view key;
+    if (!in.String(&key) || !in.Byte(':')) return NotCanonical(in);
+    if (last.has_value() && key <= *last) {
+      return PeerError("key '" + std::string(key) +
+                       "' repeated or out of order");
+    }
+    last = key;
+    FPM_RETURN_IF_ERROR(member(key, in));
+  } while (in.Byte(','));
+  if (!in.Byte('}') || !in.AtEnd()) return NotCanonical(in);
+  return Status::OK();
+}
+
+// Reads the top-level "ok" of a line the writer writes, skipping every
+// member but "ok" and "error". `*carried` gets the status an
+// {"ok":false} envelope carries: its error's code and message, or
+// INTERNAL "peer reported an error without detail" when it has none.
+// It stays OK for "ok":true and for a line without "ok".
+Status ReadEnvelope(std::string_view line, Status* carried) {
+  std::optional<bool> ok;
+  std::optional<Status> error;
+  FPM_RETURN_IF_ERROR(ReadObject(
+      line, [&](std::string_view key, CanonicalReader& in) -> Status {
+        if (key == "ok") {
+          ok = in.Literal("true");
+          if (*ok || in.Literal("false")) return Status::OK();
+          return PeerError("'ok' is not a bool");
+        }
+        if (key == "error") {
+          std::string code;
+          std::string message;
+          if (!in.Literal("{\"code\":") || !in.String(&code) ||
+              !in.Literal(",\"message\":") || !in.String(&message) ||
+              !in.Byte('}')) {
+            return PeerError("malformed 'error'");
+          }
+          error = Status(ParseStatusCode(code), std::move(message));
+          return Status::OK();
+        }
+        return in.Skip(1) ? Status::OK() : NotCanonical(in);
+      }));
+  if (ok.has_value() && !*ok) {
+    *carried = error.value_or(
+        Status::Internal("peer reported an error without detail"));
+    return Status::OK();
+  }
+  if (error.has_value()) return PeerError("'error' without \"ok\":false");
+  *carried = Status::OK();
+  return Status::OK();
+}
+
+// What a reply reader returns for a line it refused with `refused`: the
+// carried status when the line is an {"ok":false} envelope, `refused`
+// for any other line.
+Status CarriedOr(std::string_view line, Status refused) {
+  Status carried;
+  if (ReadEnvelope(line, &carried).ok() && !carried.ok()) return carried;
+  return refused;
+}
 
 // The members of a query reply, in the writer's ascending key order.
 enum ReplyKey {
@@ -1036,10 +1112,30 @@ bool IsTaskName(std::string_view name) {
   return task.ok() && TaskName(task.value()) == name;
 }
 
-// What is wrong with one entry of an "itemsets" or "rules" array.
+constexpr uint64_t kMax64 = std::numeric_limits<uint64_t>::max();
+constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+
+// What is wrong with one entry of an "itemsets", "candidates" or "rules"
+// array.
 enum class EntryFault { kNone, kMalformed, kBadItem };
 
-// Reads an "itemsets" or "rules" array; `scan_entry` reads one entry.
+// One {"items":[...],"support":N} entry, as WriteItemsets writes it;
+// `*entry` gets it when given.
+EntryFault ItemsetEntry(CanonicalReader& in, CollectingSink::Entry* entry) {
+  if (!in.Literal("{\"items\":")) return EntryFault::kMalformed;
+  if (!in.Items(entry != nullptr ? &entry->first : nullptr)) {
+    return EntryFault::kBadItem;
+  }
+  uint64_t support = 0;
+  if (!in.Literal(",\"support\":") || !in.Uint(kMax32, &support) ||
+      !in.Byte('}')) {
+    return EntryFault::kMalformed;
+  }
+  if (entry != nullptr) entry->second = static_cast<Support>(support);
+  return EntryFault::kNone;
+}
+
+// Reads an array of entries; `scan_entry` reads one entry.
 template <typename ScanEntry>
 Status ScanEntries(CanonicalReader& in, const std::string& name,
                    ScanEntry scan_entry) {
@@ -1060,8 +1156,6 @@ Status ScanEntries(CanonicalReader& in, const std::string& name,
 
 // Checks the value of member `key` and moves past it.
 Status ScanValue(ReplyKey key, CanonicalReader& in) {
-  constexpr uint64_t kMax64 = std::numeric_limits<uint64_t>::max();
-  constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
   const std::string name(kReplyKeyNames[key]);
   std::string_view text;
   switch (key) {
@@ -1091,13 +1185,7 @@ Status ScanValue(ReplyKey key, CanonicalReader& in) {
       return PeerError("'" + name + "' is not a number >= 0");
     case kItemsets:
       return ScanEntries(in, name, [](CanonicalReader& entry) {
-        if (!entry.Literal("{\"items\":")) return EntryFault::kMalformed;
-        if (!entry.Items()) return EntryFault::kBadItem;
-        if (!entry.Literal(",\"support\":") || !entry.Uint(kMax32) ||
-            !entry.Byte('}')) {
-          return EntryFault::kMalformed;
-        }
-        return EntryFault::kNone;
+        return ItemsetEntry(entry, nullptr);
       });
     case kRules:
       return ScanEntries(in, name, [](CanonicalReader& entry) {
@@ -1122,33 +1210,20 @@ Status ScanValue(ReplyKey key, CanonicalReader& in) {
 // Checks a query or cache_probe-hit reply and records where each
 // member's value sits.
 Status ScanReply(std::string_view reply, bool probe, ReplyValues* values) {
-  CanonicalReader in(reply);
-  const auto malformed = [&in] {
-    return PeerError("not writer-canonical JSON at offset " +
-                     std::to_string(in.pos()));
-  };
-  if (!in.Byte('{')) return malformed();
-  int last = -1;
-  do {
-    std::string_view name;
-    if (!in.String(&name) || !in.Byte(':')) return malformed();
-    const int key = static_cast<int>(
-        std::find(std::begin(kReplyKeyNames), std::end(kReplyKeyNames),
-                  name) -
-        std::begin(kReplyKeyNames));
-    if (key == kNumReplyKeys || (key == kHit && !probe)) {
-      return PeerError("unknown key '" + std::string(name) + "'");
-    }
-    if (key <= last) {
-      return PeerError("key '" + std::string(name) +
-                       "' repeated or out of order");
-    }
-    last = key;
-    const size_t start = in.pos();
-    FPM_RETURN_IF_ERROR(ScanValue(static_cast<ReplyKey>(key), in));
-    (*values)[key] = in.Since(start);
-  } while (in.Byte(','));
-  if (!in.Byte('}') || !in.AtEnd()) return malformed();
+  FPM_RETURN_IF_ERROR(ReadObject(
+      reply, [&](std::string_view name, CanonicalReader& in) -> Status {
+        const int key = static_cast<int>(
+            std::find(std::begin(kReplyKeyNames), std::end(kReplyKeyNames),
+                      name) -
+            std::begin(kReplyKeyNames));
+        if (key == kNumReplyKeys || (key == kHit && !probe)) {
+          return PeerError("unknown key '" + std::string(name) + "'");
+        }
+        const size_t start = in.pos();
+        FPM_RETURN_IF_ERROR(ScanValue(static_cast<ReplyKey>(key), in));
+        (*values)[key] = in.Since(start);
+        return Status::OK();
+      }));
   for (ReplyKey key : kAlwaysWritten) {
     if ((*values)[key].empty()) {
       return PeerError("missing '" + std::string(kReplyKeyNames[key]) + "'");
@@ -1156,6 +1231,25 @@ Status ScanReply(std::string_view reply, bool probe, ReplyValues* values) {
   }
   if (probe && (*values)[kHit].empty()) return PeerError("missing 'hit'");
   return Status::OK();
+}
+
+// Reads a shard phase reply in exactly the form EncodeShardMineResponse
+// and EncodeShardCountResponse write it:
+// {"<payload_key>":<payload>,"ok":true,"phase":"<phase>"}, where
+// `payload(in)` reads the payload.
+template <typename Payload>
+Status ReadShardReply(std::string_view line, std::string_view payload_key,
+                      std::string_view phase, Payload payload) {
+  CanonicalReader in(line);
+  const bool keyed = in.Byte('{') && in.Byte('"') &&
+                     in.Literal(payload_key) && in.Literal("\":");
+  Status read = keyed ? payload(in) : NotCanonical(in);
+  if (read.ok() &&
+      !(in.Literal(",\"ok\":true,\"phase\":\"") && in.Literal(phase) &&
+        in.Literal("\"}") && in.AtEnd())) {
+    read = NotCanonical(in);
+  }
+  return read.ok() ? read : CarriedOr(line, read);
 }
 
 }  // namespace
@@ -1226,15 +1320,7 @@ Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
   if (probe && reply == kProbeMiss) return std::string();
   ReplyValues values;
   const Status scanned = ScanReply(reply, probe, &values);
-  if (!scanned.ok()) {
-    // An {"ok":false} envelope carries the peer's own status; any other
-    // reply the scan refuses is malformed.
-    const Result<JsonValue> doc = ParseJson(std::string(reply));
-    if (doc.ok() && doc.value()["ok"].is_bool()) {
-      FPM_RETURN_IF_ERROR(CheckOkEnvelope(doc.value()));
-    }
-    return scanned;
-  }
+  if (!scanned.ok()) return CarriedOr(reply, scanned);
   std::string out;
   out.reserve(reply.size() + envelope.peer.size() + envelope.trace_id.size() +
               32);
@@ -1264,29 +1350,49 @@ Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
 }
 
 Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(
-    const std::string& line) {
-  FPM_ASSIGN_OR_RETURN(JsonValue doc, ParseShardReply(line));
+    std::string_view line) {
   std::vector<CollectingSink::Entry> entries;
-  FPM_RETURN_IF_ERROR(
-      DecodeItemsetEntries(doc["candidates"], "candidates", &entries));
+  FPM_RETURN_IF_ERROR(ReadShardReply(
+      line, "candidates", "mine", [&entries](CanonicalReader& in) {
+        return ScanEntries(in, "candidates", [&entries](CanonicalReader& e) {
+          return ItemsetEntry(e, &entries.emplace_back());
+        });
+      }));
   return entries;
 }
 
-Result<std::vector<Support>> DecodeShardCountResponse(
-    const std::string& line) {
-  FPM_ASSIGN_OR_RETURN(JsonValue doc, ParseShardReply(line));
-  const JsonValue& counts = doc["counts"];
-  if (!counts.is_array()) return PeerError("'counts' is not an array");
-  std::vector<Support> out;
-  out.reserve(counts.array_items().size());
-  for (const JsonValue& count : counts.array_items()) {
-    Support support = 0;
-    if (!DecodeInteger(count, Support{0}, &support)) {
-      return PeerError("'counts' entries must be numbers >= 0");
-    }
-    out.push_back(support);
+Result<std::vector<Support>> DecodeShardCountResponse(std::string_view line) {
+  std::vector<Support> counts;
+  FPM_RETURN_IF_ERROR(ReadShardReply(
+      line, "counts", "count", [&counts](CanonicalReader& in) -> Status {
+        if (!in.Byte('[')) return PeerError("'counts' is not an array");
+        if (in.Byte(']')) return Status::OK();
+        do {
+          uint64_t count = 0;
+          if (!in.Uint(kMax32, &count)) {
+            return PeerError("'counts' entries must be numbers >= 0");
+          }
+          counts.push_back(static_cast<Support>(count));
+        } while (in.Byte(','));
+        return in.Byte(']') ? Status::OK() : NotCanonical(in);
+      }));
+  return counts;
+}
+
+Status ReplyStatus(std::string_view reply) {
+  Status carried;
+  FPM_RETURN_IF_ERROR(ReadEnvelope(reply, &carried));
+  return carried;
+}
+
+Result<std::string> DecodeMetricsTextResponse(std::string_view line) {
+  CanonicalReader in(line);
+  std::string text;
+  if (in.Literal("{\"ok\":true,\"text\":") && in.String(&text) &&
+      in.Byte('}') && in.AtEnd()) {
+    return text;
   }
-  return out;
+  return CarriedOr(line, NotCanonical(in));
 }
 
 }  // namespace fpm

@@ -141,7 +141,10 @@
 // protocol_test's goldens pin each encoder's and the relay's bytes, and
 // the session transcript tools/service_session.txt pins a whole daemon
 // session. Requests are parsed into a read-only JsonValue
-// (fpm/service/json.h); a repeated key keeps its last value.
+// (fpm/service/json.h); a repeated key keeps its last value. Replies are
+// read by one one-pass reader that builds no tree and accepts only the
+// writer's form, top-level keys strictly ascending: RelayQueryResponse,
+// the shard phase decoders, ReplyStatus and DecodeMetricsTextResponse.
 //
 // The encode/decode layer lives here, separate from socket handling, so
 // tests exercise it without a daemon.
@@ -316,26 +319,48 @@ std::string EncodeShardCountResponse(const std::vector<Support>& counts);
 /// confidence and lift, and rules with exactly their five members. The
 /// timing fields keep the owner's text.
 ///
-/// An {"ok":false,...} envelope becomes the carried status (code parsed
-/// from the error's "code"). Any other reply it refuses is INTERNAL
-/// "peer response: ...": the peer, not the query, is at fault, so the
-/// coordinator moves on to the next owner.
+/// An {"ok":false,...} envelope in the writer's form becomes the status
+/// it carries, as ReplyStatus reads it. Any other reply it refuses is
+/// INTERNAL "peer response: ...": the peer, not the query, is at fault,
+/// so the coordinator moves on to the next owner.
 Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
                                        const RelayEnvelope& envelope);
 
-/// Decodes a peer's shard_query "mine" reply. As with the relay, an
-/// {"ok":false,...} envelope becomes the carried status, and a reply
-/// that does not parse or is malformed is INTERNAL "peer response:
-/// ...", so the scatter moves on to the next owner.
+/// Decodes a peer's shard_query "mine" reply in one pass. It accepts
+/// exactly what EncodeShardMineResponse writes, with the relay's checks
+/// on each {"items":[...],"support":N} entry. As with the relay, an
+/// {"ok":false,...} envelope becomes the carried status, and any other
+/// reply it refuses is INTERNAL "peer response: ...", so the scatter
+/// moves on to the next owner.
 Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(
-    const std::string& line);
+    std::string_view line);
 
-/// Decodes a peer's shard_query "count" reply; statuses as above.
-Result<std::vector<Support>> DecodeShardCountResponse(const std::string& line);
+/// Decodes a peer's shard_query "count" reply: exactly what
+/// EncodeShardCountResponse writes, each count within 32 bits; statuses
+/// as above.
+Result<std::vector<Support>> DecodeShardCountResponse(std::string_view line);
+
+/// Reads the top-level "ok" of any line fpmd writes, in one pass that
+/// skips the members it does not read and builds nothing. OK for
+/// "ok":true and for an object without "ok" (the metrics snapshot). An
+/// {"error":{"code":C,"message":M},...,"ok":false} envelope is the
+/// status it carries; a code that is "OK" or no StatusCode's name reads
+/// as INTERNAL, and {"ok":false} without an error as INTERNAL "peer
+/// reported an error without detail". A line the writer would not
+/// write (whitespace, top-level keys not strictly ascending, an escape
+/// it never uses, nesting deeper than ParseJson's bound, an "error"
+/// beside "ok":true) is INTERNAL "peer response: ...".
+Status ReplyStatus(std::string_view reply);
 
 /// Encodes the "metrics_text" response: the Prometheus exposition text
 /// as a JSON string field ({"ok":true,"text":"..."}).
 std::string EncodeMetricsTextResponse(const std::string& text);
+
+/// The text of a "metrics_text" response, decoded from exactly what
+/// EncodeMetricsTextResponse writes. An error envelope is the status it
+/// carries (see ReplyStatus); any other line is INTERNAL "peer
+/// response: ...".
+Result<std::string> DecodeMetricsTextResponse(std::string_view line);
 
 /// Encodes an error response from a non-OK status.
 std::string EncodeError(const Status& status);

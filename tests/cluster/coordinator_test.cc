@@ -479,6 +479,50 @@ TEST(CoordinatorTest, ScatterFailsOverOnAnUnreadableShardReply) {
   EXPECT_EQ(response->itemsets, MineCanonical(**miner, db, 2));
 }
 
+// The pinger reads a ping's reply with ReplyStatus: a line that only
+// contains "ok":true is not an answer, and an error envelope is
+// recorded with the code and message it carries.
+TEST(CoordinatorTest, PingerReadsTheRepliesOk) {
+  const ClusterOptions options = MakeOptions("n1:7100", 2);
+  std::map<std::string, std::string> answers = {
+      {"n2:7100", "not json \"ok\":true"},
+      {"n3:7100", EncodeError(Status::ResourceExhausted("queue \"full\""))},
+  };
+  Coordinator coordinator(
+      options,
+      [&answers](const std::string& endpoint, const std::string& line,
+                 double /*deadline*/, const std::function<bool()>& /*abort*/)
+          -> Result<std::string> {
+        EXPECT_EQ(line, "{\"op\":\"ping\"}");
+        return answers.at(endpoint);
+      });
+  const auto status_of = [&coordinator](const std::string& endpoint) {
+    for (const ClusterMembership::PeerStatus& peer :
+         coordinator.membership().Snapshot()) {
+      if (peer.endpoint == endpoint) return peer;
+    }
+    ADD_FAILURE() << "no peer " << endpoint;
+    return ClusterMembership::PeerStatus();
+  };
+
+  coordinator.membership().PingOnce();
+  EXPECT_FALSE(coordinator.membership().IsHealthy("n2:7100"));
+  EXPECT_EQ(status_of("n2:7100").last_failure,
+            Status::Internal(
+                "peer response: not writer-canonical JSON at offset 0"));
+  EXPECT_FALSE(coordinator.membership().IsHealthy("n3:7100"));
+  EXPECT_EQ(status_of("n3:7100").last_failure,
+            Status::ResourceExhausted("queue \"full\""));
+
+  // The answer fpmd writes brings both back.
+  answers["n2:7100"] = EncodeOk();
+  answers["n3:7100"] = EncodeOk();
+  coordinator.membership().PingOnce();
+  EXPECT_TRUE(coordinator.membership().IsHealthy("n2:7100"));
+  EXPECT_TRUE(coordinator.membership().IsHealthy("n3:7100"));
+  EXPECT_EQ(status_of("n2:7100").pings, 1u);
+}
+
 TEST(CoordinatorTest, ScatterRejectsNonFrequentTasks) {
   const ClusterOptions options = MakeOptions("n1:7100", 3);
   FakePeers peers;
@@ -501,7 +545,8 @@ TEST(CoordinatorTest, ScatterNeedsTwoHealthyOwners) {
   // Kill one of the two owners: one healthy owner is not enough to
   // scatter, the caller should run the query whole instead.
   coordinator.membership().RecordFailure(
-      coordinator.OwnersForDigest(digest)[0]);
+      coordinator.OwnersForDigest(digest)[0],
+      Status::Unavailable("owner down"));
   Result<MineResponse> response =
       coordinator.ExecuteScatter(MakeQuery(2), digest, {});
   ASSERT_FALSE(response.ok());

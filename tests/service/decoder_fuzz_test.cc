@@ -1,22 +1,24 @@
 // Seeded mutation fuzzer for every decoder of untrusted bytes: the
 // request decoder fpmd runs on each socket line, the JSON parser under
-// it, the relay and the two shard decoders that read a peer's reply,
+// it, the reply reader (the relay, the two shard decoders, ReplyStatus
+// and the metrics-text unwrap) that reads a peer's or fpmd's reply,
 // the packed-file mapper and the FIMI reader. Seeds are the protocol's
 // golden requests and replies, a .fpk written by the packed writer and
 // the FIMI inputs of the dataset tests; each mutant flips, inserts or
 // deletes bytes, truncates, or splices two seeds. Every call must
 // return OK or a non-OK Status — a crash, a hang or an out-of-bounds
 // read (under the asan and ubsan presets) fails the suite. What the
-// relay accepts must also be what the parser reads, and a packed file
-// the mapper opens must also mine. The seed and the mutant counts are
-// fixed, so a failure reproduces; a mutant that once found a defect
-// lives on below as a named test.
+// reply reader reads must also be what the parser reads, and a packed
+// file the mapper opens must also mine. The seed and the mutant counts
+// are fixed, so a failure reproduces; a mutant that once found a
+// defect lives on below as a named test.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +41,7 @@ constexpr int kJsonMutants = 4000;
 constexpr int kPackedMutants = 1500;
 constexpr int kFimiMutants = 2000;
 constexpr int kRelayMutants = 2000;
+constexpr int kShapeMutants = 3000;
 
 // One to four mutations of `seed`, each a bit flip, an inserted byte, a
 // deleted byte, a truncation or a splice with another seed.
@@ -130,6 +133,100 @@ void ExpectRelayed(const std::string& reply, const RelayEnvelope& envelope,
     expected["trace_id"] = StringValue(envelope.trace_id);
   }
   EXPECT_EQ(got.value().object_items(), expected) << relayed;
+}
+
+// True for a status the reply reader gives a line it refuses: the
+// peer's fault, as opposed to a status the line carries.
+bool Refused(const Status& status) {
+  return status.code() == StatusCode::kInternal &&
+         status.message().rfind("peer response: ", 0) == 0;
+}
+
+// The status a parsed reply's "ok" says: OK for true or no "ok", and
+// for false the code its error names (INTERNAL unless one of the
+// non-OK codes) with its message.
+Status StatusOfTree(const JsonValue& doc) {
+  const JsonValue& ok = doc["ok"];
+  if (!ok.is_bool() || ok.bool_value()) return Status::OK();
+  const JsonValue& error = doc["error"];
+  if (error.is_null()) {
+    return Status::Internal("peer reported an error without detail");
+  }
+  StatusCode code = StatusCode::kInternal;
+  for (int c = 1; c <= static_cast<int>(StatusCode::kFailedPrecondition);
+       ++c) {
+    if (error["code"].string_value() ==
+        StatusCodeToString(static_cast<StatusCode>(c))) {
+      code = static_cast<StatusCode>(c);
+    }
+  }
+  return Status(code, error["message"].string_value());
+}
+
+// What a reply reader that read `line` rather than refused it must
+// agree with: the parser reads the line as an object whose "ok", when
+// present, is a bool; an "error" beside "ok":false has a string code
+// and message; and the statuses match. Returns the tree, or null when
+// the reader refused the line.
+std::optional<JsonValue> ExpectParsedAlike(const std::string& line,
+                                           const Status& status) {
+  if (Refused(status)) return std::nullopt;
+  const Result<JsonValue> doc = ParseJson(line);
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  if (!doc.ok()) return std::nullopt;
+  EXPECT_TRUE(doc->is_object());
+  const JsonValue& ok = doc.value()["ok"];
+  EXPECT_TRUE(ok.is_null() || ok.is_bool());
+  const JsonValue& error = doc.value()["error"];
+  if (!error.is_null()) {
+    EXPECT_TRUE(ok.is_bool() && !ok.bool_value());
+    EXPECT_TRUE(error["code"].is_string() && error["message"].is_string());
+  }
+  EXPECT_EQ(StatusOfTree(doc.value()), status);
+  return doc.value();
+}
+
+// The shard readers' verdicts on `line`, checked against the tree:
+// what they decode is the tree's payload, what they carry its envelope.
+// Returns how many of the two read the line.
+int ExpectShardReadsAlike(const std::string& line) {
+  int read = 0;
+  const Result<std::vector<CollectingSink::Entry>> mined =
+      DecodeShardMineResponse(line);
+  if (const auto doc = ExpectParsedAlike(line, mined.status())) {
+    ++read;
+    if (mined.ok()) {
+      EXPECT_EQ((*doc)["phase"].string_value(), "mine");
+      // Each entry as the numbers it holds, items then support.
+      std::vector<std::vector<double>> decoded;
+      for (const CollectingSink::Entry& entry : mined.value()) {
+        decoded.emplace_back(entry.first.begin(), entry.first.end());
+        decoded.back().push_back(entry.second);
+      }
+      std::vector<std::vector<double>> parsed;
+      for (const JsonValue& row : (*doc)["candidates"].array_items()) {
+        parsed.emplace_back();
+        for (const JsonValue& item : row["items"].array_items()) {
+          parsed.back().push_back(item.number_value());
+        }
+        parsed.back().push_back(row["support"].number_value());
+      }
+      EXPECT_EQ(decoded, parsed);
+    }
+  }
+  const Result<std::vector<Support>> counted = DecodeShardCountResponse(line);
+  if (const auto doc = ExpectParsedAlike(line, counted.status())) {
+    ++read;
+    if (counted.ok()) {
+      EXPECT_EQ((*doc)["phase"].string_value(), "count");
+      std::vector<double> parsed;
+      for (const JsonValue& count : (*doc)["counts"].array_items()) {
+        parsed.push_back(count.number_value());
+      }
+      EXPECT_EQ(std::vector<double>(counted->begin(), counted->end()), parsed);
+    }
+  }
+  return read;
 }
 
 std::vector<std::string> JsonSeeds() {
@@ -228,6 +325,8 @@ TEST(DecoderFuzzTest, JsonDecodersReturnAStatus) {
   const std::vector<std::string> seeds = JsonSeeds();
   Rng rng(kFuzzSeed);
   int accepted = 0;
+  int read_ok = 0;
+  int read_text = 0;
   for (int i = 0; i < kJsonMutants; ++i) {
     const std::string line =
         Mutate(rng, seeds[rng.NextBounded(seeds.size())], seeds);
@@ -237,8 +336,19 @@ TEST(DecoderFuzzTest, JsonDecodersReturnAStatus) {
     // JSON decoders reject is INVALID_ARGUMENT.
     ExpectOkOr(ParseJson(line).status(), StatusCode::kInvalidArgument);
     ExpectOkOr(DecodeRequest(line).status(), StatusCode::kInvalidArgument);
-    (void)DecodeShardMineResponse(line);
-    (void)DecodeShardCountResponse(line);
+    // The reply reader: what it reads rather than refuses, the parser
+    // reads alike.
+    ExpectShardReadsAlike(line);
+    if (ExpectParsedAlike(line, ReplyStatus(line))) ++read_ok;
+    const Result<std::string> text = DecodeMetricsTextResponse(line);
+    if (const auto doc = ExpectParsedAlike(line, text.status())) {
+      if (text.ok()) {
+        ++read_text;
+        EXPECT_TRUE((*doc)["ok"].bool_value());
+        EXPECT_TRUE((*doc)["text"].is_string());
+        EXPECT_EQ((*doc)["text"].string_value(), text.value());
+      }
+    }
     // The relay, as a probe's and as a forward's reader, with and
     // without a client trace id.
     for (const bool probe : {true, false}) {
@@ -253,9 +363,11 @@ TEST(DecoderFuzzTest, JsonDecodersReturnAStatus) {
     }
   }
   // Mutants of canonical replies that stay canonical (a changed digit,
-  // a flipped letter in the digest) are accepted; the property above
+  // a flipped letter in the digest) are accepted; the properties above
   // must have been checked on some.
   EXPECT_GT(accepted, 0);
+  EXPECT_GT(read_ok, 0);
+  EXPECT_GT(read_text, 0);
 }
 
 // Byte mutants seldom stay in the writer's form, so the relay accepts
@@ -292,6 +404,43 @@ TEST(DecoderFuzzTest, RelayedRepliesKeepTheirMembers) {
     }
   }
   EXPECT_GT(accepted, kRelayMutants / 10);
+}
+
+// The same for shard phase replies and error envelopes: digits become
+// digits and letters letters, so the reply keeps its shape and the
+// reader reads many mutants. Each one it reads must decode to the
+// values, and carry the code and message, that the tree holds.
+TEST(DecoderFuzzTest, ShardRepliesAndErrorEnvelopesKeepTheirMembers) {
+  const std::vector<std::string> replies = {
+      EncodeShardMineResponse({{{1, 2}, 3}, {{5}, 7}}),
+      EncodeShardMineResponse({{{0, 17, 4095}, 31}, {{9}, 1}, {{2, 8}, 0}}),
+      EncodeShardMineResponse({}),
+      EncodeShardCountResponse({0, 4, 9}),
+      EncodeShardCountResponse({4294967295u, 12, 300}),
+      EncodeError(Status::NotFound("dataset 'a.dat' gone")),
+      EncodeErrorWithId(7, Status::InvalidArgument("bad \"entry\"\n")),
+      EncodeError(Status::Unavailable("cluster: shard 1 failed\tlast: x")),
+      EncodeErrorWithId(2, Status::Cancelled("q\x01\\z")),
+  };
+  Rng rng(kFuzzSeed + 4);
+  int read = 0;
+  for (int i = 0; i < kShapeMutants; ++i) {
+    std::string line = replies[rng.NextBounded(replies.size())];
+    for (uint64_t m = 1 + rng.NextBounded(3); m > 0; --m) {
+      char& c = line[rng.NextBounded(line.size())];
+      if (c >= '0' && c <= '9') {
+        c = static_cast<char>('0' + rng.NextBounded(10));
+      } else if (c >= 'a' && c <= 'z') {
+        c = static_cast<char>('a' + rng.NextBounded(26));
+      } else if (c >= 'A' && c <= 'Z') {
+        c = static_cast<char>('A' + rng.NextBounded(26));
+      }
+    }
+    SCOPED_TRACE("mutant " + std::to_string(i) + ": " + line);
+    read += ExpectShardReadsAlike(line);
+    if (ExpectParsedAlike(line, ReplyStatus(line))) ++read;
+  }
+  EXPECT_GT(read, kShapeMutants / 10);
 }
 
 TEST(DecoderFuzzTest, OpenMappedReturnsAStatus) {

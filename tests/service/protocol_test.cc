@@ -379,6 +379,28 @@ TEST(EncodeTest, MetricsTextResponseWrapsTheExposition) {
             "# TYPE fpm_x counter\nfpm_x 1\n");
 }
 
+// fpm_client's unwrap: the text back, byte for byte, through every
+// escape the writer uses; an error envelope is its status.
+TEST(EncodeTest, MetricsTextResponseUnwrapsTheExposition) {
+  const std::string text = std::string("q\"\\ \n\r\t\x01\x1f \xc3\xa9 ") +
+                           std::string(1, '\0') + "end\n";
+  const Result<std::string> unwrapped =
+      DecodeMetricsTextResponse(EncodeMetricsTextResponse(text));
+  ASSERT_TRUE(unwrapped.ok()) << unwrapped.status();
+  EXPECT_EQ(unwrapped.value(), text);
+
+  EXPECT_EQ(DecodeMetricsTextResponse(EncodeError(Status::Unavailable("busy")))
+                .status(),
+            Status::Unavailable("busy"));
+  for (const std::string& line :
+       {EncodeOk(), std::string("{\"ok\":true,\"text\":\"a\",\"x\":1}"),
+        std::string("{\"ok\":true, \"text\":\"a\"}")}) {
+    const Status refused = DecodeMetricsTextResponse(line).status();
+    EXPECT_EQ(refused.code(), StatusCode::kInternal) << line;
+    EXPECT_EQ(refused.message().rfind("peer response: ", 0), 0u) << line;
+  }
+}
+
 TEST(DecodeRequestTest, DecodesClusterInfoOp) {
   auto bare = DecodeRequest("{\"op\":\"cluster_info\"}");
   ASSERT_TRUE(bare.ok()) << bare.status();
@@ -540,8 +562,8 @@ TEST(ClusterWireTest, PeerDecodersRejectOutOfRangeItems) {
   for (const char* bad : {"-1", "1.5", "4294967296", "4294967295"}) {
     const std::string item = bad;
     EXPECT_EQ(DecodeShardMineResponse(
-                  "{\"ok\":true,\"candidates\":[{\"items\":[" + item +
-                  "],\"support\":2}]}")
+                  "{\"candidates\":[{\"items\":[" + item +
+                  "],\"support\":2}],\"ok\":true,\"phase\":\"mine\"}")
                   .status()
                   .message(),
               "peer response: non-numeric item in 'candidates'")
@@ -653,15 +675,16 @@ INSTANTIATE_TEST_SUITE_P(
                                "\"support\":4294967296"),
                        "peer response: malformed 'itemsets' entry"},
         OutOfRangeCase{"candidate_support", ShardMineReplyError,
-                       "{\"ok\":true,\"candidates\":[{\"items\":[1],"
-                       "\"support\":-1}]}",
+                       "{\"candidates\":[{\"items\":[1],"
+                       "\"support\":-1}],\"ok\":true,\"phase\":\"mine\"}",
                        "peer response: malformed 'candidates' entry"},
         OutOfRangeCase{"rule_support", QueryReplyError,
                        Replace(kRuleAnswer, "\"support\":2",
                                "\"support\":10000000000"),
                        "peer response: malformed 'rules' entry"},
         OutOfRangeCase{"counts", ShardCountReplyError,
-                       "{\"ok\":true,\"counts\":[2,4294967296]}",
+                       "{\"counts\":[2,4294967296],\"ok\":true,"
+                       "\"phase\":\"count\"}",
                        "peer response: 'counts' entries must be numbers "
                        ">= 0"},
         OutOfRangeCase{"query_id", QueryReplyError,
@@ -849,6 +872,158 @@ TEST(ClusterWireTest, ShardPhaseResponsesRoundTrip) {
   auto counted = DecodeShardCountResponse(EncodeShardCountResponse(counts));
   ASSERT_TRUE(counted.ok()) << counted.status();
   EXPECT_EQ(counted.value(), counts);
+}
+
+// The shard phase readers take exactly what their encoders write. An
+// error envelope is the status it carries; any other line is the
+// peer's fault, named with the offset where it leaves the writer's
+// form.
+TEST(ClusterWireTest, ShardPhaseReadersTakeOnlyTheWritersForm) {
+  const std::string mine = EncodeShardMineResponse({{{1, 2}, 3}});
+  const std::string count = EncodeShardCountResponse({4});
+  const auto mine_status = [](const std::string& line) {
+    return DecodeShardMineResponse(line).status();
+  };
+  const auto count_status = [](const std::string& line) {
+    return DecodeShardCountResponse(line).status();
+  };
+  for (const auto status_of : {+mine_status, +count_status}) {
+    EXPECT_EQ(status_of(EncodeError(Status::NotFound("gone"))),
+              Status::NotFound("gone"));
+    EXPECT_EQ(status_of(EncodeErrorWithId(2, Status::Cancelled("stop"))),
+              Status::Cancelled("stop"));
+    EXPECT_EQ(status_of("{\"ok\":false}"),
+              Status::Internal("peer reported an error without detail"));
+  }
+
+  const auto refused_at = [](size_t offset) {
+    return Status::Internal(
+        "peer response: not writer-canonical JSON at offset " +
+        std::to_string(offset));
+  };
+  EXPECT_EQ(mine_status(count), refused_at(2));
+  EXPECT_EQ(count_status(mine), refused_at(2));
+  const std::string other_phase = Replace(mine, "\"mine\"", "\"count\"");
+  EXPECT_EQ(mine_status(other_phase),
+            refused_at(other_phase.find("count")));
+  const std::string spaced = Replace(count, ",\"ok\"", ", \"ok\"");
+  EXPECT_EQ(count_status(spaced), refused_at(spaced.find(", ")));
+  EXPECT_EQ(count_status(count + " "), refused_at(count.size()));
+  EXPECT_EQ(count_status(Replace(count, "[4]", "[4 ]")),
+            refused_at(count.find(']')));
+  // "ok":false makes any line an error envelope, here one without detail.
+  EXPECT_EQ(mine_status(Replace(mine, "\"ok\":true", "\"ok\":false")),
+            Status::Internal("peer reported an error without detail"));
+}
+
+// The one reader of "ok": every code an error envelope can carry comes
+// back with its message, escapes and all.
+TEST(ReplyStatusTest, EveryCodeRoundTripsThroughAnErrorEnvelope) {
+  const std::string message = "say \"hi\" \\ back\n\tnow \x01 \xc3\xa9";
+  int codes = 0;
+  for (int c = 1; std::string_view(StatusCodeToString(
+                      static_cast<StatusCode>(c))) != "UNKNOWN";
+       ++c) {
+    const Status status(static_cast<StatusCode>(c), message);
+    EXPECT_EQ(ReplyStatus(EncodeError(status)), status);
+    EXPECT_EQ(ReplyStatus(EncodeErrorWithId(7, status)), status);
+    ++codes;
+  }
+  EXPECT_EQ(codes, 12);
+}
+
+TEST(ReplyStatusTest, AnErrorEnvelopeNeverReadsAsSuccess) {
+  for (const std::string_view code : {"OK", "BOGUS", "", "not_found"}) {
+    EXPECT_EQ(ReplyStatus("{\"error\":{\"code\":\"" + std::string(code) +
+                          "\",\"message\":\"m\"},\"ok\":false}"),
+              Status::Internal("m"))
+        << code;
+  }
+  EXPECT_EQ(ReplyStatus("{\"ok\":false}"),
+            Status::Internal("peer reported an error without detail"));
+  EXPECT_EQ(ReplyStatus("{\"id\":3,\"ok\":false}"),
+            Status::Internal("peer reported an error without detail"));
+  EXPECT_EQ(ReplyStatus("{\"ok\":false,\"x\":\"\\\"ok\\\":true\"}"),
+            Status::Internal("peer reported an error without detail"));
+}
+
+// "ok":true, or no "ok" at all, reads as OK on every reply the writer
+// writes; the members around it are skipped unread.
+TEST(ReplyStatusTest, ReadsTheOkOfEveryReply) {
+  MineResponse response;
+  response.num_frequent = 1;
+  response.itemsets = {{{1, 2}, 3}};
+  response.trace_id = "t\t\"1\"";
+  ServiceStats stats;
+  stats.windows = {ServiceWindowStats{}};
+  for (const std::string& line :
+       {EncodeOk(), EncodeQueryResponse(response),
+        EncodeQueryResponseWithId(4, response),
+        EncodeCacheProbeResponse(false, {}),
+        EncodeCacheProbeResponse(true, response),
+        EncodeShardMineResponse(response.itemsets),
+        EncodeShardCountResponse({1, 2}), EncodeMetricsTextResponse("x\n"),
+        EncodeStatsResponse(stats, "{\"enabled\":true,\"peers\":[]}"),
+        std::string("{\"cluster\":{\"enabled\":false},\"ok\":true}"),
+        // The metrics snapshot carries no "ok".
+        std::string("{\"counters\":{\"fpm.a\":1},\"gauges\":{},"
+                    "\"histograms\":{\"h\":{\"bounds\":[1,2],"
+                    "\"counts\":[0,1,0],\"sum\":2}}}"),
+        std::string("{\"a\":[null,false,-1.5e-3,{}],\"ok\":true}")}) {
+    EXPECT_TRUE(ReplyStatus(line).ok()) << ReplyStatus(line) << ": " << line;
+  }
+}
+
+// Lines the writer never writes are the peer's fault, whatever "ok"
+// they seem to hold.
+TEST(ReplyStatusTest, RefusesWhatTheWriterNeverWrites) {
+  for (const char* line : {
+           "not json \"ok\":true",
+           "{\"ok\":true,\"ok\":false}",
+           "{\"ok\": true}",
+           "{\"ok\":true} ",
+           "{\"ok\":true}\n",
+           "{\"ok\":\"true\"}",
+           "{\"ok\":1}",
+           "{\"error\":{\"code\":\"INTERNAL\",\"message\":\"m\"},"
+           "\"ok\":true}",
+           "{\"error\":{\"code\":\"INTERNAL\"},\"ok\":false}",
+           "{\"error\":{\"message\":\"m\",\"code\":\"INTERNAL\"},"
+           "\"ok\":false}",
+           "{\"ok\":false,\"error\":{\"code\":\"INTERNAL\","
+           "\"message\":\"m\"}}",
+           "{\"a\":\"\\/\",\"ok\":true}",
+           "{\"a\":\"\\u000a\",\"ok\":true}",
+           "{\"a\":01,\"ok\":true}",
+           "{\"a\":1e999,\"ok\":true}",
+           "{\"a\":[1,],\"ok\":true}",
+           "{\"a\":nul,\"ok\":true}",
+           "{}",
+           "",
+           "[]",
+       }) {
+    const Status status = ReplyStatus(line);
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << line;
+    EXPECT_EQ(status.message().rfind("peer response: ", 0), 0u)
+        << status << ": " << line;
+  }
+}
+
+// A member nested past ParseJson's bound is refused after at most
+// kMaxJsonDepth levels of recursion, however deep the bytes go.
+TEST(ReplyStatusTest, DeepNestingIsRefusedAtTheParsersBound) {
+  const auto nested = [](size_t depth) {
+    return "{\"a\":" + std::string(depth, '[') + std::string(depth, ']') +
+           ",\"ok\":true}";
+  };
+  EXPECT_TRUE(ReplyStatus(nested(kMaxJsonDepth)).ok());
+  EXPECT_TRUE(ParseJson(nested(kMaxJsonDepth)).ok());
+  for (const size_t depth : {size_t{kMaxJsonDepth} + 1, size_t{100000}}) {
+    const Status status = ReplyStatus(nested(depth));
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << depth;
+    EXPECT_EQ(status.message().rfind("peer response: ", 0), 0u) << status;
+    EXPECT_FALSE(ParseJson(nested(depth)).ok()) << depth;
+  }
 }
 
 TEST(ClusterWireTest, QueryResponseCarriesPeerAndShards) {

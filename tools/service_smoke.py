@@ -11,7 +11,8 @@ drives it with fpm_client the way a real deployment would:
   2. the query at a higher threshold  -> a support-dominance hit
   3. a mixed-task batch (closed, maximal, top-k, one bad dataset)
      -> one tagged line per entry, the bad one ok:false, the rest
-        derived cross-task from the cached frequent run
+        derived cross-task from the cached frequent run, and
+        fpm_client exits exactly 1
   4. a rules query
   5. "metrics"                        -> the daemon's own counters
   6. live ingestion: "open" a handle, "append" a delta, re-query by
@@ -60,6 +61,11 @@ drives it with fpm_client the way a real deployment would:
      connection is closed unanswered; the daemon stays up, the held
      connections still answer, and with the cap lifted a new connection
      is served
+ 17. a stand-in daemon answering scripted lines -> fpm_client
+     metrics-text prints the decoded text byte for byte through every
+     escape the writer uses, and fpm_client exits 1 on an error
+     envelope, on a line that is not JSON and on one with whitespace,
+     and 0 on an object without "ok" (the metrics snapshot)
 
 and asserts, from the responses AND the daemon's metrics, that the
 repeated and dominated queries were served from the cache without
@@ -90,11 +96,12 @@ def fail(msg):
     sys.exit(1)
 
 
-def run_client(client, socket_path, *args, allow_fail=False):
+def run_client(client, socket_path, *args, want_exit=0):
     cmd = [client, f"--socket={socket_path}", *args]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
-    if proc.returncode != 0 and not allow_fail:
-        fail(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+    if proc.returncode != want_exit:
+        fail(f"{' '.join(cmd)} exited {proc.returncode}, want {want_exit}:"
+             f"\n{proc.stderr}")
     return [json.loads(line) for line in proc.stdout.splitlines() if line]
 
 
@@ -375,6 +382,82 @@ def check_client_refuses_long_reply(client, tmp):
              f"with stderr {proc.stderr.strip()!r}")
 
 
+def writer_string(text):
+    """`text` as fpm/common/json_writer.h's AppendJsonString writes it."""
+    out = bytearray(b'"')
+    for byte in text.encode("utf-8"):
+        short = {0x22: b'\\"', 0x5C: b"\\\\", 0x0A: b"\\n", 0x0D: b"\\r",
+                 0x09: b"\\t"}.get(byte)
+        if short is not None:
+            out += short
+        elif byte < 0x20:
+            out += b"\\u%04x" % byte
+        else:
+            out.append(byte)
+    return bytes(out + b'"')
+
+
+def check_client_reads_replies(client, tmp):
+    """Step 17: fpm_client reads each reply in one pass, unwraps the
+    metrics text byte for byte, and exits 1 exactly when a reply is an
+    error envelope or not a line fpmd writes."""
+    # Every escape the writer uses: each byte below 0x20, '"' and '\',
+    # around bytes it copies as they are.
+    exposition = ("# TYPE fpm_x counter\nfpm_x 1\n" + '"q" \\ \u00e9 ' +
+                  "".join(chr(b) for b in range(0x20)) + "end\n")
+    text_reply = b'{"ok":true,"text":' + writer_string(exposition) + b"}"
+    envelope = (b'{"error":{"code":"UNAVAILABLE","message":"busy \\"now\\""},'
+                b'"ok":false}')
+    snapshot = b'{"counters":{"fpm.x":1},"gauges":{},"histograms":{}}'
+    cases = [
+        # (op, the stand-in's reply, fpm_client's stdout, its exit code)
+        (["metrics-text"], text_reply, exposition.encode("utf-8"), 0),
+        (["metrics-text", "--json"], text_reply, text_reply + b"\n", 0),
+        (["metrics-text"], envelope, envelope + b"\n", 1),
+        (["ping"], envelope, envelope + b"\n", 1),
+        (["ping"], b'not json "ok":true', b'not json "ok":true\n', 1),
+        (["ping"], b'{"ok": true}', b'{"ok": true}\n', 1),
+        (["metrics"], snapshot, snapshot + b"\n", 0),
+    ]
+    socket_path = os.path.join(tmp, "replies.sock")
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+        listener.bind(socket_path)
+        listener.listen(1)
+        listener.settimeout(30)
+
+        def serve():
+            for _, reply, _, _ in cases:
+                try:
+                    conn, _ = listener.accept()
+                    with conn:
+                        conn.settimeout(30)
+                        request = b""
+                        while not request.endswith(b"\n"):
+                            chunk = conn.recv(4096)
+                            if not chunk:
+                                break
+                            request += chunk
+                        conn.sendall(reply + b"\n")
+                        read_to_close(conn)
+                except OSError:
+                    return  # the client check below reports what is missing
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            for args, reply, want_out, want_exit in cases:
+                proc = subprocess.run([client, f"--socket={socket_path}", *args],
+                                      capture_output=True, timeout=60)
+                if proc.returncode != want_exit or proc.stdout != want_out:
+                    fail(f"fpm_client {' '.join(args)} on {reply[:80]!r} "
+                         f"exited {proc.returncode} (want {want_exit}) with "
+                         f"stdout {proc.stdout[:200]!r} (want "
+                         f"{want_out[:200]!r}); stderr "
+                         f"{proc.stderr.decode(errors='replace').strip()!r}")
+        finally:
+            server.join()
+
+
 SESSION_TRANSCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                   "service_session.txt")
 
@@ -594,9 +677,9 @@ def main(argv):
         with open(batch_file, "w", encoding="utf-8") as f:
             for entry in entries:
                 f.write(json.dumps(entry) + "\n")
-        # The client exits nonzero because one entry fails — expected.
+        # The client exits 1 because one entry fails, and only then.
         batch = run_client(client, socket_path, "batch", batch_file,
-                           allow_fail=True)
+                           want_exit=1)
         if len(batch) != len(entries):
             fail(f"batch returned {len(batch)} lines, "
                  f"want {len(entries)}")
@@ -885,6 +968,8 @@ def main(argv):
     check_session(fpmd, tmp)
     # 16. A connection thread that cannot start.
     check_thread_start_failure(fpmd, tmp)
+    # 17. The client's one-pass reply reader, against a stand-in daemon.
+    check_client_reads_replies(client, tmp)
 
     print("service smoke: OK (miss -> 2 hits, 1 dominated, "
           "mixed batch derived cross-task, append reseeded, "
@@ -893,7 +978,8 @@ def main(argv):
           "refused, clean shutdown, 5000 connections joined, "
           "serving again after running out of fds, over-long reply "
           "refused by fpm_client, session transcript identical, "
-          "serving on after a thread could not start)")
+          "serving on after a thread could not start, replies read "
+          "and metrics text unwrapped by fpm_client)")
     return 0
 
 

@@ -107,8 +107,11 @@ BENCHMARK(BM_ZeroEscapedIntersect)
 
 // --------------------- P2: sparse representations --------------------
 
-// Bit-vector AND vs tid-list merge at varying density: the crossover
-// that drives EclatRepresentation::kAuto.
+// Bit-vector AND vs tid-list merge at varying density, one
+// intersection in isolation. Eclat's layout constant
+// (kEclatTidListFillInverse) comes from whole-kernel runs instead
+// (EXPERIMENTS.md §5): a run also builds, allocates children and
+// recurses, and there tid lists win only below a fill of about 1/528.
 void BM_VerticalIntersect(benchmark::State& state) {
   const bool use_tidlist = state.range(0) != 0;
   const uint32_t per_mille = static_cast<uint32_t>(state.range(1));

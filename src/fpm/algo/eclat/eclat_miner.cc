@@ -1,7 +1,7 @@
 #include "fpm/algo/eclat/eclat_miner.h"
 
 #include <algorithm>
-#include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,20 +14,6 @@
 
 namespace fpm {
 
-const char* EclatRepresentationName(EclatRepresentation r) {
-  switch (r) {
-    case EclatRepresentation::kBitVector:
-      return "bitvector";
-    case EclatRepresentation::kTidList:
-      return "tidlist";
-    case EclatRepresentation::kDiffset:
-      return "diffset";
-    case EclatRepresentation::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
 std::string EclatOptions::Suffix() const {
   std::string s;
   if (lexicographic_order) s += "+lex";
@@ -35,10 +21,6 @@ std::string EclatOptions::Suffix() const {
   if (popcount != PopcountStrategy::kLut16) {
     s += "+simd:";
     s += PopcountStrategyName(ResolvePopcountStrategy(popcount));
-  }
-  if (representation != EclatRepresentation::kBitVector) {
-    s += "+repr:";
-    s += EclatRepresentationName(representation);
   }
   return s;
 }
@@ -58,7 +40,8 @@ struct Column {
   std::vector<uint64_t> owned;
 };
 
-// One itemset's tid list during the sparse DFS (P2 representation).
+// One itemset's tid list during the sparse DFS (P2). Top-level columns
+// borrow the TidListDatabase's lists; derived columns own theirs.
 struct TidColumn {
   Item raw_item = 0;
   Support support = 0;
@@ -71,7 +54,7 @@ struct EclatCtx {
   EclatOptions options;
   PopcountStrategy strategy = PopcountStrategy::kLut16;
   Support min_support = 1;
-  // Tid/diffset paths: per-transaction weights, into the TidListDatabase.
+  // Tid-list path: per-transaction weights, into the TidListDatabase.
   const Support* weights = nullptr;
 
   bool Cancelled() const {
@@ -145,16 +128,11 @@ void MineClassStep(const EclatCtx& ctx, const std::vector<Column>& cols,
   }
 }
 
-// Sparse-representation step. With `diffsets`, columns below level 1
-// carry d(P∪{x}) relative to the prefix (dEclat): combining member X
-// (the new prefix element) with a later member Y produces
-//   tidsets:  d(XY) = t(X) \ t(Y)
-//   diffsets: d(PXY) = d(PY) \ d(PX)
-// and support(·XY) = support(·X) - weight(diffset).
+// Tid-list step: the same walk as MineClassStep, with sorted-merge
+// intersections summing the transactions' weights.
 void MineClassTidStep(const EclatCtx& ctx,
                       const std::vector<TidColumn>& cols,
                       std::vector<Item>* prefix, std::vector<Tid>* scratch,
-                      bool diffsets, bool cols_are_tidsets,
                       ItemsetSink* sink, MineStats* stats) {
   std::vector<TidColumn> next;
   for (size_t k = 0; k < cols.size(); ++k) {
@@ -167,43 +145,21 @@ void MineClassTidStep(const EclatCtx& ctx,
     next.clear();
     for (size_t l = k + 1; l < cols.size(); ++l) {
       const TidColumn& b = cols[l];
+      const size_t cap = std::min(a.tids.size(), b.tids.size());
+      if (scratch->size() < cap) scratch->resize(cap);
+      Support support = 0;
+      const size_t n = IntersectTidLists(a.tids, b.tids, ctx.weights,
+                                         scratch->data(), &support);
+      if (support < ctx.min_support) continue;
       TidColumn child;
-      if (!diffsets) {
-        const size_t cap = std::min(a.tids.size(), b.tids.size());
-        if (scratch->size() < cap) scratch->resize(cap);
-        Support support = 0;
-        const size_t n = IntersectTidLists(a.tids, b.tids, ctx.weights,
-                                           scratch->data(), &support);
-        if (support < ctx.min_support) continue;
-        child.support = support;
-        child.owned.assign(scratch->begin(), scratch->begin() + n);
-      } else {
-        const std::span<const Tid> minuend =
-            cols_are_tidsets ? a.tids : b.tids;
-        const std::span<const Tid> subtrahend =
-            cols_are_tidsets ? b.tids : a.tids;
-        if (scratch->size() < minuend.size()) {
-          scratch->resize(minuend.size());
-        }
-        Support diff_weight = 0;
-        const size_t n =
-            DifferenceTidLists(minuend, subtrahend, ctx.weights,
-                               scratch->data(), &diff_weight);
-        if (static_cast<uint64_t>(a.support) <
-            static_cast<uint64_t>(ctx.min_support) + diff_weight) {
-          continue;
-        }
-        child.support = a.support - diff_weight;
-        child.owned.assign(scratch->begin(), scratch->begin() + n);
-      }
       child.raw_item = b.raw_item;
+      child.support = support;
+      child.owned.assign(scratch->begin(), scratch->begin() + n);
       child.tids = std::span<const Tid>(child.owned);
       next.push_back(std::move(child));
     }
     if (!next.empty()) {
-      // Below the first diffset level, columns are always diffsets.
-      MineClassTidStep(ctx, next, prefix, scratch, diffsets,
-                       /*cols_are_tidsets=*/false, sink, stats);
+      MineClassTidStep(ctx, next, prefix, scratch, sink, stats);
     }
     prefix->pop_back();
   }
@@ -238,55 +194,55 @@ class EclatRun {
     // prefix of the rank space; only those columns are materialized.
     const auto& freq = ranked.item_frequencies();
     size_t num_frequent = 0;
+    uint64_t entries = 0;
     while (num_frequent < freq.size() &&
            freq[num_frequent] >= min_support_) {
+      entries += freq[num_frequent];
       ++num_frequent;
     }
 
-    // P2: resolve the vertical representation. The tid list wins when
-    // the frequent columns are sparse: 4 bytes per entry beats 1 bit per
-    // row below a fill of ~1/32.
-    EclatRepresentation repr = ctx_.options.representation;
-    if (repr == EclatRepresentation::kAuto) {
-      uint64_t entries = 0;
-      for (size_t i = 0; i < num_frequent; ++i) entries += freq[i];
-      const uint64_t cells =
-          static_cast<uint64_t>(num_frequent) * ranked.total_weight();
-      repr = (cells > 0 && entries * 32 < cells)
-                 ? EclatRepresentation::kTidList
-                 : EclatRepresentation::kBitVector;
+    // P2: the layout follows the frequent columns' fill.
+    const uint64_t cells =
+        static_cast<uint64_t>(num_frequent) * ranked.total_weight();
+    const std::vector<Item> order = ExtensionOrder(freq, num_frequent);
+    if (entries * kEclatTidListFillInverse < cells) {
+      MineTidLists(ranked, order);
+    } else {
+      MineBitVectors(ranked, order);
     }
-    if (repr == EclatRepresentation::kTidList ||
-        repr == EclatRepresentation::kDiffset) {
-      RunTidList(ranked, num_frequent,
-                 /*diffsets=*/repr == EclatRepresentation::kDiffset);
-      return;
-    }
+  }
 
-    // Build the vertical bit matrix (frequent columns only).
+ private:
+  // The top-level extension order both layouts walk: frequent ranks by
+  // ascending support (the classic Eclat order — small intermediates
+  // first), ties broken by rank. The emission order therefore depends on
+  // neither the layout nor min_support: the run at a higher threshold
+  // emits exactly the support-filtered subsequence of the run at a lower
+  // one, whichever layout each run picks (the service's result-cache
+  // dominance reuse depends on this).
+  static std::vector<Item> ExtensionOrder(std::span<const Support> freq,
+                                          size_t num_frequent) {
+    std::vector<Item> items(num_frequent);
+    for (size_t i = 0; i < num_frequent; ++i) items[i] = static_cast<Item>(i);
+    std::sort(items.begin(), items.end(), [&freq](Item a, Item b) {
+      return freq[a] != freq[b] ? freq[a] < freq[b] : a < b;
+    });
+    return items;
+  }
+
+  void MineBitVectors(const Database& ranked,
+                      const std::vector<Item>& order) {
     PhaseSpan build_span(PhaseName(PhaseId::kBuild));
     VerticalDatabase vdb = VerticalDatabase::FromDatabase(ranked,
-                                                          num_frequent);
+                                                          order.size());
     stats_->FinishPhase(PhaseId::kBuild, build_span);
     stats_->peak_structure_bytes = vdb.memory_bytes();
 
     PhaseSpan mine_span(PhaseName(PhaseId::kMine));
-    // Top-level columns: frequent items only, ascending support (the
-    // classic Eclat extension order — small intermediates first).
-    std::vector<Item> items;
-    for (Item i = 0; i < num_frequent; ++i) items.push_back(i);
-    // Support ties break by rank so the extension order — and with it
-    // the deterministic emission order — is independent of min_support:
-    // the run at a higher threshold emits exactly the support-filtered
-    // subsequence of the run at a lower one (the service's result-cache
-    // dominance reuse depends on this).
-    std::sort(items.begin(), items.end(), [&freq](Item a, Item b) {
-      return freq[a] != freq[b] ? freq[a] < freq[b] : a < b;
-    });
-
-    std::vector<Column> cols(items.size());
-    for (size_t k = 0; k < items.size(); ++k) {
-      const Item i = items[k];
+    const auto& freq = ranked.item_frequencies();
+    std::vector<Column> cols(order.size());
+    for (size_t k = 0; k < order.size(); ++k) {
+      const Item i = order[k];
       cols[k].raw_item = item_map_[i];
       cols[k].support = freq[i];
       cols[k].data = vdb.column(i).words();
@@ -300,39 +256,24 @@ class EclatRun {
     stats_->FinishPhase(PhaseId::kMine, mine_span);
   }
 
- private:
-  // Sparse-representation mining path. With `diffsets`, level-1 columns
-  // are tid lists and every deeper class switches to diffsets relative
-  // to its prefix (dEclat).
-  void RunTidList(const Database& ranked, size_t num_frequent,
-                  bool diffsets) {
+  void MineTidLists(const Database& ranked, const std::vector<Item>& order) {
     PhaseSpan build_span(PhaseName(PhaseId::kBuild));
-    TidListDatabase tdb =
-        TidListDatabase::FromDatabase(ranked, num_frequent);
+    TidListDatabase tdb = TidListDatabase::FromDatabase(ranked, order.size());
     stats_->FinishPhase(PhaseId::kBuild, build_span);
     stats_->peak_structure_bytes = tdb.memory_bytes();
 
     PhaseSpan mine_span(PhaseName(PhaseId::kMine));
     ctx_.weights = tdb.weights().data();
     const auto& freq = ranked.item_frequencies();
-    std::vector<Item> items(num_frequent);
-    for (size_t i = 0; i < num_frequent; ++i) items[i] = static_cast<Item>(i);
-    // Rank tie-break as in the bit-vector path: keeps the emission order
-    // independent of min_support.
-    std::sort(items.begin(), items.end(), [&freq](Item a, Item b) {
-      return freq[a] != freq[b] ? freq[a] < freq[b] : a < b;
-    });
-
-    std::vector<TidColumn> cols(items.size());
-    for (size_t k = 0; k < items.size(); ++k) {
-      cols[k].raw_item = item_map_[items[k]];
-      cols[k].support = freq[items[k]];
-      cols[k].tids = tdb.list(items[k]);
+    std::vector<TidColumn> cols(order.size());
+    for (size_t k = 0; k < order.size(); ++k) {
+      cols[k].raw_item = item_map_[order[k]];
+      cols[k].support = freq[order[k]];
+      cols[k].tids = tdb.list(order[k]);
     }
     std::vector<Item> prefix;
     std::vector<Tid> scratch;
-    MineClassTidStep(ctx_, cols, &prefix, &scratch, diffsets,
-                     /*cols_are_tidsets=*/true, sink_, stats_);
+    MineClassTidStep(ctx_, cols, &prefix, &scratch, sink_, stats_);
     stats_->FinishPhase(PhaseId::kMine, mine_span);
   }
 

@@ -1,9 +1,11 @@
-// Eclat: vertical bit-matrix frequent itemset miner (§4.2).
+// Eclat: vertical frequent itemset miner (§4.2).
 //
-// Each item(set) owns a dense bit vector over transactions; extending an
-// itemset ANDs two vectors and popcounts the result — 98% of Eclat's
-// runtime in the paper's profile. The kernel is computation bound, so
-// the applicable patterns accelerate arithmetic rather than memory:
+// Each item(set) owns the set of transactions it occurs in; extending an
+// itemset intersects two sets and counts the result. On dense data the
+// sets are bit vectors, and ANDing and popcounting them is 98% of
+// Eclat's runtime in the paper's profile. That path is computation
+// bound, so the applicable patterns accelerate arithmetic rather than
+// memory:
 //
 //   P1 lexicographic_order — clusters the 1s of frequent items at the
 //      front of the vectors, which is what makes 0-escaping effective.
@@ -12,10 +14,16 @@
 //   P8 popcount strategy — the baseline counts via a 16-bit lookup table
 //      (indirect loads, not SIMDizable); the tuned variants count with
 //      computation (SWAR / hardware popcount / AVX2).
+//
+// P2, the data structure adaptation the paper attributes to the
+// literature, is not a toggle: each run picks its layout from the data
+// (kEclatTidListFillInverse). Both layouts walk the same extension order
+// depth first, so they emit the same sequence.
 
 #ifndef FPM_ALGO_ECLAT_ECLAT_MINER_H_
 #define FPM_ALGO_ECLAT_ECLAT_MINER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "fpm/algo/miner.h"
@@ -25,21 +33,15 @@ namespace fpm {
 
 class CancelToken;
 
-/// Vertical representation choice — the data structure adaptation (P2)
-/// the paper notes has been "proposed in the literature" for Eclat:
-/// dense bit vectors win on dense data, sparse tid lists on sparse data.
-enum class EclatRepresentation {
-  kBitVector,  ///< dense bit matrix (the paper's studied variant)
-  kTidList,    ///< sorted transaction-id lists (sparse)
-  kDiffset,    ///< dEclat: tid lists at level 1, diffsets below
-               ///< (Zaki & Gouda, the paper's reference [33])
-  kAuto,       ///< pick by measured density of the frequent columns
-};
+/// P2: a run mines with sorted tid lists when its frequent columns'
+/// fill, entries / (frequent items x total weight), is below
+/// 1 / kEclatTidListFillInverse, and with bit vectors otherwise. The
+/// constant sits where the two layouts' whole-kernel times cross on
+/// sparse inputs (EXPERIMENTS.md §5), far below the 1/32 where their
+/// footprints cross (4 bytes per entry against 1 bit per row).
+inline constexpr uint64_t kEclatTidListFillInverse = 528;
 
-/// Stable display name ("bitvector", "tidlist", "auto").
-const char* EclatRepresentationName(EclatRepresentation r);
-
-/// Pattern toggles and knobs for the Eclat kernel.
+/// Pattern toggles for the Eclat kernel.
 ///
 /// Toggle names follow the shared noun-phrase convention (see
 /// LcmOptions / DESIGN.md "Option naming").
@@ -47,11 +49,8 @@ struct EclatOptions {
   bool lexicographic_order = false;  ///< P1
   bool zero_escaping = false;        ///< 0-escaping via 1-ranges
   /// Baseline is the original's table lookup; kAuto engages SIMD (P8).
+  /// 0-escaping and the popcount strategy only act on bit vectors.
   PopcountStrategy popcount = PopcountStrategy::kLut16;
-  /// P2: vertical representation. The paper's evaluation fixes the bit
-  /// vector; kAuto/kTidList are the literature-proposed adaptation.
-  /// 0-escaping and the popcount strategy only apply to bit vectors.
-  EclatRepresentation representation = EclatRepresentation::kBitVector;
 
   /// Cooperative cancellation, polled at every class-step frame. See
   /// LcmOptions::cancel for the contract. Null = never cancelled.
@@ -70,7 +69,7 @@ struct EclatOptions {
   std::string Suffix() const;
 };
 
-/// Vertical bit-vector depth-first miner. Not thread-safe.
+/// Vertical depth-first miner. Not thread-safe.
 class EclatMiner : public Miner {
  public:
   explicit EclatMiner(EclatOptions options = EclatOptions());

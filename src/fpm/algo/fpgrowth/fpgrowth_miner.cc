@@ -145,7 +145,6 @@ void RunFpGrowth(const Database& db, const FpGrowthOptions& options,
   FpTreeConfig tree_config;
   tree_config.software_prefetch = options.software_prefetch;
   tree_config.dfs_relayout = options.dfs_relayout;
-  tree_config.jump_distance = options.jump_distance;
 
   Tree tree(num_frequent, tree_config);
   std::vector<Item> filtered;

@@ -28,7 +28,7 @@ namespace fpm {
 
 class CancelToken;
 
-/// Pattern toggles and knobs for the FP-Growth kernel.
+/// Pattern toggles for the FP-Growth kernel.
 ///
 /// Toggle names follow the shared noun-phrase convention (see
 /// LcmOptions / DESIGN.md "Option naming").
@@ -37,7 +37,6 @@ struct FpGrowthOptions {
   bool node_compaction = false;      ///< P2
   bool dfs_relayout = false;         ///< P3/P4 (implies node_compaction)
   bool software_prefetch = false;    ///< P5 + P7
-  uint32_t jump_distance = 4;        ///< P5 chain distance
 
   /// Cooperative cancellation, polled at tree-build batches and at every
   /// conditional-tree frame. See LcmOptions::cancel for the contract.

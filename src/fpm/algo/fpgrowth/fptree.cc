@@ -275,11 +275,11 @@ void CompactFpTree::Finalize() {
 
   // P5: jump pointers over the link chains.
   jump_.clear();
-  if (config_.software_prefetch && config_.jump_distance > 1 && n > 1) {
+  if (config_.software_prefetch && n > 1) {
     std::vector<uint32_t> heads;
     heads.reserve(present_items_.size());
     for (Item i : present_items_) heads.push_back(link_head_[i]);
-    jump_ = BuildJumpPointers(heads, link_next_, config_.jump_distance);
+    jump_ = BuildJumpPointers(heads, link_next_, kFpTreeJumpDistance);
   }
 }
 

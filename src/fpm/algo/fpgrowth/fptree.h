@@ -40,11 +40,14 @@
 
 namespace fpm {
 
-/// Shared tuning knobs for the tree stores.
+/// P5: a CompactFpTree jump pointer reaches this many node-link hops
+/// ahead (built only with software_prefetch).
+inline constexpr uint32_t kFpTreeJumpDistance = 4;
+
+/// Shared pattern toggles for the tree stores.
 struct FpTreeConfig {
-  bool software_prefetch = false;  ///< P7 during link/path walks
+  bool software_prefetch = false;  ///< P5 jump pointers + P7 prefetch
   bool dfs_relayout = false;       ///< P3/P4 (CompactFpTree only)
-  uint32_t jump_distance = 4;      ///< P5 link-chain jump pointers
 };
 
 /// Baseline pointer-based FP-tree.
@@ -132,8 +135,8 @@ class CompactFpTree {
     const uint8_t* diff = diff_.data();
     for (uint32_t n = link_head_[item]; n != kNone; n = link_next_[n]) {
       if (config_.software_prefetch) {
-        // P5: jump pointer reaches `jump_distance` chain hops ahead;
-        // prefetch its hot SoA entries.
+        // P5: jump pointer reaches kFpTreeJumpDistance chain hops
+        // ahead; prefetch its hot SoA entries.
         const uint32_t j = jump_.empty() ? link_next_[n] : jump_[n];
         if (j != kNone) {
           Prefetch(&parent_[j]);

@@ -4,12 +4,10 @@
 //
 // Concurrency contract: Emit() calls on a given sink are always
 // serialized — a sink never needs to be internally thread-safe. The
-// sequential kernels emit from the calling thread; the parallel engine
-// (fpm/parallel/) gives each mining task a private result buffer or
-// serializes direct emission under a lock, and only merges into the
-// caller's sink from one thread. Sinks that aggregate
-// (CountingSink) expose an associative merge so per-shard partials
-// combine to exactly the sequential result.
+// sequential kernels emit from the calling thread; the parallel driver
+// (fpm/parallel/) gives each class task a private buffer and replays
+// the buffers into the caller's sink from one thread, or serializes
+// direct emission under a lock.
 
 #ifndef FPM_ALGO_ITEMSET_SINK_H_
 #define FPM_ALGO_ITEMSET_SINK_H_
@@ -54,18 +52,6 @@ class CountingSink : public ItemsetSink {
     checksum_ ^= h * (support + 1);
   }
 
-  /// Folds another CountingSink's aggregates into this one. All fields
-  /// merge associatively and commutatively (sums, max, XOR of per-set
-  /// hashes), so any partition of the itemsets across sinks — e.g. the
-  /// parallel engine's shards — merges to exactly the counters and
-  /// checksum of one sink that saw every emission.
-  void MergeFrom(const CountingSink& other) {
-    count_ += other.count_;
-    support_sum_ += other.support_sum_;
-    checksum_ ^= other.checksum_;
-    max_size_ = std::max(max_size_, other.max_size_);
-  }
-
   uint64_t count() const { return count_; }
   uint64_t support_sum() const { return support_sum_; }
   uint64_t checksum() const { return checksum_; }
@@ -102,22 +88,6 @@ class CollectingSink : public ItemsetSink {
 
  private:
   std::vector<Entry> results_;
-};
-
-/// Retains only itemsets of size >= min_size (association-rule front
-/// ends typically want pairs and larger).
-class SizeFilterSink : public ItemsetSink {
- public:
-  SizeFilterSink(ItemsetSink* inner, size_t min_size)
-      : inner_(inner), min_size_(min_size) {}
-
-  void Emit(std::span<const Item> itemset, Support support) override {
-    if (itemset.size() >= min_size_) inner_->Emit(itemset, support);
-  }
-
- private:
-  ItemsetSink* inner_;
-  size_t min_size_;
 };
 
 }  // namespace fpm

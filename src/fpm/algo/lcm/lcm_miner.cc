@@ -9,7 +9,6 @@
 #include "fpm/common/cancel.h"
 #include "fpm/common/bits.h"
 #include "fpm/common/prefetch.h"
-#include "fpm/common/timer.h"
 #include "fpm/layout/item_order.h"
 #include "fpm/mem/aggregation.h"
 #include "fpm/obs/trace.h"
@@ -72,17 +71,20 @@ bool SpanEquals(std::span<const Item> a, std::span<const Item> b) {
 }
 
 constexpr uint32_t kL1TileEntriesDefault = 4096;  // 16 KiB of items
+// P7.1 wave-front distances, in occurrence entries ahead: the far wave
+// fetches a transaction's offset slot, the near wave its payload.
+constexpr uint32_t kPrefetchNear = 4;
+constexpr uint32_t kPrefetchFar = 8;
 constexpr uint64_t kTileBatchEntryBudget = 16u << 20;  // 64 MiB of items
 
 // All mutable state of one Mine() call.
 class LcmRun {
  public:
   LcmRun(const LcmOptions& options, Support min_support, ItemsetSink* sink,
-         LcmPhaseStats* phases, MineStats* stats)
+         MineStats* stats)
       : options_(options),
         min_support_(min_support),
         sink_(sink),
-        phases_(phases),
         stats_(stats) {}
 
   // Builds the level-0 working database and mines it.
@@ -138,7 +140,6 @@ class LcmRun {
     if (Cancelled()) return;
 
     // --- CalcFreq: weighted frequency counting. -------------------------
-    WallTimer count_timer;
     std::vector<OccHeader> headers(db.num_items);
     std::vector<uint32_t> compact_counts;
     if (options_.counter_compaction) {
@@ -159,9 +160,6 @@ class LcmRun {
         for (Item it : db.tx(t)) headers[it].count += w;
       }
     }
-    if (options_.collect_phase_stats) {
-      phases_->calcfreq_seconds += count_timer.ElapsedSeconds();
-    }
 
     // --- Emit frequent items; build the level's frequent list. ----------
     std::vector<Item> frequent;
@@ -177,7 +175,6 @@ class LcmRun {
     if (frequent.size() < 2) return;  // no extension possible
 
     // --- RmDupTrans: filter to frequent items, merge duplicates. --------
-    WallTimer merge_timer;
     std::vector<Item> new_local(db.num_items, kInvalidItem);
     std::vector<Item> new_map(frequent.size());
     for (size_t k = 0; k < frequent.size(); ++k) {
@@ -191,9 +188,6 @@ class LcmRun {
     } else {
       MergeDuplicates<LinkedList<uint32_t>>(db, new_local, &merged);
     }
-    if (options_.collect_phase_stats) {
-      phases_->rmduptrans_seconds += merge_timer.ElapsedSeconds();
-    }
     if (depth == 0) {
       stats_->peak_structure_bytes =
           std::max(stats_->peak_structure_bytes,
@@ -201,12 +195,8 @@ class LcmRun {
     }
 
     // --- Occurrence deliver: build the item-major OccArray. -------------
-    WallTimer occ_timer;
     std::vector<uint32_t> occ;
     BuildOccArray(merged, headers.data(), &occ);
-    if (options_.collect_phase_stats) {
-      phases_->calcfreq_seconds += occ_timer.ElapsedSeconds();
-    }
 
     // --- Project and recurse. --------------------------------------------
     if (options_.tiling && depth == 0) {
@@ -337,22 +327,23 @@ class LcmRun {
   void ProjectItem(const WorkDb& merged, const OccHeader& header,
                    const std::vector<uint32_t>& occ, uint32_t k,
                    WorkDb* cond) {
-    WallTimer timer;
     cond->num_items = k;
     const uint32_t begin = header.occ_begin;
     const uint32_t end = begin + header.occ_len;
     const uint32_t* offsets = merged.offsets.data();
     const Item* items = merged.items.data();
     const bool wave = options_.wavefront_prefetch;
-    const uint32_t near = options_.prefetch_near;
-    const uint32_t far = options_.prefetch_far;
     for (uint32_t idx = begin; idx < end; ++idx) {
       if (wave) {
         // Far wave: pull in the transaction-header (offset) slot.
-        if (idx + far < end) Prefetch(&offsets[occ[idx + far]]);
+        if (idx + kPrefetchFar < end) {
+          Prefetch(&offsets[occ[idx + kPrefetchFar]]);
+        }
         // Near wave: pull in the transaction payload; its offset was
         // fetched by the far wave several iterations ago.
-        if (idx + near < end) Prefetch(&items[offsets[occ[idx + near]]]);
+        if (idx + kPrefetchNear < end) {
+          Prefetch(&items[offsets[occ[idx + kPrefetchNear]]]);
+        }
       }
       const uint32_t tid = occ[idx];
       const Item* p = items + offsets[tid];
@@ -362,9 +353,6 @@ class LcmRun {
         cond->offsets.push_back(static_cast<uint32_t>(cond->items.size()));
         cond->weights.push_back(merged.weights[tid]);
       }
-    }
-    if (options_.collect_phase_stats) {
-      phases_->project_seconds += timer.ElapsedSeconds();
     }
   }
 
@@ -461,7 +449,6 @@ class LcmRun {
   const LcmOptions& options_;
   const Support min_support_;
   ItemsetSink* sink_;
-  LcmPhaseStats* phases_;
   MineStats* stats_;
 };
 
@@ -477,8 +464,7 @@ Result<MineStats> LcmMiner::MineImpl(const Database& db,
                                      Support min_support,
                                      ItemsetSink* sink) {
   MineStats stats;
-  phase_stats_ = LcmPhaseStats{};
-  LcmRun run(options_, min_support, sink, &phase_stats_, &stats);
+  LcmRun run(options_, min_support, sink, &stats);
   run.Run(db);
   if (options_.cancel != nullptr && options_.cancel->cancelled()) {
     return options_.cancel->ToStatus();

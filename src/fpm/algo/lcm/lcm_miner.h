@@ -18,7 +18,7 @@
 //       occurrence array in L1-sized transaction tiles, batched over
 //       items (see lcm_miner.cc for the batching memory bound).
 //   P7.1 wavefront_prefetch — occurrence walks prefetch transaction
-//       headers/payloads of entries several positions ahead.
+//       headers 8 and payloads 4 occurrence entries ahead.
 
 #ifndef FPM_ALGO_LCM_LCM_MINER_H_
 #define FPM_ALGO_LCM_LCM_MINER_H_
@@ -32,7 +32,7 @@ namespace fpm {
 
 class CancelToken;
 
-/// Pattern toggles and knobs for the LCM kernel.
+/// Pattern toggles and the tile size for the LCM kernel.
 ///
 /// Naming convention (shared by EclatOptions/FpGrowthOptions): each
 /// boolean toggle is a noun phrase naming the optimization it enables
@@ -49,21 +49,13 @@ struct LcmOptions {
   /// tile's transaction data fits in half the L1 data cache.
   uint32_t tile_entries = 0;
 
-  /// Wave-front distances (occurrence entries ahead).
-  uint32_t prefetch_near = 4;
-  uint32_t prefetch_far = 8;
-
-  /// Accumulate per-phase wall time into LcmPhaseStats (adds timer
-  /// overhead; off by default).
-  bool collect_phase_stats = false;
-
   /// Cooperative cancellation: polled at every frame boundary (level
   /// entry, per-item projection). A cancelled run stops descending and
   /// Mine() returns the token's status. The token must outlive the run.
   /// Null = never cancelled.
   const CancelToken* cancel = nullptr;
 
-  /// Enables every pattern (tile/prefetch knobs keep their defaults).
+  /// Enables every pattern (the tile size keeps its default).
   static LcmOptions All() {
     LcmOptions o;
     o.lexicographic_order = true;
@@ -76,15 +68,6 @@ struct LcmOptions {
 
   /// "+lex+agg+cmp+tile+wave" style suffix (empty when all off).
   std::string Suffix() const;
-};
-
-/// Per-phase wall time of the latest Mine() call, filled only when
-/// LcmOptions::collect_phase_stats is set. The names match the paper's
-/// hot functions for Figure 2.
-struct LcmPhaseStats {
-  double calcfreq_seconds = 0.0;    ///< counting + occurrence deliver
-  double rmduptrans_seconds = 0.0;  ///< duplicate merging
-  double project_seconds = 0.0;     ///< conditional database construction
 };
 
 /// Array-based depth-first miner. Not thread-safe; use one instance per
@@ -100,7 +83,6 @@ class LcmMiner : public Miner {
   std::unique_ptr<Miner> NativeClosedMiner() const override;
 
   const LcmOptions& options() const { return options_; }
-  const LcmPhaseStats& phase_stats() const { return phase_stats_; }
 
  protected:
   Result<MineStats> MineImpl(const Database& db, Support min_support,
@@ -109,7 +91,6 @@ class LcmMiner : public Miner {
  private:
   struct Impl;
   LcmOptions options_;
-  LcmPhaseStats phase_stats_;
 };
 
 }  // namespace fpm

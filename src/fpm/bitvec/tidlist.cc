@@ -60,25 +60,4 @@ size_t IntersectTidLists(std::span<const Tid> a, std::span<const Tid> b,
   return n;
 }
 
-size_t DifferenceTidLists(std::span<const Tid> a, std::span<const Tid> b,
-                          const Support* weights, Tid* out,
-                          Support* weight) {
-  size_t i = 0, j = 0, n = 0;
-  Support total = 0;
-  while (i < a.size()) {
-    const Tid ta = a[i];
-    while (j < b.size() && b[j] < ta) ++j;
-    if (j < b.size() && b[j] == ta) {
-      ++i;
-      ++j;
-    } else {
-      out[n++] = ta;
-      total += weights[ta];
-      ++i;
-    }
-  }
-  *weight = total;
-  return n;
-}
-
 }  // namespace fpm

@@ -1,8 +1,8 @@
 // Sparse vertical representation: per-item sorted transaction-id lists
 // (§3.3 Feature 2, choice (2), in item-major form). The data structure
-// adaptation pattern (P2) picks between this and the dense bit matrix by
-// input density: a tid list beats a bit vector once the column holds
-// fewer than ~1/32 of the transactions (4 bytes/entry vs 1 bit/row).
+// adaptation pattern (P2): Eclat mines with these instead of the dense
+// bit matrix when its frequent columns' fill is below
+// 1 / kEclatTidListFillInverse (fpm/algo/eclat/eclat_miner.h).
 
 #ifndef FPM_BITVEC_TIDLIST_H_
 #define FPM_BITVEC_TIDLIST_H_
@@ -54,16 +54,6 @@ class TidListDatabase {
 size_t IntersectTidLists(std::span<const Tid> a, std::span<const Tid> b,
                          const Support* weights, Tid* out,
                          Support* support);
-
-/// Sorted-merge difference a \ b: writes tids of `a` absent from `b` to
-/// `out` (must have room for |a|) and returns the number written;
-/// `*weight` receives the summed weight of the result. This is the
-/// diffset primitive of dEclat (Zaki & Gouda, KDD'03 — the paper's
-/// reference [33]): d(PXY) = d(PY) \ d(PX), support(PXY) =
-/// support(PX) - weight(d(PXY)).
-size_t DifferenceTidLists(std::span<const Tid> a, std::span<const Tid> b,
-                          const Support* weights, Tid* out,
-                          Support* weight);
 
 }  // namespace fpm
 

@@ -18,9 +18,9 @@
 //      byte-identical itemset order contract.
 //
 // The opt-in scatter path (ExecuteScatter) instead fans SON phase 1/2
-// sub-queries across ALL healthy owners and merges through the shard
-// functions PartitionedMiner itself runs (fpm/core/partition.h) —
-// higher throughput for cold heavy queries, canonical result order.
+// sub-queries across ALL healthy owners and merges through the SON
+// shard functions (fpm/core/partition.h) — higher throughput for cold
+// heavy queries, canonical result order.
 //
 // Failure policy: a dead replica costs one failover
 // (fpm.cluster.failovers) and the next replica is tried; when every
@@ -149,7 +149,7 @@ class Coordinator {
                                     const std::function<bool()>& abort);
 
   /// Scatter execution: SON phase 1/2 fan-out over all healthy owners,
-  /// merged with the PartitionedMiner math. FailedPrecondition when the
+  /// merged by the SON shard functions. FailedPrecondition when the
   /// query is not task "frequent" or fewer than two owners are healthy
   /// (caller runs locally). Canonical result order.
   Result<MineResponse> ExecuteScatter(const MineRequest& request,

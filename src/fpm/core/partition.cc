@@ -1,15 +1,12 @@
 #include "fpm/core/partition.h"
 
 #include <algorithm>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "fpm/algo/candidate_trie.h"
 #include "fpm/core/mine.h"
-#include "fpm/obs/trace.h"
-#include "fpm/parallel/thread_pool.h"
 
 namespace fpm {
 
@@ -107,84 +104,6 @@ std::vector<CollectingSink::Entry> MergeShardCounts(
     if (total >= min_support) out.emplace_back(candidates[i], total);
   }
   return out;
-}
-
-PartitionedMiner::PartitionedMiner(PartitionOptions options)
-    : options_(options) {}
-
-std::string PartitionedMiner::name() const {
-  return std::string("partition(") +
-         std::to_string(options_.num_partitions) + "x" +
-         AlgorithmName(options_.inner_algorithm) + ")";
-}
-
-Result<MineStats> PartitionedMiner::MineImpl(const Database& db,
-                                             Support min_support,
-                                             ItemsetSink* sink) {
-  if (options_.num_partitions < 1) {
-    return Status::InvalidArgument("num_partitions must be >= 1");
-  }
-  if (options_.execution.num_threads == 0) {
-    return Status::InvalidArgument("ExecutionPolicy.num_threads must be >= 1");
-  }
-  MineStats stats;
-  last_candidates_ = 0;
-  PhaseSpan mine_span(PhaseName(PhaseId::kMine));
-
-  const size_t n = db.num_transactions();
-  const uint32_t k = static_cast<uint32_t>(
-      std::min<size_t>(options_.num_partitions, n == 0 ? 1 : n));
-
-  // ---- Phase 1: mine each slice at its scaled support. ---------------
-  // Slices are independent, so with num_threads > 1 they run
-  // concurrently on the pool, each into its own result list; the
-  // candidate union is formed afterwards on the calling thread.
-  std::vector<std::vector<CollectingSink::Entry>> locals(k);
-  std::mutex err_mu;
-  Status first_error = Status::OK();
-
-  auto mine_partition = [&](uint32_t p) {
-    ScopedSpan part_span("partition");
-    part_span.AddArg("partition", p);
-    Result<std::vector<CollectingSink::Entry>> local =
-        MineShardPartition(db, {p, k}, min_support, options_.inner_algorithm,
-                           options_.inner_patterns);
-    if (local.ok()) {
-      locals[p] = std::move(local).value();
-      return;
-    }
-    std::lock_guard<std::mutex> lk(err_mu);
-    if (first_error.ok()) first_error = local.status();
-  };
-
-  if (options_.execution.num_threads > 1 && k > 1) {
-    ThreadPool pool(std::min(options_.execution.num_threads, k));
-    for (uint32_t p = 0; p < k; ++p) {
-      pool.Submit([&mine_partition, p] { mine_partition(p); });
-    }
-    pool.Wait();
-  } else {
-    for (uint32_t p = 0; p < k; ++p) mine_partition(p);
-  }
-  if (!first_error.ok()) return first_error;
-
-  // ---- Phase 2: exact counting over the whole database. --------------
-  ScopedSpan count_span("count_candidates");
-  const std::vector<Itemset> candidates =
-      MergeShardCandidates(std::move(locals));
-  last_candidates_ = candidates.size();
-  FPM_ASSIGN_OR_RETURN(std::vector<Support> counts,
-                       CountShardPartition(db, {0, 1}, candidates));
-  for (const auto& [set, support] :
-       MergeShardCounts(candidates, {std::move(counts)}, min_support)) {
-    sink->Emit(set, support);
-    ++stats.num_frequent;
-  }
-
-  count_span.AddArg("candidates", last_candidates_);
-  count_span.End();
-  stats.FinishPhase(PhaseId::kMine, mine_span);
-  return stats;
 }
 
 }  // namespace fpm

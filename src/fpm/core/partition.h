@@ -22,10 +22,8 @@
 //   filter   keep candidates whose summed count is >= S, canonical
 //            order                                 (MergeShardCounts)
 //
-// PartitionedMiner runs them in one process: phase 1 per slice, then
-// one count over the whole database. fpmd's cluster scatter runs the
-// same functions across owners — shard_query modes "mine" and "count"
-// on each owner, the merges on the coordinator — and
+// fpmd's cluster scatter runs them across owners — shard_query modes
+// "mine" and "count" on each owner, the merges on the coordinator — and
 // bench_cluster_fanout times them in-process.
 //
 // Output-order contract: the result is the canonical (sorted) itemset
@@ -33,9 +31,9 @@
 // a direct mine's exactly.
 //
 // The classic motivation is out-of-core mining (each partition fits in
-// memory); here it also serves as an independently-derived cross-check
-// of the depth-first kernels and as the substrate for the paper's
-// reference [30] baseline.
+// memory); here it is the substrate of the cluster's scatter queries,
+// and tests/core/shard_exec_test.cc checks it against direct mining for
+// every kernel.
 
 #ifndef FPM_CORE_PARTITION_H_
 #define FPM_CORE_PARTITION_H_
@@ -43,7 +41,6 @@
 #include <vector>
 
 #include "fpm/algo/itemset_sink.h"
-#include "fpm/algo/miner.h"
 #include "fpm/common/status.h"
 #include "fpm/core/patterns.h"
 #include "fpm/dataset/database.h"
@@ -88,43 +85,6 @@ std::vector<CollectingSink::Entry> MergeShardCounts(
     const std::vector<Itemset>& candidates,
     const std::vector<std::vector<Support>>& per_shard,
     Support min_support);
-
-/// Configuration of the partitioned miner.
-struct PartitionOptions {
-  /// Number of partitions (>= 1). 1 degenerates to plain mining plus a
-  /// verification pass.
-  uint32_t num_partitions = 4;
-  /// Kernel used for the per-partition phase-1 mining.
-  Algorithm inner_algorithm = Algorithm::kLcm;
-  /// Patterns for the inner miner.
-  PatternSet inner_patterns;
-  /// num_threads > 1 mines the phase-1 partitions concurrently on a
-  /// work-stealing pool (partitions are independent; each mines into a
-  /// private result list). Phase 2 is a single counting pass either
-  /// way, so the output never depends on the policy.
-  ExecutionPolicy execution;
-};
-
-/// Two-phase partitioned miner over the shard functions above. Exact:
-/// output equals direct mining as a set, emitted in canonical order.
-class PartitionedMiner : public Miner {
- public:
-  explicit PartitionedMiner(PartitionOptions options = PartitionOptions());
-
-  std::string name() const override;
-
-  /// Candidates produced by phase 1 in the latest run (>= the number of
-  /// truly frequent itemsets; the gap measures phase-1 overshoot).
-  uint64_t last_candidate_count() const { return last_candidates_; }
-
- protected:
-  Result<MineStats> MineImpl(const Database& db, Support min_support,
-                             ItemsetSink* sink) override;
-
- private:
-  PartitionOptions options_;
-  uint64_t last_candidates_ = 0;
-};
 
 }  // namespace fpm
 

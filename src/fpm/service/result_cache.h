@@ -38,7 +38,9 @@
 // Dominance filtering preserves order only for kernels whose emission
 // order is independent of min_support. That holds for LCM (frequency
 // ranking and occurrence-deliver order never consult the threshold) and
-// for Eclat (ascending-support item order with a rank tie-break), but
+// for Eclat (ascending-support item order with a rank tie-break, walked
+// the same way by its bit-vector and tid-list layouts, so it holds even
+// when the two thresholds pick different layouts), but
 // NOT for FP-Growth: its single-path shortcut switches a subtree to
 // subset-enumeration order, and whether a conditional tree is
 // single-path depends on the threshold. SupportsDominanceReuse()

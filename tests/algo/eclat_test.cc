@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "fpm/algo/lcm/lcm_miner.h"
 #include "fpm/dataset/quest_gen.h"
 #include "testing/db_testutil.h"
 
 namespace fpm {
 namespace {
 
+using testutil::EclatFootprints;
 using testutil::MakeDb;
 using testutil::MineCanonical;
 
@@ -88,50 +93,108 @@ TEST(EclatMinerTest, StatsPopulated) {
   EXPECT_GT(stats->peak_structure_bytes, 0u);
 }
 
-TEST(EclatRepresentationTest, NamesAreStable) {
-  EXPECT_STREQ(EclatRepresentationName(EclatRepresentation::kBitVector),
-               "bitvector");
-  EXPECT_STREQ(EclatRepresentationName(EclatRepresentation::kTidList),
-               "tidlist");
-  EXPECT_STREQ(EclatRepresentationName(EclatRepresentation::kDiffset),
-               "diffset");
-  EXPECT_STREQ(EclatRepresentationName(EclatRepresentation::kAuto), "auto");
-}
+// ---- P2: the layout follows the data ---------------------------------
 
-TEST(EclatRepresentationTest, SuffixIncludesNonDefaultRepresentation) {
-  EclatOptions o;
-  o.representation = EclatRepresentation::kDiffset;
-  EXPECT_EQ(o.Suffix(), "+repr:diffset");
-  o.representation = EclatRepresentation::kBitVector;
-  EXPECT_EQ(o.Suffix(), "");
-}
-
-TEST(EclatRepresentationTest, AutoPicksTidListOnSparseData) {
-  // Very sparse: every frequent column fill far below 1/32, over a
-  // universe wide enough that the dense matrix would dwarf the lists.
+TEST(EclatLayoutTest, PicksTidListsOnSparseData) {
+  // Every item occurs 4 times in 8000 transactions: a fill of 1/2000,
+  // far below the constant, over a universe wide enough that the dense
+  // matrix would dwarf the lists.
   DatabaseBuilder b;
   for (int i = 0; i < 8000; ++i) {
-    b.AddTransaction({static_cast<Item>(i % 400),
-                      static_cast<Item>((i + 7) % 400)});
+    b.AddTransaction({static_cast<Item>(i % 4000),
+                      static_cast<Item>((i + 7) % 4000)});
   }
   Database db = b.Build();
-  EclatOptions o;
-  o.representation = EclatRepresentation::kAuto;
-  EclatMiner auto_miner(o);
-  EclatMiner dense_miner;  // bit vector
-  CollectingSink auto_sink, dense_sink;
-  Result<MineStats> auto_stats = auto_miner.Mine(db, 10, &auto_sink);
-  Result<MineStats> dense_stats = dense_miner.Mine(db, 10, &dense_sink);
-  ASSERT_TRUE(auto_stats.ok());
-  ASSERT_TRUE(dense_stats.ok());
-  auto_sink.Canonicalize();
-  dense_sink.Canonicalize();
-  testutil::ExpectSameResults(dense_sink.results(), auto_sink.results(),
-                              "auto-vs-dense");
-  // Sparse build must be far smaller than the dense matrix would be.
-  EXPECT_LT(auto_stats->peak_structure_bytes,
-            dense_stats->peak_structure_bytes);
+  EclatMiner miner(EclatOptions::All());
+  CollectingSink sink;
+  Result<MineStats> stats = miner.Mine(db, 2, &sink);
+  ASSERT_TRUE(stats.ok());
+  sink.Canonicalize();
+  LcmMiner reference;
+  testutil::ExpectSameResults(MineCanonical(reference, db, 2),
+                              sink.results(), "tidlists-vs-lcm");
+  const testutil::EclatLayoutBytes bytes = EclatFootprints(db, 2);
+  EXPECT_EQ(stats->peak_structure_bytes, bytes.tid_lists);
+  EXPECT_LT(stats->peak_structure_bytes, bytes.bit_vectors / 10);
 }
+
+TEST(EclatLayoutTest, FillAtTheConstantKeepsBitVectors) {
+  // K items, each in exactly 2 of 2K transactions: the fill is exactly
+  // 1/K, which is not below the constant. One more transaction of an
+  // infrequent item lowers it just below.
+  const Item k = static_cast<Item>(kEclatTidListFillInverse);
+  auto build = [k](bool lower) {
+    DatabaseBuilder b;
+    for (Item i = 0; i < k; ++i) {
+      b.AddTransaction({i});
+      b.AddTransaction({i});
+    }
+    if (lower) b.AddTransaction({k});
+    return b.Build();
+  };
+  const Database at = build(false);
+  const Database below = build(true);
+
+  EclatMiner miner;
+  CountingSink sink;
+  Result<MineStats> at_stats = miner.Mine(at, 2, &sink);
+  ASSERT_TRUE(at_stats.ok());
+  EXPECT_EQ(at_stats->peak_structure_bytes,
+            EclatFootprints(at, 2).bit_vectors);
+  Result<MineStats> below_stats = miner.Mine(below, 2, &sink);
+  ASSERT_TRUE(below_stats.ok());
+  EXPECT_EQ(below_stats->peak_structure_bytes,
+            EclatFootprints(below, 2).tid_lists);
+  EXPECT_EQ(at_stats->num_frequent, below_stats->num_frequent);
+}
+
+// An input whose fill crosses the constant between two supports: tid
+// lists at the lower one, bit vectors at the higher. Under every pattern
+// configuration the lower run's emission sequence, filtered to the
+// higher support, is the higher run's sequence element for element —
+// the property the result cache's dominance reuse relies on
+// (SupportsDominanceReuse(kEclat)).
+class EclatStraddleTest
+    : public ::testing::TestWithParam<
+          std::tuple<bool, bool, PopcountStrategy>> {};
+
+TEST_P(EclatStraddleTest, LowerSupportRunFilteredIsTheHigherSupportRun) {
+  EclatOptions o;
+  o.lexicographic_order = std::get<0>(GetParam());
+  o.zero_escaping = std::get<1>(GetParam());
+  o.popcount = std::get<2>(GetParam());
+  if (!PopcountStrategyAvailable(o.popcount)) {
+    GTEST_SKIP() << "strategy unavailable";
+  }
+  const Database db = testutil::SparseDb(
+      {.num_transactions = 8192, .num_groups = 1024, .dense_items = 5});
+  constexpr Support kLow = 3;
+  constexpr Support kHigh = 100;
+  EclatMiner miner(o);
+  CollectingSink low, high;
+  Result<MineStats> low_stats = miner.Mine(db, kLow, &low);
+  Result<MineStats> high_stats = miner.Mine(db, kHigh, &high);
+  ASSERT_TRUE(low_stats.ok() && high_stats.ok());
+  ASSERT_EQ(low_stats->peak_structure_bytes,
+            EclatFootprints(db, kLow).tid_lists);
+  ASSERT_EQ(high_stats->peak_structure_bytes,
+            EclatFootprints(db, kHigh).bit_vectors);
+
+  std::vector<CollectingSink::Entry> filtered;
+  for (const CollectingSink::Entry& entry : low.results()) {
+    if (entry.second >= kHigh) filtered.push_back(entry);
+  }
+  ASSERT_GT(high.size(), 10u);
+  EXPECT_EQ(filtered, high.results()) << miner.name();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, EclatStraddleTest,
+    ::testing::Combine(
+        ::testing::Bool(), ::testing::Bool(),
+        ::testing::Values(PopcountStrategy::kLut16, PopcountStrategy::kSwar,
+                          PopcountStrategy::kHardware,
+                          PopcountStrategy::kAuto)));
 
 TEST(EclatMinerTest, RejectsBadArguments) {
   Database db = MakeDb({{0}});

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "fpm/algo/apriori.h"
@@ -59,33 +61,70 @@ INSTANTIATE_TEST_SUITE_P(AllPatternMasks, LcmConfigTest,
                          ::testing::Range(0, 32));
 
 // ---------------------------------------------------------------------
-// All Eclat configurations: {lex} x {escape} x {popcount strategies}.
+// All Eclat configurations: {lex} x {escape} x {popcount strategies}, each
+// on dense inputs (bit vectors) and on sparse ones whose fill is below
+// kEclatTidListFillInverse (tid lists), unweighted and weighted. So every
+// configuration runs both layouts. The brute-force oracle checks the
+// dense inputs; the sparse ones, too wide for it, are checked against
+// LCM's listing.
+
+enum class EclatInput { kDense, kDenseWeighted, kSparse, kSparseWeighted };
+
+void PrintTo(EclatInput input, std::ostream* os) {
+  static constexpr const char* kNames[] = {"dense", "dense_weighted",
+                                           "sparse", "sparse_weighted"};
+  *os << kNames[static_cast<int>(input)];
+}
 
 class EclatConfigTest
     : public ::testing::TestWithParam<
-          std::tuple<bool, bool, PopcountStrategy, EclatRepresentation>> {};
+          std::tuple<bool, bool, PopcountStrategy, EclatInput>> {};
 
-TEST_P(EclatConfigTest, MatchesOracleOnRandomDbs) {
+TEST_P(EclatConfigTest, MatchesReference) {
   EclatOptions o;
   o.lexicographic_order = std::get<0>(GetParam());
   o.zero_escaping = std::get<1>(GetParam());
   o.popcount = std::get<2>(GetParam());
-  o.representation = std::get<3>(GetParam());
+  const EclatInput input = std::get<3>(GetParam());
   if (!PopcountStrategyAvailable(o.popcount)) {
     GTEST_SKIP() << "strategy unavailable";
   }
+  const bool sparse = input == EclatInput::kSparse ||
+                      input == EclatInput::kSparseWeighted;
+  const bool weighted = input == EclatInput::kDenseWeighted ||
+                        input == EclatInput::kSparseWeighted;
   EclatMiner miner(o);
   BruteForceMiner oracle;
+  LcmMiner lcm;
+  Miner& reference = sparse ? static_cast<Miner&>(lcm) : oracle;
   for (uint64_t seed = 11; seed <= 13; ++seed) {
-    RandomDbSpec spec;
-    spec.seed = seed;
-    spec.num_transactions = 50;
-    spec.num_items = 8;
-    Database db = RandomDb(spec);
-    const auto expected = MineCanonical(oracle, db, 4);
-    const auto actual = MineCanonical(miner, db, 4);
-    ExpectSameResults(expected, actual,
-                      miner.name() + " seed=" + std::to_string(seed));
+    Database db;
+    Support min_support = 0;
+    if (sparse) {
+      db = testutil::SparseDb(
+          {.max_weight = weighted ? 3u : 1u, .seed = seed});
+      min_support = weighted ? 6 : 3;
+    } else {
+      RandomDbSpec spec;
+      spec.seed = seed;
+      spec.num_transactions = 50;
+      spec.num_items = 8;
+      spec.max_weight = weighted ? 3 : 1;
+      db = RandomDb(spec);
+      min_support = weighted ? 8 : 4;
+    }
+    const std::string where = miner.name() + " seed=" + std::to_string(seed);
+    CollectingSink sink;
+    Result<MineStats> stats = miner.Mine(db, min_support, &sink);
+    ASSERT_TRUE(stats.ok()) << where;
+    sink.Canonicalize();
+    ExpectSameResults(MineCanonical(reference, db, min_support),
+                      sink.results(), where);
+    const testutil::EclatLayoutBytes bytes =
+        testutil::EclatFootprints(db, min_support);
+    EXPECT_EQ(stats->peak_structure_bytes,
+              sparse ? bytes.tid_lists : bytes.bit_vectors)
+        << where;
   }
 }
 
@@ -96,10 +135,9 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(PopcountStrategy::kLut16, PopcountStrategy::kSwar,
                           PopcountStrategy::kHardware,
                           PopcountStrategy::kAuto),
-        ::testing::Values(EclatRepresentation::kBitVector,
-                          EclatRepresentation::kTidList,
-                          EclatRepresentation::kDiffset,
-                          EclatRepresentation::kAuto)));
+        ::testing::Values(EclatInput::kDense, EclatInput::kDenseWeighted,
+                          EclatInput::kSparse,
+                          EclatInput::kSparseWeighted)));
 
 // ---------------------------------------------------------------------
 // All FP-Growth configurations (2^4 = 16; dfs_relayout implies compact).

@@ -241,21 +241,19 @@ TEST(CompactFpTreeTest, SinglePathDetection) {
 TEST(CompactFpTreeTest, JumpPointersBuiltWhenPrefetching) {
   FpTreeConfig config;
   config.software_prefetch = true;
-  config.jump_distance = 2;
-  CompactFpTree tree(3, config);
-  // Several leaves of item 2 to get a node-link chain.
-  const Item pa[] = {0, 2};
-  const Item pb[] = {1, 2};
-  const Item pc[] = {2};
-  tree.AddPath(pa, 1);
-  tree.AddPath(pb, 1);
-  tree.AddPath(pc, 1);
+  CompactFpTree tree(7, config);
+  // Six leaves of item 6: a node-link chain longer than the jump
+  // distance, so some jump pointers land inside the chain.
+  for (Item first = 0; first < 6; ++first) {
+    const Item path[] = {first, 6};
+    tree.AddPath(path, 1);
+  }
   tree.Finalize();
-  EXPECT_EQ(tree.ItemSupport(2), 3u);
+  EXPECT_EQ(tree.ItemSupport(6), 6u);
   // Behaviour (not just construction) must be unchanged by prefetch.
   size_t paths = 0;
-  tree.ForEachPath(2, [&](std::span<const Item>, Support) { ++paths; });
-  EXPECT_EQ(paths, 3u);
+  tree.ForEachPath(6, [&](std::span<const Item>, Support) { ++paths; });
+  EXPECT_EQ(paths, 6u);
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <vector>
 
 #include "fpm/algo/itemset_sink.h"
 #include "fpm/common/cancel.h"
 #include "fpm/core/mine.h"
 #include "fpm/dataset/fimi_io.h"
 #include "service/service_test_util.h"
+#include "testing/db_testutil.h"
 
 namespace fpm {
 namespace {
@@ -19,18 +21,23 @@ namespace {
 class CancelKernelTest : public testing::TestWithParam<Algorithm> {};
 
 TEST_P(CancelKernelTest, PreCancelledTokenStopsTheRun) {
-  auto db = ParseFimi(test::DenseFimiText(/*rows=*/200));
-  ASSERT_TRUE(db.ok());
-  CancelToken cancel;
-  cancel.RequestCancel();
-  MineOptions options;
-  options.algorithm = GetParam();
-  options.min_support = 2;
-  options.cancel = &cancel;
-  CollectingSink sink;
-  auto stats = Mine(*db, options, &sink);
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kCancelled);
+  auto dense = ParseFimi(test::DenseFimiText(/*rows=*/200));
+  ASSERT_TRUE(dense.ok());
+  // Eclat mines the dense input with bit vectors and the sparse one,
+  // whose fill is far below kEclatTidListFillInverse, with tid lists.
+  const std::vector<Database> inputs = {*dense, testutil::SparseDb({})};
+  for (const Database& db : inputs) {
+    CancelToken cancel;
+    cancel.RequestCancel();
+    MineOptions options;
+    options.algorithm = GetParam();
+    options.min_support = 2;
+    options.cancel = &cancel;
+    CollectingSink sink;
+    auto stats = Mine(db, options, &sink);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kCancelled);
+  }
 }
 
 TEST_P(CancelKernelTest, DeadlineConvertsToDeadlineExceeded) {

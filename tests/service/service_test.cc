@@ -19,6 +19,7 @@
 #include "fpm/obs/query_log.h"
 #include "fpm/obs/trace.h"
 #include "service/service_test_util.h"
+#include "testing/db_testutil.h"
 
 namespace fpm {
 namespace {
@@ -107,31 +108,52 @@ TEST(MiningServiceTest, PackedAndFimiPathsShareTheResultCache) {
 class DominanceTest : public testing::TestWithParam<Algorithm> {};
 
 TEST_P(DominanceTest, DominatedQueryIsByteIdenticalToAFreshMine) {
-  const std::string path = test::WriteTempFimi(
-      std::string("service_dom_") + AlgorithmName(GetParam()) + ".dat",
+  const std::string name = AlgorithmName(GetParam());
+  const std::string dense = test::WriteTempFimi(
+      "service_dom_" + name + ".dat",
       test::DenseFimiText(/*rows=*/60, /*universe=*/12, /*k=*/6));
-  MiningService service(MiningService::Options{.num_threads = 2});
-  // Low threshold first: the cached superset every higher-threshold
-  // query filters from.
-  auto low = service.Execute(Request(path, GetParam(), 4));
-  ASSERT_TRUE(low.ok()) << low.status();
-  EXPECT_EQ(low->cache, CacheOutcome::kMiss);
+  // This input's fill crosses kEclatTidListFillInverse between its low
+  // and its dominated supports (EclatStraddleTest): Eclat's cached run
+  // mines tid lists, a fresh run at a dominated support bit vectors.
+  const std::string straddle =
+      testing::TempDir() + "/service_dom_straddle_" + name + ".dat";
+  ASSERT_TRUE(WriteFimiFile(testutil::SparseDb({.num_transactions = 8192,
+                                                .num_groups = 1024,
+                                                .dense_items = 5}),
+                            straddle)
+                  .ok());
+  struct Case {
+    std::string path;
+    Support low;
+    std::vector<Support> dominated;
+  };
+  for (const Case& c : {Case{dense, 4, {8, 16}},
+                        Case{straddle, 3, {100, 200}}}) {
+    MiningService service(MiningService::Options{.num_threads = 2});
+    // Low threshold first: the cached superset every higher-threshold
+    // query filters from.
+    auto low = service.Execute(Request(c.path, GetParam(), c.low));
+    ASSERT_TRUE(low.ok()) << low.status();
+    EXPECT_EQ(low->cache, CacheOutcome::kMiss);
 
-  for (Support minsup : {8u, 16u}) {
-    auto dominated = service.Execute(Request(path, GetParam(), minsup));
-    ASSERT_TRUE(dominated.ok()) << dominated.status();
-    EXPECT_EQ(dominated->cache, CacheOutcome::kDominated)
-        << "minsup=" << minsup;
-    // The contract: identical to mining fresh, including emission order.
-    EXPECT_EQ(dominated->itemsets, DirectMine(path, GetParam(), minsup))
-        << "minsup=" << minsup;
-    // Memoized: asking again is an exact hit, same bytes.
-    auto again = service.Execute(Request(path, GetParam(), minsup));
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(again->cache, CacheOutcome::kExact);
-    EXPECT_EQ(again->itemsets, dominated->itemsets);
+    for (Support minsup : c.dominated) {
+      auto dominated = service.Execute(Request(c.path, GetParam(), minsup));
+      ASSERT_TRUE(dominated.ok()) << dominated.status();
+      EXPECT_EQ(dominated->cache, CacheOutcome::kDominated)
+          << c.path << " minsup=" << minsup;
+      ASSERT_FALSE(dominated->itemsets.empty()) << c.path;
+      // The contract: identical to mining fresh, including emission
+      // order.
+      EXPECT_EQ(dominated->itemsets, DirectMine(c.path, GetParam(), minsup))
+          << c.path << " minsup=" << minsup;
+      // Memoized: asking again is an exact hit, same bytes.
+      auto again = service.Execute(Request(c.path, GetParam(), minsup));
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(again->cache, CacheOutcome::kExact);
+      EXPECT_EQ(again->itemsets, dominated->itemsets);
+    }
+    EXPECT_EQ(service.cache().stats().dominated_hits, c.dominated.size());
   }
-  EXPECT_EQ(service.cache().stats().dominated_hits, 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(OrderStableKernels, DominanceTest,

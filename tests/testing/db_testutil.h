@@ -1,6 +1,6 @@
-// Shared helpers for miner tests: small database literals, random
-// database generation, and canonical mining wrappers for equivalence
-// checks.
+// Shared helpers for miner tests: small database literals, random and
+// sparse database generation, Eclat's layout footprints, and canonical
+// mining wrappers for equivalence checks.
 
 #ifndef FPM_TESTS_TESTING_DB_TESTUTIL_H_
 #define FPM_TESTS_TESTING_DB_TESTUTIL_H_
@@ -12,8 +12,11 @@
 
 #include "fpm/algo/itemset_sink.h"
 #include "fpm/algo/miner.h"
+#include "fpm/bitvec/tidlist.h"
+#include "fpm/bitvec/vertical.h"
 #include "fpm/common/rng.h"
 #include "fpm/dataset/database.h"
+#include "fpm/layout/item_order.h"
 
 namespace fpm::testutil {
 
@@ -30,6 +33,8 @@ struct RandomDbSpec {
   uint32_t num_items = 8;
   double avg_len = 4.0;
   uint64_t seed = 1;
+  /// > 1 draws each transaction's weight from [1, max_weight].
+  uint32_t max_weight = 1;
 };
 
 /// Uniform random database (no structure) — the adversarial input for
@@ -45,9 +50,76 @@ inline Database RandomDb(const RandomDbSpec& spec) {
     for (uint32_t i = 0; i < len; ++i) {
       tx.push_back(static_cast<Item>(rng.NextBounded(spec.num_items)));
     }
-    b.AddTransaction(tx);  // duplicates removed by the builder
+    const Support weight =
+        spec.max_weight > 1
+            ? 1 + static_cast<Support>(rng.NextBounded(spec.max_weight))
+            : 1;
+    b.AddTransaction(tx, weight);  // duplicates removed by the builder
   }
   return b.Build();
+}
+
+/// Knobs for SparseDb.
+struct SparseDbSpec {
+  uint32_t num_transactions = 4096;
+  uint32_t num_groups = 512;
+  uint32_t dense_items = 0;
+  uint32_t max_weight = 1;
+  uint64_t seed = 1;
+};
+
+/// Sparse clustered database: each transaction draws 2-4 items (with
+/// repeats) from one of `num_groups` groups of 4 consecutive ids, so
+/// items co-occur inside their group while every column stays nearly
+/// empty. `dense_items` more items (ids after the groups) form a dense
+/// tier that stays frequent at supports no group item reaches:
+/// transaction t holds dense item d when bits d and d+1 of t are clear,
+/// so each is in every fourth transaction and the tier's itemsets tie
+/// in support in many ways. With `max_weight` > 1 every transaction's
+/// weight is drawn from [1, max_weight].
+inline Database SparseDb(const SparseDbSpec& spec) {
+  Rng rng(spec.seed);
+  DatabaseBuilder b;
+  std::vector<Item> tx;
+  const Item first_dense = 4 * spec.num_groups;
+  for (uint32_t t = 0; t < spec.num_transactions; ++t) {
+    tx.clear();
+    const Item group = 4 * static_cast<Item>(rng.NextBounded(spec.num_groups));
+    const uint32_t len = 2 + static_cast<uint32_t>(rng.NextBounded(3));
+    for (uint32_t i = 0; i < len; ++i) {
+      tx.push_back(group + static_cast<Item>(rng.NextBounded(4)));
+    }
+    for (uint32_t d = 0; d < spec.dense_items; ++d) {
+      if (((t >> d) & 3) == 0) tx.push_back(first_dense + d);
+    }
+    const Support weight =
+        spec.max_weight > 1
+            ? 1 + static_cast<Support>(rng.NextBounded(spec.max_weight))
+            : 1;
+    b.AddTransaction(tx, weight);  // duplicates removed by the builder
+  }
+  return b.Build();
+}
+
+/// Footprints of the two layouts Eclat can build for `db` at
+/// `min_support`: the bit matrix and the tid lists of its frequent
+/// items. An Eclat run's peak_structure_bytes is the one it picked.
+struct EclatLayoutBytes {
+  size_t bit_vectors = 0;
+  size_t tid_lists = 0;
+};
+
+inline EclatLayoutBytes EclatFootprints(const Database& db,
+                                        Support min_support) {
+  const Database ranked =
+      RemapItems(db, ItemOrder::ByDecreasingFrequency(db));
+  const auto freq = ranked.item_frequencies();
+  size_t num_frequent = 0;
+  while (num_frequent < freq.size() && freq[num_frequent] >= min_support) {
+    ++num_frequent;
+  }
+  return {VerticalDatabase::FromDatabase(ranked, num_frequent).memory_bytes(),
+          TidListDatabase::FromDatabase(ranked, num_frequent).memory_bytes()};
 }
 
 /// Mines and returns the canonicalized (itemset, support) list.

@@ -9,7 +9,8 @@ host block, the perf_counters availability block (a reason is required
 exactly when counters are unavailable), and the shape of every row's
 optional "phases" object, and — new in v2 — that every row tagged
 "driver": "nested" carries the task load-balance fields (max/mean
-per-worker busy seconds and their ratio). Every row with a "driver"
+per-worker busy seconds and their ratio) and is named after the driver
+("nested(...)"). Every row with a "driver"
 tag must also label its build time: "build_time" is "wall" on
 "driver": "seq" rows and "task_sum" (summed over class tasks) on
 "driver": "nested" rows. Service-throughput rows
@@ -238,6 +239,13 @@ def check(path):
                 err(f"rows[{i}] driver={row['driver']} but 'build_time' "
                     f"is {row.get('build_time')!r}, not {want!r}")
         if row.get("driver") == "nested":
+            # A nested row must have timed the class driver, whose name
+            # is "nested(<threads>x<kernel>)"; a bare kernel name means
+            # the row timed the sequential kernel against itself.
+            name = row.get("name")
+            if not isinstance(name, str) or not name.startswith("nested("):
+                err(f"rows[{i}] driver=nested but 'name' {name!r} does "
+                    "not start with 'nested('")
             for key in NESTED_ROW_KEYS:
                 v = row.get(key)
                 if not isinstance(v, (int, float)) or isinstance(v, bool):

@@ -43,10 +43,6 @@
 // identical to the --cluster flag's. --socket=PATH remains as the
 // Unix-only spelling.
 //
-// "query" accepts --scatter: ask a cluster node to fan the query out
-// across all owner replicas (SON partition math) instead of forwarding
-// it whole. Results come back in canonical order.
-//
 // "query" also accepts a "ds-N" handle id in place of the dataset path
 // (add --version=N to pin an older version; default is latest).
 //
@@ -87,7 +83,7 @@ int Usage(const char* argv0) {
                "       %s --endpoint=SPEC query DATASET|DS-ID MIN_SUPPORT "
                "[--task=NAME] [--top-k=N] [--min-confidence=X] "
                "[--min-lift=X] [--max-consequent=N] [--version=N] "
-               "[--trace-id=STR] [--scatter] [--algorithm=NAME] "
+               "[--trace-id=STR] [--algorithm=NAME] "
                "[--patterns=all|none] [--priority=N] [--timeout=SEC] "
                "[--count-only] [--repeat=N]\n"
                "       %s --endpoint=SPEC batch FILE\n"
@@ -182,7 +178,6 @@ int main(int argc, char** argv) {
   double last_seconds = -1.0;
   std::string trace_id;
   bool json_output = false;
-  bool scatter = false;
 
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
@@ -223,8 +218,6 @@ int main(int argc, char** argv) {
       trace_id = arg.substr(11);
     } else if (arg == "--json") {
       json_output = true;
-    } else if (arg == "--scatter") {
-      scatter = true;
     } else if (arg.rfind("--", 0) == 0) {
       return Usage(argv[0]);
     } else if (positional == 0) {
@@ -291,7 +284,6 @@ int main(int argc, char** argv) {
     request.Key("op").String(wire_op);
     if (!patterns.empty()) request.Key("patterns").String(patterns);
     if (priority != 0) request.Key("priority").Int(priority);
-    if (scatter) request.Key("scatter").Bool(true);
     if (!task.empty()) request.Key("task").String(task);
     if (timeout_seconds > 0.0) {
       request.Key("timeout_s").Number(timeout_seconds);

@@ -62,8 +62,7 @@ void CandidateTrie::Walk(uint32_t node_id, std::span<const Item> tx,
 }
 
 Result<std::vector<Support>> CountCandidates(
-    const Database& db, size_t begin, size_t end,
-    std::span<const Itemset> candidates) {
+    const Database& db, std::span<const Itemset> candidates) {
   std::vector<Support> counts(candidates.size(), 0);
   if (candidates.empty()) return counts;
 
@@ -89,7 +88,7 @@ Result<std::vector<Support>> CountCandidates(
   }
 
   std::vector<Item> sorted_tx;
-  for (size_t t = begin; t < end; ++t) {
+  for (size_t t = 0; t < db.num_transactions(); ++t) {
     const auto tx = db.transaction(static_cast<Tid>(t));
     sorted_tx.assign(tx.begin(), tx.end());
     std::sort(sorted_tx.begin(), sorted_tx.end());

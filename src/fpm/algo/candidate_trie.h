@@ -1,9 +1,7 @@
 // Prefix trie over a fixed candidate set, for batch support counting:
 // CountTransaction adds a transaction's weight to every candidate that
-// is a subset of it. The Apriori level loop drives a trie directly;
-// every other counting pass (the partitioned/SON miner's phase 2 in
-// core/partition.h, which fpmd's shard_query count also runs, and the
-// service's cache reseed over a version delta) goes through
+// is a subset of it. The Apriori level loop drives a trie directly; the
+// service's cache reseed over a version delta goes through
 // CountCandidates, which validates its candidates first.
 
 #ifndef FPM_ALGO_CANDIDATE_TRIE_H_
@@ -56,14 +54,13 @@ class CandidateTrie {
   std::vector<Node> nodes_{1};  // node 0 = root
 };
 
-/// Exact supports of `candidates` over transactions [begin, end) of
-/// `db`, in candidate order. Candidates need not be sorted (wire input
-/// is not); each is sorted before insertion. An empty candidate, one
-/// that repeats an item, or one equal as a set to an earlier candidate
-/// is InvalidArgument naming its index.
+/// Exact supports of `candidates` over every transaction of `db`, in
+/// candidate order. Candidates need not be sorted; each is sorted
+/// before insertion. An empty candidate, one that repeats an item, or
+/// one equal as a set to an earlier candidate is InvalidArgument naming
+/// its index.
 Result<std::vector<Support>> CountCandidates(
-    const Database& db, size_t begin, size_t end,
-    std::span<const Itemset> candidates);
+    const Database& db, std::span<const Itemset> candidates);
 
 }  // namespace fpm
 

@@ -31,12 +31,6 @@ TidListDatabase TidListDatabase::FromDatabase(const Database& db,
   return v;
 }
 
-Support TidListDatabase::ItemSupport(Item item) const {
-  Support total = 0;
-  for (Tid t : list(item)) total += weights_[t];
-  return total;
-}
-
 size_t IntersectTidLists(std::span<const Tid> a, std::span<const Tid> b,
                          const Support* weights, Tid* out,
                          Support* support) {

@@ -34,9 +34,6 @@ class TidListDatabase {
   /// Per-transaction weights (all 1 for unweighted inputs).
   const std::vector<Support>& weights() const { return weights_; }
 
-  /// Weighted support of `item`.
-  Support ItemSupport(Item item) const;
-
   size_t memory_bytes() const {
     return tids_.size() * sizeof(Tid) + offsets_.size() * sizeof(size_t) +
            weights_.size() * sizeof(Support);

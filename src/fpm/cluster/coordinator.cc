@@ -6,13 +6,11 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "fpm/cluster/endpoint.h"
 #include "fpm/cluster/peer_client.h"
 #include "fpm/common/json_writer.h"
-#include "fpm/core/partition.h"
 #include "fpm/dataset/packed.h"
 #include "fpm/obs/metrics.h"
 #include "fpm/service/protocol.h"
@@ -45,15 +43,6 @@ bool IsDeterministicRejection(StatusCode code) {
     default:
       return false;
   }
-}
-
-std::string JoinEndpoints(const std::vector<std::string>& endpoints) {
-  std::string out;
-  for (const std::string& e : endpoints) {
-    if (!out.empty()) out.push_back(',');
-    out += e;
-  }
-  return out;
 }
 
 }  // namespace
@@ -209,8 +198,7 @@ Result<std::string> Coordinator::ExecuteRemote(
 
   // Forward phase: route the whole query to one owner (its kernel, its
   // cache fill), replica by replica on failure.
-  const std::string forward_line = EncodeShardQueryRequest(
-      request, ClusterOpRequest::ShardMode::kExecute, 0, 1, {});
+  const std::string forward_line = EncodeShardQueryRequest(request);
   Status last = Status::Unavailable("no owner attempted");
   for (const std::string& owner : owners) {
     if (abort && abort()) {
@@ -239,129 +227,6 @@ Result<std::string> Coordinator::ExecuteRemote(
       digest + " failed; last: " + last.ToString());
 }
 
-Result<MineResponse> Coordinator::ExecuteScatter(
-    const MineRequest& request, const std::string& digest,
-    const std::function<bool()>& abort) {
-  if (request.query.task != MiningTask::kFrequent) {
-    return Status::FailedPrecondition(
-        "cluster: scatter supports task 'frequent' only");
-  }
-  std::vector<std::string> owners = OwnersForDigest(digest);
-  owners.erase(std::remove_if(owners.begin(), owners.end(),
-                              [this](const std::string& endpoint) {
-                                return !membership_.IsHealthy(endpoint);
-                              }),
-               owners.end());
-  const uint32_t k = static_cast<uint32_t>(owners.size());
-  if (k < 2) {
-    return Status::FailedPrecondition(
-        "cluster: scatter needs >= 2 healthy owners, have " +
-        std::to_string(k));
-  }
-  counters_.scatter_queries.fetch_add(1, std::memory_order_relaxed);
-  const auto start = std::chrono::steady_clock::now();
-
-  // One sub-query per partition, preferring owner p for partition p
-  // (even spread) and failing over around the owner list. `run_shard`
-  // is both phases' retry loop; only the wire payload differs.
-  const auto run_shard =
-      [&](uint32_t p, const std::string& line,
-          const std::function<Status(const std::string&)>& on_reply)
-      -> Status {
-    Status last = Status::Unavailable("no owner attempted");
-    for (uint32_t attempt = 0; attempt < k; ++attempt) {
-      if (abort && abort()) {
-        return Status::Cancelled("cluster: scatter aborted");
-      }
-      const std::string& owner = owners[(p + attempt) % k];
-      Result<std::string> raw =
-          CallPeer(owner, line, kPeerDeadlineSeconds, abort);
-      Status status = raw.ok() ? on_reply(raw.value()) : raw.status();
-      if (status.ok()) return status;
-      if (status.code() == StatusCode::kCancelled ||
-          IsDeterministicRejection(status.code())) {
-        return status;
-      }
-      last = status;
-      counters_.failovers.fetch_add(1, std::memory_order_relaxed);
-      failovers_counter_->Increment();
-    }
-    return Status::Unavailable("cluster: shard " + std::to_string(p) +
-                               " failed on every owner; last: " +
-                               last.ToString());
-  };
-
-  // Phase 1: local mines at the scaled threshold, one partition per
-  // owner, in parallel.
-  std::vector<std::vector<CollectingSink::Entry>> locals(k);
-  std::vector<Status> shard_status(k);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(k);
-    for (uint32_t p = 0; p < k; ++p) {
-      threads.emplace_back([&, p] {
-        const std::string line = EncodeShardQueryRequest(
-            request, ClusterOpRequest::ShardMode::kMine, p, k, {});
-        shard_status[p] = run_shard(p, line, [&](const std::string& reply) {
-          FPM_ASSIGN_OR_RETURN(locals[p], DecodeShardMineResponse(reply));
-          return Status::OK();
-        });
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  for (const Status& status : shard_status) {
-    FPM_RETURN_IF_ERROR(status);
-  }
-
-  const std::vector<Itemset> candidates =
-      MergeShardCandidates(std::move(locals));
-
-  // Phase 2: exact counts of the candidate union over every partition.
-  std::vector<std::vector<Support>> per_shard(k);
-  if (!candidates.empty()) {
-    std::vector<std::thread> threads;
-    threads.reserve(k);
-    for (uint32_t p = 0; p < k; ++p) {
-      threads.emplace_back([&, p] {
-        const std::string line = EncodeShardQueryRequest(
-            request, ClusterOpRequest::ShardMode::kCount, p, k, candidates);
-        shard_status[p] = run_shard(p, line, [&](const std::string& reply) {
-          FPM_ASSIGN_OR_RETURN(per_shard[p], DecodeShardCountResponse(reply));
-          if (per_shard[p].size() != candidates.size()) {
-            return Status::Unavailable(
-                "peer returned " + std::to_string(per_shard[p].size()) +
-                " counts for " + std::to_string(candidates.size()) +
-                " candidates");
-          }
-          return Status::OK();
-        });
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const Status& status : shard_status) {
-      FPM_RETURN_IF_ERROR(status);
-    }
-  }
-
-  std::vector<CollectingSink::Entry> merged =
-      MergeShardCounts(candidates, per_shard, request.query.min_support);
-
-  MineResponse response;
-  response.task = MiningTask::kFrequent;
-  response.num_frequent = merged.size();
-  if (!request.count_only) response.itemsets = std::move(merged);
-  response.cache = CacheOutcome::kMiss;
-  response.dataset_digest = digest;
-  response.trace_id = request.trace_id;
-  response.mine_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-  response.served_by = JoinEndpoints(owners);
-  response.shard_count = k;
-  return response;
-}
-
 void Coordinator::NoteLocalFallback() {
   counters_.local_fallbacks.fetch_add(1, std::memory_order_relaxed);
   local_fallbacks_counter_->Increment();
@@ -384,8 +249,6 @@ Coordinator::Counters Coordinator::counters() const {
   out.failovers = counters_.failovers.load(std::memory_order_relaxed);
   out.local_fallbacks =
       counters_.local_fallbacks.load(std::memory_order_relaxed);
-  out.scatter_queries =
-      counters_.scatter_queries.load(std::memory_order_relaxed);
   out.probe_hits_served =
       counters_.probe_hits_served.load(std::memory_order_relaxed);
   out.probe_misses_served =
@@ -419,7 +282,6 @@ std::string Coordinator::InfoJson(
   w.Key("probe_misses").Uint(c.probe_misses);
   w.Key("probe_misses_served").Uint(c.probe_misses_served);
   w.Key("remote_queries").Uint(c.remote_queries);
-  w.Key("scatter_queries").Uint(c.scatter_queries);
   w.EndObject();
   w.Key("enabled").Bool(true);
 

@@ -14,13 +14,12 @@
 //      replica by replica. Either answer is relayed without decoding:
 //      the client's line is the owner's bytes, checked in one pass,
 //      with only "hit", "peer", "query_id" and "trace_id" rewritten
-//      (RelayQueryResponse), so the default remote path keeps the
+//      (RelayQueryResponse), so a remote answer keeps the
 //      byte-identical itemset order contract.
 //
-// The opt-in scatter path (ExecuteScatter) instead fans SON phase 1/2
-// sub-queries across ALL healthy owners and merges through the SON
-// shard functions (fpm/core/partition.h) — higher throughput for cold
-// heavy queries, canonical result order.
+// That is the one way a query crosses nodes: every step on the owner
+// is a scheduler job (or, for a probe, a cache lookup), so the result
+// cache, deadlines, cancellation and the query log apply to it.
 //
 // Failure policy: a dead replica costs one failover
 // (fpm.cluster.failovers) and the next replica is tried; when every
@@ -68,7 +67,7 @@ struct ClusterOptions {
 };
 
 /// Priority boost a peer applies to shard_query "execute" jobs — a
-/// remote sub-query already paid a network hop and a coordinator wait,
+/// forwarded query already paid a network hop and a coordinator wait,
 /// so it jumps the local queue (scheduler priority is larger = sooner).
 inline constexpr int kShardPriorityBoost = 10;
 
@@ -76,7 +75,7 @@ inline constexpr int kShardPriorityBoost = 10;
 /// peer's cache, so a slow one means a sick peer.
 inline constexpr double kProbeDeadlineSeconds = 1.0;
 
-/// Deadline for a forwarded query or a shard sub-query.
+/// Deadline for a forwarded query.
 inline constexpr double kPeerDeadlineSeconds = 30.0;
 
 class Coordinator {
@@ -97,7 +96,6 @@ class Coordinator {
     uint64_t forwards = 0;         ///< whole-query forwards attempted
     uint64_t failovers = 0;        ///< replica attempts after a failure
     uint64_t local_fallbacks = 0;  ///< every owner down, mined locally
-    uint64_t scatter_queries = 0;  ///< SON fan-out queries
     uint64_t probe_hits_served = 0;    ///< cache_probe hits we answered
     uint64_t probe_misses_served = 0;  ///< cache_probe misses we answered
   };
@@ -148,14 +146,6 @@ class Coordinator {
                                     std::string_view trace_id,
                                     const std::function<bool()>& abort);
 
-  /// Scatter execution: SON phase 1/2 fan-out over all healthy owners,
-  /// merged by the SON shard functions. FailedPrecondition when the
-  /// query is not task "frequent" or fewer than two owners are healthy
-  /// (caller runs locally). Canonical result order.
-  Result<MineResponse> ExecuteScatter(const MineRequest& request,
-                                      const std::string& digest,
-                                      const std::function<bool()>& abort);
-
   /// Records that a remote execution failed everywhere and the query
   /// was answered by mining locally.
   void NoteLocalFallback();
@@ -182,7 +172,6 @@ class Coordinator {
     std::atomic<uint64_t> forwards{0};
     std::atomic<uint64_t> failovers{0};
     std::atomic<uint64_t> local_fallbacks{0};
-    std::atomic<uint64_t> scatter_queries{0};
     std::atomic<uint64_t> probe_hits_served{0};
     std::atomic<uint64_t> probe_misses_served{0};
   };

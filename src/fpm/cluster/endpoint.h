@@ -1,5 +1,5 @@
 // Endpoint addressing shared by every dialer and listener: the
-// PeerClient (coordinator fan-out) and fpm_client --endpoint dial
+// PeerClient (coordinator probes and forwards) and fpm_client --endpoint dial
 // through here, and fpmd listens through here on its Unix socket and
 // its cluster TCP address, so "what does an address look like", "how
 // long may a connect take" and "how is a socket bound" have exactly one

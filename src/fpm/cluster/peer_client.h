@@ -11,8 +11,8 @@
 //       connection. Closing is the cancellation *propagation*: the
 //       remote fpmd's connection thread sees the disconnect through
 //       its MSG_PEEK poll and cancels the in-flight job, so an
-//       upstream client abandoning a query stops the whole fan-out
-//       within one kernel frame on every node it touched.
+//       upstream client abandoning a query stops it within one kernel
+//       frame on every node it touched.
 //
 // Framing is fpm/service/line_io.h's, the same reader and writer fpmd
 // uses: the request goes out in one gathered write, and the reply is
@@ -22,8 +22,8 @@
 // closes the connection; the rest of the reply is never read.
 //
 // Connection-per-call keeps failure containment trivial (a wedged peer
-// can never corrupt a shared connection's framing); at cluster fan-out
-// rates the extra local connect is noise next to mining. Pooled
+// can never corrupt a shared connection's framing); at cluster
+// forwarding rates the extra local connect is noise next to mining. Pooled
 // keep-alive connections are a possible follow-on (DESIGN.md §19).
 
 #ifndef FPM_CLUSTER_PEER_CLIENT_H_

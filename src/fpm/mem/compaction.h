@@ -3,8 +3,9 @@
 // copy cost must be amortized over many subsequent accesses.
 //
 // The LCM case study compacts the per-item frequency counters out of the
-// occurrence-array column headers (AoS) into one contiguous array (SoA);
-// CounterTable below is that transformation made reusable.
+// occurrence-array column headers (AoS) into one contiguous array (SoA).
+// The tuned LCM does that inline (MineLevel in algo/lcm/lcm_miner.cc);
+// the helpers below serve bench_micro_patterns.
 
 #ifndef FPM_MEM_COMPACTION_H_
 #define FPM_MEM_COMPACTION_H_
@@ -37,8 +38,8 @@ std::vector<T> CompactGather(std::span<const T> source,
   return out;
 }
 
-/// Contiguous counter array used by the tuned LCM: the compacted (SoA)
-/// alternative to keeping one counter inside each column-header struct.
+/// Contiguous counter array: the compacted (SoA) alternative to keeping
+/// one counter inside each column-header struct.
 class CounterTable {
  public:
   explicit CounterTable(size_t n) : counters_(n, 0) {}

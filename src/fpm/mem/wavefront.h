@@ -8,6 +8,10 @@
 // previous iteration) and prefetches the new node. A list that spends
 // `depth` iterations in the window arrives with its first `depth` nodes
 // already in cache — the diagonal wave of Figure 5.
+//
+// The tuned LCM runs its own two-distance schedule inline over its
+// occurrence arrays (ProjectItem in algo/lcm/lcm_miner.cc); the
+// templates below serve bench_micro_patterns.
 
 #ifndef FPM_MEM_WAVEFRONT_H_
 #define FPM_MEM_WAVEFRONT_H_
@@ -81,9 +85,9 @@ void WaveFrontTraverse(std::span<Node* const> heads, NextFn next,
   }
 }
 
-/// Index-based variant: chains expressed as next-index arrays (the form
-/// LCM's occurrence structure uses). `~0u` terminates a chain. The node
-/// payload of index k lives at `node_base + k * node_stride`.
+/// Index-based variant: chains expressed as next-index arrays. `~0u`
+/// terminates a chain. The node payload of index k lives at
+/// `node_base + k * node_stride`.
 template <typename VisitFn>
 void WaveFrontTraverseIndexed(std::span<const uint32_t> heads,
                               std::span<const uint32_t> next,

@@ -256,10 +256,23 @@ Database ProjectClass(const ClassDecomposition& decomp, Item c,
   }
 
   // Copy out only the items frequent inside the class; every kernel
-  // would drop the rest. Rows ascend by rank, so each scan stops at the
-  // last frequent rank. Without one, no kernel runs: build nothing.
-  Item end = c;
-  while (end > 0 && support[end - 1] < min_support) --end;
+  // would drop the rest. Rows ascend by rank, so each scan stops at
+  // `end`, one past the last frequent rank. `end` is searched for down
+  // from the owner (c ranks) or over the class's entries, whichever are
+  // fewer: walking down from every owner costs O(F^2) over F classes
+  // when classes hold few entries. Without a frequent rank, no kernel
+  // runs: build nothing.
+  Item end = 0;
+  if (decomp.class_entries[c] < c) {
+    for (const ClassRow& row : rows) {
+      for (Item it : ranked.transaction(row.tid).first(row.length)) {
+        if (support[it] >= min_support) end = std::max(end, it + 1);
+      }
+    }
+  } else {
+    end = c;
+    while (end > 0 && support[end - 1] < min_support) --end;
+  }
   if (end == 0) return Database();
   DatabaseBuilder builder;
   std::vector<Item> kept;

@@ -207,37 +207,6 @@ Status DecodeMineBody(const JsonValue& doc, const std::string& where,
     out->trace_id = trace_id.string_value();
   }
 
-  const JsonValue& scatter = doc["scatter"];
-  if (!scatter.is_null()) {
-    if (!scatter.is_bool()) {
-      return FieldError(where, "scatter", "not a bool");
-    }
-    out->scatter = scatter.bool_value();
-  }
-
-  return Status::OK();
-}
-
-// Decodes a "candidates" array ([[items...],...]) for shard_query count.
-Status DecodeCandidates(const JsonValue& doc, const std::string& where,
-                        std::vector<Itemset>* out) {
-  const JsonValue& candidates = doc["candidates"];
-  if (!candidates.is_array()) {
-    return FieldError(where, "candidates", "missing or not an array");
-  }
-  const std::vector<JsonValue>& rows = candidates.array_items();
-  out->reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const std::string label = "candidates[" + std::to_string(i) + "]";
-    if (!rows[i].is_array() || rows[i].array_items().empty()) {
-      return FieldError(where, label, "not a non-empty array");
-    }
-    Itemset set;
-    if (!DecodeItems(rows[i].array_items(), &set)) {
-      return FieldError(where, label, "items must be numbers >= 0");
-    }
-    out->push_back(std::move(set));
-  }
   return Status::OK();
 }
 
@@ -372,7 +341,6 @@ std::string QueryResponseLine(const MineResponse& response, bool hit,
     }
     w.EndArray();
   }
-  if (response.shard_count > 0) w.Key("shards").Uint(response.shard_count);
   w.Key("task").String(TaskName(response.task));
   if (!response.trace_id.empty()) w.Key("trace_id").String(response.trace_id);
   w.EndObject();
@@ -398,10 +366,6 @@ struct PeerRequestFields {
   const char* op = "";
   const std::string* digest = nullptr;  // cache_probe: replaces the dataset
   const char* mode = nullptr;           // shard_query
-  bool partitioned = false;             // shard_query mine/count
-  uint32_t partition_index = 0;
-  uint32_t partition_count = 1;
-  const std::vector<Itemset>* candidates = nullptr;  // shard_query count
 };
 
 // An outbound peer request line: the query body of `request`, mirroring
@@ -415,11 +379,6 @@ std::string PeerRequestLine(const MineRequest& request,
   JsonWriter w(&out);
   w.BeginObject();
   w.Key("algorithm").String(AlgorithmName(request.algorithm));
-  if (fields.candidates != nullptr) {
-    w.Key("candidates").BeginArray();
-    for (const Itemset& set : *fields.candidates) WriteItemArray(w, set);
-    w.EndArray();
-  }
   if (request.count_only) w.Key("count_only").Bool(true);
   if (with_dataset && !by_id) w.Key("dataset").String(request.dataset_path);
   if (!with_dataset) w.Key("digest").String(*fields.digest);
@@ -435,12 +394,6 @@ std::string PeerRequestLine(const MineRequest& request,
   w.Key("min_support").Uint(request.query.min_support);
   if (fields.mode != nullptr) w.Key("mode").String(fields.mode);
   w.Key("op").String(fields.op);
-  if (fields.partitioned) {
-    w.Key("partition").BeginObject();
-    w.Key("count").Uint(fields.partition_count);
-    w.Key("index").Uint(fields.partition_index);
-    w.EndObject();
-  }
   w.Key("patterns").String(
       request.patterns.bits() == PatternSet::All().bits() ? "all" : "none");
   if (request.priority != 0) w.Key("priority").Int(request.priority);
@@ -580,44 +533,11 @@ Result<ServiceRequest> DecodeRequest(const std::string& line) {
     if (!mode.is_string()) {
       return FieldError(where, "mode", "missing or not a string");
     }
-    const std::string& mode_name = mode.string_value();
-    if (mode_name == "execute") {
-      request.cluster.shard_mode = ClusterOpRequest::ShardMode::kExecute;
-    } else if (mode_name == "mine") {
-      request.cluster.shard_mode = ClusterOpRequest::ShardMode::kMine;
-    } else if (mode_name == "count") {
-      request.cluster.shard_mode = ClusterOpRequest::ShardMode::kCount;
-    } else {
-      return FieldError(where, "mode",
-                        "expected 'execute', 'mine' or 'count'");
+    if (mode.string_value() != "execute") {
+      return FieldError(where, "mode", "expected 'execute'");
     }
     FPM_RETURN_IF_ERROR(DecodeMineBody(doc, where, /*with_dataset=*/true,
                                        &request.mine));
-    if (request.cluster.shard_mode != ClusterOpRequest::ShardMode::kExecute) {
-      const JsonValue& partition = doc["partition"];
-      if (!partition.is_object()) {
-        return FieldError(where, "partition", "missing or not an object");
-      }
-      if (!DecodeInteger(partition["index"], uint32_t{0},
-                         &request.cluster.partition_index)) {
-        return FieldError(where, "partition.index",
-                          "missing or not a number >= 0");
-      }
-      if (!DecodeInteger(partition["count"], uint32_t{1},
-                         &request.cluster.partition_count)) {
-        return FieldError(where, "partition.count",
-                          "missing or not a number >= 1");
-      }
-      if (request.cluster.partition_index >=
-          request.cluster.partition_count) {
-        return FieldError(where, "partition.index",
-                          "must be < partition.count");
-      }
-    }
-    if (request.cluster.shard_mode == ClusterOpRequest::ShardMode::kCount) {
-      FPM_RETURN_IF_ERROR(
-          DecodeCandidates(doc, where, &request.cluster.candidates));
-    }
     return request;
   }
   return FieldError("request", "op", "unknown op '" + name + "'");
@@ -739,6 +659,10 @@ std::string EncodeStatsResponse(const ServiceStats& stats,
   w.Key("rejected").Uint(scheduler.rejected);
   w.Key("running").Uint(scheduler.running);
   w.Key("submitted").Uint(scheduler.submitted);
+  w.EndObject();
+
+  w.Key("server").BeginObject();
+  w.Key("refused_connections").Uint(stats.refused_connections);
   w.EndObject();
 
   w.Key("uptime_seconds").Number(stats.uptime_seconds);
@@ -880,18 +804,14 @@ class CanonicalReader {
     return true;
   }
 
-  // Plain decimal digits, without sign or leading zero, at most `max`;
-  // `*value` gets the number when given.
-  bool Uint(uint64_t max, uint64_t* value = nullptr) {
+  // Plain decimal digits, without sign or leading zero, at most `max`.
+  bool Uint(uint64_t max) {
     const size_t start = pos_;
     if (!Byte('0') && !Digits()) return false;
-    uint64_t parsed_value = 0;
+    uint64_t value = 0;
     const char* end = text_.data() + pos_;
-    const auto parsed =
-        std::from_chars(text_.data() + start, end, parsed_value);
-    if (parsed.ec != std::errc() || parsed_value > max) return false;
-    if (value != nullptr) *value = parsed_value;
-    return true;
+    const auto parsed = std::from_chars(text_.data() + start, end, value);
+    return parsed.ec == std::errc() && value <= max;
   }
 
   // A JSON number that reads as a finite double.
@@ -914,15 +834,12 @@ class CanonicalReader {
     return parsed.ec == std::errc() && parsed.ptr == end;
   }
 
-  // An array of item ids, each below kInvalidItem; `*items` gets them
-  // appended when given.
-  bool Items(Itemset* items = nullptr) {
+  // An array of item ids, each below kInvalidItem.
+  bool Items() {
     if (!Byte('[')) return false;
     if (Byte(']')) return true;
     do {
-      uint64_t item = 0;
-      if (!Uint(kInvalidItem - 1, &item)) return false;
-      if (items != nullptr) items->push_back(static_cast<Item>(item));
+      if (!Uint(kInvalidItem - 1)) return false;
     } while (Byte(','));
     return Byte(']');
   }
@@ -1075,7 +992,6 @@ enum ReplyKey {
   kQueryId,
   kQueueMs,
   kRules,
-  kShards,
   kTask,
   kTraceId,
 };
@@ -1083,8 +999,8 @@ constexpr int kNumReplyKeys = kTraceId + 1;
 
 constexpr std::string_view kReplyKeyNames[kNumReplyKeys] = {
     "cache", "digest",   "hit",      "itemsets", "mine_ms", "num_results",
-    "ok",    "peer",     "query_id", "queue_ms", "rules",   "shards",
-    "task",  "trace_id",
+    "ok",    "peer",     "query_id", "queue_ms", "rules",   "task",
+    "trace_id",
 };
 static_assert(std::is_sorted(std::begin(kReplyKeyNames),
                              std::end(kReplyKeyNames)));
@@ -1115,23 +1031,16 @@ bool IsTaskName(std::string_view name) {
 constexpr uint64_t kMax64 = std::numeric_limits<uint64_t>::max();
 constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
 
-// What is wrong with one entry of an "itemsets", "candidates" or "rules"
-// array.
+// What is wrong with one entry of an "itemsets" or "rules" array.
 enum class EntryFault { kNone, kMalformed, kBadItem };
 
-// One {"items":[...],"support":N} entry, as WriteItemsets writes it;
-// `*entry` gets it when given.
-EntryFault ItemsetEntry(CanonicalReader& in, CollectingSink::Entry* entry) {
+// One {"items":[...],"support":N} entry, as WriteItemsets writes it.
+EntryFault ItemsetEntry(CanonicalReader& in) {
   if (!in.Literal("{\"items\":")) return EntryFault::kMalformed;
-  if (!in.Items(entry != nullptr ? &entry->first : nullptr)) {
-    return EntryFault::kBadItem;
-  }
-  uint64_t support = 0;
-  if (!in.Literal(",\"support\":") || !in.Uint(kMax32, &support) ||
-      !in.Byte('}')) {
+  if (!in.Items()) return EntryFault::kBadItem;
+  if (!in.Literal(",\"support\":") || !in.Uint(kMax32) || !in.Byte('}')) {
     return EntryFault::kMalformed;
   }
-  if (entry != nullptr) entry->second = static_cast<Support>(support);
   return EntryFault::kNone;
 }
 
@@ -1180,13 +1089,10 @@ Status ScanValue(ReplyKey key, CanonicalReader& in) {
       return PeerError("'" + name + "' is not a number");
     case kNumResults:
     case kQueryId:
-    case kShards:
-      if (in.Uint(key == kShards ? kMax32 : kMax64)) return Status::OK();
+      if (in.Uint(kMax64)) return Status::OK();
       return PeerError("'" + name + "' is not a number >= 0");
     case kItemsets:
-      return ScanEntries(in, name, [](CanonicalReader& entry) {
-        return ItemsetEntry(entry, nullptr);
-      });
+      return ScanEntries(in, name, ItemsetEntry);
     case kRules:
       return ScanEntries(in, name, [](CanonicalReader& entry) {
         if (!entry.Literal("{\"antecedent\":")) return EntryFault::kMalformed;
@@ -1233,25 +1139,6 @@ Status ScanReply(std::string_view reply, bool probe, ReplyValues* values) {
   return Status::OK();
 }
 
-// Reads a shard phase reply in exactly the form EncodeShardMineResponse
-// and EncodeShardCountResponse write it:
-// {"<payload_key>":<payload>,"ok":true,"phase":"<phase>"}, where
-// `payload(in)` reads the payload.
-template <typename Payload>
-Status ReadShardReply(std::string_view line, std::string_view payload_key,
-                      std::string_view phase, Payload payload) {
-  CanonicalReader in(line);
-  const bool keyed = in.Byte('{') && in.Byte('"') &&
-                     in.Literal(payload_key) && in.Literal("\":");
-  Status read = keyed ? payload(in) : NotCanonical(in);
-  if (read.ok() &&
-      !(in.Literal(",\"ok\":true,\"phase\":\"") && in.Literal(phase) &&
-        in.Literal("\"}") && in.AtEnd())) {
-    read = NotCanonical(in);
-  }
-  return read.ok() ? read : CarriedOr(line, read);
-}
-
 }  // namespace
 
 std::string EncodeCacheProbeRequest(const std::string& digest,
@@ -1262,28 +1149,10 @@ std::string EncodeCacheProbeRequest(const std::string& digest,
   return PeerRequestLine(request, fields);
 }
 
-std::string EncodeShardQueryRequest(const MineRequest& request,
-                                    ClusterOpRequest::ShardMode mode,
-                                    uint32_t partition_index,
-                                    uint32_t partition_count,
-                                    const std::vector<Itemset>& candidates) {
+std::string EncodeShardQueryRequest(const MineRequest& request) {
   PeerRequestFields fields;
   fields.op = "shard_query";
-  switch (mode) {
-    case ClusterOpRequest::ShardMode::kExecute:
-      fields.mode = "execute";
-      break;
-    case ClusterOpRequest::ShardMode::kMine:
-      fields.mode = "mine";
-      break;
-    case ClusterOpRequest::ShardMode::kCount:
-      fields.mode = "count";
-      fields.candidates = &candidates;
-      break;
-  }
-  fields.partitioned = mode != ClusterOpRequest::ShardMode::kExecute;
-  fields.partition_index = partition_index;
-  fields.partition_count = partition_count;
+  fields.mode = "execute";
   return PeerRequestLine(request, fields);
 }
 
@@ -1292,26 +1161,6 @@ std::string EncodeCacheProbeResponse(bool hit, const MineResponse& response) {
   std::string out;
   JsonWriter w(&out);
   w.BeginObject().Key("hit").Bool(false).Key("ok").Bool(true).EndObject();
-  return out;
-}
-
-std::string EncodeShardMineResponse(
-    const std::vector<CollectingSink::Entry>& entries) {
-  std::string out;
-  JsonWriter w(&out);
-  w.BeginObject().Key("candidates");
-  WriteItemsets(w, entries);
-  w.Key("ok").Bool(true).Key("phase").String("mine").EndObject();
-  return out;
-}
-
-std::string EncodeShardCountResponse(const std::vector<Support>& counts) {
-  std::string out;
-  JsonWriter w(&out);
-  w.BeginObject().Key("counts").BeginArray();
-  for (Support count : counts) w.Uint(count);
-  w.EndArray();
-  w.Key("ok").Bool(true).Key("phase").String("count").EndObject();
   return out;
 }
 
@@ -1347,36 +1196,6 @@ Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
   }
   w.EndObject();
   return out;
-}
-
-Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(
-    std::string_view line) {
-  std::vector<CollectingSink::Entry> entries;
-  FPM_RETURN_IF_ERROR(ReadShardReply(
-      line, "candidates", "mine", [&entries](CanonicalReader& in) {
-        return ScanEntries(in, "candidates", [&entries](CanonicalReader& e) {
-          return ItemsetEntry(e, &entries.emplace_back());
-        });
-      }));
-  return entries;
-}
-
-Result<std::vector<Support>> DecodeShardCountResponse(std::string_view line) {
-  std::vector<Support> counts;
-  FPM_RETURN_IF_ERROR(ReadShardReply(
-      line, "counts", "count", [&counts](CanonicalReader& in) -> Status {
-        if (!in.Byte('[')) return PeerError("'counts' is not an array");
-        if (in.Byte(']')) return Status::OK();
-        do {
-          uint64_t count = 0;
-          if (!in.Uint(kMax32, &count)) {
-            return PeerError("'counts' entries must be numbers >= 0");
-          }
-          counts.push_back(static_cast<Support>(count));
-        } while (in.Byte(','));
-        return in.Byte(']') ? Status::OK() : NotCanonical(in);
-      }));
-  return counts;
 }
 
 Status ReplyStatus(std::string_view reply) {

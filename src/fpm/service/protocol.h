@@ -25,8 +25,8 @@
 //   {"op":"stats"}                         -> live service state:
 //       {"ok":true,"uptime_seconds":X,"registry":{...,"datasets":[...]},
 //       "cache":{...},"scheduler":{...,"in_flight":[{"query_id":N,
-//       "age_seconds":X},...]},"windows":[{"window_s":1,...},...],
-//       "watchdog":{...}}
+//       "age_seconds":X},...]},"server":{"refused_connections":N},
+//       "windows":[{"window_s":1,...},...],"watchdog":{...}}
 //   {"op":"shutdown"}                      -> daemon exits after reply
 //   {"op":"open","dataset":"<path>"}       -> load (or hit) and return a
 //       dataset handle: {"ok":true,"id":"ds-1","version":1,
@@ -75,10 +75,6 @@
 //       query, in completion order; the client counts lines.
 //
 // Cluster ops (fpmd --cluster; see DESIGN.md §19):
-//   {"op":"query",...,"scatter":true}       opts the query into the
-//       partitioned (SON) fan-out across replica owners instead of
-//       route-to-owner; results come back canonically sorted. Ignored
-//       by a non-clustered daemon.
 //   {"op":"cluster_info","dataset":"<path>"} ("dataset" optional) ->
 //       {"ok":true,"cluster":{"enabled":true,"self":...,"replicas":N,
 //       "virtual_nodes":N,"peers":[{"endpoint":...,"healthy":...,
@@ -95,16 +91,11 @@
 //       The asking node relays a hit, like the answer to a shard_query
 //       "execute", to its client without decoding it
 //       (RelayQueryResponse).
-//   {"op":"shard_query","mode":"execute|mine|count",<query fields>,
-//    "partition":{"index":I,"count":K},      (mine/count)
-//    "candidates":[[...],...]}               (count)
-//       peer-to-peer sub-query op. "execute" runs the whole query
-//       locally at boosted priority (route-to-owner forward); "mine"
-//       runs SON phase 1 on partition I of K and replies
-//       {"ok":true,"phase":"mine","candidates":[{"items":[...],
-//       "support":N},...]}; "count" counts the candidate list over the
-//       partition and replies {"counts":[...],"ok":true,
-//       "phase":"count"}.
+//   {"op":"shard_query","mode":"execute",<query fields>}
+//       a query forwarded by a node that does not own its dataset: run
+//       here as a normal scheduler job at boosted priority and answered
+//       like "query". Any other mode is INVALID_ARGUMENT
+//       "op 'shard_query': field 'mode': expected 'execute'".
 //
 // Any other op, "mine" (the retired v1 op) included, is answered with
 // INVALID_ARGUMENT "request: field 'op': unknown op '<name>'", and the
@@ -144,7 +135,7 @@
 // (fpm/service/json.h); a repeated key keeps its last value. Replies are
 // read by one one-pass reader that builds no tree and accepts only the
 // writer's form, top-level keys strictly ascending: RelayQueryResponse,
-// the shard phase decoders, ReplyStatus and DecodeMetricsTextResponse.
+// ReplyStatus and DecodeMetricsTextResponse.
 //
 // The encode/decode layer lives here, separate from socket handling, so
 // tests exercise it without a daemon.
@@ -174,22 +165,12 @@ struct DatasetOpRequest {
   WindowPolicy window;                  ///< window
 };
 
-/// The decoded payload of a cluster op (cluster_info/cache_probe/
-/// shard_query). The query body itself rides in ServiceRequest::mine.
+/// The decoded payload of a cluster op (cluster_info/cache_probe). The
+/// query body of a cache_probe or shard_query rides in
+/// ServiceRequest::mine.
 struct ClusterOpRequest {
-  /// What a shard_query asks the peer to run.
-  enum class ShardMode {
-    kExecute,  ///< whole query, locally, at boosted priority
-    kMine,     ///< SON phase 1 over one partition
-    kCount,    ///< SON phase 2: count candidates over one partition
-  };
-
-  std::string path;                ///< cluster_info placement lookup
-  std::string digest;              ///< cache_probe content digest
-  ShardMode shard_mode = ShardMode::kExecute;
-  uint32_t partition_index = 0;    ///< shard_query mine/count
-  uint32_t partition_count = 1;    ///< shard_query mine/count
-  std::vector<Itemset> candidates; ///< shard_query count
+  std::string path;    ///< cluster_info placement lookup
+  std::string digest;  ///< cache_probe content digest
 };
 
 /// A decoded protocol request.
@@ -260,8 +241,9 @@ std::string EncodeHandleResponse(const DatasetHandle& handle);
 std::string EncodeDatasetInfoResponse(const DatasetInfo& info);
 
 /// Encodes the "stats" response: uptime, registry (with per-dataset
-/// rows), cache, scheduler (with in-flight jobs), the 1s/10s/60s
-/// latency windows and the watchdog counters. A non-empty `cluster` is
+/// rows), cache, scheduler (with in-flight jobs), the server's refused
+/// connections, the 1s/10s/60s latency windows and the watchdog
+/// counters. A non-empty `cluster` is
 /// embedded as the "cluster" section: one JSON object, the text
 /// Coordinator::InfoJson returns.
 std::string EncodeStatsResponse(const ServiceStats& stats,
@@ -276,27 +258,13 @@ std::string EncodeStatsResponse(const ServiceStats& stats,
 std::string EncodeCacheProbeRequest(const std::string& digest,
                                     const MineRequest& request);
 
-/// Encodes a shard_query request line. `mode` "execute" forwards the
-/// whole query; "mine"/"count" carry partition {index, count} and —
-/// for count — the candidate itemsets.
-std::string EncodeShardQueryRequest(const MineRequest& request,
-                                    ClusterOpRequest::ShardMode mode,
-                                    uint32_t partition_index,
-                                    uint32_t partition_count,
-                                    const std::vector<Itemset>& candidates);
+/// Encodes the shard_query "execute" line that forwards the whole query
+/// of `request` to an owner.
+std::string EncodeShardQueryRequest(const MineRequest& request);
 
 /// Encodes a cache_probe reply: {"hit":false,"ok":true} on miss, the
 /// full query response plus "hit":true on hit.
 std::string EncodeCacheProbeResponse(bool hit, const MineResponse& response);
-
-/// Encodes a shard_query mode "mine" reply (the shard's local frequent
-/// itemsets, i.e. its candidate contributions).
-std::string EncodeShardMineResponse(
-    const std::vector<CollectingSink::Entry>& entries);
-
-/// Encodes a shard_query mode "count" reply (per-candidate supports in
-/// request candidate order).
-std::string EncodeShardCountResponse(const std::vector<Support>& counts);
 
 /// Relays a peer's answer to a forwarded query (a shard_query "execute"
 /// reply; `probe` false) or to a cache_probe (`probe` true) as the line
@@ -313,8 +281,8 @@ std::string EncodeShardCountResponse(const std::vector<Support>& counts);
 /// and no key they never write, integers as plain digits, and strings
 /// with the writer's escapes and no byte below 0x20, so a relayed line
 /// never holds a newline. It applies the range checks the service's own
-/// types need: item ids below kInvalidItem, supports and "shards" within
-/// 32 bits, "num_results" and "query_id" within 64, canonical task and
+/// types need: item ids below kInvalidItem, supports within 32 bits,
+/// "num_results" and "query_id" within 64, canonical task and
 /// cache names, finite numbers for the timings and each rule's
 /// confidence and lift, and rules with exactly their five members. The
 /// timing fields keep the owner's text.
@@ -325,20 +293,6 @@ std::string EncodeShardCountResponse(const std::vector<Support>& counts);
 /// so the coordinator moves on to the next owner.
 Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
                                        const RelayEnvelope& envelope);
-
-/// Decodes a peer's shard_query "mine" reply in one pass. It accepts
-/// exactly what EncodeShardMineResponse writes, with the relay's checks
-/// on each {"items":[...],"support":N} entry. As with the relay, an
-/// {"ok":false,...} envelope becomes the carried status, and any other
-/// reply it refuses is INTERNAL "peer response: ...", so the scatter
-/// moves on to the next owner.
-Result<std::vector<CollectingSink::Entry>> DecodeShardMineResponse(
-    std::string_view line);
-
-/// Decodes a peer's shard_query "count" reply: exactly what
-/// EncodeShardCountResponse writes, each count within 32 bits; statuses
-/// as above.
-Result<std::vector<Support>> DecodeShardCountResponse(std::string_view line);
 
 /// Reads the top-level "ok" of any line fpmd writes, in one pass that
 /// skips the members it does not read and builds nothing. OK for

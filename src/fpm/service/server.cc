@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <list>
 #include <sstream>
 #include <system_error>
@@ -13,7 +14,6 @@
 #include <utility>
 
 #include "fpm/common/json_writer.h"
-#include "fpm/core/partition.h"
 #include "fpm/obs/metrics.h"
 #include "fpm/obs/prometheus.h"
 #include "fpm/service/line_io.h"
@@ -86,6 +86,9 @@ void Server::Run(std::vector<int> listeners) {
     }
   };
 
+  // True from a connection refused for want of a thread until a thread
+  // starts again: one stderr line per such burst.
+  bool refusing = false;
   std::vector<pollfd> fds;
   for (int fd : listeners_) fds.push_back(pollfd{fd, POLLIN, 0});
   // Only the shutdown op ends the loop (it sets the flag, then shuts the
@@ -112,9 +115,18 @@ void Server::Run(std::vector<int> listeners) {
           ::shutdown(connection.fd, SHUT_RDWR);
           connection.done.store(true, std::memory_order_release);
         });
-      } catch (const std::system_error&) {
+        refusing = false;
+      } catch (const std::system_error& e) {
         ::close(fd);
         connections.pop_back();
+        refused_connections_.fetch_add(1, std::memory_order_relaxed);
+        if (!refusing) {
+          refusing = true;
+          std::fprintf(stderr,
+                       "fpm server: cannot start a connection thread (%s); "
+                       "closing connections until one starts\n",
+                       e.what());
+        }
         back_off();
       }
     }
@@ -157,16 +169,14 @@ bool Server::Answer(int fd, const std::string& line) {
       return HandleQuery(fd, request.mine);
     case ServiceRequest::Op::kBatch:
       return StreamReplies(fd, request.batch, /*tagged=*/true);
-    case ServiceRequest::Op::kShardQuery:
-      if (request.cluster.shard_mode == ClusterOpRequest::ShardMode::kExecute) {
-        // A whole-query forward: a normal job at boosted priority (the
-        // coordinator on the other side already paid a hop and a wait).
-        MineRequest boosted = request.mine;
-        boosted.priority += kShardPriorityBoost;
-        boosted.op = "shard_query";
-        return StreamReply(fd, boosted);
-      }
-      break;
+    case ServiceRequest::Op::kShardQuery: {
+      // A whole-query forward: a normal job at boosted priority (the
+      // coordinator on the other side already paid a hop and a wait).
+      MineRequest boosted = request.mine;
+      boosted.priority += kShardPriorityBoost;
+      boosted.op = "shard_query";
+      return StreamReply(fd, boosted);
+    }
     case ServiceRequest::Op::kShutdown:
       WriteLine(fd, EncodeOk());
       shutdown_.store(true, std::memory_order_relaxed);
@@ -243,12 +253,9 @@ bool Server::HandleQuery(int fd, const MineRequest& request) {
     return StreamReply(fd, request);
   }
   Result<std::string> digest = coordinator->DigestForPath(request.dataset_path);
-  if (!digest.ok()) {
-    // Unreadable here may be readable nowhere; let the local submit
-    // path produce the canonical error.
-    return StreamReply(fd, request);
-  }
-  if (!request.scatter && coordinator->SelfOwns(digest.value())) {
+  // Unreadable here may be readable nowhere; the local submit path
+  // produces the canonical error.
+  if (!digest.ok() || coordinator->SelfOwns(digest.value())) {
     return StreamReply(fd, request);
   }
 
@@ -261,40 +268,22 @@ bool Server::HandleQuery(int fd, const MineRequest& request) {
     sub.trace_id = "qid-" + std::to_string(query_id) + "@" +
                    coordinator->options().self;
   }
-  const auto abort = [fd] { return PeerClosed(fd); };
-  Status failed;
-  if (request.scatter) {
-    Result<MineResponse> merged =
-        coordinator->ExecuteScatter(sub, digest.value(), abort);
-    if (merged.ok()) {
-      MineResponse response = std::move(merged).value();
-      response.query_id = query_id;
-      response.trace_id = request.trace_id;
-      return WriteLine(fd, EncodeQueryResponse(response)).ok();
-    }
-    failed = merged.status();
-  } else {
-    // The owner's answer, relayed: its bytes with our envelope.
-    Result<std::string> line = coordinator->ExecuteRemote(
-        sub, digest.value(), query_id, request.trace_id, abort);
-    if (line.ok()) return WriteLine(fd, line.value()).ok();
-    failed = line.status();
-  }
-  const StatusCode code = failed.code();
+  // The owner's answer, relayed: its bytes with our envelope.
+  const Result<std::string> line = coordinator->ExecuteRemote(
+      sub, digest.value(), query_id, request.trace_id,
+      [fd] { return PeerClosed(fd); });
+  if (line.ok()) return WriteLine(fd, line.value()).ok();
+  const StatusCode code = line.status().code();
   if (code == StatusCode::kUnavailable ||
-      code == StatusCode::kDeadlineExceeded ||
-      code == StatusCode::kFailedPrecondition) {
-    // Every owner down (or scatter inapplicable): availability degrades
-    // to single-node behavior, never to an error a single-node daemon
-    // would not give.
-    if (code != StatusCode::kFailedPrecondition) {
-      coordinator->NoteLocalFallback();
-    }
+      code == StatusCode::kDeadlineExceeded) {
+    // Every owner down: availability degrades to single-node behavior,
+    // never to an error a single-node daemon would not give.
+    coordinator->NoteLocalFallback();
     MineRequest local = request;
     local.query_id = query_id;
     return StreamReply(fd, local);
   }
-  return WriteLine(fd, EncodeError(failed)).ok();
+  return WriteLine(fd, EncodeError(line.status())).ok();
 }
 
 std::string Server::Reply(const ServiceRequest& request) {
@@ -306,7 +295,9 @@ std::string Server::Reply(const ServiceRequest& request) {
     case ServiceRequest::Op::kMetricsText:
       return EncodeMetricsTextResponse(MetricsText());
     case ServiceRequest::Op::kStats: {
-      const ServiceStats stats = service_.Stats();
+      ServiceStats stats = service_.Stats();
+      stats.refused_connections =
+          refused_connections_.load(std::memory_order_relaxed);
       std::string cluster;
       if (coordinator_) {
         cluster = coordinator_->InfoJson(stats.registry.datasets, "");
@@ -324,8 +315,6 @@ std::string Server::Reply(const ServiceRequest& request) {
       if (!hit) return EncodeCacheProbeResponse(false, MineResponse{});
       return EncodeCacheProbeResponse(true, *hit);
     }
-    case ServiceRequest::Op::kShardQuery:
-      return ShardPartitionReply(request);
     case ServiceRequest::Op::kOpen:
     case ServiceRequest::Op::kAppend:
     case ServiceRequest::Op::kExpire:
@@ -366,36 +355,6 @@ std::string Server::DatasetReply(const ServiceRequest& request) {
   }
   if (!handle.ok()) return EncodeError(handle.status());
   return EncodeHandleResponse(handle.value());
-}
-
-// shard_query modes "mine" and "count": the SON phases over one
-// partition, the registry lookup plus the pure shard functions of
-// fpm/core/partition.h, inline on the connection thread like dataset
-// ops. Malformed candidates come back from CountShardPartition as
-// INVALID_ARGUMENT replies.
-std::string Server::ShardPartitionReply(const ServiceRequest& request) {
-  const ClusterOpRequest& cluster = request.cluster;
-  DatasetRegistry& registry = service_.registry();
-  Result<DatasetHandle> handle =
-      request.mine.dataset_id.empty()
-          ? registry.Open(request.mine.dataset_path)
-          : registry.Resolve(request.mine.dataset_id,
-                             request.mine.dataset_version);
-  if (!handle.ok()) return EncodeError(handle.status());
-  const Database& db = *handle.value().database;
-  const ShardSlice slice{cluster.partition_index, cluster.partition_count};
-
-  if (cluster.shard_mode == ClusterOpRequest::ShardMode::kMine) {
-    Result<std::vector<CollectingSink::Entry>> local = MineShardPartition(
-        db, slice, request.mine.query.min_support, request.mine.algorithm,
-        request.mine.patterns);
-    if (!local.ok()) return EncodeError(local.status());
-    return EncodeShardMineResponse(local.value());
-  }
-  Result<std::vector<Support>> counts =
-      CountShardPartition(db, slice, cluster.candidates);
-  if (!counts.ok()) return EncodeError(counts.status());
-  return EncodeShardCountResponse(counts.value());
 }
 
 // The coordinator's view (peers, health, RTTs, shard counts, counters),

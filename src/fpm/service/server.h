@@ -12,7 +12,9 @@
 // the fd the shutdown below acts on is never one the kernel has reused.
 // A failed poll() or accept() (out of file descriptors, say) and a
 // thread that cannot start (the connection is closed) back off and keep
-// serving.
+// serving. Each connection closed for want of a thread counts in stats'
+// "server" section, and the first of a burst (the refusals since a
+// thread last started) prints one line to stderr.
 //
 // Requests. A connection's requests are answered in order, one reply
 // line each. A batch streams one line per entry, tagged with the
@@ -34,6 +36,7 @@
 #define FPM_SERVICE_SERVER_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -85,21 +88,20 @@ class Server {
   bool StreamReply(int fd, const MineRequest& request);
 
   /// A "query": mined here, or, on a cluster node that does not own a
-  /// path-addressed dataset, probed, forwarded or scattered to its
-  /// owners.
+  /// path-addressed dataset, probed and forwarded to its owners.
   bool HandleQuery(int fd, const MineRequest& request);
 
-  /// The one-line replies: every op but query, batch, shard_query
-  /// "execute" and shutdown.
+  /// The one-line replies: every op but query, batch, shard_query and
+  /// shutdown.
   std::string Reply(const ServiceRequest& request);
   std::string DatasetReply(const ServiceRequest& request);
-  std::string ShardPartitionReply(const ServiceRequest& request);
   std::string ClusterInfoReply(const ServiceRequest& request);
 
   MiningService service_;
   std::unique_ptr<Coordinator> coordinator_;  ///< null on a single node
   std::vector<int> listeners_;
   std::atomic<bool> shutdown_{false};
+  std::atomic<uint64_t> refused_connections_{0};
 };
 
 }  // namespace fpm

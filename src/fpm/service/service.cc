@@ -375,7 +375,7 @@ std::shared_ptr<CachedResult> MiningService::TryReseed(
       builder.AddTransaction(txns[t], weights[t]);
     }
     const Database side = builder.Build();
-    return CountCandidates(side, 0, side.num_transactions(), touched);
+    return CountCandidates(side, touched);
   };
   Result<std::vector<Support>> gained =
       count_side(delta.appended, delta.appended_weights);

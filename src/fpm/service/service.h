@@ -82,12 +82,6 @@ struct MineRequest {
   /// When true the response carries counts only, no itemsets/rules —
   /// cheaper to transport; the result is still cached in full.
   bool count_only = false;
-  /// Cluster-mode opt-in (v2 "query" only): fan the mine out across the
-  /// dataset's replica owners with the partitioned (SON) merge instead
-  /// of routing to one owner. Results come back in canonical sorted
-  /// order (a documented deviation from kernel emission order — see
-  /// fpm/core/partition.h). Ignored by a non-clustered daemon.
-  bool scatter = false;
   /// Request-scoped observability. `query_id` 0 (the norm) lets Submit
   /// assign the next monotonic id; the daemon pre-allocates via
   /// AllocateQueryId() so even rejected requests are logged under a
@@ -135,12 +129,9 @@ struct MineResponse {
   uint64_t peak_bytes = 0;      ///< kernel peak structure bytes (miss only)
   uint64_t query_id = 0;        ///< the request's service-assigned id
   std::string trace_id;         ///< echoed client passthrough
-  /// Cluster mode: the peer endpoint(s) that produced the result —
-  /// empty when served locally. Encoded as "peer" in v2 responses.
+  /// Cluster mode: the peer endpoint that produced the result — empty
+  /// when served locally. Encoded as "peer" in v2 responses.
   std::string served_by;
-  /// Cluster scatter: number of shard owners that participated (0 for
-  /// every non-scatter response). Encoded as "shards" when nonzero.
-  uint32_t shard_count = 0;
 };
 
 /// Handle to a submitted job. Thread-safe; holding it keeps the result
@@ -199,6 +190,10 @@ struct ServiceStats {
   JobSchedulerStats scheduler;
   std::vector<ServiceWindowStats> windows;  ///< 1s / 10s / 60s
   WatchdogStats watchdog;
+  /// Connections the wire server (fpm/service/server.h) closed because
+  /// their thread could not start; Stats() leaves it 0 for the server
+  /// to fill in.
+  uint64_t refused_connections = 0;
 };
 
 class MiningService {

@@ -111,19 +111,44 @@ TEST(CandidateTrieTest, InsertOrFindReturnsTheStoredIndex) {
   EXPECT_EQ(counts, (std::vector<Support>{1, 1}));
 }
 
-TEST(CountCandidatesTest, CountsUnsortedCandidatesOverATidRange) {
+TEST(CountCandidatesTest, CountsUnsortedCandidates) {
   const Database db = testutil::MakeDb({{3, 1, 2}, {2, 1}, {2, 3}, {1}});
   const std::vector<Itemset> candidates = {{2, 1}, {3}, {1}};
-  Result<std::vector<Support>> all =
-      CountCandidates(db, 0, db.num_transactions(), candidates);
+  Result<std::vector<Support>> all = CountCandidates(db, candidates);
   ASSERT_TRUE(all.ok()) << all.status();
   EXPECT_EQ(*all, (std::vector<Support>{2, 2, 3}));
-  Result<std::vector<Support>> middle = CountCandidates(db, 1, 3, candidates);
-  ASSERT_TRUE(middle.ok()) << middle.status();
-  EXPECT_EQ(*middle, (std::vector<Support>{1, 1, 1}));
-  Result<std::vector<Support>> none = CountCandidates(db, 0, 4, {});
+  Result<std::vector<Support>> none = CountCandidates(db, {});
   ASSERT_TRUE(none.ok()) << none.status();
   EXPECT_TRUE(none->empty());
+}
+
+TEST(CountCandidatesTest, EmptyCandidateError) {
+  const Database db = testutil::MakeDb({{1}});
+  Result<std::vector<Support>> bad =
+      CountCandidates(db, std::vector<Itemset>{{1}, {}});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "candidate 1 is empty");
+}
+
+TEST(CountCandidatesTest, DuplicateCandidateError) {
+  // {2,1} is {1,2} once sorted: a duplicate comes back as an error, not
+  // as the trie's insertion check.
+  const Database db = testutil::MakeDb({{1, 2}});
+  Result<std::vector<Support>> bad =
+      CountCandidates(db, std::vector<Itemset>{{1, 2}, {2, 1}});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "candidate 1 duplicates candidate 0");
+}
+
+TEST(CountCandidatesTest, RepeatedItemCandidateError) {
+  const Database db = testutil::MakeDb({{1, 2}});
+  Result<std::vector<Support>> bad =
+      CountCandidates(db, std::vector<Itemset>{{2}, {1, 2, 1}});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "candidate 1 repeats item 1");
 }
 
 TEST(CandidateTrieDeathTest, RejectsEmptyAndDuplicateCandidates) {

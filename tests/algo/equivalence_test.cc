@@ -242,18 +242,27 @@ std::unique_ptr<Miner> Make() {
   return std::make_unique<M>();
 }
 
-class DegenerateInputTest
-    : public ::testing::TestWithParam<std::unique_ptr<Miner> (*)()> {};
+// Wraps the factory so that gtest prints the miner's name, not the
+// factory's address, which moves with every process under ASLR.
+struct MinerFactory {
+  std::unique_ptr<Miner> (*make)();
+};
+
+void PrintTo(const MinerFactory& factory, std::ostream* os) {
+  *os << factory.make()->name();
+}
+
+class DegenerateInputTest : public ::testing::TestWithParam<MinerFactory> {};
 
 TEST_P(DegenerateInputTest, EmptyDatabase) {
-  auto miner = GetParam()();
+  auto miner = GetParam().make();
   CollectingSink sink;
   ASSERT_TRUE(miner->Mine(Database(), 1, &sink).ok());
   EXPECT_EQ(sink.size(), 0u);
 }
 
 TEST_P(DegenerateInputTest, SingleTransaction) {
-  auto miner = GetParam()();
+  auto miner = GetParam().make();
   DatabaseBuilder b;
   b.AddTransaction({2, 5, 7});
   CollectingSink sink;
@@ -262,7 +271,7 @@ TEST_P(DegenerateInputTest, SingleTransaction) {
 }
 
 TEST_P(DegenerateInputTest, SingleItemManyTimes) {
-  auto miner = GetParam()();
+  auto miner = GetParam().make();
   DatabaseBuilder b;
   for (int i = 0; i < 20; ++i) b.AddTransaction({3});
   CollectingSink sink;
@@ -273,7 +282,7 @@ TEST_P(DegenerateInputTest, SingleItemManyTimes) {
 }
 
 TEST_P(DegenerateInputTest, AllTransactionsIdentical) {
-  auto miner = GetParam()();
+  auto miner = GetParam().make();
   DatabaseBuilder b;
   for (int i = 0; i < 10; ++i) b.AddTransaction({1, 2, 3});
   CollectingSink sink;
@@ -282,7 +291,7 @@ TEST_P(DegenerateInputTest, AllTransactionsIdentical) {
 }
 
 TEST_P(DegenerateInputTest, NullSinkRejected) {
-  auto miner = GetParam()();
+  auto miner = GetParam().make();
   DatabaseBuilder b;
   b.AddTransaction({0});
   EXPECT_FALSE(miner->Mine(b.Build(), 1, nullptr).ok());
@@ -290,12 +299,12 @@ TEST_P(DegenerateInputTest, NullSinkRejected) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMiners, DegenerateInputTest,
-    ::testing::Values(&Make<LcmMiner>, &Make<EclatMiner>,
-                      &Make<FpGrowthMiner>, &Make<AprioriMiner>,
-                      &Make<BruteForceMiner>),
-    [](const auto& info) {
-      return info.param()->name();
-    });
+    ::testing::Values(MinerFactory{&Make<LcmMiner>},
+                      MinerFactory{&Make<EclatMiner>},
+                      MinerFactory{&Make<FpGrowthMiner>},
+                      MinerFactory{&Make<AprioriMiner>},
+                      MinerFactory{&Make<BruteForceMiner>}),
+    [](const auto& info) { return info.param.make()->name(); });
 
 }  // namespace
 }  // namespace fpm

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,10 @@ struct Kernel {
   const char* name;
   std::unique_ptr<Miner> (*make)();
 };
+
+// gtest would otherwise print the struct's bytes, factory address included,
+// and the test's listed name would move with every process under ASLR.
+void PrintTo(const Kernel& kernel, std::ostream* os) { *os << kernel.name; }
 
 Database SmallDb() {
   return testutil::MakeDb({{0, 1, 2}, {0, 1}, {0, 2, 3}, {1, 2}, {0, 1, 2, 3}});

@@ -46,8 +46,7 @@ TEST(TidListDatabaseTest, WeightedSupports) {
   b.AddTransaction({0}, 3);
   Database db = b.Build();
   TidListDatabase t = TidListDatabase::FromDatabase(db, 2);
-  EXPECT_EQ(t.ItemSupport(0), 7u);
-  EXPECT_EQ(t.ItemSupport(1), 4u);
+  EXPECT_EQ(t.weights(), (std::vector<Support>{4, 3}));
   EXPECT_EQ(t.list(0).size(), 2u);  // no row expansion
 }
 

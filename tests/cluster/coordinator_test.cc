@@ -1,4 +1,4 @@
-// Coordinator routing, failover and scatter tests — everything runs
+// Coordinator routing and failover tests — everything runs
 // against an injected fake Transport (no sockets), which also carries
 // the membership pings, so health is under test control too.
 
@@ -8,7 +8,6 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -16,8 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "fpm/cluster/hash_ring.h"
-#include "fpm/core/mine.h"
-#include "fpm/core/partition.h"
 #include "fpm/dataset/packed.h"
 #include "fpm/service/json.h"
 #include "fpm/service/protocol.h"
@@ -27,7 +24,6 @@ namespace fpm {
 namespace {
 
 using testutil::MakeDb;
-using testutil::MineCanonical;
 
 const std::vector<std::string> kPeers = {"n1:7100", "n2:7100", "n3:7100"};
 
@@ -83,9 +79,8 @@ JsonValue Relayed(const Result<std::string>& line) {
 }
 
 /// Scripted fake transport: per-op handlers keyed on the decoded
-/// request, with a per-endpoint call log. Scatter calls peers from one
-/// thread per owner, so the log is guarded; handlers must be
-/// thread-safe themselves.
+/// request, with a per-endpoint call log. A membership pinger calls
+/// peers from its own thread, so the log is guarded.
 struct FakePeers {
   using Handler = std::function<Result<std::string>(
       const std::string& endpoint, const ServiceRequest& request)>;
@@ -192,8 +187,6 @@ TEST(CoordinatorTest, ProbeMissForwardsToPrimaryOwner) {
   peers.on_shard = [&](const std::string& endpoint,
                        const ServiceRequest& request)
       -> Result<std::string> {
-    EXPECT_EQ(request.cluster.shard_mode,
-              ClusterOpRequest::ShardMode::kExecute);
     EXPECT_EQ(request.mine.query.min_support, 2u);
     EXPECT_EQ(request.mine.dataset_path, "/data/test.dat");
     forwarded_to = endpoint;
@@ -359,126 +352,6 @@ TEST(CoordinatorTest, AbortCancelsBeforeAnyCall) {
   EXPECT_TRUE(peers.calls.empty());
 }
 
-/// A fake cluster whose peers actually execute shard_query mine/count
-/// over a shared database via the in-process shard primitives — the
-/// exact code fpmd runs for those ops.
-FakePeers::Handler ShardExecutingPeers(const Database& db) {
-  return [&db](const std::string&, const ServiceRequest& request)
-             -> Result<std::string> {
-    const ShardSlice slice = {request.cluster.partition_index,
-                              request.cluster.partition_count};
-    if (request.cluster.shard_mode == ClusterOpRequest::ShardMode::kMine) {
-      FPM_ASSIGN_OR_RETURN(
-          std::vector<CollectingSink::Entry> local,
-          MineShardPartition(db, slice, request.mine.query.min_support,
-                             request.mine.algorithm, request.mine.patterns));
-      return EncodeShardMineResponse(local);
-    }
-    FPM_ASSIGN_OR_RETURN(
-        std::vector<Support> counts,
-        CountShardPartition(db, slice, request.cluster.candidates));
-    return EncodeShardCountResponse(counts);
-  };
-}
-
-TEST(CoordinatorTest, ScatterMatchesDirectCanonicalMine) {
-  const Database db = MakeDb({{1, 2, 3},
-                              {1, 2},
-                              {2, 3},
-                              {1, 3},
-                              {1, 2, 3, 4},
-                              {4},
-                              {2, 4},
-                              {1, 4}});
-  // replicas = 3 on a 3-node ring: every node owns every digest, so
-  // scatter fans out over all three.
-  const ClusterOptions options = MakeOptions("n1:7100", 3);
-
-  FakePeers peers;
-  peers.on_shard = ShardExecutingPeers(db);
-  Coordinator coordinator(options, peers.transport());
-
-  const MineRequest request = MakeQuery(2);
-  Result<MineResponse> response =
-      coordinator.ExecuteScatter(request, "some-digest", {});
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->shard_count, 3u);
-  EXPECT_EQ(response->cache, CacheOutcome::kMiss);
-  // served_by lists every participating owner.
-  for (const std::string& peer : kPeers) {
-    EXPECT_NE(response->served_by.find(peer), std::string::npos)
-        << response->served_by;
-  }
-
-  Result<std::unique_ptr<Miner>> miner =
-      CreateMiner(Algorithm::kLcm, PatternSet::None());
-  ASSERT_TRUE(miner.ok()) << miner.status();
-  const std::vector<CollectingSink::Entry> direct =
-      MineCanonical(**miner, db, 2);
-  EXPECT_EQ(response->itemsets, direct);
-  EXPECT_EQ(response->num_frequent, direct.size());
-  EXPECT_EQ(coordinator.counters().scatter_queries, 1u);
-}
-
-TEST(CoordinatorTest, ScatterSurvivesOneDeadOwner) {
-  const Database db = MakeDb({{1, 2}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}});
-  const ClusterOptions options = MakeOptions("n1:7100", 3);
-
-  FakePeers peers;
-  const FakePeers::Handler execute = ShardExecutingPeers(db);
-  peers.on_shard = [&](const std::string& endpoint,
-                       const ServiceRequest& request)
-      -> Result<std::string> {
-    if (endpoint == "n2:7100") {
-      return Status::Unavailable("peer n2:7100: down");
-    }
-    return execute(endpoint, request);
-  };
-  Coordinator coordinator(options, peers.transport());
-
-  Result<MineResponse> response =
-      coordinator.ExecuteScatter(MakeQuery(2), "some-digest", {});
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_GE(coordinator.counters().failovers, 1u);
-
-  Result<std::unique_ptr<Miner>> miner =
-      CreateMiner(Algorithm::kLcm, PatternSet::None());
-  ASSERT_TRUE(miner.ok()) << miner.status();
-  EXPECT_EQ(response->itemsets, MineCanonical(**miner, db, 2));
-}
-
-// A shard reply the coordinator cannot read is the peer's fault, not
-// the query's: in each phase the partition moves on to the other owner,
-// as from a dead one.
-TEST(CoordinatorTest, ScatterFailsOverOnAnUnreadableShardReply) {
-  const Database db = MakeDb({{1, 2}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}});
-  const ClusterOptions options = MakeOptions("n1:7100", 2);
-  const std::string digest = FindDigest(options, /*self_owns=*/false);
-
-  FakePeers peers;
-  Coordinator coordinator(options, peers.transport());
-  const std::string garbled = coordinator.OwnersForDigest(digest)[0];
-  const FakePeers::Handler execute = ShardExecutingPeers(db);
-  peers.on_shard = [&](const std::string& endpoint,
-                       const ServiceRequest& request)
-      -> Result<std::string> {
-    if (endpoint == garbled) {
-      return std::string("{\"candidates\":5,\"ok\":true,\"phase\":\"mine\"}");
-    }
-    return execute(endpoint, request);
-  };
-
-  Result<MineResponse> response =
-      coordinator.ExecuteScatter(MakeQuery(2), digest, {});
-  ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(coordinator.counters().failovers, 2u);  // mine, then count
-
-  Result<std::unique_ptr<Miner>> miner =
-      CreateMiner(Algorithm::kLcm, PatternSet::None());
-  ASSERT_TRUE(miner.ok()) << miner.status();
-  EXPECT_EQ(response->itemsets, MineCanonical(**miner, db, 2));
-}
-
 // The pinger reads a ping's reply with ReplyStatus: a line that only
 // contains "ok":true is not an answer, and an error envelope is
 // recorded with the code and message it carries.
@@ -521,38 +394,6 @@ TEST(CoordinatorTest, PingerReadsTheRepliesOk) {
   EXPECT_TRUE(coordinator.membership().IsHealthy("n2:7100"));
   EXPECT_TRUE(coordinator.membership().IsHealthy("n3:7100"));
   EXPECT_EQ(status_of("n2:7100").pings, 1u);
-}
-
-TEST(CoordinatorTest, ScatterRejectsNonFrequentTasks) {
-  const ClusterOptions options = MakeOptions("n1:7100", 3);
-  FakePeers peers;
-  Coordinator coordinator(options, peers.transport());
-  MineRequest request = MakeQuery(2);
-  request.query.task = MiningTask::kClosed;
-  Result<MineResponse> response =
-      coordinator.ExecuteScatter(request, "d", {});
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(response.status().message(),
-            "cluster: scatter supports task 'frequent' only");
-}
-
-TEST(CoordinatorTest, ScatterNeedsTwoHealthyOwners) {
-  const ClusterOptions options = MakeOptions("n1:7100", 2);
-  const std::string digest = FindDigest(options, /*self_owns=*/false);
-  FakePeers peers;
-  Coordinator coordinator(options, peers.transport());
-  // Kill one of the two owners: one healthy owner is not enough to
-  // scatter, the caller should run the query whole instead.
-  coordinator.membership().RecordFailure(
-      coordinator.OwnersForDigest(digest)[0],
-      Status::Unavailable("owner down"));
-  Result<MineResponse> response =
-      coordinator.ExecuteScatter(MakeQuery(2), digest, {});
-  ASSERT_FALSE(response.ok());
-  EXPECT_EQ(response.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(response.status().message(),
-            "cluster: scatter needs >= 2 healthy owners, have 1");
 }
 
 TEST(CoordinatorTest, DigestForPathFimiMatchesRegistryDigest) {
@@ -643,7 +484,7 @@ TEST(CoordinatorTest, InfoJsonReportsPeersCountersAndPlacement) {
             "{\"counters\":{\"failovers\":0,\"forwards\":0,"
             "\"local_fallbacks\":1,\"probe_hits\":0,\"probe_hits_served\":1,"
             "\"probe_misses\":0,\"probe_misses_served\":1,"
-            "\"remote_queries\":0,\"scatter_queries\":0},\"enabled\":true,"
+            "\"remote_queries\":0},\"enabled\":true,"
             "\"peers\":[{\"consecutive_failures\":0,\"datasets_owned\":1,"
             "\"endpoint\":\"n1:7100\",\"failures\":0,\"healthy\":true,"
             "\"pings\":0,\"rtt_last_ms\":0,\"rtt_p50_ms\":0,\"rtt_p99_ms\":0,"

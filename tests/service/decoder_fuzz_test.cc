@@ -1,7 +1,7 @@
 // Seeded mutation fuzzer for every decoder of untrusted bytes: the
 // request decoder fpmd runs on each socket line, the JSON parser under
-// it, the reply reader (the relay, the two shard decoders, ReplyStatus
-// and the metrics-text unwrap) that reads a peer's or fpmd's reply,
+// it, the reply reader (the relay, ReplyStatus and the metrics-text
+// unwrap) that reads a peer's or fpmd's reply,
 // the packed-file mapper and the FIMI reader. Seeds are the protocol's
 // golden requests and replies, a .fpk written by the packed writer and
 // the FIMI inputs of the dataset tests; each mutant flips, inserts or
@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fpm/algo/itemset_sink.h"
@@ -186,49 +187,6 @@ std::optional<JsonValue> ExpectParsedAlike(const std::string& line,
   return doc.value();
 }
 
-// The shard readers' verdicts on `line`, checked against the tree:
-// what they decode is the tree's payload, what they carry its envelope.
-// Returns how many of the two read the line.
-int ExpectShardReadsAlike(const std::string& line) {
-  int read = 0;
-  const Result<std::vector<CollectingSink::Entry>> mined =
-      DecodeShardMineResponse(line);
-  if (const auto doc = ExpectParsedAlike(line, mined.status())) {
-    ++read;
-    if (mined.ok()) {
-      EXPECT_EQ((*doc)["phase"].string_value(), "mine");
-      // Each entry as the numbers it holds, items then support.
-      std::vector<std::vector<double>> decoded;
-      for (const CollectingSink::Entry& entry : mined.value()) {
-        decoded.emplace_back(entry.first.begin(), entry.first.end());
-        decoded.back().push_back(entry.second);
-      }
-      std::vector<std::vector<double>> parsed;
-      for (const JsonValue& row : (*doc)["candidates"].array_items()) {
-        parsed.emplace_back();
-        for (const JsonValue& item : row["items"].array_items()) {
-          parsed.back().push_back(item.number_value());
-        }
-        parsed.back().push_back(row["support"].number_value());
-      }
-      EXPECT_EQ(decoded, parsed);
-    }
-  }
-  const Result<std::vector<Support>> counted = DecodeShardCountResponse(line);
-  if (const auto doc = ExpectParsedAlike(line, counted.status())) {
-    ++read;
-    if (counted.ok()) {
-      EXPECT_EQ((*doc)["phase"].string_value(), "count");
-      std::vector<double> parsed;
-      for (const JsonValue& count : (*doc)["counts"].array_items()) {
-        parsed.push_back(count.number_value());
-      }
-      EXPECT_EQ(std::vector<double>(counted->begin(), counted->end()), parsed);
-    }
-  }
-  return read;
-}
-
 std::vector<std::string> JsonSeeds() {
   MineResponse response;
   response.task = MiningTask::kClosed;
@@ -240,7 +198,6 @@ std::vector<std::string> JsonSeeds() {
   response.query_id = 17;
   response.trace_id = "req-9";
   response.served_by = "n2:7100";
-  response.shard_count = 3;
 
   MineResponse rules;
   rules.task = MiningTask::kRules;
@@ -257,7 +214,10 @@ std::vector<std::string> JsonSeeds() {
   MineResponse traced = response;
   traced.trace_id = "client \"7\"\t";
   traced.served_by.clear();
-  traced.shard_count = 0;
+
+  MineResponse entries;
+  entries.num_frequent = 2;
+  entries.itemsets = {{{1, 2}, 3}, {{5}, 7}};
 
   MineRequest request;
   request.dataset_path = "/data/retail.fpk";
@@ -288,10 +248,15 @@ std::vector<std::string> JsonSeeds() {
       "{\"op\":\"stats\"}",
       "{\"op\":\"ping\"}",
       EncodeCacheProbeRequest("abcdef0123456789", request),
-      EncodeShardQueryRequest(request, ClusterOpRequest::ShardMode::kCount,
-                              1, 3, {{4, 1}, {2}}),
-      EncodeShardQueryRequest(request, ClusterOpRequest::ShardMode::kMine, 0,
-                              2, {}),
+      EncodeShardQueryRequest(request),
+      // The SON phase modes fpmd refuses.
+      "{\"algorithm\":\"lcm\",\"candidates\":[[4,1],[2]],"
+      "\"dataset\":\"/data/retail.fpk\",\"min_support\":9,"
+      "\"mode\":\"count\",\"op\":\"shard_query\","
+      "\"partition\":{\"count\":3,\"index\":1},\"task\":\"rules\"}",
+      "{\"algorithm\":\"lcm\",\"dataset\":\"/data/retail.fpk\","
+      "\"min_support\":9,\"mode\":\"mine\",\"op\":\"shard_query\","
+      "\"partition\":{\"count\":2,\"index\":0}}",
       // Replies.
       EncodeQueryResponse(response),
       EncodeQueryResponse(rules),
@@ -300,8 +265,7 @@ std::vector<std::string> JsonSeeds() {
       EncodeCacheProbeResponse(true, traced),
       EncodeCacheProbeResponse(true, rules),
       EncodeCacheProbeResponse(false, {}),
-      EncodeShardMineResponse({{{1, 2}, 3}, {{5}, 7}}),
-      EncodeShardCountResponse({0, 4, 9}),
+      EncodeQueryResponse(entries),
       EncodeError(Status::NotFound("nope")),
       EncodeErrorWithId(7, Status::InvalidArgument("bad \"entry\"\n")),
       EncodeMetricsTextResponse("# TYPE fpm_x counter\nfpm_x 1\n"),
@@ -338,7 +302,6 @@ TEST(DecoderFuzzTest, JsonDecodersReturnAStatus) {
     ExpectOkOr(DecodeRequest(line).status(), StatusCode::kInvalidArgument);
     // The reply reader: what it reads rather than refuses, the parser
     // reads alike.
-    ExpectShardReadsAlike(line);
     if (ExpectParsedAlike(line, ReplyStatus(line))) ++read_ok;
     const Result<std::string> text = DecodeMetricsTextResponse(line);
     if (const auto doc = ExpectParsedAlike(line, text.status())) {
@@ -406,20 +369,25 @@ TEST(DecoderFuzzTest, RelayedRepliesKeepTheirMembers) {
   EXPECT_GT(accepted, kRelayMutants / 10);
 }
 
-// The same for shard phase replies and error envelopes: digits become
-// digits and letters letters, so the reply keeps its shape and the
-// reader reads many mutants. Each one it reads must decode to the
-// values, and carry the code and message, that the tree holds.
-TEST(DecoderFuzzTest, ShardRepliesAndErrorEnvelopesKeepTheirMembers) {
+// The same for itemset entries and error envelopes, upper-case letters
+// included, so the relay and ReplyStatus read many mutants. Each
+// answer the relay passes keeps the members the tree holds, and each
+// envelope ReplyStatus reads carries the tree's code and message.
+TEST(DecoderFuzzTest, ItemsetEntriesAndErrorEnvelopesKeepTheirMembers) {
+  const auto answer = [](std::vector<CollectingSink::Entry> itemsets) {
+    MineResponse response;
+    response.num_frequent = itemsets.size();
+    response.itemsets = std::move(itemsets);
+    return EncodeQueryResponse(response);
+  };
   const std::vector<std::string> replies = {
-      EncodeShardMineResponse({{{1, 2}, 3}, {{5}, 7}}),
-      EncodeShardMineResponse({{{0, 17, 4095}, 31}, {{9}, 1}, {{2, 8}, 0}}),
-      EncodeShardMineResponse({}),
-      EncodeShardCountResponse({0, 4, 9}),
-      EncodeShardCountResponse({4294967295u, 12, 300}),
+      answer({{{1, 2}, 3}, {{5}, 7}}),
+      answer({{{0, 17, 4095}, 31}, {{9}, 1}, {{2, 8}, 0}}),
+      answer({}),
+      answer({{{0}, 4294967295u}, {{4}, 12}, {{9}, 300}}),
       EncodeError(Status::NotFound("dataset 'a.dat' gone")),
       EncodeErrorWithId(7, Status::InvalidArgument("bad \"entry\"\n")),
-      EncodeError(Status::Unavailable("cluster: shard 1 failed\tlast: x")),
+      EncodeError(Status::Unavailable("cluster: owner 1 failed\tlast: x")),
       EncodeErrorWithId(2, Status::Cancelled("q\x01\\z")),
   };
   Rng rng(kFuzzSeed + 4);
@@ -437,7 +405,13 @@ TEST(DecoderFuzzTest, ShardRepliesAndErrorEnvelopesKeepTheirMembers) {
       }
     }
     SCOPED_TRACE("mutant " + std::to_string(i) + ": " + line);
-    read += ExpectShardReadsAlike(line);
+    const RelayEnvelope envelope{"n9:7100", static_cast<uint64_t>(i), ""};
+    const Result<std::string> relayed =
+        RelayQueryResponse(line, /*probe=*/false, envelope);
+    if (relayed.ok()) {
+      ++read;
+      ExpectRelayed(line, envelope, relayed.value());
+    }
     if (ExpectParsedAlike(line, ReplyStatus(line))) ++read;
   }
   EXPECT_GT(read, kShapeMutants / 10);

@@ -348,6 +348,7 @@ TEST(EncodeTest, StatsResponseGolden) {
   stats.watchdog.sweeps = 7;
   stats.watchdog.flagged = 1;
   stats.watchdog.stuck_now = 1;
+  stats.refused_connections = 2;
   EXPECT_EQ(
       EncodeStatsResponse(stats),
       "{\"cache\":{\"cross_task_hits\":0,\"dominated_hits\":0,"
@@ -361,7 +362,8 @@ TEST(EncodeTest, StatsResponseGolden) {
       "\"resident_bytes\":64},"
       "\"scheduler\":{\"completed\":0,\"in_flight\":[{\"age_seconds\":0.25,"
       "\"query_id\":11}],\"queue_depth\":0,\"rejected\":0,\"running\":1,"
-      "\"submitted\":6},\"uptime_seconds\":1.5,"
+      "\"submitted\":6},\"server\":{\"refused_connections\":2},"
+      "\"uptime_seconds\":1.5,"
       "\"watchdog\":{\"flagged\":1,\"stuck_now\":1,\"sweeps\":7},"
       "\"windows\":[{\"count\":6,\"max_ms\":4.5,\"p50_ms\":1.5,"
       "\"p99_ms\":3.5,\"qps\":0.5,\"window_s\":10}]}");
@@ -443,27 +445,27 @@ TEST(DecodeRequestTest, DecodesShardQueryModes) {
       "\"dataset\":\"/tmp/x.dat\",\"min_support\":3}");
   ASSERT_TRUE(execute.ok()) << execute.status();
   EXPECT_EQ(execute->op, ServiceRequest::Op::kShardQuery);
-  EXPECT_EQ(execute->cluster.shard_mode,
-            ClusterOpRequest::ShardMode::kExecute);
+  EXPECT_EQ(execute->mine.dataset_path, "/tmp/x.dat");
+  EXPECT_EQ(execute->mine.query.min_support, 3u);
 
-  auto mine = DecodeRequest(
-      "{\"op\":\"shard_query\",\"mode\":\"mine\","
-      "\"dataset\":\"/tmp/x.dat\",\"min_support\":3,"
-      "\"partition\":{\"index\":1,\"count\":4}}");
-  ASSERT_TRUE(mine.ok()) << mine.status();
-  EXPECT_EQ(mine->cluster.shard_mode, ClusterOpRequest::ShardMode::kMine);
-  EXPECT_EQ(mine->cluster.partition_index, 1u);
-  EXPECT_EQ(mine->cluster.partition_count, 4u);
-
-  auto count = DecodeRequest(
-      "{\"op\":\"shard_query\",\"mode\":\"count\","
-      "\"dataset\":\"/tmp/x.dat\",\"min_support\":3,"
-      "\"partition\":{\"index\":0,\"count\":2},"
-      "\"candidates\":[[1,2],[7]]}");
-  ASSERT_TRUE(count.ok()) << count.status();
-  ASSERT_EQ(count->cluster.candidates.size(), 2u);
-  EXPECT_EQ(count->cluster.candidates[0], (Itemset{1, 2}));
-  EXPECT_EQ(count->cluster.candidates[1], (Itemset{7}));
+  // "execute" is the one mode: the SON phase modes are refused, with or
+  // without a partition and candidates.
+  for (const char* line :
+       {"{\"op\":\"shard_query\",\"mode\":\"mine\","
+        "\"dataset\":\"/tmp/x.dat\",\"min_support\":3,"
+        "\"partition\":{\"index\":1,\"count\":4}}",
+        "{\"op\":\"shard_query\",\"mode\":\"count\","
+        "\"dataset\":\"/tmp/x.dat\",\"min_support\":3,"
+        "\"partition\":{\"index\":0,\"count\":2},"
+        "\"candidates\":[[1,2],[7]]}",
+        "{\"op\":\"shard_query\",\"mode\":\"count\","
+        "\"dataset\":\"/tmp/x.dat\",\"min_support\":3}"}) {
+    const Status status = DecodeRequest(line).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(status.message(),
+              "op 'shard_query': field 'mode': expected 'execute'")
+        << line;
+  }
 }
 
 TEST(DecodeRequestTest, ShardQueryErrorsNameTheField) {
@@ -471,60 +473,35 @@ TEST(DecodeRequestTest, ShardQueryErrorsNameTheField) {
                           "\"dataset\":\"d\",\"min_support\":1}")
                 .status()
                 .message(),
-            "op 'shard_query': field 'mode': expected 'execute', 'mine' or "
-            "'count'");
-  EXPECT_EQ(DecodeRequest("{\"op\":\"shard_query\",\"mode\":\"mine\","
-                          "\"dataset\":\"d\",\"min_support\":1}")
+            "op 'shard_query': field 'mode': expected 'execute'");
+  EXPECT_EQ(DecodeRequest("{\"op\":\"shard_query\",\"dataset\":\"d\","
+                          "\"min_support\":1}")
                 .status()
                 .message(),
-            "op 'shard_query': field 'partition': missing or not an object");
-  EXPECT_EQ(DecodeRequest("{\"op\":\"shard_query\",\"mode\":\"mine\","
-                          "\"dataset\":\"d\",\"min_support\":1,"
-                          "\"partition\":{\"index\":2,\"count\":2}}")
+            "op 'shard_query': field 'mode': missing or not a string");
+  EXPECT_EQ(DecodeRequest("{\"op\":\"shard_query\",\"mode\":\"execute\","
+                          "\"dataset\":\"d\"}")
                 .status()
                 .message(),
-            "op 'shard_query': field 'partition.index': must be < "
-            "partition.count");
-  EXPECT_EQ(DecodeRequest("{\"op\":\"shard_query\",\"mode\":\"count\","
-                          "\"dataset\":\"d\",\"min_support\":1,"
-                          "\"partition\":{\"index\":0,\"count\":2}}")
-                .status()
-                .message(),
-            "op 'shard_query': field 'candidates': missing or not an array");
-  EXPECT_EQ(DecodeRequest("{\"op\":\"shard_query\",\"mode\":\"count\","
-                          "\"dataset\":\"d\",\"min_support\":1,"
-                          "\"partition\":{\"index\":0,\"count\":2},"
-                          "\"candidates\":[[]]}")
-                .status()
-                .message(),
-            "op 'shard_query': field 'candidates[0]': not a non-empty array");
+            "op 'shard_query': field 'min_support': missing or not a "
+            "number >= 1");
 }
 
 TEST(DecodeRequestTest, WireItemsMustBeIntegersBelowTheSentinel) {
   // 2^32 used to wrap to item 0 and 1.5 to truncate to item 1; the
   // sentinel kInvalidItem itself is not an item either.
-  const std::string count_prefix =
-      "{\"op\":\"shard_query\",\"mode\":\"count\",\"dataset\":\"d\","
-      "\"min_support\":1,\"partition\":{\"index\":0,\"count\":1},"
-      "\"candidates\":[[0],";
-  for (const char* bad : {"4294967296", "4294967295", "1.5", "-1", "1e300"}) {
-    EXPECT_EQ(DecodeRequest(count_prefix + "[" + bad + "]]}").status().message(),
-              "op 'shard_query': field 'candidates[1]': items must be "
-              "numbers >= 0")
-        << bad;
-  }
-  auto top = DecodeRequest(count_prefix + "[4294967294,2.0]]}");
-  ASSERT_TRUE(top.ok()) << top.status();
-  EXPECT_EQ(top->cluster.candidates[1], (Itemset{4294967294u, 2}));
-
   const std::string append_prefix =
-      "{\"op\":\"append\",\"id\":\"ds-1\",\"transactions\":[[";
-  for (const char* bad : {"4294967296", "4294967295", "0.5"}) {
-    EXPECT_EQ(DecodeRequest(append_prefix + bad + "]]}").status().message(),
-              "op 'append': field 'transactions[0]': items must be "
-              "numbers >= 0")
+      "{\"op\":\"append\",\"id\":\"ds-1\",\"transactions\":[[0],";
+  for (const char* bad :
+       {"4294967296", "4294967295", "1.5", "0.5", "-1", "1e300"}) {
+    EXPECT_EQ(
+        DecodeRequest(append_prefix + "[" + bad + "]]}").status().message(),
+        "op 'append': field 'transactions[1]': items must be numbers >= 0")
         << bad;
   }
+  auto top = DecodeRequest(append_prefix + "[4294967294,2.0]]}");
+  ASSERT_TRUE(top.ok()) << top.status();
+  EXPECT_EQ(top->dataset_op.transactions[1], (Itemset{4294967294u, 2}));
 }
 
 // What an owner writes for a one-itemset miss and for a one-rule miss:
@@ -561,13 +538,6 @@ TEST(ClusterWireTest, PeerDecodersRejectOutOfRangeItems) {
   ASSERT_TRUE(RelayStatus(kRuleAnswer).ok());
   for (const char* bad : {"-1", "1.5", "4294967296", "4294967295"}) {
     const std::string item = bad;
-    EXPECT_EQ(DecodeShardMineResponse(
-                  "{\"candidates\":[{\"items\":[" + item +
-                  "],\"support\":2}],\"ok\":true,\"phase\":\"mine\"}")
-                  .status()
-                  .message(),
-              "peer response: non-numeric item in 'candidates'")
-        << bad;
     EXPECT_EQ(RelayStatus(Replace(kItemsetAnswer, "\"items\":[1]",
                                   "\"items\":[" + item + "]"))
                   .message(),
@@ -603,12 +573,6 @@ std::string RequestError(const std::string& line) {
 std::string QueryReplyError(const std::string& line) {
   return RelayStatus(line).message();
 }
-std::string ShardMineReplyError(const std::string& line) {
-  return DecodeShardMineResponse(line).status().message();
-}
-std::string ShardCountReplyError(const std::string& line) {
-  return DecodeShardCountResponse(line).status().message();
-}
 
 class OutOfRangeIntegerTest : public testing::TestWithParam<OutOfRangeCase> {
 };
@@ -622,9 +586,6 @@ TEST_P(OutOfRangeIntegerTest, IsRejectedWithTheFieldsMessage) {
 }
 
 const std::string kQuery = "{\"op\":\"query\",\"dataset\":\"d\",";
-const std::string kShardMine =
-    "{\"op\":\"shard_query\",\"mode\":\"mine\",\"dataset\":\"d\","
-    "\"min_support\":1,";
 
 INSTANTIATE_TEST_SUITE_P(
     Wire, OutOfRangeIntegerTest,
@@ -660,41 +621,22 @@ INSTANTIATE_TEST_SUITE_P(
         OutOfRangeCase{"last_n", RequestError,
                        "{\"op\":\"window\",\"id\":\"ds-1\",\"last_n\":1e20}",
                        "op 'window': field 'last_n': not a number >= 0"},
-        OutOfRangeCase{"partition_index", RequestError,
-                       kShardMine + "\"partition\":{\"index\":4294967296,"
-                                    "\"count\":4294967297}}",
-                       "op 'shard_query': field 'partition.index': missing "
-                       "or not a number >= 0"},
-        OutOfRangeCase{"partition_count", RequestError,
-                       kShardMine + "\"partition\":{\"index\":0,"
-                                    "\"count\":4294967297}}",
-                       "op 'shard_query': field 'partition.count': missing "
-                       "or not a number >= 1"},
         OutOfRangeCase{"itemset_support", QueryReplyError,
                        Replace(kItemsetAnswer, "\"support\":2",
                                "\"support\":4294967296"),
                        "peer response: malformed 'itemsets' entry"},
-        OutOfRangeCase{"candidate_support", ShardMineReplyError,
-                       "{\"candidates\":[{\"items\":[1],"
-                       "\"support\":-1}],\"ok\":true,\"phase\":\"mine\"}",
-                       "peer response: malformed 'candidates' entry"},
+        OutOfRangeCase{"negative_support", QueryReplyError,
+                       Replace(kItemsetAnswer, "\"support\":2",
+                               "\"support\":-1"),
+                       "peer response: malformed 'itemsets' entry"},
         OutOfRangeCase{"rule_support", QueryReplyError,
                        Replace(kRuleAnswer, "\"support\":2",
                                "\"support\":10000000000"),
                        "peer response: malformed 'rules' entry"},
-        OutOfRangeCase{"counts", ShardCountReplyError,
-                       "{\"counts\":[2,4294967296],\"ok\":true,"
-                       "\"phase\":\"count\"}",
-                       "peer response: 'counts' entries must be numbers "
-                       ">= 0"},
         OutOfRangeCase{"query_id", QueryReplyError,
                        Replace(kItemsetAnswer, "\"query_id\":0",
                                "\"query_id\":-5"),
                        "peer response: 'query_id' is not a number >= 0"},
-        OutOfRangeCase{"shards", QueryReplyError,
-                       Replace(kItemsetAnswer, "\"task\"",
-                               "\"shards\":4294967296,\"task\""),
-                       "peer response: 'shards' is not a number >= 0"},
         OutOfRangeCase{"num_results", QueryReplyError,
                        Replace(kItemsetAnswer, "\"num_results\":1",
                                "\"num_results\":100000000000000000000"),
@@ -719,18 +661,18 @@ TEST(DecodeRequestTest, IntegerFieldsKeepTheirWholeRange) {
   EXPECT_DOUBLE_EQ(r->mine.timeout_seconds, 31536000.0);
 }
 
-TEST(DecodeRequestTest, QueryDecodesScatterFlag) {
-  auto query = DecodeRequest(
-      "{\"op\":\"query\",\"dataset\":\"d.dat\",\"min_support\":2,"
-      "\"scatter\":true}");
-  ASSERT_TRUE(query.ok()) << query.status();
-  EXPECT_TRUE(query->mine.scatter);
-
-  EXPECT_EQ(DecodeRequest("{\"op\":\"query\",\"dataset\":\"d.dat\","
-                          "\"min_support\":2,\"scatter\":1}")
-                .status()
-                .message(),
-            "op 'query': field 'scatter': not a bool");
+// "scatter" is no member of a query: ignored, like any unknown one.
+TEST(DecodeRequestTest, QueryIgnoresAScatterMember) {
+  for (const char* scatter : {"true", "1"}) {
+    auto query = DecodeRequest(
+        std::string("{\"op\":\"query\",\"dataset\":\"d.dat\","
+                    "\"min_support\":2,\"scatter\":") +
+        scatter + "}");
+    ASSERT_TRUE(query.ok()) << query.status();
+    EXPECT_EQ(query->op, ServiceRequest::Op::kQuery);
+    EXPECT_EQ(query->mine.dataset_path, "d.dat");
+    EXPECT_EQ(query->mine.query.min_support, 2u);
+  }
 }
 
 TEST(ClusterWireTest, CacheProbeRequestRoundTrips) {
@@ -813,34 +755,19 @@ TEST(ClusterWireTest, ShardQueryRequestRoundTrips) {
   MineRequest request;
   request.dataset_path = "/data/retail.fpk";
   request.query.min_support = 9;
-  const std::string line = EncodeShardQueryRequest(
-      request, ClusterOpRequest::ShardMode::kCount, 2, 5, {{4, 1}, {2}});
+  const std::string line = EncodeShardQueryRequest(request);
   EXPECT_EQ(line,
-            "{\"algorithm\":\"lcm\",\"candidates\":[[4,1],[2]],"
-            "\"dataset\":\"/data/retail.fpk\",\"min_support\":9,"
-            "\"mode\":\"count\",\"op\":\"shard_query\","
-            "\"partition\":{\"count\":5,\"index\":2},\"patterns\":\"none\","
-            "\"task\":\"frequent\"}");
+            "{\"algorithm\":\"lcm\",\"dataset\":\"/data/retail.fpk\","
+            "\"min_support\":9,\"mode\":\"execute\",\"op\":\"shard_query\","
+            "\"patterns\":\"none\",\"task\":\"frequent\"}");
   auto decoded = DecodeRequest(line);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->cluster.shard_mode, ClusterOpRequest::ShardMode::kCount);
-  EXPECT_EQ(decoded->cluster.partition_index, 2u);
-  EXPECT_EQ(decoded->cluster.partition_count, 5u);
+  EXPECT_EQ(decoded->op, ServiceRequest::Op::kShardQuery);
   EXPECT_EQ(decoded->mine.dataset_path, "/data/retail.fpk");
-  ASSERT_EQ(decoded->cluster.candidates.size(), 2u);
-  EXPECT_EQ(decoded->cluster.candidates[0], (Itemset{4, 1}));
+  EXPECT_EQ(decoded->mine.query.min_support, 9u);
 
-  // Mode "mine" carries the partition but no candidates.
-  const std::string mine = EncodeShardQueryRequest(
-      request, ClusterOpRequest::ShardMode::kMine, 0, 2, {});
-  EXPECT_EQ(mine,
-            "{\"algorithm\":\"lcm\",\"dataset\":\"/data/retail.fpk\","
-            "\"min_support\":9,\"mode\":\"mine\",\"op\":\"shard_query\","
-            "\"partition\":{\"count\":2,\"index\":0},\"patterns\":\"none\","
-            "\"task\":\"frequent\"}");
-
-  // Mode "execute" carries neither; a handle-addressed query sends its
-  // "id" and "version" instead of a dataset path.
+  // A handle-addressed query sends its "id" and "version" instead of a
+  // dataset path.
   MineRequest by_id;
   by_id.dataset_id = "ds-2";
   by_id.dataset_version = 3;
@@ -848,72 +775,11 @@ TEST(ClusterWireTest, ShardQueryRequestRoundTrips) {
   by_id.query.task = MiningTask::kClosed;
   by_id.priority = -1;
   by_id.trace_id = "t-1";
-  const std::string execute = EncodeShardQueryRequest(
-      by_id, ClusterOpRequest::ShardMode::kExecute, 0, 1, {});
-  EXPECT_EQ(execute,
+  EXPECT_EQ(EncodeShardQueryRequest(by_id),
             "{\"algorithm\":\"lcm\",\"id\":\"ds-2\",\"min_support\":4,"
             "\"mode\":\"execute\",\"op\":\"shard_query\","
             "\"patterns\":\"none\",\"priority\":-1,\"task\":\"closed\","
             "\"trace_id\":\"t-1\",\"version\":3}");
-}
-
-TEST(ClusterWireTest, ShardPhaseResponsesRoundTrip) {
-  const std::vector<CollectingSink::Entry> entries = {{{1, 2}, 3}, {{5}, 7}};
-  EXPECT_EQ(EncodeShardMineResponse(entries),
-            "{\"candidates\":[{\"items\":[1,2],\"support\":3},"
-            "{\"items\":[5],\"support\":7}],\"ok\":true,\"phase\":\"mine\"}");
-  auto mined = DecodeShardMineResponse(EncodeShardMineResponse(entries));
-  ASSERT_TRUE(mined.ok()) << mined.status();
-  EXPECT_EQ(mined.value(), entries);
-
-  const std::vector<Support> counts = {0, 4, 9};
-  EXPECT_EQ(EncodeShardCountResponse(counts),
-            "{\"counts\":[0,4,9],\"ok\":true,\"phase\":\"count\"}");
-  auto counted = DecodeShardCountResponse(EncodeShardCountResponse(counts));
-  ASSERT_TRUE(counted.ok()) << counted.status();
-  EXPECT_EQ(counted.value(), counts);
-}
-
-// The shard phase readers take exactly what their encoders write. An
-// error envelope is the status it carries; any other line is the
-// peer's fault, named with the offset where it leaves the writer's
-// form.
-TEST(ClusterWireTest, ShardPhaseReadersTakeOnlyTheWritersForm) {
-  const std::string mine = EncodeShardMineResponse({{{1, 2}, 3}});
-  const std::string count = EncodeShardCountResponse({4});
-  const auto mine_status = [](const std::string& line) {
-    return DecodeShardMineResponse(line).status();
-  };
-  const auto count_status = [](const std::string& line) {
-    return DecodeShardCountResponse(line).status();
-  };
-  for (const auto status_of : {+mine_status, +count_status}) {
-    EXPECT_EQ(status_of(EncodeError(Status::NotFound("gone"))),
-              Status::NotFound("gone"));
-    EXPECT_EQ(status_of(EncodeErrorWithId(2, Status::Cancelled("stop"))),
-              Status::Cancelled("stop"));
-    EXPECT_EQ(status_of("{\"ok\":false}"),
-              Status::Internal("peer reported an error without detail"));
-  }
-
-  const auto refused_at = [](size_t offset) {
-    return Status::Internal(
-        "peer response: not writer-canonical JSON at offset " +
-        std::to_string(offset));
-  };
-  EXPECT_EQ(mine_status(count), refused_at(2));
-  EXPECT_EQ(count_status(mine), refused_at(2));
-  const std::string other_phase = Replace(mine, "\"mine\"", "\"count\"");
-  EXPECT_EQ(mine_status(other_phase),
-            refused_at(other_phase.find("count")));
-  const std::string spaced = Replace(count, ",\"ok\"", ", \"ok\"");
-  EXPECT_EQ(count_status(spaced), refused_at(spaced.find(", ")));
-  EXPECT_EQ(count_status(count + " "), refused_at(count.size()));
-  EXPECT_EQ(count_status(Replace(count, "[4]", "[4 ]")),
-            refused_at(count.find(']')));
-  // "ok":false makes any line an error envelope, here one without detail.
-  EXPECT_EQ(mine_status(Replace(mine, "\"ok\":true", "\"ok\":false")),
-            Status::Internal("peer reported an error without detail"));
 }
 
 // The one reader of "ok": every code an error envelope can carry comes
@@ -961,8 +827,7 @@ TEST(ReplyStatusTest, ReadsTheOkOfEveryReply) {
         EncodeQueryResponseWithId(4, response),
         EncodeCacheProbeResponse(false, {}),
         EncodeCacheProbeResponse(true, response),
-        EncodeShardMineResponse(response.itemsets),
-        EncodeShardCountResponse({1, 2}), EncodeMetricsTextResponse("x\n"),
+        EncodeMetricsTextResponse("x\n"),
         EncodeStatsResponse(stats, "{\"enabled\":true,\"peers\":[]}"),
         std::string("{\"cluster\":{\"enabled\":false},\"ok\":true}"),
         // The metrics snapshot carries no "ok".
@@ -1026,20 +891,18 @@ TEST(ReplyStatusTest, DeepNestingIsRefusedAtTheParsersBound) {
   }
 }
 
-TEST(ClusterWireTest, QueryResponseCarriesPeerAndShards) {
+TEST(ClusterWireTest, QueryResponseCarriesPeer) {
   MineResponse response;
   response.num_frequent = 1;
   response.itemsets = {{{2}, 8}};
   response.served_by = "n2:7100";
-  response.shard_count = 3;
   EXPECT_EQ(EncodeQueryResponse(response),
             "{\"cache\":\"miss\",\"digest\":\"\","
             "\"itemsets\":[{\"items\":[2],\"support\":8}],\"mine_ms\":0,"
             "\"num_results\":1,\"ok\":true,\"peer\":\"n2:7100\","
-            "\"query_id\":0,\"queue_ms\":0,\"shards\":3,"
-            "\"task\":\"frequent\"}");
+            "\"query_id\":0,\"queue_ms\":0,\"task\":\"frequent\"}");
   // Relayed by another entry node: the owner's "peer" gives way to the
-  // envelope's, "shards" is kept.
+  // envelope's.
   auto relayed = RelayQueryResponse(EncodeQueryResponse(response),
                                     /*probe=*/false,
                                     RelayEnvelope{"n3:7100", 12, ""});
@@ -1048,15 +911,12 @@ TEST(ClusterWireTest, QueryResponseCarriesPeerAndShards) {
             "{\"cache\":\"miss\",\"digest\":\"\","
             "\"itemsets\":[{\"items\":[2],\"support\":8}],\"mine_ms\":0,"
             "\"num_results\":1,\"ok\":true,\"peer\":\"n3:7100\","
-            "\"query_id\":12,\"queue_ms\":0,\"shards\":3,"
-            "\"task\":\"frequent\"}");
+            "\"query_id\":12,\"queue_ms\":0,\"task\":\"frequent\"}");
 
-  // Non-cluster responses carry neither key.
+  // A non-cluster response carries no "peer".
   MineResponse plain;
   plain.num_frequent = 0;
-  const std::string line = EncodeQueryResponse(plain);
-  EXPECT_EQ(line.find("\"peer\""), std::string::npos);
-  EXPECT_EQ(line.find("\"shards\""), std::string::npos);
+  EXPECT_EQ(EncodeQueryResponse(plain).find("\"peer\""), std::string::npos);
 }
 
 TEST(ClusterWireTest, QueryResponseDecodeSurfacesPeerErrors) {
@@ -1236,6 +1096,9 @@ TEST(RelayTest, RefusesWhatTheWriterNeverWrites) {
       {"unknown key",
        Replace(kItemsetAnswer, "\"task\"", "\"tag\":1,\"task\""),
        "peer response: unknown key 'tag'"},
+      {"a shard count, which no answer carries",
+       Replace(kItemsetAnswer, "\"task\"", "\"shards\":2,\"task\""),
+       "peer response: unknown key 'shards'"},
       {"missing task", Replace(kItemsetAnswer, ",\"task\":\"frequent\"", ""),
        "peer response: missing 'task'"},
       {"raw control byte",
@@ -1268,7 +1131,7 @@ TEST(EncodeTest, StatsResponseEmbedsClusterSection) {
             "\"hits\":0,\"loads\":0,\"mapped_bytes\":0,\"resident_bytes\":0},"
             "\"scheduler\":{\"completed\":0,\"in_flight\":[],\"queue_depth\":0,"
             "\"rejected\":0,\"running\":0,\"submitted\":0},"
-            "\"uptime_seconds\":1,"
+            "\"server\":{\"refused_connections\":0},\"uptime_seconds\":1,"
             "\"watchdog\":{\"flagged\":0,\"stuck_now\":0,\"sweeps\":0},"
             "\"windows\":[]}");
   auto doc = ParseJson(line);

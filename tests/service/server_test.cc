@@ -1,7 +1,7 @@
 // The wire server in-process: servers on a Unix socket or loopback TCP
 // (ephemeral ports only), driven by raw clients. Pipelining, batch
 // streaming, cancel on disconnect, shutdown, the append item bound and
-// a 2-node cluster forward. Nothing waits on a sleep: held jobs signal
+// 2-node cluster forwards. Nothing waits on a sleep: held jobs signal
 // through the mine hook, cancellations through the query log, and every
 // client read gives up after kReadTimeoutSeconds instead of hanging.
 
@@ -415,33 +415,56 @@ TEST(ServerTest, AppendRefusesAnItemAboveTheLargestId) {
   EXPECT_EQ(appended["version"].int_value(), 2);
 }
 
+/// A 2-node loopback cluster in which one node owns the dataset at
+/// `path` (replicas = 1) and the other does not. Health moves with
+/// traffic only.
+class TwoNodeCluster {
+ public:
+  explicit TwoNodeCluster(const std::string& path) : path_(path) {
+    Listener first = ListenLoopback();
+    Listener second = ListenLoopback();
+    ClusterOptions cluster;
+    cluster.peers = {first.endpoint.ToString(), second.endpoint.ToString()};
+    cluster.replicas = 1;
+    cluster.ping_interval_seconds = 0.0;
+    for (Listener listener : {first, second}) {
+      ClusterOptions node = cluster;
+      node.self = listener.endpoint.ToString();
+      nodes_.push_back(
+          std::make_unique<RunningServer>(listener, SmallOptions(), node));
+    }
+    const JsonValue owners = Info(*nodes_[0])["placement"]["owners"];
+    EXPECT_EQ(owners.array_items().size(), 1u);
+    if (owners.array_items().size() == 1) {
+      owner_endpoint_ = owners.array_items()[0].string_value();
+    }
+    owner_index_ = owner_endpoint_ == cluster.peers[0] ? 0 : 1;
+  }
+
+  /// The "cluster" section of `node`'s cluster_info for the dataset.
+  JsonValue Info(RunningServer& node) const {
+    Client client(node.endpoint());
+    client.Send("{\"op\":\"cluster_info\",\"dataset\":\"" + path_ + "\"}");
+    return client.ReadJson()["cluster"];
+  }
+
+  const std::string& owner_endpoint() const { return owner_endpoint_; }
+  RunningServer& owner() { return *nodes_[owner_index_]; }
+  RunningServer& non_owner() { return *nodes_[1 - owner_index_]; }
+
+ private:
+  std::string path_;
+  std::vector<std::unique_ptr<RunningServer>> nodes_;
+  std::string owner_endpoint_;
+  size_t owner_index_ = 0;
+};
+
 TEST(ServerTest, NonOwnerForwardsToTheOwnerThenHitsItsCache) {
   const std::string path = WriteTempFimi("server_cluster.dat", SmallFimiText());
-  Listener first = ListenLoopback();
-  Listener second = ListenLoopback();
-  ClusterOptions cluster;
-  cluster.peers = {first.endpoint.ToString(), second.endpoint.ToString()};
-  cluster.replicas = 1;
-  cluster.ping_interval_seconds = 0.0;  // health moves with traffic only
-  std::vector<std::unique_ptr<RunningServer>> nodes;
-  for (Listener listener : {first, second}) {
-    ClusterOptions node = cluster;
-    node.self = listener.endpoint.ToString();
-    nodes.push_back(
-        std::make_unique<RunningServer>(listener, SmallOptions(), node));
-  }
-  const auto cluster_info = [&path](RunningServer& node) {
-    Client client(node.endpoint());
-    client.Send("{\"op\":\"cluster_info\",\"dataset\":\"" + path + "\"}");
-    return client.ReadJson()["cluster"];
-  };
-  const JsonValue placement = cluster_info(*nodes[0])["placement"];
-  ASSERT_EQ(placement["owners"].array_items().size(), 1u);
-  const std::string owner_endpoint =
-      placement["owners"].array_items()[0].string_value();
-  const bool first_owns = owner_endpoint == cluster.peers[0];
-  RunningServer& owner = *nodes[first_owns ? 0 : 1];
-  RunningServer& non_owner = *nodes[first_owns ? 1 : 0];
+  TwoNodeCluster cluster(path);
+  const std::string& owner_endpoint = cluster.owner_endpoint();
+  RunningServer& owner = cluster.owner();
+  RunningServer& non_owner = cluster.non_owner();
 
   Client client(non_owner.endpoint());
   client.Send(QueryLine(path, 2));
@@ -465,11 +488,11 @@ TEST(ServerTest, NonOwnerForwardsToTheOwnerThenHitsItsCache) {
   EXPECT_EQ(probed["trace_id"].string_value(), "t \"2\"");
   EXPECT_GT(probed["query_id"].int_value(), forwarded["query_id"].int_value());
 
-  const JsonValue asked = cluster_info(non_owner)["counters"];
+  const JsonValue asked = cluster.Info(non_owner)["counters"];
   EXPECT_EQ(asked["probe_misses"].int_value(), 1);
   EXPECT_EQ(asked["forwards"].int_value(), 1);
   EXPECT_EQ(asked["probe_hits"].int_value(), 1);
-  const JsonValue served = cluster_info(owner)["counters"];
+  const JsonValue served = cluster.Info(owner)["counters"];
   EXPECT_EQ(served["probe_misses_served"].int_value(), 1);
   EXPECT_EQ(served["probe_hits_served"].int_value(), 1);
   // Only the owner mined; the non-owner's cache never saw the query.
@@ -490,6 +513,36 @@ TEST(ServerTest, NonOwnerForwardsToTheOwnerThenHitsItsCache) {
   fresh.Send(QueryLine(path, 2));
   EXPECT_EQ(WithoutTimingsAndId(forwarded_line),
             RelayedFrom(owner_endpoint, WithoutTimingsAndId(fresh.Read())));
+}
+
+// A query that still asks for "scatter" takes the one cluster path: it
+// is forwarded whole, answered in the kernel's order like any other,
+// and its repeat is a hit in the owner's cache.
+TEST(ServerTest, ScatterMemberIsForwardedLikeAnyQuery) {
+  const std::string path = WriteTempFimi("server_scatter.dat", SmallFimiText());
+  TwoNodeCluster cluster(path);
+  const std::string scatter = QueryLine(path, 2, ",\"scatter\":true");
+
+  Client client(cluster.non_owner().endpoint());
+  client.Send(scatter);
+  const std::string forwarded_line = client.Read();
+  EXPECT_EQ(Parsed(forwarded_line)["cache"].string_value(), "miss");
+  RunningServer single(ListenUnix("server_scatter_single"), SmallOptions());
+  Client fresh(single.endpoint());
+  fresh.Send(QueryLine(path, 2));
+  EXPECT_EQ(WithoutTimingsAndId(forwarded_line),
+            RelayedFrom(cluster.owner_endpoint(),
+                        WithoutTimingsAndId(fresh.Read())));
+
+  client.Send(scatter);
+  const JsonValue repeat = Parsed(client.Read());
+  EXPECT_EQ(repeat["cache"].string_value(), "hit");
+  EXPECT_EQ(repeat["peer"].string_value(), cluster.owner_endpoint());
+  const JsonValue asked = cluster.Info(cluster.non_owner())["counters"];
+  EXPECT_EQ(asked["forwards"].int_value(), 1);
+  EXPECT_EQ(asked["probe_hits"].int_value(), 1);
+  EXPECT_EQ(cluster.non_owner().server().service().cache().stats().misses,
+            0u);
 }
 
 }  // namespace

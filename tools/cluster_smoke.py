@@ -23,20 +23,17 @@ contract from the outside:
      owner's own answer to the same query (same client trace id) byte
      for byte, except that "peer" is added and query_id is the
      non-owner's (timings masked)
-  5. --scatter fans the query across both owners (SON two-phase) and
-     the merged result is set-equal to the reference, in canonical
-     order, with shards=2
-  6. a raw shard_query count line whose candidates repeat one set
-     ([1,2] and [2,1]) gets an INVALID_ARGUMENT reply, and the same
-     node still answers ping afterwards (wire input never aborts fpmd)
-  7. fpm_top.py renders the cluster panel against a live node over TCP
-  8. SIGKILL the primary owner: the next query (fresh threshold, so no
+  5. a raw shard_query line in mode "count" (a SON phase no node runs)
+     gets the INVALID_ARGUMENT reply naming the one mode, "execute",
+     and the same node still answers ping afterwards
+  6. fpm_top.py renders the cluster panel against a live node over TCP
+  7. SIGKILL the primary owner: the next query (fresh threshold, so no
      cache anywhere) still answers correctly via the surviving
      replica, the non-owner's failovers counter is >= 1, and
      cluster-info now reports the killed peer unhealthy; dialing the
      dead node's TCP port fails with the shared dialer's "dial ..."
      error
-  9. clean shutdown of the survivors
+  8. clean shutdown of the survivors
 
 Health pings are off (--ping-interval-s=0) on purpose: the smoke proves
 failure discovery through real traffic (probe/forward failures mark
@@ -44,7 +41,7 @@ the peer unhealthy and fail over within one query), not through the
 background pinger the unit tests cover. A pinger's first round runs as
 the node starts, possibly before its peers listen; a peer it marks
 unhealthy then is routed last until traffic reaches it, so step 3
-could land on the replica and step 8 be answered from its cache
+could land on the replica and step 7 be answered from its cache
 without a failover.
 
 Standard library only — runs on any CI python3.
@@ -121,11 +118,6 @@ def relayed_from(owner, line):
     "peer" naming the node, in its sorted slot before "query_id"."""
     at = line.index('"query_id":')
     return line[:at] + f'"peer":"{owner}",' + line[at:]
-
-
-def itemset_set(response):
-    return {(tuple(e["items"]), e["support"])
-            for e in response.get("itemsets", [])}
 
 
 def main(argv):
@@ -261,30 +253,22 @@ def main(argv):
             fail("relayed line differs from the owner's own answer:"
                  f"\n  relayed: {probed_line}\n  owner:   {direct_line}")
 
-        # 5. Scatter: SON fan-out across both owners, set-equal result.
-        scattered = run_client(client, sockets[non_owner], "query", dataset,
-                               "2", "--scatter")[0]
-        if scattered.get("shards") != 2:
-            fail(f"scatter shards = {scattered.get('shards')}, want 2")
-        if itemset_set(scattered) != itemset_set(reference_q2):
-            fail("scatter result set differs from the reference")
-        if scattered.get("num_results") != reference_q2.get("num_results"):
-            fail("scatter num_results differs from the reference")
-
-        # 6. A duplicate wire candidate is an error reply, not an abort.
+        # 5. A SON phase mode is refused; the node serves on.
         primary_socket = sockets[by_peer[owners[0]]]
-        duplicate = raw_request(primary_socket, json.dumps({
+        count_reply = raw_request(primary_socket, json.dumps({
             "op": "shard_query", "mode": "count", "dataset": dataset,
             "min_support": 2, "partition": {"index": 0, "count": 1},
             "candidates": [[1, 2], [2, 1]]}))
-        if duplicate is None or duplicate.get("ok") is not False or \
-                duplicate.get("error", {}).get("code") != "INVALID_ARGUMENT":
-            fail(f"duplicate-candidate shard_query replied {duplicate!r}, "
-                 "want ok:false with code INVALID_ARGUMENT")
+        if count_reply != {"error": {
+                "code": "INVALID_ARGUMENT",
+                "message": "op 'shard_query': field 'mode': expected "
+                           "'execute'"}, "ok": False}:
+            fail(f"shard_query mode count replied {count_reply!r}, want "
+                 "INVALID_ARGUMENT naming the one mode, 'execute'")
         if run_client(client, primary_socket, "ping") != [{"ok": True}]:
-            fail("owner stopped answering ping after a malformed shard_query")
+            fail("owner stopped answering ping after a refused shard_query")
 
-        # 7. The dashboard renders the cluster panel over TCP.
+        # 6. The dashboard renders the cluster panel over TCP.
         tools_dir = os.path.dirname(os.path.abspath(__file__))
         top = subprocess.run(
             [sys.executable, os.path.join(tools_dir, "fpm_top.py"),
@@ -298,7 +282,7 @@ def main(argv):
             if needle not in top.stdout:
                 fail(f"fpm_top output missing {needle!r}:\n{top.stdout}")
 
-        # 8. Kill the primary owner; the replica answers, failover is
+        # 7. Kill the primary owner; the replica answers, failover is
         # counted, and the corpse is marked unhealthy.
         primary = owners[0]
         survivor = owners[1]
@@ -332,7 +316,7 @@ def main(argv):
                  f"stderr={refused.stderr!r}, want a 'dial {primary}: ...' "
                  "error")
 
-        # 9. Clean shutdown of the survivors.
+        # 8. Clean shutdown of the survivors.
         for i in range(3):
             if i == by_peer[primary]:
                 continue
@@ -349,9 +333,8 @@ def main(argv):
 
     print("cluster smoke: OK (3 nodes, shared placement, forwarded query "
           "byte-identical, repeat served by remote cache probe with one "
-          "mine total and relayed byte for byte, scatter set-equal, "
-          "duplicate wire candidate "
-          "rejected without an abort, dashboard rendered, failover "
+          "mine total and relayed byte for byte, shard_query mode count "
+          "refused while the node serves on, dashboard rendered, failover "
           "after SIGKILL answered by the replica with failovers >= 1, "
           "clean shutdown)")
     return 0

@@ -92,8 +92,7 @@ def render_cluster(cluster):
                  f"probe_misses={c.get('probe_misses', 0)} "
                  f"forwards={c.get('forwards', 0)} "
                  f"failovers={c.get('failovers', 0)} "
-                 f"fallbacks={c.get('local_fallbacks', 0)} "
-                 f"scatter={c.get('scatter_queries', 0)}")
+                 f"fallbacks={c.get('local_fallbacks', 0)}")
     lines.append(f"  serving: probe_hits={c.get('probe_hits_served', 0)} "
                  f"probe_misses={c.get('probe_misses_served', 0)}")
     return lines

@@ -49,8 +49,9 @@ drives it with fpm_client the way a real deployment would:
      session (queries of every task, count_only and trace_id, a batch
      with a bad entry, open/append/query by id/expire/window/
      dataset_info, cluster_info with and without a dataset, cache_probe
-     hit and miss, shard_query execute/mine/count, stats, decode errors
-     and an unknown op) whose replies, with SESSION_MASKED_KEYS masked,
+     hit and miss, shard_query execute and the refused modes mine and
+     count, stats, decode errors and an unknown op) whose replies, with
+     SESSION_MASKED_KEYS masked,
      must equal tools/service_session.txt byte for byte. That file pins
      every byte fpmd writes; re-record it (service_smoke.py
      --record-session FPMD) only together with a CHANGES.md entry that
@@ -58,9 +59,11 @@ drives it with fpm_client the way a real deployment would:
  16. a connection thread that cannot start, on a fourth fpmd: with its
      address space capped just above what it maps, connections held
      open use up the thread stacks glibc keeps for reuse until one
-     connection is closed unanswered; the daemon stays up, the held
-     connections still answer, and with the cap lifted a new connection
-     is served
+     connection is closed unanswered, and two more connections follow
+     it; the daemon stays up, the held connections still answer, with
+     the cap lifted a new connection is served, "stats" counts every
+     connection closed unanswered, and stderr holds one line per burst
+     of them
  17. a stand-in daemon answering scripted lines -> fpm_client
      metrics-text prints the decoded text byte for byte through every
      escape the writer uses, and fpm_client exits 1 on an error
@@ -273,13 +276,19 @@ def vm_size_kb(pid):
                     if line.startswith("VmSize:"))
 
 
+THREAD_REFUSAL_LINE = "fpm server: cannot start a connection thread"
+
+
 def check_thread_start_failure(fpmd, tmp):
     """Step 16: a connection whose thread cannot start is closed, and
     the daemon keeps serving. The soft RLIMIT_AS is lowered to 1 MB above
     the daemon's mapped size, so a new thread stack (8 MB) can no longer
     be mapped; stacks of joined threads that glibc keeps cached still
     can be reused, so connections are held open until one gets no
-    thread. Starts at most a handful of threads."""
+    thread, and two more connections follow it. "stats" must count each
+    connection closed unanswered, and stderr must hold one line for each
+    burst of them (refusals with no thread started in between). Starts
+    at most a handful of threads."""
     socket_path = os.path.join(tmp, "fpmd-threads.sock")
     daemon = subprocess.Popen(
         [fpmd, f"--socket={socket_path}", "--threads=1"],
@@ -293,8 +302,11 @@ def check_thread_start_failure(fpmd, tmp):
         cap = (vm_size_kb(daemon.pid) + 1024) * 1024
         resource.prlimit(daemon.pid, resource.RLIMIT_AS,
                          (cap, unlimited[1]))
-        refused = False
-        while len(held) < 8 and not refused:
+        # One entry per connection, in accept order: True when it was
+        # served (and is held open), False when it was closed unanswered.
+        served = []
+
+        def connect_and_ping():
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(30)
             sock.connect(socket_path)
@@ -307,13 +319,18 @@ def check_thread_start_failure(fpmd, tmp):
             if reply == b'{"ok":true}\n':
                 held.append(sock)
             elif reply == b"":
-                refused = True
                 sock.close()
             else:
                 fail(f"capped fpmd answered a ping with {reply!r}")
-        if not refused:
+            served.append(reply != b"")
+
+        while len(held) < 8 and all(served):
+            connect_and_ping()
+        if all(served):
             fail(f"{len(held)} connections held under a capped address "
                  "space and every thread started")
+        for _ in range(2):
+            connect_and_ping()
         for sock in held:
             try:
                 sock.sendall(b'{"op":"ping"}\n')
@@ -335,7 +352,25 @@ def check_thread_start_failure(fpmd, tmp):
         if ping(socket_path) != b'{"ok":true}\n':
             fail("fpmd did not serve a new connection once its thread "
                  "could start again")
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(socket_path)
+            sock.sendall(b'{"op":"stats"}\n')
+            sock.shutdown(socket.SHUT_WR)
+            stats = json.loads(read_to_close(sock))
+        refused = served.count(False)
+        counted = stats.get("server", {}).get("refused_connections")
+        if counted != refused:
+            fail(f"stats counts {counted} refused connections, want the "
+                 f"{refused} closed unanswered")
         shut_down(daemon, socket_path, "thread-limited")
+        bursts = sum(1 for i, ok in enumerate(served)
+                     if not ok and (i == 0 or served[i - 1]))
+        lines = [line for line in daemon.stderr.read().splitlines()
+                 if line.startswith(THREAD_REFUSAL_LINE)]
+        if len(lines) != bursts:
+            fail(f"{len(lines)} refusal lines on stderr for {bursts} "
+                 f"burst(s) of refused connections {served}: {lines}")
     finally:
         for sock in held:
             sock.close()

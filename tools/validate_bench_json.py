@@ -20,11 +20,7 @@ p99_ms >= p50_ms. Rows tagged with "task" (the mixed-task service
 sections) must name one of the five mining tasks. Out-of-core rows
 (any row carrying "storage", as written by bench_out_of_core) must tag
 storage as packed|memory and stage as cold|warm, with non-negative
-load_ms/mine_ms/total_ms. Cluster
-fan-out rows (any row carrying "shards", as written by
-bench_cluster_fanout) must carry the two SON phase timings plus the
-candidate and result counts, with shards >= 1. Exits nonzero with one
-line per problem.
+load_ms/mine_ms/total_ms. Exits nonzero with one line per problem.
 
 Thread-scaling rows (any row carrying "threads" > 1) measured on a
 host whose recorded host.logical_cpus is 1 cannot show real
@@ -78,11 +74,6 @@ SERVICE_ROW_KEYS = ("clients", "p50_ms", "p99_ms")
 # Timing fields every out-of-core row (tagged by "storage") must carry.
 OUT_OF_CORE_ROW_KEYS = ("load_ms", "mine_ms", "total_ms")
 
-# Fields every cluster fan-out row (tagged by "shards") must carry:
-# the SON phase timings and the candidate/result counts.
-CLUSTER_ROW_KEYS = ("phase1_ms", "count_ms", "total_ms", "candidates",
-                    "num_results")
-
 # Legal values of the out-of-core row tags.
 STORAGE_KINDS = ("packed", "memory")
 STORAGE_STAGES = ("cold", "warm")
@@ -131,29 +122,6 @@ def check_out_of_core_row(row, i, err):
                 "not a number")
         elif v < 0:
             err(f"rows[{i}] {key} {v} < 0")
-
-
-def check_cluster_row(row, i, err):
-    """A row with "shards" is a cluster fan-out measurement: both SON
-    phase timings and the candidate/result counts must be present, and
-    phase 1 cannot yield fewer candidates than survive the filter."""
-    shards = row["shards"]
-    if not isinstance(shards, int) or isinstance(shards, bool):
-        err(f"rows[{i}] 'shards' is not an integer")
-    elif shards < 1:
-        err(f"rows[{i}] shards {shards} < 1")
-    ok = True
-    for key in CLUSTER_ROW_KEYS:
-        v = row.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            err(f"rows[{i}] has 'shards' but '{key}' missing or "
-                "not a number")
-            ok = False
-        elif v < 0:
-            err(f"rows[{i}] {key} {v} < 0")
-    if ok and row["num_results"] > row["candidates"]:
-        err(f"rows[{i}] num_results {row['num_results']} > candidates "
-            f"{row['candidates']} (the SON filter cannot add itemsets)")
 
 
 def check(path):
@@ -225,8 +193,6 @@ def check(path):
             check_service_row(row, i, err)
         if "storage" in row:
             check_out_of_core_row(row, i, err)
-        if "shards" in row:
-            check_cluster_row(row, i, err)
         if "task" in row and row["task"] not in MINING_TASKS:
             err(f"rows[{i}] 'task' {row['task']!r} not one of "
                 f"{'|'.join(MINING_TASKS)}")

@@ -1,23 +1,24 @@
 // Microbenchmarks of the individual pattern building blocks
-// (google-benchmark): popcount strategies (P8 and its LUT baseline),
-// 0-escaped intersection (§4.2), aggregated vs pointer-chased lists
-// (P3), wave-front prefetching (P7.1), jump-pointer chasing (P5), and
-// AoS-vs-compacted counters (P4).
+// (google-benchmark), each timing the primitive a kernel calls:
+// popcount strategies (P8 and its LUT baseline), 0-escaped intersection
+// (§4.2, as Eclat's Intersect windows it), aggregated vs pointer-chased
+// lists (P3), jump-pointer chasing (P5), and AoS-vs-compacted counters
+// (P4, as LCM's MineLevel counts). P7.1 has no row here: LCM runs its
+// two-distance schedule inline in ProjectItem, and Figure 8's LCM Pref
+// column (bench_fig8_lcm) switches exactly that schedule.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
-#include "fpm/bitvec/intersect.h"
+#include "fpm/bitvec/bitvector.h"
 #include "fpm/bitvec/popcount.h"
 #include "fpm/bitvec/tidlist.h"
 #include "fpm/common/arena.h"
 #include "fpm/common/rng.h"
 #include "fpm/mem/aggregation.h"
-#include "fpm/mem/compaction.h"
 #include "fpm/mem/prefetch_pointers.h"
-#include "fpm/mem/wavefront.h"
 
 namespace {
 
@@ -78,26 +79,31 @@ BENCHMARK(BM_AndCount)
 // ------------------------- 0-escaping (P1-enabled) --------------------
 
 // Vectors whose 1s occupy only `range_pct`% of the words: 0-escaping
-// should cut work proportionally.
+// should cut work proportionally. Each iteration is Eclat's Intersect
+// without the child's copy: the operands' 1-ranges windowed by
+// IntersectRanges, then AndCount over the window, with the popcount
+// strategy Mine() gives Eclat when P8 is on.
 void BM_ZeroEscapedIntersect(benchmark::State& state) {
   const bool escape = state.range(0) != 0;
   const uint32_t range_pct = static_cast<uint32_t>(state.range(1));
   constexpr size_t kWords = 8192;
-  BitVector a(kWords * 64), b(kWords * 64), out(kWords * 64);
+  BitVector a(kWords * 64), b(kWords * 64);
+  std::vector<uint64_t> out(kWords);
   Rng rng(3);
   const size_t ones_words = kWords * range_pct / 100;
   const size_t start = (kWords - ones_words) / 2;
   for (size_t i = 0; i < ones_words * 16; ++i) {
-    const size_t bit = (start * 64) + rng.NextBounded(ones_words * 64);
-    a.Set(bit);
+    a.Set((start * 64) + rng.NextBounded(ones_words * 64));
     b.Set((start * 64) + rng.NextBounded(ones_words * 64));
-    (void)bit;
   }
   const WordRange ra = escape ? a.ComputeOneRange() : a.FullRange();
   const WordRange rb = escape ? b.ComputeOneRange() : b.FullRange();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        AndCount(a, ra, b, rb, &out, PopcountStrategy::kHardware));
+    const WordRange window = IntersectRanges(ra, rb);
+    benchmark::DoNotOptimize(AndCount(a.words() + window.begin,
+                                      b.words() + window.begin, out.data(),
+                                      window.size(), PopcountStrategy::kAuto));
+    benchmark::ClobberMemory();
   }
   state.SetLabel((escape ? "escaped" : "full") + std::string("/range=") +
                  std::to_string(range_pct) + "%");
@@ -186,78 +192,6 @@ void BM_AggregatedListTraversal(benchmark::State& state) {
 }
 BENCHMARK(BM_AggregatedListTraversal)->Arg(2)->Arg(6)->Arg(14)->Arg(62);
 
-// ------------------------- P7.1: wave-front prefetch ------------------
-
-struct ChainNode {
-  ChainNode* next;
-  uint64_t payload[7];  // 64-byte node
-};
-
-// Array of many short lists scattered through a large pool.
-struct ShortListFixture {
-  std::vector<ChainNode> pool;
-  std::vector<ChainNode*> heads;
-
-  explicit ShortListFixture(size_t num_lists, size_t list_len) {
-    pool.resize(num_lists * list_len);
-    heads.resize(num_lists);
-    // Scatter: permute node indices so successive nodes are far apart.
-    std::vector<size_t> perm(pool.size());
-    for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    Rng rng(4);
-    for (size_t i = perm.size(); i > 1; --i) {
-      std::swap(perm[i - 1], perm[rng.NextBounded(i)]);
-    }
-    size_t cursor = 0;
-    for (size_t l = 0; l < num_lists; ++l) {
-      ChainNode* prev = nullptr;
-      for (size_t j = 0; j < list_len; ++j) {
-        ChainNode* node = &pool[perm[cursor++]];
-        node->next = nullptr;
-        node->payload[0] = l * list_len + j;
-        if (prev == nullptr) {
-          heads[l] = node;
-        } else {
-          prev->next = node;
-        }
-        prev = node;
-      }
-    }
-  }
-};
-
-void BM_ShortListsPlain(benchmark::State& state) {
-  ShortListFixture fixture(1 << 16, 4);
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    for (ChainNode* head : fixture.heads) {
-      for (ChainNode* n = head; n != nullptr; n = n->next) {
-        sum += n->payload[0];
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          fixture.pool.size());
-}
-BENCHMARK(BM_ShortListsPlain);
-
-void BM_ShortListsWaveFront(benchmark::State& state) {
-  ShortListFixture fixture(1 << 16, 4);
-  WaveFrontOptions options;
-  options.depth = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    uint64_t sum = 0;
-    WaveFrontTraverse<ChainNode>(
-        fixture.heads, [](ChainNode* n) { return n->next; },
-        [&](size_t, ChainNode* n) { sum += n->payload[0]; }, options);
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          fixture.pool.size());
-}
-BENCHMARK(BM_ShortListsWaveFront)->Arg(2)->Arg(4)->Arg(8);
-
 // ------------------------- P5: jump pointers -------------------------
 
 void BM_ChainWalk(benchmark::State& state) {
@@ -296,8 +230,9 @@ BENCHMARK(BM_ChainWalk)->Arg(0)->Arg(1);
 
 // ------------------------- P4: counter compaction --------------------
 
-// The LCM counting loop against AoS column headers (counter embedded in
-// a 32-byte struct) vs a compacted contiguous counter array.
+// LCM's MineLevel counting loop against AoS column headers (counter
+// embedded in a 32-byte struct, like its OccHeader) vs the dense
+// counter array it counts into with P4 on.
 struct AosHeader {
   uint32_t count;
   uint32_t pad[7];
@@ -315,6 +250,7 @@ void BM_CountersAos(benchmark::State& state) {
   for (auto _ : state) {
     for (uint32_t idx : stream) headers[idx].count += 1;
     benchmark::DoNotOptimize(headers.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           kTouches);
@@ -324,15 +260,16 @@ BENCHMARK(BM_CountersAos);
 void BM_CountersCompacted(benchmark::State& state) {
   constexpr uint32_t kItems = 1 << 16;
   constexpr size_t kTouches = 1 << 22;
-  CounterTable counters(kItems);
+  std::vector<uint32_t> counters(kItems, 0);
   std::vector<uint32_t> stream(kTouches);
   Rng rng(6);
   for (auto& s : stream) {
     s = static_cast<uint32_t>(rng.NextBounded(kItems));
   }
   for (auto _ : state) {
-    for (uint32_t idx : stream) counters.Add(idx, 1);
+    for (uint32_t idx : stream) counters[idx] += 1;
     benchmark::DoNotOptimize(counters.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           kTouches);

@@ -291,23 +291,6 @@ Support CompactFpTree::ItemSupport(Item item) const {
   return total;
 }
 
-Item CompactFpTree::NodeItem(uint32_t node) const {
-  FPM_CHECK(node > 0 && node < parent_.size());
-  node_scratch_.clear();
-  uint32_t u = node;
-  while (u != 0) {
-    node_scratch_.push_back(u);
-    u = parent_[u];
-  }
-  int64_t item = -1;
-  for (size_t i = node_scratch_.size(); i-- > 0;) {
-    const uint32_t w = node_scratch_[i];
-    item = diff_[w] == kEscape ? static_cast<int64_t>(escape_.at(w))
-                               : item + diff_[w];
-  }
-  return static_cast<Item>(item);
-}
-
 bool CompactFpTree::SinglePath(
     std::vector<std::pair<Item, Support>>* path) const {
   path->clear();

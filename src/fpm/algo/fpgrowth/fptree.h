@@ -170,9 +170,6 @@ class CompactFpTree {
   size_t num_nodes() const { return parent_.size(); }
   size_t memory_bytes() const;
 
-  /// Decoded item of a node (test hook; mining decodes along paths).
-  Item NodeItem(uint32_t node) const;
-
  private:
   static constexpr uint32_t kNone = ~static_cast<uint32_t>(0);
   static constexpr uint8_t kEscape = 0xff;

@@ -1,5 +1,6 @@
 #include "fpm/algo/postprocess.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace fpm {
@@ -92,33 +93,6 @@ std::vector<CollectingSink::Entry> FilterMaximalFromClosed(
     if (maximal) kept.push_back(closed[i]);
   }
   return kept;
-}
-
-namespace {
-
-Result<std::vector<CollectingSink::Entry>> MineAll(Miner& miner,
-                                                   const Database& db,
-                                                   Support min_support) {
-  CollectingSink sink;
-  FPM_RETURN_IF_ERROR(miner.Mine(db, min_support, &sink).status());
-  sink.Canonicalize();
-  return sink.results();
-}
-
-}  // namespace
-
-Result<std::vector<CollectingSink::Entry>> MineClosed(Miner& miner,
-                                                      const Database& db,
-                                                      Support min_support) {
-  FPM_ASSIGN_OR_RETURN(auto all, MineAll(miner, db, min_support));
-  return FilterClosed(all);
-}
-
-Result<std::vector<CollectingSink::Entry>> MineMaximal(Miner& miner,
-                                                       const Database& db,
-                                                       Support min_support) {
-  FPM_ASSIGN_OR_RETURN(auto all, MineAll(miner, db, min_support));
-  return FilterMaximal(all);
 }
 
 }  // namespace fpm

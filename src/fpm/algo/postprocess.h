@@ -16,8 +16,6 @@
 #include <vector>
 
 #include "fpm/algo/itemset_sink.h"
-#include "fpm/algo/miner.h"
-#include "fpm/common/status.h"
 
 namespace fpm {
 
@@ -39,18 +37,6 @@ std::vector<CollectingSink::Entry> FilterMaximal(
 /// any size, so it uses an inverted index on each set's rarest item.
 std::vector<CollectingSink::Entry> FilterMaximalFromClosed(
     const std::vector<CollectingSink::Entry>& closed);
-
-/// Convenience: mines all frequent itemsets with `miner` and returns the
-/// closed subset (canonical order).
-Result<std::vector<CollectingSink::Entry>> MineClosed(Miner& miner,
-                                                      const Database& db,
-                                                      Support min_support);
-
-/// Convenience: mines all frequent itemsets with `miner` and returns the
-/// maximal subset (canonical order).
-Result<std::vector<CollectingSink::Entry>> MineMaximal(Miner& miner,
-                                                       const Database& db,
-                                                       Support min_support);
 
 }  // namespace fpm
 

@@ -34,29 +34,6 @@ ConsistentHashRing::ConsistentHashRing(std::vector<std::string> nodes,
       virtual_nodes_(virtual_nodes == 0 ? 1 : virtual_nodes) {
   std::sort(nodes_.begin(), nodes_.end());
   nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
-  Rebuild();
-}
-
-void ConsistentHashRing::AddNode(const std::string& node) {
-  const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
-  if (it != nodes_.end() && *it == node) return;
-  nodes_.insert(it, node);
-  Rebuild();
-}
-
-void ConsistentHashRing::RemoveNode(const std::string& node) {
-  const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
-  if (it == nodes_.end() || *it != node) return;
-  nodes_.erase(it);
-  Rebuild();
-}
-
-bool ConsistentHashRing::HasNode(const std::string& node) const {
-  return std::binary_search(nodes_.begin(), nodes_.end(), node);
-}
-
-void ConsistentHashRing::Rebuild() {
-  ring_.clear();
   ring_.reserve(nodes_.size() * virtual_nodes_);
   for (uint32_t n = 0; n < nodes_.size(); ++n) {
     for (uint32_t v = 0; v < virtual_nodes_; ++v) {
@@ -86,11 +63,6 @@ std::vector<std::string> ConsistentHashRing::Owners(
     owners.push_back(nodes_[node]);
   }
   return owners;
-}
-
-std::string ConsistentHashRing::PrimaryOwner(const std::string& key) const {
-  std::vector<std::string> owners = Owners(key, 1);
-  return owners.empty() ? std::string() : std::move(owners[0]);
 }
 
 }  // namespace fpm

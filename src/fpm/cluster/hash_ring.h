@@ -16,10 +16,11 @@
 //   Balance      — 64 virtual nodes keep the max/mean shard load
 //                  within ~1.25 (the Zymbler-style partition-balance
 //                  bound ROADMAP asks for).
-//   Minimal move — adding or removing a node only remaps keys adjacent
-//                  to its virtual points (the rendezvous/consistent
-//                  rebalance property): a leave moves only the keys the
-//                  leaver owned, a join steals only keys the joiner now
+//   Minimal move — a ring built with one node more or one node less
+//                  than another differs only in keys adjacent to that
+//                  node's virtual points (the rendezvous/consistent
+//                  rebalance property): without it, only the keys it
+//                  owned move; with it, it steals only keys it now
 //                  owns.
 //
 // The ring is placement policy only: it never dials anything and holds
@@ -44,26 +45,16 @@ class ConsistentHashRing {
   /// ~1.25 on small clusters (see BalanceBound in the tests).
   static constexpr uint32_t kDefaultVirtualNodes = 64;
 
+  /// Builds the ring over `nodes`; duplicates collapse. The node set is
+  /// fixed for the ring's lifetime.
   explicit ConsistentHashRing(std::vector<std::string> nodes = {},
                               uint32_t virtual_nodes = kDefaultVirtualNodes);
-
-  /// Adds a node (no-op when present). O(total vnodes) rebuild —
-  /// membership changes are rare next to lookups.
-  void AddNode(const std::string& node);
-
-  /// Removes a node (no-op when absent).
-  void RemoveNode(const std::string& node);
-
-  bool HasNode(const std::string& node) const;
 
   /// The first `replicas` distinct nodes clockwise from the key's ring
   /// point — the owner set, primary first. Fewer when the ring has
   /// fewer nodes; empty on an empty ring.
   std::vector<std::string> Owners(const std::string& key,
                                   uint32_t replicas) const;
-
-  /// Owners(key, 1)[0]; empty string on an empty ring.
-  std::string PrimaryOwner(const std::string& key) const;
 
   /// Member nodes, sorted (the canonical form determinism relies on).
   const std::vector<std::string>& nodes() const { return nodes_; }
@@ -74,8 +65,6 @@ class ConsistentHashRing {
   static uint64_t HashKey(const std::string& key);
 
  private:
-  void Rebuild();
-
   std::vector<std::string> nodes_;  // sorted, unique
   uint32_t virtual_nodes_;
   /// (point hash, index into nodes_), sorted by hash then index so ties

@@ -1,60 +1,23 @@
 #include "fpm/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 namespace fpm {
-namespace {
-
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarning:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+FatalLogMessage::FatalLogMessage(const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
   }
-  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
+  stream_ << "[E " << base << ":" << line << "] ";
 }
-
-void LogMessage::Flush() {
-  if (flushed_) return;
-  flushed_ = true;
-  if (static_cast<int>(level_) < static_cast<int>(GetLogLevel())) return;
-  std::string msg = stream_.str();
-  std::fprintf(stderr, "%s\n", msg.c_str());
-}
-
-LogMessage::~LogMessage() { Flush(); }
 
 FatalLogMessage::~FatalLogMessage() {
-  Flush();
+  const std::string msg = stream_.str();
+  std::fprintf(stderr, "%s\n", msg.c_str());
   std::fflush(stderr);
   std::abort();
 }

@@ -1,4 +1,4 @@
-// Minimal leveled logging + check macros for the fpm library.
+// Check macros for the fpm library.
 //
 // FPM_CHECK is used for internal invariants (programming errors), never
 // for user-input validation — that path returns Status.
@@ -6,64 +6,33 @@
 #ifndef FPM_COMMON_LOGGING_H_
 #define FPM_COMMON_LOGGING_H_
 
-#include <cstdlib>
 #include <sstream>
-#include <string>
 
 namespace fpm {
-
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Global log threshold; messages below it are dropped. Default: kInfo.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
 
-/// Stream-style log sink; emits on destruction.
-class LogMessage {
+/// Stream-style message that writes `[E file:line] <message>` to stderr
+/// on destruction and aborts the process.
+class FatalLogMessage {
  public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
+  FatalLogMessage(const char* file, int line);
+  [[noreturn]] ~FatalLogMessage();
 
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
+  FatalLogMessage(const FatalLogMessage&) = delete;
+  FatalLogMessage& operator=(const FatalLogMessage&) = delete;
 
   template <typename T>
-  LogMessage& operator<<(const T& v) {
+  FatalLogMessage& operator<<(const T& v) {
     stream_ << v;
     return *this;
   }
 
- protected:
-  /// Emits the buffered message (once); further calls are no-ops.
-  void Flush();
-
  private:
-  LogLevel level_;
-  bool flushed_ = false;
   std::ostringstream stream_;
-};
-
-/// LogMessage that aborts the process after emitting.
-class FatalLogMessage : public LogMessage {
- public:
-  FatalLogMessage(const char* file, int line)
-      : LogMessage(LogLevel::kError, file, line) {}
-  [[noreturn]] ~FatalLogMessage();
-
-  template <typename T>
-  FatalLogMessage& operator<<(const T& v) {
-    LogMessage::operator<<(v);
-    return *this;
-  }
 };
 
 }  // namespace internal
 }  // namespace fpm
-
-#define FPM_LOG(level)                                                     \
-  ::fpm::internal::LogMessage(::fpm::LogLevel::k##level, __FILE__, __LINE__)
 
 #define FPM_CHECK(cond)                                            \
   if (!(cond))                                                     \

@@ -23,12 +23,6 @@ uint32_t ZipfSampler::Sample(Rng* rng) const {
   return static_cast<uint32_t>(it - cdf_.begin());
 }
 
-double ZipfSampler::Pmf(uint32_t rank) const {
-  FPM_CHECK(rank < cdf_.size());
-  if (rank == 0) return cdf_[0];
-  return cdf_[rank] - cdf_[rank - 1];
-}
-
 WeightedSampler::WeightedSampler(const std::vector<double>& weights) {
   FPM_CHECK(!weights.empty()) << "WeightedSampler needs weights";
   cdf_.resize(weights.size());

@@ -139,9 +139,6 @@ class ZipfSampler {
   /// Returns a rank in [0, n); rank 0 is most probable.
   uint32_t Sample(Rng* rng) const;
 
-  /// Probability mass of `rank`.
-  double Pmf(uint32_t rank) const;
-
  private:
   std::vector<double> cdf_;  // cdf_[i] = P(rank <= i)
 };

@@ -182,14 +182,6 @@ Result<PatternSet> PatternSet::Parse(const std::string& text) {
   return s;
 }
 
-int PatternSet::count() const {
-  int n = 0;
-  for (const auto& info : kPatterns) {
-    if (Contains(info.pattern)) ++n;
-  }
-  return n;
-}
-
 std::string PatternSet::ToString() const {
   if (empty()) return "none";
   std::string out;

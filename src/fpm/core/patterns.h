@@ -100,7 +100,6 @@ class PatternSet {
   }
   bool Contains(Pattern p) const { return (bits_ & Bit(p)) != 0; }
   bool empty() const { return bits_ == 0; }
-  int count() const;
 
   /// Raw bit mask — a stable scalar for hashing / cache keys.
   uint8_t bits() const { return bits_; }

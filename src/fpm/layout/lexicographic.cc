@@ -4,43 +4,27 @@
 #include <numeric>
 
 namespace fpm {
-namespace {
 
-// Sorts the transactions of `db` lexicographically, returning the
-// permutation and the rebuilt database.
-LexicographicResult SortByTransaction(const Database& db,
-                                      ItemOrder item_order) {
-  std::vector<Tid> perm(db.num_transactions());
+LexicographicResult LexicographicOrder(const Database& db) {
+  ItemOrder order = ItemOrder::ByDecreasingFrequency(db);
+  const Database ranked = RemapItems(db, order);
+  std::vector<Tid> perm(ranked.num_transactions());
   std::iota(perm.begin(), perm.end(), 0);
-  std::stable_sort(perm.begin(), perm.end(), [&db](Tid a, Tid b) {
-    const auto ta = db.transaction(a);
-    const auto tb = db.transaction(b);
+  std::stable_sort(perm.begin(), perm.end(), [&ranked](Tid a, Tid b) {
+    const auto ta = ranked.transaction(a);
+    const auto tb = ranked.transaction(b);
     return std::lexicographical_compare(ta.begin(), ta.end(), tb.begin(),
                                         tb.end());
   });
   DatabaseBuilder builder;
   for (Tid t : perm) {
-    const auto tx = db.transaction(t);
-    builder.AddTransaction(tx, db.weight(t));
+    builder.AddTransaction(ranked.transaction(t), ranked.weight(t));
   }
   LexicographicResult result;
   result.database = builder.Build();
-  result.item_order = std::move(item_order);
+  result.item_order = std::move(order);
   result.tid_permutation = std::move(perm);
   return result;
-}
-
-}  // namespace
-
-LexicographicResult LexicographicOrder(const Database& db) {
-  ItemOrder order = ItemOrder::ByDecreasingFrequency(db);
-  Database ranked = RemapItems(db, order);
-  return SortByTransaction(ranked, std::move(order));
-}
-
-LexicographicResult LexicographicSortTransactions(const Database& db) {
-  ItemOrder identity;  // empty mapping: caller already ranked the items
-  return SortByTransaction(db, std::move(identity));
 }
 
 }  // namespace fpm

@@ -31,10 +31,6 @@ struct LexicographicResult {
 /// Weighted transactions keep their weights.
 LexicographicResult LexicographicOrder(const Database& db);
 
-/// Step (2) only: sorts transactions of an already rank-mapped database
-/// lexicographically. Exposed for ablations that separate the two steps.
-LexicographicResult LexicographicSortTransactions(const Database& db);
-
 }  // namespace fpm
 
 #endif  // FPM_LAYOUT_LEXICOGRAPHIC_H_

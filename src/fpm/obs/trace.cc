@@ -53,7 +53,6 @@ struct Tracer::ThreadRing {
   std::mutex mu;
   std::vector<TraceSpan> slots;
   size_t next = 0;  // insertion cursor once full
-  uint64_t overwritten = 0;
   uint32_t thread_index = 0;
 };
 
@@ -111,7 +110,6 @@ void Tracer::Record(TraceSpan span) {
   } else {
     ring->slots[ring->next] = std::move(span);
     ring->next = (ring->next + 1) % ring_capacity_;
-    ++ring->overwritten;
     spans_dropped_counter_->Increment();
   }
 }
@@ -138,23 +136,12 @@ std::vector<TraceSpan> Tracer::CollectSpans() const {
   return out;
 }
 
-uint64_t Tracer::dropped() const {
-  uint64_t total = 0;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& ring : rings_) {
-    std::lock_guard<std::mutex> rlk(ring->mu);
-    total += ring->overwritten;
-  }
-  return total;
-}
-
 void Tracer::Clear() {
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& ring : rings_) {
     std::lock_guard<std::mutex> rlk(ring->mu);
     ring->slots.clear();
     ring->next = 0;
-    ring->overwritten = 0;
   }
 }
 
@@ -252,25 +239,7 @@ double PhaseSpan::End() {
 }
 
 // ---------------------------------------------------------------------------
-// Exporters
-
-void WriteTraceJsonLines(std::span<const TraceSpan> spans, std::ostream& os) {
-  Quoter quoted;
-  for (const TraceSpan& s : spans) {
-    os << "{\"name\":" << quoted(s.name) << ",\"tid\":" << s.thread_index
-       << ",\"depth\":" << s.depth << ",\"start_ns\":" << s.start_ns
-       << ",\"dur_ns\":" << s.duration_ns;
-    if (!s.args.empty()) {
-      os << ",\"args\":{";
-      for (size_t i = 0; i < s.args.size(); ++i) {
-        if (i > 0) os << ',';
-        os << quoted(s.args[i].first) << ':' << s.args[i].second;
-      }
-      os << '}';
-    }
-    os << "}\n";
-  }
-}
+// Exporter
 
 void WriteChromeTracing(std::span<const TraceSpan> spans, std::ostream& os) {
   os << "{\"traceEvents\":[";

@@ -2,10 +2,10 @@
 //
 // A span is a named interval on one thread (begin/end, with the nesting
 // depth at begin and optional numeric args). Completed spans land in a
-// per-thread ring buffer — the newest spans win when a ring fills — and
-// are merged on export. Two exporters are provided: JSON-lines (one span
-// object per line, grep/jq-friendly) and the Chrome trace-event format
-// ("ph":"X" complete events) loadable straight into chrome://tracing or
+// per-thread ring buffer — the newest spans win when a ring fills, and
+// the registry counter fpm.obs.spans_dropped counts the ones overwritten
+// — and are merged on export in the Chrome trace-event format ("ph":"X"
+// complete events), loadable straight into chrome://tracing or
 // https://ui.perfetto.dev.
 //
 // Like the metrics registry, the default tracer starts disabled: a
@@ -72,7 +72,8 @@ class Tracer {
   static Tracer& Default();
 
   /// `ring_capacity` bounds the spans retained *per thread*; when a ring
-  /// is full the oldest span is overwritten (and counted in dropped()).
+  /// is full the oldest span is overwritten (and counted in
+  /// fpm.obs.spans_dropped).
   explicit Tracer(size_t ring_capacity = kDefaultRingCapacity);
   ~Tracer();
 
@@ -115,9 +116,6 @@ class Tracer {
   /// Every retained span, oldest-first per ring, merged and sorted by
   /// (start_ns, depth) so parents precede their children.
   std::vector<TraceSpan> CollectSpans() const;
-
-  /// Spans lost to ring overwrites since construction or Clear().
-  uint64_t dropped() const;
 
   /// Discards all retained spans (the epoch is kept).
   void Clear();
@@ -230,11 +228,6 @@ class PhaseSpan {
   TraceSpan span_;
   PhaseSampleDeltas deltas_;
 };
-
-/// Writes one JSON object per span:
-///   {"name":"mine","tid":0,"depth":1,"start_ns":12,"dur_ns":34,
-///    "args":{"itemsets":5}}
-void WriteTraceJsonLines(std::span<const TraceSpan> spans, std::ostream& os);
 
 /// Writes the Chrome trace-event JSON document ("X" complete events,
 /// microsecond timestamps) for chrome://tracing / Perfetto.

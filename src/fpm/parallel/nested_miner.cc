@@ -182,8 +182,15 @@ Result<MineStats> NestedParallelMiner::MineImpl(const Database& db,
     LockedSink locked(sink, &sink_mu);
     if (!deterministic) run.stream_sink = &locked;
 
-    // Largest projection first: the biggest class starts immediately,
-    // and the small ones fill the tail.
+    // Submitted largest projection first, which does not start the
+    // largest classes first: this thread is outside the pool, so the
+    // pool deals the tasks round-robin over the workers' deques, and
+    // each worker pops its own deque from the back (thieves take from
+    // the front). Each worker thus runs its smallest classes first and
+    // its largest last. The order stays because rank order measured no
+    // faster on the mine_parallel benchmark (4 CPUs, p50 with rank order
+    // against this order: 83.3 against 78.8 ms over 5 alternating pairs,
+    // then 75.8 against 75.5 ms over 10 rounds).
     std::vector<Item> schedule(num_frequent);
     std::iota(schedule.begin(), schedule.end(), 0);
     std::stable_sort(schedule.begin(), schedule.end(),

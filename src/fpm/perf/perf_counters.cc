@@ -229,8 +229,6 @@ Status PerfCountersStatus() {
 
 #endif  // __linux__
 
-bool PerfCountersAvailable() { return PerfCountersStatus().ok(); }
-
 PerfCounterGroup::PerfCounterGroup(PerfCounterGroup&& other) noexcept
     : fds_(std::move(other.fds_)),
       events_(std::move(other.events_)),

@@ -145,9 +145,6 @@ class PerfCounterGroup {
 /// when falling back to the software path.
 Status PerfCountersStatus();
 
-/// Convenience: PerfCountersStatus().ok().
-bool PerfCountersAvailable();
-
 }  // namespace fpm
 
 #endif  // FPM_PERF_PERF_COUNTERS_H_

@@ -110,14 +110,6 @@ PerfSampler::ThreadState* PerfSampler::StateForThisThread() {
   return raw;
 }
 
-std::span<const PerfEventId> PerfSampler::events() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& state : states_) {
-    if (state->group.has_value()) return state->group->events();
-  }
-  return {};
-}
-
 const std::vector<std::pair<PerfEventId, std::string>>& PerfSampler::dropped()
     const {
   static const std::vector<std::pair<PerfEventId, std::string>> kEmpty;

@@ -38,9 +38,6 @@ class PerfSampler : public PhaseSampler {
 
   ~PerfSampler() override;
 
-  /// Events the creating thread's group actually opened.
-  std::span<const PerfEventId> events() const;
-
   /// Requested events the creating thread's group dropped, with reasons.
   const std::vector<std::pair<PerfEventId, std::string>>& dropped() const;
 

@@ -326,7 +326,6 @@ std::string QueryResponseLine(const MineResponse& response, bool hit,
   w.Key("mine_ms").Number(response.mine_seconds * 1000.0);
   w.Key("num_results").Uint(response.num_frequent);
   w.Key("ok").Bool(true);
-  if (!response.served_by.empty()) w.Key("peer").String(response.served_by);
   w.Key("query_id").Uint(response.query_id);
   w.Key("queue_ms").Number(response.queue_seconds * 1000.0);
   if (!response.rules.empty()) {
@@ -979,7 +978,9 @@ Status CarriedOr(std::string_view line, Status refused) {
   return refused;
 }
 
-// The members of a query reply, in the writer's ascending key order.
+// The members of an owner's query reply, in the writer's ascending key
+// order. Only the relay writes "peer", so an owner's reply that carries
+// it is refused as an unknown key.
 enum ReplyKey {
   kCache,
   kDigest,
@@ -988,7 +989,6 @@ enum ReplyKey {
   kMineMs,
   kNumResults,
   kOk,
-  kPeer,
   kQueryId,
   kQueueMs,
   kRules,
@@ -998,9 +998,8 @@ enum ReplyKey {
 constexpr int kNumReplyKeys = kTraceId + 1;
 
 constexpr std::string_view kReplyKeyNames[kNumReplyKeys] = {
-    "cache", "digest",   "hit",      "itemsets", "mine_ms", "num_results",
-    "ok",    "peer",     "query_id", "queue_ms", "rules",   "task",
-    "trace_id",
+    "cache",    "digest",   "hit",   "itemsets", "mine_ms", "num_results",
+    "ok",       "query_id", "queue_ms", "rules", "task",    "trace_id",
 };
 static_assert(std::is_sorted(std::begin(kReplyKeyNames),
                              std::end(kReplyKeyNames)));
@@ -1075,7 +1074,6 @@ Status ScanValue(ReplyKey key, CanonicalReader& in) {
       if (in.String(&text) && IsTaskName(text)) return Status::OK();
       return PeerError("'task' is not a task name");
     case kDigest:
-    case kPeer:
     case kTraceId:
       if (in.String(&text)) return Status::OK();
       return PeerError("'" + name + "' is not a canonical string");
@@ -1179,10 +1177,9 @@ Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
     switch (key) {
       case kHit:
         break;
-      case kPeer:
-        if (!envelope.peer.empty()) w.Key("peer").String(envelope.peer);
-        break;
       case kQueryId:
+        // "peer" sorts between "ok" and "query_id".
+        if (!envelope.peer.empty()) w.Key("peer").String(envelope.peer);
         w.Key("query_id").Uint(envelope.query_id);
         break;
       case kTraceId:

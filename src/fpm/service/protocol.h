@@ -278,7 +278,8 @@ std::string EncodeCacheProbeResponse(bool hit, const MineResponse& response);
 /// write: no whitespace, keys strictly ascending, every key those
 /// always write present ("cache", "digest", "mine_ms", "num_results",
 /// "ok":true, "query_id", "queue_ms", "task", and "hit":true on a probe)
-/// and no key they never write, integers as plain digits, and strings
+/// and no key they never write ("peer" included: only the relay writes
+/// it), integers as plain digits, and strings
 /// with the writer's escapes and no byte below 0x20, so a relayed line
 /// never holds a newline. It applies the range checks the service's own
 /// types need: item ids below kInvalidItem, supports within 32 bits,

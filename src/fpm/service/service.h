@@ -129,9 +129,6 @@ struct MineResponse {
   uint64_t peak_bytes = 0;      ///< kernel peak structure bytes (miss only)
   uint64_t query_id = 0;        ///< the request's service-assigned id
   std::string trace_id;         ///< echoed client passthrough
-  /// Cluster mode: the peer endpoint that produced the result — empty
-  /// when served locally. Encoded as "peer" in v2 responses.
-  std::string served_by;
 };
 
 /// Handle to a submitted job. Thread-safe; holding it keeps the result

@@ -84,13 +84,4 @@ MemorySystemStats TraceTiledColumnWalk(const Database& db,
   return mem->stats();
 }
 
-MemorySystemStats TraceSequentialScan(const Database& db,
-                                      MemorySystem* mem) {
-  mem->Reset();
-  for (Tid t = 0; t < db.num_transactions(); ++t) {
-    TouchTransaction(db, t, mem);
-  }
-  return mem->stats();
-}
-
 }  // namespace fpm

@@ -23,10 +23,6 @@ MemorySystemStats TraceTiledColumnWalk(const Database& db,
                                        uint32_t tile_entries,
                                        MemorySystem* mem);
 
-/// One sequential pass over the whole database (the counting phase / the
-/// best case any layout can reach). Resets `mem` first.
-MemorySystemStats TraceSequentialScan(const Database& db, MemorySystem* mem);
-
 }  // namespace fpm
 
 #endif  // FPM_SIMCACHE_DB_TRACE_H_

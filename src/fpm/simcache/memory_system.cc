@@ -1,7 +1,5 @@
 #include "fpm/simcache/memory_system.h"
 
-#include "fpm/perf/platform_info.h"
-
 namespace fpm {
 
 MemorySystemConfig MemorySystemConfig::PentiumD() {
@@ -19,21 +17,6 @@ MemorySystemConfig MemorySystemConfig::Athlon64X2() {
   c.l1 = CacheConfig{64 * 1024, 2, 64};
   c.l2 = CacheConfig{512 * 1024, 16, 64};
   c.tlb_entries = 40;
-  return c;
-}
-
-MemorySystemConfig MemorySystemConfig::Host() {
-  const PlatformInfo info = PlatformInfo::Detect();
-  MemorySystemConfig c;
-  c.name = "host";
-  c.l1 = CacheConfig{info.l1d_bytes != 0 ? info.l1d_bytes : 32 * 1024, 8, 64};
-  c.l2 =
-      CacheConfig{info.l2_bytes != 0 ? info.l2_bytes : 1024 * 1024, 8, 64};
-  // Geometry sanity: if detected sizes break the power-of-two set
-  // constraint, fall back to the defaults.
-  if (!c.l1.Validate().ok()) c.l1 = CacheConfig{32 * 1024, 8, 64};
-  if (!c.l2.Validate().ok()) c.l2 = CacheConfig{1024 * 1024, 8, 64};
-  c.tlb_entries = 64;
   return c;
 }
 

@@ -1,5 +1,5 @@
 // L1 -> L2 (+TLB) hierarchy built from CacheModel, with presets for the
-// paper's two evaluation platforms (Table 5) and the detected host.
+// paper's two evaluation platforms (Table 5).
 
 #ifndef FPM_SIMCACHE_MEMORY_SYSTEM_H_
 #define FPM_SIMCACHE_MEMORY_SYSTEM_H_
@@ -27,9 +27,6 @@ struct MemorySystemConfig {
   static MemorySystemConfig PentiumD();
   /// M2: AMD Athlon 64 X2 4200+ — 64KB 2-way L1D, 512KB 16-way L2.
   static MemorySystemConfig Athlon64X2();
-  /// The detected host geometry (falls back to PentiumD-ish defaults for
-  /// undetectable levels).
-  static MemorySystemConfig Host();
 };
 
 /// Aggregate miss counts of one simulation.

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "fpm/algo/lcm/lcm_miner.h"
-#include "fpm/algo/postprocess.h"
 #include "fpm/dataset/quest_gen.h"
 #include "testing/db_testutil.h"
 
@@ -13,6 +12,7 @@ namespace {
 using testutil::ExpectSameResults;
 using testutil::MakeDb;
 using testutil::MineCanonical;
+using testutil::MineClosed;
 using testutil::RandomDb;
 using testutil::RandomDbSpec;
 
@@ -49,10 +49,9 @@ TEST(ClosedMinerTest, MatchesPostFilterOnRandomDbs) {
     spec.seed = seed;
     Database db = RandomDb(spec);
     for (Support support : {2u, 4u, 8u}) {
-      auto expected = MineClosed(all_miner, db, support);
-      ASSERT_TRUE(expected.ok());
+      const auto expected = MineClosed(all_miner, db, support);
       const auto actual = MineCanonical(closed_miner, db, support);
-      ExpectSameResults(*expected, actual,
+      ExpectSameResults(expected, actual,
                         "seed=" + std::to_string(seed) +
                             " support=" + std::to_string(support));
     }
@@ -70,11 +69,10 @@ TEST(ClosedMinerTest, MatchesPostFilterOnQuestData) {
   ASSERT_TRUE(dbr.ok());
   LcmMiner all_miner;
   LcmClosedMiner closed_miner;
-  auto expected = MineClosed(all_miner, dbr.value(), 15);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_GT(expected->size(), 0u);
+  const auto expected = MineClosed(all_miner, dbr.value(), 15);
+  ASSERT_GT(expected.size(), 0u);
   const auto actual = MineCanonical(closed_miner, dbr.value(), 15);
-  ExpectSameResults(*expected, actual, "quest");
+  ExpectSameResults(expected, actual, "quest");
 }
 
 TEST(ClosedMinerTest, WeightedSupports) {

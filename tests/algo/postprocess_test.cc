@@ -10,6 +10,8 @@ namespace fpm {
 namespace {
 
 using testutil::MakeDb;
+using testutil::MineClosed;
+using testutil::MineMaximal;
 using testutil::RandomDb;
 using testutil::RandomDbSpec;
 
@@ -57,22 +59,20 @@ TEST(FilterClosedTest, TextbookExample) {
   // Closed: {a}:4 and {a,b}:3 ({b} has superset {a,b} with equal supp).
   Database db = MakeDb({{0, 1}, {0, 1}, {0, 1}, {0}});
   BruteForceMiner miner;
-  auto closed = MineClosed(miner, db, 1);
-  ASSERT_TRUE(closed.ok());
-  ASSERT_EQ(closed->size(), 2u);
-  EXPECT_EQ((*closed)[0], (Entry{{0}, 4}));
-  EXPECT_EQ((*closed)[1], (Entry{{0, 1}, 3}));
+  const auto closed = MineClosed(miner, db, 1);
+  ASSERT_EQ(closed.size(), 2u);
+  EXPECT_EQ(closed[0], (Entry{{0}, 4}));
+  EXPECT_EQ(closed[1], (Entry{{0, 1}, 3}));
 }
 
 TEST(FilterMaximalTest, TextbookExample) {
   Database db = MakeDb({{0, 1}, {0, 1}, {0, 1}, {0}, {2}});
   BruteForceMiner miner;
-  auto maximal = MineMaximal(miner, db, 1);
-  ASSERT_TRUE(maximal.ok());
+  const auto maximal = MineMaximal(miner, db, 1);
   // Maximal: {0,1} and {2}.
-  ASSERT_EQ(maximal->size(), 2u);
-  EXPECT_EQ((*maximal)[0], (Entry{{0, 1}, 3}));
-  EXPECT_EQ((*maximal)[1], (Entry{{2}, 1}));
+  ASSERT_EQ(maximal.size(), 2u);
+  EXPECT_EQ(maximal[0], (Entry{{0, 1}, 3}));
+  EXPECT_EQ(maximal[1], (Entry{{2}, 1}));
 }
 
 TEST(FilterTest, MaximalIsSubsetOfClosed) {
@@ -83,13 +83,12 @@ TEST(FilterTest, MaximalIsSubsetOfClosed) {
   spec.seed = 77;
   Database db = RandomDb(spec);
   LcmMiner miner;
-  auto closed = MineClosed(miner, db, 3);
-  auto maximal = MineMaximal(miner, db, 3);
-  ASSERT_TRUE(closed.ok() && maximal.ok());
-  for (const auto& m : *maximal) {
-    EXPECT_NE(std::find(closed->begin(), closed->end(), m), closed->end());
+  const auto closed = MineClosed(miner, db, 3);
+  const auto maximal = MineMaximal(miner, db, 3);
+  for (const auto& m : maximal) {
+    EXPECT_NE(std::find(closed.begin(), closed.end(), m), closed.end());
   }
-  EXPECT_LE(maximal->size(), closed->size());
+  EXPECT_LE(maximal.size(), closed.size());
 }
 
 TEST(FilterTest, MatchesOracleOnRandomDbs) {
@@ -116,11 +115,10 @@ TEST(FilterTest, ClosedPreservesSupportsAndUniqueness) {
   spec.seed = 3;
   Database db = RandomDb(spec);
   LcmMiner miner;
-  auto closed = MineClosed(miner, db, 4);
-  ASSERT_TRUE(closed.ok());
+  const auto closed = MineClosed(miner, db, 4);
   // Closed sets must be unique and still sorted canonically.
-  for (size_t i = 1; i < closed->size(); ++i) {
-    EXPECT_LT((*closed)[i - 1].first, (*closed)[i].first);
+  for (size_t i = 1; i < closed.size(); ++i) {
+    EXPECT_LT(closed[i - 1].first, closed[i].first);
   }
 }
 

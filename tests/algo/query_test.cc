@@ -22,6 +22,8 @@ namespace {
 
 using testutil::ExpectSameResults;
 using testutil::MakeDb;
+using testutil::MineClosed;
+using testutil::MineMaximal;
 using testutil::RandomDb;
 using testutil::RandomDbSpec;
 using Entry = CollectingSink::Entry;
@@ -102,11 +104,8 @@ TEST(MinerDispatchTest, ClosedAndMaximalMatchThePostprocessReference) {
           MineQuery(miner, db, MiningQuery::Maximal(minsup));
 
       EclatMiner reference;
-      auto want_closed = MineClosed(reference, db, minsup);
-      auto want_maximal = MineMaximal(reference, db, minsup);
-      ASSERT_TRUE(want_closed.ok() && want_maximal.ok());
-      ExpectSameResults(*want_closed, closed, "closed");
-      ExpectSameResults(*want_maximal, maximal, "maximal");
+      ExpectSameResults(MineClosed(reference, db, minsup), closed, "closed");
+      ExpectSameResults(MineMaximal(reference, db, minsup), maximal, "maximal");
     }
   }
 }

@@ -2,7 +2,7 @@
 // correctness and stability rest on (see fpm/cluster/hash_ring.h):
 // determinism across instances and insertion orders, balance within the
 // documented bound at the default virtual-node count, and minimal key
-// movement when nodes join or leave.
+// movement between rings built with and without a node.
 
 #include "fpm/cluster/hash_ring.h"
 
@@ -32,17 +32,28 @@ std::vector<std::string> ManyKeys(size_t n) {
   return keys;
 }
 
+// The primary owner, or "" on an empty ring.
+std::string PrimaryOf(const ConsistentHashRing& ring, const std::string& key) {
+  const std::vector<std::string> owners = ring.Owners(key, 1);
+  return owners.empty() ? std::string() : owners.front();
+}
+
+std::vector<std::string> SixNodesWith(const std::string& extra) {
+  std::vector<std::string> nodes = SixNodes();
+  nodes.push_back(extra);
+  return nodes;
+}
+
 TEST(HashRingTest, EmptyRingHasNoOwners) {
   ConsistentHashRing ring;
   EXPECT_TRUE(ring.Owners("anything", 2).empty());
-  EXPECT_EQ(ring.PrimaryOwner("anything"), "");
-  EXPECT_FALSE(ring.HasNode("a:1"));
+  EXPECT_TRUE(ring.nodes().empty());
 }
 
 TEST(HashRingTest, SingleNodeOwnsEverything) {
   ConsistentHashRing ring({"solo:7100"});
   for (const std::string& key : ManyKeys(50)) {
-    EXPECT_EQ(ring.PrimaryOwner(key), "solo:7100");
+    EXPECT_EQ(PrimaryOf(ring, key), "solo:7100");
     EXPECT_EQ(ring.Owners(key, 3),
               std::vector<std::string>({"solo:7100"}));
   }
@@ -55,7 +66,7 @@ TEST(HashRingTest, OwnersAreDistinctAndCapped) {
     ASSERT_EQ(owners.size(), 3u) << key;
     const std::set<std::string> unique(owners.begin(), owners.end());
     EXPECT_EQ(unique.size(), owners.size()) << key << ": duplicate owner";
-    EXPECT_EQ(owners.front(), ring.PrimaryOwner(key));
+    EXPECT_EQ(owners.front(), PrimaryOf(ring, key));
   }
   // Asking for more replicas than nodes returns every node once.
   const std::vector<std::string> all = ring.Owners("k", 99);
@@ -69,13 +80,8 @@ TEST(HashRingTest, PlacementIsDeterministicAcrossInstancesAndOrder) {
   std::reverse(shuffled.begin(), shuffled.end());
   ConsistentHashRing a(SixNodes());
   ConsistentHashRing b(shuffled);
-  ConsistentHashRing c;  // incremental joins, another order
-  c.AddNode("10.0.0.4:7100");
-  c.AddNode("10.0.0.1:7100");
-  c.AddNode("10.0.0.6:7100");
-  c.AddNode("10.0.0.2:7100");
-  c.AddNode("10.0.0.5:7100");
-  c.AddNode("10.0.0.3:7100");
+  ConsistentHashRing c({"10.0.0.4:7100", "10.0.0.1:7100", "10.0.0.6:7100",
+                        "10.0.0.2:7100", "10.0.0.5:7100", "10.0.0.3:7100"});
   for (const std::string& key : ManyKeys(500)) {
     const std::vector<std::string> owners = a.Owners(key, 2);
     EXPECT_EQ(owners, b.Owners(key, 2)) << key;
@@ -102,7 +108,7 @@ TEST(HashRingTest, BalanceBound) {
                           ConsistentHashRing::kDefaultVirtualNodes);
   std::map<std::string, size_t> load;
   const std::vector<std::string> keys = ManyKeys(10000);
-  for (const std::string& key : keys) ++load[ring.PrimaryOwner(key)];
+  for (const std::string& key : keys) ++load[PrimaryOf(ring, key)];
   const double mean =
       static_cast<double>(keys.size()) / static_cast<double>(SixNodes().size());
   size_t max_load = 0;
@@ -116,40 +122,35 @@ TEST(HashRingTest, BalanceBound) {
 }
 
 TEST(HashRingTest, RemoveMovesOnlyTheLeaversKeys) {
-  ConsistentHashRing ring(SixNodes());
-  const std::vector<std::string> keys = ManyKeys(5000);
-  std::map<std::string, std::string> before;
-  for (const std::string& key : keys) before[key] = ring.PrimaryOwner(key);
-
   const std::string leaver = "10.0.0.3:7100";
-  ring.RemoveNode(leaver);
-  EXPECT_FALSE(ring.HasNode(leaver));
+  const ConsistentHashRing with(SixNodes());
+  std::vector<std::string> rest = SixNodes();
+  std::erase(rest, leaver);
+  const ConsistentHashRing without(rest);
   size_t moved = 0;
-  for (const std::string& key : keys) {
-    const std::string now = ring.PrimaryOwner(key);
-    if (before[key] == leaver) {
+  for (const std::string& key : ManyKeys(5000)) {
+    const std::string before = PrimaryOf(with, key);
+    const std::string now = PrimaryOf(without, key);
+    if (before == leaver) {
       EXPECT_NE(now, leaver);
       ++moved;
     } else {
       // Keys the leaver did not own must not move at all.
-      EXPECT_EQ(now, before[key]) << key;
+      EXPECT_EQ(now, before) << key;
     }
   }
   EXPECT_GT(moved, 0u);
 }
 
 TEST(HashRingTest, JoinStealsOnlyForTheJoiner) {
-  ConsistentHashRing ring(SixNodes());
-  const std::vector<std::string> keys = ManyKeys(5000);
-  std::map<std::string, std::string> before;
-  for (const std::string& key : keys) before[key] = ring.PrimaryOwner(key);
-
   const std::string joiner = "10.0.0.7:7100";
-  ring.AddNode(joiner);
+  const ConsistentHashRing without(SixNodes());
+  const ConsistentHashRing with(SixNodesWith(joiner));
+  const std::vector<std::string> keys = ManyKeys(5000);
   size_t stolen = 0;
   for (const std::string& key : keys) {
-    const std::string now = ring.PrimaryOwner(key);
-    if (now != before[key]) {
+    const std::string now = PrimaryOf(with, key);
+    if (now != PrimaryOf(without, key)) {
       // Any key that moved must have moved *to* the joiner.
       EXPECT_EQ(now, joiner) << key;
       ++stolen;
@@ -162,14 +163,17 @@ TEST(HashRingTest, JoinStealsOnlyForTheJoiner) {
 }
 
 TEST(HashRingTest, AddRemoveRoundTripRestoresPlacement) {
-  ConsistentHashRing ring(SixNodes());
-  const std::vector<std::string> keys = ManyKeys(1000);
-  std::map<std::string, std::vector<std::string>> before;
-  for (const std::string& key : keys) before[key] = ring.Owners(key, 2);
-  ring.AddNode("transient:7100");
-  ring.RemoveNode("transient:7100");
-  for (const std::string& key : keys) {
-    EXPECT_EQ(ring.Owners(key, 2), before[key]) << key;
+  // Owner lists are one clockwise walk with repeats skipped, so the
+  // ring with a transient node, that node dropped from its owners,
+  // places every replica where the ring without it does.
+  const std::string transient = "transient:7100";
+  const ConsistentHashRing without(SixNodes());
+  const ConsistentHashRing with(SixNodesWith(transient));
+  for (const std::string& key : ManyKeys(1000)) {
+    std::vector<std::string> owners = with.Owners(key, 3);
+    std::erase(owners, transient);
+    owners.resize(2);
+    EXPECT_EQ(owners, without.Owners(key, 2)) << key;
   }
 }
 

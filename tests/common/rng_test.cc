@@ -95,34 +95,56 @@ TEST(RngTest, PoissonZeroMeanIsZero) {
   EXPECT_EQ(rng.NextPoisson(0.0), 0u);
 }
 
+// Zipf(s) over n ranks from its formula: P(r) = (r+1)^-s / H(n, s).
+double ZipfPmf(uint32_t n, double s, uint32_t rank) {
+  double harmonic = 0;
+  for (uint32_t r = 1; r <= n; ++r) harmonic += std::pow(r, -s);
+  return std::pow(rank + 1, -s) / harmonic;
+}
+
+// Fraction of `draws` samples that land on each rank.
+std::vector<double> EmpiricalPmf(const ZipfSampler& zipf, uint32_t n,
+                                 uint64_t seed, int draws) {
+  Rng rng(seed);
+  std::vector<double> freq(n, 0.0);
+  for (int i = 0; i < draws; ++i) {
+    const uint32_t rank = zipf.Sample(&rng);
+    EXPECT_LT(rank, n);
+    if (rank < n) freq[rank] += 1.0 / draws;
+  }
+  return freq;
+}
+
 TEST(ZipfSamplerTest, RankZeroMostProbable) {
-  ZipfSampler zipf(100, 1.0);
-  EXPECT_GT(zipf.Pmf(0), zipf.Pmf(1));
-  EXPECT_GT(zipf.Pmf(1), zipf.Pmf(50));
+  const std::vector<double> freq =
+      EmpiricalPmf(ZipfSampler(100, 1.0), 100, 29, 100000);
+  EXPECT_GT(freq[0], freq[1]);
+  EXPECT_GT(freq[1], freq[50]);
 }
 
 TEST(ZipfSamplerTest, PmfSumsToOne) {
-  ZipfSampler zipf(50, 1.2);
+  // Every sample lands on a rank in [0, n), so the empirical pmf sums
+  // to one.
   double total = 0;
-  for (uint32_t r = 0; r < 50; ++r) total += zipf.Pmf(r);
+  for (double p : EmpiricalPmf(ZipfSampler(50, 1.2), 50, 37, 20000)) {
+    total += p;
+  }
   EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
 TEST(ZipfSamplerTest, ZeroExponentIsUniform) {
-  ZipfSampler zipf(10, 0.0);
-  for (uint32_t r = 0; r < 10; ++r) EXPECT_NEAR(zipf.Pmf(r), 0.1, 1e-9);
+  const std::vector<double> freq =
+      EmpiricalPmf(ZipfSampler(10, 0.0), 10, 41, 100000);
+  for (uint32_t r = 0; r < 10; ++r) {
+    EXPECT_NEAR(freq[r], 0.1, 0.01) << "rank " << r;
+  }
 }
 
 TEST(ZipfSamplerTest, EmpiricalMatchesPmf) {
-  ZipfSampler zipf(20, 1.0);
-  Rng rng(31);
-  constexpr int kN = 100000;
-  std::vector<int> counts(20, 0);
-  for (int i = 0; i < kN; ++i) ++counts[zipf.Sample(&rng)];
+  const std::vector<double> freq =
+      EmpiricalPmf(ZipfSampler(20, 1.0), 20, 31, 100000);
   for (uint32_t r = 0; r < 20; ++r) {
-    EXPECT_NEAR(static_cast<double>(counts[r]) / kN, zipf.Pmf(r),
-                0.01)
-        << "rank " << r;
+    EXPECT_NEAR(freq[r], ZipfPmf(20, 1.0, r), 0.01) << "rank " << r;
   }
 }
 

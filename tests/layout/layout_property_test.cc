@@ -8,10 +8,13 @@
 #include "fpm/dataset/quest_gen.h"
 #include "fpm/dataset/standin_gen.h"
 #include "fpm/layout/lexicographic.h"
-#include "fpm/layout/locality_metrics.h"
+#include "testing/locality_metrics.h"
 
 namespace fpm {
 namespace {
+
+using testutil::ItemRunCounts;
+using testutil::TotalDiscontinuities;
 
 enum class Source { kQuest, kWebDocs, kAp };
 

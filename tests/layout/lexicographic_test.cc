@@ -128,15 +128,5 @@ TEST(LexicographicTest, WeightsFollowTransactions) {
   EXPECT_EQ(total, 11u);
 }
 
-TEST(LexicographicSortOnlyTest, SortsWithoutRemap) {
-  Database db = MakeDb({{2, 0}, {0, 1}, {0}});
-  LexicographicResult lex = LexicographicSortTransactions(db);
-  auto t0 = lex.database.transaction(0);
-  EXPECT_EQ(t0[0], 0u);  // {0} first
-  EXPECT_EQ(t0.size(), 1u);
-  EXPECT_EQ(lex.database.transaction(1)[1], 1u);  // then {0,1}
-  EXPECT_EQ(lex.database.transaction(2)[0], 2u);  // then {2,0}
-}
-
 }  // namespace
 }  // namespace fpm

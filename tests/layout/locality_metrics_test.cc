@@ -1,4 +1,4 @@
-#include "fpm/layout/locality_metrics.h"
+#include "testing/locality_metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,10 @@
 
 namespace fpm {
 namespace {
+
+using testutil::FrequencyWeightedDiscontinuities;
+using testutil::ItemRunCounts;
+using testutil::TotalDiscontinuities;
 
 Database MakeDb(std::initializer_list<std::initializer_list<Item>> txs) {
   DatabaseBuilder b;

@@ -157,7 +157,6 @@ TEST(PerfCounterGroupTest, CountsWorkWhenAvailable) {
 
 TEST(PerfCounterGroupTest, AvailabilityProbeConsistent) {
   const Status status = PerfCountersStatus();
-  EXPECT_EQ(PerfCountersAvailable(), status.ok());
   constexpr PerfEventId kProbe[] = {PerfEventId::kCycles};
   auto group = PerfCounterGroup::Create(kProbe);
   EXPECT_EQ(status.ok(), group.ok());
@@ -187,7 +186,9 @@ TEST(PerfSamplerTest, LatchesPhaseDeltasWhenAvailable) {
   PhaseSampleDeltas deltas;
   (*sampler)->OnPhaseEnd("mine", &deltas);
   ASSERT_FALSE(deltas.counters.empty());
-  EXPECT_EQ(deltas.counters.size(), (*sampler)->events().size());
+  const size_t opened =
+      PerfCounterGroup::DefaultEvents().size() - (*sampler)->dropped().size();
+  EXPECT_EQ(deltas.counters.size(), opened);
   bool saw_cycles = false;
   for (const auto& [name, value] : deltas.counters) {
     if (name == "cycles") {

@@ -197,7 +197,6 @@ std::vector<std::string> JsonSeeds() {
   response.queue_seconds = 0.5;
   response.query_id = 17;
   response.trace_id = "req-9";
-  response.served_by = "n2:7100";
 
   MineResponse rules;
   rules.task = MiningTask::kRules;
@@ -213,7 +212,6 @@ std::vector<std::string> JsonSeeds() {
   // A probe hit for a client that sent its own trace id.
   MineResponse traced = response;
   traced.trace_id = "client \"7\"\t";
-  traced.served_by.clear();
 
   MineResponse entries;
   entries.num_frequent = 2;

@@ -892,19 +892,19 @@ TEST(ReplyStatusTest, DeepNestingIsRefusedAtTheParsersBound) {
 }
 
 TEST(ClusterWireTest, QueryResponseCarriesPeer) {
+  // Only the relay writes "peer": an owner's answer never carries it,
+  // and the relayed line has it in its sorted slot, between "ok" and
+  // "query_id".
   MineResponse response;
   response.num_frequent = 1;
   response.itemsets = {{{2}, 8}};
-  response.served_by = "n2:7100";
-  EXPECT_EQ(EncodeQueryResponse(response),
+  const std::string owner_line = EncodeQueryResponse(response);
+  EXPECT_EQ(owner_line,
             "{\"cache\":\"miss\",\"digest\":\"\","
             "\"itemsets\":[{\"items\":[2],\"support\":8}],\"mine_ms\":0,"
-            "\"num_results\":1,\"ok\":true,\"peer\":\"n2:7100\","
+            "\"num_results\":1,\"ok\":true,"
             "\"query_id\":0,\"queue_ms\":0,\"task\":\"frequent\"}");
-  // Relayed by another entry node: the owner's "peer" gives way to the
-  // envelope's.
-  auto relayed = RelayQueryResponse(EncodeQueryResponse(response),
-                                    /*probe=*/false,
+  auto relayed = RelayQueryResponse(owner_line, /*probe=*/false,
                                     RelayEnvelope{"n3:7100", 12, ""});
   ASSERT_TRUE(relayed.ok()) << relayed.status();
   EXPECT_EQ(relayed.value(),
@@ -912,11 +912,6 @@ TEST(ClusterWireTest, QueryResponseCarriesPeer) {
             "\"itemsets\":[{\"items\":[2],\"support\":8}],\"mine_ms\":0,"
             "\"num_results\":1,\"ok\":true,\"peer\":\"n3:7100\","
             "\"query_id\":12,\"queue_ms\":0,\"task\":\"frequent\"}");
-
-  // A non-cluster response carries no "peer".
-  MineResponse plain;
-  plain.num_frequent = 0;
-  EXPECT_EQ(EncodeQueryResponse(plain).find("\"peer\""), std::string::npos);
 }
 
 TEST(ClusterWireTest, QueryResponseDecodeSurfacesPeerErrors) {
@@ -932,7 +927,14 @@ TEST(ClusterWireTest, QueryResponseDecodeSurfacesPeerErrors) {
 
 // The relay's bytes. Each relayed line is the owner's line with the
 // entry's envelope, and equals encoding the owner's answer with that
-// envelope: the line the entry wrote when it decoded and re-encoded.
+// envelope's query_id and trace_id plus its "peer": the line the entry
+// wrote when it decoded and re-encoded.
+
+// `line` with "peer":`peer` in its sorted slot, before "query_id".
+std::string WithPeer(const std::string& line, const std::string& peer) {
+  return Replace(line, "\"query_id\"",
+                 "\"peer\":\"" + peer + "\",\"query_id\"");
+}
 
 TEST(RelayTest, ProbeHitTakesTheEntrysEnvelope) {
   MineResponse response;
@@ -967,10 +969,9 @@ TEST(RelayTest, ProbeHitTakesTheEntrysEnvelope) {
             "\"num_results\":2,\"ok\":true,\"peer\":\"n2:7100\","
             "\"query_id\":31,\"queue_ms\":0,\"task\":\"closed\","
             "\"trace_id\":\"t \\\"1\\\"\\t\\\\\"}");
-  response.served_by = "n2:7100";
   response.query_id = 31;
   response.trace_id = client_trace;
-  EXPECT_EQ(traced.value(), EncodeQueryResponse(response));
+  EXPECT_EQ(traced.value(), WithPeer(EncodeQueryResponse(response), "n2:7100"));
 }
 
 // A forwarded miss carries the owner's timings as the owner printed
@@ -1035,10 +1036,9 @@ TEST(RelayTest, CountOnlyAndRulesAnswers) {
             "{\"antecedent\":[],\"confidence\":1,\"consequent\":[2,5],"
             "\"lift\":1.3333333333333333,\"support\":4}],"
             "\"task\":\"rules\",\"trace_id\":\"r\"}");
-  rules.served_by = "n2:7100";
   rules.query_id = 8;
   rules.trace_id = "r";
-  EXPECT_EQ(relayed.value(), EncodeQueryResponse(rules));
+  EXPECT_EQ(relayed.value(), WithPeer(EncodeQueryResponse(rules), "n2:7100"));
 }
 
 TEST(RelayTest, ProbeMissIsEmptyAndOkFalseIsTheCarriedStatus) {
@@ -1096,6 +1096,10 @@ TEST(RelayTest, RefusesWhatTheWriterNeverWrites) {
       {"unknown key",
        Replace(kItemsetAnswer, "\"task\"", "\"tag\":1,\"task\""),
        "peer response: unknown key 'tag'"},
+      {"a peer, which only the relay writes",
+       Replace(kItemsetAnswer, "\"query_id\"",
+               "\"peer\":\"n2:7100\",\"query_id\""),
+       "peer response: unknown key 'peer'"},
       {"a shard count, which no answer carries",
        Replace(kItemsetAnswer, "\"task\"", "\"shards\":2,\"task\""),
        "peer response: unknown key 'shards'"},

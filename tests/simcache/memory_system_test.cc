@@ -7,8 +7,7 @@ namespace {
 
 TEST(MemorySystemConfigTest, PresetsAreValid) {
   for (const auto& config :
-       {MemorySystemConfig::PentiumD(), MemorySystemConfig::Athlon64X2(),
-        MemorySystemConfig::Host()}) {
+       {MemorySystemConfig::PentiumD(), MemorySystemConfig::Athlon64X2()}) {
     EXPECT_TRUE(config.l1.Validate().ok()) << config.name;
     EXPECT_TRUE(config.l2.Validate().ok()) << config.name;
     EXPECT_GT(config.tlb_entries, 0u) << config.name;

@@ -1,6 +1,7 @@
 // Shared helpers for miner tests: small database literals, random and
-// sparse database generation, Eclat's layout footprints, and canonical
-// mining wrappers for equivalence checks.
+// sparse database generation, Eclat's layout footprints, canonical
+// mining wrappers for equivalence checks, and the closed/maximal
+// oracles.
 
 #ifndef FPM_TESTS_TESTING_DB_TESTUTIL_H_
 #define FPM_TESTS_TESTING_DB_TESTUTIL_H_
@@ -12,6 +13,7 @@
 
 #include "fpm/algo/itemset_sink.h"
 #include "fpm/algo/miner.h"
+#include "fpm/algo/postprocess.h"
 #include "fpm/bitvec/tidlist.h"
 #include "fpm/bitvec/vertical.h"
 #include "fpm/common/rng.h"
@@ -131,6 +133,22 @@ inline std::vector<CollectingSink::Entry> MineCanonical(Miner& miner,
   EXPECT_TRUE(s.ok()) << miner.name() << ": " << s;
   sink.Canonicalize();
   return sink.results();
+}
+
+/// Oracle: the closed subset of `miner`'s complete frequent listing
+/// (canonical order).
+inline std::vector<CollectingSink::Entry> MineClosed(Miner& miner,
+                                                     const Database& db,
+                                                     Support min_support) {
+  return FilterClosed(MineCanonical(miner, db, min_support));
+}
+
+/// Oracle: the maximal subset of `miner`'s complete frequent listing
+/// (canonical order).
+inline std::vector<CollectingSink::Entry> MineMaximal(Miner& miner,
+                                                      const Database& db,
+                                                      Support min_support) {
+  return FilterMaximal(MineCanonical(miner, db, min_support));
 }
 
 /// EXPECT-level comparison with a readable diff on mismatch.

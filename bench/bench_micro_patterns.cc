@@ -46,7 +46,6 @@ void BM_CountOnes(benchmark::State& state) {
 BENCHMARK(BM_CountOnes)
     ->ArgsProduct({{static_cast<int>(PopcountStrategy::kLut16),
                     static_cast<int>(PopcountStrategy::kSwar),
-                    static_cast<int>(PopcountStrategy::kHardware),
                     static_cast<int>(PopcountStrategy::kAvx2)},
                    {512, 16384}});
 
@@ -72,7 +71,6 @@ void BM_AndCount(benchmark::State& state) {
 BENCHMARK(BM_AndCount)
     ->ArgsProduct({{static_cast<int>(PopcountStrategy::kLut16),
                     static_cast<int>(PopcountStrategy::kSwar),
-                    static_cast<int>(PopcountStrategy::kHardware),
                     static_cast<int>(PopcountStrategy::kAvx2)},
                    {512, 16384}});
 

@@ -13,7 +13,7 @@
 //      counting skip the all-zero prefix/suffix (§4.2's 0-escaping).
 //   P8 popcount strategy — the baseline counts via a 16-bit lookup table
 //      (indirect loads, not SIMDizable); the tuned variants count with
-//      computation (SWAR / hardware popcount / AVX2).
+//      computation (SWAR, or AVX2 where the host has it).
 //
 // P2, the data structure adaptation the paper attributes to the
 // literature, is not a toggle: each run picks its layout from the data

@@ -4,8 +4,9 @@
 #include <cstring>
 #include <vector>
 
-#include "fpm/obs/trace.h"
+#include "fpm/common/cancel.h"
 #include "fpm/layout/item_order.h"
+#include "fpm/obs/trace.h"
 
 namespace fpm {
 namespace {
@@ -68,8 +69,10 @@ Cdb MergeDuplicates(Cdb&& db) {
 
 class ClosedRun {
  public:
-  ClosedRun(Support min_support, ItemsetSink* sink, MineStats* stats)
-      : min_support_(min_support), sink_(sink), stats_(stats) {}
+  ClosedRun(Support min_support, const CancelToken* cancel,
+            ItemsetSink* sink, MineStats* stats)
+      : min_support_(min_support), cancel_(cancel), sink_(sink),
+        stats_(stats) {}
 
   void Run(const Database& db) {
     PhaseSpan prep_span(PhaseName(PhaseId::kPrepare));
@@ -156,6 +159,7 @@ class ClosedRun {
   // removed. Extends with candidates of rank > core via ppc extensions.
   void Recurse(const Cdb& db, std::vector<Item>* closed, Item core) {
     if (db.num_tx() == 0) return;
+    if (cancel_ != nullptr && cancel_->cancelled()) return;
 
     // Count every item; remember the touched set.
     std::vector<Support> counts(num_ranks_, 0);
@@ -191,8 +195,7 @@ class ClosedRun {
 
     std::vector<Support> cond_counts(num_ranks_, 0);
     std::vector<Item> cond_touched;
-    std::vector<Item> extra;     // closure items > i
-    std::vector<Item> removed;   // i + extra, sorted
+    std::vector<Item> extra;  // closure items > i
     for (Item i : present) {
       if (core != kInvalidItem && i <= core) continue;
       const Support support_q = counts[i];
@@ -230,19 +233,21 @@ class ClosedRun {
         closed->insert(closed->end(), extra.begin(), extra.end());
         Emit(*closed, support_q);
 
-        // Child database: transactions containing i, minus {i} ∪ extra.
-        removed.clear();
-        removed.push_back(i);
-        removed.insert(removed.end(), extra.begin(), extra.end());
+        // Child database: transactions containing i, keeping the items
+        // frequent there but outside Q. Every j != i counted there has
+        // cond_counts[j] <= support_q, with equality exactly for extra.
         Cdb child;
         std::vector<Item> scratch;
         for (uint32_t k = occ_begin[i]; k < occ_begin[i] + occ_len[i];
              ++k) {
           const uint32_t t = occ[k];
-          const auto tx = db.tx(t);
           scratch.clear();
-          std::set_difference(tx.begin(), tx.end(), removed.begin(),
-                              removed.end(), std::back_inserter(scratch));
+          for (Item j : db.tx(t)) {
+            if (j != i && cond_counts[j] >= min_support_ &&
+                cond_counts[j] < support_q) {
+              scratch.push_back(j);
+            }
+          }
           if (!scratch.empty()) child.Add(scratch, db.weights[t]);
         }
         Recurse(MergeDuplicates(std::move(child)), closed, i);
@@ -254,6 +259,7 @@ class ClosedRun {
   }
 
   const Support min_support_;
+  const CancelToken* cancel_;
   ItemsetSink* sink_;
   MineStats* stats_;
   std::vector<Item> item_map_;  // rank -> raw id
@@ -267,8 +273,9 @@ Result<MineStats> LcmClosedMiner::MineImpl(const Database& db,
                                            Support min_support,
                                            ItemsetSink* sink) {
   MineStats stats;
-  ClosedRun run(min_support, sink, &stats);
+  ClosedRun run(min_support, cancel_, sink, &stats);
   run.Run(db);
+  if (cancel_ != nullptr && cancel_->cancelled()) return cancel_->ToStatus();
   return stats;
 }
 

@@ -9,7 +9,9 @@
 // with core item c is extended by candidate items i > c (frequency-rank
 // order): Q = clo(P ∪ {i}) is accepted iff its members below i match
 // P's (the ppc test), which guarantees every closed set is generated
-// exactly once, from exactly one parent.
+// exactly once, from exactly one parent. Q's database keeps only the
+// items frequent in it: an item below min_support there can neither
+// join a descendant's closure nor fail a descendant's ppc test.
 
 #ifndef FPM_ALGO_LCM_CLOSED_MINER_H_
 #define FPM_ALGO_LCM_CLOSED_MINER_H_
@@ -20,6 +22,8 @@
 
 namespace fpm {
 
+class CancelToken;
+
 /// Emits every *closed* frequent itemset exactly once (via the common
 /// Miner interface; supports are exact weighted supports).
 ///
@@ -28,13 +32,20 @@ namespace fpm {
 /// FilterClosed(all frequent itemsets).
 class LcmClosedMiner : public Miner {
  public:
-  LcmClosedMiner() = default;
+  /// `cancel` is polled once per recursion frame; a cancelled run stops
+  /// descending and Mine() returns the token's status. Null = never
+  /// cancelled. The token must outlive the run.
+  explicit LcmClosedMiner(const CancelToken* cancel = nullptr)
+      : cancel_(cancel) {}
 
   std::string name() const override { return "lcm-closed"; }
 
  protected:
   Result<MineStats> MineImpl(const Database& db, Support min_support,
                              ItemsetSink* sink) override;
+
+ private:
+  const CancelToken* cancel_;
 };
 
 }  // namespace fpm

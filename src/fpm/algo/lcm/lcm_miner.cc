@@ -457,7 +457,7 @@ class LcmRun {
 LcmMiner::LcmMiner(LcmOptions options) : options_(options) {}
 
 std::unique_ptr<Miner> LcmMiner::NativeClosedMiner() const {
-  return std::make_unique<LcmClosedMiner>();
+  return std::make_unique<LcmClosedMiner>(options_.cancel);
 }
 
 Result<MineStats> LcmMiner::MineImpl(const Database& db,

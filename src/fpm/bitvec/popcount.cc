@@ -42,14 +42,6 @@ uint64_t CountOnesSwar(const uint64_t* words, size_t n) {
   return total;
 }
 
-uint64_t CountOnesHardware(const uint64_t* words, size_t n) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(PopCount64(words[i]));
-  }
-  return total;
-}
-
 bool HaveAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2");
@@ -66,8 +58,6 @@ const char* PopcountStrategyName(PopcountStrategy s) {
       return "lut16";
     case PopcountStrategy::kSwar:
       return "swar";
-    case PopcountStrategy::kHardware:
-      return "hardware";
     case PopcountStrategy::kAvx2:
       return "avx2";
     case PopcountStrategy::kAuto:
@@ -83,8 +73,7 @@ bool PopcountStrategyAvailable(PopcountStrategy s) {
 
 PopcountStrategy ResolvePopcountStrategy(PopcountStrategy s) {
   if (s != PopcountStrategy::kAuto) return s;
-  if (HaveAvx2()) return PopcountStrategy::kAvx2;
-  return PopcountStrategy::kHardware;
+  return HaveAvx2() ? PopcountStrategy::kAvx2 : PopcountStrategy::kSwar;
 }
 
 uint64_t CountOnes(const uint64_t* words, size_t n, PopcountStrategy s) {
@@ -93,8 +82,6 @@ uint64_t CountOnes(const uint64_t* words, size_t n, PopcountStrategy s) {
       return CountOnesLut16(words, n);
     case PopcountStrategy::kSwar:
       return CountOnesSwar(words, n);
-    case PopcountStrategy::kHardware:
-      return CountOnesHardware(words, n);
     case PopcountStrategy::kAvx2:
       FPM_CHECK(HaveAvx2()) << "AVX2 popcount requested without AVX2";
       return internal::CountOnesAvx2(words, n);
@@ -124,15 +111,6 @@ uint64_t AndCount(const uint64_t* a, const uint64_t* b, uint64_t* out,
         const uint64_t w = a[i] & b[i];
         out[i] = w;
         total += static_cast<uint64_t>(PopCount64Swar(w));
-      }
-      return total;
-    }
-    case PopcountStrategy::kHardware: {
-      uint64_t total = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t w = a[i] & b[i];
-        out[i] = w;
-        total += static_cast<uint64_t>(PopCount64(w));
       }
       return total;
     }

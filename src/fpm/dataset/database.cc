@@ -135,35 +135,44 @@ void DatabaseBuilder::AddSortedTransaction(std::span<const Item> items,
   CountAppended(begin, weight);
 }
 
-void DatabaseBuilder::AddDatabase(const Database& db) {
-  const std::span<const Item> src_items = db.items();
+void DatabaseBuilder::AddRows(const Database& db, Tid begin, Tid end) {
+  if (begin == end) return;
   const std::span<const size_t> src_offsets = db.offsets();
-  items_.insert(items_.end(), src_items.begin(), src_items.end());
-  const size_t base = offsets_.back();
-  offsets_.reserve(offsets_.size() + db.num_transactions());
-  for (size_t t = 1; t < src_offsets.size(); ++t) {
-    offsets_.push_back(base + src_offsets[t]);
+  const size_t first = src_offsets[begin];
+  const std::span<const Item> rows =
+      db.items().subspan(first, src_offsets[end] - first);
+  const size_t base = items_.size();
+  items_.insert(items_.end(), rows.begin(), rows.end());
+  size_t bound = max_item_bound_;
+  for (Item it : rows) bound = std::max(bound, static_cast<size_t>(it) + 1);
+  if (frequencies_.size() < bound) {
+    // Grown to exactly the bound: this runs once per range, not once
+    // per row as in AddTransaction, so it needs no doubling.
+    frequencies_.reserve(bound);
+    frequencies_.resize(bound, 0);
   }
-  for (Tid t = 0; t < db.num_transactions(); ++t) {
-    weights_.push_back(db.weight(t));
+  max_item_bound_ = bound;
+  for (Tid t = begin; t < end; ++t) {
+    const Support weight = db.weight(t);
+    for (Item it : db.transaction(t)) frequencies_[it] += weight;
+    offsets_.push_back(base + src_offsets[t + 1] - first);
+    weights_.push_back(weight);
+    if (weight != 1) any_weighted_ = true;
+    total_weight_ += weight;
   }
-  if (db.has_weights()) any_weighted_ = true;
-  if (db.num_items() > max_item_bound_) max_item_bound_ = db.num_items();
-  if (frequencies_.size() < max_item_bound_) {
-    frequencies_.resize(max_item_bound_, 0);
-  }
-  const std::span<const Support> src_freq = db.item_frequencies();
-  for (size_t i = 0; i < src_freq.size(); ++i) {
-    frequencies_[i] += src_freq[i];
-  }
-  total_weight_ += db.total_weight();
+}
+
+void DatabaseBuilder::Reserve(size_t transactions, size_t entries) {
+  items_.reserve(items_.size() + entries);
+  offsets_.reserve(offsets_.size() + transactions);
+  weights_.reserve(weights_.size() + transactions);
 }
 
 Database DatabaseBuilder::Build() {
   const size_t num_items = max_item_bound_;
   const Support total_weight = total_weight_;
   frequencies_.resize(max_item_bound_, 0);
-  if (!any_weighted_) weights_.clear();
+  if (!any_weighted_) weights_ = std::vector<Support>();  // all 1: no buffer
 
   auto storage = std::make_shared<OwnedStorage>(
       std::move(items_), std::move(offsets_), std::move(weights_),

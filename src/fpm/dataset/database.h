@@ -184,13 +184,18 @@ class DatabaseBuilder {
   /// order per class would repeat work the layout pass did once.
   void AddSortedTransaction(std::span<const Item> items, Support weight = 1);
 
-  /// Appends every transaction of `db`, preserving stored item order and
-  /// weights, as one bulk array copy. The result is identical to calling
-  /// AddTransaction() per transaction (stored transactions are already
-  /// de-duplicated), which is what makes the streaming layer's
-  /// append-only delta materialization byte-identical to a from-scratch
-  /// rebuild while costing O(entries) instead of O(entries log len).
-  void AddDatabase(const Database& db);
+  /// Appends transactions [begin, end) of `db`, preserving stored item
+  /// order and weights, as one range copy. Frequencies, num_items and
+  /// the total weight count the copied rows only, so the result is
+  /// identical to calling AddTransaction() per row (stored transactions
+  /// are already de-duplicated) at O(entries) instead of
+  /// O(entries log len). The version chain builds every version this
+  /// way.
+  void AddRows(const Database& db, Tid begin, Tid end);
+
+  /// Makes room for `transactions` more rows holding `entries` items, so
+  /// a build of known size allocates its arrays once, at that size.
+  void Reserve(size_t transactions, size_t entries);
 
   /// Number of transactions added so far.
   size_t size() const { return offsets_.size() - 1; }

@@ -29,26 +29,33 @@ void FnvMixTxns(uint64_t* h, const std::vector<Itemset>& txns,
   }
 }
 
-// Normalizes a raw transaction into the AddTransaction form: duplicates
-// removed, first occurrence kept, input order otherwise preserved.
-Itemset NormalizeTransaction(const Itemset& raw) {
-  Itemset sorted = raw;
-  std::sort(sorted.begin(), sorted.end());
-  if (std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end()) {
-    return raw;
+// Appends rows [begin, end) of `db` to one half of a delta.
+void CopyRows(const Database& db, Tid begin, Tid end,
+              std::vector<Itemset>* rows, std::vector<Support>* weights,
+              Support* total) {
+  for (Tid t = begin; t < end; ++t) {
+    rows->emplace_back(db.transaction(t).begin(), db.transaction(t).end());
+    weights->push_back(db.weight(t));
+    *total += db.weight(t);
   }
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  Itemset out;
-  out.reserve(sorted.size());
-  std::vector<Item> remaining = sorted;
-  for (Item it : raw) {
-    auto pos = std::lower_bound(remaining.begin(), remaining.end(), it);
-    if (pos != remaining.end() && *pos == it) {
-      out.push_back(it);
-      remaining.erase(pos);
-    }
-  }
-  return out;
+}
+
+// Items held by rows [begin, end) of `db`.
+size_t RowEntries(const Database& db, Tid begin, Tid end) {
+  return begin == end ? 0 : db.offsets()[end] - db.offsets()[begin];
+}
+
+// Heap bytes of a delta's rows and weights.
+size_t DeltaBytes(const VersionDelta& d) {
+  size_t bytes = sizeof(VersionDelta) +
+                 (d.appended.capacity() + d.expired.capacity()) *
+                     sizeof(Itemset) +
+                 (d.appended_weights.capacity() +
+                  d.expired_weights.capacity()) *
+                     sizeof(Support);
+  for (const Itemset& row : d.appended) bytes += row.capacity() * sizeof(Item);
+  for (const Itemset& row : d.expired) bytes += row.capacity() * sizeof(Item);
+  return bytes;
 }
 
 }  // namespace
@@ -76,32 +83,18 @@ VersionedDataset::VersionedDataset(Database base, std::string digest) {
   versions_.push_back(std::move(v1));
 }
 
-void VersionedDataset::EnsureSeeded() {
-  if (seeded_) return;
-  seeded_ = true;
-  // Seed the log from the base so later expiry can rebuild any window.
-  const Database& base = *versions_.front().database;
-  log_.reserve(base.num_transactions());
-  for (Tid t = 0; t < base.num_transactions(); ++t) {
-    auto txn = base.transaction(t);
-    LogEntry e;
-    e.items.assign(txn.begin(), txn.end());
-    e.weight = base.weight(t);
-    log_.push_back(std::move(e));
-  }
-}
-
-size_t VersionedDataset::PolicyOverflow() const {
-  const size_t live = log_.size() - window_start_;
+size_t VersionedDataset::PolicyOverflow(size_t live) const {
   size_t expire = 0;
   if (policy_.last_n > 0 && live > policy_.last_n) {
     expire = live - static_cast<size_t>(policy_.last_n);
   }
   if (policy_.last_seconds > 0.0) {
     const double cutoff = max_timestamp_ - policy_.last_seconds;
+    const size_t untimed = live - timestamps_.size();
     size_t by_time = 0;
     while (by_time < live &&
-           log_[window_start_ + by_time].timestamp < cutoff) {
+           (by_time < untimed ? 0.0 : timestamps_[by_time - untimed]) <
+               cutoff) {
       ++by_time;
     }
     expire = std::max(expire, by_time);
@@ -109,30 +102,40 @@ size_t VersionedDataset::PolicyOverflow() const {
   return expire;
 }
 
-const DatasetVersion* VersionedDataset::Commit(
-    size_t new_start, std::shared_ptr<VersionDelta> delta) {
+const DatasetVersion* VersionedDataset::Commit(size_t expire,
+                                               const Database& appended) {
   const DatasetVersion& parent = versions_.back();
+  const Database& head = *parent.database;
+  const Tid head_rows = static_cast<Tid>(head.num_transactions());
+  const Tid appended_rows = static_cast<Tid>(appended.num_transactions());
+  // The first `expire` rows of head ++ appended go: the first appended
+  // rows too when the append alone overflows the window.
+  const Tid head_expired =
+      static_cast<Tid>(std::min<size_t>(expire, head_rows));
+  const Tid appended_expired = static_cast<Tid>(expire - head_expired);
+
+  auto delta = std::make_shared<VersionDelta>();
+  CopyRows(appended, 0, appended_rows, &delta->appended,
+           &delta->appended_weights, &delta->appended_weight);
+  CopyRows(head, 0, head_expired, &delta->expired, &delta->expired_weights,
+           &delta->expired_weight);
+  CopyRows(appended, 0, appended_expired, &delta->expired,
+           &delta->expired_weights, &delta->expired_weight);
+
   DatabaseBuilder builder;
-  if (new_start == window_start_) {
-    // Append-only: bulk-copy the parent CSR, then append the delta.
-    builder.AddDatabase(*parent.database);
-    for (size_t t = 0; t < delta->appended.size(); ++t) {
-      builder.AddTransaction(
-          std::span<const Item>(delta->appended[t].data(),
-                                delta->appended[t].size()),
-          delta->appended_weights[t]);
-    }
-  } else {
-    // Expiry moved the window start: rebuild from the log window. The
-    // appended transactions are already in the log, so this covers both
-    // halves of the delta.
-    for (size_t t = new_start; t < log_.size(); ++t) {
-      builder.AddTransaction(
-          std::span<const Item>(log_[t].items.data(), log_[t].items.size()),
-          log_[t].weight);
-    }
+  builder.Reserve(head_rows + appended_rows - expire,
+                  RowEntries(head, head_expired, head_rows) +
+                      RowEntries(appended, appended_expired, appended_rows));
+  builder.AddRows(head, head_expired, head_rows);
+  builder.AddRows(appended, appended_expired, appended_rows);
+
+  // The expired rows past the untimed ones drop their timestamps.
+  const size_t untimed = head_rows + appended_rows - timestamps_.size();
+  if (expire > untimed) {
+    timestamps_.erase(timestamps_.begin(),
+                      timestamps_.begin() +
+                          static_cast<std::ptrdiff_t>(expire - untimed));
   }
-  window_start_ = new_start;
 
   DatasetVersion v;
   v.number = parent.number + 1;
@@ -149,10 +152,8 @@ const DatasetVersion* VersionedDataset::Commit(
 }
 
 const DatasetVersion* VersionedDataset::SetPolicy(const WindowPolicy& policy) {
-  // An unbounded policy can never overflow; don't seed the log for it.
-  if (policy.bounded()) EnsureSeeded();
   policy_ = policy;
-  const size_t overflow = PolicyOverflow();
+  const size_t overflow = PolicyOverflow(live_transactions());
   if (overflow == 0) return &versions_.back();
   return Expire(overflow).value();
 }
@@ -163,7 +164,6 @@ Result<const DatasetVersion*> VersionedDataset::Append(
   if (transactions.empty()) {
     return Status::InvalidArgument("append requires at least one transaction");
   }
-  EnsureSeeded();
   if (!timestamps.empty() && timestamps.size() != transactions.size()) {
     return Status::InvalidArgument(
         "timestamps must be absent or one per transaction");
@@ -181,56 +181,35 @@ Result<const DatasetVersion*> VersionedDataset::Append(
       }
     }
   }
-  auto delta = std::make_shared<VersionDelta>();
-  delta->appended.reserve(transactions.size());
+  DatabaseBuilder builder;
+  for (const Itemset& txn : transactions) {
+    builder.AddTransaction(std::span<const Item>(txn.data(), txn.size()));
+  }
+  const Database appended = builder.Build();
   for (size_t t = 0; t < transactions.size(); ++t) {
-    LogEntry e;
-    e.items = NormalizeTransaction(transactions[t]);
-    e.weight = 1;
-    e.timestamp = timestamps.empty() ? max_timestamp_ : timestamps[t];
-    if (e.timestamp > max_timestamp_) max_timestamp_ = e.timestamp;
-    delta->appended.push_back(e.items);
-    delta->appended_weights.push_back(e.weight);
-    delta->appended_weight += e.weight;
-    log_.push_back(std::move(e));
+    const double stamp = timestamps.empty() ? max_timestamp_ : timestamps[t];
+    max_timestamp_ = std::max(max_timestamp_, stamp);
+    timestamps_.push_back(stamp);
   }
-  size_t new_start = window_start_;
-  const size_t overflow = PolicyOverflow();
-  for (size_t i = 0; i < overflow; ++i) {
-    const LogEntry& e = log_[window_start_ + i];
-    delta->expired.push_back(e.items);
-    delta->expired_weights.push_back(e.weight);
-    delta->expired_weight += e.weight;
-  }
-  new_start += overflow;
-  return Commit(new_start, std::move(delta));
+  const size_t live = live_transactions() + transactions.size();
+  return Commit(PolicyOverflow(live), appended);
 }
 
 Result<const DatasetVersion*> VersionedDataset::Expire(uint64_t count) {
-  EnsureSeeded();
-  const size_t live = log_.size() - window_start_;
+  const uint64_t live = live_transactions();
   if (count < 1 || count > live) {
     return Status::OutOfRange("expire count must be in [1, " +
                               std::to_string(live) + "], got " +
                               std::to_string(count));
   }
-  auto delta = std::make_shared<VersionDelta>();
-  for (uint64_t i = 0; i < count; ++i) {
-    const LogEntry& e = log_[window_start_ + i];
-    delta->expired.push_back(e.items);
-    delta->expired_weights.push_back(e.weight);
-    delta->expired_weight += e.weight;
-  }
-  return Commit(window_start_ + static_cast<size_t>(count), std::move(delta));
+  return Commit(static_cast<size_t>(count), Database());
 }
 
 size_t VersionedDataset::resident_bytes() const {
-  size_t bytes = 0;
+  size_t bytes = timestamps_.capacity() * sizeof(double);
   for (const DatasetVersion& v : versions_) {
-    if (v.database) bytes += v.database->resident_bytes();
-  }
-  for (const LogEntry& e : log_) {
-    bytes += e.items.size() * sizeof(Item) + sizeof(LogEntry);
+    bytes += v.database->resident_bytes();
+    if (v.delta != nullptr) bytes += DeltaBytes(*v.delta);
   }
   return bytes;
 }
@@ -238,7 +217,7 @@ size_t VersionedDataset::resident_bytes() const {
 size_t VersionedDataset::mapped_bytes() const {
   size_t bytes = 0;
   for (const DatasetVersion& v : versions_) {
-    if (v.database) bytes += v.database->mapped_bytes();
+    bytes += v.database->mapped_bytes();
   }
   return bytes;
 }

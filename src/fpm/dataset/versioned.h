@@ -1,22 +1,23 @@
 // Versioned dataset chain — the streaming-ingestion substrate.
 //
-// A VersionedDataset wraps an append-only transaction log plus a chain
-// of immutable DatasetVersion snapshots. Each Append()/Expire()/window
-// overflow produces exactly one new version that is delta-encoded
-// against its parent: the version record carries the delta (appended
-// and expired transactions), a chained content digest, and a fully
-// materialized immutable Database for that version's live window.
-// Readers holding an older version's database are never affected — the
-// shared_ptr keeps the snapshot alive for as long as any job mines it.
+// A VersionedDataset is a chain of immutable DatasetVersion snapshots.
+// Each Append()/Expire()/window overflow produces exactly one new
+// version that is delta-encoded against its parent: the version record
+// carries the delta (appended and expired transactions), a chained
+// content digest, and a fully materialized immutable Database for that
+// version's live window. Readers holding an older version's database
+// are never affected — the shared_ptr keeps the snapshot alive for as
+// long as any job mines it.
 //
 // Materialization contract (what the byte-identity tests assert): the
 // Database of every version is byte-identical — same CSR arrays, same
-// weights, same frequencies — to building a fresh Database from the
-// live-window transactions in log order. Append-only steps take the
-// fast path (bulk-copy the parent CSR via DatabaseBuilder::AddDatabase,
-// then append the delta), which is identical because stored
-// transactions are already normalized; steps that expire rebuild from
-// the log window.
+// weights, same frequencies — to building a fresh Database from its
+// live-window transactions in arrival order. The head's Database is the
+// one copy of the live window, so every step builds the new version the
+// same way: the head's rows [k, n), then the appended rows (normalized
+// once by DatabaseBuilder::AddTransaction), each range copied once into
+// arrays sized for that version. A mapped (packed) base is thus
+// heap-copied once, into the version that first mutates it.
 //
 // Digest chaining: version 1's digest is whatever the caller supplies
 // (the registry passes the file content digest, so an unversioned
@@ -26,11 +27,10 @@
 // share digests, and any divergence changes every digest downstream.
 //
 // Sliding windows: a WindowPolicy bounds the live window by count
-// ("last N transactions") and/or by time ("last T seconds", against
-// per-delta timestamps; "now" is the maximum timestamp ever logged, so
-// expiry is deterministic and never consults a wall clock). The policy
-// is applied on every Append: overflow transactions expire inside the
-// same version the append creates.
+// ("last N transactions") and/or by time ("last T seconds"; base rows
+// are at time 0, and "now" is the largest timestamp ever appended, so
+// expiry never consults a wall clock). Every Append applies the policy:
+// the overflow expires inside the version the append creates.
 
 #ifndef FPM_DATASET_VERSIONED_H_
 #define FPM_DATASET_VERSIONED_H_
@@ -49,7 +49,7 @@ namespace fpm {
 struct WindowPolicy {
   /// Keep at most the last N live transactions.
   uint64_t last_n = 0;
-  /// Keep transactions with timestamp > max_logged_timestamp - T.
+  /// Keep transactions with timestamp >= max_appended_timestamp - T.
   double last_seconds = 0.0;
 
   bool bounded() const { return last_n > 0 || last_seconds > 0.0; }
@@ -116,7 +116,7 @@ class VersionedDataset {
   /// Appends transactions (raw item lists; within-transaction
   /// duplicates are normalized away) and applies the window policy.
   /// `timestamps` is optional; absent entries inherit the maximum
-  /// timestamp logged so far, so untimed appends never trigger time
+  /// timestamp appended so far, so untimed appends never trigger time
   /// expiry on their own. Exactly one new version results, carrying
   /// both the appends and any window-driven expiry. An item id above
   /// kMaxItem is an INVALID_ARGUMENT naming its transaction's index and
@@ -130,13 +130,13 @@ class VersionedDataset {
 
   /// Live transactions in the latest version.
   uint64_t live_transactions() const {
-    return seeded_ ? static_cast<uint64_t>(log_.size() - window_start_)
-                   : versions_.back().num_transactions;
+    return versions_.back().num_transactions;
   }
 
-  /// Heap bytes of the retained version databases plus the log. For a
-  /// mapped (packed) base that was never mutated this stays small — the
-  /// CSR arrays live in the page cache, not here.
+  /// Heap bytes the chain holds: the retained version databases, their
+  /// deltas and the live rows' timestamps. For a mapped (packed) base
+  /// that was never mutated this stays small — the CSR arrays live in
+  /// the page cache, not here.
   size_t resident_bytes() const;
 
   /// File-mapping bytes viewed by the retained version databases (0 for
@@ -152,29 +152,18 @@ class VersionedDataset {
   }
 
  private:
-  struct LogEntry {
-    Itemset items;  // normalized
-    Support weight = 1;
-    double timestamp = 0.0;
-  };
+  /// Number of leading rows the policy expires from a live window of
+  /// `live` rows whose last timestamps_.size() rows are timed.
+  size_t PolicyOverflow(size_t live) const;
 
-  /// Copies the base database's transactions into the log. Deferred to
-  /// the first mutation so a mapped base stays out-of-core: seeding a
-  /// multi-GB packed dataset eagerly would heap-copy the whole file.
-  void EnsureSeeded();
+  /// Records the version whose rows are the head's rows followed by
+  /// `appended` (normalized), minus the first `expire` of them, and
+  /// drops the expired rows' timestamps.
+  const DatasetVersion* Commit(size_t expire, const Database& appended);
 
-  /// Number of leading live transactions the policy expires, given the
-  /// window [window_start_, log_.size()).
-  size_t PolicyOverflow() const;
-
-  /// Materializes the window [new_start, log_.size()), records the new
-  /// version with `delta`, and advances window_start_.
-  const DatasetVersion* Commit(size_t new_start,
-                               std::shared_ptr<VersionDelta> delta);
-
-  std::vector<LogEntry> log_;
-  bool seeded_ = false;
-  size_t window_start_ = 0;
+  /// Timestamps of the appended rows still live, oldest first: the last
+  /// timestamps_.size() rows of the head. Base rows before them are at 0.
+  std::vector<double> timestamps_;
   double max_timestamp_ = 0.0;
   WindowPolicy policy_;
   std::vector<DatasetVersion> versions_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -26,23 +27,36 @@ uint64_t NowMicros(std::chrono::steady_clock::time_point since) {
 }
 
 /// Order-preserving result buffer of one class task, owned exclusively
-/// by that task while it mines. ReplayInto() runs single-threaded after
-/// the join; replaying the shards in class order reproduces the order
-/// the 1-thread inline run emits.
+/// by that task while it mines: one items array, with an end offset and
+/// a support per itemset, so a class's output is two arrays however
+/// many itemsets it holds (a class holding only its singleton, common
+/// on small answers, costs two allocations). ReplayInto() runs
+/// single-threaded after the join; replaying the shards in class order
+/// reproduces the order the 1-thread inline run emits.
 class ClassShard : public ItemsetSink {
  public:
   void Emit(std::span<const Item> itemset, Support support) override {
-    entries_.emplace_back(Itemset(itemset.begin(), itemset.end()), support);
+    items_.insert(items_.end(), itemset.begin(), itemset.end());
+    ends_.push_back({items_.size(), support});
   }
 
   void ReplayInto(ItemsetSink* target) const {
-    for (const auto& [itemset, support] : entries_) {
-      target->Emit(itemset, support);
+    uint64_t begin = 0;
+    for (const End& e : ends_) {
+      target->Emit(
+          std::span<const Item>(items_.data() + begin, e.end - begin),
+          e.support);
+      begin = e.end;
     }
   }
 
  private:
-  std::vector<std::pair<Itemset, Support>> entries_;
+  struct End {
+    uint64_t end;  // one past the itemset's last item in items_
+    Support support;
+  };
+  std::vector<Item> items_;
+  std::vector<End> ends_;
 };
 
 /// State shared by every task of one Mine() call. Outlives the join (it

@@ -22,8 +22,8 @@ TEST(EclatOptionsTest, SuffixReflectsToggles) {
   o.lexicographic_order = true;
   EXPECT_EQ(o.Suffix(), "+lex");
   o.zero_escaping = true;
-  o.popcount = PopcountStrategy::kHardware;
-  EXPECT_EQ(o.Suffix(), "+lex+esc+simd:hardware");
+  o.popcount = PopcountStrategy::kSwar;
+  EXPECT_EQ(o.Suffix(), "+lex+esc+simd:swar");
 }
 
 TEST(EclatMinerTest, TextbookExample) {
@@ -193,7 +193,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Bool(), ::testing::Bool(),
         ::testing::Values(PopcountStrategy::kLut16, PopcountStrategy::kSwar,
-                          PopcountStrategy::kHardware,
+                          PopcountStrategy::kAvx2,
                           PopcountStrategy::kAuto)));
 
 TEST(EclatMinerTest, RejectsBadArguments) {

@@ -133,7 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Bool(), ::testing::Bool(),
         ::testing::Values(PopcountStrategy::kLut16, PopcountStrategy::kSwar,
-                          PopcountStrategy::kHardware,
+                          PopcountStrategy::kAvx2,
                           PopcountStrategy::kAuto),
         ::testing::Values(EclatInput::kDense, EclatInput::kDenseWeighted,
                           EclatInput::kSparse,

@@ -62,14 +62,20 @@ TEST_P(PopcountStrategyTest, ExtremesAllZerosAllOnes) {
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, PopcountStrategyTest,
     ::testing::Values(PopcountStrategy::kLut16, PopcountStrategy::kSwar,
-                      PopcountStrategy::kHardware, PopcountStrategy::kAvx2,
-                      PopcountStrategy::kAuto),
+                      PopcountStrategy::kAvx2, PopcountStrategy::kAuto),
     [](const auto& info) { return PopcountStrategyName(info.param); });
 
 TEST(PopcountDispatchTest, AutoResolvesToConcreteStrategy) {
   const PopcountStrategy s = ResolvePopcountStrategy(PopcountStrategy::kAuto);
   EXPECT_NE(s, PopcountStrategy::kAuto);
   EXPECT_TRUE(PopcountStrategyAvailable(s));
+}
+
+TEST(PopcountDispatchTest, AutoIsAvx2ElseSwar) {
+  EXPECT_EQ(ResolvePopcountStrategy(PopcountStrategy::kAuto),
+            PopcountStrategyAvailable(PopcountStrategy::kAvx2)
+                ? PopcountStrategy::kAvx2
+                : PopcountStrategy::kSwar);
 }
 
 TEST(PopcountDispatchTest, ConcreteStrategiesResolveToThemselves) {

@@ -32,7 +32,7 @@ TEST(VerticalTest, PopcountsEqualFrequencies) {
   const auto& freq = db.item_frequencies();
   for (Item i = 0; i < v.num_items(); ++i) {
     EXPECT_EQ(CountOnes(v.column(i).words(), v.words_per_column(),
-                        PopcountStrategy::kHardware),
+                        PopcountStrategy::kSwar),
               freq[i])
         << "item " << i;
   }
@@ -46,10 +46,10 @@ TEST(VerticalTest, WeightedTransactionsExpand) {
   VerticalDatabase v = VerticalDatabase::FromDatabase(db);
   EXPECT_EQ(v.num_transactions(), 5u);
   EXPECT_EQ(CountOnes(v.column(0).words(), v.words_per_column(),
-                      PopcountStrategy::kHardware),
+                      PopcountStrategy::kSwar),
             5u);
   EXPECT_EQ(CountOnes(v.column(1).words(), v.words_per_column(),
-                      PopcountStrategy::kHardware),
+                      PopcountStrategy::kSwar),
             2u);
 }
 

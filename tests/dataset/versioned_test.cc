@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "fpm/dataset/packed.h"
+
 namespace fpm {
 namespace {
 
@@ -254,6 +256,75 @@ TEST(VersionedDatasetTest, MemoryBytesGrowsWithHistory) {
   const size_t before = ds.memory_bytes();
   ASSERT_TRUE(ds.Append({{1, 2, 3, 4, 5}}).ok());
   EXPECT_GT(ds.memory_bytes(), before);
+}
+
+TEST(VersionedDatasetTest, AppendLargerThanTheWindowExpiresItsFirstRows) {
+  VersionedDataset ds(BuildDb({{1}, {2}}), "d");
+  WindowPolicy policy;
+  policy.last_n = 2;
+  ds.SetPolicy(policy);
+  auto v = ds.Append({{3, 3}, {4, 5, 4}, {6}});
+  ASSERT_TRUE(v.ok()) << v.status();
+  // Both base rows and the first appended row expire, normalized like
+  // the rows that stay.
+  const VersionDelta& delta = *v.value()->delta;
+  EXPECT_EQ(delta.appended, (std::vector<Itemset>{{3}, {4, 5}, {6}}));
+  EXPECT_EQ(delta.expired, (std::vector<Itemset>{{1}, {2}, {3}}));
+  EXPECT_EQ(delta.expired_weight, 3u);
+  EXPECT_EQ(ds.live_transactions(), 2u);
+  ExpectSameDatabase(BuildDb({{4, 5}, {6}}), *v.value()->database,
+                     "window overflowed by the append");
+}
+
+// Exact heap bytes of a database's arrays, with no spare capacity.
+size_t ArrayBytes(const Database& db) {
+  return db.num_entries() * sizeof(Item) +
+         (db.num_transactions() + 1) * sizeof(size_t) +
+         (db.has_weights() ? db.num_transactions() * sizeof(Support) : 0) +
+         db.num_items() * sizeof(Support);
+}
+
+TEST(VersionedDatasetTest, CommittedVersionHoldsExactlyItsArrays) {
+  DatabaseBuilder weighted;
+  weighted.AddTransaction({1, 2}, 3);
+  weighted.AddTransaction({2, 9});
+  weighted.AddTransaction({4});
+  VersionedDataset ds(weighted.Build(), "d");
+  ASSERT_TRUE(ds.Append({{5, 6, 7}, {1}}).ok());  // append only
+  ASSERT_TRUE(ds.Expire(1).ok());                 // expire only
+  WindowPolicy policy;
+  policy.last_n = 3;
+  ds.SetPolicy(policy);
+  ASSERT_TRUE(ds.Append({{2, 3}, {8, 2, 8}}).ok());  // both
+  ASSERT_EQ(ds.versions().size(), 5u);
+  for (const DatasetVersion& v : ds.versions()) {
+    if (v.number == 1) continue;
+    EXPECT_EQ(v.database->resident_bytes(), ArrayBytes(*v.database))
+        << "version " << v.number;
+  }
+  EXPECT_TRUE(ds.version(2)->database->has_weights());
+  EXPECT_FALSE(ds.latest().database->has_weights());
+}
+
+TEST(VersionedDatasetTest, FirstAppendToAMappedBaseCopiesTheBaseOnce) {
+  std::vector<Itemset> rows;
+  for (Item t = 0; t < 500; ++t) rows.push_back({t % 7, 10 + t % 13, 30});
+  const std::string path = testing::TempDir() + "/versioned_base.fpk";
+  ASSERT_TRUE(WritePacked(BuildDb(rows), path).ok());
+  Result<Database> mapped = OpenMapped(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  VersionedDataset ds(std::move(mapped).value(), "d");
+  EXPECT_EQ(ds.resident_bytes(), 0u);
+
+  auto v = ds.Append({{1, 2}});
+  ASSERT_TRUE(v.ok()) << v.status();
+  rows.push_back({1, 2});
+  ExpectSameDatabase(BuildDb(rows), *v.value()->database, "first append");
+  // The new version is the one heap copy of the base; the delta and the
+  // timestamp add a few hundred bytes.
+  const size_t version_bytes = v.value()->database->resident_bytes();
+  EXPECT_GE(ds.resident_bytes(), version_bytes);
+  EXPECT_LT(ds.resident_bytes() - version_bytes, 1024u);
 }
 
 }  // namespace

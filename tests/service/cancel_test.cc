@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "fpm/algo/itemset_sink.h"
+#include "fpm/algo/rules.h"
 #include "fpm/common/cancel.h"
 #include "fpm/core/mine.h"
 #include "fpm/dataset/fimi_io.h"
@@ -92,6 +93,41 @@ INSTANTIATE_TEST_SUITE_P(Kernels, CancelKernelTest,
                          [](const auto& info) {
                            return std::string(AlgorithmName(info.param));
                          });
+
+// LCM answers closed, maximal and rules queries with its ppc kernel
+// (closed_miner.h), which polls the same token once per frame.
+void ExpectClosedTasksStop(const CancelToken& cancel, StatusCode want) {
+  auto db = ParseFimi(test::DenseFimiText(/*rows=*/200));
+  ASSERT_TRUE(db.ok());
+  MineOptions options;
+  options.algorithm = Algorithm::kLcm;
+  options.cancel = &cancel;
+  auto miner = CreateMiner(options);
+  ASSERT_TRUE(miner.ok()) << miner.status();
+  for (const MiningQuery& query :
+       {MiningQuery::Closed(2), MiningQuery::Maximal(2)}) {
+    CollectingSink sink;
+    auto stats = (*miner)->Mine(*db, query, &sink);
+    ASSERT_FALSE(stats.ok()) << TaskName(query.task);
+    EXPECT_EQ(stats.status().code(), want) << TaskName(query.task);
+  }
+  std::vector<AssociationRule> rules;
+  auto stats = (*miner)->MineRules(*db, MiningQuery::Rules(2, 0.9), &rules);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), want);
+}
+
+TEST(CancelClosedKernelTest, PreCancelledTokenStopsEveryClosedTask) {
+  CancelToken cancel;
+  cancel.RequestCancel();
+  ExpectClosedTasksStop(cancel, StatusCode::kCancelled);
+}
+
+TEST(CancelClosedKernelTest, ExpiredDeadlineStopsEveryClosedTask) {
+  CancelToken cancel;
+  cancel.set_deadline(CancelToken::Clock::now() - std::chrono::seconds(1));
+  ExpectClosedTasksStop(cancel, StatusCode::kDeadlineExceeded);
+}
 
 TEST(CancelReferenceMinerTest, AprioriIgnoresTheToken) {
   auto db = ParseFimi(test::SmallFimiText());

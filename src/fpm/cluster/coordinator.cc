@@ -158,7 +158,7 @@ Result<std::string> Coordinator::CallPeer(const std::string& endpoint,
   return result;
 }
 
-Result<std::string> Coordinator::ExecuteRemote(
+Result<RelayedReply> Coordinator::ExecuteRemote(
     const MineRequest& request, const std::string& digest, uint64_t query_id,
     std::string_view trace_id, const std::function<bool()>& abort) {
   counters_.remote_queries.fetch_add(1, std::memory_order_relaxed);
@@ -185,13 +185,13 @@ Result<std::string> Coordinator::ExecuteRemote(
       if (raw.status().code() == StatusCode::kCancelled) return raw.status();
       continue;
     }
-    Result<std::string> line = RelayQueryResponse(
+    Result<RelayedReply> relayed = RelayQueryResponse(
         raw.value(), /*probe=*/true, RelayEnvelope{owner, query_id, trace_id});
-    if (!line.ok()) continue;
-    if (!line.value().empty()) {
+    if (!relayed.ok()) continue;
+    if (!relayed->line.empty()) {
       counters_.probe_hits.fetch_add(1, std::memory_order_relaxed);
       probe_hits_counter_->Increment();
-      return line;
+      return relayed;
     }
     counters_.probe_misses.fetch_add(1, std::memory_order_relaxed);
   }
@@ -214,11 +214,13 @@ Result<std::string> Coordinator::ExecuteRemote(
       failovers_counter_->Increment();
       continue;
     }
-    Result<std::string> line = RelayQueryResponse(
+    Result<RelayedReply> relayed = RelayQueryResponse(
         raw.value(), /*probe=*/false, RelayEnvelope{owner, query_id, trace_id});
-    if (line.ok()) return line;
-    if (IsDeterministicRejection(line.status().code())) return line.status();
-    last = line.status();
+    if (relayed.ok()) return relayed;
+    if (IsDeterministicRejection(relayed.status().code())) {
+      return relayed.status();
+    }
+    last = relayed.status();
     counters_.failovers.fetch_add(1, std::memory_order_relaxed);
     failovers_counter_->Increment();
   }

@@ -47,6 +47,7 @@
 #include "fpm/cluster/membership.h"
 #include "fpm/common/status.h"
 #include "fpm/service/dataset_registry.h"
+#include "fpm/service/protocol.h"
 #include "fpm/service/service.h"
 
 namespace fpm {
@@ -131,20 +132,21 @@ class Coordinator {
 
   /// Route-to-owner execution of a query this node does not own: probe
   /// the owners' result caches, then forward to the first owner that
-  /// answers, failing over across replicas. Returns the line for the
-  /// client: the owner's answer relayed by RelayQueryResponse
-  /// (fpm/service/protocol.h), with "peer" = the answering owner,
-  /// `query_id` = the entry's id and `trace_id` = the client's (left
-  /// out when empty). A reply that cannot be relayed moves on to the
-  /// next owner, like a dead one; a deterministic rejection the owner
-  /// carries in {"ok":false} is returned as its status. Unavailable
-  /// when every owner failed (caller should fall back to local
-  /// execution and record it via NoteLocalFallback).
-  Result<std::string> ExecuteRemote(const MineRequest& request,
-                                    const std::string& digest,
-                                    uint64_t query_id,
-                                    std::string_view trace_id,
-                                    const std::function<bool()>& abort);
+  /// answers, failing over across replicas. Returns the owner's answer
+  /// relayed by RelayQueryResponse (fpm/service/protocol.h): the line
+  /// for the client, with "peer" = the answering owner, `query_id` =
+  /// the entry's id and `trace_id` = the client's (left out when
+  /// empty), and what the entry logs of it. A reply that cannot be
+  /// relayed moves on to the next owner, like a dead one; a
+  /// deterministic rejection the owner carries in {"ok":false} is
+  /// returned as its status. Unavailable when every owner failed
+  /// (caller should fall back to local execution and record it via
+  /// NoteLocalFallback).
+  Result<RelayedReply> ExecuteRemote(const MineRequest& request,
+                                     const std::string& digest,
+                                     uint64_t query_id,
+                                     std::string_view trace_id,
+                                     const std::function<bool()>& abort);
 
   /// Records that a remote execution failed everywhere and the query
   /// was answered by mining locally.

@@ -45,6 +45,7 @@ std::string QueryLogEntry::ToJson(uint64_t ts_ms) const {
   out += std::to_string(query_id);
   AppendField(out, "trace_id", trace_id);
   AppendField(out, "op", op);
+  AppendField(out, "peer", peer);
   AppendField(out, "task", task);
   AppendField(out, "dataset", dataset);
   AppendField(out, "dataset_id", dataset_id);
@@ -56,9 +57,11 @@ std::string QueryLogEntry::ToJson(uint64_t ts_ms) const {
   AppendMsField(out, "queue_ms", queue_ms);
   AppendMsField(out, "mine_ms", mine_ms);
   AppendMsField(out, "derive_ms", derive_ms);
+  AppendMsField(out, "remote_ms", remote_ms);
   AppendField(out, "cache", cache);
   AppendField(out, "num_results", num_results);
   AppendField(out, "peak_bytes", peak_bytes);
+  AppendField(out, "bytes_out", bytes_out);
   out += ",\"status\":";
   AppendJsonString(&out, status);
   AppendField(out, "reason", reason);
@@ -98,7 +101,8 @@ void QueryLog::Write(const QueryLogEntry& entry) {
     sink_->flush();
   }
   lines_written_.fetch_add(1, std::memory_order_relaxed);
-  const double total_ms = entry.queue_ms + entry.mine_ms + entry.derive_ms;
+  const double total_ms =
+      entry.queue_ms + entry.mine_ms + entry.derive_ms + entry.remote_ms;
   if (slow_threshold_ms_ > 0.0 && total_ms >= slow_threshold_ms_) {
     std::fprintf(stderr, "fpm slow query (%.3f ms): %s\n", total_ms,
                  line.c_str());

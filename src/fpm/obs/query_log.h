@@ -9,8 +9,9 @@
 // hook inside the <1% obs-overhead budget (see bench_obs_overhead).
 //
 // A slow-query threshold can be set; entries whose total wall time
-// (queue + mine + derive) meets it are additionally mirrored to stderr
-// so operators see outliers without tailing the log file.
+// (queue + mine + derive, or a relayed query's remote exchange) meets it
+// are additionally mirrored to stderr so operators see outliers without
+// tailing the log file.
 
 #ifndef FPM_OBS_QUERY_LOG_H_
 #define FPM_OBS_QUERY_LOG_H_
@@ -32,7 +33,10 @@ struct QueryLogEntry {
   std::string event = "query";  ///< "query" | "watchdog_stuck"
   uint64_t query_id = 0;
   std::string trace_id;  ///< client-supplied passthrough, may be empty
-  std::string op;        ///< entry point: "shard_query" | "cli" | empty
+  /// Entry point: "shard_query" (a peer's forward), "relay" (a cluster
+  /// entry's line for a query a peer answered), "cli", or empty.
+  std::string op;
+  std::string peer;      ///< relay only: the owner that answered
   std::string task;      ///< frequent | closed | maximal | top_k | rules
   std::string dataset;   ///< path, when addressed by path
   std::string dataset_id;
@@ -44,9 +48,11 @@ struct QueryLogEntry {
   double queue_ms = 0.0;    ///< scheduler wait
   double mine_ms = 0.0;     ///< kernel wall time (0 on cache hits)
   double derive_ms = 0.0;   ///< cache derivation / reseed wall time
+  double remote_ms = 0.0;   ///< relay only: the peer exchange's wall time
   std::string cache;        ///< miss|hit|dominated|cross_task|reseeded
   uint64_t num_results = 0;
   uint64_t peak_bytes = 0;  ///< peak arena bytes, when known
+  uint64_t bytes_out = 0;   ///< relay only: the relayed line's bytes
   std::string status;       ///< ok | error | cancelled | deadline | rejected
   std::string reason;       ///< error / cancellation / watchdog detail
 
@@ -72,8 +78,8 @@ class QueryLog {
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Entries at least this slow (queue + mine + derive wall time) are
-  /// mirrored to stderr. 0 disables mirroring.
+  /// Entries at least this slow (queue + mine + derive + remote wall
+  /// time) are mirrored to stderr. 0 disables mirroring.
   void set_slow_threshold_ms(double ms) { slow_threshold_ms_ = ms; }
   double slow_threshold_ms() const { return slow_threshold_ms_; }
 

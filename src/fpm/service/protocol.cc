@@ -4,6 +4,7 @@
 #include <array>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -11,6 +12,7 @@
 
 #include "fpm/common/cancel.h"
 #include "fpm/common/json_writer.h"
+#include "fpm/common/logging.h"
 #include "fpm/service/json.h"
 
 namespace fpm {
@@ -296,22 +298,64 @@ void WriteItemArray(JsonWriter& w, const Itemset& set) {
   w.EndArray();
 }
 
-// [{"items":[...],"support":N},...] in the entries' order.
-void WriteItemsets(JsonWriter& w,
+// The number of decimal digits in `value`.
+size_t DecimalDigits(uint32_t value) {
+  size_t digits = 1;
+  for (; value >= 10; value /= 10) ++digits;
+  return digits;
+}
+
+// Room QueryResponseLine leaves after the itemsets array for the members
+// that follow it (timings, counts, "ok", "task"), so that appending them
+// does not reallocate the line and copy the array once more. A long
+// trace id may still grow it.
+constexpr size_t kMembersAfterItemsets = 256;
+
+// Appends [{"items":[...],"support":N},...], in the entries' order and
+// exactly as JsonWriter would write it (tests/testing/ keeps that form
+// as the oracle). This array is nearly all of a large answer, so it is
+// written past the writer: one pass adds up its length, and after one
+// resize a second writes it through a pointer, with no per-value call
+// and no growth by doubling.
+void WriteItemsets(std::string* out,
                    const std::vector<CollectingSink::Entry>& itemsets) {
-  w.BeginArray();
-  for (const CollectingSink::Entry& e : itemsets) {
-    w.BeginObject().Key("items");
-    WriteItemArray(w, e.first);
-    w.Key("support").Uint(e.second).EndObject();
+  static constexpr std::string_view kItems = "{\"items\":[";
+  static constexpr std::string_view kSupport = "],\"support\":";
+  size_t length = 2 + (itemsets.empty() ? 0 : itemsets.size() - 1);
+  for (const auto& [items, support] : itemsets) {
+    length += kItems.size() + kSupport.size() + DecimalDigits(support) + 1;
+    if (!items.empty()) length += items.size() - 1;
+    for (Item item : items) length += DecimalDigits(item);
   }
-  w.EndArray();
+  const size_t start = out->size();
+  out->reserve(start + length + kMembersAfterItemsets);
+  out->resize(start + length);
+  char* p = out->data() + start;
+  char* const end = out->data() + out->size();
+  *p++ = '[';
+  for (size_t i = 0; i < itemsets.size(); ++i) {
+    if (i != 0) *p++ = ',';
+    std::memcpy(p, kItems.data(), kItems.size());
+    p += kItems.size();
+    const Itemset& items = itemsets[i].first;
+    for (size_t j = 0; j < items.size(); ++j) {
+      if (j != 0) *p++ = ',';
+      p = std::to_chars(p, end, items[j]).ptr;
+    }
+    std::memcpy(p, kSupport.data(), kSupport.size());
+    p += kSupport.size();
+    p = std::to_chars(p, end, itemsets[i].second).ptr;
+    *p++ = '}';
+  }
+  *p++ = ']';
+  FPM_CHECK(p == end) << "itemsets array missed its computed length";
 }
 
 // A query response line. `hit` adds a cache_probe hit's "hit":true and
 // `id` a batch line's entry index, each in its sorted slot.
 std::string QueryResponseLine(const MineResponse& response, bool hit,
                               std::optional<uint64_t> id) {
+  const CachedResult* listing = response.listing.get();
   std::string out;
   JsonWriter w(&out);
   w.BeginObject();
@@ -319,18 +363,21 @@ std::string QueryResponseLine(const MineResponse& response, bool hit,
   w.Key("digest").String(response.dataset_digest);
   if (hit) w.Key("hit").Bool(true);
   if (id.has_value()) w.Key("id").Uint(*id);
-  if (!response.itemsets.empty()) {
+  if (listing != nullptr && !listing->itemsets.empty()) {
     w.Key("itemsets");
-    WriteItemsets(w, response.itemsets);
+    WriteItemsets(&out, listing->itemsets);
+    // The writer still stands after the key, where the next call writes
+    // the value, so it places no comma before "mine_ms": this one does.
+    out.push_back(',');
   }
   w.Key("mine_ms").Number(response.mine_seconds * 1000.0);
   w.Key("num_results").Uint(response.num_frequent);
   w.Key("ok").Bool(true);
   w.Key("query_id").Uint(response.query_id);
   w.Key("queue_ms").Number(response.queue_seconds * 1000.0);
-  if (!response.rules.empty()) {
+  if (listing != nullptr && !listing->rules.empty()) {
     w.Key("rules").BeginArray();
-    for (const AssociationRule& r : response.rules) {
+    for (const AssociationRule& r : listing->rules) {
       w.BeginObject().Key("antecedent");
       WriteItemArray(w, r.antecedent);
       w.Key("confidence").Number(r.confidence).Key("consequent");
@@ -750,8 +797,12 @@ class CanonicalReader {
   }
 
   bool Literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
+    const size_t n = literal.size();
+    if (text_.size() - pos_ < n ||
+        std::memcmp(text_.data() + pos_, literal.data(), n) != 0) {
+      return false;
+    }
+    pos_ += n;
     return true;
   }
 
@@ -803,14 +854,22 @@ class CanonicalReader {
     return true;
   }
 
-  // Plain decimal digits, without sign or leading zero, at most `max`.
-  bool Uint(uint64_t max) {
+  // Plain decimal digits, without sign or leading zero, at most `max`:
+  // their value, or nullopt. A leading 0 is the whole number. The value
+  // is accumulated as the digits are scanned, so each is read once.
+  std::optional<uint64_t> Uint(uint64_t max) {
+    if (Byte('0')) return 0;
     const size_t start = pos_;
-    if (!Byte('0') && !Digits()) return false;
     uint64_t value = 0;
-    const char* end = text_.data() + pos_;
-    const auto parsed = std::from_chars(text_.data() + start, end, value);
-    return parsed.ec == std::errc() && value <= max;
+    for (; pos_ < text_.size(); ++pos_) {
+      const char c = text_[pos_];
+      if (c < '0' || c > '9') break;
+      const uint64_t digit = static_cast<uint64_t>(c - '0');
+      if (value > max / 10 || digit > max - value * 10) return std::nullopt;
+      value = value * 10 + digit;
+    }
+    if (pos_ == start) return std::nullopt;
+    return value;
   }
 
   // A JSON number that reads as a finite double.
@@ -1015,10 +1074,13 @@ using ReplyValues = std::array<std::string_view, kNumReplyKeys>;
 // What EncodeCacheProbeResponse writes on a miss.
 constexpr std::string_view kProbeMiss = "{\"hit\":false,\"ok\":true}";
 
-// True when `name` is a name CacheOutcomeName writes.
-bool IsCacheOutcomeName(std::string_view name) {
+// The outcome `name` names, when it is a name CacheOutcomeName writes.
+std::optional<CacheOutcome> CacheOutcomeNamed(std::string_view name) {
   const Result<CacheOutcome> outcome = ParseCacheOutcome(std::string(name));
-  return outcome.ok() && CacheOutcomeName(outcome.value()) == name;
+  if (!outcome.ok() || CacheOutcomeName(outcome.value()) != name) {
+    return std::nullopt;
+  }
+  return outcome.value();
 }
 
 // True when `name` is a name TaskName writes.
@@ -1062,14 +1124,21 @@ Status ScanEntries(CanonicalReader& in, const std::string& name,
   return Status::OK();
 }
 
-// Checks the value of member `key` and moves past it.
-Status ScanValue(ReplyKey key, CanonicalReader& in) {
+// Checks the value of member `key` and moves past it. The answer's
+// cache outcome and count land in `*read`.
+Status ScanValue(ReplyKey key, CanonicalReader& in, RelayedReply* read) {
   const std::string name(kReplyKeyNames[key]);
   std::string_view text;
   switch (key) {
-    case kCache:
-      if (in.String(&text) && IsCacheOutcomeName(text)) return Status::OK();
-      return PeerError("'cache' is not a cache outcome");
+    case kCache: {
+      const std::optional<CacheOutcome> outcome =
+          in.String(&text) ? CacheOutcomeNamed(text) : std::nullopt;
+      if (!outcome.has_value()) {
+        return PeerError("'cache' is not a cache outcome");
+      }
+      read->cache = *outcome;
+      return Status::OK();
+    }
     case kTask:
       if (in.String(&text) && IsTaskName(text)) return Status::OK();
       return PeerError("'task' is not a task name");
@@ -1087,7 +1156,10 @@ Status ScanValue(ReplyKey key, CanonicalReader& in) {
       return PeerError("'" + name + "' is not a number");
     case kNumResults:
     case kQueryId:
-      if (in.Uint(kMax64)) return Status::OK();
+      if (const std::optional<uint64_t> n = in.Uint(kMax64)) {
+        if (key == kNumResults) read->num_results = *n;
+        return Status::OK();
+      }
       return PeerError("'" + name + "' is not a number >= 0");
     case kItemsets:
       return ScanEntries(in, name, ItemsetEntry);
@@ -1112,8 +1184,9 @@ Status ScanValue(ReplyKey key, CanonicalReader& in) {
 }
 
 // Checks a query or cache_probe-hit reply and records where each
-// member's value sits.
-Status ScanReply(std::string_view reply, bool probe, ReplyValues* values) {
+// member's value sits, and in `*read` the answer's outcome and count.
+Status ScanReply(std::string_view reply, bool probe, ReplyValues* values,
+                 RelayedReply* read) {
   FPM_RETURN_IF_ERROR(ReadObject(
       reply, [&](std::string_view name, CanonicalReader& in) -> Status {
         const int key = static_cast<int>(
@@ -1124,7 +1197,7 @@ Status ScanReply(std::string_view reply, bool probe, ReplyValues* values) {
           return PeerError("unknown key '" + std::string(name) + "'");
         }
         const size_t start = in.pos();
-        FPM_RETURN_IF_ERROR(ScanValue(static_cast<ReplyKey>(key), in));
+        FPM_RETURN_IF_ERROR(ScanValue(static_cast<ReplyKey>(key), in, read));
         (*values)[key] = in.Since(start);
         return Status::OK();
       }));
@@ -1162,13 +1235,15 @@ std::string EncodeCacheProbeResponse(bool hit, const MineResponse& response) {
   return out;
 }
 
-Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
-                                       const RelayEnvelope& envelope) {
-  if (probe && reply == kProbeMiss) return std::string();
+Result<RelayedReply> RelayQueryResponse(std::string_view reply, bool probe,
+                                        const RelayEnvelope& envelope) {
+  RelayedReply relayed;
+  relayed.peer = envelope.peer;
+  if (probe && reply == kProbeMiss) return relayed;
   ReplyValues values;
-  const Status scanned = ScanReply(reply, probe, &values);
+  const Status scanned = ScanReply(reply, probe, &values, &relayed);
   if (!scanned.ok()) return CarriedOr(reply, scanned);
-  std::string out;
+  std::string& out = relayed.line;
   out.reserve(reply.size() + envelope.peer.size() + envelope.trace_id.size() +
               32);
   JsonWriter w(&out);
@@ -1192,7 +1267,7 @@ Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
     }
   }
   w.EndObject();
-  return out;
+  return relayed;
 }
 
 Status ReplyStatus(std::string_view reply) {

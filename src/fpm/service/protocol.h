@@ -216,6 +216,15 @@ struct RelayEnvelope {
   std::string_view trace_id;  ///< the client's; the key is left out if empty
 };
 
+/// A peer's answer as the relay passes it on: the line for the client,
+/// and what the relay's one pass read of it for the entry's query log.
+struct RelayedReply {
+  std::string line;  ///< empty for a cache_probe miss
+  std::string peer;  ///< the envelope's peer: the owner that answered
+  CacheOutcome cache = CacheOutcome::kMiss;  ///< the owner's "cache"
+  uint64_t num_results = 0;                  ///< the owner's "num_results"
+};
+
 /// Decodes one request line. InvalidArgument on malformed JSON, unknown
 /// op, or bad field types; errors name the op and field. Algorithm
 /// names follow ParseAlgorithm() (fpm/core/patterns.h), task names
@@ -271,9 +280,10 @@ std::string EncodeCacheProbeResponse(bool hit, const MineResponse& response);
 /// the entry node writes to its client, without decoding it. The line
 /// is the owner's bytes with "hit" dropped and "peer", "query_id" and
 /// "trace_id" set from `envelope`, each in its sorted key slot; a probe
-/// miss ({"hit":false,"ok":true}) returns an empty string.
+/// miss ({"hit":false,"ok":true}) returns an empty line.
 ///
-/// One pass checks the reply and records where each member sits. It
+/// One pass checks the reply, reads each number once, and records where
+/// each member sits and the answer's cache outcome and count. It
 /// accepts exactly what EncodeQueryResponse and EncodeCacheProbeResponse
 /// write: no whitespace, keys strictly ascending, every key those
 /// always write present ("cache", "digest", "mine_ms", "num_results",
@@ -292,8 +302,8 @@ std::string EncodeCacheProbeResponse(bool hit, const MineResponse& response);
 /// it carries, as ReplyStatus reads it. Any other reply it refuses is
 /// INTERNAL "peer response: ...": the peer, not the query, is at fault,
 /// so the coordinator moves on to the next owner.
-Result<std::string> RelayQueryResponse(std::string_view reply, bool probe,
-                                       const RelayEnvelope& envelope);
+Result<RelayedReply> RelayQueryResponse(std::string_view reply, bool probe,
+                                        const RelayEnvelope& envelope);
 
 /// Reads the top-level "ok" of any line fpmd writes, in one pass that
 /// skips the members it does not read and builds nothing. OK for

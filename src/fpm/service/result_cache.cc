@@ -109,8 +109,7 @@ ResultCache::EntryMap::iterator ResultCache::FindBestAtOrBelowLocked(
   return prev;
 }
 
-std::shared_ptr<CachedResult> ResultCache::DeriveLocked(
-    const ResultCacheKey& key, MiningTask* source_task) {
+ResultCache::Source ResultCache::FindSourceLocked(const ResultCacheKey& key) {
   // Probe key for a potential source entry of task `t` in the same
   // (digest, algorithm, patterns) configuration, with the parameters
   // that task ignores zeroed — mirroring ForQuery.
@@ -125,64 +124,30 @@ std::shared_ptr<CachedResult> ResultCache::DeriveLocked(
     }
     return p;
   };
-  const auto touch = [this](EntryMap::iterator it) {
+  // The closest entry at or below the key's threshold cached as task
+  // `t`, its LRU slot touched; none if absent.
+  const auto at_or_below = [this, &probe](MiningTask t) {
+    const auto it = FindBestAtOrBelowLocked(probe(t));
+    if (it == entries_.end()) return Source{};
     it->second.lru_seq = next_seq_++;
-    return it->second.result;
+    return Source{it->second.result, t};
   };
-  const Support m = key.min_support;
 
-  auto derived = std::make_shared<CachedResult>();
   switch (key.task) {
-    case MiningTask::kFrequent: {
+    case MiningTask::kFrequent:
       // Emission order must survive the filter — algorithm-gated.
-      if (!SupportsDominanceReuse(key.algorithm)) return nullptr;
-      auto it = FindBestAtOrBelowLocked(key);
-      if (it == entries_.end()) return nullptr;
-      auto source = touch(it);
-      derived->itemsets = FilterBySupport(source->itemsets, m);
-      derived->total_weight = source->total_weight;
-      *source_task = MiningTask::kFrequent;
-      break;
-    }
-    case MiningTask::kClosed: {
-      // Closedness is threshold-independent: closed@s filtered to
-      // support >= m is exactly closed@m, still canonical.
-      if (auto it = FindBestAtOrBelowLocked(probe(MiningTask::kClosed));
-          it != entries_.end()) {
-        auto source = touch(it);
-        derived->itemsets = FilterBySupport(source->itemsets, m);
-        derived->total_weight = source->total_weight;
-        *source_task = MiningTask::kClosed;
-        break;
-      }
-      auto it = FindBestAtOrBelowLocked(probe(MiningTask::kFrequent));
-      if (it == entries_.end()) return nullptr;
-      auto source = touch(it);
-      derived->itemsets =
-          FilterClosed(Canonicalized(FilterBySupport(source->itemsets, m)));
-      derived->total_weight = source->total_weight;
-      *source_task = MiningTask::kFrequent;
-      break;
-    }
+      if (!SupportsDominanceReuse(key.algorithm)) return Source{};
+      return at_or_below(MiningTask::kFrequent);
+    case MiningTask::kClosed:
     case MiningTask::kMaximal: {
-      // Never maximal <- maximal: maximality depends on the threshold.
-      if (auto it = FindBestAtOrBelowLocked(probe(MiningTask::kClosed));
-          it != entries_.end()) {
-        auto source = touch(it);
-        derived->itemsets = FilterMaximalFromClosed(
-            FilterBySupport(source->itemsets, m));
-        derived->total_weight = source->total_weight;
-        *source_task = MiningTask::kClosed;
-        break;
+      // Closedness is threshold-independent, so a closed listing at a
+      // lower threshold answers both; maximality is not, so never
+      // maximal <- maximal.
+      Source source = at_or_below(MiningTask::kClosed);
+      if (source.result == nullptr) {
+        source = at_or_below(MiningTask::kFrequent);
       }
-      auto it = FindBestAtOrBelowLocked(probe(MiningTask::kFrequent));
-      if (it == entries_.end()) return nullptr;
-      auto source = touch(it);
-      derived->itemsets =
-          FilterMaximal(Canonicalized(FilterBySupport(source->itemsets, m)));
-      derived->total_weight = source->total_weight;
-      *source_task = MiningTask::kFrequent;
-      break;
+      return source;
     }
     case MiningTask::kTopK: {
       // Any FREQUENT listing at s <= floor answers (complete at the
@@ -196,67 +161,87 @@ std::shared_ptr<CachedResult> ResultCache::DeriveLocked(
       EntryMap::iterator best = entries_.end();
       for (auto it = entries_.lower_bound(range_start);
            it != entries_.end() && it->first.SameConfig(freq); ++it) {
-        if (it->first.min_support <= m ||
+        if (it->first.min_support <= key.min_support ||
             it->second.result->itemsets.size() >= key.k) {
           best = it;
         }
       }
-      if (best == entries_.end()) return nullptr;
-      auto source = touch(best);
-      derived->itemsets = FilterBySupport(source->itemsets, m);
+      if (best == entries_.end()) return Source{};
+      best->second.lru_seq = next_seq_++;
+      return Source{best->second.result, MiningTask::kFrequent};
+    }
+    case MiningTask::kRules: {
+      // Subset supports never depend on the threshold, so rules@m is
+      // exactly rules@s restricted to itemset_support >= m; otherwise
+      // rules come from a closed listing, or a frequent one's closure.
+      for (MiningTask t :
+           {MiningTask::kRules, MiningTask::kClosed, MiningTask::kFrequent}) {
+        Source source = at_or_below(t);
+        if (source.result != nullptr) return source;
+      }
+      return Source{};
+    }
+  }
+  return Source{};
+}
+
+std::shared_ptr<CachedResult> ResultCache::Derive(const ResultCacheKey& key,
+                                                  const Source& source) {
+  const Support m = key.min_support;
+  const CachedResult& from = *source.result;
+  // A closed source filtered to support >= m is exactly the closed
+  // listing at m, still canonical; a FREQUENT source's filtered entries
+  // go canonical for the closed and maximal post-filters.
+  const auto filtered = [&from, m] {
+    return FilterBySupport(from.itemsets, m);
+  };
+  const bool from_closed = source.task == MiningTask::kClosed;
+  const auto closed = [&] {
+    return from_closed ? filtered() : FilterClosed(Canonicalized(filtered()));
+  };
+
+  auto derived = std::make_shared<CachedResult>();
+  derived->total_weight = from.total_weight;
+  switch (key.task) {
+    case MiningTask::kFrequent:
+      derived->itemsets = filtered();
+      break;
+    case MiningTask::kClosed:
+      derived->itemsets = closed();
+      break;
+    case MiningTask::kMaximal:
+      // Never maximal <- maximal: maximality depends on the threshold.
+      if (from_closed) {
+        derived->itemsets = FilterMaximalFromClosed(filtered());
+      } else {
+        derived->itemsets = FilterMaximal(Canonicalized(filtered()));
+      }
+      break;
+    case MiningTask::kTopK:
+      derived->itemsets = filtered();
       std::sort(derived->itemsets.begin(), derived->itemsets.end(),
                 TopKOutranks);
       if (derived->itemsets.size() > key.k) {
         derived->itemsets.resize(static_cast<size_t>(key.k));
       }
-      derived->total_weight = source->total_weight;
-      *source_task = MiningTask::kFrequent;
       break;
-    }
     case MiningTask::kRules: {
-      // Subset supports never depend on the threshold, so rules@m is
-      // exactly rules@s restricted to itemset_support >= m.
-      if (auto it = FindBestAtOrBelowLocked(key); it != entries_.end()) {
-        auto source = touch(it);
-        for (const AssociationRule& r : source->rules) {
+      if (source.task == MiningTask::kRules) {
+        for (const AssociationRule& r : from.rules) {
           if (r.itemset_support >= m) derived->rules.push_back(r);
         }
-        derived->total_weight = source->total_weight;
-        *source_task = MiningTask::kRules;
         break;
       }
       RuleOptions options;
       options.min_confidence = key.min_confidence;
       options.min_lift = key.min_lift;
       options.max_consequent = key.max_consequent;
-      std::vector<CollectingSink::Entry> closed;
-      Support total_weight = 0;
-      MiningTask from = MiningTask::kClosed;
-      if (auto it = FindBestAtOrBelowLocked(probe(MiningTask::kClosed));
-          it != entries_.end()) {
-        auto source = touch(it);
-        closed = FilterBySupport(source->itemsets, m);
-        total_weight = source->total_weight;
-        from = MiningTask::kClosed;
-      } else if (auto fit =
-                     FindBestAtOrBelowLocked(probe(MiningTask::kFrequent));
-                 fit != entries_.end()) {
-        auto source = touch(fit);
-        closed = FilterClosed(
-            Canonicalized(FilterBySupport(source->itemsets, m)));
-        total_weight = source->total_weight;
-        from = MiningTask::kFrequent;
-      } else {
-        return nullptr;
-      }
       Result<std::vector<AssociationRule>> rules =
-          GenerateRulesFromClosed(closed, total_weight, options);
+          GenerateRulesFromClosed(closed(), from.total_weight, options);
       // A derivation failure (defensive: the filtered listing should
       // always be complete) falls back to a fresh mine.
       if (!rules.ok()) return nullptr;
       derived->rules = std::move(rules.value());
-      derived->total_weight = total_weight;
-      *source_task = from;
       break;
     }
   }
@@ -271,39 +256,46 @@ std::shared_ptr<CachedResult> ResultCache::DeriveLocked(
 }
 
 ResultCacheLookup ResultCache::Lookup(const ResultCacheKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
   ResultCacheLookup out;
-
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.lru_seq = next_seq_++;
-    out.result = it->second.result;
-    out.exact = true;
-    ++stats_.hits;
-    hits_counter_->Increment();
-    return out;
-  }
-
-  MiningTask source_task = key.task;
-  std::shared_ptr<CachedResult> derived = DeriveLocked(key, &source_task);
-  if (derived != nullptr) {
-    out.result = derived;
-    if (source_task == key.task) {
-      out.dominated = true;
-      ++stats_.dominated_hits;
-      dominated_counter_->Increment();
-    } else {
-      out.cross_task = true;
-      ++stats_.cross_task_hits;
-      cross_task_counter_->Increment();
+  Source source;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      it->second.lru_seq = next_seq_++;
+      out.result = it->second.result;
+      out.exact = true;
+      ++stats_.hits;
+      hits_counter_->Increment();
+      return out;
     }
-    // Memoize under the queried key so repeats are exact hits.
-    InsertLocked(key, std::move(derived));
-    return out;
+    source = FindSourceLocked(key);
   }
 
-  ++stats_.misses;
-  misses_counter_->Increment();
+  std::shared_ptr<CachedResult> derived;
+  if (source.result != nullptr) {
+    if (derive_hook_for_test_) derive_hook_for_test_();
+    derived = Derive(key, source);
+  }
+
+  std::lock_guard<std::mutex> lock(mu_);
+  if (derived == nullptr) {
+    ++stats_.misses;
+    misses_counter_->Increment();
+    return out;
+  }
+  out.result = derived;
+  if (source.task == key.task) {
+    out.dominated = true;
+    ++stats_.dominated_hits;
+    dominated_counter_->Increment();
+  } else {
+    out.cross_task = true;
+    ++stats_.cross_task_hits;
+    cross_task_counter_->Increment();
+  }
+  // Memoize under the queried key so repeats are exact hits.
+  InsertLocked(key, std::move(derived));
   return out;
 }
 

@@ -51,15 +51,27 @@
 // dominance scan is one bound probe plus a walk over the
 // configuration's neighbors, and a cross-task scan re-probes with the
 // source task substituted. Eviction is LRU by a byte budget.
+//
+// Locking: one mutex guards the entries and the counters. A derivation
+// (filter, closure, top-k sort, rule generation: seconds on a large
+// listing) runs with it released. Lookup picks the source entry and
+// touches its LRU slot under the lock, derives with no lock held (the
+// shared_ptr keeps the source alive through an eviction), then counts
+// and memoizes under the lock again. Exact hits, other derivations,
+// inserts and stats() proceed meanwhile. Two lookups may derive the
+// same key at once; their answers are equal, and the later insert
+// replaces the earlier.
 
 #ifndef FPM_SERVICE_RESULT_CACHE_H_
 #define FPM_SERVICE_RESULT_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fpm/algo/itemset_sink.h"
@@ -200,6 +212,13 @@ class ResultCache {
 
   ResultCacheStats stats() const;
 
+  /// Test hook: runs inside every derivation, after the source entry is
+  /// picked and the lock released, before the derivation itself — a
+  /// blocking hook holds a derivation in flight.
+  void set_derive_hook_for_test(std::function<void()> hook) {
+    derive_hook_for_test_ = std::move(hook);
+  }
+
   /// Heap bytes a result with these itemsets occupies (key + vectors).
   static size_t EstimateBytes(const std::vector<CollectingSink::Entry>& v);
 
@@ -213,21 +232,33 @@ class ResultCache {
   };
   using EntryMap = std::map<ResultCacheKey, Entry>;
 
+  /// A cached entry a derivation reads, and the task it was cached as.
+  struct Source {
+    std::shared_ptr<const CachedResult> result;  ///< null when none
+    MiningTask task = MiningTask::kFrequent;
+  };
+
   /// Best same-config entry with min_support <= probe's (the closest
   /// threshold, so the fewest surplus entries to filter), or nullptr.
   EntryMap::iterator FindBestAtOrBelowLocked(const ResultCacheKey& probe);
 
-  /// Task-specific derivation attempts; each returns the derived result
-  /// (null when no usable source entry exists) and touches the source's
-  /// LRU slot. `source_task` reports where the answer came from.
-  std::shared_ptr<CachedResult> DeriveLocked(const ResultCacheKey& key,
-                                             MiningTask* source_task);
+  /// The entry the derivation matrix answers `key` from (same task
+  /// first, then cross-task sources), with its LRU slot touched; a null
+  /// result when no usable entry exists.
+  Source FindSourceLocked(const ResultCacheKey& key);
+
+  /// Derives `key`'s answer from `source`, with no lock held. Null when
+  /// the derivation fails (defensive: a filtered listing should always
+  /// be complete), which the caller counts as a miss.
+  static std::shared_ptr<CachedResult> Derive(const ResultCacheKey& key,
+                                              const Source& source);
 
   void InsertLocked(const ResultCacheKey& key,
                     std::shared_ptr<const CachedResult> result);
   void EvictLocked();
 
   const size_t budget_bytes_;
+  std::function<void()> derive_hook_for_test_;
   mutable std::mutex mu_;
   EntryMap entries_;
   uint64_t next_seq_ = 1;

@@ -16,6 +16,7 @@
 #include "fpm/common/json_writer.h"
 #include "fpm/obs/metrics.h"
 #include "fpm/obs/prometheus.h"
+#include "fpm/obs/query_log.h"
 #include "fpm/service/line_io.h"
 
 namespace fpm {
@@ -55,7 +56,7 @@ std::string MetricsText() {
 
 Server::Server(const MiningService::Options& options,
                std::optional<ClusterOptions> cluster)
-    : service_(options) {
+    : service_(options), query_log_(options.query_log) {
   if (cluster) coordinator_ = std::make_unique<Coordinator>(*cluster);
 }
 
@@ -269,21 +270,54 @@ bool Server::HandleQuery(int fd, const MineRequest& request) {
                    coordinator->options().self;
   }
   // The owner's answer, relayed: its bytes with our envelope.
-  const Result<std::string> line = coordinator->ExecuteRemote(
+  const auto remote_start = std::chrono::steady_clock::now();
+  const Result<RelayedReply> relayed = coordinator->ExecuteRemote(
       sub, digest.value(), query_id, request.trace_id,
       [fd] { return PeerClosed(fd); });
-  if (line.ok()) return WriteLine(fd, line.value()).ok();
-  const StatusCode code = line.status().code();
+  const double remote_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - remote_start)
+                               .count();
+  const StatusCode code =
+      relayed.ok() ? StatusCode::kOk : relayed.status().code();
   if (code == StatusCode::kUnavailable ||
       code == StatusCode::kDeadlineExceeded) {
     // Every owner down: availability degrades to single-node behavior,
-    // never to an error a single-node daemon would not give.
+    // never to an error a single-node daemon would not give. The local
+    // job writes the query's one log line.
     coordinator->NoteLocalFallback();
     MineRequest local = request;
     local.query_id = query_id;
     return StreamReply(fd, local);
   }
-  return WriteLine(fd, EncodeError(line.status())).ok();
+  std::string error;
+  if (!relayed.ok()) error = EncodeError(relayed.status());
+  const std::string& line = relayed.ok() ? relayed->line : error;
+  LogRelay(sub, digest.value(), query_id, relayed, remote_ms, line.size());
+  return WriteLine(fd, line).ok();
+}
+
+void Server::LogRelay(const MineRequest& request, const std::string& digest,
+                      uint64_t query_id, const Result<RelayedReply>& relayed,
+                      double remote_ms, size_t bytes_out) {
+  if (query_log_ == nullptr || !query_log_->enabled()) return;
+  QueryLogEntry entry = QueryLogEntryFor(request);
+  entry.query_id = query_id;
+  entry.op = "relay";
+  entry.digest = digest;
+  entry.remote_ms = remote_ms;
+  entry.bytes_out = bytes_out;
+  if (relayed.ok()) {
+    entry.peer = relayed->peer;
+    entry.cache = CacheOutcomeName(relayed->cache);
+    entry.num_results = relayed->num_results;
+    entry.status = "ok";
+  } else {
+    entry.status = relayed.status().code() == StatusCode::kCancelled
+                       ? "cancelled"
+                       : "error";
+    entry.reason = relayed.status().message();
+  }
+  query_log_->Write(entry);
 }
 
 std::string Server::Reply(const ServiceRequest& request) {

@@ -91,6 +91,14 @@ class Server {
   /// path-addressed dataset, probed and forwarded to its owners.
   bool HandleQuery(int fd, const MineRequest& request);
 
+  /// Writes the query-log line of a query a peer answered (op "relay"),
+  /// under the id the client got: the answering peer, the wall time of
+  /// the exchange, the bytes of the line relayed to the client, and the
+  /// owner's cache outcome and count, or the error the client got.
+  void LogRelay(const MineRequest& request, const std::string& digest,
+                uint64_t query_id, const Result<RelayedReply>& relayed,
+                double remote_ms, size_t bytes_out);
+
   /// The one-line replies: every op but query, batch, shard_query and
   /// shutdown.
   std::string Reply(const ServiceRequest& request);
@@ -98,6 +106,7 @@ class Server {
   std::string ClusterInfoReply(const ServiceRequest& request);
 
   MiningService service_;
+  QueryLog* const query_log_;                 ///< may be null
   std::unique_ptr<Coordinator> coordinator_;  ///< null on a single node
   std::vector<int> listeners_;
   std::atomic<bool> shutdown_{false};

@@ -28,21 +28,34 @@ CacheOutcome OutcomeOf(const ResultCacheLookup& lookup) {
 }
 
 /// What a cached result answers `request` with: its task, outcome and
-/// count, plus its listing unless count_only was asked.
+/// count, plus the result itself, shared, unless count_only was asked.
 MineResponse CachedResponse(const MineRequest& request,
-                            const CachedResult& result, CacheOutcome outcome) {
+                            std::shared_ptr<const CachedResult> result,
+                            CacheOutcome outcome) {
   MineResponse response;
   response.task = request.query.task;
   response.cache = outcome;
-  response.num_frequent = result.num_results;
-  if (!request.count_only) {
-    response.itemsets = result.itemsets;
-    response.rules = result.rules;
-  }
+  response.num_frequent = result->num_results;
+  if (!request.count_only) response.listing = std::move(result);
   return response;
 }
 
 }  // namespace
+
+QueryLogEntry QueryLogEntryFor(const MineRequest& request) {
+  QueryLogEntry entry;
+  entry.query_id = request.query_id;
+  entry.trace_id = request.trace_id;
+  entry.op = request.op;
+  entry.task = TaskName(request.query.task);
+  entry.dataset = request.dataset_path;
+  entry.dataset_id = request.dataset_id;
+  entry.dataset_version = request.dataset_version;
+  entry.min_support = request.query.min_support;
+  entry.k = request.query.task == MiningTask::kTopK ? request.query.k : 0;
+  entry.algorithm = AlgorithmName(request.algorithm);
+  return entry;
+}
 
 const char* CacheOutcomeName(CacheOutcome outcome) {
   switch (outcome) {
@@ -264,22 +277,11 @@ void MiningService::LogQuery(const MineRequest& request,
                              const Result<MineResponse>& result,
                              double queue_seconds, double mine_seconds) {
   if (query_log_ == nullptr || !query_log_->enabled()) return;
-  QueryLogEntry entry;
-  entry.query_id = request.query_id;
-  entry.trace_id = request.trace_id;
-  entry.op = request.op;
-  entry.task = TaskName(request.query.task);
-  entry.dataset = request.dataset_path;
-  entry.min_support = request.query.min_support;
-  entry.k = request.query.task == MiningTask::kTopK ? request.query.k : 0;
-  entry.algorithm = AlgorithmName(request.algorithm);
+  QueryLogEntry entry = QueryLogEntryFor(request);
   if (dataset != nullptr) {
     entry.dataset_id = dataset->id;
     entry.dataset_version = dataset->version;
     entry.digest = dataset->digest;
-  } else {
-    entry.dataset_id = request.dataset_id;
-    entry.dataset_version = request.dataset_version;
   }
   entry.queue_ms = queue_seconds * 1000.0;
   entry.mine_ms = mine_seconds * 1000.0;
@@ -503,7 +505,7 @@ Result<MineResponse> MiningService::RunJob(const MineRequest& request,
     result = std::move(fresh);
   }
 
-  MineResponse response = CachedResponse(request, *result, outcome);
+  MineResponse response = CachedResponse(request, std::move(result), outcome);
   response.dataset_digest = dataset.digest;
   response.derive_seconds = derive_seconds;
   response.peak_bytes = peak_bytes;
@@ -515,10 +517,11 @@ Result<MineResponse> MiningService::RunJob(const MineRequest& request,
 
 std::optional<MineResponse> MiningService::AnswerFromCache(
     const MineRequest& request, const std::string& digest) {
-  const ResultCacheLookup lookup = cache_.Lookup(CacheKeyFor(request, digest));
+  ResultCacheLookup lookup = cache_.Lookup(CacheKeyFor(request, digest));
   if (lookup.result == nullptr) return std::nullopt;
+  const CacheOutcome outcome = OutcomeOf(lookup);
   MineResponse response =
-      CachedResponse(request, *lookup.result, OutcomeOf(lookup));
+      CachedResponse(request, std::move(lookup.result), outcome);
   response.dataset_digest = digest;
   response.trace_id = request.trace_id;
   return response;

@@ -57,6 +57,7 @@ namespace fpm {
 class Counter;
 class Histogram;
 class QueryLog;
+struct QueryLogEntry;
 
 /// One mining request: the MiningQuery (task + thresholds) plus the
 /// service-level envelope (dataset, algorithm, scheduling).
@@ -94,6 +95,10 @@ struct MineRequest {
   std::string op;
 };
 
+/// A query-log line's fields that `request` itself gives: its ids, op,
+/// task, dataset (path, or id and version), threshold, k and algorithm.
+QueryLogEntry QueryLogEntryFor(const MineRequest& request);
+
 /// How a response was produced.
 enum class CacheOutcome {
   kMiss,       ///< mined fresh
@@ -115,12 +120,14 @@ struct MineResponse {
   /// for kRules. (The name predates the task family; wire compat keeps
   /// it.)
   uint64_t num_frequent = 0;
-  /// Itemset-task results, in the task's deterministic order (kFrequent:
-  /// kernel emission order; kClosed/kMaximal: canonical; kTopK: support
-  /// descending). Empty when count_only was requested or task == kRules.
-  std::vector<CollectingSink::Entry> itemsets;
-  /// kRules results in RuleOutranks order; empty when count_only.
-  std::vector<AssociationRule> rules;
+  /// The result the response answers with: the cache's own entry,
+  /// shared rather than copied, and kept alive by the response after
+  /// the cache evicts it. Itemset tasks fill its `itemsets`, in the
+  /// task's deterministic order (kFrequent: kernel emission order;
+  /// kClosed/kMaximal: canonical; kTopK: support descending); kRules
+  /// fills its `rules`, in RuleOutranks order. Null when count_only was
+  /// requested.
+  std::shared_ptr<const CachedResult> listing;
   CacheOutcome cache = CacheOutcome::kMiss;
   std::string dataset_digest;
   double queue_seconds = 0.0;   ///< submission -> job start

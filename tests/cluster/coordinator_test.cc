@@ -19,6 +19,7 @@
 #include "fpm/service/json.h"
 #include "fpm/service/protocol.h"
 #include "testing/db_testutil.h"
+#include "testing/listing_testutil.h"
 
 namespace fpm {
 namespace {
@@ -64,17 +65,17 @@ MineResponse CannedResponse() {
   MineResponse response;
   response.task = MiningTask::kFrequent;
   response.num_frequent = 1;
-  response.itemsets = {{{1, 2}, 5}};
+  response.listing = testutil::Listing({{{1, 2}, 5}});
   response.cache = CacheOutcome::kExact;
   return response;
 }
 
 /// The client line ExecuteRemote relayed, parsed.
-JsonValue Relayed(const Result<std::string>& line) {
-  EXPECT_TRUE(line.ok()) << line.status();
-  if (!line.ok()) return JsonValue();
-  Result<JsonValue> parsed = ParseJson(line.value());
-  EXPECT_TRUE(parsed.ok()) << line.value();
+JsonValue Relayed(const Result<RelayedReply>& relayed) {
+  EXPECT_TRUE(relayed.ok()) << relayed.status();
+  if (!relayed.ok()) return JsonValue();
+  Result<JsonValue> parsed = ParseJson(relayed->line);
+  EXPECT_TRUE(parsed.ok()) << relayed->line;
   return parsed.ok() ? parsed.value() : JsonValue();
 }
 
@@ -263,7 +264,7 @@ TEST(CoordinatorTest, AllOwnersDownIsUnavailable) {
         return Status::Unavailable("peer " + endpoint + ": down");
       });
 
-  Result<std::string> response =
+  Result<RelayedReply> response =
       coordinator.ExecuteRemote(MakeQuery(2), digest, 7, "", {});
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
@@ -292,7 +293,7 @@ TEST(CoordinatorTest, DeterministicRejectionDoesNotFailOver) {
   };
 
   Coordinator coordinator(options, peers.transport());
-  Result<std::string> response =
+  Result<RelayedReply> response =
       coordinator.ExecuteRemote(MakeQuery(2), digest, 7, "", {});
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kNotFound);
@@ -345,7 +346,7 @@ TEST(CoordinatorTest, AbortCancelsBeforeAnyCall) {
   const std::string digest = FindDigest(options, /*self_owns=*/false);
   FakePeers peers;
   Coordinator coordinator(options, peers.transport());
-  Result<std::string> response = coordinator.ExecuteRemote(
+  Result<RelayedReply> response = coordinator.ExecuteRemote(
       MakeQuery(2), digest, 7, "", [] { return true; });
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kCancelled);

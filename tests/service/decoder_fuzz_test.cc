@@ -33,6 +33,7 @@
 #include "fpm/dataset/packed.h"
 #include "fpm/service/json.h"
 #include "fpm/service/protocol.h"
+#include "testing/listing_testutil.h"
 
 namespace fpm {
 namespace {
@@ -117,9 +118,15 @@ JsonValue StringValue(std::string_view s) {
 // parser reads the relayed line as the reply with "hit" dropped and
 // "peer", "query_id" and "trace_id" taken from `envelope`.
 void ExpectRelayed(const std::string& reply, const RelayEnvelope& envelope,
-                   const std::string& relayed) {
+                   const RelayedReply& read) {
   const Result<JsonValue> doc = ParseJson(reply);
   ASSERT_TRUE(doc.ok()) << doc.status();
+  // What the relay read of the reply is what the tree holds.
+  EXPECT_EQ(CacheOutcomeName(read.cache), doc.value()["cache"].string_value());
+  EXPECT_EQ(static_cast<double>(read.num_results),
+            doc.value()["num_results"].number_value());
+  EXPECT_EQ(read.peer, envelope.peer);
+  const std::string& relayed = read.line;
   for (char c : relayed) {
     ASSERT_GE(static_cast<unsigned char>(c), 0x20) << relayed;
   }
@@ -191,7 +198,7 @@ std::vector<std::string> JsonSeeds() {
   MineResponse response;
   response.task = MiningTask::kClosed;
   response.num_frequent = 2;
-  response.itemsets = {{{1, 2}, 4}, {{3}, 2}};
+  response.listing = testutil::Listing({{{1, 2}, 4}, {{3}, 2}});
   response.cache = CacheOutcome::kCrossTask;
   response.dataset_digest = "cafe";
   response.queue_seconds = 0.5;
@@ -207,7 +214,7 @@ std::vector<std::string> JsonSeeds() {
   rule.itemset_support = 4;
   rule.confidence = 0.5;
   rule.lift = 2.0;
-  rules.rules = {rule};
+  rules.listing = testutil::RuleListing({rule});
 
   // A probe hit for a client that sent its own trace id.
   MineResponse traced = response;
@@ -215,7 +222,7 @@ std::vector<std::string> JsonSeeds() {
 
   MineResponse entries;
   entries.num_frequent = 2;
-  entries.itemsets = {{{1, 2}, 3}, {{5}, 7}};
+  entries.listing = testutil::Listing({{{1, 2}, 3}, {{5}, 7}});
 
   MineRequest request;
   request.dataset_path = "/data/retail.fpk";
@@ -315,9 +322,9 @@ TEST(DecoderFuzzTest, JsonDecodersReturnAStatus) {
     for (const bool probe : {true, false}) {
       const RelayEnvelope envelope{"n9:7100", 40 + static_cast<uint64_t>(i),
                                    probe ? "client \"t\"\n" : ""};
-      const Result<std::string> relayed =
+      const Result<RelayedReply> relayed =
           RelayQueryResponse(line, probe, envelope);
-      if (relayed.ok() && !relayed.value().empty()) {
+      if (relayed.ok() && !relayed->line.empty()) {
         ++accepted;
         ExpectRelayed(line, envelope, relayed.value());
       }
@@ -357,7 +364,7 @@ TEST(DecoderFuzzTest, RelayedRepliesKeepTheirMembers) {
     const bool probe = line.find("\"hit\":true") != std::string::npos;
     const RelayEnvelope envelope{"n9:7100", static_cast<uint64_t>(i),
                                  i % 2 == 0 ? "" : "client \"t\"\n"};
-    const Result<std::string> relayed =
+    const Result<RelayedReply> relayed =
         RelayQueryResponse(line, probe, envelope);
     if (relayed.ok()) {
       ++accepted;
@@ -375,7 +382,7 @@ TEST(DecoderFuzzTest, ItemsetEntriesAndErrorEnvelopesKeepTheirMembers) {
   const auto answer = [](std::vector<CollectingSink::Entry> itemsets) {
     MineResponse response;
     response.num_frequent = itemsets.size();
-    response.itemsets = std::move(itemsets);
+    response.listing = testutil::Listing(std::move(itemsets));
     return EncodeQueryResponse(response);
   };
   const std::vector<std::string> replies = {
@@ -404,7 +411,7 @@ TEST(DecoderFuzzTest, ItemsetEntriesAndErrorEnvelopesKeepTheirMembers) {
     }
     SCOPED_TRACE("mutant " + std::to_string(i) + ": " + line);
     const RelayEnvelope envelope{"n9:7100", static_cast<uint64_t>(i), ""};
-    const Result<std::string> relayed =
+    const Result<RelayedReply> relayed =
         RelayQueryResponse(line, /*probe=*/false, envelope);
     if (relayed.ok()) {
       ++read;

@@ -2,13 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "fpm/common/rng.h"
 #include "fpm/service/json.h"
+#include "testing/listing_testutil.h"
 
 namespace fpm {
 namespace {
+
+constexpr uint64_t kMax32Support = std::numeric_limits<Support>::max();
 
 TEST(DecodeRequestTest, DecodesControlOps) {
   auto ping = DecodeRequest("{\"op\":\"ping\"}");
@@ -176,7 +183,7 @@ TEST(EncodeTest, QueryResponseGolden) {
   MineResponse response;
   response.task = MiningTask::kClosed;
   response.num_frequent = 2;
-  response.itemsets = {{{1, 2}, 4}, {{3}, 2}};
+  response.listing = testutil::Listing({{{1, 2}, 4}, {{3}, 2}});
   response.cache = CacheOutcome::kCrossTask;
   response.dataset_digest = "cafe";
   response.queue_seconds = 0.5;
@@ -192,6 +199,64 @@ TEST(EncodeTest, QueryResponseGolden) {
             "\"trace_id\":\"req-9\"}");
 }
 
+// The line EncodeQueryResponse writes for an exact hit on `itemsets`,
+// with the array in the JsonWriter oracle's form.
+std::string OracleHitLine(const std::vector<CollectingSink::Entry>& itemsets) {
+  std::string line = "{\"cache\":\"hit\",\"digest\":\"d\",";
+  if (!itemsets.empty()) {
+    line += "\"itemsets\":" + testutil::ItemsetsJson(itemsets) + ",";
+  }
+  line += "\"mine_ms\":0,\"num_results\":";
+  line += std::to_string(itemsets.size());
+  line += ",\"ok\":true,\"query_id\":0,\"queue_ms\":0,\"task\":\"frequent\"}";
+  return line;
+}
+
+// The one-pass itemsets encoder writes what JsonWriter writes, byte for
+// byte: random listings whose numbers straddle every digit count, the
+// item and support limits, single-item and long itemsets, and none.
+TEST(EncodeTest, ItemsetsMatchTheWriterOracle) {
+  const Item kItems[] = {0, 9, 10, 99, 100, 65535, 4294967294u};
+  const Support kSupports[] = {1, 9, 10, 1000000, 4294967295u};
+  Rng rng(0x17e5e75);
+  // Half the numbers from the edge lists, half anywhere in range.
+  const auto item = [&] {
+    const uint64_t pick = rng.NextBounded(2 * std::size(kItems));
+    if (pick < std::size(kItems)) return kItems[pick];
+    return static_cast<Item>(rng.NextBounded(kInvalidItem));
+  };
+  const auto support = [&] {
+    const uint64_t pick = rng.NextBounded(2 * std::size(kSupports));
+    if (pick < std::size(kSupports)) return kSupports[pick];
+    return static_cast<Support>(1 + rng.NextBounded(kMax32Support));
+  };
+  std::vector<std::vector<CollectingSink::Entry>> listings = {
+      {},
+      {{{4294967294u}, 4294967295u}},
+      {{{0}, 1}, {{9, 10}, 9}, {{0, 9, 10, 4294967294u}, 10}},
+  };
+  for (int i = 0; i < 200; ++i) {
+    std::vector<CollectingSink::Entry>& itemsets = listings.emplace_back();
+    itemsets.resize(rng.NextBounded(40));
+    for (CollectingSink::Entry& entry : itemsets) {
+      // Mostly short itemsets, one in four up to 64 items long.
+      const bool is_long = rng.NextBounded(4) == 0;
+      entry.first.resize(1 + rng.NextBounded(is_long ? 64 : 4));
+      for (Item& it : entry.first) it = item();
+      entry.second = support();
+    }
+  }
+  for (size_t i = 0; i < listings.size(); ++i) {
+    MineResponse response;
+    response.cache = CacheOutcome::kExact;
+    response.dataset_digest = "d";
+    response.num_frequent = listings[i].size();
+    response.listing = testutil::Listing(listings[i]);
+    ASSERT_EQ(EncodeQueryResponse(response), OracleHitLine(listings[i]))
+        << "listing " << i;
+  }
+}
+
 TEST(EncodeTest, RulesResponseCarriesTheRuleTable) {
   MineResponse response;
   response.task = MiningTask::kRules;
@@ -202,7 +267,7 @@ TEST(EncodeTest, RulesResponseCarriesTheRuleTable) {
   rule.itemset_support = 4;
   rule.confidence = 0.5;
   rule.lift = 2.0;
-  response.rules = {rule};
+  response.listing = testutil::RuleListing({rule});
   response.dataset_digest = "d";
   EXPECT_EQ(EncodeQueryResponse(response),
             "{\"cache\":\"miss\",\"digest\":\"d\",\"mine_ms\":0,"
@@ -271,7 +336,7 @@ TEST(EncodeTest, OkIsMinimal) {
 TEST(EncodeTest, ResponsesRoundTripThroughTheParser) {
   MineResponse response;
   response.num_frequent = 1;
-  response.itemsets = {{{5}, 3}};
+  response.listing = testutil::Listing({{{5}, 3}});
   auto doc = ParseJson(EncodeQueryResponse(response));
   ASSERT_TRUE(doc.ok());
   EXPECT_TRUE(doc.value()["ok"].bool_value());
@@ -726,12 +791,12 @@ TEST(ClusterWireTest, CacheProbeResponsesRoundTrip) {
   auto miss = RelayQueryResponse(EncodeCacheProbeResponse(false, {}),
                                  /*probe=*/true, envelope);
   ASSERT_TRUE(miss.ok()) << miss.status();
-  EXPECT_EQ(miss.value(), "");
+  EXPECT_EQ(miss->line, "");
 
   MineResponse response;
   response.task = MiningTask::kFrequent;
   response.num_frequent = 2;
-  response.itemsets = {{{1, 2}, 4}, {{3}, 6}};
+  response.listing = testutil::Listing({{{1, 2}, 4}, {{3}, 6}});
   response.cache = CacheOutcome::kExact;
   response.dataset_digest = "abcdef0123456789";
   EXPECT_EQ(EncodeCacheProbeResponse(true, response),
@@ -743,7 +808,7 @@ TEST(ClusterWireTest, CacheProbeResponsesRoundTrip) {
   auto hit = RelayQueryResponse(EncodeCacheProbeResponse(true, response),
                                 /*probe=*/true, envelope);
   ASSERT_TRUE(hit.ok()) << hit.status();
-  EXPECT_EQ(hit.value(),
+  EXPECT_EQ(hit->line,
             "{\"cache\":\"hit\",\"digest\":\"abcdef0123456789\","
             "\"itemsets\":[{\"items\":[1,2],\"support\":4},"
             "{\"items\":[3],\"support\":6}],\"mine_ms\":0,"
@@ -818,7 +883,7 @@ TEST(ReplyStatusTest, AnErrorEnvelopeNeverReadsAsSuccess) {
 TEST(ReplyStatusTest, ReadsTheOkOfEveryReply) {
   MineResponse response;
   response.num_frequent = 1;
-  response.itemsets = {{{1, 2}, 3}};
+  response.listing = testutil::Listing({{{1, 2}, 3}});
   response.trace_id = "t\t\"1\"";
   ServiceStats stats;
   stats.windows = {ServiceWindowStats{}};
@@ -897,7 +962,7 @@ TEST(ClusterWireTest, QueryResponseCarriesPeer) {
   // "query_id".
   MineResponse response;
   response.num_frequent = 1;
-  response.itemsets = {{{2}, 8}};
+  response.listing = testutil::Listing({{{2}, 8}});
   const std::string owner_line = EncodeQueryResponse(response);
   EXPECT_EQ(owner_line,
             "{\"cache\":\"miss\",\"digest\":\"\","
@@ -907,7 +972,7 @@ TEST(ClusterWireTest, QueryResponseCarriesPeer) {
   auto relayed = RelayQueryResponse(owner_line, /*probe=*/false,
                                     RelayEnvelope{"n3:7100", 12, ""});
   ASSERT_TRUE(relayed.ok()) << relayed.status();
-  EXPECT_EQ(relayed.value(),
+  EXPECT_EQ(relayed->line,
             "{\"cache\":\"miss\",\"digest\":\"\","
             "\"itemsets\":[{\"items\":[2],\"support\":8}],\"mine_ms\":0,"
             "\"num_results\":1,\"ok\":true,\"peer\":\"n3:7100\","
@@ -940,7 +1005,7 @@ TEST(RelayTest, ProbeHitTakesTheEntrysEnvelope) {
   MineResponse response;
   response.task = MiningTask::kClosed;
   response.num_frequent = 2;
-  response.itemsets = {{{1, 2}, 4}, {{3}, 2}};
+  response.listing = testutil::Listing({{{1, 2}, 4}, {{3}, 2}});
   response.cache = CacheOutcome::kDominated;
   response.dataset_digest = "cafe";
   response.trace_id = "qid-31@n1:7100";  // the entry's id for the hop
@@ -950,7 +1015,7 @@ TEST(RelayTest, ProbeHitTakesTheEntrysEnvelope) {
   auto plain = RelayQueryResponse(reply, /*probe=*/true,
                                   RelayEnvelope{"n2:7100", 31, ""});
   ASSERT_TRUE(plain.ok()) << plain.status();
-  EXPECT_EQ(plain.value(),
+  EXPECT_EQ(plain->line,
             "{\"cache\":\"dominated\",\"digest\":\"cafe\","
             "\"itemsets\":[{\"items\":[1,2],\"support\":4},"
             "{\"items\":[3],\"support\":2}],\"mine_ms\":0,"
@@ -962,7 +1027,7 @@ TEST(RelayTest, ProbeHitTakesTheEntrysEnvelope) {
   auto traced = RelayQueryResponse(reply, /*probe=*/true,
                                    RelayEnvelope{"n2:7100", 31, client_trace});
   ASSERT_TRUE(traced.ok()) << traced.status();
-  EXPECT_EQ(traced.value(),
+  EXPECT_EQ(traced->line,
             "{\"cache\":\"dominated\",\"digest\":\"cafe\","
             "\"itemsets\":[{\"items\":[1,2],\"support\":4},"
             "{\"items\":[3],\"support\":2}],\"mine_ms\":0,"
@@ -971,7 +1036,7 @@ TEST(RelayTest, ProbeHitTakesTheEntrysEnvelope) {
             "\"trace_id\":\"t \\\"1\\\"\\t\\\\\"}");
   response.query_id = 31;
   response.trace_id = client_trace;
-  EXPECT_EQ(traced.value(), WithPeer(EncodeQueryResponse(response), "n2:7100"));
+  EXPECT_EQ(traced->line, WithPeer(EncodeQueryResponse(response), "n2:7100"));
 }
 
 // A forwarded miss carries the owner's timings as the owner printed
@@ -986,7 +1051,7 @@ TEST(RelayTest, ForwardedMissKeepsTheOwnersBytes) {
   auto relayed = RelayQueryResponse(reply, /*probe=*/false,
                                     RelayEnvelope{"10.0.0.2:7100", 5, ""});
   ASSERT_TRUE(relayed.ok()) << relayed.status();
-  EXPECT_EQ(relayed.value(),
+  EXPECT_EQ(relayed->line,
             "{\"cache\":\"miss\",\"digest\":\"0123456789abcdef\","
             "\"itemsets\":[{\"items\":[7],\"support\":3},"
             "{\"items\":[7,9],\"support\":2}],\"mine_ms\":0.7071067811865476,"
@@ -1003,7 +1068,7 @@ TEST(RelayTest, CountOnlyAndRulesAnswers) {
       RelayQueryResponse(EncodeCacheProbeResponse(true, counted),
                          /*probe=*/true, RelayEnvelope{"n2:7100", 3, ""});
   ASSERT_TRUE(count_only.ok()) << count_only.status();
-  EXPECT_EQ(count_only.value(),
+  EXPECT_EQ(count_only->line,
             "{\"cache\":\"hit\",\"digest\":\"d\",\"mine_ms\":0,"
             "\"num_results\":11796,\"ok\":true,\"peer\":\"n2:7100\","
             "\"query_id\":3,\"queue_ms\":0,\"task\":\"frequent\"}");
@@ -1017,16 +1082,17 @@ TEST(RelayTest, CountOnlyAndRulesAnswers) {
   rule.itemset_support = 4;
   rule.confidence = 2.0 / 3.0;
   rule.lift = 4.0 / 3.0;
-  rules.rules = {rule, rule};
-  rules.rules[1].antecedent = {};
-  rules.rules[1].confidence = 1.0;
+  AssociationRule certain = rule;
+  certain.antecedent = {};
+  certain.confidence = 1.0;
+  rules.listing = testutil::RuleListing({rule, certain});
   rules.dataset_digest = "d";
   rules.mine_seconds = 0.002;
   auto relayed = RelayQueryResponse(EncodeQueryResponse(rules),
                                     /*probe=*/false,
                                     RelayEnvelope{"n2:7100", 8, "r"});
   ASSERT_TRUE(relayed.ok()) << relayed.status();
-  EXPECT_EQ(relayed.value(),
+  EXPECT_EQ(relayed->line,
             "{\"cache\":\"miss\",\"digest\":\"d\",\"mine_ms\":2,"
             "\"num_results\":2,\"ok\":true,\"peer\":\"n2:7100\","
             "\"query_id\":8,\"queue_ms\":0,"
@@ -1038,7 +1104,7 @@ TEST(RelayTest, CountOnlyAndRulesAnswers) {
             "\"task\":\"rules\",\"trace_id\":\"r\"}");
   rules.query_id = 8;
   rules.trace_id = "r";
-  EXPECT_EQ(relayed.value(), WithPeer(EncodeQueryResponse(rules), "n2:7100"));
+  EXPECT_EQ(relayed->line, WithPeer(EncodeQueryResponse(rules), "n2:7100"));
 }
 
 TEST(RelayTest, ProbeMissIsEmptyAndOkFalseIsTheCarriedStatus) {
@@ -1046,7 +1112,7 @@ TEST(RelayTest, ProbeMissIsEmptyAndOkFalseIsTheCarriedStatus) {
   auto miss = RelayQueryResponse("{\"hit\":false,\"ok\":true}",
                                  /*probe=*/true, envelope);
   ASSERT_TRUE(miss.ok()) << miss.status();
-  EXPECT_EQ(miss.value(), "");
+  EXPECT_EQ(miss->line, "");
   // A forward is never answered with a probe's miss.
   EXPECT_EQ(RelayStatus("{\"hit\":false,\"ok\":true}").message(),
             "peer response: unknown key 'hit'");
@@ -1111,6 +1177,26 @@ TEST(RelayTest, RefusesWhatTheWriterNeverWrites) {
       {"non-canonical task name",
        Replace(kItemsetAnswer, "\"frequent\"", "\"FREQUENT\""),
        "peer response: 'task' is not a task name"},
+      {"the item sentinel",
+       Replace(kItemsetAnswer, "\"items\":[1]", "\"items\":[4294967295]"),
+       "peer response: non-numeric item in 'itemsets'"},
+      {"a support past 32 bits",
+       Replace(kItemsetAnswer, "\"support\":2", "\"support\":4294967296"),
+       "peer response: malformed 'itemsets' entry"},
+      {"a query id past 64 bits",
+       Replace(kItemsetAnswer, "\"query_id\":0",
+               "\"query_id\":18446744073709551616"),
+       "peer response: 'query_id' is not a number >= 0"},
+      {"a leading zero in a support",
+       Replace(kItemsetAnswer, "\"support\":2", "\"support\":01"),
+       "peer response: malformed 'itemsets' entry"},
+      {"a leading zero in a count",
+       Replace(kItemsetAnswer, "\"num_results\":1", "\"num_results\":01"),
+       "peer response: not writer-canonical JSON at offset " +
+           std::to_string(kItemsetAnswer.find("\"num_results\":1") + 15)},
+      {"a negative count",
+       Replace(kItemsetAnswer, "\"num_results\":1", "\"num_results\":-1"),
+       "peer response: 'num_results' is not a number >= 0"},
   };
   for (const auto& c : cases) {
     EXPECT_EQ(ParseJson(c.reply).ok(), c.parses) << c.what;
@@ -1118,6 +1204,30 @@ TEST(RelayTest, RefusesWhatTheWriterNeverWrites) {
     EXPECT_EQ(status.code(), StatusCode::kInternal) << c.what;
     EXPECT_EQ(status.message(), c.message) << c.what;
   }
+}
+
+// Each number at the top of its range passes, and the relay reads the
+// count it carries.
+TEST(RelayTest, AcceptsEachNumberAtItsLimit) {
+  std::string reply = kItemsetAnswer;
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"items\":[1]",
+                                            "\"items\":[0,4294967294]"},
+        {"\"support\":2", "\"support\":4294967295"},
+        {"\"num_results\":1", "\"num_results\":18446744073709551615"},
+        {"\"query_id\":0", "\"query_id\":18446744073709551615"}}) {
+    reply = Replace(reply, from, to);
+  }
+  auto relayed = RelayQueryResponse(reply, /*probe=*/false,
+                                    RelayEnvelope{"n2:7100", 7, ""});
+  ASSERT_TRUE(relayed.ok()) << relayed.status();
+  EXPECT_EQ(relayed->line,
+            WithPeer(Replace(reply, "\"query_id\":18446744073709551615",
+                             "\"query_id\":7"),
+                     "n2:7100"));
+  EXPECT_EQ(relayed->peer, "n2:7100");
+  EXPECT_EQ(relayed->cache, CacheOutcome::kMiss);
+  EXPECT_EQ(relayed->num_results, std::numeric_limits<uint64_t>::max());
 }
 
 TEST(EncodeTest, StatsResponseEmbedsClusterSection) {

@@ -67,8 +67,8 @@ TEST(ReseedTest, AppendedVersionReseedsFromParentListing) {
 
   // Byte-equal to a cold mine of the child window (reseeded listings
   // are canonical by contract).
-  EXPECT_EQ(reseeded->itemsets, ColdFrequent(*v2->database, 3));
-  EXPECT_EQ(reseeded->num_frequent, reseeded->itemsets.size());
+  EXPECT_EQ(test::Itemsets(*reseeded), ColdFrequent(*v2->database, 3));
+  EXPECT_EQ(reseeded->num_frequent, test::Itemsets(*reseeded).size());
 }
 
 TEST(ReseedTest, ExpiredVersionReseedsWithRecountedSupports) {
@@ -91,7 +91,7 @@ TEST(ReseedTest, ExpiredVersionReseedsWithRecountedSupports) {
   auto reseeded = service.Execute(child);
   ASSERT_TRUE(reseeded.ok()) << reseeded.status();
   EXPECT_EQ(reseeded->cache, CacheOutcome::kReseeded);
-  EXPECT_EQ(reseeded->itemsets, ColdFrequent(*v2->database, 2));
+  EXPECT_EQ(test::Itemsets(*reseeded), ColdFrequent(*v2->database, 2));
 }
 
 TEST(ReseedTest, DerivedTaskRidesTheReseededListing) {
@@ -122,7 +122,7 @@ TEST(ReseedTest, DerivedTaskRidesTheReseededListing) {
   LcmMiner miner;
   CollectingSink sink;
   ASSERT_TRUE(miner.Mine(*v2->database, MiningQuery::Closed(3), &sink).ok());
-  EXPECT_EQ(Canonical(response->itemsets), Canonical(sink.results()));
+  EXPECT_EQ(Canonical(test::Itemsets(*response)), Canonical(sink.results()));
 }
 
 TEST(ReseedTest, InsufficientMarginMinesCold) {
@@ -146,7 +146,8 @@ TEST(ReseedTest, InsufficientMarginMinesCold) {
   auto response = service.Execute(child);
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->cache, CacheOutcome::kMiss);
-  EXPECT_EQ(Canonical(response->itemsets), ColdFrequent(*v2->database, 2));
+  EXPECT_EQ(Canonical(test::Itemsets(*response)),
+            ColdFrequent(*v2->database, 2));
 }
 
 TEST(ReseedTest, VersionPinnedQueriesKeepTheirOwnCacheEntries) {
@@ -172,7 +173,7 @@ TEST(ReseedTest, VersionPinnedQueriesKeepTheirOwnCacheEntries) {
   auto r2 = service.Execute(pinned);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r2->cache, CacheOutcome::kExact);
-  EXPECT_EQ(r2->itemsets, r1->itemsets);
+  EXPECT_EQ(test::Itemsets(*r2), test::Itemsets(*r1));
 
   // And the pinned parent listing doubles as the reseed source.
   MineRequest latest = FrequentRequest(3);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 namespace fpm {
@@ -285,6 +288,58 @@ TEST(ResultCacheCrossTaskTest, CrossTaskIgnoresTheFrequentOrderGate) {
       TaskKey("d", MiningQuery::Closed(3), Algorithm::kFpGrowth));
   ASSERT_NE(hit.result, nullptr);
   EXPECT_TRUE(hit.cross_task);
+}
+
+// A derivation runs with the cache's lock released: while one is held
+// in flight, an exact hit on another key and stats() both answer. (Both
+// used to wait out the whole derivation: seconds on a large listing.)
+TEST(ResultCacheCrossTaskTest, DerivationLeavesTheCacheServing) {
+  ResultCache cache;
+  cache.Insert(Key("d", 2), FrequentFixture());
+  const auto other = MakeResult({{{7}, 9}});
+  cache.Insert(Key("e", 2), other);
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  cache.set_derive_hook_for_test([&entered, released] {
+    entered.set_value();
+    released.wait();
+  });
+  ResultCacheLookup derived;
+  std::thread deriving([&cache, &derived] {
+    derived = cache.Lookup(TaskKey("d", MiningQuery::Closed(3)));
+  });
+  entered.get_future().wait();
+
+  const auto exact_hit = [&cache] { return cache.Lookup(Key("e", 2)); };
+  const auto read_stats = [&cache] { return cache.stats(); };
+  auto exact = std::async(std::launch::async, exact_hit);
+  auto stats = std::async(std::launch::async, read_stats);
+  const bool exact_answered =
+      exact.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  const bool stats_answered =
+      stats.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();
+  deriving.join();
+
+  EXPECT_TRUE(exact_answered);
+  EXPECT_TRUE(stats_answered);
+  const ResultCacheLookup hit = exact.get();
+  EXPECT_TRUE(hit.exact);
+  EXPECT_EQ(hit.result.get(), other.get());
+  const ResultCacheStats during = stats.get();
+  EXPECT_EQ(during.cross_task_hits, 0u);
+  EXPECT_EQ(during.resident_entries, 2u);
+
+  // The paused derivation finishes as it would have, and is memoized.
+  ASSERT_NE(derived.result, nullptr);
+  EXPECT_TRUE(derived.cross_task);
+  const std::vector<CollectingSink::Entry> expected = {{{1}, 5},
+                                                       {{1, 2}, 4}};
+  EXPECT_EQ(derived.result->itemsets, expected);
+  EXPECT_EQ(cache.stats().cross_task_hits, 1u);
+  EXPECT_TRUE(cache.Lookup(TaskKey("d", MiningQuery::Closed(3))).exact);
 }
 
 TEST(ResultCacheKeyTest, ForQueryZeroesIrrelevantParameters) {

@@ -20,6 +20,7 @@
 #include <optional>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <streambuf>
 #include <string>
 #include <thread>
@@ -415,9 +416,28 @@ TEST(ServerTest, AppendRefusesAnItemAboveTheLargestId) {
   EXPECT_EQ(appended["version"].int_value(), 2);
 }
 
+/// A query log kept in memory.
+struct MemoryLog {
+  MemoryLog() { log.SetStream(&stream); }
+
+  /// The lines written so far, parsed.
+  std::vector<JsonValue> Lines() {
+    std::vector<JsonValue> lines;
+    std::istringstream in(text.text());
+    for (std::string line; std::getline(in, line);) {
+      lines.push_back(Parsed(line));
+    }
+    return lines;
+  }
+
+  LogLines text;
+  std::ostream stream{&text};
+  QueryLog log;
+};
+
 /// A 2-node loopback cluster in which one node owns the dataset at
 /// `path` (replicas = 1) and the other does not. Health moves with
-/// traffic only.
+/// traffic only. Each node keeps its query log in memory.
 class TwoNodeCluster {
  public:
   explicit TwoNodeCluster(const std::string& path) : path_(path) {
@@ -427,11 +447,12 @@ class TwoNodeCluster {
     cluster.peers = {first.endpoint.ToString(), second.endpoint.ToString()};
     cluster.replicas = 1;
     cluster.ping_interval_seconds = 0.0;
-    for (Listener listener : {first, second}) {
+    for (size_t i = 0; i < 2; ++i) {
+      const Listener& listener = i == 0 ? first : second;
       ClusterOptions node = cluster;
       node.self = listener.endpoint.ToString();
-      nodes_.push_back(
-          std::make_unique<RunningServer>(listener, SmallOptions(), node));
+      nodes_.push_back(std::make_unique<RunningServer>(
+          listener, SmallOptions(&logs_[i].log), node));
     }
     const JsonValue owners = Info(*nodes_[0])["placement"]["owners"];
     EXPECT_EQ(owners.array_items().size(), 1u);
@@ -451,9 +472,12 @@ class TwoNodeCluster {
   const std::string& owner_endpoint() const { return owner_endpoint_; }
   RunningServer& owner() { return *nodes_[owner_index_]; }
   RunningServer& non_owner() { return *nodes_[1 - owner_index_]; }
+  MemoryLog& owner_log() { return logs_[owner_index_]; }
+  MemoryLog& non_owner_log() { return logs_[1 - owner_index_]; }
 
  private:
   std::string path_;
+  MemoryLog logs_[2];  // outlive the nodes that write them
   std::vector<std::unique_ptr<RunningServer>> nodes_;
   std::string owner_endpoint_;
   size_t owner_index_ = 0;
@@ -513,6 +537,52 @@ TEST(ServerTest, NonOwnerForwardsToTheOwnerThenHitsItsCache) {
   fresh.Send(QueryLine(path, 2));
   EXPECT_EQ(WithoutTimingsAndId(forwarded_line),
             RelayedFrom(owner_endpoint, WithoutTimingsAndId(fresh.Read())));
+}
+
+// The entry writes one query-log line per query a peer answered, under
+// the id its client got and the trace id the hop carried: a forward
+// and a probe hit each get exactly one. The owner logs the forward as a
+// shard_query under that trace id, and the probe not at all.
+TEST(ServerTest, EntryLogsOneRelayLinePerRelayedQuery) {
+  const std::string path =
+      WriteTempFimi("server_relay_log.dat", SmallFimiText());
+  TwoNodeCluster cluster(path);
+  Client client(cluster.non_owner().endpoint());
+  client.Send(QueryLine(path, 2));
+  const std::string forwarded = client.Read();
+  client.Send(QueryLine(path, 2));
+  const std::string probed = client.Read();
+
+  const std::vector<JsonValue> relays = cluster.non_owner_log().Lines();
+  ASSERT_EQ(relays.size(), 2u) << cluster.non_owner_log().text.text();
+  // `line` is the entry's log line for the query answered by `reply`.
+  const auto expect_relay_line = [&cluster](const JsonValue& line,
+                                            const std::string& reply,
+                                            const std::string& cache) {
+    SCOPED_TRACE(cache);
+    const int64_t query_id = Parsed(reply)["query_id"].int_value();
+    EXPECT_EQ(line["event"].string_value(), "query");
+    EXPECT_EQ(line["op"].string_value(), "relay");
+    EXPECT_EQ(line["query_id"].int_value(), query_id);
+    EXPECT_EQ(line["peer"].string_value(), cluster.owner_endpoint());
+    EXPECT_EQ(line["cache"].string_value(), cache);
+    EXPECT_EQ(line["num_results"].int_value(), 7);
+    EXPECT_EQ(line["bytes_out"].int_value(),
+              static_cast<int64_t>(reply.size()));
+    EXPECT_TRUE(line["remote_ms"].is_number());
+    EXPECT_EQ(line["status"].string_value(), "ok");
+    EXPECT_EQ(line["task"].string_value(), "frequent");
+    const std::string hop = "qid-" + std::to_string(query_id) + "@" +
+                            cluster.non_owner().endpoint().ToString();
+    EXPECT_EQ(line["trace_id"].string_value(), hop);
+  };
+  expect_relay_line(relays[0], forwarded, "miss");
+  expect_relay_line(relays[1], probed, "hit");
+
+  const std::vector<JsonValue> owned = cluster.owner_log().Lines();
+  ASSERT_EQ(owned.size(), 1u) << cluster.owner_log().text.text();
+  EXPECT_EQ(owned[0]["op"].string_value(), "shard_query");
+  EXPECT_EQ(owned[0]["trace_id"], relays[0]["trace_id"]);
 }
 
 // A query that still asks for "scatter" takes the one cluster path: it

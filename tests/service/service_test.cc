@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <string>
@@ -56,8 +57,8 @@ TEST(MiningServiceTest, FreshQueryMatchesDirectMine) {
   auto response = service.Execute(Request(path, Algorithm::kLcm, 2));
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->cache, CacheOutcome::kMiss);
-  EXPECT_EQ(response->itemsets, DirectMine(path, Algorithm::kLcm, 2));
-  EXPECT_EQ(response->num_frequent, response->itemsets.size());
+  EXPECT_EQ(test::Itemsets(*response), DirectMine(path, Algorithm::kLcm, 2));
+  EXPECT_EQ(response->num_frequent, test::Itemsets(*response).size());
   EXPECT_EQ(response->dataset_digest.size(), 16u);
 }
 
@@ -71,9 +72,61 @@ TEST(MiningServiceTest, RepeatedQueryIsAnExactHitWithIdenticalBytes) {
   ASSERT_TRUE(first.ok() && second.ok());
   EXPECT_EQ(first->cache, CacheOutcome::kMiss);
   EXPECT_EQ(second->cache, CacheOutcome::kExact);
-  EXPECT_EQ(second->itemsets, first->itemsets);
+  EXPECT_EQ(test::Itemsets(*second), test::Itemsets(*first));
   EXPECT_EQ(service.cache().stats().hits, 1u);
   EXPECT_EQ(service.registry().stats().loads, 1u);
+}
+
+// A response shares the cache's result instead of copying it: the miss
+// answers with the result it inserted, and an exact hit, a cache_probe
+// answer and a memoized derivation each answer with the very object the
+// cache entry holds.
+TEST(MiningServiceTest, ResponsesShareTheCachedListing) {
+  const std::string path =
+      test::WriteTempFimi("service_share.dat", test::SmallFimiText());
+  MiningService service(MiningService::Options{.num_threads = 2});
+  const MineRequest request = Request(path, Algorithm::kLcm, 2);
+  auto miss = service.Execute(request);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  ASSERT_NE(miss->listing, nullptr);
+  EXPECT_EQ(miss->cache, CacheOutcome::kMiss);
+
+  auto hit = service.Execute(request);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(hit->cache, CacheOutcome::kExact);
+  EXPECT_EQ(hit->listing.get(), miss->listing.get());
+  const std::optional<MineResponse> probed =
+      service.AnswerFromCache(request, miss->dataset_digest);
+  ASSERT_TRUE(probed.has_value());
+  EXPECT_EQ(probed->listing.get(), miss->listing.get());
+
+  auto derived = service.Execute(Request(path, Algorithm::kLcm, 3));
+  ASSERT_TRUE(derived.ok()) << derived.status();
+  EXPECT_EQ(derived->cache, CacheOutcome::kDominated);
+  auto again = service.Execute(Request(path, Algorithm::kLcm, 3));
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->cache, CacheOutcome::kExact);
+  EXPECT_EQ(again->listing.get(), derived->listing.get());
+}
+
+// A response keeps its listing alive after the cache has evicted the
+// entry it was answered from.
+TEST(MiningServiceTest, ResponseOutlivesTheEvictedEntry) {
+  const std::string path =
+      test::WriteTempFimi("service_evict.dat", test::SmallFimiText());
+  MiningService service(
+      MiningService::Options{.num_threads = 1, .cache_budget_bytes = 1});
+  auto first = service.Execute(Request(path, Algorithm::kLcm, 2));
+  ASSERT_TRUE(first.ok()) << first.status();
+  // Another configuration's miss: the one-byte budget keeps only it.
+  auto second = service.Execute(Request(path, Algorithm::kFpGrowth, 2));
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->cache, CacheOutcome::kMiss);
+  EXPECT_EQ(service.cache().stats().evictions, 1u);
+  EXPECT_EQ(service.cache().stats().resident_entries, 1u);
+
+  EXPECT_EQ(test::Itemsets(*first), DirectMine(path, Algorithm::kLcm, 2));
+  EXPECT_EQ(first->num_frequent, test::Itemsets(*first).size());
 }
 
 TEST(MiningServiceTest, PackedAndFimiPathsShareTheResultCache) {
@@ -98,7 +151,7 @@ TEST(MiningServiceTest, PackedAndFimiPathsShareTheResultCache) {
   ASSERT_TRUE(from_packed.ok()) << from_packed.status();
   EXPECT_EQ(from_packed->cache, CacheOutcome::kExact);
   EXPECT_EQ(from_packed->dataset_digest, from_fimi->dataset_digest);
-  EXPECT_EQ(from_packed->itemsets, from_fimi->itemsets);
+  EXPECT_EQ(test::Itemsets(*from_packed), test::Itemsets(*from_fimi));
   EXPECT_EQ(service.cache().stats().hits, 1u);
   // Two registry entries (keyed by path), one cache entry (keyed by
   // digest).
@@ -141,16 +194,17 @@ TEST_P(DominanceTest, DominatedQueryIsByteIdenticalToAFreshMine) {
       ASSERT_TRUE(dominated.ok()) << dominated.status();
       EXPECT_EQ(dominated->cache, CacheOutcome::kDominated)
           << c.path << " minsup=" << minsup;
-      ASSERT_FALSE(dominated->itemsets.empty()) << c.path;
+      ASSERT_FALSE(test::Itemsets(*dominated).empty()) << c.path;
       // The contract: identical to mining fresh, including emission
       // order.
-      EXPECT_EQ(dominated->itemsets, DirectMine(c.path, GetParam(), minsup))
+      EXPECT_EQ(test::Itemsets(*dominated),
+                DirectMine(c.path, GetParam(), minsup))
           << c.path << " minsup=" << minsup;
       // Memoized: asking again is an exact hit, same bytes.
       auto again = service.Execute(Request(c.path, GetParam(), minsup));
       ASSERT_TRUE(again.ok());
       EXPECT_EQ(again->cache, CacheOutcome::kExact);
-      EXPECT_EQ(again->itemsets, dominated->itemsets);
+      EXPECT_EQ(test::Itemsets(*again), test::Itemsets(*dominated));
     }
     EXPECT_EQ(service.cache().stats().dominated_hits, c.dominated.size());
   }
@@ -174,7 +228,7 @@ TEST(MiningServiceTest, FpGrowthNeverAnswersByDominance) {
   // Emission order is threshold-dependent for FP-Growth, so the higher
   // threshold mines fresh rather than filtering the cached run.
   EXPECT_EQ(high->cache, CacheOutcome::kMiss);
-  EXPECT_EQ(high->itemsets, DirectMine(path, Algorithm::kFpGrowth, 8));
+  EXPECT_EQ(test::Itemsets(*high), DirectMine(path, Algorithm::kFpGrowth, 8));
   EXPECT_EQ(service.cache().stats().dominated_hits, 0u);
 }
 
@@ -186,7 +240,7 @@ TEST(MiningServiceTest, CountOnlyOmitsItemsetsButCachesInFull) {
   counting.count_only = true;
   auto counted = service.Execute(counting);
   ASSERT_TRUE(counted.ok());
-  EXPECT_TRUE(counted->itemsets.empty());
+  EXPECT_EQ(counted->listing, nullptr);
   EXPECT_GT(counted->num_frequent, 0u);
 
   // The cache stored the full result: the same query without
@@ -194,7 +248,7 @@ TEST(MiningServiceTest, CountOnlyOmitsItemsetsButCachesInFull) {
   auto full = service.Execute(Request(path, Algorithm::kLcm, 2));
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full->cache, CacheOutcome::kExact);
-  EXPECT_EQ(full->itemsets, DirectMine(path, Algorithm::kLcm, 2));
+  EXPECT_EQ(test::Itemsets(*full), DirectMine(path, Algorithm::kLcm, 2));
   EXPECT_EQ(full->num_frequent, counted->num_frequent);
 }
 
@@ -309,10 +363,10 @@ TEST(MiningServiceTaskTest, ClosedAndMaximalMatchDirectDispatch) {
     auto response = service.Execute(TaskRequest(path, Algorithm::kLcm, query));
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_EQ(response->task, query.task);
-    EXPECT_EQ(response->itemsets,
+    EXPECT_EQ(test::Itemsets(*response),
               DirectTask(path, Algorithm::kLcm, query))
         << TaskName(query.task);
-    EXPECT_EQ(response->num_frequent, response->itemsets.size());
+    EXPECT_EQ(response->num_frequent, test::Itemsets(*response).size());
   }
 }
 
@@ -324,8 +378,9 @@ TEST(MiningServiceTaskTest, TopKMatchesExhaustiveReference) {
   const MiningQuery query = MiningQuery::TopK(/*k=*/10, /*min_support=*/2);
   auto response = service.Execute(TaskRequest(path, Algorithm::kLcm, query));
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_EQ(response->itemsets, DirectTask(path, Algorithm::kLcm, query));
-  EXPECT_EQ(response->itemsets.size(), 10u);
+  EXPECT_EQ(test::Itemsets(*response),
+            DirectTask(path, Algorithm::kLcm, query));
+  EXPECT_EQ(test::Itemsets(*response).size(), 10u);
   // The reference ranking: every frequent itemset, sorted by support
   // descending with the lexicographic tie-break, truncated to k.
   std::vector<CollectingSink::Entry> all =
@@ -336,7 +391,7 @@ TEST(MiningServiceTaskTest, TopKMatchesExhaustiveReference) {
     return a.first < b.first;
   });
   all.resize(10);
-  EXPECT_EQ(response->itemsets, all);
+  EXPECT_EQ(test::Itemsets(*response), all);
 }
 
 TEST(MiningServiceTaskTest, RulesMatchDirectDispatch) {
@@ -356,8 +411,8 @@ TEST(MiningServiceTaskTest, RulesMatchDirectDispatch) {
 
   auto response = service.Execute(TaskRequest(path, Algorithm::kLcm, query));
   ASSERT_TRUE(response.ok()) << response.status();
-  EXPECT_TRUE(response->itemsets.empty());
-  EXPECT_EQ(response->rules, direct);
+  EXPECT_TRUE(test::Itemsets(*response).empty());
+  EXPECT_EQ(test::Rules(*response), direct);
   EXPECT_EQ(response->num_frequent, direct.size());
 }
 
@@ -388,9 +443,9 @@ TEST(MiningServiceTaskTest, TaskQueriesDeriveFromTheFrequentCache) {
       auto miner = CreateMiner(Algorithm::kLcm, PatternSet::All());
       ASSERT_TRUE(miner.ok());
       ASSERT_TRUE(miner.value()->MineRules(*db, query, &direct).ok());
-      EXPECT_EQ(derived->rules, direct);
+      EXPECT_EQ(test::Rules(*derived), direct);
     } else {
-      EXPECT_EQ(derived->itemsets,
+      EXPECT_EQ(test::Itemsets(*derived),
                 DirectTask(path, Algorithm::kLcm, query))
           << TaskName(query.task);
     }

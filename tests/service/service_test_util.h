@@ -14,9 +14,24 @@
 
 #include "fpm/common/rng.h"
 #include "fpm/dataset/database.h"
+#include "fpm/service/service.h"
 
 namespace fpm {
 namespace test {
+
+/// The itemsets a response answers with; none without a listing.
+inline const std::vector<CollectingSink::Entry>& Itemsets(
+    const MineResponse& response) {
+  static const std::vector<CollectingSink::Entry> kNone;
+  return response.listing != nullptr ? response.listing->itemsets : kNone;
+}
+
+/// The rules a response answers with; none without a listing.
+inline const std::vector<AssociationRule>& Rules(
+    const MineResponse& response) {
+  static const std::vector<AssociationRule> kNone;
+  return response.listing != nullptr ? response.listing->rules : kNone;
+}
 
 /// Writes `content` to a fresh file under the gtest temp dir and
 /// returns its path. `name` must be unique within the test binary.

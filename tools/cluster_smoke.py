@@ -22,7 +22,10 @@ contract from the outside:
      non-owner mined nothing); the relayed reply line is the serving
      owner's own answer to the same query (same client trace id) byte
      for byte, except that "peer" is added and query_id is the
-     non-owner's (timings masked)
+     non-owner's (timings masked); the non-owner's query log holds
+     exactly one "relay" line for it, under the id its client got,
+     naming the serving owner, the outcome, the count and the bytes
+     relayed
   5. a raw shard_query line in mode "count" (a SON phase no node runs)
      gets the INVALID_ARGUMENT reply naming the one mode, "execute",
      and the same node still answers ping afterwards
@@ -33,7 +36,8 @@ contract from the outside:
      cluster-info now reports the killed peer unhealthy; dialing the
      dead node's TCP port fails with the shared dialer's "dial ..."
      error
-  8. clean shutdown of the survivors
+  8. clean shutdown of the survivors, and every node's query log
+     (--query-log) passes tools/validate_query_log.py
 
 Health pings are off (--ping-interval-s=0) on purpose: the smoke proves
 failure discovery through real traffic (probe/forward failures mark
@@ -137,6 +141,8 @@ def main(argv):
     cluster_arg = ",".join(peers)
     sockets = [os.path.join(tmp, f"n{i}.sock") for i in range(3)]
     ref_socket = os.path.join(tmp, "ref.sock")
+    logs = [os.path.join(tmp, f"n{i}.log") for i in range(3)]
+    ref_log = os.path.join(tmp, "ref.log")
 
     daemons = []
     try:
@@ -144,10 +150,12 @@ def main(argv):
             daemons.append(subprocess.Popen(
                 [fpmd, f"--socket={sockets[i]}", "--threads=2",
                  f"--cluster={cluster_arg}", f"--self={peers[i]}",
-                 "--replicas=2", "--ping-interval-s=0"],
+                 "--replicas=2", "--ping-interval-s=0",
+                 f"--query-log={logs[i]}"],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
         reference = subprocess.Popen(
-            [fpmd, f"--socket={ref_socket}", "--threads=2"],
+            [fpmd, f"--socket={ref_socket}", "--threads=2",
+             f"--query-log={ref_log}"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         daemons.append(reference)
 
@@ -252,6 +260,19 @@ def main(argv):
         if without_timings_and_id(probed_line) != expected:
             fail("relayed line differs from the owner's own answer:"
                  f"\n  relayed: {probed_line}\n  owner:   {direct_line}")
+        # The entry logs the relayed query once, under the client's id.
+        with open(logs[non_owner], encoding="utf-8") as f:
+            relays = [entry for entry in map(json.loads, f)
+                      if entry.get("query_id") == probed["query_id"]]
+        want = {"op": "relay", "peer": probed["peer"], "cache": "hit",
+                "num_results": probed["num_results"],
+                "bytes_out": len(probed_line.encode()),
+                "trace_id": "smoke-4", "status": "ok"}
+        if (len(relays) != 1 or
+                any(relays[0].get(k) != v for k, v in want.items()) or
+                "remote_ms" not in relays[0]):
+            fail(f"non-owner's log lines for query {probed['query_id']}: "
+                 f"{relays}, want one with {want} and a remote_ms")
 
         # 5. A SON phase mode is refused; the node serves on.
         primary_socket = sockets[by_peer[owners[0]]]
@@ -325,6 +346,13 @@ def main(argv):
         for i, daemon in enumerate(daemons):
             if daemon.poll() is None and daemon.wait(timeout=30) != 0:
                 fail(f"daemon {i} exited {daemon.returncode} after shutdown")
+        validator = os.path.join(tools_dir, "validate_query_log.py")
+        for log in logs + [ref_log]:
+            checked = subprocess.run([sys.executable, validator, log],
+                                     capture_output=True, text=True,
+                                     timeout=60)
+            if checked.returncode != 0:
+                fail(f"{log}: {checked.stderr.strip()}")
     finally:
         for daemon in daemons:
             if daemon.poll() is None:
@@ -336,7 +364,7 @@ def main(argv):
           "mine total and relayed byte for byte, shard_query mode count "
           "refused while the node serves on, dashboard rendered, failover "
           "after SIGKILL answered by the replica with failovers >= 1, "
-          "clean shutdown)")
+          "clean shutdown, every query log valid)")
     return 0
 
 

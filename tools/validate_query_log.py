@@ -48,6 +48,7 @@ SCHEMA = {
     "query_id": non_negative_int,
     "trace_id": lambda v: isinstance(v, str) and v,
     "op": lambda v: isinstance(v, str) and v,
+    "peer": lambda v: isinstance(v, str) and v,
     "task": lambda v: isinstance(v, str) and v,
     "dataset": lambda v: isinstance(v, str) and v,
     "dataset_id": lambda v: isinstance(v, str) and v,
@@ -59,9 +60,11 @@ SCHEMA = {
     "queue_ms": non_negative_number,
     "mine_ms": non_negative_number,
     "derive_ms": non_negative_number,
+    "remote_ms": non_negative_number,
     "cache": lambda v: v in CACHE_OUTCOMES,
     "num_results": non_negative_int,
     "peak_bytes": non_negative_int,
+    "bytes_out": non_negative_int,
     "status": lambda v: v in STATUSES,
     "reason": lambda v: isinstance(v, str) and v,
 }

@@ -6,17 +6,25 @@
 // Deterministic merging is on, so every row reproduces the sequential
 // checksum.
 //
-// Two more inputs have fixed sizes (FPM_BENCH_SCALE does not touch
+// Three more inputs have fixed sizes (FPM_BENCH_SCALE does not touch
 // them), because each stands for a shape the decomposition must handle:
 //   - "Quest-deep": quest T60I10D3K with gen_dataset's default seed at
 //     support 30, 814,023 itemsets over 998 classes: deep answers and
 //     uneven classes. Its transactions' ranks are dense, so the
 //     decomposition orders them through its bitmap.
+//   - "Quest-wide": quest T60I10D15K with gen_dataset's default seed at
+//     support 450 (3%), the mine_parallel benchmark's shape: 908
+//     frequent items but few frequent pairs (1,014 itemsets), so the
+//     per-class count over 25M projected entries, not the kernels, sets
+//     the time. It is dense and unweighted, so the classes are counted
+//     from the rank bitmaps.
 //   - "WebDocs-sparse": the WebDocs stand-in with 60K documents of 8
 //     items on average over 40K items, at support 2: 26,657 frequent
 //     items over 481,787 entries. Few entries per frequent item cap the
-//     tid-block count, and short transactions spread over many words of
-//     ranks mostly take the decomposition's sort fallback. It runs LCM
+//     tid-block count, short transactions spread over many words of
+//     ranks mostly take the decomposition's sort fallback, and rank
+//     bitmaps would take 200 MB, so its classes are counted row by
+//     row. It runs LCM
 //     and FP-Growth only: the sequential Eclat baseline takes about 49 s
 //     there on one core, even on the tid lists its fill of 0.0003
 //     picks, where sequential LCM takes under 2 s.
@@ -56,6 +64,13 @@ fpm::bench::BenchDataset MakeDeepAnswers() {
   auto db = fpm::GenerateQuest(p);
   FPM_CHECK_OK(db.status());
   return {"Quest-deep", p.Name(), std::move(db).value(), 30};
+}
+
+fpm::bench::BenchDataset MakeWideAnswers() {
+  const fpm::QuestParams p = fpm::QuestParams::FromName("T60I10D15K").value();
+  auto db = fpm::GenerateQuest(p);
+  FPM_CHECK_OK(db.status());
+  return {"Quest-wide", p.Name(), std::move(db).value(), 450};
 }
 
 fpm::bench::BenchDataset MakeManyFrequentItems() {
@@ -98,6 +113,7 @@ int main() {
   inputs.emplace_back(bench::MakeDs1(scale), all);
   inputs.emplace_back(bench::MakeDs2(scale), all);
   inputs.emplace_back(MakeDeepAnswers(), all);
+  inputs.emplace_back(MakeWideAnswers(), all);
   inputs.emplace_back(MakeManyFrequentItems(), no_eclat);
 
   bench::BenchReport report("parallel_scaling",

@@ -136,9 +136,10 @@ struct ExecutionPolicy {
   /// When true (the default), parallel runs buffer per-class results and
   /// merge them in class order, so the emission order into the sink is
   /// reproducible run-to-run and the canonicalized output is identical
-  /// to the sequential run's. When false, itemsets are forwarded to the
-  /// sink as classes finish (serialized, but in nondeterministic order)
-  /// — lower memory, same set of itemsets.
+  /// to the sequential run's. When false, each class task forwards its
+  /// itemsets to the sink while it runs, in batches of 4,096 (serialized,
+  /// but in nondeterministic order) — a few batches in memory instead of
+  /// the whole answer, same set of itemsets.
   bool deterministic = true;
 };
 

@@ -8,19 +8,31 @@
 // Nothing is copied per class up front. The decomposition keeps one
 // ranked database (each transaction's frequent items as ascending ranks)
 // and a class-major row index: a row (tid, length) names the prefix of
-// ranked transaction tid that precedes the class owner. A class task
-// later builds its conditional database from its rows (ProjectClass),
-// copying only the items that are frequent inside the class.
+// ranked transaction tid that precedes the class owner (its first
+// occurrence, when a packed file repeats the item). A class task later
+// builds its conditional database from its rows (ProjectClass), copying
+// only the items that are frequent inside the class.
 //
 // Both passes run over tid blocks on the driver's pool and write their
 // output in place: each block writes its ranked transactions into the
 // one items array at a base taken from a prefix sum of the blocks'
 // frequent-entry counts, and its rows through class-major cursors. A
-// transaction's ranks are ordered through a block-local bitmap, read
-// back over the words between its lowest and highest rank; one whose
-// ranks span more words than it has ranks is sorted instead, so each
-// transaction costs time linear in its length. Nothing is zero-filled
-// first and no pass over the entries or rows runs on one thread.
+// transaction's ranks are ordered through a bitmap, read back over the
+// words between its lowest and highest rank; one whose ranks span more
+// words than it has ranks is sorted instead, so each transaction costs
+// time linear in its length. No pass over the entries, rows or bitmaps
+// runs on one thread, and no array is zero-filled on one thread first.
+//
+// How a class is counted follows from the input; there is no option. On
+// an unweighted input that repeats no rank and whose rank bitmaps (one
+// bit per frequent rank per transaction) take at most half as many
+// words as it has ranked entries, the decomposition keeps every ranked
+// transaction as its bitmap: pass 1 orders the ranks through that
+// transaction's own bitmap row, zero-filled by its block, and leaves it
+// set. ProjectClass then counts a class 16 rows at a time through
+// carry-save adders and compares every rank with min_support one bit
+// plane at a time. Any other input is counted row by row into
+// per-thread counters.
 
 #ifndef FPM_PARALLEL_DECOMPOSE_H_
 #define FPM_PARALLEL_DECOMPOSE_H_
@@ -61,6 +73,12 @@ struct ClassDecomposition {
   /// Projected entries per class (the sum of its row lengths): the work
   /// estimate used for largest-first scheduling.
   std::vector<uint64_t> class_entries;
+  /// Rank bitmaps of the ranked transactions, bitmap_words words each:
+  /// bit r of transaction t's row, at t * bitmap_words, is set when t
+  /// holds rank r. Null unless the input is unweighted, repeats no rank
+  /// and 2 * num_transactions * bitmap_words <= its ranked entries.
+  size_t bitmap_words = 0;
+  std::unique_ptr<uint64_t[]> bitmaps;
 
   size_t num_classes() const { return rank_to_item.size(); }
 
@@ -78,15 +96,16 @@ struct ClassDecomposition {
     return rows().subspan(row_begin[c], row_begin[c + 1] - row_begin[c]);
   }
 
-  /// Heap bytes of the ranked database and the row index.
+  /// Heap bytes of the ranked database, the row index and the bitmaps.
   size_t memory_bytes() const;
 };
 
 /// Ranks items, cuts every transaction to its frequent ranks, builds the
-/// row index, and records the fpm.parallel.classes /
-/// fpm.parallel.class_entries metrics. Classes exist only for items with
-/// support >= min_support. With a `pool`, both passes run over tid
-/// blocks on it; the result is identical to the serial pass.
+/// row index (and the rank bitmaps, when the input qualifies), and
+/// records the fpm.parallel.classes / fpm.parallel.class_entries
+/// metrics. Classes exist only for items with support >= min_support.
+/// With a `pool`, every pass runs over tid blocks on it; the result is
+/// identical to the serial pass.
 ClassDecomposition DecomposeClasses(const Database& db, Support min_support,
                                     ThreadPool* pool = nullptr);
 
@@ -96,6 +115,8 @@ ClassDecomposition DecomposeClasses(const Database& db, Support min_support,
 /// left empty are kept, so num_transactions() and total_weight() are
 /// those of the full projection. A class with no item frequent inside it
 /// has nothing to mine and gets an empty database: no transactions.
+/// Counted from the rank bitmaps when the decomposition kept them, else
+/// from the rows; both give the same database.
 Database ProjectClass(const ClassDecomposition& decomp, Item c,
                       Support min_support);
 

@@ -13,7 +13,10 @@
 //
 // Determinism: every class task emits into its own buffer. Replaying the
 // buffers in class order after the join reproduces the 1-thread inline
-// order byte-for-byte, no matter which workers mined which classes.
+// order byte-for-byte, no matter which workers mined which classes. With
+// ExecutionPolicy::deterministic = false a task's buffer goes to the
+// caller's sink, under one lock, every 4,096 itemsets and when its class
+// ends, so only a few batches are held at any time.
 
 #ifndef FPM_PARALLEL_NESTED_MINER_H_
 #define FPM_PARALLEL_NESTED_MINER_H_

@@ -3,29 +3,12 @@
 #ifndef FPM_PARALLEL_SINK_ADAPTERS_H_
 #define FPM_PARALLEL_SINK_ADAPTERS_H_
 
-#include <mutex>
 #include <vector>
 
 #include "fpm/algo/itemset_sink.h"
 #include "fpm/dataset/types.h"
 
 namespace fpm {
-
-/// Serializes Emit() calls from concurrent tasks onto one shared sink —
-/// the non-deterministic (streaming) merge path.
-class LockedSink : public ItemsetSink {
- public:
-  LockedSink(ItemsetSink* target, std::mutex* mu) : target_(target), mu_(mu) {}
-
-  void Emit(std::span<const Item> itemset, Support support) override {
-    std::lock_guard<std::mutex> lk(*mu_);
-    target_->Emit(itemset, support);
-  }
-
- private:
-  ItemsetSink* target_;
-  std::mutex* mu_;
-};
 
 /// Kernels emit in the item-id space of the database they were given — a
 /// conditional database whose ids are frequency ranks. This adapter maps

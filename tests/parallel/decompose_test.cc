@@ -6,7 +6,11 @@
 // frequent inside it builds nothing. The ranked database must equal the
 // input remapped by RemapItems and cut to its frequent ranks, whichever
 // way each transaction's ranks were ordered (bitmap or sort) and
-// however many tid blocks the pool split the input into.
+// however many tid blocks the pool split the input into. On inputs that
+// keep the rank bitmaps, every class counted through the adders must
+// equal the class counted from the raw transactions, and so must every
+// class counted row by row however many classes the thread's counters
+// served before it.
 
 #include "fpm/parallel/decompose.h"
 
@@ -26,6 +30,7 @@
 #include "fpm/dataset/packed.h"
 #include "fpm/layout/item_order.h"
 #include "fpm/parallel/thread_pool.h"
+#include "testing/class_testutil.h"
 #include "testing/db_testutil.h"
 
 namespace fpm {
@@ -110,8 +115,9 @@ void ExpectMatchesReference(const Database& db, Support min_support,
   }
 }
 
-// Uniform random transactions with weights 1..3.
-Database WeightedRandomDb(uint64_t seed) {
+// Uniform random transactions with weights 1..max_weight (1: the
+// unweighted twin, which keeps the rank bitmaps).
+Database WeightedRandomDb(uint64_t seed, uint64_t max_weight = 3) {
   Rng rng(seed);
   DatabaseBuilder b;
   std::vector<Item> tx;
@@ -121,7 +127,8 @@ Database WeightedRandomDb(uint64_t seed) {
     for (uint32_t i = 0; i < len; ++i) {
       tx.push_back(static_cast<Item>(rng.NextBounded(14)));
     }
-    b.AddTransaction(tx, 1 + static_cast<Support>(rng.NextBounded(3)));
+    b.AddTransaction(tx,
+                     1 + static_cast<Support>(rng.NextBounded(max_weight)));
   }
   return b.Build();
 }
@@ -138,12 +145,17 @@ Database ManyFrequentItemsDb() {
 }
 
 TEST(DecomposeTest, WeightedRandomDatabasesMatchEagerProjection) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    const Database db = WeightedRandomDb(seed);
-    for (Support min_support : {4u, 12u}) {
-      ExpectMatchesReference(db, min_support,
-                             "seed " + std::to_string(seed) + " support " +
-                                 std::to_string(min_support));
+  // Weights 1..3, and the unweighted twins, which keep the rank bitmaps.
+  for (uint64_t max_weight : {3u, 1u}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      const Database db = WeightedRandomDb(seed, max_weight);
+      for (Support min_support : {4u, 12u}) {
+        ExpectMatchesReference(
+            db, min_support,
+            "seed " + std::to_string(seed) + " max weight " +
+                std::to_string(max_weight) + " support " +
+                std::to_string(min_support));
+      }
     }
   }
 }
@@ -277,6 +289,14 @@ void ExpectSameDecomposition(const ClassDecomposition& a,
   }
   EXPECT_EQ(a.class_entries, b.class_entries) << label;
   EXPECT_EQ(a.rank_to_item, b.rank_to_item) << label;
+  ASSERT_EQ(a.bitmaps != nullptr, b.bitmaps != nullptr) << label;
+  EXPECT_EQ(a.bitmap_words, b.bitmap_words) << label;
+  if (a.bitmaps != nullptr) {
+    const size_t words = a.ranked.num_transactions() * a.bitmap_words;
+    EXPECT_TRUE(std::equal(a.bitmaps.get(), a.bitmaps.get() + words,
+                           b.bitmaps.get()))
+        << label;
+  }
 }
 
 TEST(DecomposeTest, RanksAcrossWordEdgesMatchRemapItems) {
@@ -392,13 +412,32 @@ TEST(DecomposeTest, RepeatedItemFromAPackedFileIsKept) {
     const auto offsets = decomp.ranked.offsets();
     EXPECT_EQ(std::vector<size_t>(offsets.begin(), offsets.end()),
               (std::vector<size_t>{0, 3, 5, 8, 10, 12}));
+
+    // Dense and unweighted (2 * 5 transactions * 1 word <= 12 entries),
+    // but a bitmap would fold the repeat, so the rows count the class:
+    // class 1's rows {0, 0} and {0} give rank 0 a count of 3, which a
+    // folded bitmap would make 2, failing support 3.
+    EXPECT_EQ(decomp.bitmaps, nullptr);
+    for (Support class_support : {1u, 2u, 3u}) {
+      const std::vector<Database> reference =
+          testutil::ReferenceClasses(*mapped, 1, class_support);
+      ASSERT_EQ(reference.size(), decomp.num_classes());
+      for (Item c = 0; c < decomp.num_classes(); ++c) {
+        testutil::ExpectSameDatabase(
+            reference[c], ProjectClass(decomp, c, class_support),
+            "support " + std::to_string(class_support) + " class " +
+                std::to_string(c));
+      }
+    }
+    EXPECT_EQ(ProjectClass(decomp, 1, 3).num_transactions(), 2u);
   }
 }
 
-// Uniform random transactions over `num_items` items, weights 1..2: with
-// many transactions per frequent item the block rule does not cap the
-// block count, with few it does.
-Database LongRandomDb(uint64_t seed, int num_tx, uint64_t num_items) {
+// Uniform random transactions over `num_items` items, weights
+// 1..max_weight: with many transactions per frequent item the block rule
+// does not cap the block count, with few it does.
+Database LongRandomDb(uint64_t seed, int num_tx, uint64_t num_items,
+                      uint64_t max_weight = 2) {
   Rng rng(seed);
   DatabaseBuilder b;
   std::vector<Item> tx;
@@ -408,7 +447,8 @@ Database LongRandomDb(uint64_t seed, int num_tx, uint64_t num_items) {
     for (uint32_t i = 0; i < len; ++i) {
       tx.push_back(static_cast<Item>(rng.NextBounded(num_items)));
     }
-    b.AddTransaction(tx, 1 + static_cast<Support>(rng.NextBounded(2)));
+    b.AddTransaction(tx,
+                     1 + static_cast<Support>(rng.NextBounded(max_weight)));
   }
   return b.Build();
 }
@@ -427,6 +467,10 @@ TEST(DecomposeTest, PooledPassesMatchSerialPass) {
   cases.emplace_back(LongRandomDb(8, 300, 120), 2);
   cases.emplace_back(ManyFrequentItemsDb(), 2);
   cases.emplace_back(WordEdgeDb(), 3);
+  // Unweighted twins: these keep the rank bitmaps.
+  cases.emplace_back(WeightedRandomDb(1, 1), 4);
+  cases.emplace_back(LongRandomDb(7, 2000, 20, 1), 5);
+  cases.emplace_back(LongRandomDb(8, 300, 120, 1), 2);
   for (uint32_t workers = 1; workers <= 4; ++workers) {
     ThreadPool pool(workers);
     for (size_t i = 0; i < cases.size(); ++i) {
@@ -439,6 +483,202 @@ TEST(DecomposeTest, PooledPassesMatchSerialPass) {
       ExpectRankedMatchesReference(pooled, db, min_support, label);
       ExpectSameDecomposition(serial, pooled, label);
     }
+  }
+}
+
+// Decomposes `db` at `min_support` on pools of 1, 2 and 4 workers, then
+// projects every class at each of `class_supports` as tasks on the pool
+// (so each worker counts into its own counters) and checks it against
+// the class counted from the raw transactions.
+void ExpectProjectionsMatchRawCount(const Database& db, Support min_support,
+                                    std::vector<Support> class_supports,
+                                    bool bitmaps, const std::string& label) {
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    const ClassDecomposition decomp = DecomposeClasses(db, min_support, &pool);
+    const std::string on = label + " on " + std::to_string(workers) +
+                           " workers";
+    EXPECT_EQ(decomp.bitmaps != nullptr, bitmaps) << on;
+    for (Support class_support : class_supports) {
+      const std::string where =
+          on + " at class support " + std::to_string(class_support);
+      std::vector<Database> projected(decomp.num_classes());
+      TaskGroup group(&pool);
+      for (Item c = 0; c < decomp.num_classes(); ++c) {
+        group.Run([&, c] {
+          projected[c] = ProjectClass(decomp, c, class_support);
+        });
+      }
+      group.Wait();
+      const std::vector<Database> reference =
+          testutil::ReferenceClasses(db, min_support, class_support);
+      ASSERT_EQ(reference.size(), projected.size()) << where;
+      for (Item c = 0; c < projected.size(); ++c) {
+        testutil::ExpectSameDatabase(reference[c], projected[c],
+                                     where + " class " + std::to_string(c));
+      }
+    }
+  }
+}
+
+TEST(DecomposeTest, UnweightedTwinsProjectLikeTheRawCount) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const Database db = WeightedRandomDb(seed, 1);
+    for (Support min_support : {1u, 4u, 12u}) {
+      ExpectProjectionsMatchRawCount(
+          db, min_support, {min_support}, true,
+          "twin " + std::to_string(seed) + " support " +
+              std::to_string(min_support));
+    }
+  }
+  ExpectProjectionsMatchRawCount(LongRandomDb(7, 2000, 20, 1), 5,
+                                 {5, 300, 600}, true, "2000 over 20");
+  ExpectProjectionsMatchRawCount(LongRandomDb(8, 300, 120, 1), 2, {2, 5},
+                                 true, "300 over 120");
+  // The weighted originals count row by row, to the same databases.
+  ExpectProjectionsMatchRawCount(WeightedRandomDb(1), 4, {4}, false,
+                                 "weighted");
+  ExpectProjectionsMatchRawCount(LongRandomDb(8, 300, 120), 2, {2, 5}, false,
+                                 "weighted 300 over 120");
+}
+
+// Unweighted and dense: transaction k of 170 holds items 0..169-k but
+// those with (2i + k) % 11 == 0, so item i occurs in about 10/11 of the
+// 170 - i transactions that reach it. That spreads the class row counts
+// over 0..153 (one class at each of 15, 16, 17, 31, 32 and 33 rows),
+// puts owners at ranks 63, 64, 65 and 128 (3 words of ranks), and lets
+// the counts inside the large classes cross 16, 32, 64 and 128, the
+// edges of the adders' sixteens and wider planes.
+Database StaircaseDb() {
+  DatabaseBuilder b;
+  std::vector<Item> tx;
+  for (Item k = 0; k < 170; ++k) {
+    tx.clear();
+    for (Item i = 0; i < 170 - k; ++i) {
+      if ((2 * i + k) % 11 != 0) tx.push_back(i);
+    }
+    b.AddTransaction(tx);
+  }
+  return b.Build();
+}
+
+TEST(DecomposeTest, DenseClassesAcrossPlaneAndWordEdgesProjectLikeTheRawCount) {
+  const Database db = StaircaseDb();
+  const ClassDecomposition decomp = DecomposeClasses(db, 1);
+  ASSERT_NE(decomp.bitmaps, nullptr);
+  ASSERT_EQ(decomp.bitmap_words, 3u);
+  ASSERT_GE(decomp.num_classes(), 129u);
+  // The premise: classes of every row count around a group of 16 rows.
+  std::vector<size_t> row_counts;
+  for (Item c = 0; c < decomp.num_classes(); ++c) {
+    row_counts.push_back(decomp.class_rows(c).size());
+  }
+  for (size_t rows : {15u, 16u, 17u, 31u, 32u, 33u}) {
+    EXPECT_NE(std::find(row_counts.begin(), row_counts.end(), rows),
+              row_counts.end())
+        << rows << " rows";
+  }
+  for (Item owner : {63u, 64u, 65u, 128u}) {
+    EXPECT_GT(ProjectClass(decomp, owner, 1).num_transactions(), 0u)
+        << owner;
+  }
+  const Support above_all = static_cast<Support>(
+      *std::max_element(row_counts.begin(), row_counts.end()) + 1);
+  ASSERT_GT(above_all, 129u);
+
+  // Support 1 keeps every rank a class's rows hold; the others sit on
+  // and just past the planes' edges; `above_all` exceeds every class's
+  // row count, so every class builds nothing.
+  ExpectProjectionsMatchRawCount(
+      db, 1, {1, 16, 17, 32, 33, 64, 65, 128, 129, above_all}, true,
+      "staircase");
+  ExpectProjectionsMatchRawCount(db, 16, {16, 31, 48}, true,
+                                 "staircase at 16");
+  for (Item c = 0; c < decomp.num_classes(); ++c) {
+    EXPECT_EQ(ProjectClass(decomp, c, above_all).num_transactions(), 0u)
+        << c;
+  }
+}
+
+// The bitmaps are kept exactly when the input is unweighted, repeats no
+// rank (see RepeatedItemFromAPackedFileIsKept) and 2 * N * W <= entries.
+TEST(DecomposeTest, BitmapsAreKeptOnlyWhereTheAddersCanCount) {
+  // {i, i+1} for i < 10: 11 frequent ranks in 1 word, 10 transactions,
+  // 20 entries: 2 * 10 * 1 <= 20 keeps them.
+  DatabaseBuilder pairs;
+  for (Item i = 0; i < 10; ++i) pairs.AddTransaction({i, i + 1});
+  const Database dense = pairs.Build();
+  const ClassDecomposition kept = DecomposeClasses(dense, 1);
+  ASSERT_NE(kept.bitmaps, nullptr);
+  EXPECT_EQ(kept.bitmap_words, 1u);
+  EXPECT_EQ(kept.memory_bytes(),
+            kept.ranked.resident_bytes() + kept.rows().size_bytes() +
+                kept.row_begin.capacity() * sizeof(size_t) +
+                10 * sizeof(uint64_t));
+  ExpectProjectionsMatchRawCount(dense, 1, {1, 2}, true, "pairs");
+
+  // One more transaction of one rank: 2 * 11 * 1 > 21 drops them.
+  for (Item i = 0; i < 10; ++i) pairs.AddTransaction({i, i + 1});
+  pairs.AddTransaction({0});
+  const Database sparse = pairs.Build();
+  const ClassDecomposition dropped = DecomposeClasses(sparse, 1);
+  EXPECT_EQ(dropped.bitmaps, nullptr);
+  EXPECT_EQ(dropped.bitmap_words, 0u);
+  EXPECT_EQ(dropped.memory_bytes(),
+            dropped.ranked.resident_bytes() + dropped.rows().size_bytes() +
+                dropped.row_begin.capacity() * sizeof(size_t));
+  ExpectProjectionsMatchRawCount(sparse, 1, {1, 2}, false, "pairs and one");
+
+  // The dense pairs with one weight 2: the adders count rows, not weights.
+  for (Item i = 0; i < 10; ++i) pairs.AddTransaction({i, i + 1}, i == 4 ? 2 : 1);
+  const Database weighted = pairs.Build();
+  EXPECT_EQ(DecomposeClasses(weighted, 1).bitmaps, nullptr);
+  ExpectProjectionsMatchRawCount(weighted, 1, {1, 2, 3}, false,
+                                 "weighted pairs");
+}
+
+// The row count's per-thread counters are all zero between classes:
+// classes of two different sparse decompositions (no bitmaps), projected
+// on one thread in a shuffled order, each equal the raw count. One input
+// has a dense tier, whose classes hold more entries than ranks and reset
+// their counters whole; the rest reset entry by entry.
+TEST(DecomposeTest, RowCountsOfInterleavedClassesMatchTheRawCount) {
+  const Database first = testutil::SparseDb({.num_transactions = 3000,
+                                             .num_groups = 300,
+                                             .dense_items = 6,
+                                             .seed = 3});
+  const Database second =
+      testutil::SparseDb({.num_transactions = 2000, .num_groups = 500,
+                          .max_weight = 3, .seed = 4});
+  const std::vector<std::pair<const Database*, Support>> inputs = {
+      {&first, 2}, {&second, 3}};
+  std::vector<ClassDecomposition> decomps;
+  std::vector<std::vector<Database>> reference;
+  std::vector<std::pair<size_t, Item>> order;
+  size_t whole = 0;
+  size_t by_entry = 0;
+  for (size_t d = 0; d < inputs.size(); ++d) {
+    const auto& [db, min_support] = inputs[d];
+    decomps.push_back(DecomposeClasses(*db, min_support));
+    ASSERT_EQ(decomps.back().bitmaps, nullptr) << d;
+    reference.push_back(
+        testutil::ReferenceClasses(*db, min_support, min_support));
+    ASSERT_EQ(reference.back().size(), decomps.back().num_classes()) << d;
+    for (Item c = 0; c < decomps.back().num_classes(); ++c) {
+      order.emplace_back(d, c);
+      (decomps.back().class_entries[c] >= c ? whole : by_entry) += 1;
+    }
+  }
+  EXPECT_GT(whole, 1u);
+  EXPECT_GT(by_entry, 100u);
+  Rng rng(11);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  }
+  for (const auto& [d, c] : order) {
+    testutil::ExpectSameDatabase(
+        reference[d][c], ProjectClass(decomps[d], c, inputs[d].second),
+        "input " + std::to_string(d) + " class " + std::to_string(c));
   }
 }
 

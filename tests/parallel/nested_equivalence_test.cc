@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "fpm/core/mine.h"
 #include "fpm/dataset/quest_gen.h"
@@ -186,6 +188,44 @@ TEST(NestedMinerTest, RandomDatabasesMatchSequential) {
     nested.Canonicalize();
     ExpectSameResults(sequential.results(), nested.results(),
                       "random seed " + std::to_string(seed));
+  }
+}
+
+TEST(NestedMinerTest, StreamingBatchesListTheOrderedSet) {
+  // Items 0..13 in each of 40 transactions, and item i < 13 alone in
+  // 13 - i more, so item 13 is the least frequent: its class emits every
+  // itemset holding it, 2^13 = 8192 of them, which the streaming merge
+  // hands to the sink in more than one batch of 4,096.
+  DatabaseBuilder b;
+  std::vector<Item> block(14);
+  for (Item i = 0; i < 14; ++i) block[i] = i;
+  for (int t = 0; t < 40; ++t) b.AddTransaction(block);
+  for (Item i = 0; i < 13; ++i) {
+    for (Item k = i; k < 13; ++k) b.AddTransaction({i});
+  }
+  const Database db = b.Build();
+  for (Algorithm algorithm :
+       {Algorithm::kLcm, Algorithm::kEclat, Algorithm::kFpGrowth}) {
+    const Case c{algorithm, false};
+    NestedParallelMiner ordered = MakeNested(c, /*threads=*/4);
+    CollectingSink want;
+    ASSERT_TRUE(ordered.Mine(db, 40, &want).ok());
+    want.Canonicalize();
+    ASSERT_EQ(want.results().size(), 16383u);
+    size_t owned = 0;
+    for (const auto& [items, support] : want.results()) {
+      owned += std::find(items.begin(), items.end(), Item{13}) != items.end();
+    }
+    ASSERT_EQ(owned, 8192u);
+
+    NestedParallelMiner streaming =
+        MakeNested(c, /*threads=*/4, /*deterministic=*/false);
+    CollectingSink got;
+    Result<MineStats> stats = streaming.Mine(db, 40, &got);
+    ASSERT_TRUE(stats.ok()) << streaming.name();
+    EXPECT_EQ(stats->num_frequent, 16383u) << streaming.name();
+    got.Canonicalize();
+    ExpectSameResults(want.results(), got.results(), streaming.name());
   }
 }
 

@@ -128,9 +128,13 @@ def main(argv):
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    fpmd, client = argv[1], argv[2]
+    # The directory holds the nodes' dataset, sockets and query logs; it
+    # goes on every exit, a failed check's included.
+    with tempfile.TemporaryDirectory(prefix="fpm_cluster_smoke_") as tmp:
+        return smoke(argv[1], argv[2], tmp)
 
-    tmp = tempfile.mkdtemp(prefix="fpm_cluster_smoke_")
+
+def smoke(fpmd, client, tmp):
     dataset = os.path.join(tmp, "cluster.dat")
     with open(dataset, "w", encoding="utf-8") as f:
         for row in ["1 2 3", "1 2", "1 3", "2 3", "1 2 3 4", "2 3 4"]:

@@ -648,17 +648,23 @@ def check_session(fpmd, tmp):
 
 def main(argv):
     if len(argv) == 3 and argv[1] == "--record-session":
-        tmp = tempfile.mkdtemp(prefix="fpm_service_session_")
+        with tempfile.TemporaryDirectory(
+                prefix="fpm_service_session_") as tmp:
+            session = run_session(argv[2], tmp)
         with open(SESSION_TRANSCRIPT, "w", encoding="utf-8") as f:
-            f.write("\n".join(run_session(argv[2], tmp)) + "\n")
+            f.write("\n".join(session) + "\n")
         print(f"recorded {SESSION_TRANSCRIPT}")
         return 0
     if len(argv) != 4:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    fpmd, client, fpm_pack = argv[1], argv[2], argv[3]
+    # The directory holds every daemon's socket, dataset and query log;
+    # it goes on every exit, a failed check's included.
+    with tempfile.TemporaryDirectory(prefix="fpm_service_smoke_") as tmp:
+        return smoke(argv[1], argv[2], argv[3], tmp)
 
-    tmp = tempfile.mkdtemp(prefix="fpm_service_smoke_")
+
+def smoke(fpmd, client, fpm_pack, tmp):
     dataset = os.path.join(tmp, "smoke.dat")
     # Dense enough that thresholds 2 and 3 give different answers.
     with open(dataset, "w", encoding="utf-8") as f:

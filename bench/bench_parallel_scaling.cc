@@ -10,21 +10,21 @@
 // them), because each stands for a shape the decomposition must handle:
 //   - "Quest-deep": quest T60I10D3K with gen_dataset's default seed at
 //     support 30, 814,023 itemsets over 998 classes: deep answers and
-//     uneven classes. Its transactions' ranks are dense, so the
-//     decomposition orders them through its bitmap.
+//     uneven classes. It is dense and unweighted, so it decomposes
+//     into rank and tid bitmaps.
 //   - "Quest-wide": quest T60I10D15K with gen_dataset's default seed at
 //     support 450 (3%), the mine_parallel benchmark's shape: 908
 //     frequent items but few frequent pairs (1,014 itemsets), so the
 //     per-class count over 25M projected entries, not the kernels, sets
-//     the time. It is dense and unweighted, so the classes are counted
-//     from the rank bitmaps.
+//     the time. It is dense and unweighted, so it decomposes into rank
+//     and tid bitmaps and its classes are counted from the rank bitmaps.
 //   - "WebDocs-sparse": the WebDocs stand-in with 60K documents of 8
 //     items on average over 40K items, at support 2: 26,657 frequent
 //     items over 481,787 entries. Few entries per frequent item cap the
 //     tid-block count, short transactions spread over many words of
 //     ranks mostly take the decomposition's sort fallback, and rank
-//     bitmaps would take 200 MB, so its classes are counted row by
-//     row. It runs LCM
+//     bitmaps would take 200 MB, so it keeps the ranked database and
+//     row index and its classes are counted row by row. It runs LCM
 //     and FP-Growth only: the sequential Eclat baseline takes about 49 s
 //     there on one core, even on the tid lists its fill of 0.0003
 //     picks, where sequential LCM takes under 2 s.
@@ -210,9 +210,9 @@ int main() {
   std::printf(
       "Reading the table: \"seq\" is the unwrapped kernel; the threads=1\n"
       "rows run the class driver on one thread, so they time the\n"
-      "decomposition (ranking, row index, per-class kernel restarts on\n"
-      "smaller databases) against the kernel; higher rows add real\n"
-      "concurrency.\n"
+      "decomposition (ranking, bitmaps or row index, per-class kernel\n"
+      "restarts on smaller databases) against the kernel; higher rows add\n"
+      "real concurrency.\n"
       "imbalance is the max/mean per-worker busy time. Single-core hosts\n"
       "show ~1x across the board.\n\n");
 

@@ -265,6 +265,7 @@ Result<Database> OpenMapped(const std::string& path, std::string* digest) {
     weights_ptr = reinterpret_cast<const Support*>(data + cursor);
     cursor += num_transactions * sizeof(Support);
   }
+  const size_t freq_at = cursor;
   const auto* freq_ptr = reinterpret_cast<const Support*>(data + cursor);
 
   // Validate the CSR spine before anyone indexes through it: a corrupt
@@ -284,17 +285,51 @@ Result<Database> OpenMapped(const std::string& path, std::string* digest) {
     return PackedError(path, offsets_at + num_transactions * sizeof(size_t),
                        "corrupt offsets array (last != num_entries)");
   }
-  // Miners index per-item arrays by item id, so an id at or past the
-  // header's item count would read and write past their end: one pass
-  // over the items array.
-  const Item* bad =
-      std::find_if(items_ptr, items_ptr + num_entries,
-                   [num_items](Item item) { return item >= num_items; });
-  if (bad != items_ptr + num_entries) {
-    return PackedError(path, items_at + (bad - items_ptr) * sizeof(Item),
-                       "item id " + std::to_string(*bad) +
-                           " is not below the item count " +
-                           std::to_string(num_items));
+  // Miners index per-item arrays by item id, and read a transaction's
+  // items as distinct and the stored frequencies and total weight as the
+  // body's; a body that breaks any of these is answered differently by
+  // each miner. One pass over the items refuses an id at or past the
+  // header's item count and an item that repeats in its transaction (a
+  // per-item marker of the last transaction holding it), and counts the
+  // body's frequencies and weight in 64 bits, so no sum wraps into a
+  // match.
+  std::vector<uint64_t> last_holder(num_items, 0);  // tid + 1, 0: none yet
+  std::vector<uint64_t> counted(num_items, 0);
+  uint64_t counted_weight = 0;
+  for (uint64_t t = 0; t < num_transactions; ++t) {
+    const uint64_t weight = has_weights ? weights_ptr[t] : 1;
+    counted_weight += weight;
+    for (size_t e = offsets_ptr[t]; e < offsets_ptr[t + 1]; ++e) {
+      const Item item = items_ptr[e];
+      if (item >= num_items) {
+        return PackedError(path, items_at + e * sizeof(Item),
+                           "item id " + std::to_string(item) +
+                               " is not below the item count " +
+                               std::to_string(num_items));
+      }
+      if (last_holder[item] == t + 1) {
+        return PackedError(path, items_at + e * sizeof(Item),
+                           "transaction " + std::to_string(t) +
+                               " repeats item " + std::to_string(item));
+      }
+      last_holder[item] = t + 1;
+      counted[item] += weight;
+    }
+  }
+  for (uint64_t i = 0; i < num_items; ++i) {
+    if (freq_ptr[i] != counted[i]) {
+      return PackedError(
+          path, freq_at + i * sizeof(Support),
+          "stored frequency " + std::to_string(freq_ptr[i]) + " of item " +
+              std::to_string(i) + " is not the body's " +
+              std::to_string(counted[i]));
+    }
+  }
+  if (total_weight != counted_weight) {
+    return PackedError(path, kOffTotalWeight,
+                       "total weight " + std::to_string(total_weight) +
+                           " is not the body's " +
+                           std::to_string(counted_weight));
   }
 
   if (digest != nullptr) *digest = std::move(header_digest);

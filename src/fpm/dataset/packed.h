@@ -88,9 +88,11 @@ Result<std::string> ReadPackedHeader(const std::string& path,
 /// copy of the returned Database. On success `*digest` (when non-null)
 /// receives the header's content digest. Errors carry the path and the
 /// file offset of the problem. Besides the header's counts and the
-/// offsets array, it reads the whole items array once: an item id that
-/// is not below the header's item count is refused here, since every
-/// miner indexes per-item arrays by it.
+/// offsets array, it reads the whole items array once and refuses, since
+/// the miners would read or answer it differently: an item id that is
+/// not below the header's item count (every miner indexes per-item
+/// arrays by it), an item that repeats in its transaction, and stored
+/// frequencies or a total weight that are not the body's.
 Result<Database> OpenMapped(const std::string& path,
                             std::string* digest = nullptr);
 

@@ -218,15 +218,17 @@ Result<MineStats> NestedParallelMiner::MineImpl(const Database& db,
     std::vector<ClassShard> class_shards(deterministic ? num_frequent : 0);
     std::mutex sink_mu;
 
-    // Submitted largest projection first, which does not start the
-    // largest classes first: this thread is outside the pool, so the
-    // pool deals the tasks round-robin over the workers' deques, and
-    // each worker pops its own deque from the back (thieves take from
-    // the front). Each worker thus runs its smallest classes first and
-    // its largest last. The order stays because rank order measured no
-    // faster on the mine_parallel benchmark (4 CPUs, p50 with rank order
-    // against this order: 83.3 against 78.8 ms over 5 alternating pairs,
-    // then 75.8 against 75.5 ms over 10 rounds).
+    // Submitted largest projection first (by class_entries: the
+    // projected entries on the row form, an estimate of them on the
+    // dense form), which does not start the largest classes first:
+    // this thread is outside the pool, so the pool deals the tasks
+    // round-robin over the workers' deques, and each worker pops its
+    // own deque from the back (thieves take from the front). Each
+    // worker thus runs its smallest classes first and its largest last.
+    // The order stays because rank order measured no faster on the
+    // mine_parallel benchmark (4 CPUs, p50 with rank order against this
+    // order: 83.3 against 78.8 ms over 5 alternating pairs, then 75.8
+    // against 75.5 ms over 10 rounds).
     std::vector<Item> schedule(num_frequent);
     std::iota(schedule.begin(), schedule.end(), 0);
     std::stable_sort(schedule.begin(), schedule.end(),
@@ -262,9 +264,9 @@ Result<MineStats> NestedParallelMiner::MineImpl(const Database& db,
 
   stats.num_frequent = run.emitted;
   // Build sums kernel construction over tasks (it may exceed wall
-  // time). The footprint is the shared ranked database and row index
-  // plus the largest single task: a class's conditional database and its
-  // kernel structure.
+  // time). The footprint is the shared decomposition (the ranked
+  // database and row index, or the two bitmaps) plus the largest single
+  // task: a class's conditional database and its kernel structure.
   stats.set_phase_seconds(PhaseId::kBuild, run.build_seconds);
   stats.peak_structure_bytes = decomp.memory_bytes() + run.task_peak_bytes;
   stats.FinishPhase(PhaseId::kMine, mine_span);

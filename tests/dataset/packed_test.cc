@@ -349,11 +349,94 @@ TEST(PackedDiagnosticsTest, ItemIdPastTheItemCountIsRejectedBeforeMining) {
   EXPECT_EQ(first.message(), "packed file '" + path +
                                  "': item id 16777200 is not below the item "
                                  "count 4 at offset 128");
-  // The bound is exact, and the last entry is read too.
+  // The bound is exact, and the last entry is read too: id 3 there opens
+  // once the stored frequencies count it (item 2's 3 -> 2, item 3's
+  // 2 -> 3; they follow the items, at 176 + 4 * item).
   EXPECT_EQ(with_item(11, 4).message(),
             "packed file '" + path +
                 "': item id 4 is not below the item count 4 at offset 172");
-  EXPECT_TRUE(with_item(11, 3).ok());
+  std::string recounted = bytes;
+  for (const auto& [at, value] : std::vector<std::pair<size_t, uint32_t>>{
+           {128 + 11 * 4, 3}, {184, 2}, {188, 3}}) {
+    std::memcpy(recounted.data() + at, &value, sizeof(value));
+  }
+  WriteAll(path, recounted);
+  EXPECT_TRUE(OpenMapped(path).ok());
+}
+
+// The packed {0,1,2} {0,1} {1,2,3} {0,3} {1,2} (192 bytes: the 80-byte
+// header, six offsets at 80, twelve items at 128, four frequencies at
+// 176) with `patches` written over it as 32-bit words; returns what
+// OpenMapped makes of it.
+Status OpenPatched(const std::string& name,
+                   const std::vector<std::pair<size_t, uint32_t>>& patches) {
+  DatabaseBuilder b;
+  for (const Itemset& t :
+       std::vector<Itemset>{{0, 1, 2}, {0, 1}, {1, 2, 3}, {0, 3}, {1, 2}}) {
+    b.AddTransaction(t);
+  }
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(WritePacked(b.Build(), path).ok());
+  std::string bytes = ReadAll(path);
+  EXPECT_EQ(bytes.size(), 192u);
+  for (const auto& [at, value] : patches) {
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+  }
+  WriteAll(path, bytes);
+  return OpenMapped(path).status();
+}
+
+// A transaction that repeats an item used to open, and each miner
+// answered it differently: at support 1 LCM reported {0,1} at 3, Eclat
+// at 2, FP-Growth listed {0,1} twice and {0,1,1}, and the parallel
+// driver reported the header's frequencies.
+TEST(PackedDiagnosticsTest, RepeatedItemIsRejectedBeforeMining) {
+  // The first transaction's third item (entry 2, at 136) becomes a second
+  // item 1; the frequencies are recounted, so only the repeat is wrong.
+  const Status repeated = OpenPatched(
+      "repeat.fpk", {{136, 1}, {180, 5}, {184, 2}});
+  EXPECT_EQ(repeated.code(), StatusCode::kIOError);
+  EXPECT_EQ(repeated.message(),
+            "packed file '" + TempPath("repeat.fpk") +
+                "': transaction 0 repeats item 1 at offset 136");
+  // The same item in two transactions is no repeat.
+  EXPECT_TRUE(OpenPatched("no_repeat.fpk", {}).ok());
+}
+
+// Every miner and the parallel driver's ranking read the stored
+// frequencies as the body's.
+TEST(PackedDiagnosticsTest, StoredFrequenciesMustBeTheBodys) {
+  const Status stale = OpenPatched("stale_freq.fpk", {{184, 4}});
+  EXPECT_EQ(stale.code(), StatusCode::kIOError);
+  EXPECT_EQ(stale.message(),
+            "packed file '" + TempPath("stale_freq.fpk") +
+                "': stored frequency 4 of item 2 is not the body's 3 at "
+                "offset 184");
+
+  // Counted in 64 bits: two transactions of weight 2^31 holding item 0
+  // count 2^32, which the 32-bit frequency the writer stored (and the
+  // 32-bit total weight) wrapped to 0. The digest is given, since the
+  // default one hashes the FIMI text, which writes each transaction once
+  // per unit of weight.
+  DatabaseBuilder b;
+  b.AddTransaction({0}, Support{1} << 31);
+  b.AddTransaction({0, 1}, Support{1} << 31);
+  const std::string path = TempPath("wrapped_freq.fpk");
+  ASSERT_TRUE(WritePacked(b.Build(), path, "0123456789abcdef").ok());
+  const Status wrapped = OpenMapped(path).status();
+  EXPECT_EQ(wrapped.code(), StatusCode::kIOError);
+  EXPECT_NE(wrapped.message().find(
+                "stored frequency 0 of item 0 is not the body's 4294967296"),
+            std::string::npos)
+      << wrapped;
+}
+
+TEST(PackedDiagnosticsTest, TotalWeightMustBeTheBodys) {
+  const Status heavier = OpenPatched("heavy.fpk", {{40, 6}});
+  EXPECT_EQ(heavier.code(), StatusCode::kIOError);
+  EXPECT_EQ(heavier.message(),
+            "packed file '" + TempPath("heavy.fpk") +
+                "': total weight 6 is not the body's 5 at offset 40");
 }
 
 // ---------------------------------------------------------------------------

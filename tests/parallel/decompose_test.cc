@@ -1,25 +1,25 @@
 // The class decomposition against the eager projection it replaces: a
-// class database built from the row index must make every kernel emit
+// class database built from either form must make every kernel emit
 // exactly what it emits on the full conditional database (every prefix
 // copied into every class), in the same order, and must keep that
 // database's transaction count and total weight; a class with nothing
-// frequent inside it builds nothing. The ranked database must equal the
-// input remapped by RemapItems and cut to its frequent ranks, whichever
-// way each transaction's ranks were ordered (bitmap or sort) and
-// however many tid blocks the pool split the input into. On inputs that
-// keep the rank bitmaps, every class counted through the adders must
-// equal the class counted from the raw transactions, and so must every
-// class counted row by row however many classes the thread's counters
-// served before it.
+// frequent inside it builds nothing. On the row form the ranked database
+// must equal the input remapped by RemapItems and cut to its frequent
+// ranks, whichever way each transaction's ranks were ordered (bitmap or
+// sort), and the row index the rows counted from the raw transactions;
+// on the dense form each rank bitmap must hold the remapped
+// transaction's ranks and each tid bitmap its class's rows, however many
+// tid blocks the pool split the input into. Every class counted through
+// the adders must equal the class counted from the raw transactions, and
+// so must every class counted row by row however many classes the
+// thread's counters served before it.
 
 #include "fpm/parallel/decompose.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <iterator>
+#include <bit>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,7 +27,6 @@
 
 #include "fpm/common/rng.h"
 #include "fpm/core/mine.h"
-#include "fpm/dataset/packed.h"
 #include "fpm/layout/item_order.h"
 #include "fpm/parallel/thread_pool.h"
 #include "testing/class_testutil.h"
@@ -82,6 +81,10 @@ std::vector<Emission> MineRecorded(Algorithm algorithm, PatternSet patterns,
   return sink.emissions;
 }
 
+void ExpectFormMatchesReference(const ClassDecomposition& decomp,
+                                const Database& db, Support min_support,
+                                const std::string& label);
+
 // Checks every class of `db` against the reference projection, for
 // every kernel under both pattern extremes.
 void ExpectMatchesReference(const Database& db, Support min_support,
@@ -89,6 +92,7 @@ void ExpectMatchesReference(const Database& db, Support min_support,
   const std::vector<Database> reference = ReferenceProjection(db, min_support);
   const ClassDecomposition decomp = DecomposeClasses(db, min_support);
   ASSERT_EQ(decomp.num_classes(), reference.size()) << label;
+  ExpectFormMatchesReference(decomp, db, min_support, label);
   for (Item c = 0; c < reference.size(); ++c) {
     const std::string where = label + " class " + std::to_string(c);
     const Database& ref = reference[c];
@@ -101,7 +105,6 @@ void ExpectMatchesReference(const Database& db, Support min_support,
       EXPECT_EQ(cls.num_transactions(), ref.num_transactions()) << where;
       EXPECT_EQ(cls.total_weight(), ref.total_weight()) << where;
     }
-    EXPECT_EQ(decomp.class_entries[c], ref.num_entries()) << where;
     for (Algorithm algorithm :
          {Algorithm::kLcm, Algorithm::kEclat, Algorithm::kFpGrowth}) {
       for (PatternSet patterns :
@@ -116,7 +119,7 @@ void ExpectMatchesReference(const Database& db, Support min_support,
 }
 
 // Uniform random transactions with weights 1..max_weight (1: the
-// unweighted twin, which keeps the rank bitmaps).
+// unweighted twin, which takes the dense form).
 Database WeightedRandomDb(uint64_t seed, uint64_t max_weight = 3) {
   Rng rng(seed);
   DatabaseBuilder b;
@@ -145,7 +148,8 @@ Database ManyFrequentItemsDb() {
 }
 
 TEST(DecomposeTest, WeightedRandomDatabasesMatchEagerProjection) {
-  // Weights 1..3, and the unweighted twins, which keep the rank bitmaps.
+  // Weights 1..3 (the row form), and the unweighted twins (the dense
+  // form).
   for (uint64_t max_weight : {3u, 1u}) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
       const Database db = WeightedRandomDb(seed, max_weight);
@@ -273,13 +277,111 @@ void ExpectRankedMatchesReference(const ClassDecomposition& decomp,
   EXPECT_EQ(ranked.num_transactions(), db.num_transactions()) << label;
 }
 
+// The set bits of `words[0 .. n)`, ascending.
+std::vector<uint32_t> SetBits(const uint64_t* words, size_t n) {
+  std::vector<uint32_t> bits;
+  for (size_t w = 0; w < n; ++w) {
+    for (uint64_t set = words[w]; set != 0; set &= set - 1) {
+      bits.push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(set)));
+    }
+  }
+  return bits;
+}
+
+// Class c's rows on the dense form: the tids its tid bitmap holds.
+std::vector<uint32_t> TidsOf(const ClassDecomposition& decomp, Item c) {
+  return SetBits(decomp.tid_bitmap(c), decomp.tid_words);
+}
+
+// Checks the form `decomp` holds against the input counted directly. The
+// row form: the ranked database equals RemapItems', the row index holds
+// every class's reference rows, and a class's entries are its rows'
+// lengths. The dense form: transaction t's rank bitmap holds exactly its
+// remapped ranks, rank c's tid bitmap exactly the tids of its class's
+// reference rows (so no padding bit is set), and a class's entries are
+// estimated as its rows times the ranks below c that a transaction holds
+// on average (their supports over N). Either way the other form's fields
+// are empty.
+void ExpectFormMatchesReference(const ClassDecomposition& decomp,
+                                const Database& db, Support min_support,
+                                const std::string& label) {
+  const std::vector<std::vector<testutil::ReferenceRow>> rows =
+      testutil::ReferenceClassRows(db, min_support);
+  ASSERT_EQ(decomp.num_classes(), rows.size()) << label;
+  ASSERT_EQ(decomp.class_entries.size(), rows.size()) << label;
+  EXPECT_EQ(decomp.num_transactions, db.num_transactions()) << label;
+  if (!decomp.dense()) {
+    EXPECT_EQ(decomp.rank_bitmaps, nullptr) << label;
+    EXPECT_EQ(decomp.rank_words, 0u) << label;
+    EXPECT_EQ(decomp.tid_words, 0u) << label;
+    ExpectRankedMatchesReference(decomp, db, min_support, label);
+    for (Item c = 0; c < rows.size(); ++c) {
+      const std::span<const ClassRow> got = decomp.class_rows(c);
+      ASSERT_EQ(got.size(), rows[c].size()) << label << " class " << c;
+      uint64_t entries = 0;
+      for (size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r].tid, rows[c][r].tid) << label << " class " << c;
+        EXPECT_EQ(got[r].length, rows[c][r].prefix.size())
+            << label << " class " << c;
+        entries += rows[c][r].prefix.size();
+      }
+      EXPECT_EQ(decomp.class_entries[c], entries) << label << " class " << c;
+    }
+    return;
+  }
+  EXPECT_EQ(decomp.ranked.num_transactions(), 0u) << label;
+  EXPECT_TRUE(decomp.rows().empty()) << label;
+  EXPECT_TRUE(decomp.row_begin.empty()) << label;
+  ASSERT_NE(decomp.rank_bitmaps, nullptr) << label;
+  EXPECT_EQ(decomp.rank_words, (decomp.num_classes() + 63) / 64) << label;
+  EXPECT_EQ(decomp.tid_words, (db.num_transactions() + 511) / 512 * 8)
+      << label;
+  const Database ranked = ReferenceRanked(db, min_support);
+  for (Tid t = 0; t < db.num_transactions(); ++t) {
+    const auto want = ranked.transaction(t);
+    EXPECT_EQ(SetBits(decomp.rank_bitmap(t), decomp.rank_words),
+              std::vector<uint32_t>(want.begin(), want.end()))
+        << label << " transaction " << t;
+  }
+  uint64_t below = 0;  // the supports of the ranks below c
+  for (Item c = 0; c < rows.size(); ++c) {
+    std::vector<uint32_t> want;
+    for (const testutil::ReferenceRow& row : rows[c]) want.push_back(row.tid);
+    EXPECT_EQ(TidsOf(decomp, c), want) << label << " class " << c;
+    EXPECT_NEAR(static_cast<double>(decomp.class_entries[c]),
+                static_cast<double>(want.size() * below) /
+                    static_cast<double>(db.num_transactions()),
+                1.0)
+        << label << " class " << c;
+    below += decomp.supports[c];
+  }
+}
+
 void ExpectSameDecomposition(const ClassDecomposition& a,
                              const ClassDecomposition& b,
                              const std::string& label) {
+  EXPECT_EQ(a.rank_to_item, b.rank_to_item) << label;
+  EXPECT_EQ(a.supports, b.supports) << label;
+  EXPECT_EQ(a.class_entries, b.class_entries) << label;
+  ASSERT_EQ(a.dense(), b.dense()) << label;
+  if (a.dense()) {
+    ASSERT_EQ(a.rank_words, b.rank_words) << label;
+    ASSERT_EQ(a.tid_words, b.tid_words) << label;
+    EXPECT_TRUE(std::equal(a.rank_bitmaps.get(),
+                           a.rank_bitmaps.get() +
+                               a.num_transactions * a.rank_words,
+                           b.rank_bitmaps.get()))
+        << label;
+    EXPECT_TRUE(std::equal(a.tid_bitmaps.get(),
+                           a.tid_bitmaps.get() +
+                               a.num_classes() * a.tid_words,
+                           b.tid_bitmaps.get()))
+        << label;
+    return;
+  }
   EXPECT_TRUE(Same(a.ranked.items(), b.ranked.items())) << label;
   EXPECT_TRUE(Same(a.ranked.offsets(), b.ranked.offsets())) << label;
   EXPECT_TRUE(Same(a.ranked.weights(), b.ranked.weights())) << label;
-  EXPECT_TRUE(Same(a.class_supports(), b.class_supports())) << label;
   EXPECT_EQ(a.row_begin, b.row_begin) << label;
   ASSERT_EQ(a.rows().size(), b.rows().size()) << label;
   for (size_t r = 0; r < a.rows().size(); ++r) {
@@ -287,24 +389,15 @@ void ExpectSameDecomposition(const ClassDecomposition& a,
     EXPECT_EQ(a.rows()[r].length, b.rows()[r].length)
         << label << " row " << r;
   }
-  EXPECT_EQ(a.class_entries, b.class_entries) << label;
-  EXPECT_EQ(a.rank_to_item, b.rank_to_item) << label;
-  ASSERT_EQ(a.bitmaps != nullptr, b.bitmaps != nullptr) << label;
-  EXPECT_EQ(a.bitmap_words, b.bitmap_words) << label;
-  if (a.bitmaps != nullptr) {
-    const size_t words = a.ranked.num_transactions() * a.bitmap_words;
-    EXPECT_TRUE(std::equal(a.bitmaps.get(), a.bitmaps.get() + words,
-                           b.bitmaps.get()))
-        << label;
-  }
 }
 
 TEST(DecomposeTest, RanksAcrossWordEdgesMatchRemapItems) {
   const Database db = WordEdgeDb();
   const ClassDecomposition decomp = DecomposeClasses(db, 3);
   ASSERT_EQ(decomp.num_classes(), 200u);
+  ASSERT_FALSE(decomp.dense());  // weighted
   for (Item i = 0; i < 200; ++i) ASSERT_EQ(decomp.rank_to_item[i], i);
-  ExpectRankedMatchesReference(decomp, db, 3, "word edges");
+  ExpectFormMatchesReference(decomp, db, 3, "word edges");
 
   // Spot checks of the premise: ascending ranks across each word edge,
   // infrequent items dropped, the sorted transactions in order.
@@ -346,12 +439,12 @@ TEST(DecomposeTest, RankedDatabaseMatchesRemapItems) {
     for (Support min_support : {1u, 4u, 12u, 1000u}) {
       const std::string label = "seed " + std::to_string(seed) +
                                 " support " + std::to_string(min_support);
-      ExpectRankedMatchesReference(DecomposeClasses(db, min_support), db,
-                                   min_support, label);
+      ExpectFormMatchesReference(DecomposeClasses(db, min_support), db,
+                                 min_support, label);
     }
   }
-  ExpectRankedMatchesReference(DecomposeClasses(ManyFrequentItemsDb(), 2),
-                               ManyFrequentItemsDb(), 2, "many frequent");
+  ExpectFormMatchesReference(DecomposeClasses(ManyFrequentItemsDb(), 2),
+                             ManyFrequentItemsDb(), 2, "many frequent");
 }
 
 TEST(DecomposeTest, ClassWithNothingFrequentBuildsNothing) {
@@ -375,37 +468,40 @@ TEST(DecomposeTest, ClassWithNothingFrequentBuildsNothing) {
   EXPECT_EQ(ProjectClass(decomp, 0, 2).num_transactions(), 0u);
 }
 
-// A packed file may repeat an item inside a transaction (OpenMapped
-// checks ids, not repeats). The bitmap would fold the repeat, so such a
-// transaction is sorted instead: every rank of it is written, and the
-// ranked transaction keeps the repeat.
-TEST(DecomposeTest, RepeatedItemFromAPackedFileIsKept) {
-  const Database built =
-      testutil::MakeDb({{0, 1, 2}, {0, 1}, {1, 2, 3}, {0, 3}, {1, 2}});
-  const std::string path = testing::TempDir() + "/decompose_repeat.fpk";
-  ASSERT_TRUE(WritePacked(built, path).ok());
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  ASSERT_EQ(bytes.size(), 192u);
-  // The items array follows the 80-byte header and the six offsets:
-  // make the first transaction's third item (entry 2) a second item 1.
-  const uint32_t repeat = 1;
-  std::memcpy(bytes.data() + 128 + 2 * sizeof(repeat), &repeat,
-              sizeof(repeat));
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const Result<Database> mapped = OpenMapped(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
+// Owns the arrays of a database assembled by hand, as a storage backend
+// does, so that the test can hand DecomposeClasses what DatabaseBuilder
+// never builds and OpenMapped refuses.
+struct VectorStorage final : DatabaseStorage {
+  StorageKind kind() const override { return StorageKind::kMemory; }
+  size_t resident_bytes() const override { return 0; }
+  size_t mapped_bytes() const override { return 0; }
 
-  // Ranks by the file's frequencies: item 1 -> 0, 0 -> 1, 2 -> 2, 3 -> 3.
+  std::vector<Item> items;
+  std::vector<size_t> offsets;
+  std::vector<Support> frequencies;
+};
+
+// A storage backend may hand the decomposition a transaction that
+// repeats an item. A bitmap would fold the repeat, so the dense pass
+// gives up and the row form sorts such a transaction: every rank of it
+// is written, and the ranked transaction keeps the repeat. The input is
+// {0, 1, 2} {0, 1} {1, 2, 3} {0, 3} {1, 2} with the first transaction's
+// item 2 overwritten by a second item 1 and the frequencies left as they
+// were, the database a packed file so patched used to map to.
+TEST(DecomposeTest, RepeatedItemFromAPackedFileIsKept) {
+  auto storage = std::make_shared<VectorStorage>();
+  storage->items = {0, 1, 1, 0, 1, 1, 2, 3, 0, 3, 1, 2};
+  storage->offsets = {0, 3, 5, 8, 10, 12};
+  storage->frequencies = {3, 4, 3, 2};
+  const VectorStorage& arrays = *storage;
+  const Database db = Database::FromStorage(
+      std::move(storage), arrays.items, arrays.offsets, {},
+      arrays.frequencies, 4, 5);
+
+  // Ranks by the stale frequencies: item 1 -> 0, 0 -> 1, 2 -> 2, 3 -> 3.
   ThreadPool pool(2);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    const ClassDecomposition decomp = DecomposeClasses(*mapped, 1, p);
+    const ClassDecomposition decomp = DecomposeClasses(db, 1, p);
     const auto ranked = decomp.ranked.items();
     EXPECT_EQ(std::vector<Item>(ranked.begin(), ranked.end()),
               (std::vector<Item>{0, 0, 1, 0, 1, 0, 2, 3, 1, 3, 0, 2}));
@@ -413,14 +509,16 @@ TEST(DecomposeTest, RepeatedItemFromAPackedFileIsKept) {
     EXPECT_EQ(std::vector<size_t>(offsets.begin(), offsets.end()),
               (std::vector<size_t>{0, 3, 5, 8, 10, 12}));
 
-    // Dense and unweighted (2 * 5 transactions * 1 word <= 12 entries),
+    // Dense and unweighted (2 * 5 transactions * 1 word <= the 12
+    // frequent entries the frequencies sum to),
     // but a bitmap would fold the repeat, so the rows count the class:
     // class 1's rows {0, 0} and {0} give rank 0 a count of 3, which a
     // folded bitmap would make 2, failing support 3.
-    EXPECT_EQ(decomp.bitmaps, nullptr);
+    EXPECT_FALSE(decomp.dense());
+    EXPECT_EQ(decomp.rank_bitmaps, nullptr);
     for (Support class_support : {1u, 2u, 3u}) {
       const std::vector<Database> reference =
-          testutil::ReferenceClasses(*mapped, 1, class_support);
+          testutil::ReferenceClasses(db, 1, class_support);
       ASSERT_EQ(reference.size(), decomp.num_classes());
       for (Item c = 0; c < decomp.num_classes(); ++c) {
         testutil::ExpectSameDatabase(
@@ -455,10 +553,11 @@ Database LongRandomDb(uint64_t seed, int num_tx, uint64_t num_items,
 
 TEST(DecomposeTest, PooledPassesMatchSerialPass) {
   // Blocks of tids are ranked and indexed on the pool, each writing in
-  // place: the result must not depend on the split. 2000 transactions
-  // over 20 items get 4 blocks per worker; the block rule caps 300 over
-  // 120 items at support 2 at 3 blocks, the weighted inputs at 4 or 5,
-  // and the many-frequent-items and word-edge inputs at 1.
+  // place: the result must not depend on the split. On the row form 2000
+  // transactions over 20 items get 4 blocks per worker; the block rule
+  // caps 300 over 120 items at support 2 at 3 blocks, the weighted inputs
+  // at 4 or 5, and the many-frequent-items and word-edge inputs at 1. On
+  // the dense form the unweighted twins get one block per 512 tids.
   std::vector<std::pair<Database, Support>> cases;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     cases.emplace_back(WeightedRandomDb(seed), 4);
@@ -467,7 +566,8 @@ TEST(DecomposeTest, PooledPassesMatchSerialPass) {
   cases.emplace_back(LongRandomDb(8, 300, 120), 2);
   cases.emplace_back(ManyFrequentItemsDb(), 2);
   cases.emplace_back(WordEdgeDb(), 3);
-  // Unweighted twins: these keep the rank bitmaps.
+  // Unweighted twins: these take the dense form.
+  const size_t first_twin = cases.size();
   cases.emplace_back(WeightedRandomDb(1, 1), 4);
   cases.emplace_back(LongRandomDb(7, 2000, 20, 1), 5);
   cases.emplace_back(LongRandomDb(8, 300, 120, 1), 2);
@@ -480,41 +580,47 @@ TEST(DecomposeTest, PooledPassesMatchSerialPass) {
       const ClassDecomposition serial = DecomposeClasses(db, min_support);
       const ClassDecomposition pooled =
           DecomposeClasses(db, min_support, &pool);
-      ExpectRankedMatchesReference(pooled, db, min_support, label);
+      EXPECT_EQ(pooled.dense(), i >= first_twin) << label;
+      ExpectFormMatchesReference(pooled, db, min_support, label);
       ExpectSameDecomposition(serial, pooled, label);
     }
   }
 }
 
-// Decomposes `db` at `min_support` on pools of 1, 2 and 4 workers, then
-// projects every class at each of `class_supports` as tasks on the pool
-// (so each worker counts into its own counters) and checks it against
-// the class counted from the raw transactions.
+// Decomposes `db` at `min_support` on pools of 1, 2 and 4 workers,
+// checks the form it took, then projects every class at each of
+// `class_supports` as tasks on the pool (so each worker counts into its
+// own counters and gathers rows into its own scratch) and checks it
+// against the class counted from the raw transactions.
 void ExpectProjectionsMatchRawCount(const Database& db, Support min_support,
                                     std::vector<Support> class_supports,
-                                    bool bitmaps, const std::string& label) {
+                                    bool dense, const std::string& label) {
+  std::vector<std::vector<Database>> reference;
+  for (Support class_support : class_supports) {
+    reference.push_back(
+        testutil::ReferenceClasses(db, min_support, class_support));
+  }
   for (uint32_t workers : {1u, 2u, 4u}) {
     ThreadPool pool(workers);
     const ClassDecomposition decomp = DecomposeClasses(db, min_support, &pool);
     const std::string on = label + " on " + std::to_string(workers) +
                            " workers";
-    EXPECT_EQ(decomp.bitmaps != nullptr, bitmaps) << on;
-    for (Support class_support : class_supports) {
+    EXPECT_EQ(decomp.dense(), dense) << on;
+    ExpectFormMatchesReference(decomp, db, min_support, on);
+    for (size_t s = 0; s < class_supports.size(); ++s) {
       const std::string where =
-          on + " at class support " + std::to_string(class_support);
+          on + " at class support " + std::to_string(class_supports[s]);
       std::vector<Database> projected(decomp.num_classes());
       TaskGroup group(&pool);
       for (Item c = 0; c < decomp.num_classes(); ++c) {
         group.Run([&, c] {
-          projected[c] = ProjectClass(decomp, c, class_support);
+          projected[c] = ProjectClass(decomp, c, class_supports[s]);
         });
       }
       group.Wait();
-      const std::vector<Database> reference =
-          testutil::ReferenceClasses(db, min_support, class_support);
-      ASSERT_EQ(reference.size(), projected.size()) << where;
+      ASSERT_EQ(reference[s].size(), projected.size()) << where;
       for (Item c = 0; c < projected.size(); ++c) {
-        testutil::ExpectSameDatabase(reference[c], projected[c],
+        testutil::ExpectSameDatabase(reference[s][c], projected[c],
                                      where + " class " + std::to_string(c));
       }
     }
@@ -565,13 +671,13 @@ Database StaircaseDb() {
 TEST(DecomposeTest, DenseClassesAcrossPlaneAndWordEdgesProjectLikeTheRawCount) {
   const Database db = StaircaseDb();
   const ClassDecomposition decomp = DecomposeClasses(db, 1);
-  ASSERT_NE(decomp.bitmaps, nullptr);
-  ASSERT_EQ(decomp.bitmap_words, 3u);
+  ASSERT_TRUE(decomp.dense());
+  ASSERT_EQ(decomp.rank_words, 3u);
   ASSERT_GE(decomp.num_classes(), 129u);
   // The premise: classes of every row count around a group of 16 rows.
   std::vector<size_t> row_counts;
   for (Item c = 0; c < decomp.num_classes(); ++c) {
-    row_counts.push_back(decomp.class_rows(c).size());
+    row_counts.push_back(TidsOf(decomp, c).size());
   }
   for (size_t rows : {15u, 16u, 17u, 31u, 32u, 33u}) {
     EXPECT_NE(std::find(row_counts.begin(), row_counts.end(), rows),
@@ -600,45 +706,84 @@ TEST(DecomposeTest, DenseClassesAcrossPlaneAndWordEdgesProjectLikeTheRawCount) {
   }
 }
 
-// The bitmaps are kept exactly when the input is unweighted, repeats no
-// rank (see RepeatedItemFromAPackedFileIsKept) and 2 * N * W <= entries.
+// The dense form is taken exactly when the input is unweighted, repeats
+// no rank (see RepeatedItemFromAPackedFileIsKept) and 2 * N * W <= its
+// frequent entries, and memory_bytes() counts the form that is held.
 TEST(DecomposeTest, BitmapsAreKeptOnlyWhereTheAddersCanCount) {
   // {i, i+1} for i < 10: 11 frequent ranks in 1 word, 10 transactions,
-  // 20 entries: 2 * 10 * 1 <= 20 keeps them.
+  // 20 entries: 2 * 10 * 1 <= 20 takes the dense form.
   DatabaseBuilder pairs;
   for (Item i = 0; i < 10; ++i) pairs.AddTransaction({i, i + 1});
   const Database dense = pairs.Build();
   const ClassDecomposition kept = DecomposeClasses(dense, 1);
-  ASSERT_NE(kept.bitmaps, nullptr);
-  EXPECT_EQ(kept.bitmap_words, 1u);
+  ASSERT_TRUE(kept.dense());
+  EXPECT_EQ(kept.rank_words, 1u);
+  EXPECT_EQ(kept.tid_words, 8u);  // one 512-tid block
+  // 11 supports, 10 rank bitmaps of 1 word, 11 tid bitmaps of 8 words.
   EXPECT_EQ(kept.memory_bytes(),
-            kept.ranked.resident_bytes() + kept.rows().size_bytes() +
-                kept.row_begin.capacity() * sizeof(size_t) +
-                10 * sizeof(uint64_t));
+            11 * sizeof(Support) + (10 * 1 + 11 * 8) * sizeof(uint64_t));
   ExpectProjectionsMatchRawCount(dense, 1, {1, 2}, true, "pairs");
 
-  // One more transaction of one rank: 2 * 11 * 1 > 21 drops them.
+  // One more transaction of one rank: 2 * 11 * 1 > 21 keeps the rows.
   for (Item i = 0; i < 10; ++i) pairs.AddTransaction({i, i + 1});
   pairs.AddTransaction({0});
   const Database sparse = pairs.Build();
   const ClassDecomposition dropped = DecomposeClasses(sparse, 1);
-  EXPECT_EQ(dropped.bitmaps, nullptr);
-  EXPECT_EQ(dropped.bitmap_words, 0u);
+  EXPECT_FALSE(dropped.dense());
+  EXPECT_EQ(dropped.rank_bitmaps, nullptr);
+  EXPECT_EQ(dropped.rank_words, 0u);
+  // 11 supports, 21 ranked items, 12 offsets, 10 rows, 12 row starts.
   EXPECT_EQ(dropped.memory_bytes(),
-            dropped.ranked.resident_bytes() + dropped.rows().size_bytes() +
-                dropped.row_begin.capacity() * sizeof(size_t));
+            11 * sizeof(Support) + 21 * sizeof(Item) + 12 * sizeof(size_t) +
+                10 * sizeof(ClassRow) + 12 * sizeof(size_t));
   ExpectProjectionsMatchRawCount(sparse, 1, {1, 2}, false, "pairs and one");
 
   // The dense pairs with one weight 2: the adders count rows, not weights.
   for (Item i = 0; i < 10; ++i) pairs.AddTransaction({i, i + 1}, i == 4 ? 2 : 1);
   const Database weighted = pairs.Build();
-  EXPECT_EQ(DecomposeClasses(weighted, 1).bitmaps, nullptr);
+  EXPECT_FALSE(DecomposeClasses(weighted, 1).dense());
   ExpectProjectionsMatchRawCount(weighted, 1, {1, 2, 3}, false,
                                  "weighted pairs");
 }
 
+// Unweighted transactions over `num_items` items: the first holds every
+// item, each other one each item with probability 1/2, so at support 1
+// the frequent ranks are exactly the items.
+Database HalfFullDb(uint64_t seed, uint32_t num_tx, Item num_items) {
+  Rng rng(seed);
+  DatabaseBuilder b;
+  std::vector<Item> tx;
+  for (uint32_t t = 0; t < num_tx; ++t) {
+    tx.clear();
+    for (Item i = 0; i < num_items; ++i) {
+      if (t == 0 || rng.NextBounded(2) == 0) tx.push_back(i);
+    }
+    b.AddTransaction(tx);
+  }
+  return b.Build();
+}
+
+// The dense pass's tid blocks end at 512 tids and its tid bitmaps' words
+// at 64: inputs on both sides of each edge, with ranks on both sides of
+// the rank bitmaps' word edges, must decompose to the reference bitmaps
+// and project to the reference classes on every pool. Support 1 keeps
+// every rank a row holds; half the transactions keeps some of them.
+TEST(DecomposeTest, DenseFormAcrossTidBlockEdgesProjectsLikeTheRawCount) {
+  for (uint32_t num_tx : {1u, 63u, 64u, 65u, 511u, 512u, 513u}) {
+    for (Item num_items : {63u, 64u, 65u, 128u}) {
+      const Database db = HalfFullDb(num_tx * 1000 + num_items, num_tx,
+                                     num_items);
+      const Support half = std::max<Support>(num_tx / 2, 1);
+      ExpectProjectionsMatchRawCount(
+          db, 1, {1, half}, true,
+          std::to_string(num_tx) + " transactions over " +
+              std::to_string(num_items) + " items");
+    }
+  }
+}
+
 // The row count's per-thread counters are all zero between classes:
-// classes of two different sparse decompositions (no bitmaps), projected
+// classes of two different sparse decompositions (the row form), projected
 // on one thread in a shuffled order, each equal the raw count. One input
 // has a dense tier, whose classes hold more entries than ranks and reset
 // their counters whole; the rest reset entry by entry.
@@ -660,7 +805,7 @@ TEST(DecomposeTest, RowCountsOfInterleavedClassesMatchTheRawCount) {
   for (size_t d = 0; d < inputs.size(); ++d) {
     const auto& [db, min_support] = inputs[d];
     decomps.push_back(DecomposeClasses(*db, min_support));
-    ASSERT_EQ(decomps.back().bitmaps, nullptr) << d;
+    ASSERT_FALSE(decomps.back().dense()) << d;
     reference.push_back(
         testutil::ReferenceClasses(*db, min_support, min_support));
     ASSERT_EQ(reference.back().size(), decomps.back().num_classes()) << d;

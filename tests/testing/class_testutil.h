@@ -1,6 +1,7 @@
-// The class decomposition's conditional databases counted from the raw
-// transactions, for checking ProjectClass (fpm/parallel/decompose.h)
-// database for database whichever way it counted a class.
+// The class decomposition's rows and conditional databases counted from
+// the raw transactions, for checking either form of the decomposition
+// (fpm/parallel/decompose.h) row for row and ProjectClass database for
+// database whichever way it counted a class.
 
 #ifndef FPM_TESTS_TESTING_CLASS_TESTUTIL_H_
 #define FPM_TESTS_TESTING_CLASS_TESTUTIL_H_
@@ -16,17 +17,20 @@
 
 namespace fpm::testutil {
 
-/// Every class of `db` with its items ranked by decreasing frequency and
-/// cut to the ranks of support >= `rank_support`: each transaction's
-/// ranks ascending (a repeated item keeps its repeat), and every member
-/// but the first owns the prefix before it as a row of its class, once
-/// (a repeat owns no second row). A class keeps its rows' ranks whose
-/// weighted count over the class reaches `class_support`, one
-/// transaction per row in tid order; a class with no such rank is an
-/// empty database.
-inline std::vector<Database> ReferenceClasses(const Database& db,
-                                              Support rank_support,
-                                              Support class_support) {
+/// One row of a class counted from the raw transactions: transaction
+/// `tid`'s ranks before the class owner, ascending.
+struct ReferenceRow {
+  Tid tid;
+  std::vector<Item> prefix;
+};
+
+/// The rows of every class of `db` with its items ranked by decreasing
+/// frequency and cut to the ranks of support >= `rank_support`: each
+/// transaction's ranks ascending (a repeated item keeps its repeat), and
+/// every member but the first owns the prefix before it as a row of its
+/// class, once (a repeat owns no second row), in tid order.
+inline std::vector<std::vector<ReferenceRow>> ReferenceClassRows(
+    const Database& db, Support rank_support) {
   const ItemOrder order = ItemOrder::ByDecreasingFrequency(db);
   const auto freq = db.item_frequencies();
   Item num_frequent = 0;
@@ -34,11 +38,7 @@ inline std::vector<Database> ReferenceClasses(const Database& db,
          freq[order.ItemAt(num_frequent)] >= rank_support) {
     ++num_frequent;
   }
-  struct Row {
-    Tid tid;
-    std::vector<Item> prefix;
-  };
-  std::vector<std::vector<Row>> rows(num_frequent);
+  std::vector<std::vector<ReferenceRow>> rows(num_frequent);
   for (Tid t = 0; t < db.num_transactions(); ++t) {
     std::vector<Item> ranks;
     for (Item it : db.transaction(t)) {
@@ -53,10 +53,22 @@ inline std::vector<Database> ReferenceClasses(const Database& db,
           {t, std::vector<Item>(ranks.begin(), ranks.begin() + j)});
     }
   }
+  return rows;
+}
+
+/// Every class of `db` (see ReferenceClassRows) keeps its rows' ranks
+/// whose weighted count over the class reaches `class_support`, one
+/// transaction per row in tid order; a class with no such rank is an
+/// empty database.
+inline std::vector<Database> ReferenceClasses(const Database& db,
+                                              Support rank_support,
+                                              Support class_support) {
+  const std::vector<std::vector<ReferenceRow>> rows =
+      ReferenceClassRows(db, rank_support);
   std::vector<Database> classes;
-  for (Item c = 0; c < num_frequent; ++c) {
+  for (Item c = 0; c < rows.size(); ++c) {
     std::vector<Support> support(c, 0);
-    for (const Row& row : rows[c]) {
+    for (const ReferenceRow& row : rows[c]) {
       for (Item it : row.prefix) support[it] += db.weight(row.tid);
     }
     if (std::none_of(support.begin(), support.end(),
@@ -65,7 +77,7 @@ inline std::vector<Database> ReferenceClasses(const Database& db,
       continue;
     }
     DatabaseBuilder b;
-    for (const Row& row : rows[c]) {
+    for (const ReferenceRow& row : rows[c]) {
       std::vector<Item> kept;
       for (Item it : row.prefix) {
         if (support[it] >= class_support) kept.push_back(it);
